@@ -10,8 +10,8 @@
 //!    width clamps down.
 //! 2. **End-to-end UCQ throughput** — rows/sec through
 //!    scan→join→σ→π→∪→δ at 1k and 10k rows per wrapper, the numbers
-//!    recorded in EXPERIMENTS.md P11 (the 100k point is sampled with the
-//!    `p4_point` bin, which is quicker to re-run back-to-back).
+//!    recorded in EXPERIMENTS.md P11 (the 100k point was sampled with the
+//!    since-retired `p4_point` bin).
 //! 3. **Intern-pool effectiveness** — the hit rate of the global string
 //!    pool after warming, printed once per run for the P11 table.
 //!

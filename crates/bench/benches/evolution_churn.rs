@@ -1,18 +1,17 @@
 //! P15 — evolution churn: sustained analyst traffic over the head of a
 //! long concept chain while the steward releases new wrapper versions over
-//! the tail. A/B per cell: legacy coarse (epoch-equality) invalidation vs
-//! surgical footprint-interval invalidation.
+//! the tail, under footprint-interval (surgical) invalidation — the only
+//! behaviour the cache has. The coarse (epoch-equality) cell this bench
+//! used to run beside it is retired with the mode; its 0.00 → 1.00
+//! hit-rate result stays in EXPERIMENTS.md as a dated record.
 //!
 //! Two cells:
 //!
 //! * **disjoint** — releases land ≥ 2 concepts away from anything the hot
-//!   walks read. Coarse invalidation recompiles every plan after every
-//!   release (hit rate ~0); surgical invalidation keeps them all hot
-//!   (hit rate ≥ 0.95).
+//!   walks read: every plan stays hot (hit rate ≥ 0.95).
 //! * **overlap** — mapping-only releases over a concept the hot walks DO
-//!   read. Coarse recompiles from scratch; surgical repairs the cached
-//!   plan by incremental UCQ extension (full rewrites stay at the warm-up
-//!   count).
+//!   read: the cached plan is repaired by incremental UCQ extension (full
+//!   rewrites stay at the warm-up count).
 //!
 //! Every cell asserts the served plan is byte-identical to a cold rewrite
 //! before reporting. A final micro-bench times `PlanCache` insert+evict at
@@ -22,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mdm_core::synthetic::{chain_walk, concept_iri, feature_iri, register_synthetic_wrapper};
-use mdm_core::{InvalidationMode, Mdm, PlanCache};
+use mdm_core::{Mdm, PlanCache};
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 
 /// Chain length; hot walks read concepts 0..3, releases land on 5..7.
@@ -95,14 +94,8 @@ fn percentile(sorted_us: &[u64], p: f64) -> f64 {
 /// One churn cell: warm the hot walks, then alternate releases over
 /// `churned` sources with replays of every hot walk, timing each
 /// `rewrite_cached`. The hit rate covers only the post-warm-up window.
-fn run_cell(
-    eco: &SyntheticEcosystem,
-    mode: InvalidationMode,
-    churned: &[usize],
-    rounds: usize,
-) -> CellResult {
+fn run_cell(eco: &SyntheticEcosystem, churned: &[usize], rounds: usize) -> CellResult {
     let mut mdm = base_mdm(eco);
-    mdm.set_invalidation_mode(mode);
     for k in 1..=HOT_WALKS {
         mdm.rewrite_cached(&chain_walk(eco, k)).unwrap();
     }
@@ -125,7 +118,7 @@ fn run_cell(
             assert_eq!(
                 format!("{:?}", *served),
                 format!("{:?}", mdm.rewrite(&walk).unwrap()),
-                "cached plan diverged from cold rewrite (mode {mode:?}, round {round}, k {k})"
+                "cached plan diverged from cold rewrite (round {round}, k {k})"
             );
         }
     }
@@ -143,9 +136,9 @@ fn run_cell(
     }
 }
 
-fn report(cell: &str, mode: &str, r: &CellResult) {
+fn report(cell: &str, r: &CellResult) {
     println!(
-        "{cell:<9} {mode:<9} {:>8.3} {:>9} {:>11} {:>9.1} {:>9.1}",
+        "{cell:<9} {:>8.3} {:>9} {:>11} {:>9.1} {:>9.1}",
         r.hit_rate, r.full_rewrites, r.incremental_extensions, r.p50_us, r.p99_us
     );
 }
@@ -189,46 +182,34 @@ fn main() {
          rewrite_cached latency per replay"
     );
     println!(
-        "{:<9} {:<9} {:>8} {:>9} {:>11} {:>9} {:>9}",
-        "cell", "mode", "hit_rate", "full_rw", "incr_ext", "p50_us", "p99_us"
+        "{:<9} {:>8} {:>9} {:>11} {:>9} {:>9}",
+        "cell", "hit_rate", "full_rw", "incr_ext", "p50_us", "p99_us"
     );
 
     let eco = ecosystem();
 
     // Disjoint: releases over sources 5 and 6 (mappings reach 6 and 7) —
     // a gap of ≥ 2 from the hot walks' {C0, C1, C2}.
-    let coarse = run_cell(&eco, InvalidationMode::Coarse, &[5, 6], ROUNDS);
-    report("disjoint", "coarse", &coarse);
-    let surgical = run_cell(&eco, InvalidationMode::Surgical, &[5, 6], ROUNDS);
-    report("disjoint", "surgical", &surgical);
+    let disjoint = run_cell(&eco, &[5, 6], ROUNDS);
+    report("disjoint", &disjoint);
     assert!(
-        coarse.hit_rate <= 0.05,
-        "coarse invalidation must recompile after every release (hit rate {})",
-        coarse.hit_rate
-    );
-    assert!(
-        surgical.hit_rate >= 0.95,
-        "surgical invalidation must keep disjoint plans hot (hit rate {})",
-        surgical.hit_rate
+        disjoint.hit_rate >= 0.95,
+        "disjoint plans must stay hot (hit rate {})",
+        disjoint.hit_rate
     );
 
     // Overlap: mapping-only releases over source 1, which the k≥2 hot
-    // walks read — surgical repairs by incremental extension. Half the
-    // rounds: one source's version supply feeds the whole cell.
-    let coarse = run_cell(&eco, InvalidationMode::Coarse, &[1], ROUNDS / 2);
-    report("overlap", "coarse", &coarse);
-    let surgical = run_cell(&eco, InvalidationMode::Surgical, &[1], ROUNDS / 2);
-    report("overlap", "surgical", &surgical);
-    assert_eq!(coarse.incremental_extensions, 0, "coarse never extends");
+    // walks read — repaired by incremental extension. Half the rounds: one
+    // source's version supply feeds the whole cell.
+    let overlap = run_cell(&eco, &[1], ROUNDS / 2);
+    report("overlap", &overlap);
     assert!(
-        surgical.incremental_extensions > 0,
+        overlap.incremental_extensions > 0,
         "overlapping mapping releases must extend incrementally"
     );
-    assert!(
-        surgical.full_rewrites < coarse.full_rewrites,
-        "extension must avoid full rewrites ({} vs {})",
-        surgical.full_rewrites,
-        coarse.full_rewrites
+    assert_eq!(
+        overlap.full_rewrites, HOT_WALKS as u64,
+        "extension must avoid full rewrites beyond the warm-up"
     );
 
     lru_micro_bench(&eco);

@@ -7,11 +7,12 @@
 //! hash-join build side, which is exactly what the cost pass reorders
 //! (plus π-pruning the wide scans down to the joined/projected columns).
 //!
-//! Each point builds one system per optimize mode, runs a warm-up query so
-//! the scan caches fill and the stats catalog observes real cardinalities,
-//! then refreshes the stats epoch so the cost pipeline re-optimizes the
-//! cached plan against those observations — the production flow. Outputs
-//! are asserted byte-identical across modes before sampling.
+//! Each point builds one system per optimize mode and times the served
+//! path — [`mdm_core::Mdm::query_degraded`] under `set_optimize` — after a
+//! warm-up query has let the stats catalog observe real cardinalities and
+//! a stats refresh has made them current: every sampled query optimizes
+//! its branch plans inline against those observations, as production
+//! does. Outputs are asserted byte-identical across modes before sampling.
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mdm_bench::{skewed_system, BenchSystem};
 use mdm_core::RewriteOptions;
-use mdm_relational::{OptimizeMode, StatsCatalog};
+use mdm_relational::{Deadline, OptimizeMode, StatsCatalog};
 
 /// (concepts, versions per source, rows in source 0, rows per later
 /// source): 15–40 coexisting wrapper versions against Table 1's three.
@@ -55,9 +56,9 @@ fn optimizer_scaling(c: &mut Criterion) {
             let system = prepared(point, mode);
             let warm = system
                 .mdm
-                .query_cached(&system.walk)
+                .query_degraded(&system.walk, Deadline::none())
                 .expect("query answers");
-            renders.push(warm.table.sorted().render());
+            renders.push(warm.render());
             system.mdm.refresh_stats();
             group.bench_with_input(
                 BenchmarkId::new(mode.as_str(), &label),
@@ -67,7 +68,7 @@ fn optimizer_scaling(c: &mut Criterion) {
                         std::hint::black_box(
                             system
                                 .mdm
-                                .query_cached(&system.walk)
+                                .query_degraded(&system.walk, Deadline::none())
                                 .expect("query answers"),
                         )
                     })

@@ -2,51 +2,49 @@
 //!
 //! Executes version-widened UCQs (the P1 shape: one concept, `versions`
 //! coexisting wrapper versions, so the union width equals the version
-//! count) under worker pools of 1, 2, 4 and 8 threads. Pool size 1 is the
-//! sequential baseline; the ratio to it is the speedup reported in
-//! EXPERIMENTS.md. Every configuration runs the same plan through the same
-//! executor — only the pool differs — and results are byte-identical by
-//! construction (asserted once per configuration before sampling).
-
-use std::sync::Arc;
+//! count) through the served path — [`mdm_core::Mdm::query_degraded`] —
+//! under `set_threads(1, 2, 4, 8)`. One thread is the sequential baseline;
+//! the ratio to it is the speedup reported in EXPERIMENTS.md. Every
+//! configuration serves the same cached rewriting — only the pool differs
+//! — and every answer is asserted byte-identical to the cold reference
+//! (`Mdm::query`) before sampling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use mdm_bench::versions_system;
-use mdm_relational::{ExecOptions, Executor, Pool};
+use mdm_relational::Deadline;
 
 fn p9_parallel_speedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("p9_parallel_speedup");
     group.sample_size(20);
     for branches in [2usize, 4, 8] {
         for rows in [1_000usize, 10_000] {
-            let system = versions_system(branches, rows);
-            let rewriting = system.mdm.rewrite(&system.walk).expect("rewrites");
-            let baseline = Executor::with_options(system.mdm.catalog(), ExecOptions::sequential())
-                .run(&rewriting.plan)
-                .expect("executes");
-            for pool_size in [1usize, 2, 4, 8] {
-                let pool = Arc::new(Pool::new(pool_size));
-                let options = ExecOptions {
-                    pool: Some(Arc::clone(&pool)),
-                    ..ExecOptions::default()
-                };
-                let parallel = Executor::with_options(system.mdm.catalog(), options.clone())
-                    .run(&rewriting.plan)
+            let mut system = versions_system(branches, rows);
+            let reference = system.mdm.query(&system.walk).expect("executes").render();
+            for threads in [1usize, 2, 4, 8] {
+                system.mdm.set_threads(threads);
+                let served = system
+                    .mdm
+                    .query_degraded(&system.walk, Deadline::none())
                     .expect("executes");
-                assert_eq!(baseline, parallel, "pool must not change the answer");
+                assert_eq!(
+                    reference,
+                    served.render(),
+                    "pool must not change the answer"
+                );
                 group.throughput(Throughput::Elements((branches * rows) as u64));
                 group.bench_with_input(
                     BenchmarkId::new(
                         format!("branches={branches}/rows={rows}"),
-                        format!("pool={pool_size}"),
+                        format!("pool={threads}"),
                     ),
-                    &options,
-                    |b, options| {
+                    &system,
+                    |b, system| {
                         b.iter(|| {
                             std::hint::black_box(
-                                Executor::with_options(system.mdm.catalog(), options.clone())
-                                    .run(&rewriting.plan)
+                                system
+                                    .mdm
+                                    .query_degraded(&system.walk, Deadline::none())
                                     .expect("executes"),
                             )
                         })

@@ -556,8 +556,8 @@ impl Session {
 
     /// `stats [refresh]` — reports the cardinality-statistics catalog, or
     /// (with `refresh`) bumps the stats epoch so relations re-profile and
-    /// cached plans re-optimize. Never a metadata mutation: the metadata
-    /// epoch is untouched.
+    /// the next query optimizes against fresh numbers. Never a metadata
+    /// mutation: the metadata epoch is untouched.
     fn stats(&mut self, argument: &str) -> Outcome {
         if self.server.is_some() {
             return Outcome::Text(
@@ -575,7 +575,7 @@ impl Session {
                 let stats_epoch = mdm.refresh_stats();
                 Outcome::Text(format!(
                     "stats epoch bumped to {stats_epoch} — relations re-profile on next scan, \
-                     cached plans re-optimize on next use (metadata epoch {} untouched)",
+                     the next query optimizes against them (metadata epoch {} untouched)",
                     mdm.epoch()
                 ))
             }
@@ -1115,15 +1115,17 @@ MDM — Metadata Management System (EDBT 2018 reproduction)
                      derivation and print the optimized plan tree with
                      estimated vs. actual per-operator cardinalities
   query              enter a walk, finish with '.', execute it (Table 1 style)
-  trace              like query, plus a provenance column (which branch/version)
+  trace              like query (same pool, layout, retries and fault plan), plus
+                     a provenance column (which branch/version); a dropped
+                     branch is an error here, not a partial answer
   suggest <wrapper>  semi-automatic mapping suggestions for an unmapped wrapper
   changes [--since N] [--follow]
                      the evolution changefeed: every committed steward mutation
                      after epoch N with its dependency footprint; --follow
                      long-polls the running server until the feed goes idle
   stats [refresh]    the cardinality-statistics catalog behind the cost-based
-                     optimizer; 'stats refresh' bumps the stats epoch (cached
-                     plans re-optimize; the metadata epoch is untouched)
+                     optimizer; 'stats refresh' bumps the stats epoch (the next
+                     query re-profiles; the metadata epoch is untouched)
   faults [<seed> [rate] | off]  arm/disarm deterministic fault injection; bare
                      'faults' reports the plan, deadline and breaker states
   serve [addr]       expose the system over HTTP (default 127.0.0.1:0; see README)

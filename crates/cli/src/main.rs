@@ -17,9 +17,8 @@
 //!   (`0` restores the default; the executor adapts down for small inputs).
 //! * `--layout row|columnar` — physical data plane: fixed-width term
 //!   columns with vectorized kernels (default) or the row-at-a-time path.
-//! * `--optimize off|heuristic|cost` — plan optimization: the stats-driven
-//!   cost pipeline (default), the stats-free heuristic rewrites, or none.
-//!   Results are byte-identical in all three modes.
+//! * `--optimize off|cost` — plan optimization: the stats-driven cost
+//!   pipeline (default) or none. Results are byte-identical in both modes.
 //! * `--data-dir <dir>` — durable metadata: recover the journal in `dir`
 //!   (or create one) and append every steward mutation to its WAL.
 //! * `--fsync <policy>` — WAL durability for `--data-dir`: `always`
@@ -73,9 +72,8 @@ fn parse_flags(session: &mut Session) -> Result<(), String> {
             }
             "--optimize" => {
                 let raw = value(&mut args)?;
-                let mode = mdm_relational::OptimizeMode::parse(&raw).ok_or_else(|| {
-                    format!("--optimize: unknown mode '{raw}' (off | heuristic | cost)")
-                })?;
+                let mode = mdm_relational::OptimizeMode::parse(&raw)
+                    .ok_or_else(|| format!("--optimize: unknown mode '{raw}' (off | cost)"))?;
                 session.set_optimize(Some(mode));
             }
             "--data-dir" => {
@@ -91,7 +89,7 @@ fn parse_flags(session: &mut Session) -> Result<(), String> {
                 return Err(
                     "usage: mdm [--fault-seed <n>] [--deadline-ms <n>] [--threads <n>] \
                      [--batch-size <n>] [--layout row|columnar] \
-                     [--optimize off|heuristic|cost] [--data-dir <dir>] \
+                     [--optimize off|cost] [--data-dir <dir>] \
                      [--fsync always|never|interval[:ms]]"
                         .to_string(),
                 )

@@ -51,7 +51,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::footprint::Footprint;
 use crate::rewrite::{RewriteArtifacts, Rewriting};
-use mdm_relational::Plan;
 
 /// Default bound on cached plans; enough for every distinct dashboard query
 /// of a deployment while keeping the worst-case memory small (plans are a
@@ -62,16 +61,6 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 /// invalidate conservatively, so this trades memory for how long an idle
 /// plan can survive without a lookup.
 pub const INVALIDATION_LOG_CAPACITY: usize = 1024;
-
-/// How stale entries are validated (the A/B knob for the P15 bench).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InvalidationMode {
-    /// Legacy behaviour: any epoch difference invalidates.
-    Coarse,
-    /// Footprint-interval validation (the default).
-    #[default]
-    Surgical,
-}
 
 /// A point-in-time view of the cache counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,13 +74,6 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// Entries dropped to make room (LRU policy).
     pub evictions: u64,
-    /// Optimized-plan slots recomputed because the stats epoch moved on
-    /// (the metadata-epoch entry itself survived).
-    pub reoptimizations: u64,
-    /// Optimized-slot lookups served from the stats-epoch side slot.
-    pub optimized_hits: u64,
-    /// Optimized-slot lookups that had to re-optimize.
-    pub optimized_misses: u64,
     /// Entries dropped because a mutation's footprint overlapped theirs.
     pub surgical_invalidations: u64,
     /// Entry×mutation events where a disjoint footprint let a cached plan
@@ -170,11 +152,6 @@ struct Entry {
     /// validated by epoch equality.
     artifacts: Option<Arc<RewriteArtifacts>>,
     last_used: u64,
-    /// The cost-optimized physical form of `plan`, tagged with the stats
-    /// epoch it was optimized under. A stats refresh makes this slot stale
-    /// — and *only* this slot: the rewriting above survives, because
-    /// statistics are not metadata.
-    optimized: Option<(u64, Arc<Plan>)>,
 }
 
 struct Inner {
@@ -192,7 +169,6 @@ struct Inner {
     /// The highest epoch the log covers; lookups beyond it invalidate
     /// conservatively (an epoch jump the cache was not told about).
     frontier: u64,
-    mode: InvalidationMode,
 }
 
 /// The LRU-bounded, footprint-validated plan cache.
@@ -202,9 +178,6 @@ pub struct PlanCache {
     misses: AtomicU64,
     invalidations: AtomicU64,
     evictions: AtomicU64,
-    reoptimizations: AtomicU64,
-    optimized_hits: AtomicU64,
-    optimized_misses: AtomicU64,
     surgical_invalidations: AtomicU64,
     survivals: AtomicU64,
     incremental_extensions: AtomicU64,
@@ -221,9 +194,6 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            reoptimizations: AtomicU64::new(0),
-            optimized_hits: AtomicU64::new(0),
-            optimized_misses: AtomicU64::new(0),
             surgical_invalidations: AtomicU64::new(0),
             survivals: AtomicU64::new(0),
             incremental_extensions: AtomicU64::new(0),
@@ -235,19 +205,8 @@ impl PlanCache {
                 log: VecDeque::new(),
                 floor: 0,
                 frontier: 0,
-                mode: InvalidationMode::default(),
             }),
         }
-    }
-
-    /// Switches between coarse (epoch-equality) and surgical validation.
-    pub fn set_invalidation_mode(&self, mode: InvalidationMode) {
-        self.lock().mode = mode;
-    }
-
-    /// The active validation mode.
-    pub fn invalidation_mode(&self) -> InvalidationMode {
-        self.lock().mode
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -287,10 +246,6 @@ impl PlanCache {
                 inner.floor = dropped.epoch;
             }
         }
-        if inner.mode == InvalidationMode::Coarse {
-            return; // legacy semantics: validation happens lazily at lookup
-        }
-
         let mut dropped: Vec<String> = Vec::new();
         let mut survived = 0u64;
         for (key, entry) in inner.entries.iter_mut() {
@@ -343,14 +298,8 @@ impl PlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Lookup::Hit(plan);
         }
-        if inner.mode == InvalidationMode::Coarse {
-            remove_entry(inner, key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss;
-        }
-        // Surgical: the interval test. Refuse to speculate when the log
-        // does not cover (entry.epoch, epoch] or the footprint is unknown.
+        // The interval test. Refuse to speculate when the log does not
+        // cover (entry.epoch, epoch] or the footprint is unknown.
         let covered = epoch >= entry.epoch && entry.epoch >= inner.floor && epoch <= inner.frontier;
         let Some(artifacts) = entry.artifacts.clone() else {
             remove_entry(inner, key);
@@ -462,53 +411,11 @@ impl PlanCache {
                 plan,
                 artifacts,
                 last_used,
-                optimized: None,
             },
         ) {
             inner.lru.remove(&(old.last_used, key.clone()));
         }
         inner.lru.insert((last_used, key));
-    }
-
-    /// Returns the cost-optimized plan cached for `key`, provided the
-    /// rewriting is current at `epoch` **and** the optimized form was
-    /// computed at `stats_epoch`. A slot optimized under an older stats
-    /// epoch is dropped and counted as a re-optimization — while the
-    /// rewriting entry itself stays cached: a stats refresh re-optimizes
-    /// plans, it does not invalidate metadata. Every probe lands in
-    /// `optimized_hits`/`optimized_misses`, so `/metrics` accounts for
-    /// optimizer-path traffic too.
-    pub fn lookup_optimized(&self, key: &str, epoch: u64, stats_epoch: u64) -> Option<Arc<Plan>> {
-        let inner = &mut *self.lock();
-        let result = match inner.entries.get_mut(key) {
-            Some(entry) if entry.epoch == epoch && !entry.pending => match &entry.optimized {
-                Some((at, plan)) if *at == stats_epoch => Some(Arc::clone(plan)),
-                Some(_) => {
-                    entry.optimized = None;
-                    self.reoptimizations.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-                None => None,
-            },
-            _ => None,
-        };
-        match &result {
-            Some(_) => self.optimized_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.optimized_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        result
-    }
-
-    /// Stores the cost-optimized form of `key`'s plan as of `stats_epoch`.
-    /// A no-op when the rewriting entry is absent or stale (evicted or
-    /// invalidated since the rewrite).
-    pub fn store_optimized(&self, key: &str, epoch: u64, stats_epoch: u64, plan: Arc<Plan>) {
-        let inner = &mut *self.lock();
-        if let Some(entry) = inner.entries.get_mut(key) {
-            if entry.epoch == epoch && !entry.pending {
-                entry.optimized = Some((stats_epoch, plan));
-            }
-        }
     }
 
     /// Drops every entry (counters and the invalidation log are preserved).
@@ -525,9 +432,6 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            reoptimizations: self.reoptimizations.load(Ordering::Relaxed),
-            optimized_hits: self.optimized_hits.load(Ordering::Relaxed),
-            optimized_misses: self.optimized_misses.load(Ordering::Relaxed),
             surgical_invalidations: self.surgical_invalidations.load(Ordering::Relaxed),
             survivals: self.survivals.load(Ordering::Relaxed),
             incremental_extensions: self.incremental_extensions.load(Ordering::Relaxed),
@@ -709,25 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_mode_restores_legacy_equality_semantics() {
-        let cache = PlanCache::new(4);
-        cache.set_invalidation_mode(InvalidationMode::Coarse);
-        assert_eq!(cache.invalidation_mode(), InvalidationMode::Coarse);
-        cache.insert_with_artifacts(
-            "q".into(),
-            1,
-            dummy_plan("w1"),
-            dummy_artifacts(&["A"], &["w1"]),
-        );
-        cache.note_mutation(2, fp(&["ZZZ"]), false);
-        assert!(
-            cache.lookup("q", 2).hit().is_none(),
-            "coarse mode ignores footprints"
-        );
-        assert_eq!(cache.stats().invalidations, 1);
-    }
-
-    #[test]
     fn epoch_gap_truncates_log_coverage() {
         let cache = PlanCache::new(4);
         cache.insert_with_artifacts(
@@ -783,37 +668,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn optimized_slot_rides_the_stats_epoch_not_the_metadata_epoch() {
-        let cache = PlanCache::new(4);
-        cache.insert("q".into(), 1, dummy_plan("w1"));
-        assert!(cache.lookup_optimized("q", 1, 0).is_none());
-        cache.store_optimized("q", 1, 0, Arc::new(Plan::scan("w1")));
-        assert!(cache.lookup_optimized("q", 1, 0).is_some());
-
-        // Stats epoch moves: the optimized slot is dropped and counted as
-        // a re-optimization, but the rewriting entry still serves.
-        assert!(cache.lookup_optimized("q", 1, 1).is_none());
-        assert_eq!(cache.stats().reoptimizations, 1);
-        assert!(
-            cache.lookup("q", 1).hit().is_some(),
-            "rewriting survives refresh"
-        );
-        assert_eq!(cache.stats().invalidations, 0);
-
-        // Wrong metadata epoch never serves an optimized plan.
-        cache.store_optimized("q", 1, 1, Arc::new(Plan::scan("w1")));
-        assert!(cache.lookup_optimized("q", 2, 1).is_none());
-        // Storing against a stale metadata epoch is a no-op.
-        cache.store_optimized("q", 9, 1, Arc::new(Plan::scan("zzz")));
-        assert!(cache.lookup_optimized("q", 9, 1).is_none());
-
-        // Every probe above landed in the optimized counters.
-        let stats = cache.stats();
-        assert_eq!(stats.optimized_hits, 1);
-        assert_eq!(stats.optimized_misses, 4);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mdm_relational::{
 };
 use mdm_wrappers::{FaultPlan, Wrapper, WrapperCatalog};
 
-use crate::cache::{CacheStats, InvalidationMode, Lookup, PlanCache};
+use crate::cache::{CacheStats, Lookup, PlanCache};
 use crate::changes::{ChangeLog, ChangeRecord, DEFAULT_CHANGELOG_CAPACITY};
 use crate::error::MdmError;
 use crate::gav::GavMapping;
@@ -76,9 +76,9 @@ pub struct Mdm {
     /// and versioned by its own **stats epoch** — bumped by
     /// [`Mdm::refresh_stats`], never by metadata mutations.
     stats: Arc<StatsCatalog>,
-    /// Plan-optimization mode applied before execution: `Cost` (default),
-    /// `Heuristic`, or `Off`. Never changes query *results*, only the
-    /// physical plan shape.
+    /// Plan-optimization mode applied before execution: `Cost` (default)
+    /// or `Off`. Never changes query *results*, only the physical plan
+    /// shape.
     optimize: OptimizeMode,
     /// Durability hook: every successful steward mutation is handed here as
     /// a [`MutationOp`] stamped with the post-mutation epoch. `None` (the
@@ -169,9 +169,9 @@ impl Mdm {
     }
 
     /// Sets the plan-optimization mode: `cost` (default) runs the full
-    /// stats-driven pipeline, `heuristic` only the stats-free rewrites,
-    /// `off` executes rewritings verbatim. Results are identical in all
-    /// three; only execution cost changes.
+    /// stats-driven pipeline, `off` executes rewritings verbatim (the
+    /// optimizer's test oracle). Results are identical in both; only
+    /// execution cost changes.
     pub fn set_optimize(&mut self, mode: OptimizeMode) {
         self.optimize = mode;
     }
@@ -193,10 +193,10 @@ impl Mdm {
     }
 
     /// The steward's "re-profile the ecosystem" action: bumps the stats
-    /// epoch so the next scan of each relation re-observes it and every
-    /// cached plan is re-optimized on next use. Takes `&self` and does
-    /// **not** touch the metadata epoch — a stats refresh is not a release,
-    /// so cached rewritings (and golden outputs) survive it.
+    /// epoch so the next scan of each relation re-observes it and the next
+    /// query's inline optimization sees the fresh numbers. Takes `&self`
+    /// and does **not** touch the metadata epoch — a stats refresh is not a
+    /// release, so cached rewritings (and golden outputs) survive it.
     pub fn refresh_stats(&self) -> u64 {
         self.stats.refresh()
     }
@@ -277,18 +277,6 @@ impl Mdm {
     /// [`ChangeLog::since`]).
     pub fn changes_since(&self, since: u64, limit: usize) -> (Vec<ChangeRecord>, bool) {
         self.changes.since(since, limit)
-    }
-
-    /// Switches the plan cache between surgical (footprint-interval) and
-    /// coarse (epoch-equality) invalidation — the A/B knob for the churn
-    /// experiment.
-    pub fn set_invalidation_mode(&self, mode: InvalidationMode) {
-        self.plan_cache.set_invalidation_mode(mode);
-    }
-
-    /// The plan cache's active invalidation mode.
-    pub fn invalidation_mode(&self) -> InvalidationMode {
-        self.plan_cache.invalidation_mode()
     }
 
     /// Raises the epoch to at least `floor`. A freshly restored [`Mdm`]
@@ -626,46 +614,6 @@ impl Mdm {
         Optimizer::new(self.stats.as_ref(), &resolve).optimize_with(self.optimize, plan)
     }
 
-    /// The optimized physical form of a cached rewriting, served from the
-    /// plan cache's stats-epoch-keyed side slot: optimization reruns only
-    /// when the rewriting itself is fresh or the stats epoch moved on
-    /// (a [`Mdm::refresh_stats`]). The *rewriting* entry — keyed by the
-    /// metadata epoch — is untouched either way.
-    fn optimized_plan(&self, walk: &Walk, rewriting: &Rewriting) -> Arc<Plan> {
-        if self.optimize == OptimizeMode::Off {
-            return Arc::new(rewriting.plan.clone());
-        }
-        let key = walk.canonical_key();
-        let stats_epoch = self.stats.epoch();
-        if let Some(plan) = self
-            .plan_cache
-            .lookup_optimized(&key, self.epoch, stats_epoch)
-        {
-            return plan;
-        }
-        let plan = Arc::new(self.optimize_plan(rewriting.plan.clone()));
-        self.plan_cache
-            .store_optimized(&key, self.epoch, stats_epoch, Arc::clone(&plan));
-        plan
-    }
-
-    /// Rewrites through the plan cache and executes against the internal
-    /// catalog. Execution always runs (results depend on wrapper *data*,
-    /// which is not governed by the metadata epoch); only the rewriting
-    /// and plan-optimization work is reused.
-    pub fn query_cached(&self, walk: &Walk) -> Result<QueryAnswer, MdmError> {
-        let rewriting = self.rewrite_cached(walk)?;
-        let plan = self.optimized_plan(walk, &rewriting);
-        let table = Executor::with_options(&self.catalog, self.exec_options(Deadline::none()))
-            .run(&plan)
-            .map_err(MdmError::from_exec)?
-            .sorted();
-        Ok(QueryAnswer {
-            rewriting: (*rewriting).clone(),
-            table,
-        })
-    }
-
     /// The `explain` surface: the optimized physical plan tree, each
     /// operator annotated with its estimated cardinality and — because
     /// MDM queries run against live wrappers anyway — the actual row count
@@ -673,7 +621,7 @@ impl Mdm {
     /// every wrapper fetched once despite the per-node runs).
     pub fn explain_plan(&self, walk: &Walk) -> Result<String, MdmError> {
         let rewriting = self.rewrite_cached(walk)?;
-        let plan = self.optimized_plan(walk, &rewriting);
+        let plan = self.optimize_plan(rewriting.plan.clone());
         let resolve = |name: &str| self.catalog.relation_schema(name);
         let optimizer = Optimizer::new(self.stats.as_ref(), &resolve);
         let exec_options = self.exec_options(Deadline::none());
@@ -688,7 +636,10 @@ impl Mdm {
         Ok(explain_tree(&plan, &|p| optimizer.estimate(p), &actual))
     }
 
-    /// Rewrites and executes a walk against the internal wrapper catalog.
+    /// The **reference** path: rewrites cold and executes the whole UCQ
+    /// plan on one executor. Nothing serves this; goldens, the churn
+    /// proptest and the benchmark oracle hold [`Mdm::query_degraded`]
+    /// against it row for row.
     pub fn query(&self, walk: &Walk) -> Result<QueryAnswer, MdmError> {
         answer_walk_with(
             &self.ontology,
@@ -699,30 +650,26 @@ impl Mdm {
         )
     }
 
-    /// Executes a walk in **degraded mode** under a deadline: the rewriting
-    /// comes from the plan cache, every relation fetch goes through the
-    /// retry policy and the per-wrapper circuit breakers, and a CQ branch
-    /// that fails terminally is dropped (named in the completeness report)
-    /// instead of failing the whole query. Only when no branch survives —
-    /// or the deadline expires before any does — is this an `Err`.
-    pub fn query_degraded(
+    /// The **served** pipeline, shared by every analyst-facing shape: the
+    /// rewriting comes from the plan cache, each branch plan is optimized
+    /// inline against the current statistics, and
+    /// [`execute_degraded`] fans the branches out under this instance's
+    /// pool, layout, batch width, retry policy, breakers and epoch.
+    fn execute(
         &self,
         walk: &Walk,
         deadline: Deadline,
+        provenance: bool,
     ) -> Result<DegradedAnswer, MdmError> {
         let rewriting = self.rewrite_cached(walk)?;
-        let exec_options = self.exec_options(deadline);
-        // Branch plans are derived per query (they depend on the distinct
-        // flag and drop independently), so degraded mode optimizes each
-        // branch inline instead of going through the plan-cache side slot.
-        let optimize = |plan: Plan| self.optimize_plan(plan);
         let (table, mut completeness) = execute_degraded(
             &rewriting,
             &self.catalog,
             &self.options,
-            &exec_options,
+            &self.exec_options(deadline),
             Some(&self.breakers),
-            (self.optimize != OptimizeMode::Off).then_some(&optimize as &dyn Fn(Plan) -> Plan),
+            &|plan| self.optimize_plan(plan),
+            provenance,
         )?;
         // Enrich wrapper names with the version each one consumes
         // (`w3@v2`), so completeness reports pin down *which release*
@@ -736,10 +683,24 @@ impl Mdm {
             dropped.wrappers = dropped.wrappers.iter().map(label).collect();
         }
         Ok(DegradedAnswer {
-            rewriting: (*rewriting).clone(),
+            rewriting,
             table,
             completeness,
         })
+    }
+
+    /// Executes a walk in **degraded mode** under a deadline: every
+    /// relation fetch goes through the retry policy and the per-wrapper
+    /// circuit breakers, and a CQ branch that fails terminally is dropped
+    /// (named in the completeness report) instead of failing the whole
+    /// query. Only when no branch survives — or the deadline expires
+    /// before any does — is this an `Err`.
+    pub fn query_degraded(
+        &self,
+        walk: &Walk,
+        deadline: Deadline,
+    ) -> Result<DegradedAnswer, MdmError> {
+        self.execute(walk, deadline, false)
     }
 
     /// Attaches (or detaches) a fault-injection schedule to every wrapper
@@ -753,11 +714,6 @@ impl Mdm {
         self.retry = policy;
     }
 
-    /// The retry policy used by [`Mdm::query_degraded`].
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Replaces the circuit-breaker configuration (and resets all state).
     pub fn set_breaker_config(&mut self, config: BreakerConfig) {
         self.breakers = BreakerRegistry::new(config);
@@ -768,26 +724,23 @@ impl Mdm {
         self.breakers.snapshot()
     }
 
-    /// Like [`Mdm::query`], with a trailing `provenance` column naming the
-    /// union branch (wrapper set) each row came from.
+    /// Like [`Mdm::query_degraded`], with a trailing `provenance` column
+    /// naming the union branch (wrapper set) each row came from. Provenance
+    /// over a partial answer would silently hide a version, so a dropped
+    /// branch is an error here.
     pub fn query_with_provenance(&self, walk: &Walk) -> Result<QueryAnswer, MdmError> {
-        crate::query::answer_walk_with_provenance(
-            &self.ontology,
-            walk,
-            &self.catalog,
-            &self.options,
-        )
-    }
-
-    /// Rewrites and executes against an external catalog (tests/benches).
-    pub fn query_with(&self, walk: &Walk, catalog: &dyn Catalog) -> Result<QueryAnswer, MdmError> {
-        answer_walk_with(
-            &self.ontology,
-            walk,
-            catalog,
-            &self.options,
-            &self.exec_options(Deadline::none()),
-        )
+        let answer = self.execute(walk, Deadline::none(), true)?;
+        if let Some(dropped) = answer.completeness.dropped.first() {
+            return Err(if dropped.kind == "timeout" {
+                MdmError::Timeout(dropped.reason.clone())
+            } else {
+                MdmError::Execution(dropped.reason.clone())
+            });
+        }
+        Ok(QueryAnswer {
+            rewriting: answer.rewriting,
+            table: answer.table,
+        })
     }
 
     /// Derives a GAV baseline mapping from the current metadata.
@@ -1156,10 +1109,12 @@ mod tests {
         assert_eq!(first.sparql, second.sparql);
         let stats = mdm.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        // query_cached returns the same table as the uncached path.
-        let cached_answer = mdm.query_cached(&walk).unwrap();
-        let plain_answer = mdm.query(&walk).unwrap();
-        assert_eq!(cached_answer.render(), plain_answer.render());
+        // The served path returns the same table as the cold reference,
+        // and hands out the cached rewriting itself, not a copy of it.
+        let served = mdm.query_degraded(&walk, Deadline::none()).unwrap();
+        let reference = mdm.query(&walk).unwrap();
+        assert_eq!(served.render(), reference.render());
+        assert!(Arc::ptr_eq(&served.rewriting, &first));
         assert_eq!(mdm.cache_stats().hits, 2);
     }
 
@@ -1176,7 +1131,7 @@ mod tests {
             .feature(&player, &ex("playerName"))
             .feature(&team, &ex("teamName"))
             .relation(&player, &ex("hasTeam"), &team);
-        let before = mdm.query_cached(&walk).unwrap();
+        let before = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         let branches_before = before.rewriting.branch_count();
         assert!(!before.render().contains("Zlatan"));
 
@@ -1196,7 +1151,7 @@ mod tests {
         )
         .unwrap();
 
-        let after = mdm.query_cached(&walk).unwrap();
+        let after = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         assert!(after.rewriting.branch_count() > branches_before);
         assert!(after.render().contains("Zlatan Ibrahimovic"));
         assert!(mdm.cache_stats().invalidations >= 1);
@@ -1214,20 +1169,18 @@ mod tests {
             .feature(&team, &ex("teamName"))
             .relation(&ex("Player"), &ex("hasTeam"), &team);
 
-        let before = mdm.query_cached(&walk).unwrap();
+        let before = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         assert!(
             !stats.snapshot().relations.is_empty(),
             "execution feeds scan observations into the catalog"
         );
-        // Second run: the optimized plan serves from the side slot.
-        mdm.query_cached(&walk).unwrap();
-        assert_eq!(mdm.cache_stats().reoptimizations, 0);
 
         // Steward refreshes statistics: the stats epoch moves, the
         // metadata epoch must not — a refresh is not a release.
         let metadata_epoch = mdm.epoch();
         let invalidations = mdm.cache_stats().invalidations;
         let hits = mdm.cache_stats().hits;
+        let full_rewrites = mdm.cache_stats().full_rewrites;
         let stats_epoch = mdm.refresh_stats();
         assert_eq!(
             mdm.epoch(),
@@ -1236,14 +1189,17 @@ mod tests {
         );
         assert_eq!(mdm.stats_epoch(), stats_epoch);
 
-        let after = mdm.query_cached(&walk).unwrap();
+        // The next query optimizes inline against the refreshed catalog;
+        // the cached rewriting keeps serving.
+        let after = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         assert_eq!(after.render(), before.render(), "results are unchanged");
+        assert!(Arc::ptr_eq(&after.rewriting, &before.rewriting));
         let cache = mdm.cache_stats();
-        assert_eq!(cache.reoptimizations, 1, "cached plan was re-optimized");
         assert_eq!(
             cache.invalidations, invalidations,
             "no rewriting entry was invalidated by the refresh"
         );
+        assert_eq!(cache.full_rewrites, full_rewrites);
         assert!(cache.hits > hits, "the rewriting itself kept serving");
     }
 
@@ -1257,27 +1213,26 @@ mod tests {
                 &ex("hasTeam"),
                 &vocab::schema::SPORTS_TEAM.iri(),
             );
-        let mut renders = Vec::new();
-        let mut degraded = Vec::new();
-        for mode in [
-            OptimizeMode::Off,
-            OptimizeMode::Heuristic,
-            OptimizeMode::Cost,
-        ] {
-            let mut mdm = football_mdm();
-            mdm.set_optimize(mode);
-            assert_eq!(mdm.optimize_mode(), mode);
-            renders.push(mdm.query_cached(&walk).unwrap().render());
-            degraded.push(
-                mdm.query_degraded(&walk, Deadline::none())
-                    .unwrap()
-                    .render(),
-            );
+        // Served vs cold reference, under every knob that may not change a
+        // byte: optimizer on/off × both layouts × pool/sequential.
+        for mode in [OptimizeMode::Off, OptimizeMode::Cost] {
+            for layout in [Layout::Columnar, Layout::Row] {
+                for threads in [1, 4] {
+                    let mut mdm = football_mdm();
+                    mdm.set_optimize(mode);
+                    mdm.set_layout(layout);
+                    mdm.set_threads(threads);
+                    assert_eq!(mdm.optimize_mode(), mode);
+                    assert_eq!(
+                        mdm.query_degraded(&walk, Deadline::none())
+                            .unwrap()
+                            .render(),
+                        mdm.query(&walk).unwrap().render(),
+                        "{mode} / {layout:?} / {threads} thread(s)"
+                    );
+                }
+            }
         }
-        assert_eq!(renders[0], renders[1]);
-        assert_eq!(renders[0], renders[2]);
-        assert_eq!(degraded[0], degraded[1]);
-        assert_eq!(degraded[0], degraded[2]);
     }
 
     #[test]
@@ -1290,7 +1245,7 @@ mod tests {
             .feature(&team, &ex("teamName"))
             .relation(&ex("Player"), &ex("hasTeam"), &team);
         // Warm the stats so the tree carries estimates, not just actuals.
-        mdm.query_cached(&walk).unwrap();
+        mdm.query(&walk).unwrap();
         let tree = mdm.explain_plan(&walk).unwrap();
         assert!(tree.contains("scan w1"), "{tree}");
         assert!(tree.contains("act="), "{tree}");

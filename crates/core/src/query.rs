@@ -4,11 +4,19 @@
 //! wrappers is loaded into temporal SQLite tables in order to execute the
 //! federated query" (§2.5) — here the rewritten plan runs directly on the
 //! `mdm-relational` engine against any [`Catalog`] of wrapper relations.
+//!
+//! Two paths exist. [`answer_walk_with`] is the **reference**: a cold
+//! rewrite executed as one whole-plan operator union — what goldens, the
+//! churn proptest and the benchmark oracle compare against.
+//! [`execute_degraded`] is the **served** path and the only place in the
+//! workspace that fans UCQ branches out on the worker pool.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use mdm_relational::resilience::ScanGuard;
-use mdm_relational::{Catalog, ExecOptions, Executor, Plan, ScanCache, Table};
+use mdm_relational::schema::ColumnRef;
+use mdm_relational::{Catalog, ExecOptions, Executor, Plan, ScanCache, Schema, Table, Value};
 
 use crate::error::MdmError;
 use crate::ontology::BdiOntology;
@@ -18,7 +26,7 @@ use crate::walk::Walk;
 /// The answer to an OMQ: the rewriting artifacts plus the result table.
 #[derive(Clone, Debug)]
 pub struct QueryAnswer {
-    pub rewriting: Rewriting,
+    pub rewriting: Arc<Rewriting>,
     pub table: Table,
 }
 
@@ -29,20 +37,10 @@ impl QueryAnswer {
     }
 }
 
-/// Rewrites `walk` and executes it against `catalog` with default
-/// execution options (process-wide pool, no deadline).
-pub fn answer_walk(
-    ontology: &BdiOntology,
-    walk: &Walk,
-    catalog: &dyn Catalog,
-    options: &RewriteOptions,
-) -> Result<QueryAnswer, MdmError> {
-    answer_walk_with(ontology, walk, catalog, options, &ExecOptions::default())
-}
-
-/// [`answer_walk`] with explicit execution options — the entry point the
-/// [`crate::Mdm`] facade uses to thread its pool, retry policy and
-/// metadata epoch into execution.
+/// The reference path: rewrites `walk` cold and executes the whole UCQ
+/// plan on one executor (union, δ and all), sorted. [`crate::Mdm::query`]
+/// threads its pool, retry policy and metadata epoch in through
+/// `exec_options`.
 pub fn answer_walk_with(
     ontology: &BdiOntology,
     walk: &Walk,
@@ -55,7 +53,10 @@ pub fn answer_walk_with(
         .run(&rewriting.plan)
         .map_err(MdmError::from_exec)?
         .sorted();
-    Ok(QueryAnswer { rewriting, table })
+    Ok(QueryAnswer {
+        rewriting: Arc::new(rewriting),
+        table,
+    })
 }
 
 /// One CQ branch that could not contribute to a degraded answer.
@@ -118,7 +119,7 @@ impl Completeness {
 /// the completeness report saying what is missing and why.
 #[derive(Clone, Debug)]
 pub struct DegradedAnswer {
-    pub rewriting: Rewriting,
+    pub rewriting: Arc<Rewriting>,
     pub table: Table,
     pub completeness: Completeness,
 }
@@ -138,17 +139,24 @@ impl DegradedAnswer {
 /// This is the degraded-mode contract: under partial source failure an
 /// analyst gets the answerable fraction of the UCQ plus an honest account
 /// of what is missing, instead of an all-or-nothing error.
-/// `optimize` is applied to each branch plan after it is derived (the
-/// cost-based pass, when the facade runs with optimization on); branches
+/// `optimize` is applied to each branch plan after it is derived; branches
 /// are optimized independently because each one executes — and can fail —
 /// on its own.
+///
+/// With `provenance`, every surviving branch table is tagged with its
+/// wrapper set (`cq.atoms` joined by `+`) in a trailing `provenance`
+/// column before the merge — the governance view that makes "these rows
+/// come from the old version, those from the new one" visible. Provenance
+/// is per derivation, so a row produced by several branches appears once
+/// per branch.
 pub fn execute_degraded(
     rewriting: &Rewriting,
     catalog: &dyn Catalog,
     options: &RewriteOptions,
     exec_options: &ExecOptions,
     guard: Option<&dyn ScanGuard>,
-    optimize: Option<&dyn Fn(Plan) -> Plan>,
+    optimize: &dyn Fn(Plan) -> Plan,
+    provenance: bool,
 ) -> Result<(Table, Completeness), MdmError> {
     let mut completeness = Completeness {
         total_branches: rewriting.queries.len(),
@@ -159,15 +167,11 @@ pub fn execute_degraded(
     let mut plans = Vec::with_capacity(rewriting.queries.len());
     for cq in &rewriting.queries {
         let plan = plan_for_cq(cq, &rewriting.output_columns)?;
-        let plan = if options.distinct {
+        plans.push(optimize(if options.distinct {
             plan.distinct()
         } else {
             plan
-        };
-        plans.push(match optimize {
-            Some(optimize) => optimize(plan),
-            None => plan,
-        });
+        }));
     }
     // One scan cache for the whole UCQ: a wrapper referenced by several
     // branches is fetched once, so retries and breaker events fire once
@@ -201,7 +205,15 @@ pub fn execute_degraded(
                 if merged_schema.is_none() {
                     merged_schema = Some(table.schema().clone());
                 }
-                merged_rows.extend(table.into_rows());
+                if provenance {
+                    let label = Value::str(cq.atoms.join("+"));
+                    merged_rows.extend(table.into_rows().into_iter().map(|mut row| {
+                        row.push(label.clone());
+                        row
+                    }));
+                } else {
+                    merged_rows.extend(table.into_rows());
+                }
             }
             Err(error) => completeness.dropped.push(DroppedBranch {
                 wrappers: cq.atoms.clone(),
@@ -211,7 +223,7 @@ pub fn execute_degraded(
         }
     }
     completeness.contributors = contributors.into_iter().collect();
-    let Some(schema) = merged_schema else {
+    let Some(mut schema) = merged_schema else {
         // Every branch failed: no rows to stand behind, fail the query.
         let reasons: Vec<String> = completeness
             .dropped
@@ -231,7 +243,9 @@ pub fn execute_degraded(
             },
         );
     };
-    if options.distinct {
+    if provenance {
+        schema = schema.concat(&Schema::new(vec![ColumnRef::bare("provenance")]));
+    } else if options.distinct {
         let set: BTreeSet<_> = merged_rows.into_iter().collect();
         merged_rows = set.into_iter().collect();
     }
@@ -241,65 +255,25 @@ pub fn execute_degraded(
     Ok((table, completeness))
 }
 
-/// Like [`answer_walk`], but the result carries a trailing `provenance`
-/// column naming the wrapper set of the union branch each row came from —
-/// the governance view that makes "these rows come from the old version,
-/// those from the new one" visible in the demo.
-///
-/// Rows produced by several branches appear once per branch (provenance is
-/// per-derivation), so the row count may exceed the plain answer's.
-pub fn answer_walk_with_provenance(
-    ontology: &BdiOntology,
-    walk: &Walk,
-    catalog: &dyn Catalog,
-    options: &RewriteOptions,
-) -> Result<QueryAnswer, MdmError> {
-    use mdm_relational::schema::ColumnRef;
-    use mdm_relational::{Expr, Plan, Value};
-
-    let rewriting = rewrite_walk(ontology, walk, options)?;
-    let branches: Vec<Plan> = rewriting
-        .queries
-        .iter()
-        .map(|cq| {
-            let label = cq.atoms.join("+");
-            crate::rewrite::plan_for_cq(cq, &rewriting.output_columns).map(|plan| {
-                // Distinct first (per-branch set semantics), then tag.
-                let plan = if options.distinct {
-                    plan.distinct()
-                } else {
-                    plan
-                };
-                let mut columns: Vec<(Expr, ColumnRef)> = rewriting
-                    .output_columns
-                    .iter()
-                    .map(|name| (Expr::col(name), ColumnRef::bare(name.clone())))
-                    .collect();
-                columns.push((
-                    Expr::Literal(Value::str(label)),
-                    ColumnRef::bare("provenance"),
-                ));
-                plan.project(columns)
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let plan = if branches.len() == 1 {
-        branches.into_iter().next().expect("len checked")
-    } else {
-        Plan::union(branches)
-    };
-    let table = Executor::new(catalog)
-        .run(&plan)
-        .map_err(MdmError::from_exec)?
-        .sorted();
-    Ok(QueryAnswer { rewriting, table })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::{evolved_ontology, ex, figure7_ontology, figure8_walk};
-    use mdm_relational::{MemoryCatalog, Schema, Value};
+    use mdm_relational::MemoryCatalog;
+
+    fn answer_walk(
+        ontology: &BdiOntology,
+        walk: &Walk,
+        catalog: &dyn Catalog,
+    ) -> Result<QueryAnswer, MdmError> {
+        answer_walk_with(
+            ontology,
+            walk,
+            catalog,
+            &RewriteOptions::default(),
+            &ExecOptions::default(),
+        )
+    }
 
     /// Wrapper extensions with the paper's Table 1 rows.
     fn catalog() -> MemoryCatalog {
@@ -392,8 +366,7 @@ mod tests {
     #[test]
     fn figure8_query_yields_table1_rows() {
         let o = figure7_ontology();
-        let answer =
-            answer_walk(&o, &figure8_walk(), &catalog(), &RewriteOptions::default()).unwrap();
+        let answer = answer_walk(&o, &figure8_walk(), &catalog()).unwrap();
         assert_eq!(answer.table.len(), 2);
         let rendered = answer.render();
         assert!(rendered.contains("Lionel Messi"));
@@ -405,8 +378,7 @@ mod tests {
         // With w3 mapped, the same walk now returns all three famous rows —
         // the §3 governance scenario's punchline.
         let o = evolved_ontology();
-        let answer =
-            answer_walk(&o, &figure8_walk(), &catalog(), &RewriteOptions::default()).unwrap();
+        let answer = answer_walk(&o, &figure8_walk(), &catalog()).unwrap();
         assert_eq!(answer.table.len(), 3);
         let rendered = answer.render();
         assert!(rendered.contains("Zlatan Ibrahimovic"));
@@ -426,8 +398,7 @@ mod tests {
                 .unwrap();
             partial.register(name, table);
         }
-        let err =
-            answer_walk(&o, &figure8_walk(), &partial, &RewriteOptions::default()).unwrap_err();
+        let err = answer_walk(&o, &figure8_walk(), &partial).unwrap_err();
         assert_eq!(err.category(), "execution");
         assert!(err.message().contains("w3"));
     }
@@ -435,16 +406,21 @@ mod tests {
     #[test]
     fn provenance_labels_branches() {
         let o = evolved_ontology();
-        let answer = answer_walk_with_provenance(
-            &o,
-            &figure8_walk(),
+        let options = RewriteOptions::default();
+        let rewriting = rewrite_walk(&o, &figure8_walk(), &options).unwrap();
+        let (table, completeness) = execute_degraded(
+            &rewriting,
             &catalog(),
-            &RewriteOptions::default(),
+            &options,
+            &ExecOptions::default(),
+            None,
+            &|plan| plan,
+            true,
         )
         .unwrap();
-        let labels: std::collections::BTreeSet<String> = answer
-            .table
-            .column(&mdm_relational::schema::ColumnRef::bare("provenance"))
+        assert!(completeness.is_complete());
+        let labels: BTreeSet<String> = table
+            .column(&ColumnRef::bare("provenance"))
             .unwrap()
             .iter()
             .map(|v| v.to_string())
@@ -452,8 +428,7 @@ mod tests {
         // Messi comes from the w1 branch, Zlatan from the w3 branch.
         assert!(labels.iter().any(|l| l.contains("w1")), "{labels:?}");
         assert!(labels.iter().any(|l| l.contains("w3")), "{labels:?}");
-        let rows: Vec<String> = answer
-            .table
+        let rows: Vec<String> = table
             .rows()
             .iter()
             .map(|r| format!("{} | {}", r[0], r[2]))
@@ -471,7 +446,7 @@ mod tests {
         let walk = Walk::new()
             .feature(&ex("Player"), &ex("playerName"))
             .feature(&ex("Player"), &ex("foot"));
-        let answer = answer_walk(&o, &walk, &catalog(), &RewriteOptions::default()).unwrap();
+        let answer = answer_walk(&o, &walk, &catalog()).unwrap();
         assert_eq!(answer.table.len(), 2);
         assert_eq!(
             answer.table.schema().join_names(", "),

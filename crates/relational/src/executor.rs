@@ -1,18 +1,17 @@
 //! The executor: logical plan + catalog → materialised [`Table`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::algebra::{JoinKind, Plan, SortOrder};
 use crate::columnar::{
-    self, ColDistinct, ColFilter, ColHashJoin, ColLimit, ColOperator, ColProject, ColScan,
-    ColUnion, Layout,
+    ColDistinct, ColFilter, ColHashJoin, ColLimit, ColOperator, ColProject, ColScan, ColUnion,
+    Layout,
 };
 use crate::expr::Expr;
 use crate::metrics;
-use crate::optimizer::subtree_fingerprint;
 use crate::physical::{
     DecodeExec, DistinctExec, FilterExec, HashJoinExec, LimitExec, Operator, ProjectExec, ScanExec,
     SortExec, UnionExec, DEFAULT_BATCH,
@@ -192,9 +191,10 @@ pub struct ExecOptions {
     pub retry: RetryPolicy,
     /// Time budget for the whole plan (fetches, retries, and drains).
     pub deadline: Deadline,
-    /// Worker pool for parallel union execution and partitioned join
-    /// probes. `None` (or a size-1 pool) forces the legacy sequential
-    /// path. Defaults to the process-wide [`pool::global`] pool.
+    /// Worker pool for partitioned hash-join probes (and, one level up,
+    /// for `mdm-core`'s fan-out over UCQ branches). `None` (or a size-1
+    /// pool) keeps everything on the calling thread. Defaults to the
+    /// process-wide [`pool::global`] pool.
     pub pool: Option<Arc<Pool>>,
     /// Tuples pulled per `next_batch` call while draining operators.
     pub batch_size: usize,
@@ -238,24 +238,6 @@ impl ExecOptions {
 /// The adaptive drain loop never shrinks batches below this width: at tiny
 /// widths the per-block dispatch overhead dominates again.
 const MIN_ADAPTIVE_BATCH: usize = 64;
-
-/// True when some relation appears in more than one `Scan` node — the case
-/// the per-query scan cache exists for.
-fn plan_has_repeated_scans(plan: &Plan) -> bool {
-    fn walk<'p>(plan: &'p Plan, seen: &mut HashSet<&'p str>) -> bool {
-        match plan {
-            Plan::Scan { relation } => !seen.insert(relation.as_str()),
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => walk(input, seen),
-            Plan::Join { left, right, .. } => walk(left, seen) || walk(right, seen),
-            Plan::Union { inputs } => inputs.iter().any(|p| walk(p, seen)),
-        }
-    }
-    walk(plan, &mut HashSet::new())
-}
 
 /// Executes logical plans against a catalog.
 pub struct Executor<'a> {
@@ -309,182 +291,19 @@ impl<'a> Executor<'a> {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// The pool to fan out on, when parallel execution is enabled at all.
-    fn fanout_pool(&self) -> Option<&Arc<Pool>> {
-        self.options.pool.as_ref().filter(|p| p.size() > 1)
-    }
-
-    /// Runs `plan` to completion, materialising the result.
-    ///
-    /// When a pool is configured and the plan root is a union (bare or
-    /// under the UCQ's δ), branches execute concurrently; the output is
-    /// byte-identical to sequential execution because branch results are
-    /// merged in branch order and deduplicated in first-occurrence order —
-    /// exactly the row stream `UnionExec`/`DistinctExec` would produce.
+    /// Runs `plan` to completion on the calling thread, materialising the
+    /// result. Scans go through the shared [`ScanCache`] when one is
+    /// attached, else through a cache private to this call; the only
+    /// parallelism below this point is the hash-join probe.
     pub fn run(&self, plan: &Plan) -> Result<Table, ExecError> {
-        match self.shared_cache {
-            Some(shared) => self.run_with_cache(plan, shared),
-            None => {
-                // Single-reference plans (no relation scanned twice, no
-                // shared cache to feed) skip the cache's mutex-and-slot
-                // bookkeeping entirely: scans fetch straight into an Arc.
-                let cache = ScanCache::new();
-                if plan_has_repeated_scans(plan) {
-                    self.run_with_cache(plan, &cache)
-                } else {
-                    self.run_bypassing(plan, &cache)
-                }
-            }
-        }
-    }
-
-    fn run_with_cache(&self, plan: &Plan, cache: &ScanCache) -> Result<Table, ExecError> {
-        self.dispatch(plan, cache, false)
-    }
-
-    fn run_bypassing(&self, plan: &Plan, cache: &ScanCache) -> Result<Table, ExecError> {
-        self.dispatch(plan, cache, true)
-    }
-
-    fn dispatch(&self, plan: &Plan, cache: &ScanCache, bypass: bool) -> Result<Table, ExecError> {
-        if self.fanout_pool().is_some() {
-            match plan {
-                Plan::Distinct { input } => {
-                    if let Plan::Union { inputs } = &**input {
-                        if inputs.len() > 1 {
-                            return self.run_union(inputs, true, cache, bypass);
-                        }
-                    }
-                }
-                Plan::Union { inputs } if inputs.len() > 1 => {
-                    return self.run_union(inputs, false, cache, bypass);
-                }
-                _ => {}
-            }
-        }
-        self.run_sequential(plan, cache, bypass)
-    }
-
-    /// Executes union branches on the pool and merges them in branch order
-    /// (with an optional pre-sized streaming δ), reproducing the
-    /// sequential row stream exactly.
-    ///
-    /// Branches with identical subtrees (frequent when coexisting versions
-    /// share the queried attributes) are detected by subtree fingerprint
-    /// and executed once; duplicates reuse the representative's result.
-    /// This composes with the scan cache — the cache dedupes *fetches*,
-    /// this dedupes *operator work* — and it cannot change the output:
-    /// the reused table (or error, errors being cached per wrapper) is
-    /// exactly what re-running the identical branch would produce.
-    fn run_union(
-        &self,
-        branches: &[Plan],
-        distinct: bool,
-        cache: &ScanCache,
-        bypass: bool,
-    ) -> Result<Table, ExecError> {
-        let pool = self.fanout_pool().expect("checked by caller");
-        // `representative[i]` points at the first branch with the same
-        // fingerprint; fingerprint hits are verified by plan equality so a
-        // 64-bit collision can never alias two different branches.
-        let mut first_by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::with_capacity(branches.len());
-        let mut representative: Vec<usize> = Vec::with_capacity(branches.len());
-        for (i, branch) in branches.iter().enumerate() {
-            let fp = subtree_fingerprint(branch);
-            let candidates = first_by_fp.entry(fp).or_default();
-            match candidates.iter().find(|&&u| branches[u] == *branch) {
-                Some(&u) => {
-                    metrics::record_shared_branch();
-                    representative.push(u);
-                }
-                None => {
-                    candidates.push(i);
-                    representative.push(i);
-                    unique.push(i);
-                }
-            }
-        }
-        let mut results: Vec<Option<Result<Table, ExecError>>> = pool
-            .run(unique.len(), |j| {
-                self.dispatch(&branches[unique[j]], cache, bypass)
-            })
-            .into_iter()
-            .map(Some)
-            .collect();
-        // Re-expand: branch i takes the result of its representative. The
-        // last consumer of a slot moves the table; earlier duplicates clone
-        // (cells are interned, so a clone is rows × pointer-sized copies).
-        let mut slot_of: HashMap<usize, usize> = HashMap::with_capacity(unique.len());
-        for (j, &u) in unique.iter().enumerate() {
-            slot_of.insert(u, j);
-        }
-        let mut uses = vec![0usize; unique.len()];
-        for &rep in &representative {
-            uses[slot_of[&rep]] += 1;
-        }
-        let mut tables = Vec::with_capacity(branches.len());
-        let mut total = 0;
-        for rep in representative {
-            let j = slot_of[&rep];
-            uses[j] -= 1;
-            let result = if uses[j] == 0 {
-                results[j].take().expect("each slot taken once")
-            } else {
-                results[j].clone().expect("slot still live")
-            };
-            // First error in branch order, matching the sequential
-            // depth-first build.
-            let table = result?;
-            total += table.len();
-            tables.push(table);
-        }
-        let schema = tables
-            .first()
-            .map(|t| t.schema().clone())
-            .ok_or_else(|| ExecError::permanent("union of zero inputs"))?;
-        for table in &tables {
-            if table.schema().len() != schema.len() {
-                return Err(ExecError::permanent(format!(
-                    "union arity mismatch: {} vs {}",
-                    schema,
-                    table.schema()
-                )));
-            }
-        }
-        let mut rows = Vec::with_capacity(total);
-        if distinct {
-            let mut seen: HashSet<Tuple> = HashSet::with_capacity(total);
-            for table in tables {
-                for row in table.into_rows() {
-                    if seen.insert(row.clone()) {
-                        rows.push(row);
-                    }
-                }
-                if self.options.deadline.expired() {
-                    return Err(self.options.deadline.exceeded("merging union branches"));
-                }
-            }
-        } else {
-            for table in tables {
-                rows.extend(table.into_rows());
-            }
-        }
-        Table::new(schema, rows).map_err(ExecError::permanent)
-    }
-
-    fn run_sequential(
-        &self,
-        plan: &Plan,
-        cache: &ScanCache,
-        bypass: bool,
-    ) -> Result<Table, ExecError> {
+        let local = ScanCache::new();
+        let cache = self.shared_cache.unwrap_or(&local);
         if self.options.deadline.expired() {
             return Err(self.options.deadline.exceeded("starting plan execution"));
         }
         let built = match self.options.layout {
-            Layout::Row => Built::Row(self.build(plan, cache, bypass)?),
-            Layout::Columnar => self.build_hybrid(plan, cache, bypass)?,
+            Layout::Row => Built::Row(self.build(plan, cache)?),
+            Layout::Columnar => self.build_hybrid(plan, cache)?,
         };
         let schema = built.schema().clone();
         // Drain block-at-a-time with a deadline check per block so a huge
@@ -611,37 +430,26 @@ impl<'a> Executor<'a> {
     /// Translates a logical plan into a physical operator tree. Scans go
     /// through the per-query cache: a relation referenced by `k` branches
     /// is fetched (and pays retries/breaker events) once, not `k` times.
-    /// With `bypass` (single-reference plans only), the cache's slot
-    /// machinery is skipped and scans fetch straight into an `Arc`.
-    fn build(
-        &self,
-        plan: &Plan,
-        cache: &ScanCache,
-        bypass: bool,
-    ) -> Result<Box<dyn Operator>, ExecError> {
+    fn build(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn Operator>, ExecError> {
         match plan {
             Plan::Scan { relation } => {
                 let provider = self.catalog.provider(relation).ok_or_else(|| {
                     ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
                 })?;
-                let rows = if bypass {
-                    Arc::new(self.fetch_rows(relation, provider)?)
-                } else {
-                    cache.fetch_or_insert(
-                        relation,
-                        provider.version(),
-                        self.options.epoch,
-                        || self.fetch_rows(relation, provider),
-                    )?
-                };
+                let rows = cache.fetch_or_insert(
+                    relation,
+                    provider.version(),
+                    self.options.epoch,
+                    || self.fetch_rows(relation, provider),
+                )?;
                 Ok(Box::new(ScanExec::shared(provider.provider_schema(), rows)))
             }
             Plan::Filter { input, predicate } => Ok(Box::new(FilterExec::new(
-                self.build(input, cache, bypass)?,
+                self.build(input, cache)?,
                 predicate.clone(),
             ))),
             Plan::Project { input, columns } => {
-                let child = self.build(input, cache, bypass)?;
+                let child = self.build(input, cache)?;
                 let exprs: Vec<Expr> = columns.iter().map(|(e, _)| e.clone()).collect();
                 let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
                 Ok(Box::new(ProjectExec::new(child, exprs, schema)))
@@ -652,8 +460,8 @@ impl<'a> Executor<'a> {
                 right,
                 on,
             } => {
-                let left_op = self.build(left, cache, bypass)?;
-                let right_op = self.build(right, cache, bypass)?;
+                let left_op = self.build(left, cache)?;
+                let right_op = self.build(right, cache)?;
                 let mut left_keys = Vec::with_capacity(on.len());
                 let mut right_keys = Vec::with_capacity(on.len());
                 for (l, r) in on {
@@ -684,15 +492,13 @@ impl<'a> Executor<'a> {
             Plan::Union { inputs } => {
                 let ops = inputs
                     .iter()
-                    .map(|p| self.build(p, cache, bypass))
+                    .map(|p| self.build(p, cache))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Box::new(UnionExec::new(ops)?))
             }
-            Plan::Distinct { input } => Ok(Box::new(DistinctExec::new(
-                self.build(input, cache, bypass)?,
-            ))),
+            Plan::Distinct { input } => Ok(Box::new(DistinctExec::new(self.build(input, cache)?))),
             Plan::Sort { input, keys } => {
-                let child = self.build(input, cache, bypass)?;
+                let child = self.build(input, cache)?;
                 let resolved = keys
                     .iter()
                     .map(|(column, order)| {
@@ -705,10 +511,9 @@ impl<'a> Executor<'a> {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Box::new(SortExec::new(child, resolved)?))
             }
-            Plan::Limit { input, count } => Ok(Box::new(LimitExec::new(
-                self.build(input, cache, bypass)?,
-                *count,
-            ))),
+            Plan::Limit { input, count } => {
+                Ok(Box::new(LimitExec::new(self.build(input, cache)?, *count)))
+            }
         }
     }
 
@@ -718,12 +523,7 @@ impl<'a> Executor<'a> {
     /// at the first stage that only exists row-wise (sort) or when a
     /// subtree is degenerate (zero-width schema, empty projection). The
     /// resulting row stream is byte-identical to [`Executor::build`]'s.
-    fn build_hybrid(
-        &self,
-        plan: &Plan,
-        cache: &ScanCache,
-        bypass: bool,
-    ) -> Result<Built, ExecError> {
+    fn build_hybrid(&self, plan: &Plan, cache: &ScanCache) -> Result<Built, ExecError> {
         match plan {
             Plan::Scan { relation } => {
                 let provider = self.catalog.provider(relation).ok_or_else(|| {
@@ -733,24 +533,18 @@ impl<'a> Executor<'a> {
                 if schema.is_empty() {
                     // A zero-column relation has no columns to carry the
                     // row count; keep it on the row plane.
-                    return self.build(plan, cache, bypass).map(Built::Row);
+                    return self.build(plan, cache).map(Built::Row);
                 }
-                let (columns, len) = if bypass {
-                    let rows = self.fetch_rows(relation, provider)?;
-                    let len = rows.len();
-                    (Arc::new(columnar::encode_rows(&rows, schema.len())), len)
-                } else {
-                    cache.fetch_or_insert_columns(
-                        relation,
-                        provider.version(),
-                        self.options.epoch,
-                        schema.len(),
-                        || self.fetch_rows(relation, provider),
-                    )?
-                };
+                let (columns, len) = cache.fetch_or_insert_columns(
+                    relation,
+                    provider.version(),
+                    self.options.epoch,
+                    schema.len(),
+                    || self.fetch_rows(relation, provider),
+                )?;
                 Ok(Built::Col(Box::new(ColScan::new(schema, columns, len))))
             }
-            Plan::Filter { input, predicate } => match self.build_hybrid(input, cache, bypass)? {
+            Plan::Filter { input, predicate } => match self.build_hybrid(input, cache)? {
                 Built::Col(child) => Ok(Built::Col(Box::new(ColFilter::new(
                     child,
                     predicate.clone(),
@@ -761,7 +555,7 @@ impl<'a> Executor<'a> {
                 )))),
             },
             Plan::Project { input, columns } => {
-                let child = self.build_hybrid(input, cache, bypass)?;
+                let child = self.build_hybrid(input, cache)?;
                 let exprs: Vec<Expr> = columns.iter().map(|(e, _)| e.clone()).collect();
                 let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
                 match child {
@@ -781,8 +575,8 @@ impl<'a> Executor<'a> {
                 right,
                 on,
             } => {
-                let left_built = self.build_hybrid(left, cache, bypass)?;
-                let right_built = self.build_hybrid(right, cache, bypass)?;
+                let left_built = self.build_hybrid(left, cache)?;
+                let right_built = self.build_hybrid(right, cache)?;
                 let mut left_keys = Vec::with_capacity(on.len());
                 let mut right_keys = Vec::with_capacity(on.len());
                 for (l, r) in on {
@@ -820,7 +614,7 @@ impl<'a> Executor<'a> {
             Plan::Union { inputs } => {
                 let built = inputs
                     .iter()
-                    .map(|p| self.build_hybrid(p, cache, bypass))
+                    .map(|p| self.build_hybrid(p, cache))
                     .collect::<Result<Vec<_>, _>>()?;
                 if built.iter().all(|b| matches!(b, Built::Col(_))) {
                     let ops = built
@@ -836,12 +630,12 @@ impl<'a> Executor<'a> {
                     Ok(Built::Row(Box::new(UnionExec::new(ops)?)))
                 }
             }
-            Plan::Distinct { input } => match self.build_hybrid(input, cache, bypass)? {
+            Plan::Distinct { input } => match self.build_hybrid(input, cache)? {
                 Built::Col(child) => Ok(Built::Col(Box::new(ColDistinct::new(child)))),
                 Built::Row(child) => Ok(Built::Row(Box::new(DistinctExec::new(child)))),
             },
             Plan::Sort { input, keys } => {
-                let child = self.build_hybrid(input, cache, bypass)?.into_row();
+                let child = self.build_hybrid(input, cache)?.into_row();
                 let resolved = keys
                     .iter()
                     .map(|(column, order)| {
@@ -854,7 +648,7 @@ impl<'a> Executor<'a> {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Built::Row(Box::new(SortExec::new(child, resolved)?)))
             }
-            Plan::Limit { input, count } => match self.build_hybrid(input, cache, bypass)? {
+            Plan::Limit { input, count } => match self.build_hybrid(input, cache)? {
                 Built::Col(child) => Ok(Built::Col(Box::new(ColLimit::new(child, *count)))),
                 Built::Row(child) => Ok(Built::Row(Box::new(LimitExec::new(child, *count)))),
             },

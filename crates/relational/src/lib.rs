@@ -12,22 +12,26 @@
 //!   query-rewriting algorithm of `mdm-core` outputs one of these plans, and
 //!   its `Display` form is the "relational algebra expression" shown in
 //!   Figure 8;
-//! * [`physical`] — volcano-style operators (hash join, nested-loop join,
-//!   filter, project, union, distinct, sort, limit);
+//! * [`physical`] — volcano-style operators (hash join, filter, project,
+//!   union, distinct, sort, limit): the row-plane reference
+//!   ([`Layout::Row`]) and the only home of sort and zero-width relations;
 //! * [`columnar`] — the columnar twin of [`physical`]: fixed-width 16-byte
 //!   term encoding ([`Layout::Columnar`], the default) and vectorized
 //!   filter/join/distinct/project kernels over shared column batches,
 //!   decoding back to [`Value`]s only at render time;
-//! * [`executor`] — turns a logical plan plus a [`Catalog`] of relation
-//!   providers into a materialised [`Table`], fanning union branches out
-//!   on the worker [`pool`] with per-query scan reuse ([`scan_cache`]);
-//! * [`pool`] — the bounded, work-stealing scoped-thread worker pool;
+//! * [`executor`] — a single-plan interpreter: one logical plan plus a
+//!   [`Catalog`] of relation providers in, one materialised [`Table`] out,
+//!   with per-query scan reuse ([`scan_cache`]). Fanning the branches of a
+//!   UCQ out across cores lives one level up, in
+//!   `mdm_core::query::execute_degraded`;
+//! * [`pool`] — the bounded, work-stealing scoped-thread worker pool
+//!   (hash-join probes here, UCQ branches in `mdm-core`);
 //! * [`scan_cache`] — the per-query `(relation, version, epoch)`-keyed
 //!   scan cache (each wrapper fetched once per query);
-//! * [`optimizer`] — plan optimization: heuristic rewrites (predicate
-//!   pushdown, pairwise join ordering) plus the cost-based pass
-//!   (projection pruning, greedy join-region reordering, branch dedup)
-//!   driven by the [`stats`] catalog;
+//! * [`optimizer`] — plan optimization: predicate pushdown plus the
+//!   cost-based passes (projection pruning, greedy join-region
+//!   reordering, branch dedup) driven by the [`stats`] catalog, with
+//!   `off` kept as the oracle;
 //! * [`stats`] — the cardinality-statistics catalog: per-relation row
 //!   counts and per-column distinct/null estimates, learned
 //!   opportunistically from executor scans and versioned by a stats

@@ -11,7 +11,6 @@ use crate::intern::{self, InternStats};
 
 static ROWS_MOVED: AtomicU64 = AtomicU64::new(0);
 static BATCHES_EMITTED: AtomicU64 = AtomicU64::new(0);
-static BRANCHES_SHARED: AtomicU64 = AtomicU64::new(0);
 static COL_ENCODES: AtomicU64 = AtomicU64::new(0);
 static COL_DECODES: AtomicU64 = AtomicU64::new(0);
 static COL_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -25,11 +24,6 @@ static BRANCHES_DEDUPED: AtomicU64 = AtomicU64::new(0);
 pub(crate) fn record_batch(rows: u64) {
     ROWS_MOVED.fetch_add(rows, Ordering::Relaxed);
     BATCHES_EMITTED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records a union branch answered from an identical sibling's result.
-pub(crate) fn record_shared_branch() {
-    BRANCHES_SHARED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records `terms` values encoded into fixed-width term ids.
@@ -71,7 +65,7 @@ pub(crate) fn record_branch_deduped() {
 /// Counters for the plan-optimization passes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptimizerStats {
-    /// Joins whose inputs were reordered (greedy rebuild or pairwise swap).
+    /// Joins whose inputs were reordered by the greedy region rebuild.
     pub joins_reordered: u64,
     /// Filters pushed below a join.
     pub filters_pushed: u64,
@@ -111,8 +105,6 @@ pub struct DataPlaneStats {
     pub rows_moved: u64,
     /// Batches emitted by the executor drain loop.
     pub batches_emitted: u64,
-    /// Union branches deduplicated by subtree fingerprint.
-    pub branches_shared: u64,
     /// String intern pool counters.
     pub intern: InternStats,
     /// Columnar execution path counters.
@@ -126,7 +118,6 @@ pub fn snapshot() -> DataPlaneStats {
     DataPlaneStats {
         rows_moved: ROWS_MOVED.load(Ordering::Relaxed),
         batches_emitted: BATCHES_EMITTED.load(Ordering::Relaxed),
-        branches_shared: BRANCHES_SHARED.load(Ordering::Relaxed),
         intern: intern::stats(),
         columnar: ColumnarStats {
             encodes: COL_ENCODES.load(Ordering::Relaxed),

@@ -1,23 +1,20 @@
-//! Plan optimization: heuristic rewrites plus the cost-based pass.
+//! Plan optimization: the cost-based pass.
 //!
 //! The paper's prototype unions SQLite queries without optimisation; a
-//! production federation layer wants more. Three tiers are offered via
-//! [`OptimizeMode`]:
+//! production federation layer wants more. [`OptimizeMode`] offers what
+//! ships and its oracle:
 //!
-//! * **off** — execute the rewriting exactly as produced;
-//! * **heuristic** — the classical statistics-free rewrites: predicate
-//!   pushdown (filters sink below joins and unions to the arm that can
-//!   evaluate them) and pairwise join-input ordering (the smaller
-//!   estimated input becomes the hash-join build side — we express this by
-//!   swapping children, since
-//!   [`HashJoinExec`](crate::physical::HashJoinExec) always builds right);
-//! * **cost** (the default) — everything above plus the passes driven by
-//!   the [`stats`](crate::stats) catalog: projection pruning (scans are
+//! * **off** — execute the rewriting exactly as produced (the reference
+//!   `prop_optimizer` holds the other mode against);
+//! * **cost** (the default) — predicate pushdown (filters sink below joins
+//!   and unions to the arm that can evaluate them), then the passes driven
+//!   by the [`stats`](crate::stats) catalog: projection pruning (scans are
 //!   narrowed to the columns the plan above actually consumes, shrinking
 //!   every downstream join gather), greedy join-region reordering
-//!   (cheapest estimated join first, left-deep, build-side-small), and
-//!   post-reorder union-arm dedup under `δ` (joins that become identical
-//!   only once canonically ordered collapse to one branch).
+//!   (cheapest estimated join first, left-deep, smaller input on the right
+//!   because [`HashJoinExec`](crate::physical::HashJoinExec) always builds
+//!   right), and post-reorder union-arm dedup under `δ` (joins that become
+//!   identical only once canonically ordered collapse to one branch).
 //!
 //! Every rewrite is semantics-preserving **including output column
 //! order**: when reordering changes the left-to-right leaf order of a
@@ -32,15 +29,14 @@ use crate::expr::{BinOp, Expr};
 use crate::metrics;
 use crate::schema::{ColumnRef, Schema};
 
-/// A structural fingerprint of a plan subtree, used by the executor to
-/// detect identical UCQ branches and execute them once, and by the
-/// optimizer to drop duplicate union arms under `δ`. The `Display`
-/// rendering of a plan is deterministic and complete (it is the Figure-8
-/// algebra expression, covering predicates, projections, join keys and
-/// relation names), so equal renderings mean structurally equal plans;
-/// fingerprint hits are still verified with `Plan::eq` by the caller, so a
-/// 64-bit collision can never merge two different branches.
-pub fn subtree_fingerprint(plan: &Plan) -> u64 {
+/// A structural fingerprint of a plan subtree, used to drop duplicate
+/// union arms under `δ`. The `Display` rendering of a plan is deterministic
+/// and complete (it is the Figure-8 algebra expression, covering
+/// predicates, projections, join keys and relation names), so equal
+/// renderings mean structurally equal plans; fingerprint hits are still
+/// verified with `Plan::eq` by the caller, so a 64-bit collision can never
+/// merge two different branches.
+fn subtree_fingerprint(plan: &Plan) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     plan.to_string().hash(&mut hasher);
@@ -74,19 +70,16 @@ pub trait Statistics {
 pub enum OptimizeMode {
     /// Execute rewritings verbatim.
     Off,
-    /// Statistics-free rewrites: pushdown + pairwise join ordering.
-    Heuristic,
     /// Full cost-based pass driven by the stats catalog.
     #[default]
     Cost,
 }
 
 impl OptimizeMode {
-    /// Parses the CLI/server spelling (`off`, `heuristic`, `cost`).
+    /// Parses the CLI/server spelling (`off`, `cost`).
     pub fn parse(text: &str) -> Option<OptimizeMode> {
         match text.to_ascii_lowercase().as_str() {
             "off" | "none" => Some(OptimizeMode::Off),
-            "heuristic" => Some(OptimizeMode::Heuristic),
             "cost" => Some(OptimizeMode::Cost),
             _ => None,
         }
@@ -96,7 +89,6 @@ impl OptimizeMode {
     pub fn as_str(self) -> &'static str {
         match self {
             OptimizeMode::Off => "off",
-            OptimizeMode::Heuristic => "heuristic",
             OptimizeMode::Cost => "cost",
         }
     }
@@ -145,10 +137,6 @@ impl<'a> Optimizer<'a> {
     pub fn optimize_with(&self, mode: OptimizeMode, plan: Plan) -> Plan {
         match mode {
             OptimizeMode::Off => plan,
-            OptimizeMode::Heuristic => {
-                let plan = self.rewrite(plan);
-                self.order_joins(plan)
-            }
             OptimizeMode::Cost => {
                 let plan = self.rewrite(plan);
                 let plan = self.prune(plan, None);
@@ -182,9 +170,8 @@ impl<'a> Optimizer<'a> {
             },
             Plan::Union { inputs } => {
                 // Flatten nested unions: ∪(∪(a, b), c) → ∪(a, b, c). Arm
-                // order is preserved, so results are unchanged, and the
-                // widened top-level union gives the parallel executor one
-                // flat set of branches to fan out.
+                // order is preserved, so results are unchanged, and one
+                // flat union is what `dedup_branches` compares arms over.
                 let mut flat = Vec::with_capacity(inputs.len());
                 for input in inputs {
                     match self.rewrite(input) {
@@ -751,67 +738,6 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Puts the smaller estimated input on the right of every inner join
-    /// (the build side of our hash join). The heuristic-mode ordering
-    /// pass; the cost pass orients joins while rebuilding regions instead.
-    fn order_joins(&self, plan: Plan) -> Plan {
-        match plan {
-            Plan::Join {
-                kind: JoinKind::Inner,
-                left,
-                right,
-                on,
-            } => {
-                let left = self.order_joins(*left);
-                let right = self.order_joins(*right);
-                let left_rows = self.estimate(&left);
-                let right_rows = self.estimate(&right);
-                match (left_rows, right_rows) {
-                    // Swap when the *left* is smaller: small side should be
-                    // the build (right) side. Key pairs flip accordingly.
-                    (Some(l), Some(r)) if l < r => {
-                        metrics::record_join_reordered();
-                        Plan::Join {
-                            kind: JoinKind::Inner,
-                            left: Box::new(right),
-                            right: Box::new(left),
-                            on: on.into_iter().map(|(a, b)| (b, a)).collect(),
-                        }
-                    }
-                    _ => Plan::Join {
-                        kind: JoinKind::Inner,
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        on,
-                    },
-                }
-            }
-            Plan::Filter { input, predicate } => Plan::Filter {
-                input: Box::new(self.order_joins(*input)),
-                predicate,
-            },
-            Plan::Project { input, columns } => Plan::Project {
-                input: Box::new(self.order_joins(*input)),
-                columns,
-            },
-            Plan::Union { inputs } => {
-                Plan::union(inputs.into_iter().map(|p| self.order_joins(p)).collect())
-            }
-            Plan::Distinct { input } => Plan::Distinct {
-                input: Box::new(self.order_joins(*input)),
-            },
-            Plan::Sort { input, keys } => Plan::Sort {
-                input: Box::new(self.order_joins(*input)),
-                keys,
-            },
-            Plan::Limit { input, count } => Plan::Limit {
-                input: Box::new(self.order_joins(*input)),
-                count,
-            },
-            other => other,
-        }
-    }
-
     /// Estimated output cardinality of `plan`; `None` when a scanned
     /// relation has no statistics. Scans use the catalog; equality
     /// filters divide by the column's distinct count when profiled;
@@ -1104,11 +1030,8 @@ mod tests {
     #[test]
     fn mode_parses_and_round_trips() {
         assert_eq!(OptimizeMode::parse("off"), Some(OptimizeMode::Off));
-        assert_eq!(
-            OptimizeMode::parse("Heuristic"),
-            Some(OptimizeMode::Heuristic)
-        );
-        assert_eq!(OptimizeMode::parse("cost"), Some(OptimizeMode::Cost));
+        assert_eq!(OptimizeMode::parse("Cost"), Some(OptimizeMode::Cost));
+        assert_eq!(OptimizeMode::parse("heuristic"), None);
         assert_eq!(OptimizeMode::parse("fast"), None);
         assert_eq!(OptimizeMode::default(), OptimizeMode::Cost);
         assert_eq!(OptimizeMode::Cost.to_string(), "cost");
@@ -1195,19 +1118,6 @@ mod tests {
             rendered.contains("(w2 ⋈[w2.id=w1.teamId] w1)"),
             "got {rendered}"
         );
-    }
-
-    #[test]
-    fn heuristic_mode_swaps_pairwise() {
-        let stats = MapStats(HashMap::from([
-            ("w1".to_string(), 10),
-            ("w2".to_string(), 1_000_000),
-        ]));
-        let optimizer = Optimizer::new(&stats, &resolve);
-        let rendered = optimizer
-            .optimize_with(OptimizeMode::Heuristic, join_plan())
-            .to_string();
-        assert_eq!(rendered, "(w2 ⋈[w2.id=w1.teamId] w1)");
     }
 
     fn resolve3(name: &str) -> Result<Schema, String> {
@@ -1391,7 +1301,7 @@ mod tests {
             .project_named(&[("w2.name", "team")]);
         let executor = Executor::new(&catalog);
         let baseline = executor.run(&plan).unwrap().sorted();
-        // All three modes, with and without statistics, agree bytewise.
+        // Both modes, with and without statistics, agree bytewise.
         for stats in [
             &MapStats(HashMap::from([
                 ("w1".to_string(), 2),
@@ -1400,11 +1310,7 @@ mod tests {
             &NoStats as &dyn Statistics,
         ] {
             let optimizer = Optimizer::new(stats, &resolve);
-            for mode in [
-                OptimizeMode::Off,
-                OptimizeMode::Heuristic,
-                OptimizeMode::Cost,
-            ] {
+            for mode in [OptimizeMode::Off, OptimizeMode::Cost] {
                 let optimized = optimizer.optimize_with(mode, plan.clone());
                 let improved = executor.run(&optimized).unwrap().sorted();
                 assert_eq!(baseline, improved, "mode {mode}");

@@ -11,7 +11,7 @@
 //! [`Batch`]es — an `Arc`-shared row store plus a selection — so scans,
 //! filters and distincts move row *ids*, not row *bytes*. Only operators
 //! that compute new tuples (project, join) materialise, and even then each
-//! cell is an interned [`Value`](crate::Value) whose clone is pointer-sized.
+//! cell is an interned [`Value`] whose clone is pointer-sized.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -617,59 +617,6 @@ impl Operator for HashJoinExec {
     }
 }
 
-/// ⋈ — nested-loop join with an arbitrary predicate (the fallback when the
-/// join condition is not a conjunction of equalities).
-pub struct NestedLoopJoinExec {
-    left_rows: Vec<Tuple>,
-    right_rows: Vec<Tuple>,
-    schema: Schema,
-    predicate: Expr,
-    i: usize,
-    j: usize,
-}
-
-impl NestedLoopJoinExec {
-    pub fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        predicate: Expr,
-    ) -> Result<Self, ExecError> {
-        let schema = left.schema().concat(right.schema());
-        Ok(NestedLoopJoinExec {
-            left_rows: drain(left)?,
-            right_rows: drain(right)?,
-            schema,
-            predicate,
-            i: 0,
-            j: 0,
-        })
-    }
-}
-
-impl Operator for NestedLoopJoinExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Tuple, ExecError>> {
-        while self.i < self.left_rows.len() {
-            while self.j < self.right_rows.len() {
-                let mut combined = self.left_rows[self.i].clone();
-                combined.extend(self.right_rows[self.j].iter().cloned());
-                self.j += 1;
-                match self.predicate.eval_predicate(&self.schema, &combined) {
-                    Ok(true) => return Some(Ok(combined)),
-                    Ok(false) => continue,
-                    Err(e) => return Some(Err(ExecError::permanent(e.0))),
-                }
-            }
-            self.i += 1;
-            self.j = 0;
-        }
-        None
-    }
-}
-
 /// ∪ — concatenates inputs (bag semantics).
 pub struct UnionExec {
     inputs: Vec<Box<dyn Operator>>,
@@ -1057,18 +1004,6 @@ mod tests {
             .unwrap();
         assert!(unattached[3].is_null());
         assert!(unattached[4].is_null());
-    }
-
-    #[test]
-    fn nested_loop_join_with_inequality() {
-        let join = NestedLoopJoinExec::new(
-            Box::new(players()),
-            Box::new(teams()),
-            Expr::col("w1.id").binary(crate::expr::BinOp::Lt, Expr::col("w2.id")),
-        )
-        .unwrap();
-        let rows = drain(Box::new(join)).unwrap();
-        assert_eq!(rows.len(), 9); // all ids 1,2,3 < all team ids 25,27,31
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub struct ScanCache {
     entries: Mutex<HashMap<ScanKey, Arc<Slot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    rows: AtomicU64,
 }
 
 impl ScanCache {
@@ -96,9 +95,6 @@ impl ScanCache {
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let fetched = fetch().map(Arc::new);
-                if let Ok(rows) = &fetched {
-                    self.rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
-                }
                 *result = Some(fetched.clone());
                 fetched
             }
@@ -139,12 +135,6 @@ impl ScanCache {
             }
         };
         Ok((cols, rows.len()))
-    }
-
-    /// Total rows held across all filled entries — the query's input
-    /// cardinality, used to size batches and pre-size join tables.
-    pub fn cached_rows(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
     }
 
     /// Lifetime hit/miss counts.

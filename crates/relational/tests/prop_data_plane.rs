@@ -338,49 +338,3 @@ proptest! {
         check(&plan, vec![("a", a)])?;
     }
 }
-
-/// Duplicated union branches execute once: the shared-branch counter moves
-/// and the result stays identical to the sequential (no-dedup) path.
-#[test]
-fn duplicate_union_branches_are_shared() {
-    let rows: Vec<Vec<Value>> = (0..64)
-        .map(|i| {
-            vec![
-                Value::Int(i % 7),
-                Value::str(format!("shared-branch-payload-string-{}", i % 5)),
-                Value::Int(i),
-            ]
-        })
-        .collect();
-    let table = Table::new(Schema::qualified("a", ["k", "s", "v"]), rows).unwrap();
-    let mut catalog = MemoryCatalog::new();
-    catalog.register("a", table);
-    let branch = Plan::scan("a")
-        .filter(Expr::col("a.v").binary(BinOp::Gt, Expr::lit(3i64)))
-        .project_named(&[("a.k", "k"), ("a.s", "s")]);
-    let plan = Plan::union(vec![branch.clone(), branch.clone(), branch.clone(), branch]);
-
-    // An explicit 2-worker pool: branch dedup lives on the fan-out path,
-    // and the process-wide default pool may be size 1 on small machines.
-    let options = ExecOptions {
-        pool: Some(std::sync::Arc::new(mdm_relational::Pool::new(2))),
-        ..ExecOptions::default()
-    };
-    let before = mdm_relational::metrics::snapshot().branches_shared;
-    let parallel = Executor::with_options(&catalog, options)
-        .run(&plan)
-        .unwrap();
-    let after = mdm_relational::metrics::snapshot().branches_shared;
-    // Four identical branches → three dedup hits (the counter is process
-    // wide and monotonic, so concurrent tests can only add to the delta).
-    assert!(
-        after - before >= 3,
-        "expected ≥3 shared branches, counter moved {}",
-        after - before
-    );
-
-    let sequential = Executor::with_options(&catalog, ExecOptions::sequential())
-        .run(&plan)
-        .unwrap();
-    assert_eq!(parallel.render(), sequential.render());
-}

@@ -126,10 +126,10 @@ fn options(layout: Layout, parallel: bool) -> ExecOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The cost-based and heuristic pipelines never change results: for
-    /// every random plan, dataset, and (possibly partial) stats catalog,
-    /// the sorted render is byte-identical to unoptimized execution under
-    /// every layout × execution-path combination.
+    /// The cost-based pipeline never changes results: for every random
+    /// plan, dataset, and (possibly partial) stats catalog, the sorted
+    /// render is byte-identical to unoptimized execution under every
+    /// layout × execution-path combination.
     #[test]
     fn optimized_plans_render_identically(
         a in arb_table("a"),
@@ -162,19 +162,15 @@ proptest! {
                 let executor =
                     Executor::with_options(&catalog, options(layout, parallel));
                 let baseline = executor.run(&plan).unwrap().sorted().render();
-                for mode in [OptimizeMode::Heuristic, OptimizeMode::Cost] {
-                    let optimized = optimizer.optimize_with(mode, plan.clone());
-                    let rendered =
-                        executor.run(&optimized).unwrap().sorted().render();
-                    prop_assert_eq!(
-                        &baseline,
-                        &rendered,
-                        "mode={} layout={:?} parallel={}",
-                        mode.as_str(),
-                        layout,
-                        parallel
-                    );
-                }
+                let optimized = optimizer.optimize_with(OptimizeMode::Cost, plan.clone());
+                let rendered = executor.run(&optimized).unwrap().sorted().render();
+                prop_assert_eq!(
+                    &baseline,
+                    &rendered,
+                    "layout={:?} parallel={}",
+                    layout,
+                    parallel
+                );
             }
         }
     }

@@ -8,7 +8,7 @@
 //!
 //! Architecture:
 //!
-//! * [`event_loop`] — a poll(2)-based readiness loop owning every
+//! * `event_loop` — a poll(2)-based readiness loop owning every
 //!   connection (nonblocking accepts, incremental parsing, buffered
 //!   writes), with route execution on a fixed worker pool so slow queries
 //!   never stall the loop. Load shedding (503 + `Retry-After`) happens in
@@ -85,9 +85,8 @@ pub struct ServerConfig {
     /// escape hatch.
     pub layout: Option<mdm_relational::Layout>,
     /// Plan-optimization mode for served queries: `None` keeps the engine
-    /// default (cost-based); `Some(OptimizeMode::Heuristic)` disables the
-    /// stats-driven passes, `Some(OptimizeMode::Off)` executes rewritings
-    /// verbatim. Results are identical in all modes.
+    /// default (cost-based); `Some(OptimizeMode::Off)` executes rewritings
+    /// verbatim. Results are identical in both modes.
     pub optimize: Option<mdm_relational::OptimizeMode>,
     /// Durable-store directory. When set, the server recovers the journal
     /// on start (replacing the passed [`Mdm`] with the recovered state when
@@ -390,11 +389,6 @@ mod tests {
         let metrics = client::get(server.addr(), "/metrics").unwrap();
         assert!(metrics.body.contains("\"optimizer\""), "{}", metrics.body);
         assert!(metrics.body.contains("\"stats_epoch\""), "{}", metrics.body);
-        assert!(
-            metrics.body.contains("\"reoptimizations\""),
-            "{}",
-            metrics.body
-        );
         server.shutdown();
     }
 

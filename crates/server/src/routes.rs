@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 use mdm_core::mapping::MappingBuilder;
 use mdm_core::walk::Walk;
 use mdm_core::walk_dsl;
-use mdm_core::{ChangeRecord, InvalidationMode, JournalSink, Mdm, MdmError, MetaStore};
+use mdm_core::{ChangeRecord, JournalSink, Mdm, MdmError, MetaStore};
 use mdm_dataform::{json, Value};
 use mdm_rdf::term::Iri;
 use mdm_relational::{Deadline, Table};
@@ -387,24 +387,11 @@ fn metrics(state: &AppState) -> Response {
         ("misses", Value::int(stats.misses as i64)),
         ("invalidations", Value::int(stats.invalidations as i64)),
         ("evictions", Value::int(stats.evictions as i64)),
-        ("reoptimizations", Value::int(stats.reoptimizations as i64)),
-        ("optimized_hits", Value::int(stats.optimized_hits as i64)),
-        (
-            "optimized_misses",
-            Value::int(stats.optimized_misses as i64),
-        ),
         ("entries", Value::int(stats.entries as i64)),
         ("capacity", Value::int(stats.capacity as i64)),
         ("hit_rate", Value::float(stats.hit_rate())),
     ]);
     let evolution = Value::object([
-        (
-            "invalidation_mode",
-            Value::string(match mdm.invalidation_mode() {
-                InvalidationMode::Surgical => "surgical",
-                InvalidationMode::Coarse => "coarse",
-            }),
-        ),
         (
             "surgical_invalidations",
             Value::int(stats.surgical_invalidations as i64),
@@ -458,7 +445,6 @@ fn metrics(state: &AppState) -> Response {
     let data_plane = Value::object([
         ("rows_moved", Value::int(dp.rows_moved as i64)),
         ("batches_emitted", Value::int(dp.batches_emitted as i64)),
-        ("branches_shared", Value::int(dp.branches_shared as i64)),
         ("intern_hits", Value::int(dp.intern.hits as i64)),
         ("intern_misses", Value::int(dp.intern.misses as i64)),
         ("intern_hit_rate", Value::float(dp.intern.hit_rate())),

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, the whole test suite, and a
-# warning-free clippy pass over every target. CI and pre-commit both run
-# this; keep it the single source of truth for "the workspace is healthy".
+# Full verification gate: release build, the whole test suite, the repo
+# benchmark's own tests plus one quick run of it, and a warning-free clippy
+# pass over every target. CI and pre-commit both run this; keep it the
+# single source of truth for "the workspace is healthy".
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,6 +40,20 @@ timeout 300 cargo test --release -p mdm-integration-tests --test evolution_churn
 
 echo "==> cargo bench --no-run (benches compile, incl. P15 evolution_churn)"
 cargo bench --workspace --no-run
+
+echo "==> repo benchmark: schema tests + one quick run (release)"
+# benchmark/ is a workspace of its own that binds product symbols by name
+# (benchmark/README.md, "Bound symbols"): compiling it is the guard that
+# none of them moved, its tests hold its metric names to BENCHMARK.json,
+# and the quick run oracle-checks every served answer against Mdm::query.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick
+
+echo "==> evaluation harness (E1–E8 + P summaries regenerate)"
+cargo run --release --quiet -p mdm-bench --bin evaluation > /dev/null
+
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo clippy (all targets, -D warnings -D clippy::redundant_clone)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone

@@ -29,7 +29,7 @@ use mdm_core::synthetic::{
 };
 use mdm_core::Mdm;
 use mdm_dataform::{json, Value};
-use mdm_relational::Layout;
+use mdm_relational::{Deadline, Layout, OptimizeMode};
 use mdm_server::client;
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 use proptest::prelude::*;
@@ -76,13 +76,15 @@ proptest! {
     /// definitions, unrelated sources — interleaved with chain-walk
     /// queries: whatever the cache serves (equality hit, footprint
     /// survivor, or incrementally extended plan) must be byte-identical to
-    /// a cold rewrite at the same epoch, under both layouts and both
-    /// parallel and sequential execution; executed answers agree too.
+    /// a cold rewrite at the same epoch; and what the served path then
+    /// executes must render like the cold reference, under both layouts,
+    /// parallel and sequential execution, optimizer on and off.
     #[test]
     fn churned_cache_matches_cold_rewrite(
         codes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..32),
         columnar in any::<bool>(),
         parallel in any::<bool>(),
+        cost in any::<bool>(),
     ) {
         let eco = build(&WorkloadConfig {
             concepts: 4,
@@ -94,14 +96,14 @@ proptest! {
         let mut mdm = synthetic_base(&eco);
         mdm.set_layout(if columnar { Layout::Columnar } else { Layout::Row });
         mdm.set_threads(if parallel { 2 } else { 1 });
+        mdm.set_optimize(if cost { OptimizeMode::Cost } else { OptimizeMode::Off });
 
         // Warm every walk so the churn below has plans to test against.
         for k in 1..=eco.config.concepts {
             let walk = chain_walk(&eco, k);
-            let cached = mdm.rewrite_cached(&walk).unwrap();
             prop_assert_eq!(
-                fingerprint(&cached),
-                fingerprint(&mdm.rewrite(&walk).unwrap())
+                mdm.rewrite_cached(&walk).map(|r| fingerprint(&r)),
+                mdm.rewrite(&walk).map(|r| fingerprint(&r))
             );
         }
 
@@ -140,18 +142,20 @@ proptest! {
                 _ => {} // pure query step
             }
             let walk = chain_walk(&eco, 1 + operand as usize % eco.config.concepts);
-            let cached = mdm.rewrite_cached(&walk).unwrap();
+            // `Result`s, not unwraps: a churn script may widen the UCQ
+            // past `max_branches`, and then both must refuse alike.
             prop_assert_eq!(
-                fingerprint(&cached),
-                fingerprint(&mdm.rewrite(&walk).unwrap())
+                mdm.rewrite_cached(&walk).map(|r| fingerprint(&r)),
+                mdm.rewrite(&walk).map(|r| fingerprint(&r))
             );
         }
 
-        // Execution through the cache agrees with a cold end-to-end query.
+        // The served path (cached rewriting, per-branch execution, merge)
+        // agrees with the cold end-to-end reference.
         let walk = chain_walk(&eco, eco.config.concepts);
         prop_assert_eq!(
-            mdm.query_cached(&walk).unwrap().render(),
-            mdm.query(&walk).unwrap().render()
+            mdm.query_degraded(&walk, Deadline::none()).map(|a| a.render()),
+            mdm.query(&walk).map(|a| a.render())
         );
     }
 }
@@ -383,7 +387,10 @@ fn changes_cursor_survives_reconnect_and_replicas_serve_the_feed() {
     for node in [addr, replica.addr()] {
         let metrics = get_json(node, "/metrics");
         let evolution = metrics.get("evolution").expect("evolution counters");
-        assert_eq!(str_of(evolution, "invalidation_mode"), "surgical");
+        assert!(
+            evolution.get("invalidation_mode").is_none(),
+            "surgical is the only behaviour: no mode to report"
+        );
         for field in [
             "surgical_invalidations",
             "survivals",

@@ -326,6 +326,75 @@ fn expired_deadline_maps_to_gateway_timeout() {
 }
 
 // ---------------------------------------------------------------------
+// (f) `trace` rides the served pipeline: the instance's pool, retry
+//     policy, breakers and armed fault plan all apply to it
+// ---------------------------------------------------------------------
+
+#[test]
+fn trace_absorbs_transient_faults_like_the_served_query() {
+    let walk = usecase::figure8_walk();
+    let clean = evolved_mdm().query_with_provenance(&walk).unwrap();
+    assert_eq!(clean.table.len(), 35);
+
+    let mut mdm = evolved_mdm();
+    mdm.set_threads(4);
+    // Every wrapper fails its first two fetch attempts, then recovers.
+    mdm.set_fault_plan(Some(Arc::new(
+        FaultPlan::seeded(0xfa17)
+            .transient_window(1, 1.0)
+            .transient_window(3, 0.0),
+    )));
+    mdm.set_retry_policy(instant_retries(4));
+    let tasks_before = mdm.pool_stats().expect("pool attached").tasks_total;
+    let traced = mdm
+        .query_with_provenance(&walk)
+        .expect("the instance's retry policy absorbs the transient faults");
+    assert_eq!(traced.render(), clean.render());
+    // It ran where the instance said to run: its pool fanned the branches
+    // out and its breakers saw every wrapper exactly once.
+    assert_eq!(
+        mdm.pool_stats().expect("pool attached").tasks_total - tasks_before,
+        traced.rewriting.branch_count() as u64
+    );
+    let breakers = mdm.breaker_snapshots();
+    for name in ["w1", "w2", "w3"] {
+        let breaker = breakers
+            .iter()
+            .find(|b| b.relation == name)
+            .unwrap_or_else(|| panic!("trace bypassed the breaker of {name}"));
+        assert_eq!(breaker.successes_total, 1, "{name}");
+    }
+
+    // The same faults with no retry budget are terminal for every branch,
+    // and trace says so instead of retrying on a policy of its own.
+    let mut mdm = evolved_mdm();
+    mdm.set_threads(1);
+    mdm.set_fault_plan(Some(Arc::new(
+        FaultPlan::seeded(0xfa17)
+            .transient_window(1, 1.0)
+            .transient_window(3, 0.0),
+    )));
+    mdm.set_retry_policy(RetryPolicy::none());
+    let err = mdm.query_with_provenance(&walk).unwrap_err();
+    assert_eq!(err.category(), "execution", "{err}");
+}
+
+#[test]
+fn trace_refuses_a_partial_answer() {
+    // One dead version: the served query degrades and names it; provenance
+    // over the remainder would silently hide that version, so trace errs.
+    let walk = usecase::figure8_walk();
+    let mut mdm = evolved_mdm();
+    mdm.set_fault_plan(Some(Arc::new(FaultPlan::seeded(7).kill("w3"))));
+    mdm.set_retry_policy(RetryPolicy::none());
+    let degraded = mdm.query_degraded(&walk, Deadline::none()).unwrap();
+    assert!(!degraded.completeness.is_complete());
+    let err = mdm.query_with_provenance(&walk).unwrap_err();
+    assert_eq!(err.category(), "execution", "{err}");
+    assert!(err.message().contains("w3"), "{err}");
+}
+
+// ---------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------
 

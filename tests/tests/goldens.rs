@@ -81,6 +81,32 @@ fn table1_query_output() {
 }
 
 #[test]
+fn trace_post_evolve() {
+    // The governance view after the Players v2 release: every row of the
+    // Figure 8 walk tagged with the union branch (wrapper set) it came
+    // from. Recorded before `trace` moved onto the served pipeline, so it
+    // pins that the move changed no byte.
+    let eco = football::build_default();
+    let mut mdm = usecase::football_mdm(&eco).unwrap();
+    usecase::register_players_v2(&mut mdm, &eco).unwrap();
+    // Every execution knob of the instance applies to `trace`, and none
+    // of them may change a byte.
+    for layout in [
+        mdm_relational::Layout::Columnar,
+        mdm_relational::Layout::Row,
+    ] {
+        for (threads, batch_size) in [(1, 0), (4, 1)] {
+            mdm.set_layout(layout);
+            mdm.set_threads(threads);
+            mdm.set_batch_size(batch_size);
+            let answer = mdm.query_with_provenance(&usecase::figure8_walk()).unwrap();
+            assert_eq!(answer.table.len(), 35);
+            check("trace_post_evolve.txt", &answer.render());
+        }
+    }
+}
+
+#[test]
 fn metadata_snapshot() {
     let eco = football::build_default();
     let mdm = usecase::football_mdm(&eco).unwrap();

@@ -1,6 +1,7 @@
-//! Parallel-execution integration tests: the worker pool fans UCQ branches
-//! out without changing a single byte of any answer, and the per-query scan
-//! cache collapses repeated wrapper fetches to one per wrapper per query.
+//! Parallel-execution integration tests: the served path
+//! (`Mdm::query_degraded`) fans UCQ branches out on the worker pool without
+//! changing a single byte of any answer, and the per-query scan cache
+//! collapses repeated wrapper fetches to one per wrapper per query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,10 +70,8 @@ fn eight_branches_over_two_wrappers_fetch_each_wrapper_once() {
         wa: Counting::new("wa"),
         wb: Counting::new("wb"),
     };
-    // Eight *distinct* union branches alternating over the two providers —
-    // the shape a version-crossing UCQ takes when branches share wrappers.
-    // Each branch carries its own (always-true) predicate so no two
-    // branches are structurally equal and every one consults the cache.
+    // Eight union branches alternating over the two providers — the shape
+    // a version-crossing UCQ takes when branches share wrappers.
     let plan = Plan::union(
         (0..8)
             .map(|i| {
@@ -87,7 +86,7 @@ fn eight_branches_over_two_wrappers_fetch_each_wrapper_once() {
         pool: Some(Arc::new(Pool::new(4))),
         ..ExecOptions::default()
     };
-    let table = Executor::with_options(&catalog, options.clone())
+    let table = Executor::with_options(&catalog, options)
         .with_scan_cache(&cache)
         .run(&plan)
         .unwrap();
@@ -104,34 +103,6 @@ fn eight_branches_over_two_wrappers_fetch_each_wrapper_once() {
         (2, 6),
         "8 branch scans collapse to 2 provider fetches"
     );
-
-    // Structurally *identical* branches are shared one level higher: the
-    // executor runs each unique branch once, so duplicates never reach the
-    // scan cache at all — 2 misses, 0 hits, still 1 fetch per wrapper.
-    let catalog = PairCatalog {
-        wa: Counting::new("wa"),
-        wb: Counting::new("wb"),
-    };
-    let plan = Plan::union(
-        (0..8)
-            .map(|i| Plan::scan(if i % 2 == 0 { "wa" } else { "wb" }))
-            .collect(),
-    )
-    .distinct();
-    let cache = ScanCache::new();
-    let table = Executor::with_options(&catalog, options)
-        .with_scan_cache(&cache)
-        .run(&plan)
-        .unwrap();
-    assert_eq!(table.len(), 16, "distinct collapses the 8 identical scans");
-    assert_eq!(catalog.wa.fetches.load(Ordering::Relaxed), 1);
-    assert_eq!(catalog.wb.fetches.load(Ordering::Relaxed), 1);
-    let stats = cache.stats();
-    assert_eq!(
-        (stats.misses, stats.hits),
-        (2, 0),
-        "identical branches are deduplicated before the cache is consulted"
-    );
 }
 
 #[test]
@@ -143,15 +114,22 @@ fn wrappers_are_fetched_once_per_query_through_the_facade() {
     let eco = football::build_default();
     let mut mdm = usecase::football_mdm(&eco).unwrap();
     usecase::register_players_v2(&mut mdm, &eco).unwrap();
-    let answer = mdm.query(&usecase::figure8_walk()).unwrap();
-    assert!(answer.rewriting.branch_count() >= 4);
+    let walk = usecase::figure8_walk();
+    mdm.set_threads(4);
+    let served = mdm.query_degraded(&walk, Deadline::none()).unwrap();
+    assert!(served.rewriting.branch_count() >= 4);
+    let fetched = |name: &str| mdm.catalog().get(name).unwrap().fetch_count();
     for name in ["w1", "w2", "w3"] {
-        let wrapper = mdm.catalog().get(name).unwrap();
         assert_eq!(
-            wrapper.fetch_count(),
+            fetched(name),
             1,
-            "{name} must be fetched exactly once per query"
+            "{name} must be fetched exactly once per served query"
         );
+    }
+    // The cold reference path keeps the same guarantee.
+    mdm.query(&walk).unwrap();
+    for name in ["w1", "w2", "w3"] {
+        assert_eq!(fetched(name), 2, "{name}: once more for the reference");
     }
 }
 
@@ -192,11 +170,13 @@ proptest! {
     ) {
         let (mut mdm, walk) = synthetic_mdm(concepts, versions, rows, seed);
         mdm.set_threads(1);
-        let sequential = mdm.query(&walk).unwrap();
+        let sequential = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         mdm.set_threads(4);
-        let parallel = mdm.query(&walk).unwrap();
+        let parallel = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         prop_assert_eq!(sequential.render(), parallel.render());
         prop_assert_eq!(&sequential.table, &parallel.table);
+        // And both are the cold reference's answer.
+        prop_assert_eq!(parallel.render(), mdm.query(&walk).unwrap().render());
     }
 
     /// Degraded mode under concurrent branch failures reports the same
@@ -266,8 +246,14 @@ fn set_threads_switches_between_pool_and_sequential() {
     // Queries work identically in both modes.
     mdm.set_threads(4);
     let walk = usecase::figure8_walk();
-    let with_pool = mdm.query(&walk).unwrap().render();
+    let with_pool = mdm
+        .query_degraded(&walk, Deadline::none())
+        .unwrap()
+        .render();
     mdm.set_threads(1);
-    let without = mdm.query(&walk).unwrap().render();
+    let without = mdm
+        .query_degraded(&walk, Deadline::none())
+        .unwrap()
+        .render();
     assert_eq!(with_pool, without);
 }

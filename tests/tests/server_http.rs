@@ -531,21 +531,27 @@ fn plan_cache_hit_rate_and_release_invalidation() {
     assert!(int_of(cache, "invalidations") >= 1);
     assert_eq!(int_of(cache, "misses"), 2, "the release forces one replan");
 
-    // The optimized-slot probes and the surgical-invalidation counters are
-    // exported on the same scrape.
-    for field in ["optimized_hits", "optimized_misses"] {
+    // The key set is exactly what the one served pipeline can move: no
+    // optimized-plan side slot, no invalidation mode, no run-time branch
+    // sharing.
+    for field in ["reoptimizations", "optimized_hits", "optimized_misses"] {
         assert!(
-            cache.get(field).and_then(Value::as_number).is_some(),
-            "plan_cache misses numeric '{field}': {cache:?}"
+            cache.get(field).is_none(),
+            "plan_cache still exports '{field}': {cache:?}"
         );
     }
+    let data_plane = metrics.get("data_plane").expect("data plane exported");
+    assert!(
+        data_plane.get("branches_shared").is_none(),
+        "{data_plane:?}"
+    );
+    assert!(int_of(data_plane, "rows_moved") > 0);
     let evolution = metrics
         .get("evolution")
         .expect("evolution counters exported");
-    assert_eq!(
-        evolution.get("invalidation_mode").and_then(Value::as_str),
-        Some("surgical"),
-        "surgical invalidation is the default: {evolution:?}"
+    assert!(
+        evolution.get("invalidation_mode").is_none(),
+        "surgical is the only behaviour: {evolution:?}"
     );
     for field in [
         "surgical_invalidations",
