@@ -5,7 +5,7 @@
 //!
 //! 1. **Batched vs. row-at-a-time** — the same plan drained with the
 //!    default operator batch width against `batch_size = 1`, which
-//!    degenerates every `next_block` into one-tuple batches. The batched
+//!    degenerates every `next_cols` pull into one-row batches. The batched
 //!    path must never be slower, including at 1k rows where the adaptive
 //!    width clamps down.
 //! 2. **End-to-end UCQ throughput** — rows/sec through
@@ -15,18 +15,16 @@
 //! 3. **Intern-pool effectiveness** — the hit rate of the global string
 //!    pool after warming, printed once per run for the P11 table.
 //!
-//! P13 adds the layout sweep: the same E6 plan drained through the columnar
-//! plane (fixed-width term columns, vectorized kernels) against the
-//! row-at-a-time plane at 1k/10k/100k rows per wrapper, the numbers recorded
-//! in EXPERIMENTS.md P13.
+//! Every cell runs the default (columnar) plane; the row plane is an untuned
+//! reference interpreter and is not benchmarked (EXPERIMENTS.md P13 keeps
+//! the retired layout sweep's numbers as a dated record).
 //!
-//! Outputs are asserted identical across drain widths and layouts before
-//! sampling.
+//! Outputs are asserted identical across drain widths before sampling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use mdm_bench::mixed_system;
-use mdm_relational::{metrics, ExecOptions, Executor, Layout};
+use mdm_relational::{metrics, ExecOptions, Executor};
 
 fn p11_data_plane(c: &mut Criterion) {
     let mut group = c.benchmark_group("p11_data_plane");
@@ -83,65 +81,5 @@ fn p11_data_plane(c: &mut Criterion) {
     );
 }
 
-/// P13 — columnar vs. row layout over the E6 UCQ shape.
-fn p13_layout_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("p13_layout_sweep");
-    group.sample_size(10);
-    for rows in [1_000usize, 10_000, 100_000] {
-        let system = mixed_system(2, 2, rows);
-        let rewriting = system.mdm.rewrite(&system.walk).expect("rewrites");
-        let columnar = ExecOptions {
-            layout: Layout::Columnar,
-            ..ExecOptions::default()
-        };
-        let row = ExecOptions {
-            layout: Layout::Row,
-            ..ExecOptions::default()
-        };
-        // Warm scan caches under both layouts and prove the layout does not
-        // change a byte of the answer.
-        let col_table = Executor::with_options(system.mdm.catalog(), columnar.clone())
-            .run(&rewriting.plan)
-            .expect("executes");
-        let row_table = Executor::with_options(system.mdm.catalog(), row.clone())
-            .run(&rewriting.plan)
-            .expect("executes");
-        assert_eq!(
-            col_table.render(),
-            row_table.render(),
-            "layout must not change the answer"
-        );
-        group.throughput(Throughput::Elements(col_table.len() as u64));
-        for (label, options) in [("columnar", &columnar), ("row", &row)] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("e6_rows={rows}"), label),
-                options,
-                |b, options| {
-                    b.iter(|| {
-                        std::hint::black_box(
-                            Executor::with_options(system.mdm.catalog(), options.clone())
-                                .run(&rewriting.plan)
-                                .expect("executes"),
-                        )
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-
-    let stats = metrics::snapshot();
-    eprintln!(
-        "p13 columnar plane: {} terms encoded, {} decoded, {} column bytes, \
-         {} kernel invocations; dict {} entries / {} bytes",
-        stats.columnar.encodes,
-        stats.columnar.decodes,
-        stats.columnar.column_bytes,
-        stats.columnar.kernel_invocations,
-        stats.dict.entries,
-        stats.dict.bytes,
-    );
-}
-
-criterion_group!(benches, p11_data_plane, p13_layout_sweep);
+criterion_group!(benches, p11_data_plane);
 criterion_main!(benches);

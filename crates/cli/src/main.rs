@@ -16,7 +16,8 @@
 //! * `--batch-size <n>` — operator batch width while draining queries
 //!   (`0` restores the default; the executor adapts down for small inputs).
 //! * `--layout row|columnar` — physical data plane: fixed-width term
-//!   columns with vectorized kernels (default) or the row-at-a-time path.
+//!   columns with vectorized kernels (default) or the tuple-at-a-time
+//!   reference interpreter (for oracle checks and debugging, not speed).
 //! * `--optimize off|cost` — plan optimization: the stats-driven cost
 //!   pipeline (default) or none. Results are byte-identical in both modes.
 //! * `--data-dir <dir>` — durable metadata: recover the journal in `dir`

@@ -251,7 +251,7 @@ impl MutationOp {
                 concepts: cursor.strings()?,
                 features: cursor.strings()?,
                 relations: {
-                    let count = cursor.count()?;
+                    let count = cursor.count(3 * 4)?;
                     let mut edges = Vec::with_capacity(count);
                     for _ in 0..count {
                         edges.push((cursor.string()?, cursor.string()?, cursor.string()?));
@@ -259,7 +259,7 @@ impl MutationOp {
                     edges
                 },
                 same_as: {
-                    let count = cursor.count()?;
+                    let count = cursor.count(2 * 4)?;
                     let mut links = Vec::with_capacity(count);
                     for _ in 0..count {
                         links.push((cursor.string()?, cursor.string()?));
@@ -513,6 +513,10 @@ fn put_count(out: &mut Vec<u8>, count: usize) {
     out.extend_from_slice(&(count as u32).to_le_bytes());
 }
 
+fn truncated() -> MdmError {
+    MdmError::Repository("journal op truncated mid-field".to_string())
+}
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     offset: usize,
@@ -520,10 +524,8 @@ struct Cursor<'a> {
 
 impl Cursor<'_> {
     fn take(&mut self, n: usize) -> Result<&[u8], MdmError> {
-        if self.offset + n > self.bytes.len() {
-            return Err(MdmError::Repository(
-                "journal op truncated mid-field".to_string(),
-            ));
+        if n > self.bytes.len() - self.offset {
+            return Err(truncated());
         }
         let slice = &self.bytes[self.offset..self.offset + n];
         self.offset += n;
@@ -542,19 +544,27 @@ impl Cursor<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
 
-    fn count(&mut self) -> Result<usize, MdmError> {
-        Ok(self.u32()? as usize)
+    /// An element count, held to the bytes left in the payload: every
+    /// element costs at least `min_bytes` (4 per string, for its length),
+    /// so a larger count is a truncated or hostile record and is rejected
+    /// before anything is allocated for it.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, MdmError> {
+        let count = self.u32()? as usize;
+        if count.saturating_mul(min_bytes) > self.bytes.len() - self.offset {
+            return Err(truncated());
+        }
+        Ok(count)
     }
 
     fn string(&mut self) -> Result<String, MdmError> {
-        let len = self.count()?;
+        let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| MdmError::Repository("journal op holds non-UTF-8 text".to_string()))
     }
 
     fn strings(&mut self) -> Result<Vec<String>, MdmError> {
-        let count = self.count()?;
+        let count = self.count(4)?;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(self.string()?);
@@ -637,6 +647,22 @@ mod tests {
         }
         assert!(MutationOp::decode(&[]).is_err());
         assert!(MutationOp::decode(&[250, 0, 0]).is_err());
+        // Element counts no payload of this size can hold: `Err`, not a
+        // 100 GB `Vec::with_capacity` (a `RegisterWrapper` with 2³²−1
+        // attributes; a `DefineMapping` with as many concepts, or edges).
+        let empty = [0u8; 4];
+        let huge = [0xffu8; 4];
+        for (tag, prefix) in [
+            (TAG_WRAPPER, vec![empty, empty, [1, 0, 0, 0]]),
+            (TAG_MAPPING, vec![empty]),
+            (TAG_MAPPING, vec![empty, empty, empty]),
+        ] {
+            let mut payload = vec![tag];
+            payload.extend(prefix.iter().flatten());
+            payload.extend(huge);
+            let err = MutationOp::decode(&payload).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "{err}");
+        }
         // Trailing bytes after a complete op are rejected too.
         let mut padded = bytes;
         padded.push(0);

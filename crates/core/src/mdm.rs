@@ -69,7 +69,7 @@ pub struct Mdm {
     /// queries (the executor still adapts downward for small inputs).
     batch_size: usize,
     /// Physical data layout queries execute under: columnar (the default)
-    /// or the row-at-a-time escape hatch.
+    /// or the tuple-at-a-time reference interpreter.
     layout: Layout,
     /// Cardinality statistics feeding the cost-based optimizer. Shared with
     /// every executor this instance builds (scans feed observations back)
@@ -108,7 +108,7 @@ impl Mdm {
             retry: RetryPolicy::default(),
             breakers: BreakerRegistry::default(),
             pool: Some(pool::global()),
-            batch_size: mdm_relational::physical::DEFAULT_BATCH,
+            batch_size: mdm_relational::executor::DEFAULT_BATCH,
             layout: Layout::default(),
             stats: mdm_relational::stats::global(),
             optimize: OptimizeMode::default(),
@@ -145,7 +145,7 @@ impl Mdm {
     /// inputs.
     pub fn set_batch_size(&mut self, batch_size: usize) {
         self.batch_size = if batch_size == 0 {
-            mdm_relational::physical::DEFAULT_BATCH
+            mdm_relational::executor::DEFAULT_BATCH
         } else {
             batch_size
         };
@@ -157,8 +157,9 @@ impl Mdm {
     }
 
     /// Sets the physical data layout for query execution: columnar runs
-    /// the vectorized term-id kernels (the default), row restores the
-    /// tuple-at-a-time engine. Results are byte-identical either way.
+    /// the vectorized term-id kernels (the default), row selects the
+    /// tuple-at-a-time reference interpreter the oracle tests hold them to.
+    /// Results are byte-identical either way.
     pub fn set_layout(&mut self, layout: Layout) {
         self.layout = layout;
     }
@@ -793,22 +794,27 @@ impl Mdm {
     /// restore route); wrappers must be re-registered into the catalog
     /// separately (payloads are data, not metadata).
     pub fn restore_metadata(document: &str) -> Result<Mdm, MdmError> {
+        Mdm::new().restored_from(document)
+    }
+
+    /// Like [`Mdm::restore_metadata`], but the new instance keeps this
+    /// one's execution settings — pool, batch width, layout, optimizer
+    /// mode, retry policy, breaker configuration, stats catalog. A restore
+    /// replaces metadata, not how the operator configured execution: this
+    /// is what a front end swaps in for the instance it is serving.
+    pub fn restored_from(&self, document: &str) -> Result<Mdm, MdmError> {
         let (ontology, epoch) = crate::repo::restore_with_epoch(document)?;
         Ok(Mdm {
             ontology,
-            catalog: WrapperCatalog::new(),
-            options: RewriteOptions::default(),
             epoch,
-            plan_cache: PlanCache::default(),
-            retry: RetryPolicy::default(),
-            breakers: BreakerRegistry::default(),
-            pool: Some(pool::global()),
-            batch_size: mdm_relational::physical::DEFAULT_BATCH,
-            layout: Layout::default(),
-            stats: mdm_relational::stats::global(),
-            optimize: OptimizeMode::default(),
-            journal: None,
-            changes: ChangeLog::new(DEFAULT_CHANGELOG_CAPACITY),
+            retry: self.retry.clone(),
+            breakers: BreakerRegistry::new(self.breakers.config().clone()),
+            pool: self.pool.clone(),
+            batch_size: self.batch_size,
+            layout: self.layout,
+            stats: Arc::clone(&self.stats),
+            optimize: self.optimize,
+            ..Mdm::new()
         })
     }
 }

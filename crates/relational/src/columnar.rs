@@ -36,7 +36,7 @@ use crate::value::{Tuple, Value};
 /// Which physical shape the executor builds for a plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Layout {
-    /// Tuple-at-a-time `Vec<Tuple>` batches (the pre-columnar engine).
+    /// The tuple-at-a-time reference interpreter (oracle tests, debugging).
     Row,
     /// Fixed-width term columns with vectorized kernels.
     #[default]
@@ -928,8 +928,7 @@ impl ColOperator for ColProject {
     }
 }
 
-/// Probe batches below this width are not worth fanning out (matches the
-/// row plane's threshold so layout choice never changes parallelism).
+/// Probe batches below this width are not worth fanning out.
 const PARALLEL_PROBE_MIN: usize = 512;
 
 /// The build side of a columnar hash join: dense term columns plus a
@@ -1011,7 +1010,7 @@ fn probe_range_cols(
 /// Columnar ⋈ — hash equi-join over raw term ids. Builds on the right,
 /// probes with the left; NULL keys never match. Wide probe batches are
 /// split into contiguous chunks probed on pool workers and re-concatenated
-/// in chunk order, exactly like the row plane.
+/// in chunk order, so the output is identical to a sequential probe.
 pub struct ColHashJoin {
     left: Box<dyn ColOperator>,
     schema: Schema,

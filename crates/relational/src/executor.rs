@@ -14,7 +14,7 @@ use crate::expr::Expr;
 use crate::metrics;
 use crate::physical::{
     DecodeExec, DistinctExec, FilterExec, HashJoinExec, LimitExec, Operator, ProjectExec, ScanExec,
-    SortExec, UnionExec, DEFAULT_BATCH,
+    SortExec, UnionExec,
 };
 use crate::pool::{self, Pool};
 use crate::resilience::{Deadline, RetryPolicy, ScanGuard};
@@ -182,6 +182,9 @@ impl Catalog for MemoryCatalog {
     }
 }
 
+/// The default drain width: rows per [`ColOperator::next_cols`] pull.
+pub const DEFAULT_BATCH: usize = 1024;
+
 /// Knobs for one plan execution: how hard to retry transient scan
 /// failures, how long the whole query may take, and how wide it may fan
 /// out.
@@ -196,13 +199,16 @@ pub struct ExecOptions {
     /// pool) keeps everything on the calling thread. Defaults to the
     /// process-wide [`pool::global`] pool.
     pub pool: Option<Arc<Pool>>,
-    /// Tuples pulled per `next_batch` call while draining operators.
+    /// Rows per `next_cols` pull while draining the columnar plane; the
+    /// row plane pulls tuples one at a time and only keeps this cadence
+    /// for its deadline checks.
     pub batch_size: usize,
     /// Metadata epoch stamped into scan-cache keys so rows can never leak
     /// across a steward mutation.
     pub epoch: u64,
     /// Physical data layout: columnar (fixed-width term ids, vectorized
-    /// kernels — the default) or the row-at-a-time escape hatch.
+    /// kernels — the default) or the tuple-at-a-time reference interpreter
+    /// the oracle tests hold it to.
     pub layout: Layout,
     /// Statistics catalog to feed with scan observations (row counts,
     /// per-column distincts) as relations are fetched. Defaults to the
@@ -301,13 +307,10 @@ impl<'a> Executor<'a> {
         if self.options.deadline.expired() {
             return Err(self.options.deadline.exceeded("starting plan execution"));
         }
-        let built = match self.options.layout {
-            Layout::Row => Built::Row(self.build(plan, cache)?),
-            Layout::Columnar => self.build_hybrid(plan, cache)?,
-        };
+        let built = self.build(plan, cache)?;
         let schema = built.schema().clone();
-        // Drain block-at-a-time with a deadline check per block so a huge
-        // (or pathological) result cannot blow past the budget unnoticed.
+        // Drain with a deadline check per `batch_size` rows so a huge (or
+        // pathological) result cannot blow past the budget unnoticed.
         // The batch width adapts downward to the input size (known exactly
         // after `build`, which fetched every scanned relation): a 100-row
         // query should not pay 1024-row drain bookkeeping.
@@ -322,13 +325,24 @@ impl<'a> Executor<'a> {
         };
         match built {
             Built::Row(mut op) => {
+                // One tuple per pull, on the columnar drain's cadence: a
+                // metrics record and a deadline check per `batch_size` rows.
                 let mut rows = Vec::new();
-                while let Some(block) = op.next_block(batch_size) {
-                    let block = block?;
-                    metrics::record_batch(block.len() as u64);
-                    rows.extend(block.into_tuples());
-                    if self.options.deadline.expired() {
-                        return Err(self.options.deadline.exceeded("draining result rows"));
+                let mut recorded = 0;
+                loop {
+                    let next = op.next().transpose()?;
+                    let exhausted = next.is_none();
+                    rows.extend(next);
+                    let pending = rows.len() - recorded;
+                    if pending == batch_size || (exhausted && pending > 0) {
+                        metrics::record_batch(pending as u64);
+                        recorded = rows.len();
+                        if self.options.deadline.expired() {
+                            return Err(self.options.deadline.exceeded("draining result rows"));
+                        }
+                    }
+                    if exhausted {
+                        break;
                     }
                 }
                 Table::new(schema, rows).map_err(ExecError::permanent)
@@ -427,113 +441,34 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Translates a logical plan into a physical operator tree. Scans go
-    /// through the per-query cache: a relation referenced by `k` branches
-    /// is fetched (and pays retries/breaker events) once, not `k` times.
-    fn build(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn Operator>, ExecError> {
-        match plan {
-            Plan::Scan { relation } => {
-                let provider = self.catalog.provider(relation).ok_or_else(|| {
-                    ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
-                })?;
-                let rows = cache.fetch_or_insert(
-                    relation,
-                    provider.version(),
-                    self.options.epoch,
-                    || self.fetch_rows(relation, provider),
-                )?;
-                Ok(Box::new(ScanExec::shared(provider.provider_schema(), rows)))
-            }
-            Plan::Filter { input, predicate } => Ok(Box::new(FilterExec::new(
-                self.build(input, cache)?,
-                predicate.clone(),
-            ))),
-            Plan::Project { input, columns } => {
-                let child = self.build(input, cache)?;
-                let exprs: Vec<Expr> = columns.iter().map(|(e, _)| e.clone()).collect();
-                let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
-                Ok(Box::new(ProjectExec::new(child, exprs, schema)))
-            }
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => {
-                let left_op = self.build(left, cache)?;
-                let right_op = self.build(right, cache)?;
-                let mut left_keys = Vec::with_capacity(on.len());
-                let mut right_keys = Vec::with_capacity(on.len());
-                for (l, r) in on {
-                    left_keys.push(
-                        left_op
-                            .schema()
-                            .index_of(l)
-                            .map_err(|e| ExecError::permanent(format!("join key: {e}")))?,
-                    );
-                    right_keys.push(
-                        right_op
-                            .schema()
-                            .index_of(r)
-                            .map_err(|e| ExecError::permanent(format!("join key: {e}")))?,
-                    );
-                }
-                Ok(Box::new(
-                    HashJoinExec::new(
-                        left_op,
-                        right_op,
-                        left_keys,
-                        right_keys,
-                        matches!(kind, JoinKind::Left),
-                    )?
-                    .with_pool(self.options.pool.clone()),
-                ))
-            }
-            Plan::Union { inputs } => {
-                let ops = inputs
-                    .iter()
-                    .map(|p| self.build(p, cache))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Box::new(UnionExec::new(ops)?))
-            }
-            Plan::Distinct { input } => Ok(Box::new(DistinctExec::new(self.build(input, cache)?))),
-            Plan::Sort { input, keys } => {
-                let child = self.build(input, cache)?;
-                let resolved = keys
-                    .iter()
-                    .map(|(column, order)| {
-                        child
-                            .schema()
-                            .index_of(column)
-                            .map(|i| (i, matches!(order, SortOrder::Desc)))
-                            .map_err(ExecError::permanent)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Box::new(SortExec::new(child, resolved)?))
-            }
-            Plan::Limit { input, count } => {
-                Ok(Box::new(LimitExec::new(self.build(input, cache)?, *count)))
-            }
-        }
-    }
-
-    /// Translates a logical plan into a hybrid operator tree: columnar
-    /// wherever the plan shape allows (scan/filter/project/join/union/
-    /// distinct/limit), dropping to the row plane through [`DecodeExec`]
-    /// at the first stage that only exists row-wise (sort) or when a
-    /// subtree is degenerate (zero-width schema, empty projection). The
-    /// resulting row stream is byte-identical to [`Executor::build`]'s.
-    fn build_hybrid(&self, plan: &Plan, cache: &ScanCache) -> Result<Built, ExecError> {
+    /// Translates a logical plan into a physical operator tree. The layout
+    /// is decided at the leaves and every other stage follows its children:
+    /// columnar wherever the plan shape allows (scan/filter/project/join/
+    /// union/distinct/limit), dropping to the row plane through
+    /// [`DecodeExec`] at the first stage that only exists row-wise (sort)
+    /// or when a subtree is degenerate (empty projection). Under
+    /// [`Layout::Row`] every leaf is a row scan, so the whole tree is the
+    /// reference interpreter and its row stream is the one the columnar
+    /// tree must reproduce byte for byte. Scans go through the per-query
+    /// cache: a relation referenced by `k` branches is fetched (and pays
+    /// retries/breaker events) once, not `k` times.
+    fn build(&self, plan: &Plan, cache: &ScanCache) -> Result<Built, ExecError> {
         match plan {
             Plan::Scan { relation } => {
                 let provider = self.catalog.provider(relation).ok_or_else(|| {
                     ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
                 })?;
                 let schema = provider.provider_schema();
-                if schema.is_empty() {
-                    // A zero-column relation has no columns to carry the
-                    // row count; keep it on the row plane.
-                    return self.build(plan, cache).map(Built::Row);
+                // A zero-column relation has no columns to carry the row
+                // count, so it stays on the row plane under either layout.
+                if self.options.layout == Layout::Row || schema.is_empty() {
+                    let rows = cache.fetch_or_insert(
+                        relation,
+                        provider.version(),
+                        self.options.epoch,
+                        || self.fetch_rows(relation, provider),
+                    )?;
+                    return Ok(Built::Row(Box::new(ScanExec::new(schema, rows))));
                 }
                 let (columns, len) = cache.fetch_or_insert_columns(
                     relation,
@@ -544,7 +479,7 @@ impl<'a> Executor<'a> {
                 )?;
                 Ok(Built::Col(Box::new(ColScan::new(schema, columns, len))))
             }
-            Plan::Filter { input, predicate } => match self.build_hybrid(input, cache)? {
+            Plan::Filter { input, predicate } => match self.build(input, cache)? {
                 Built::Col(child) => Ok(Built::Col(Box::new(ColFilter::new(
                     child,
                     predicate.clone(),
@@ -555,7 +490,7 @@ impl<'a> Executor<'a> {
                 )))),
             },
             Plan::Project { input, columns } => {
-                let child = self.build_hybrid(input, cache)?;
+                let child = self.build(input, cache)?;
                 let exprs: Vec<Expr> = columns.iter().map(|(e, _)| e.clone()).collect();
                 let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
                 match child {
@@ -575,8 +510,8 @@ impl<'a> Executor<'a> {
                 right,
                 on,
             } => {
-                let left_built = self.build_hybrid(left, cache)?;
-                let right_built = self.build_hybrid(right, cache)?;
+                let left_built = self.build(left, cache)?;
+                let right_built = self.build(right, cache)?;
                 let mut left_keys = Vec::with_capacity(on.len());
                 let mut right_keys = Vec::with_capacity(on.len());
                 for (l, r) in on {
@@ -599,22 +534,19 @@ impl<'a> Executor<'a> {
                         ColHashJoin::new(l, r, left_keys, right_keys, emit_unmatched_left)?
                             .with_pool(self.options.pool.clone()),
                     ))),
-                    (l, r) => Ok(Built::Row(Box::new(
-                        HashJoinExec::new(
-                            l.into_row(),
-                            r.into_row(),
-                            left_keys,
-                            right_keys,
-                            emit_unmatched_left,
-                        )?
-                        .with_pool(self.options.pool.clone()),
-                    ))),
+                    (l, r) => Ok(Built::Row(Box::new(HashJoinExec::new(
+                        l.into_row(),
+                        r.into_row(),
+                        left_keys,
+                        right_keys,
+                        emit_unmatched_left,
+                    )?))),
                 }
             }
             Plan::Union { inputs } => {
                 let built = inputs
                     .iter()
-                    .map(|p| self.build_hybrid(p, cache))
+                    .map(|p| self.build(p, cache))
                     .collect::<Result<Vec<_>, _>>()?;
                 if built.iter().all(|b| matches!(b, Built::Col(_))) {
                     let ops = built
@@ -630,12 +562,12 @@ impl<'a> Executor<'a> {
                     Ok(Built::Row(Box::new(UnionExec::new(ops)?)))
                 }
             }
-            Plan::Distinct { input } => match self.build_hybrid(input, cache)? {
+            Plan::Distinct { input } => match self.build(input, cache)? {
                 Built::Col(child) => Ok(Built::Col(Box::new(ColDistinct::new(child)))),
                 Built::Row(child) => Ok(Built::Row(Box::new(DistinctExec::new(child)))),
             },
             Plan::Sort { input, keys } => {
-                let child = self.build_hybrid(input, cache)?.into_row();
+                let child = self.build(input, cache)?.into_row();
                 let resolved = keys
                     .iter()
                     .map(|(column, order)| {
@@ -648,7 +580,7 @@ impl<'a> Executor<'a> {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Built::Row(Box::new(SortExec::new(child, resolved)?)))
             }
-            Plan::Limit { input, count } => match self.build_hybrid(input, cache)? {
+            Plan::Limit { input, count } => match self.build(input, cache)? {
                 Built::Col(child) => Ok(Built::Col(Box::new(ColLimit::new(child, *count)))),
                 Built::Row(child) => Ok(Built::Row(Box::new(LimitExec::new(child, *count)))),
             },
@@ -657,7 +589,7 @@ impl<'a> Executor<'a> {
 }
 
 /// A physical operator of either layout, as produced by
-/// [`Executor::build_hybrid`].
+/// [`Executor::build`].
 enum Built {
     Row(Box<dyn Operator>),
     Col(Box<dyn ColOperator>),

@@ -12,17 +12,21 @@
 //!   query-rewriting algorithm of `mdm-core` outputs one of these plans, and
 //!   its `Display` form is the "relational algebra expression" shown in
 //!   Figure 8;
-//! * [`physical`] — volcano-style operators (hash join, filter, project,
-//!   union, distinct, sort, limit): the row-plane reference
-//!   ([`Layout::Row`]) and the only home of sort and zero-width relations;
-//! * [`columnar`] — the columnar twin of [`physical`]: fixed-width 16-byte
-//!   term encoding ([`Layout::Columnar`], the default) and vectorized
+//! * [`columnar`] — the served data plane: fixed-width 16-byte term
+//!   encoding ([`Layout::Columnar`], the default) and vectorized
 //!   filter/join/distinct/project kernels over shared column batches,
 //!   decoding back to [`Value`]s only at render time;
+//! * `physical` (private) — the row plane: a tuple-at-a-time reference
+//!   interpreter (scan, filter, project, hash join, union, distinct, sort,
+//!   limit behind one `next()`). [`Layout::Row`] selects it as the oracle
+//!   the property tests and goldens hold the columnar plane to — it is not
+//!   a performance option — and it is the only home of sort and zero-width
+//!   relations;
 //! * [`executor`] — a single-plan interpreter: one logical plan plus a
 //!   [`Catalog`] of relation providers in, one materialised [`Table`] out,
-//!   with per-query scan reuse ([`scan_cache`]). Fanning the branches of a
-//!   UCQ out across cores lives one level up, in
+//!   with per-query scan reuse ([`scan_cache`]). One builder translates a
+//!   plan into operators and decides the layout at the leaves. Fanning the
+//!   branches of a UCQ out across cores lives one level up, in
 //!   `mdm_core::query::execute_degraded`;
 //! * [`pool`] — the bounded, work-stealing scoped-thread worker pool
 //!   (hash-join probes here, UCQ branches in `mdm-core`);
@@ -44,7 +48,7 @@ pub mod expr;
 pub mod intern;
 pub mod metrics;
 pub mod optimizer;
-pub mod physical;
+mod physical;
 pub mod pool;
 pub mod resilience;
 pub mod scan_cache;
@@ -62,7 +66,6 @@ pub use expr::{BinOp, Expr};
 pub use intern::{InternStats, Sym};
 pub use metrics::{DataPlaneStats, OptimizerStats};
 pub use optimizer::{explain_tree, OptimizeMode, Optimizer, Statistics};
-pub use physical::Batch;
 pub use pool::{Pool, PoolStats};
 pub use resilience::{
     BreakerConfig, BreakerRegistry, BreakerSnapshot, Deadline, RetryPolicy, ScanGuard,

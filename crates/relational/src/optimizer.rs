@@ -12,9 +12,9 @@
 //!   narrowed to the columns the plan above actually consumes, shrinking
 //!   every downstream join gather), greedy join-region reordering
 //!   (cheapest estimated join first, left-deep, smaller input on the right
-//!   because [`HashJoinExec`](crate::physical::HashJoinExec) always builds
-//!   right), and post-reorder union-arm dedup under `δ` (joins that become
-//!   identical only once canonically ordered collapse to one branch).
+//!   because both planes' hash joins always build right), and post-reorder
+//!   union-arm dedup under `δ` (joins that become identical only once
+//!   canonically ordered collapse to one branch).
 //!
 //! Every rewrite is semantics-preserving **including output column
 //! order**: when reordering changes the left-to-right leaf order of a

@@ -1,136 +1,23 @@
-//! Volcano-style physical operators.
+//! The row plane: a tuple-at-a-time reference interpreter.
 //!
 //! Each operator implements [`Operator`]: a pull-based iterator of tuples
-//! with a known output schema. The executor builds an operator tree from a
-//! logical [`Plan`](crate::Plan) and drains the root. Operators are
-//! deliberately simple — MDM federates *metadata-mediated* queries whose
-//! inputs are wrapper row sets (thousands to low millions of rows), so hash
-//! joins and in-memory sorts are the right tools.
-//!
-//! The batch interface is zero-copy: [`Operator::next_block`] yields
-//! [`Batch`]es — an `Arc`-shared row store plus a selection — so scans,
-//! filters and distincts move row *ids*, not row *bytes*. Only operators
-//! that compute new tuples (project, join) materialise, and even then each
-//! cell is an interned [`Value`] whose clone is pointer-sized.
+//! with a known output schema, and nothing else — no batches, no selection
+//! vectors, no worker pool. The served plane is [`columnar`]; this one is
+//! what [`Layout::Row`](crate::Layout::Row) selects, kept small enough to
+//! read in one sitting because the property tests and goldens hold the
+//! columnar kernels to it. It is also where a default-layout plan lands,
+//! through [`DecodeExec`], for the two shapes the columnar plane lacks:
+//! sort and zero-width relations.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::columnar::{self, ColOperator};
-use crate::executor::ExecError;
+use crate::executor::{ExecError, DEFAULT_BATCH};
 use crate::expr::Expr;
-use crate::pool::Pool;
 use crate::schema::Schema;
 use crate::value::{Tuple, Value};
-
-/// The default number of tuples pulled per [`Operator::next_batch`] call.
-pub const DEFAULT_BATCH: usize = 1024;
-
-/// How a [`Batch`] selects rows from its shared store.
-#[derive(Clone, Debug)]
-enum Sel {
-    /// Every row in the store, in order.
-    All,
-    /// The contiguous run `[start, end)` of the store.
-    Range(u32, u32),
-    /// Explicit row ids into the store, in output order.
-    Rows(Vec<u32>),
-}
-
-/// A reference-counted batch of tuples: an `Arc`-shared row store plus a
-/// selection over it. Filters and distincts emit new selections over the
-/// *same* store, so passing a batch down the pipeline never copies tuples.
-#[derive(Clone, Debug)]
-pub struct Batch {
-    rows: Arc<Vec<Tuple>>,
-    sel: Sel,
-}
-
-impl Batch {
-    /// A batch owning freshly materialised rows (project/join outputs).
-    pub fn from_vec(rows: Vec<Tuple>) -> Self {
-        Batch {
-            rows: Arc::new(rows),
-            sel: Sel::All,
-        }
-    }
-
-    /// A batch over the contiguous run `[start, end)` of a shared store.
-    pub fn range(rows: Arc<Vec<Tuple>>, start: usize, end: usize) -> Self {
-        debug_assert!(start <= end && end <= rows.len());
-        let sel = if start == 0 && end == rows.len() {
-            Sel::All
-        } else {
-            Sel::Range(start as u32, end as u32)
-        };
-        Batch { rows, sel }
-    }
-
-    /// A batch selecting explicit row ids of a shared store.
-    pub fn with_sel(rows: Arc<Vec<Tuple>>, sel: Vec<u32>) -> Self {
-        Batch {
-            rows,
-            sel: Sel::Rows(sel),
-        }
-    }
-
-    /// The shared row store this batch selects from.
-    pub fn store(&self) -> &Arc<Vec<Tuple>> {
-        &self.rows
-    }
-
-    /// Number of selected rows.
-    pub fn len(&self) -> usize {
-        match &self.sel {
-            Sel::All => self.rows.len(),
-            Sel::Range(s, e) => (e - s) as usize,
-            Sel::Rows(ids) => ids.len(),
-        }
-    }
-
-    /// True when no rows are selected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The row id in the underlying store of the `i`-th selected row.
-    pub fn row_id(&self, i: usize) -> u32 {
-        match &self.sel {
-            Sel::All => i as u32,
-            Sel::Range(s, _) => s + i as u32,
-            Sel::Rows(ids) => ids[i],
-        }
-    }
-
-    /// The `i`-th selected row.
-    pub fn get(&self, i: usize) -> &Tuple {
-        &self.rows[self.row_id(i) as usize]
-    }
-
-    /// Iterates the selected rows in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// The selected rows as owned tuples (cloning cells is pointer-cheap).
-    pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.iter().cloned().collect()
-    }
-
-    /// The selected rows as owned tuples, moving out of the store when this
-    /// batch is its sole owner and selects everything.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        if matches!(self.sel, Sel::All) {
-            match Arc::try_unwrap(self.rows) {
-                Ok(rows) => rows,
-                Err(shared) => shared.as_ref().clone(),
-            }
-        } else {
-            self.to_tuples()
-        }
-    }
-}
 
 /// A pull-based operator: yields tuples until exhausted.
 pub trait Operator {
@@ -138,51 +25,20 @@ pub trait Operator {
     fn schema(&self) -> &Schema;
     /// The next tuple, `None` when exhausted.
     fn next(&mut self) -> Option<Result<Tuple, ExecError>>;
-
-    /// Up to roughly `max` tuples at once, `None` when exhausted. Batches
-    /// amortise the per-tuple dynamic dispatch of [`Operator::next`] across
-    /// the pipeline; a returned batch is never empty. The default pulls
-    /// tuple-at-a-time; vectorising operators override it.
-    fn next_batch(&mut self, max: usize) -> Option<Result<Vec<Tuple>, ExecError>> {
-        let mut out = Vec::new();
-        while out.len() < max.max(1) {
-            match self.next() {
-                Some(Ok(tuple)) => out.push(tuple),
-                Some(Err(e)) => return Some(Err(e)),
-                None => break,
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(Ok(out))
-        }
-    }
-
-    /// Up to roughly `max` tuples as a shared [`Batch`], `None` when
-    /// exhausted; a returned batch is never empty. This is the zero-copy
-    /// path: scan/filter/distinct override it to pass row ids instead of
-    /// rows. The default wraps [`Operator::next_batch`].
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        match self.next_batch(max)? {
-            Ok(rows) => Some(Ok(Batch::from_vec(rows))),
-            Err(e) => Some(Err(e)),
-        }
-    }
 }
 
 /// Drains an operator to completion.
 pub fn drain(mut op: Box<dyn Operator>) -> Result<Vec<Tuple>, ExecError> {
     let mut out = Vec::new();
-    while let Some(block) = op.next_block(DEFAULT_BATCH) {
-        out.extend(block?.into_tuples());
+    while let Some(tuple) = op.next() {
+        out.push(tuple?);
     }
     Ok(out)
 }
 
 /// Scans a materialised row set, possibly shared with sibling branches
-/// through the per-query scan cache. Blocks reference the shared store
-/// directly — a scan never copies a tuple.
+/// through the per-query scan cache (cloning a tuple clones interned,
+/// pointer-sized cells).
 pub struct ScanExec {
     schema: Schema,
     rows: Arc<Vec<Tuple>>,
@@ -190,15 +46,12 @@ pub struct ScanExec {
 }
 
 impl ScanExec {
-    pub fn new(schema: Schema, rows: Vec<Tuple>) -> Self {
-        ScanExec::shared(schema, Arc::new(rows))
-    }
-
-    /// A scan over rows shared with other operators (no upfront copy).
-    pub fn shared(schema: Schema, rows: Arc<Vec<Tuple>>) -> Self {
+    /// A scan over owned rows, or over rows shared with other operators
+    /// (no upfront copy).
+    pub fn new(schema: Schema, rows: impl Into<Arc<Vec<Tuple>>>) -> Self {
         ScanExec {
             schema,
-            rows,
+            rows: rows.into(),
             cursor: 0,
         }
     }
@@ -213,23 +66,6 @@ impl Operator for ScanExec {
         let tuple = self.rows.get(self.cursor)?.clone();
         self.cursor += 1;
         Some(Ok(tuple))
-    }
-
-    fn next_batch(&mut self, max: usize) -> Option<Result<Vec<Tuple>, ExecError>> {
-        match self.next_block(max)? {
-            Ok(block) => Some(Ok(block.into_tuples())),
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        if self.cursor >= self.rows.len() {
-            return None;
-        }
-        let end = (self.cursor + max.max(1)).min(self.rows.len());
-        let block = Batch::range(Arc::clone(&self.rows), self.cursor, end);
-        self.cursor = end;
-        Some(Ok(block))
     }
 }
 
@@ -260,37 +96,6 @@ impl Operator for FilterExec {
                 Ok(true) => return Some(Ok(tuple)),
                 Ok(false) => continue,
                 Err(e) => return Some(Err(ExecError::permanent(e.0))),
-            }
-        }
-    }
-
-    fn next_batch(&mut self, max: usize) -> Option<Result<Vec<Tuple>, ExecError>> {
-        match self.next_block(max)? {
-            Ok(block) => Some(Ok(block.into_tuples())),
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        loop {
-            let block = match self.input.next_block(max)? {
-                Ok(b) => b,
-                Err(e) => return Some(Err(e)),
-            };
-            // Selection-vector filtering: keep row ids, not rows.
-            let mut sel = Vec::with_capacity(block.len());
-            for i in 0..block.len() {
-                match self
-                    .predicate
-                    .eval_predicate(self.input.schema(), block.get(i))
-                {
-                    Ok(true) => sel.push(block.row_id(i)),
-                    Ok(false) => {}
-                    Err(e) => return Some(Err(ExecError::permanent(e.0))),
-                }
-            }
-            if !sel.is_empty() {
-                return Some(Ok(Batch::with_sel(Arc::clone(block.store()), sel)));
             }
         }
     }
@@ -332,32 +137,6 @@ impl Operator for ProjectExec {
         }
         Some(Ok(out))
     }
-
-    fn next_batch(&mut self, max: usize) -> Option<Result<Vec<Tuple>, ExecError>> {
-        match self.next_block(max)? {
-            Ok(block) => Some(Ok(block.into_tuples())),
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        let block = match self.input.next_block(max)? {
-            Ok(b) => b,
-            Err(e) => return Some(Err(e)),
-        };
-        let mut out = Vec::with_capacity(block.len());
-        for tuple in block.iter() {
-            let mut projected = Vec::with_capacity(self.exprs.len());
-            for expr in &self.exprs {
-                match expr.eval(self.input.schema(), tuple) {
-                    Ok(v) => projected.push(v),
-                    Err(e) => return Some(Err(ExecError::permanent(e.0))),
-                }
-            }
-            out.push(projected);
-        }
-        Some(Ok(Batch::from_vec(out)))
-    }
 }
 
 /// The right-side build table of a hash join: rows materialised once, in
@@ -371,9 +150,9 @@ struct JoinTable {
     right_keys: Vec<usize>,
 }
 
-/// The hash of a tuple's key columns, computed once per row per batch.
-/// Uses `Value`'s own coercing `Hash` (numerics hash through their f64
-/// bits), so equal keys always land in the same bucket.
+/// The hash of a tuple's key columns. Uses `Value`'s own coercing `Hash`
+/// (numerics hash through their f64 bits), so equal keys always land in
+/// the same bucket.
 fn key_hash(row: &Tuple, keys: &[usize]) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     for &k in keys {
@@ -405,51 +184,6 @@ pub struct HashJoinExec {
     /// to emit unmatched probe rows.
     right_width: usize,
     emit_unmatched_left: bool,
-    /// When set, probe batches at least [`PARALLEL_PROBE_MIN`] rows wide
-    /// are split into contiguous chunks probed on pool workers.
-    pool: Option<Arc<Pool>>,
-}
-
-/// Probe batches below this width are not worth fanning out.
-const PARALLEL_PROBE_MIN: usize = 512;
-
-/// Probes the selected rows `[start, end)` of `block` against the build
-/// table, appending combined rows in probe order (matches of one probe row
-/// keep build-insertion order — bucket ids are appended in build order).
-#[allow(clippy::too_many_arguments)]
-fn probe_range(
-    table: &JoinTable,
-    left_keys: &[usize],
-    right_width: usize,
-    emit_unmatched_left: bool,
-    block: &Batch,
-    hashes: &[u64],
-    start: usize,
-    end: usize,
-    out: &mut Vec<Tuple>,
-) {
-    for (i, hash) in hashes.iter().enumerate().take(end).skip(start) {
-        let probe = block.get(i);
-        let mut matched = false;
-        if !left_keys.iter().any(|&k| probe[k].is_null()) {
-            if let Some(bucket) = table.buckets.get(hash) {
-                for &row_id in bucket {
-                    let build = &table.rows[row_id as usize];
-                    if keys_match(probe, left_keys, build, &table.right_keys) {
-                        matched = true;
-                        let mut combined = probe.clone();
-                        combined.extend(build.iter().cloned());
-                        out.push(combined);
-                    }
-                }
-            }
-        }
-        if !matched && emit_unmatched_left {
-            let mut combined = probe.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(combined);
-        }
-    }
 }
 
 impl HashJoinExec {
@@ -487,63 +221,12 @@ impl HashJoinExec {
             pending: Vec::new(),
             right_width,
             emit_unmatched_left,
-            pool: None,
         })
     }
 
-    /// Enables partitioned parallel probing of wide batches on `pool`.
-    /// Output order is unchanged: chunks are contiguous and re-concatenated
-    /// in chunk order, so the row stream is identical to sequential.
-    pub fn with_pool(mut self, pool: Option<Arc<Pool>>) -> Self {
-        self.pool = pool.filter(|p| p.size() > 1);
-        self
-    }
-
-    fn probe_block(&self, block: &Batch, out: &mut Vec<Tuple>) {
-        // Memoise the probe-key hashes once per batch; both the sequential
-        // and the partitioned path below reuse them.
-        let hashes: Vec<u64> = block
-            .iter()
-            .map(|row| key_hash(row, &self.left_keys))
-            .collect();
-        if let Some(pool) = &self.pool {
-            if block.len() >= PARALLEL_PROBE_MIN {
-                let chunk = block.len().div_ceil(pool.size());
-                let ranges: Vec<(usize, usize)> = (0..block.len())
-                    .step_by(chunk.max(1))
-                    .map(|s| (s, (s + chunk).min(block.len())))
-                    .collect();
-                let (table, keys) = (&self.table, &self.left_keys);
-                let (width, emit) = (self.right_width, self.emit_unmatched_left);
-                let (hashes, block) = (&hashes, &block);
-                let probed = pool.run(ranges.len(), |i| {
-                    let (start, end) = ranges[i];
-                    let mut part = Vec::new();
-                    probe_range(
-                        table, keys, width, emit, block, hashes, start, end, &mut part,
-                    );
-                    part
-                });
-                for part in probed {
-                    out.extend(part);
-                }
-                return;
-            }
-        }
-        probe_range(
-            &self.table,
-            &self.left_keys,
-            self.right_width,
-            self.emit_unmatched_left,
-            block,
-            &hashes,
-            0,
-            block.len(),
-            out,
-        );
-    }
-
-    /// Probes a single row (the tuple-at-a-time path).
+    /// Probes one row against the build table, appending combined rows
+    /// (matches keep build-insertion order — bucket ids are appended in
+    /// build order).
     fn probe_one(&self, probe: &Tuple, out: &mut Vec<Tuple>) {
         let mut matched = false;
         if !self.left_keys.iter().any(|&k| probe[k].is_null()) {
@@ -586,33 +269,6 @@ impl Operator for HashJoinExec {
             // `pending` is a stack: reverse so popping replays probe order.
             matched.reverse();
             self.pending = matched;
-        }
-    }
-
-    fn next_batch(&mut self, max: usize) -> Option<Result<Vec<Tuple>, ExecError>> {
-        match self.next_block(max)? {
-            Ok(block) => Some(Ok(block.into_tuples())),
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        let mut out = Vec::new();
-        while let Some(row) = self.pending.pop() {
-            out.push(row);
-        }
-        while out.len() < max.max(1) {
-            let block = match self.left.next_block(max) {
-                None => break,
-                Some(Err(e)) => return Some(Err(e)),
-                Some(Ok(b)) => b,
-            };
-            self.probe_block(&block, &mut out);
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(Ok(Batch::from_vec(out)))
         }
     }
 }
@@ -662,30 +318,9 @@ impl Operator for UnionExec {
         }
         None
     }
-
-    fn next_batch(&mut self, max: usize) -> Option<Result<Vec<Tuple>, ExecError>> {
-        while self.current < self.inputs.len() {
-            match self.inputs[self.current].next_batch(max) {
-                Some(item) => return Some(item),
-                None => self.current += 1,
-            }
-        }
-        None
-    }
-
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        while self.current < self.inputs.len() {
-            match self.inputs[self.current].next_block(max) {
-                Some(item) => return Some(item),
-                None => self.current += 1,
-            }
-        }
-        None
-    }
 }
 
-/// δ — duplicate elimination (materialising the *seen* set only; emitted
-/// batches are selections over the input's shared store).
+/// δ — duplicate elimination (materialising the *seen* set only).
 pub struct DistinctExec {
     input: Box<dyn Operator>,
     seen: std::collections::HashSet<Tuple>,
@@ -713,34 +348,6 @@ impl Operator for DistinctExec {
             };
             if self.seen.insert(tuple.clone()) {
                 return Some(Ok(tuple));
-            }
-        }
-    }
-
-    fn next_batch(&mut self, max: usize) -> Option<Result<Vec<Tuple>, ExecError>> {
-        match self.next_block(max)? {
-            Ok(block) => Some(Ok(block.into_tuples())),
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        loop {
-            let block = match self.input.next_block(max)? {
-                Ok(b) => b,
-                Err(e) => return Some(Err(e)),
-            };
-            // Pre-size for the incoming batch so the δ hash table grows in
-            // strides instead of rehashing on the hot path.
-            self.seen.reserve(block.len());
-            let mut sel = Vec::with_capacity(block.len());
-            for i in 0..block.len() {
-                if self.seen.insert(block.get(i).clone()) {
-                    sel.push(block.row_id(i));
-                }
-            }
-            if !sel.is_empty() {
-                return Some(Ok(Batch::with_sel(Arc::clone(block.store()), sel)));
             }
         }
     }
@@ -820,9 +427,9 @@ impl Operator for LimitExec {
 }
 
 /// Adapter from the columnar plane back into the row plane: decodes each
-/// [`columnar::ColumnBatch`] into a materialised [`Batch`]. The executor
-/// inserts one wherever a plan stage only exists row-wise (sort) or a
-/// hybrid tree mixes layouts (a row-plane join with one columnar side).
+/// [`columnar::ColumnBatch`] into tuples. The executor inserts one wherever
+/// a plan stage only exists row-wise (sort) or a tree mixes layouts (a
+/// row-plane join with one columnar side).
 pub struct DecodeExec {
     input: Box<dyn ColOperator>,
     schema: Schema,
@@ -856,19 +463,6 @@ impl Operator for DecodeExec {
                     .buffered
                     .extend(columnar::decode_batches(std::slice::from_ref(&batch))),
             }
-        }
-    }
-
-    fn next_block(&mut self, max: usize) -> Option<Result<Batch, ExecError>> {
-        if !self.buffered.is_empty() {
-            let rows: Vec<Tuple> = self.buffered.drain(..).collect();
-            return Some(Ok(Batch::from_vec(rows)));
-        }
-        match self.input.next_cols(max)? {
-            Err(e) => Some(Err(e)),
-            Ok(batch) => Some(Ok(Batch::from_vec(columnar::decode_batches(
-                std::slice::from_ref(&batch),
-            )))),
         }
     }
 }
@@ -907,18 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_blocks_share_the_store() {
-        let mut scan = teams();
-        let block = scan.next_block(2).unwrap().unwrap();
-        assert_eq!(block.len(), 2);
-        assert!(Arc::ptr_eq(block.store(), &scan.rows));
-        let rest = scan.next_block(16).unwrap().unwrap();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest.get(0)[1], Value::str("Juventus"));
-        assert!(scan.next_block(16).is_none());
-    }
-
-    #[test]
     fn filter_drops_nonmatching() {
         let op = FilterExec::new(
             Box::new(players()),
@@ -927,20 +509,6 @@ mod tests {
         let rows = drain(Box::new(op)).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][1], Value::str("Messi"));
-    }
-
-    #[test]
-    fn filter_blocks_are_selections_not_copies() {
-        let mut op = FilterExec::new(
-            Box::new(players()),
-            Expr::col("id").binary(crate::expr::BinOp::Gt, Expr::lit(1i64)),
-        );
-        let block = op.next_block(16).unwrap().unwrap();
-        assert_eq!(block.len(), 2);
-        // The filter's output selects rows 1 and 2 of the scan's own store.
-        assert_eq!(block.row_id(0), 1);
-        assert_eq!(block.row_id(1), 2);
-        assert_eq!(block.store().len(), 3);
     }
 
     #[test]
@@ -1065,35 +633,5 @@ mod tests {
                 .unwrap(),
             4
         );
-    }
-
-    #[test]
-    fn batch_and_block_paths_agree() {
-        // The same pipeline drained three ways yields identical rows.
-        let build = |batch: usize| {
-            let join = HashJoinExec::new(
-                Box::new(players()),
-                Box::new(teams()),
-                vec![2],
-                vec![0],
-                true,
-            )
-            .unwrap();
-            let d = DistinctExec::new(Box::new(join));
-            (d, batch)
-        };
-        let (mut row_op, _) = build(1);
-        let mut by_row = Vec::new();
-        while let Some(t) = row_op.next() {
-            by_row.push(t.unwrap());
-        }
-        for batch in [1, 2, 1024] {
-            let (mut op, max) = build(batch);
-            let mut out = Vec::new();
-            while let Some(b) = op.next_block(max) {
-                out.extend(b.unwrap().into_tuples());
-            }
-            assert_eq!(out, by_row, "batch={batch}");
-        }
     }
 }

@@ -64,28 +64,29 @@ impl ScanCache {
         ScanCache::default()
     }
 
-    /// The rows for `relation`, fetching through `fetch` only if no entry
-    /// for `(relation, version, epoch)` exists yet. Concurrent callers for
-    /// the same key block on the filling one and share its result.
-    pub fn fetch_or_insert(
+    /// The entry slot for `(relation, version, epoch)`, created empty on
+    /// first sight. The map lock is held only for the lookup; fills
+    /// serialise on the slot's own locks.
+    fn slot(&self, relation: &str, version: u64, epoch: u64) -> Arc<Slot> {
+        let mut entries = self.entries.lock().expect("scan cache poisoned");
+        Arc::clone(
+            entries
+                .entry(ScanKey {
+                    relation: relation.to_string(),
+                    version,
+                    epoch,
+                })
+                .or_default(),
+        )
+    }
+
+    /// The rows cached in `slot`, running `fetch` (once, whatever its
+    /// outcome) if the slot is still empty.
+    fn rows_in(
         &self,
-        relation: &str,
-        version: u64,
-        epoch: u64,
+        slot: &Slot,
         fetch: impl FnOnce() -> Result<Vec<Tuple>, ExecError>,
     ) -> Result<Arc<Vec<Tuple>>, ExecError> {
-        let slot = {
-            let mut entries = self.entries.lock().expect("scan cache poisoned");
-            Arc::clone(
-                entries
-                    .entry(ScanKey {
-                        relation: relation.to_string(),
-                        version,
-                        epoch,
-                    })
-                    .or_default(),
-            )
-        };
         let mut result = slot.result.lock().expect("scan cache slot poisoned");
         match &*result {
             Some(cached) => {
@@ -101,6 +102,19 @@ impl ScanCache {
         }
     }
 
+    /// The rows for `relation`, fetching through `fetch` only if no entry
+    /// for `(relation, version, epoch)` exists yet. Concurrent callers for
+    /// the same key block on the filling one and share its result.
+    pub fn fetch_or_insert(
+        &self,
+        relation: &str,
+        version: u64,
+        epoch: u64,
+        fetch: impl FnOnce() -> Result<Vec<Tuple>, ExecError>,
+    ) -> Result<Arc<Vec<Tuple>>, ExecError> {
+        self.rows_in(&self.slot(relation, version, epoch), fetch)
+    }
+
     /// Like [`ScanCache::fetch_or_insert`], but returns the rows as
     /// encoded term columns (plus the row count). The row result is cached
     /// exactly as before — a query mixing layouts shares one fetch — and
@@ -114,17 +128,8 @@ impl ScanCache {
         width: usize,
         fetch: impl FnOnce() -> Result<Vec<Tuple>, ExecError>,
     ) -> Result<(EncodedScan, usize), ExecError> {
-        let rows = self.fetch_or_insert(relation, version, epoch, fetch)?;
-        let slot = {
-            let entries = self.entries.lock().expect("scan cache poisoned");
-            Arc::clone(
-                &entries[&ScanKey {
-                    relation: relation.to_string(),
-                    version,
-                    epoch,
-                }],
-            )
-        };
+        let slot = self.slot(relation, version, epoch);
+        let rows = self.rows_in(&slot, fetch)?;
         let mut columns = slot.columns.lock().expect("scan cache slot poisoned");
         let cols = match &*columns {
             Some(cols) => Arc::clone(cols),

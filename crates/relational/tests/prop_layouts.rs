@@ -6,8 +6,9 @@
 //! [`Layout::Columnar`] against [`Layout::Row`] over random plans and data —
 //! NULLs (which never match as join keys), Int/Float keys that only join
 //! under numeric coercion, inline (≤ 22 byte) and pooled (`Arc<str>`)
-//! strings, batch widths {1, 2, 1024}, and both the parallel and the
-//! sequential drain.
+//! strings, and on the columnar side batch widths {1, 2, 1024} and both the
+//! parallel and the sequential drain (the row plane is one tuple-at-a-time
+//! interpreter with no modes of its own).
 
 use std::collections::HashMap;
 
@@ -70,11 +71,14 @@ fn arb_table(relation: &'static str) -> impl Strategy<Value = Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Harness: columnar vs. row under every execution mode
+// Harness: the columnar plane, under every execution mode, vs. the row oracle
 // ---------------------------------------------------------------------------
 
-/// The execution modes each layout runs under.
-fn modes(layout: Layout) -> Vec<(&'static str, ExecOptions)> {
+/// The execution modes the columnar plane runs under. The row plane has
+/// none: it pulls one tuple at a time on the calling thread whatever the
+/// batch width or pool.
+fn modes() -> Vec<(&'static str, ExecOptions)> {
+    let layout = Layout::Columnar;
     vec![
         (
             "parallel",
@@ -117,10 +121,10 @@ fn modes(layout: Layout) -> Vec<(&'static str, ExecOptions)> {
     ]
 }
 
-/// Runs `plan` under the row plane (the oracle) and the columnar plane, over
-/// parallel/sequential drains and batch widths {1, 2, 1024}, asserting every
-/// columnar rendering is byte-identical to its row-plane counterpart — and
-/// that errors, when they happen, carry identical messages.
+/// Runs `plan` once under the row plane (the oracle) and under the columnar
+/// plane over parallel/sequential drains and batch widths {1, 2, 1024},
+/// asserting every columnar rendering is byte-identical to the row plane's —
+/// and that errors, when they happen, carry identical messages.
 fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCaseError> {
     let mut catalog = MemoryCatalog::new();
     let mut map = HashMap::new();
@@ -128,12 +132,14 @@ fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCase
         catalog.register(name, table.clone());
         map.insert(name, table);
     }
-    for ((mode, row_options), (_, col_options)) in
-        modes(Layout::Row).into_iter().zip(modes(Layout::Columnar))
-    {
-        let row = Executor::with_options(&catalog, row_options).run(plan);
+    let row_options = ExecOptions {
+        layout: Layout::Row,
+        ..ExecOptions::default()
+    };
+    let row = Executor::with_options(&catalog, row_options).run(plan);
+    for (mode, col_options) in modes() {
         let col = Executor::with_options(&catalog, col_options).run(plan);
-        match (row, col) {
+        match (&row, col) {
             (Ok(row), Ok(col)) => prop_assert_eq!(
                 col.render(),
                 row.render(),
@@ -150,7 +156,7 @@ fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCase
                 false,
                 "mode {}: row plane {:?} but columnar {:?}",
                 mode,
-                row.map(|t| t.len()),
+                row.as_ref().map(|t| t.len()),
                 col.map(|t| t.len())
             ),
         }

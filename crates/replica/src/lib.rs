@@ -548,7 +548,13 @@ fn apply_batch(
         .primary_epoch
         .store(batch.primary_epoch, Ordering::SeqCst);
     if let Some(snapshot) = &batch.snapshot {
-        let mut restored = match Mdm::restore_metadata(snapshot) {
+        let restored = ctx
+            .state
+            .mdm
+            .read()
+            .expect("state poisoned")
+            .restored_from(snapshot);
+        let mut restored = match restored {
             Ok(mdm) => mdm,
             Err(e) => {
                 // The frame passed its CRC, so these bytes are what the

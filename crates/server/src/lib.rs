@@ -81,8 +81,8 @@ pub struct ServerConfig {
     /// small inputs.
     pub batch_size: Option<usize>,
     /// Physical data plane for served queries: `None` keeps the engine
-    /// default (columnar); `Some(Layout::Row)` is the row-at-a-time
-    /// escape hatch.
+    /// default (columnar); `Some(Layout::Row)` is the tuple-at-a-time
+    /// reference interpreter (oracle tests, debugging).
     pub layout: Option<mdm_relational::Layout>,
     /// Plan-optimization mode for served queries: `None` keeps the engine
     /// default (cost-based); `Some(OptimizeMode::Off)` executes rewritings

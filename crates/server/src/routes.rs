@@ -1389,7 +1389,8 @@ fn steward_snapshot(state: &AppState) -> Response {
 
 /// Swaps in restored metadata. Wrapper payloads are data, not metadata:
 /// the execution catalog starts empty and wrappers re-register through
-/// `/steward/wrappers`. The epoch keeps increasing across the swap.
+/// `/steward/wrappers`. The epoch keeps increasing across the swap, and
+/// the execution settings stamped from `ServerConfig` carry over.
 fn steward_restore(state: &AppState, request: &Request) -> Response {
     let body = match parse_body(request) {
         Ok(v) => v,
@@ -1400,7 +1401,7 @@ fn steward_restore(state: &AppState, request: &Request) -> Response {
         Err(r) => return r,
     };
     let mut mdm = state.mdm.write().expect("state poisoned");
-    match Mdm::restore_metadata(snapshot) {
+    match mdm.restored_from(snapshot) {
         Ok(mut restored) => {
             restored.ensure_epoch_at_least(mdm.epoch() + 1);
             *mdm = restored;

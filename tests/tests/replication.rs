@@ -158,6 +158,29 @@ fn two_replicas_bootstrap_converge_and_answer_byte_identically() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The bootstrap swaps a restored instance in for the one the replica
+/// started with; the execution settings of its `ServerConfig` survive it.
+#[test]
+fn bootstrap_keeps_the_replicas_execution_settings() {
+    let (primary, dir) = start_primary("settings");
+    let epoch = int_of(&get_json(primary.addr(), "/epoch"), "metadata_epoch") as u64;
+    let mut config = ReplicaConfig::new(primary.addr().to_string());
+    config.server.optimize = Some(mdm_relational::OptimizeMode::Off);
+    config.server.pool_size = Some(1);
+    let replica = ReplicaNode::start(config).unwrap();
+    assert!(replica.wait_for_epoch(epoch, Duration::from_secs(20)));
+
+    let metrics = get_json(replica.addr(), "/metrics");
+    let optimizer = metrics.get("optimizer").expect("optimizer gauges");
+    assert_eq!(str_of(optimizer, "mode"), "off");
+    let pool = metrics.get("pool").expect("pool gauges");
+    assert_eq!(int_of(pool, "size"), 1);
+
+    replica.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Mid-stream disconnect via a severable TCP proxy
 // ---------------------------------------------------------------------

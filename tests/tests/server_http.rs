@@ -495,6 +495,44 @@ fn snapshot_restore_snapshot_is_idempotent() {
     server.shutdown();
 }
 
+/// A restore replaces metadata, not configuration: the execution settings
+/// `ServerConfig` stamped at start-up survive the swap.
+#[test]
+fn restore_keeps_the_configured_execution_settings() {
+    let eco = football::build_default();
+    let mdm = usecase::football_mdm(&eco).unwrap();
+    let config = ServerConfig {
+        optimize: Some(mdm_relational::OptimizeMode::Off),
+        pool_size: Some(1),
+        ..ServerConfig::default()
+    };
+    let server = serve(config, mdm).unwrap();
+    let addr = server.addr();
+
+    let settings = |metrics: &Value| {
+        let mode = metrics
+            .get("optimizer")
+            .and_then(|o| o.get("mode"))
+            .and_then(Value::as_str)
+            .map(str::to_string);
+        (
+            mode,
+            int_of(metrics.get("pool").expect("pool gauges"), "size"),
+        )
+    };
+    let configured = (Some("off".to_string()), 1);
+    assert_eq!(settings(&get(addr, "/metrics")), configured);
+
+    let snapshot = get(addr, "/steward/snapshot");
+    let restore_body = json::to_string(&Value::object([(
+        "snapshot",
+        Value::string(snapshot.get("snapshot").and_then(Value::as_str).unwrap()),
+    )]));
+    post(addr, "/steward/restore", &restore_body);
+    assert_eq!(settings(&get(addr, "/metrics")), configured);
+    server.shutdown();
+}
+
 /// Repeated OMQs hit the plan cache (>0.9 hit rate in /metrics) and a
 /// breaking release invalidates it: the next query replans and includes
 /// the new version's union branch.
