@@ -10,13 +10,26 @@
 //! churn proptest and the benchmark oracle compare against.
 //! [`execute_degraded`] is the **served** path and the only place in the
 //! workspace that fans UCQ branches out on the worker pool.
+//!
+//! The served path ends where the paper's answer to evolution ends: union
+//! the coexisting versions' branches, eliminate duplicates, order the
+//! rows. Branch results come back undecoded and are merged where they were
+//! computed, over term ids ([`merge_branches`]), then decoded once. One
+//! rule holds on both paths and both layouts: rows are the same when they
+//! are `==`, and of two `==` rows — v1 says `170`, v2 says `170.0` — the
+//! first branch in rewriting order wins. `Layout::Row` and zero-width
+//! results take `merge_rows`, the same rule over decoded rows and the
+//! encoded merge's oracle.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
+use mdm_relational::columnar::{merge_branches, MergeMode};
 use mdm_relational::resilience::ScanGuard;
 use mdm_relational::schema::ColumnRef;
-use mdm_relational::{Catalog, ExecOptions, Executor, Plan, ScanCache, Schema, Table, Value};
+use mdm_relational::{
+    Catalog, ExecOptions, Executor, Plan, ScanCache, Schema, Table, Undecoded, Value,
+};
 
 use crate::error::MdmError;
 use crate::ontology::BdiOntology;
@@ -185,7 +198,7 @@ pub fn execute_degraded(
         if let Some(guard) = guard {
             executor = executor.with_guard(guard);
         }
-        let outcome = executor.run(&plans[i]);
+        let outcome = executor.run_undecoded(&plans[i]);
         (executor.retries(), outcome)
     };
     let pool = exec_options.pool.as_ref().filter(|p| p.size() > 1);
@@ -194,25 +207,17 @@ pub fn execute_degraded(
         _ => (0..plans.len()).map(&run_branch).collect(),
     };
     let mut contributors: BTreeSet<String> = BTreeSet::new();
-    let mut merged_schema = None;
-    let mut merged_rows = Vec::new();
+    let mut survivors = Vec::new();
+    let mut labels = Vec::new();
     for (cq, (retries, outcome)) in rewriting.queries.iter().zip(outcomes) {
         completeness.retries += retries;
         match outcome {
-            Ok(table) => {
+            Ok(result) => {
                 completeness.executed_branches += 1;
                 contributors.extend(cq.atoms.iter().cloned());
-                if merged_schema.is_none() {
-                    merged_schema = Some(table.schema().clone());
-                }
+                survivors.push(result);
                 if provenance {
-                    let label = Value::str(cq.atoms.join("+"));
-                    merged_rows.extend(table.into_rows().into_iter().map(|mut row| {
-                        row.push(label.clone());
-                        row
-                    }));
-                } else {
-                    merged_rows.extend(table.into_rows());
+                    labels.push(Value::str(cq.atoms.join("+")));
                 }
             }
             Err(error) => completeness.dropped.push(DroppedBranch {
@@ -223,7 +228,7 @@ pub fn execute_degraded(
         }
     }
     completeness.contributors = contributors.into_iter().collect();
-    let Some(mut schema) = merged_schema else {
+    let Some(first) = survivors.first() else {
         // Every branch failed: no rows to stand behind, fail the query.
         let reasons: Vec<String> = completeness
             .dropped
@@ -243,23 +248,69 @@ pub fn execute_degraded(
             },
         );
     };
-    if provenance {
+    let mut schema = first.schema().clone();
+    let mode = if provenance {
         schema = schema.concat(&Schema::new(vec![ColumnRef::bare("provenance")]));
+        MergeMode::Labelled(&labels)
     } else if options.distinct {
-        let set: BTreeSet<_> = merged_rows.into_iter().collect();
-        merged_rows = set.into_iter().collect();
+        MergeMode::Distinct
+    } else {
+        MergeMode::All
+    };
+    // All branches share `output_columns`, so they come back from the same
+    // plane: columnar results merge encoded and decode once; `Layout::Row`
+    // and zero-width results take the row merge.
+    let table = if survivors
+        .iter()
+        .all(|result| matches!(result, Undecoded::Columns { .. }))
+    {
+        let encoded = survivors
+            .into_iter()
+            .filter_map(|result| match result {
+                Undecoded::Columns { batches, .. } => Some(batches),
+                Undecoded::Rows(_) => None,
+            })
+            .collect();
+        merge_branches(schema, encoded, mode)
+    } else {
+        survivors
+            .into_iter()
+            .map(Undecoded::decode)
+            .collect::<Result<Vec<Table>, String>>()
+            .and_then(|tables| merge_rows(schema, tables, mode))
     }
-    let table = Table::new(schema, merged_rows)
-        .map_err(MdmError::Execution)?
-        .sorted();
+    .map_err(MdmError::Execution)?;
     Ok((table, completeness))
+}
+
+/// The row-plane merge, and the oracle the encoded
+/// [`merge_branches`] is held to by the dual-layout goldens and
+/// properties: concatenate in branch order, keep the first of `==` rows,
+/// sort stably.
+fn merge_rows(schema: Schema, tables: Vec<Table>, mode: MergeMode<'_>) -> Result<Table, String> {
+    let mut rows = Vec::new();
+    for (b, table) in tables.into_iter().enumerate() {
+        let label = match mode {
+            MergeMode::Labelled(labels) => labels.get(b),
+            _ => None,
+        };
+        rows.extend(table.into_rows().into_iter().map(|mut row| {
+            row.extend(label.cloned());
+            row
+        }));
+    }
+    if matches!(mode, MergeMode::Distinct) {
+        let mut seen = HashSet::new();
+        rows.retain(|row| seen.insert(row.clone()));
+    }
+    Ok(Table::new(schema, rows)?.sorted())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::{evolved_ontology, ex, figure7_ontology, figure8_walk};
-    use mdm_relational::MemoryCatalog;
+    use mdm_relational::{Layout, MemoryCatalog};
 
     fn answer_walk(
         ontology: &BdiOntology,
@@ -438,6 +489,60 @@ mod tests {
                 .any(|r| r.contains("Zlatan Ibrahimovic") && r.contains("w3")),
             "{rows:?}"
         );
+    }
+
+    /// The paper's own scenario: v1 (w1) and v2 (w3) serve the same player
+    /// and spell one number differently. The served merge and the cold
+    /// reference must agree on which spelling survives — the first branch's
+    /// in rewriting order — under both layouts. (The `BTreeSet` union this
+    /// replaced kept the *last* `==` row, so the two paths disagreed.)
+    #[test]
+    fn served_and_reference_agree_when_versions_spell_a_number_differently() {
+        let o = evolved_ontology();
+        let walk = Walk::new()
+            .feature(&ex("Player"), &ex("playerName"))
+            .feature(&ex("Player"), &ex("height"));
+        let options = RewriteOptions::default();
+        let rewriting = rewrite_walk(&o, &walk, &options).unwrap();
+        let cells = [
+            (Value::Int(170), Value::Float(170.0)),
+            (Value::Float(170.0), Value::Int(170)),
+            (Value::Float(-0.0), Value::Float(0.0)),
+            (Value::Float(0.0), Value::Float(-0.0)),
+        ];
+        for (v1, v2) in cells {
+            let full = catalog();
+            let mut catalog = MemoryCatalog::new();
+            for (name, height, width) in [("w1", &v1, 7), ("w3", &v2, 7)] {
+                let schema = full.relation_schema(name).unwrap();
+                let mut row = vec![Value::Null; width];
+                row[0] = Value::Int(6176);
+                row[1] = Value::str("Lionel Messi");
+                row[2] = height.clone();
+                catalog.register(name, Table::new(schema, vec![row]).unwrap());
+            }
+            for layout in [Layout::Columnar, Layout::Row] {
+                let exec_options = ExecOptions {
+                    layout,
+                    ..ExecOptions::default()
+                };
+                let reference = answer_walk_with(&o, &walk, &catalog, &options, &exec_options)
+                    .unwrap()
+                    .render();
+                let (served, _) = execute_degraded(
+                    &rewriting,
+                    &catalog,
+                    &options,
+                    &exec_options,
+                    None,
+                    &|plan| plan,
+                    false,
+                )
+                .unwrap();
+                assert_eq!(served.len(), 1, "{v1:?}/{v2:?} under {layout:?}");
+                assert_eq!(served.render(), reference, "{v1:?}/{v2:?} under {layout:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the Players API of the motivational use case (Figure 2) is served in JSON.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 use crate::value::{Number, Value};
 
@@ -62,20 +62,8 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(Number::Int(i)) => out.push_str(&i.to_string()),
-        Value::Number(Number::Float(f)) => {
-            if f.is_finite() {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    out.push_str(&format!("{f:.1}"));
-                } else {
-                    out.push_str(&f.to_string());
-                }
-            } else {
-                // JSON has no Inf/NaN; degrade to null like most printers.
-                out.push_str("null");
-            }
-        }
-        Value::String(s) => write_json_string(out, s),
+        Value::Number(n) => write_number(out, *n),
+        Value::String(s) => write_string(out, s),
         Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -97,7 +85,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                     out.push(',');
                 }
                 newline_indent(out, indent, depth + 1);
-                write_json_string(out, key);
+                write_string(out, key);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -119,7 +107,26 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Appends `n` the way the printer writes numbers: integral floats keep a
+/// `.0`, non-finite floats degrade to `null`. Exported with
+/// [`write_string`] for callers that print rows straight into a response
+/// body without building a [`Value`] per cell.
+pub fn write_number(out: &mut String, n: Number) {
+    // `fmt::Write` for `String` cannot fail.
+    let _ = match n {
+        Number::Int(i) => write!(out, "{i}"),
+        Number::Float(f) if !f.is_finite() => {
+            // JSON has no Inf/NaN; degrade to null like most printers.
+            out.push_str("null");
+            Ok(())
+        }
+        Number::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{f:.1}"),
+        Number::Float(f) => write!(out, "{f}"),
+    };
+}
+
+/// Appends `s` as a quoted, escaped JSON string.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -128,7 +135,9 @@ fn write_json_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -31,6 +31,7 @@ use crate::intern::Sym;
 use crate::metrics;
 use crate::pool::Pool;
 use crate::schema::Schema;
+use crate::table::Table;
 use crate::value::{Tuple, Value};
 
 /// Which physical shape the executor builds for a plan.
@@ -363,28 +364,37 @@ impl<'d> Decoder<'d> {
         }
     }
 
-    /// Ordering between terms mirroring `Value::cmp` (exact int compare,
-    /// `total_cmp` across numerics, lexicographic strings, type rank
-    /// otherwise).
+    /// Ordering between terms mirroring `Value::cmp`; strings compare by
+    /// dictionary content.
     pub(crate) fn cmp(&mut self, a: TermId, b: TermId) -> std::cmp::Ordering {
-        match (a.tag, b.tag) {
-            (TAG_NULL, TAG_NULL) => std::cmp::Ordering::Equal,
-            (TAG_BOOL, TAG_BOOL) => (a.bits != 0).cmp(&(b.bits != 0)),
-            (TAG_INT, TAG_INT) => (a.bits as i64).cmp(&(b.bits as i64)),
-            (TAG_STR, TAG_STR) => {
-                if a.bits == b.bits {
-                    std::cmp::Ordering::Equal
-                } else {
-                    let left = self.sym(a.bits);
-                    let right = self.sym(b.bits);
-                    left.as_str().cmp(right.as_str())
-                }
+        term_cmp(a, b, |left, right| {
+            if left == right {
+                std::cmp::Ordering::Equal
+            } else {
+                self.sym(left).as_str().cmp(self.sym(right).as_str())
             }
-            _ => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => x.total_cmp(&y),
-                _ => a.type_rank().cmp(&b.type_rank()),
-            },
-        }
+        })
+    }
+}
+
+/// Ordering between terms mirroring `Value::cmp` (exact int compare,
+/// `total_cmp` across numerics, type rank otherwise); `strings` orders the
+/// payloads of two string terms — by dictionary content in
+/// [`Decoder::cmp`], by precomputed rank in [`merge_branches`].
+fn term_cmp(
+    a: TermId,
+    b: TermId,
+    strings: impl FnOnce(u64, u64) -> std::cmp::Ordering,
+) -> std::cmp::Ordering {
+    match (a.tag, b.tag) {
+        (TAG_NULL, TAG_NULL) => std::cmp::Ordering::Equal,
+        (TAG_BOOL, TAG_BOOL) => (a.bits != 0).cmp(&(b.bits != 0)),
+        (TAG_INT, TAG_INT) => (a.bits as i64).cmp(&(b.bits as i64)),
+        (TAG_STR, TAG_STR) => strings(a.bits, b.bits),
+        _ => match (a.as_f64(), b.as_f64()) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            _ => a.type_rank().cmp(&b.type_rank()),
+        },
     }
 }
 
@@ -1329,6 +1339,159 @@ pub(crate) fn decode_batches(batches: &[ColumnBatch]) -> Vec<Tuple> {
         dec.rows_into(batch, &mut rows);
     }
     rows
+}
+
+/// Replays drained batches as an operator: the merge's input to δ.
+struct Replay {
+    schema: Schema,
+    batches: std::vec::IntoIter<ColumnBatch>,
+}
+
+impl ColOperator for Replay {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_cols(&mut self, _max: usize) -> Option<Result<ColumnBatch, ExecError>> {
+        self.batches.next().map(Ok)
+    }
+}
+
+/// What [`merge_branches`] does with a row that several branches derive.
+#[derive(Clone, Copy, Debug)]
+pub enum MergeMode<'a> {
+    /// Bag union: every row of every branch.
+    All,
+    /// δ over the union: of rows that are `==`, the first in branch order
+    /// survives (so the earliest branch's spelling of a number wins).
+    Distinct,
+    /// Bag union with one label per branch appended to each of its rows as
+    /// a trailing column (provenance is per derivation, so nothing is a
+    /// duplicate).
+    Labelled(&'a [Value]),
+}
+
+/// The encoded UCQ merge: ∪ → δ → sort over term ids, then one decode.
+///
+/// `branches` are branch results in rewriting order, each a run of batches
+/// as wide as `schema` (less the label column under
+/// [`MergeMode::Labelled`]). δ is the [`ColDistinct`] kernel over their
+/// concatenation — exactly what a whole-plan `Union → Distinct` runs. The
+/// survivors are sorted stably under `Value::cmp`'s ordering over terms, made
+/// integer-only by ranking the result's distinct strings once, and only
+/// then decoded: `schema.len()` terms per result row, none per input row.
+pub fn merge_branches(
+    schema: Schema,
+    branches: Vec<Vec<ColumnBatch>>,
+    mode: MergeMode<'_>,
+) -> Result<Table, String> {
+    // Labels are encoded here, before the `Decoder` below exists.
+    let labels: Vec<TermId> = match mode {
+        MergeMode::Labelled(labels) if labels.len() != branches.len() => {
+            return Err(format!(
+                "{} provenance labels for {} branches",
+                labels.len(),
+                branches.len()
+            ));
+        }
+        MergeMode::Labelled(labels) => labels.iter().map(encode_value).collect(),
+        MergeMode::All | MergeMode::Distinct => Vec::new(),
+    };
+    let out_width = schema.len();
+    let width = out_width.saturating_sub(usize::from(!labels.is_empty()));
+    if let Some(batch) = branches.iter().flatten().find(|b| b.columns.len() != width) {
+        return Err(format!(
+            "union arity mismatch: a branch batch has {} columns, schema {schema} needs {width}",
+            batch.columns.len()
+        ));
+    }
+    let survivors: Vec<(ColumnBatch, Option<TermId>)> = if matches!(mode, MergeMode::Distinct) {
+        let batches: Vec<ColumnBatch> = branches.into_iter().flatten().collect();
+        let mut delta = ColDistinct::new(Box::new(Replay {
+            schema: schema.clone(),
+            batches: batches.into_iter(),
+        }));
+        let mut out = Vec::new();
+        while let Some(batch) = delta.next_cols(usize::MAX) {
+            out.push((batch.map_err(|e| e.message)?, None));
+        }
+        out
+    } else {
+        branches
+            .into_iter()
+            .enumerate()
+            .flat_map(|(b, batches)| {
+                let label = labels.get(b).copied();
+                batches.into_iter().map(move |batch| (batch, label))
+            })
+            .collect()
+    };
+
+    // Gather the survivors row-major: a row's sort keys sit side by side.
+    let len: usize = survivors.iter().map(|(batch, _)| batch.len()).sum();
+    let mut cells: Vec<TermId> = Vec::with_capacity(len * out_width);
+    for (batch, label) in &survivors {
+        for i in 0..batch.len() {
+            let row = batch.row_id(i) as usize;
+            cells.extend(batch.columns.iter().map(|c| c.ids[row]));
+            cells.extend(label);
+        }
+    }
+    drop(survivors);
+
+    // Rank the distinct strings of the result by content and swap each
+    // string cell's dictionary id for its rank: the sort below then never
+    // touches the dictionary. `ids[i]` is the dictionary id whose rank is
+    // `rank[i]`; `by_rank` inverts that for the decode.
+    let mut dec = Decoder::new();
+    let mut ids: Vec<u64> = cells
+        .iter()
+        .filter(|t| t.tag == TAG_STR)
+        .map(|t| t.bits)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let syms: Vec<Sym> = ids.iter().map(|&id| dec.sym(id)).collect();
+    let mut by_rank: Vec<u32> = (0..ids.len() as u32).collect();
+    by_rank.sort_unstable_by(|&a, &b| syms[a as usize].as_str().cmp(syms[b as usize].as_str()));
+    let mut rank = vec![0u64; ids.len()];
+    for (r, &i) in by_rank.iter().enumerate() {
+        rank[i as usize] = r as u64;
+    }
+    for cell in cells.iter_mut().filter(|t| t.tag == TAG_STR) {
+        let i = ids
+            .binary_search(&cell.bits)
+            .expect("every string id was collected");
+        cell.bits = rank[i];
+    }
+
+    let row = |r: u32| &cells[r as usize * out_width..][..out_width];
+    let mut order: Vec<u32> = (0..len as u32).collect();
+    order.sort_by(|&a, &b| {
+        row(a)
+            .iter()
+            .zip(row(b))
+            .map(|(&x, &y)| term_cmp(x, y, |l, r| l.cmp(&r)))
+            .find(|ordering| ordering.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+
+    let rows = order
+        .iter()
+        .map(|&r| {
+            row(r)
+                .iter()
+                .map(|&cell| match cell.tag {
+                    TAG_STR => dec.value(TermId {
+                        tag: TAG_STR,
+                        bits: ids[by_rank[cell.bits as usize] as usize],
+                    }),
+                    _ => dec.value(cell),
+                })
+                .collect()
+        })
+        .collect();
+    Table::new(schema, rows)
 }
 
 #[cfg(test)]

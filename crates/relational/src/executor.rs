@@ -8,7 +8,7 @@ use std::sync::Arc;
 use crate::algebra::{JoinKind, Plan, SortOrder};
 use crate::columnar::{
     ColDistinct, ColFilter, ColHashJoin, ColLimit, ColOperator, ColProject, ColScan, ColUnion,
-    Layout,
+    ColumnBatch, Layout,
 };
 use crate::expr::Expr;
 use crate::metrics;
@@ -182,6 +182,38 @@ impl Catalog for MemoryCatalog {
     }
 }
 
+/// What [`Executor::run_undecoded`] drained: rows when the plan ran on the
+/// row plane ([`Layout::Row`], sorts, zero-width schemas), otherwise the
+/// columnar result still encoded as term batches.
+#[derive(Debug)]
+pub enum Undecoded {
+    /// A row-plane result, already a table.
+    Rows(Table),
+    /// A columnar result: every batch has one column per schema column.
+    Columns {
+        schema: Schema,
+        batches: Vec<ColumnBatch>,
+    },
+}
+
+impl Undecoded {
+    /// The result's schema.
+    pub fn schema(&self) -> &Schema {
+        match self {
+            Undecoded::Rows(table) => table.schema(),
+            Undecoded::Columns { schema, .. } => schema,
+        }
+    }
+
+    /// The result as a [`Table`]; columnar batches decode here.
+    pub fn decode(self) -> Result<Table, String> {
+        match self {
+            Undecoded::Rows(table) => Ok(table),
+            Undecoded::Columns { schema, batches } => Table::from_column_batches(schema, &batches),
+        }
+    }
+}
+
 /// The default drain width: rows per [`ColOperator::next_cols`] pull.
 pub const DEFAULT_BATCH: usize = 1024;
 
@@ -302,6 +334,16 @@ impl<'a> Executor<'a> {
     /// attached, else through a cache private to this call; the only
     /// parallelism below this point is the hash-join probe.
     pub fn run(&self, plan: &Plan) -> Result<Table, ExecError> {
+        self.run_undecoded(plan)?
+            .decode()
+            .map_err(ExecError::permanent)
+    }
+
+    /// [`Executor::run`] without the decode: a columnar plan's result comes
+    /// back as its schema plus the term batches it drained, so a caller
+    /// that still has merging to do (`mdm-core` unions UCQ branches) only
+    /// pays decode for the rows that survive it.
+    pub fn run_undecoded(&self, plan: &Plan) -> Result<Undecoded, ExecError> {
         let local = ScanCache::new();
         let cache = self.shared_cache.unwrap_or(&local);
         if self.options.deadline.expired() {
@@ -345,11 +387,11 @@ impl<'a> Executor<'a> {
                         break;
                     }
                 }
-                Table::new(schema, rows).map_err(ExecError::permanent)
+                Table::new(schema, rows)
+                    .map(Undecoded::Rows)
+                    .map_err(ExecError::permanent)
             }
             Built::Col(mut op) => {
-                // Batches stay encoded until the whole result is known;
-                // only surviving rows pay decode, in `from_column_batches`.
                 let mut batches = Vec::new();
                 while let Some(batch) = op.next_cols(batch_size) {
                     let batch = batch?;
@@ -359,7 +401,7 @@ impl<'a> Executor<'a> {
                         return Err(self.options.deadline.exceeded("draining result rows"));
                     }
                 }
-                Table::from_column_batches(schema, &batches).map_err(ExecError::permanent)
+                Ok(Undecoded::Columns { schema, batches })
             }
         }
     }

@@ -15,7 +15,10 @@
 //! * [`columnar`] — the served data plane: fixed-width 16-byte term
 //!   encoding ([`Layout::Columnar`], the default) and vectorized
 //!   filter/join/distinct/project kernels over shared column batches,
-//!   decoding back to [`Value`]s only at render time;
+//!   decoding back to [`Value`]s only at render time; and
+//!   [`columnar::merge_branches`], the merge of a UCQ's branch results
+//!   while they are still term batches (∪ → δ → sort over term ids, then
+//!   the query's one decode);
 //! * `physical` (private) — the row plane: a tuple-at-a-time reference
 //!   interpreter (scan, filter, project, hash join, union, distinct, sort,
 //!   limit behind one `next()`). [`Layout::Row`] selects it as the oracle
@@ -23,11 +26,14 @@
 //!   a performance option — and it is the only home of sort and zero-width
 //!   relations;
 //! * [`executor`] — a single-plan interpreter: one logical plan plus a
-//!   [`Catalog`] of relation providers in, one materialised [`Table`] out,
-//!   with per-query scan reuse ([`scan_cache`]). One builder translates a
+//!   [`Catalog`] of relation providers in, one materialised [`Table`] out
+//!   ([`Executor::run`]) — or, for a caller that still has merging to do,
+//!   the drained batches undecoded ([`Executor::run_undecoded`]) — with
+//!   per-query scan reuse ([`scan_cache`]). One builder translates a
 //!   plan into operators and decides the layout at the leaves. Fanning the
 //!   branches of a UCQ out across cores lives one level up, in
-//!   `mdm_core::query::execute_degraded`;
+//!   `mdm_core::query::execute_degraded`, which hands the branches'
+//!   batches to [`columnar::merge_branches`];
 //! * [`pool`] — the bounded, work-stealing scoped-thread worker pool
 //!   (hash-join probes here, UCQ branches in `mdm-core`);
 //! * [`scan_cache`] — the per-query `(relation, version, epoch)`-keyed
@@ -61,6 +67,7 @@ pub use algebra::{JoinKind, Plan};
 pub use columnar::{DictStats, Layout};
 pub use executor::{
     Catalog, ErrorKind, ExecError, ExecOptions, Executor, MemoryCatalog, RelationProvider,
+    Undecoded,
 };
 pub use expr::{BinOp, Expr};
 pub use intern::{InternStats, Sym};

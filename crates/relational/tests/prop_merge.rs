@@ -1,0 +1,219 @@
+//! Oracle for the encoded UCQ merge.
+//!
+//! [`merge_branches`] unions branch results while they are still term
+//! batches: δ over term ids, a sort over term ids with strings ranked once,
+//! one decode at the end. This file holds it, row for row and spelling for
+//! spelling, to the obvious thing written over decoded rows — concatenate in
+//! branch order, keep the first of `==` rows, `sort()` — over the cells
+//! where the two could drift apart: NULLs, bools, `-0.0`/`0.0`, `Int`/`Float`
+//! pairs that are `==` under coercion, inline and pooled strings.
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use proptest::prelude::*;
+
+use mdm_relational::algebra::Plan;
+use mdm_relational::columnar::{merge_branches, ColumnBatch, MergeMode};
+use mdm_relational::schema::{ColumnRef, Schema};
+use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Tuple, Undecoded, Value};
+
+const POOLED: [&str; 2] = [
+    "merge-dictionary-string-alpha-0001",
+    "merge-dictionary-string-omega-0002",
+];
+
+/// One cell from a small domain, so rows collide across branches.
+fn arb_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        1 => any::<bool>().prop_map(Value::Bool),
+        3 => (-2i64..3).prop_map(Value::Int),
+        2 => (-2i64..3).prop_map(|i| Value::Float(i as f64)),
+        1 => Just(Value::Float(-0.0)),
+        1 => Just(Value::Float(0.5)),
+        2 => (0u8..3, 0usize..3).prop_map(|(c, len)| {
+            Value::str(char::from(b'a' + c).to_string().repeat(len))
+        }),
+        1 => (0usize..POOLED.len()).prop_map(|i| Value::str(POOLED[i])),
+    ]
+}
+
+fn schema_of(width: usize) -> Schema {
+    Schema::new(
+        (0..width)
+            .map(|c| ColumnRef::bare(format!("c{c}")))
+            .collect(),
+    )
+}
+
+/// Cuts `rows` (narrowed to `width` columns) into `cuts.len() + 1` branches.
+fn split(rows: Vec<Tuple>, width: usize, cuts: &[usize]) -> Vec<Vec<Tuple>> {
+    let rows: Vec<Tuple> = rows.into_iter().map(|row| row[..width].to_vec()).collect();
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
+    at.sort_unstable();
+    at.push(rows.len());
+    let mut branches = Vec::new();
+    let mut start = 0;
+    for end in at {
+        branches.push(rows[start..end].to_vec());
+        start = end;
+    }
+    branches
+}
+
+/// Encodes each branch the way production does: a columnar executor drains
+/// a plan over it (`batch_size` rows per batch) and hands back the batches.
+fn encode(
+    branches: &[Vec<Tuple>],
+    width: usize,
+    batch_size: usize,
+    distinct: bool,
+) -> Vec<Vec<ColumnBatch>> {
+    let mut catalog = MemoryCatalog::new();
+    for (b, rows) in branches.iter().enumerate() {
+        let table = Table::new(schema_of(width), rows.clone()).expect("arity matches");
+        catalog.register(format!("b{b}"), table);
+    }
+    let options = ExecOptions {
+        batch_size,
+        ..ExecOptions::sequential()
+    };
+    (0..branches.len())
+        .map(|b| {
+            let plan = Plan::scan(format!("b{b}"));
+            let plan = if distinct { plan.distinct() } else { plan };
+            match Executor::with_options(&catalog, options.clone())
+                .run_undecoded(&plan)
+                .expect("scan executes")
+            {
+                Undecoded::Columns { batches, .. } => batches,
+                Undecoded::Rows(_) => panic!("a non-empty schema scans columnar"),
+            }
+        })
+        .collect()
+}
+
+/// The reference: concatenate, label, first-seen dedup by `==`, `sort()`.
+fn naive(branches: &[Vec<Tuple>], labels: Option<&[Value]>, distinct: bool) -> Vec<Tuple> {
+    let mut rows: Vec<Tuple> = Vec::new();
+    for (b, branch) in branches.iter().enumerate() {
+        for row in branch {
+            let mut row = row.clone();
+            row.extend(labels.map(|l| l[b].clone()));
+            if !(distinct && rows.contains(&row)) {
+                rows.push(row);
+            }
+        }
+    }
+    rows.sort();
+    rows
+}
+
+/// `Value`'s `==` coerces (`Int(1) == Float(1.0)`, `-0.0 == 0.0`); the
+/// merge must also pick the right *spelling*, so compare `Debug` forms.
+fn spelled(rows: &[Tuple]) -> Vec<String> {
+    rows.iter().map(|row| format!("{row:?}")).collect()
+}
+
+proptest! {
+    /// δ on, δ off and labelled, over every batch width: the encoded merge
+    /// returns the naive reference's rows in the naive reference's order.
+    #[test]
+    fn encoded_merge_equals_naive_reference(
+        rows in proptest::collection::vec(proptest::collection::vec(arb_cell(), 4..5), 0..40),
+        width in 1usize..5,
+        cuts in proptest::collection::vec(0usize..1000, 0..6),
+        batch in 0usize..3,
+    ) {
+        let branches = split(rows, width, &cuts);
+        let batch_size = [1, 3, 1024][batch];
+        let labels: Vec<Value> = (0..branches.len())
+            // Later branches sort first, so the label really is a sort key.
+            .map(|b| Value::str(format!("w{}+w9", branches.len() - b)))
+            .collect();
+
+        let all = merge_branches(
+            schema_of(width),
+            encode(&branches, width, batch_size, false),
+            MergeMode::All,
+        ).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(spelled(all.rows()), spelled(&naive(&branches, None, false)));
+
+        for pre_distinct in [false, true] {
+            let distinct = merge_branches(
+                schema_of(width),
+                encode(&branches, width, batch_size, pre_distinct),
+                MergeMode::Distinct,
+            ).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(
+                spelled(distinct.rows()),
+                spelled(&naive(&branches, None, true)),
+                "per-branch δ first: {}", pre_distinct
+            );
+        }
+
+        let labelled = merge_branches(
+            schema_of(width + 1),
+            encode(&branches, width, batch_size, false),
+            MergeMode::Labelled(&labels),
+        ).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(
+            spelled(labelled.rows()),
+            spelled(&naive(&branches, Some(&labels), false))
+        );
+    }
+}
+
+/// A batch as wide as the wrong schema is an error, not a panic.
+#[test]
+fn arity_mismatch_is_an_error() {
+    let branches = vec![vec![vec![Value::Int(1), Value::Int(2)]]];
+    let err = merge_branches(
+        schema_of(3),
+        encode(&branches, 2, 1024, false),
+        MergeMode::Distinct,
+    )
+    .unwrap_err();
+    assert!(err.contains("arity mismatch"), "{err}");
+}
+
+/// The dictionary's convention (`Decoder`'s doc in `columnar.rs`): a thread
+/// must not encode while it holds a `Decoder`, because a string the
+/// dictionary has never seen needs the write lock of a shard the decoder may
+/// read-hold. The merge both encodes (the labels) and decodes (everything),
+/// so it must encode first. Here the result's strings touch every shard and
+/// every label is new to the dictionary: a merge that encoded a label with
+/// its decoder alive would block on itself, and the timeout catches it.
+#[test]
+fn labels_are_encoded_before_the_decoder_exists() {
+    let branches: Vec<Vec<Tuple>> = (0..32)
+        .map(|b| {
+            (0..16)
+                .map(|i| vec![Value::str(format!("shard-spread-{b}-{i}"))])
+                .collect()
+        })
+        .collect();
+    let unique = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .expect("clock after epoch")
+        .as_nanos();
+    let labels: Vec<Value> = (0..branches.len())
+        .map(|b| Value::str(format!("never-encoded-{unique}-{b}")))
+        .collect();
+    let encoded = encode(&branches, 1, 1024, false);
+    let (done, merged) = mpsc::channel();
+    let merger = std::thread::spawn(move || {
+        let table = merge_branches(schema_of(2), encoded, MergeMode::Labelled(&labels));
+        let _ = done.send(table);
+    });
+    let table = merged
+        .recv_timeout(Duration::from_secs(20))
+        .expect("merge blocked on (or panicked at) the dictionary: it encoded while decoding")
+        .expect("merge succeeds");
+    merger.join().expect("merge thread exits cleanly");
+    assert_eq!(table.len(), 32 * 16);
+    assert!(table.rows().iter().all(|row| row[1]
+        .as_str()
+        .is_some_and(|label| label.starts_with("never-encoded-"))));
+}

@@ -9,14 +9,17 @@
 //! up in benchmarks.
 //!
 //! The counting allocator wraps [`System`] and lives in its own integration
-//! test binary so the count reflects only this file's work.
+//! test binary so the count reflects only this file's work; the tests take
+//! [`SERIAL`] so they do not count each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use mdm_core::synthetic::{chain_walk, mdm_from_synthetic};
-use mdm_relational::{ExecOptions, Executor};
-use mdm_wrappers::workload::{build, WorkloadConfig};
+use mdm_core::Mdm;
+use mdm_relational::{metrics, Deadline, ExecOptions, Executor};
+use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 
 struct CountingAlloc;
 
@@ -45,6 +48,26 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// One measuring test at a time: the allocation and decode counters are
+/// process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The E6 shape from EXPERIMENTS.md: 2 chained concepts × 2 coexisting
+/// versions per source → a 4-branch UCQ (mdm_bench::mixed_system(2, 2, n)
+/// rebuilt here because the test crate does not depend on mdm-bench).
+fn e6_at_10k() -> (SyntheticEcosystem, Mdm) {
+    let config = WorkloadConfig {
+        concepts: 2,
+        features_per_concept: 3,
+        versions_per_source: 2,
+        rows_per_wrapper: 10_000,
+        seed: 42,
+    };
+    let eco = build(&config);
+    let mdm = mdm_from_synthetic(&eco).expect("synthetic system builds");
+    (eco, mdm)
+}
+
 /// Heap-allocation ceiling for one warmed sequential E6 execution at 10k
 /// rows per wrapper. Measured 84,468 allocations on the recording machine
 /// under the columnar plane (≈2 per result row — operators move 16-byte
@@ -58,18 +81,10 @@ const E6_10K_ALLOC_CEILING: u64 = 93_000;
 
 #[test]
 fn warmed_e6_execution_stays_under_allocation_budget() {
-    // The E6 shape from EXPERIMENTS.md: 2 chained concepts × 2 coexisting
-    // versions per source → a 4-branch UCQ (mdm_bench::mixed_system(2, 2, n)
-    // rebuilt here because the test crate does not depend on mdm-bench).
-    let config = WorkloadConfig {
-        concepts: 2,
-        features_per_concept: 3,
-        versions_per_source: 2,
-        rows_per_wrapper: 10_000,
-        seed: 42,
-    };
-    let eco = build(&config);
-    let mdm = mdm_from_synthetic(&eco).expect("synthetic system builds");
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (eco, mdm) = e6_at_10k();
     let walk = chain_walk(&eco, 2);
     let rewriting = mdm.rewrite(&walk).expect("rewrites");
 
@@ -91,5 +106,60 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
     assert!(
         spent <= E6_10K_ALLOC_CEILING,
         "warmed E6 @10k spent {spent} allocations, budget is {E6_10K_ALLOC_CEILING}"
+    );
+}
+
+/// Heap-allocation ceiling for one warmed, sequential
+/// `Mdm::query_degraded` of the same walk — the *served* path: four branch
+/// executions, the UCQ merge, one decode. Measured 85,582 allocations on
+/// the recording machine for a 39,171-row answer: one `Vec` per result row
+/// (the decoded tuple), one per fetched input row (`RelationProvider::rows`
+/// clones each wrapper's 10k rows every query — ROADMAP item 5), and a few
+/// thousand for plans, batches and the merge's buffers. The parent of the
+/// change that moved the merge onto term ids spent 129,378 here: every
+/// branch decoded its own rows (79,636 of them) before a `BTreeSet<Tuple>`
+/// union and a second sort. ~10% headroom; going back to per-branch row
+/// decode or a row-set merge costs an allocation per *branch* row and lands
+/// far above it.
+const SERVED_E6_10K_ALLOC_CEILING: u64 = 94_000;
+
+#[test]
+fn warmed_served_query_stays_under_allocation_budget() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (eco, mut mdm) = e6_at_10k();
+    // One thread: the pool would only move the same allocations elsewhere,
+    // and a fixed interleaving keeps the count repeatable.
+    mdm.set_threads(1);
+    let walk = chain_walk(&eco, 2);
+    let warm = mdm
+        .query_degraded(&walk, Deadline::none())
+        .expect("warm query executes");
+    assert!(warm.completeness.is_complete());
+    assert!(!warm.table.is_empty(), "E6 must produce rows");
+
+    let decoded_before = metrics::snapshot().columnar.decodes;
+    let before = allocations();
+    let answer = mdm
+        .query_degraded(&walk, Deadline::none())
+        .expect("measured query executes");
+    let spent = allocations() - before;
+    let decoded = metrics::snapshot().columnar.decodes - decoded_before;
+
+    assert_eq!(answer.table.rows(), warm.table.rows());
+    // Branches stay encoded until the merge: the only terms decoded are the
+    // final answer's, once.
+    let result_terms = (answer.table.len() * answer.table.schema().len()) as u64;
+    assert_eq!(
+        decoded, result_terms,
+        "a columnar query_degraded decodes result rows × width terms, no more"
+    );
+    eprintln!(
+        "warmed served E6 @10k spent {spent} allocations (ceiling {SERVED_E6_10K_ALLOC_CEILING})"
+    );
+    assert!(
+        spent <= SERVED_E6_10K_ALLOC_CEILING,
+        "warmed served E6 @10k spent {spent} allocations, budget is {SERVED_E6_10K_ALLOC_CEILING}"
     );
 }
