@@ -295,8 +295,12 @@ pub(crate) fn encode_value(v: &Value) -> TermId {
     }
 }
 
-/// Encodes `rows` column-major into `width` shared columns.
-pub(crate) fn encode_rows(rows: &[Tuple], width: usize) -> Vec<Arc<TypedColumn>> {
+/// Encodes `rows` column-major into `width` shared columns — how a
+/// [`RelationProvider`](crate::RelationProvider) that keeps its relation
+/// resident as terms (a wrapper release) builds what its `columns()` hands
+/// out. Ids come from the process-wide dictionary and stay valid for the
+/// process lifetime, so the columns may outlive the query that made them.
+pub fn encode_rows(rows: &[Tuple], width: usize) -> Vec<Arc<TypedColumn>> {
     let mut columns: Vec<Vec<TermId>> =
         (0..width).map(|_| Vec::with_capacity(rows.len())).collect();
     for row in rows {
@@ -416,6 +420,11 @@ impl TypedColumn {
     /// Physical length (ignoring any selection).
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// The physical terms, in row order.
+    pub(crate) fn terms(&self) -> &[TermId] {
+        &self.ids
     }
 }
 
@@ -810,8 +819,9 @@ impl ColOperator for ColFilter {
     }
 }
 
-/// Columnar scan over a pre-encoded column set (shared via the scan cache,
-/// so a relation scanned by many branches encodes once per version).
+/// Columnar scan over a pre-encoded column set: whatever the provider's
+/// `columns()` handed out, shared by every branch of the query through the
+/// scan cache.
 pub struct ColScan {
     schema: Schema,
     columns: Arc<Vec<Arc<TypedColumn>>>,

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use crate::algebra::{JoinKind, Plan, SortOrder};
 use crate::columnar::{
-    ColDistinct, ColFilter, ColHashJoin, ColLimit, ColOperator, ColProject, ColScan, ColUnion,
-    ColumnBatch, Layout,
+    encode_rows, ColDistinct, ColFilter, ColHashJoin, ColLimit, ColOperator, ColProject, ColScan,
+    ColUnion, ColumnBatch, Layout,
 };
 use crate::expr::Expr;
 use crate::metrics;
@@ -18,8 +18,9 @@ use crate::physical::{
 };
 use crate::pool::{self, Pool};
 use crate::resilience::{Deadline, RetryPolicy, ScanGuard};
-use crate::scan_cache::ScanCache;
+use crate::scan_cache::{EncodedScan, ScanCache};
 use crate::schema::Schema;
+use crate::stats::StatsCatalog;
 use crate::table::Table;
 use crate::value::Tuple;
 
@@ -105,13 +106,19 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// A source of rows for one named relation.
+/// A source of one named relation, as rows or as term columns.
 ///
 /// In MDM every wrapper is a `RelationProvider`: its schema is the wrapper
-/// signature `w(a1, …, an)` and `rows()` runs the wrapper (API call, file
-/// read, …) and flattens the payload to 1NF.
+/// signature `w(a1, …, an)` and a fetch runs the wrapper (API call, file
+/// read, …) and flattens the payload to 1NF. The two fetch methods are the
+/// two planes' views of the *same* fetch: [`rows`](Self::rows) feeds the
+/// row-plane oracle, [`columns`](Self::columns) the served columnar plane.
+/// A provider whose relation is immutable under one identity (a wrapper
+/// over one release) overrides `columns()` to hand out a column set it
+/// keeps resident, so a warm scan is an `Arc` clone; the provider owns
+/// those columns, and dropping the provider is their only invalidation.
 /// `Sync` because union branches executing on pool workers fetch through
-/// shared references; providers must tolerate concurrent `rows()` calls.
+/// shared references; providers must tolerate concurrent fetches.
 pub trait RelationProvider: Sync {
     /// The relation's schema (qualified by the relation name).
     fn provider_schema(&self) -> Schema;
@@ -119,6 +126,15 @@ pub trait RelationProvider: Sync {
     /// the engine surfaces rather than hides (cf. the paper's motivation:
     /// queries over evolved schemas "crash or return partial results").
     fn rows(&self) -> Result<Vec<Tuple>, ExecError>;
+    /// The current rows as shared term columns (one per schema column)
+    /// plus the row count. Must be one fetch, observably like `rows()`:
+    /// the same failures, the same side effects, cell-for-cell the same
+    /// relation. The default encodes `rows()`.
+    fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
+        let rows = self.rows()?;
+        let width = self.provider_schema().len();
+        Ok((Arc::new(encode_rows(&rows, width)), rows.len()))
+    }
     /// A version discriminator for the per-query scan cache key; providers
     /// whose rows never change under one identity may leave the default.
     fn version(&self) -> u64 {
@@ -246,7 +262,7 @@ pub struct ExecOptions {
     /// per-column distincts) as relations are fetched. Defaults to the
     /// process-wide [`stats::global`](crate::stats::global) catalog;
     /// `None` disables observation.
-    pub stats: Option<Arc<crate::stats::StatsCatalog>>,
+    pub stats: Option<Arc<StatsCatalog>>,
 }
 
 impl Default for ExecOptions {
@@ -406,13 +422,14 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Fetches one relation's rows through the guard, the retry policy and
-    /// the deadline — the resilient edge between the engine and a source.
-    fn fetch_rows(
+    /// Fetches one relation — as rows or as term columns, whichever `T`
+    /// the scan's plane pulls — through the guard, the retry policy and
+    /// the deadline: the resilient edge between the engine and a source.
+    fn fetch<T: Pulled>(
         &self,
         relation: &str,
         provider: &dyn RelationProvider,
-    ) -> Result<Vec<Tuple>, ExecError> {
+    ) -> Result<T, ExecError> {
         if let Some(guard) = self.guard {
             // A breaker rejection is not a new failure; don't record it.
             guard.admit(relation)?;
@@ -429,28 +446,24 @@ impl<'a> Executor<'a> {
                 }
                 return Err(err);
             }
-            match provider.rows() {
-                Ok(rows) => {
+            match T::pull(provider) {
+                Ok(pulled) => {
                     if let Some(guard) = self.guard {
                         guard.record_success(relation);
                     }
-                    self.fetched_rows
-                        .fetch_add(rows.len() as u64, Ordering::Relaxed);
+                    let rows = pulled.row_count();
+                    self.fetched_rows.fetch_add(rows as u64, Ordering::Relaxed);
                     // Piggyback statistics observation on the fetch we
-                    // already paid for: profile the rows unless the
+                    // already paid for: profile the relation unless the
                     // catalog has this (relation, version, row count) at
                     // the current stats epoch already.
                     if let Some(stats) = &self.options.stats {
-                        if stats.needs_observation(relation, provider.version(), rows.len()) {
-                            stats.observe(
-                                relation,
-                                provider.version(),
-                                &provider.provider_schema(),
-                                &rows,
-                            );
+                        let version = provider.version();
+                        if stats.needs_observation(relation, version, rows) {
+                            pulled.observe(stats, relation, version, &provider.provider_schema());
                         }
                     }
-                    return Ok(rows);
+                    return Ok(pulled);
                 }
                 Err(err) if err.is_transient() && attempt < self.options.retry.max_attempts => {
                     let backoff = self.options.retry.backoff(attempt);
@@ -493,7 +506,8 @@ impl<'a> Executor<'a> {
     /// reference interpreter and its row stream is the one the columnar
     /// tree must reproduce byte for byte. Scans go through the per-query
     /// cache: a relation referenced by `k` branches is fetched (and pays
-    /// retries/breaker events) once, not `k` times.
+    /// retries/breaker events) once, not `k` times. A columnar leaf pulls
+    /// the provider's `columns()`, a row leaf its `rows()`.
     fn build(&self, plan: &Plan, cache: &ScanCache) -> Result<Built, ExecError> {
         match plan {
             Plan::Scan { relation } => {
@@ -508,7 +522,7 @@ impl<'a> Executor<'a> {
                         relation,
                         provider.version(),
                         self.options.epoch,
-                        || self.fetch_rows(relation, provider),
+                        || self.fetch(relation, provider),
                     )?;
                     return Ok(Built::Row(Box::new(ScanExec::new(schema, rows))));
                 }
@@ -516,8 +530,7 @@ impl<'a> Executor<'a> {
                     relation,
                     provider.version(),
                     self.options.epoch,
-                    schema.len(),
-                    || self.fetch_rows(relation, provider),
+                    || self.fetch(relation, provider),
                 )?;
                 Ok(Built::Col(Box::new(ColScan::new(schema, columns, len))))
             }
@@ -627,6 +640,44 @@ impl<'a> Executor<'a> {
                 Built::Row(child) => Ok(Built::Row(Box::new(LimitExec::new(child, *count)))),
             },
         }
+    }
+}
+
+/// What [`Executor::fetch`] pulls from a provider — rows for the row
+/// plane, term columns for the columnar one — so one retry/guard/deadline/
+/// observe loop serves both.
+trait Pulled: Sized {
+    fn pull(provider: &dyn RelationProvider) -> Result<Self, ExecError>;
+    fn row_count(&self) -> usize;
+    /// Profiles the pulled relation into `stats`.
+    fn observe(&self, stats: &StatsCatalog, relation: &str, version: u64, schema: &Schema);
+}
+
+impl Pulled for Vec<Tuple> {
+    fn pull(provider: &dyn RelationProvider) -> Result<Self, ExecError> {
+        provider.rows()
+    }
+
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+
+    fn observe(&self, stats: &StatsCatalog, relation: &str, version: u64, schema: &Schema) {
+        stats.observe(relation, version, schema, self);
+    }
+}
+
+impl Pulled for (EncodedScan, usize) {
+    fn pull(provider: &dyn RelationProvider) -> Result<Self, ExecError> {
+        provider.columns()
+    }
+
+    fn row_count(&self) -> usize {
+        self.1
+    }
+
+    fn observe(&self, stats: &StatsCatalog, relation: &str, version: u64, schema: &Schema) {
+        stats.observe_columns(relation, version, schema, &self.0, self.1);
     }
 }
 

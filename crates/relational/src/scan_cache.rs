@@ -2,24 +2,37 @@
 //!
 //! A UCQ rewriting routinely references one wrapper from many branches
 //! (every version-pair combination re-scans the shared side), and before
-//! this cache each branch paid a full fetch + parse + type pass. Entries
-//! are keyed by `(relation, provider version, metadata epoch)` so a stale
-//! executor can never serve rows across a version bump or a steward
-//! mutation, and the fill is *once-only under concurrency*: branch workers
-//! racing for the same wrapper serialise on the entry slot, the first
-//! fills it (paying retries and breaker bookkeeping exactly once per
-//! wrapper per query), the rest clone the `Arc`.
+//! this cache each branch paid a full fetch — a drawn fate, retries,
+//! breaker bookkeeping — of its own. Entries are keyed by `(relation,
+//! provider version, metadata epoch)` so a stale executor can never serve
+//! a scan across a version bump or a steward mutation, and the fill is
+//! *once-only under concurrency*: branch workers racing for the same
+//! wrapper serialise on the entry slot, the first fills it (paying retries
+//! and breaker bookkeeping exactly once per wrapper per query), the rest
+//! clone the `Arc`.
+//!
+//! What a slot holds is whatever the provider handed out for the plane
+//! that asked: a columnar scan caches the provider's term columns as they
+//! are ([`RelationProvider::columns`](crate::RelationProvider::columns) —
+//! for a wrapper the set it keeps resident per release, so a warm query
+//! neither clones rows nor encodes), a row-plane scan (the [`Layout::Row`]
+//! oracle, zero-width schemas) caches `rows()`. The two are memoised
+//! independently; nothing served mixes planes within one query. The cache
+//! itself owns no data beyond the query: residency, and with it
+//! invalidation, belongs to the provider instance.
 //!
 //! Errors are cached too — deliberately. A wrapper that failed terminally
 //! fails every branch that references it with the *same* error, which is
 //! what makes degraded-mode completeness reports identical between
 //! sequential and parallel execution.
+//!
+//! [`Layout::Row`]: crate::Layout::Row
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::columnar::{self, TypedColumn};
+use crate::columnar::TypedColumn;
 use crate::executor::ExecError;
 use crate::value::Tuple;
 
@@ -33,12 +46,14 @@ struct ScanKey {
     epoch: u64,
 }
 
+/// One plane's memo of a fetch: empty until the first caller fills it,
+/// then that outcome — success or error — for every later one.
+type Cell<T> = Mutex<Option<Result<T, ExecError>>>;
+
 #[derive(Default)]
 struct Slot {
-    result: Mutex<Option<Result<Arc<Vec<Tuple>>, ExecError>>>,
-    /// Lazily encoded columnar view of `result`'s rows: a relation scanned
-    /// by many columnar branches pays the term encoding once per query.
-    columns: Mutex<Option<EncodedScan>>,
+    rows: Cell<Arc<Vec<Tuple>>>,
+    columns: Cell<(EncodedScan, usize)>,
 }
 
 /// Hit/miss counters for one query's cache, for tests and metrics.
@@ -66,7 +81,7 @@ impl ScanCache {
 
     /// The entry slot for `(relation, version, epoch)`, created empty on
     /// first sight. The map lock is held only for the lookup; fills
-    /// serialise on the slot's own locks.
+    /// serialise on the slot's own cells.
     fn slot(&self, relation: &str, version: u64, epoch: u64) -> Arc<Slot> {
         let mut entries = self.entries.lock().expect("scan cache poisoned");
         Arc::clone(
@@ -80,14 +95,15 @@ impl ScanCache {
         )
     }
 
-    /// The rows cached in `slot`, running `fetch` (once, whatever its
-    /// outcome) if the slot is still empty.
-    fn rows_in(
+    /// What `cell` holds, running `fetch` (once, whatever its outcome) if
+    /// it is still empty. Concurrent callers block on the filling one and
+    /// share its result.
+    fn fill<T: Clone>(
         &self,
-        slot: &Slot,
-        fetch: impl FnOnce() -> Result<Vec<Tuple>, ExecError>,
-    ) -> Result<Arc<Vec<Tuple>>, ExecError> {
-        let mut result = slot.result.lock().expect("scan cache slot poisoned");
+        cell: &Cell<T>,
+        fetch: impl FnOnce() -> Result<T, ExecError>,
+    ) -> Result<T, ExecError> {
+        let mut result = cell.lock().expect("scan cache slot poisoned");
         match &*result {
             Some(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -95,7 +111,7 @@ impl ScanCache {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let fetched = fetch().map(Arc::new);
+                let fetched = fetch();
                 *result = Some(fetched.clone());
                 fetched
             }
@@ -103,8 +119,7 @@ impl ScanCache {
     }
 
     /// The rows for `relation`, fetching through `fetch` only if no entry
-    /// for `(relation, version, epoch)` exists yet. Concurrent callers for
-    /// the same key block on the filling one and share its result.
+    /// for `(relation, version, epoch)` exists yet.
     pub fn fetch_or_insert(
         &self,
         relation: &str,
@@ -112,34 +127,23 @@ impl ScanCache {
         epoch: u64,
         fetch: impl FnOnce() -> Result<Vec<Tuple>, ExecError>,
     ) -> Result<Arc<Vec<Tuple>>, ExecError> {
-        self.rows_in(&self.slot(relation, version, epoch), fetch)
+        let slot = self.slot(relation, version, epoch);
+        self.fill(&slot.rows, || fetch().map(Arc::new))
     }
 
-    /// Like [`ScanCache::fetch_or_insert`], but returns the rows as
-    /// encoded term columns (plus the row count). The row result is cached
-    /// exactly as before — a query mixing layouts shares one fetch — and
-    /// the encoded columns are cached next to it, so encoding happens once
-    /// per `(relation, version, epoch)` per query.
+    /// Like [`ScanCache::fetch_or_insert`] for the columnar plane: the
+    /// relation as shared term columns plus its row count, exactly as
+    /// `fetch` (the provider's `columns()` behind the executor's resilient
+    /// loop) returned them.
     pub fn fetch_or_insert_columns(
         &self,
         relation: &str,
         version: u64,
         epoch: u64,
-        width: usize,
-        fetch: impl FnOnce() -> Result<Vec<Tuple>, ExecError>,
+        fetch: impl FnOnce() -> Result<(EncodedScan, usize), ExecError>,
     ) -> Result<(EncodedScan, usize), ExecError> {
         let slot = self.slot(relation, version, epoch);
-        let rows = self.rows_in(&slot, fetch)?;
-        let mut columns = slot.columns.lock().expect("scan cache slot poisoned");
-        let cols = match &*columns {
-            Some(cols) => Arc::clone(cols),
-            None => {
-                let encoded = Arc::new(columnar::encode_rows(&rows, width));
-                *columns = Some(Arc::clone(&encoded));
-                encoded
-            }
-        };
-        Ok((cols, rows.len()))
+        self.fill(&slot.columns, fetch)
     }
 
     /// Lifetime hit/miss counts.
@@ -202,6 +206,22 @@ mod tests {
         assert!(first.is_err());
         let second = cache.fetch_or_insert("dead", 1, 0, || panic!("must not refetch"));
         assert_eq!(second.unwrap_err(), ExecError::permanent("gone"));
+        assert_eq!(cache.stats(), ScanCacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn columnar_slot_holds_the_fetched_columns_as_they_are() {
+        let cache = ScanCache::new();
+        let resident: EncodedScan = Arc::new(crate::columnar::encode_rows(&[row(1), row(2)], 1));
+        let (first, len) = cache
+            .fetch_or_insert_columns("w", 1, 0, || Ok((Arc::clone(&resident), 2)))
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &resident));
+        assert_eq!(len, 2);
+        let (second, _) = cache
+            .fetch_or_insert_columns("w", 1, 0, || panic!("must not refetch"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&second, &resident));
         assert_eq!(cache.stats(), ScanCacheStats { hits: 1, misses: 1 });
     }
 

@@ -3,9 +3,12 @@
 //! Wrapper relations are opaque REST payloads until a query scans them, so
 //! MDM cannot ANALYZE ahead of time the way a warehouse does. Instead the
 //! catalog learns **opportunistically**: every resilient fetch the executor
-//! performs ([`Executor::fetch_rows`](crate::executor)) offers its rows
-//! here, and the catalog keeps per-relation row counts plus per-column
-//! distinct-value estimates and null fractions. Observation is cheap to
+//! performs (`Executor::fetch`, see [`crate::executor`]) offers what it
+//! pulled here — rows on the row plane ([`StatsCatalog::observe`]), term
+//! columns on the served one ([`StatsCatalog::observe_columns`]; the two
+//! profilers store identical statistics for the same relation) — and the
+//! catalog keeps per-relation row counts plus per-column distinct-value
+//! estimates and null fractions. Observation is cheap to
 //! re-offer — a relation already profiled at the same provider version,
 //! row count and **stats epoch** is skipped with one lock acquisition —
 //! and the profiling pass itself is bounded by [`SAMPLE_CAP`] rows.
@@ -21,6 +24,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::columnar::{term_norm, TypedColumn};
 use crate::optimizer::Statistics;
 use crate::schema::Schema;
 use crate::value::{Tuple, Value};
@@ -116,7 +120,6 @@ impl StatsCatalog {
     /// fraction) and stores the result for `relation`. Sampling is capped
     /// at [`SAMPLE_CAP`] rows; distinct counts scale linearly beyond it.
     pub fn observe(&self, relation: &str, version: u64, schema: &Schema, rows: &[Tuple]) {
-        let epoch = self.epoch();
         let sample = rows.len().min(SAMPLE_CAP);
         let width = schema.len();
         let mut distinct: Vec<HashSet<u64>> = vec![HashSet::new(); width];
@@ -133,22 +136,68 @@ impl StatsCatalog {
                 }
             }
         }
-        let scale = if sample > 0 && rows.len() > sample {
-            rows.len() as f64 / sample as f64
+        let profile = distinct.iter().map(HashSet::len).zip(nulls);
+        self.store(relation, version, schema, rows.len(), profile);
+    }
+
+    /// [`StatsCatalog::observe`] over term columns (`rows` long, one per
+    /// schema column): the same sample, the same stored statistics — a
+    /// term's hash class is its value's (`Int(1)` with `Float(1.0)`,
+    /// `-0.0` with `0.0`, one dictionary id per string content) — so the
+    /// optimizer cannot tell which plane a relation was profiled on.
+    pub fn observe_columns(
+        &self,
+        relation: &str,
+        version: u64,
+        schema: &Schema,
+        columns: &[Arc<TypedColumn>],
+        rows: usize,
+    ) {
+        let sample = rows.min(SAMPLE_CAP);
+        let profile = columns.iter().map(|column| {
+            let mut distinct: HashSet<u64> = HashSet::new();
+            let mut nulls = 0usize;
+            for &term in column.terms().iter().take(sample) {
+                if term.is_null() {
+                    nulls += 1;
+                } else {
+                    distinct.insert(term_norm(term));
+                }
+            }
+            (distinct.len(), nulls)
+        });
+        self.store(relation, version, schema, rows, profile);
+    }
+
+    /// Stores one profiling pass: `profile` yields, per schema column, the
+    /// distinct non-null values and the NULLs seen in the first
+    /// `rows.min(SAMPLE_CAP)` rows.
+    fn store(
+        &self,
+        relation: &str,
+        version: u64,
+        schema: &Schema,
+        rows: usize,
+        profile: impl Iterator<Item = (usize, usize)>,
+    ) {
+        let epoch = self.epoch();
+        let sample = rows.min(SAMPLE_CAP);
+        let scale = if sample > 0 && rows > sample {
+            rows as f64 / sample as f64
         } else {
             1.0
         };
         let columns = schema
             .columns()
             .iter()
-            .enumerate()
-            .map(|(i, column)| ColumnStats {
+            .zip(profile)
+            .map(|(column, (distinct, nulls))| ColumnStats {
                 column: column.to_string(),
-                distinct: (((distinct[i].len() as f64) * scale) as usize).min(rows.len()),
+                distinct: (((distinct as f64) * scale) as usize).min(rows),
                 null_fraction: if sample == 0 {
                     0.0
                 } else {
-                    nulls[i] as f64 / sample as f64
+                    nulls as f64 / sample as f64
                 },
             })
             .collect();
@@ -157,7 +206,7 @@ impl StatsCatalog {
             relation.to_string(),
             RelationStats {
                 version,
-                rows: rows.len(),
+                rows,
                 columns,
                 observed_epoch: epoch,
             },
@@ -305,5 +354,79 @@ mod tests {
         assert_eq!(catalog.estimated_rows("ghost"), None);
         assert_eq!(catalog.distinct_values("ghost", "id"), None);
         assert_eq!(catalog.null_fraction("ghost", "id"), None);
+    }
+
+    /// Profiles `rows` on both planes, checks that both stored the same
+    /// statistics and returns them.
+    fn assert_same_profile(schema: &Schema, rows: &[Tuple]) -> RelationStats {
+        let (by_rows, by_columns) = (StatsCatalog::new(), StatsCatalog::new());
+        by_rows.observe("w", 3, schema, rows);
+        let columns = crate::columnar::encode_rows(rows, schema.len());
+        by_columns.observe_columns("w", 3, schema, &columns, rows.len());
+        let (by_rows, by_columns) = (
+            by_rows.relation("w").unwrap(),
+            by_columns.relation("w").unwrap(),
+        );
+        assert_eq!(by_rows.version, by_columns.version);
+        assert_eq!(by_rows.rows, by_columns.rows);
+        assert_eq!(by_rows.columns, by_columns.columns);
+        by_columns
+    }
+
+    #[test]
+    fn column_profile_scales_past_the_sample_cap_like_the_row_profile() {
+        // Distinct values keep appearing after the cap, NULLs too: both
+        // profilers must sample the same prefix and scale the same way.
+        let rows: Vec<Tuple> = (0..SAMPLE_CAP + 4_000)
+            .map(|i| {
+                vec![
+                    Value::Int((i / 2) as i64),
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(format!("k{}", i % 1_000))
+                    },
+                ]
+            })
+            .collect();
+        let schema = Schema::qualified("w", ["id", "key"]);
+        let by_columns = assert_same_profile(&schema, &rows);
+        assert_eq!(by_columns.rows, SAMPLE_CAP + 4_000);
+        assert!(by_columns.columns[0].distinct > SAMPLE_CAP / 2);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Cells that collide only under the coercing equality (`Int(1)` /
+        /// `Float(1.0)`, `-0.0` / `0.0`), NaN, NULLs, inline strings and
+        /// strings too long for the inline buffer.
+        fn cell() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                (-3i64..4).prop_map(Value::Int),
+                (-3i64..4).prop_map(|i| Value::Float(i as f64)),
+                Just(Value::Float(-0.0)),
+                Just(Value::Float(f64::NAN)),
+                Just(Value::Float(0.5)),
+                "[a-c]{0,2}".prop_map(Value::str),
+                (0u8..3).prop_map(|i| Value::str(format!("a-long-pooled-string-cell-{i:030}"))),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn observe_columns_stores_what_observe_stores(
+                width in 1usize..4,
+                rows in proptest::collection::vec(proptest::collection::vec(cell(), 3), 0..60),
+            ) {
+                let rows: Vec<Tuple> =
+                    rows.into_iter().map(|row| row[..width].to_vec()).collect();
+                let schema = Schema::qualified("w", (0..width).map(|c| format!("c{c}")));
+                assert_same_profile(&schema, &rows);
+            }
+        }
     }
 }

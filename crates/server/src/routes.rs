@@ -418,6 +418,14 @@ fn metrics(state: &AppState) -> Response {
         ])
     }));
     let dp = mdm_relational::metrics::snapshot();
+    // What keeping each release resident as term columns costs right now,
+    // read off the wrappers that own the columns.
+    let catalog = mdm.catalog();
+    let resident: Vec<usize> = catalog
+        .names()
+        .into_iter()
+        .filter_map(|name| catalog.get(name)?.resident_bytes())
+        .collect();
     let data_plane = Value::object([
         ("rows_moved", Value::int(dp.rows_moved as i64)),
         ("batches_emitted", Value::int(dp.batches_emitted as i64)),
@@ -441,6 +449,11 @@ fn metrics(state: &AppState) -> Response {
                 (
                     "kernel_invocations",
                     Value::int(dp.columnar.kernel_invocations as i64),
+                ),
+                ("resident_relations", Value::int(resident.len() as i64)),
+                (
+                    "resident_bytes",
+                    Value::int(resident.iter().sum::<usize>() as i64),
                 ),
             ]),
         ),

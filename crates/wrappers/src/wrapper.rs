@@ -4,6 +4,8 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use mdm_dataform::flatten::{flatten_rows, FlattenOptions, Row};
+use mdm_relational::columnar::encode_rows;
+use mdm_relational::scan_cache::EncodedScan;
 use mdm_relational::{ErrorKind, ExecError, RelationProvider, Schema, Tuple, Value};
 
 use crate::fault::{truncate_body, FaultPlan, InjectedFault};
@@ -149,13 +151,23 @@ pub struct Wrapper {
     /// `attribute → flattened payload column` pairs, one per attribute.
     bindings: Vec<(String, String)>,
     release: Release,
-    /// An attached fault schedule makes every [`Wrapper::rows`] call a
-    /// fresh simulated fetch whose *fate* the plan injects; the payload
-    /// itself stays memoised (a wrapper models one snapshot).
+    /// An attached fault schedule makes every [`Wrapper::rows`] or
+    /// [`Wrapper::columns`] call a fresh simulated fetch whose *fate* the
+    /// plan injects; the payload itself stays memoised (a wrapper models
+    /// one snapshot).
     faults: Option<Arc<FaultPlan>>,
+    /// The clean payload as rows: what the row-plane oracle clones from.
     cache: OnceLock<Result<Vec<Tuple>, WrapperError>>,
-    /// `rows()` invocations on this instance — the observable the scan
-    /// cache's once-per-query guarantee is asserted against.
+    /// The clean payload as term columns plus its row count, resident
+    /// from the first clean [`Wrapper::columns`] for as long as this
+    /// instance lives. A wrapper reads one immutable release, and term ids
+    /// are valid for the process lifetime, so nothing ever invalidates
+    /// them: a new release, a re-registration, `unregister` or a restore
+    /// replaces or drops the *instance*, and the columns go with it.
+    columns: OnceLock<Result<(EncodedScan, usize), WrapperError>>,
+    /// Fetches (`rows()` or `columns()` calls) on this instance — the
+    /// observable the scan cache's once-per-query guarantee is asserted
+    /// against.
     fetches: std::sync::atomic::AtomicU64,
 }
 
@@ -169,6 +181,7 @@ impl Clone for Wrapper {
             release: self.release.clone(),
             faults: self.faults.clone(),
             cache: OnceLock::new(),
+            columns: OnceLock::new(),
             fetches: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -215,6 +228,7 @@ impl Wrapper {
             release,
             faults: None,
             cache: OnceLock::new(),
+            columns: OnceLock::new(),
             fetches: std::sync::atomic::AtomicU64::new(0),
         })
     }
@@ -264,11 +278,11 @@ impl Wrapper {
         &self.release
     }
 
-    /// Attaches a fault schedule: every subsequent [`Wrapper::rows`] call
-    /// becomes a fresh simulated fetch drawing its fate from the plan.
+    /// Attaches a fault schedule: every subsequent fetch draws its fate
+    /// from the plan. The memoised clean payload — rows and resident
+    /// columns — is kept: a plan decides fates, not content.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.faults = plan;
-        self.cache = OnceLock::new();
     }
 
     /// The attached fault schedule, if any.
@@ -276,57 +290,93 @@ impl Wrapper {
         self.faults.as_ref()
     }
 
-    /// `rows()` calls on this instance so far (the per-query scan cache is
-    /// asserted against this: k branches, 1 fetch).
+    /// Fetches (`rows()` or `columns()` calls) on this instance so far
+    /// (the per-query scan cache is asserted against this: k branches, 1
+    /// fetch).
     pub fn fetch_count(&self) -> u64 {
         self.fetches.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// The memoised clean-payload rows. Parsing and typing the release
-    /// body is deterministic, so a successful simulated fetch — with or
-    /// without a fault plan attached — can always reuse it: injected
-    /// faults decide the fetch's *fate*, not the payload's content.
-    fn clean_rows(&self) -> Result<Vec<Tuple>, WrapperError> {
-        self.cache
-            .get_or_init(|| self.compute_rows(&self.release.body))
-            .clone()
+    /// Bytes of term columns this instance keeps resident (rows × arity ×
+    /// 16), `None` until a clean [`Wrapper::columns`] filled them.
+    pub fn resident_bytes(&self) -> Option<usize> {
+        let (_, rows) = self.columns.get()?.as_ref().ok()?;
+        Some(rows * self.signature.arity() * 16)
+    }
+
+    /// Counts one simulated fetch and draws its fate from the attached
+    /// plan, if any: an injected failure is the `Err`, `Ok(None)` serves
+    /// the clean payload (memoised), `Ok(Some(body))` is a truncated body
+    /// that has to be typed fresh.
+    fn draw_fetch(&self) -> Result<Option<String>, WrapperError> {
+        self.fetches
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(plan) = &self.faults else {
+            return Ok(None);
+        };
+        match plan.next_fault(self.name()) {
+            Some(InjectedFault::Terminal) => Err(WrapperError::Permanent(format!(
+                "{}: source '{}' is gone (injected terminal fault)",
+                self.name(),
+                self.source
+            ))),
+            Some(InjectedFault::Transient) => Err(WrapperError::Transient(format!(
+                "{}: HTTP 503 from '{}' (injected transient fault, attempt {})",
+                self.name(),
+                self.source,
+                plan.attempts(self.name())
+            ))),
+            Some(InjectedFault::Malformed) => Ok(Some(truncate_body(&self.release.body))),
+            Some(InjectedFault::Latency(delay)) => {
+                std::thread::sleep(delay);
+                Ok(None)
+            }
+            None => Ok(None),
+        }
     }
 
     /// Fetches, parses, flattens and maps the payload into signature rows.
     ///
     /// The clean payload is computed once and cached, fault plan or not —
-    /// an attached plan injects each simulated fetch's *outcome* (failure,
-    /// latency, truncation) but a successful fetch serves the memoised
-    /// rows, so fault-recovery measurements see retry cost rather than
-    /// re-parsing cost. Only a `Malformed` outcome re-parses: it must type
-    /// the truncated body, which the cache of clean rows cannot answer.
+    /// parsing and typing the release body is deterministic, and an
+    /// attached plan injects each simulated fetch's *outcome* (failure,
+    /// latency, truncation), not the payload's content, so a successful
+    /// fetch serves a clone of the memoised rows and fault-recovery
+    /// measurements see retry cost rather than re-parsing cost. Only a
+    /// `Malformed` outcome re-parses: it must type the truncated body,
+    /// which the cache of clean rows cannot answer. This is the row-plane
+    /// oracle's fetch; the served plane pulls [`Wrapper::columns`].
     pub fn rows(&self) -> Result<Vec<Tuple>, WrapperError> {
-        self.fetches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        match &self.faults {
-            None => self.clean_rows(),
-            Some(plan) => match plan.next_fault(self.name()) {
-                Some(InjectedFault::Terminal) => Err(WrapperError::Permanent(format!(
-                    "{}: source '{}' is gone (injected terminal fault)",
-                    self.name(),
-                    self.source
-                ))),
-                Some(InjectedFault::Transient) => Err(WrapperError::Transient(format!(
-                    "{}: HTTP 503 from '{}' (injected transient fault, attempt {})",
-                    self.name(),
-                    self.source,
-                    plan.attempts(self.name())
-                ))),
-                Some(InjectedFault::Malformed) => {
-                    self.compute_rows(&truncate_body(&self.release.body))
-                }
-                Some(InjectedFault::Latency(delay)) => {
-                    std::thread::sleep(delay);
-                    self.clean_rows()
-                }
-                None => self.clean_rows(),
-            },
+        match self.draw_fetch()? {
+            Some(truncated) => self.compute_rows(&truncated),
+            None => self
+                .cache
+                .get_or_init(|| self.compute_rows(&self.release.body))
+                .clone(),
         }
+    }
+
+    /// [`Wrapper::rows`] as shared term columns plus the row count: the
+    /// same fetch (one `fetch_count` bump, one fate drawn per call), the
+    /// same relation cell for cell. The clean payload is parsed, typed and
+    /// encoded once, on the first clean call, and stays resident with this
+    /// instance; every later clean call is an `Arc` clone. A `Malformed`
+    /// outcome types and encodes the truncated body fresh and is never
+    /// memoised.
+    pub fn columns(&self) -> Result<(EncodedScan, usize), WrapperError> {
+        match self.draw_fetch()? {
+            Some(truncated) => self.compute_columns(&truncated),
+            None => self
+                .columns
+                .get_or_init(|| self.compute_columns(&self.release.body))
+                .clone(),
+        }
+    }
+
+    fn compute_columns(&self, body: &str) -> Result<(EncodedScan, usize), WrapperError> {
+        let rows = self.compute_rows(body)?;
+        let columns = encode_rows(&rows, self.signature.arity());
+        Ok((Arc::new(columns), rows.len()))
     }
 
     fn compute_rows(&self, body: &str) -> Result<Vec<Tuple>, WrapperError> {
@@ -379,6 +429,10 @@ impl RelationProvider for Wrapper {
 
     fn rows(&self) -> Result<Vec<Tuple>, ExecError> {
         Wrapper::rows(self).map_err(ExecError::from)
+    }
+
+    fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
+        Wrapper::columns(self).map_err(ExecError::from)
     }
 
     fn version(&self) -> u64 {

@@ -32,7 +32,15 @@ echo "==> repo benchmark: schema tests + one quick run (release)"
 # none of them moved, its tests hold its metric names to BENCHMARK.json,
 # and the quick run oracle-checks every served answer against Mdm::query.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick
+quick=$(mktemp)
+trap 'rm -f "$quick"' EXIT
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick | tee "$quick"
+# Wrapper releases are resident as term columns: a warm query on the three
+# read workloads must not encode a single term. The count is exact, so this
+# catches a per-query encode creeping back without timing anything.
+awk '$1 == "metric" && $3 == "relational.terms_encoded" \
+        && $2 ~ /^(serve_hot|scan_join|wide_result)$/ { seen++; if ($4 + 0 != 0) { print "warm queries encode again: " $0; bad = 1 } }
+     END { if (seen != 3) { print "expected relational.terms_encoded on 3 read workloads, saw " seen + 0; bad = 1 } exit bad }' "$quick"
 
 echo "==> evaluation harness (E1–E8 + P summaries regenerate)"
 cargo run --release --quiet -p mdm-bench --bin evaluation > /dev/null

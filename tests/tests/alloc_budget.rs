@@ -69,15 +69,19 @@ fn e6_at_10k() -> (SyntheticEcosystem, Mdm) {
 }
 
 /// Heap-allocation ceiling for one warmed sequential E6 execution at 10k
-/// rows per wrapper. Measured 84,468 allocations on the recording machine
-/// under the columnar plane (≈2 per result row — operators move 16-byte
-/// term ids and only the surviving result rows decode back into `Value`s;
-/// the row plane spent ~882k here, ≈22 per result row). The ceiling leaves
-/// ~10% headroom for stdlib drift while still catching a regression that
-/// silently falls back to row-at-a-time decode — that alone costs one
-/// allocation per string cell per operator, i.e. hundreds of thousands at
-/// this scale.
-const E6_10K_ALLOC_CEILING: u64 = 93_000;
+/// rows per wrapper. Measured 44,395 allocations on the recording machine
+/// (≈1 per result row — operators move 16-byte term ids, every wrapper's
+/// release is resident as term columns so a warm scan is an `Arc` clone,
+/// and only the surviving result rows decode back into `Value`s). The
+/// parent of the change that made the columns resident spent 84,447: its
+/// scans cloned each wrapper's memoised rows (one `Vec` per fetched row,
+/// 40,000 of them) and re-encoded them every query. The row plane spent
+/// ~882k here, ≈22 per result row. The ceiling leaves ~10% headroom for
+/// stdlib drift while still catching a regression that brings back a
+/// per-query row clone or silently falls back to row-at-a-time decode —
+/// the latter alone costs one allocation per string cell per operator,
+/// i.e. hundreds of thousands at this scale.
+const E6_10K_ALLOC_CEILING: u64 = 48_800;
 
 #[test]
 fn warmed_e6_execution_stays_under_allocation_budget() {
@@ -88,8 +92,8 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
     let walk = chain_walk(&eco, 2);
     let rewriting = mdm.rewrite(&walk).expect("rewrites");
 
-    // Warm run: parses wrapper payloads, fills memoized row caches, interns
-    // the string domain. Sequential options keep the count deterministic.
+    // Warm run: parses wrapper payloads, fills each wrapper's resident
+    // columns, interns the string domain. Sequential options keep the count deterministic.
     let executor = Executor::with_options(mdm.catalog(), ExecOptions::sequential());
     let warm = executor.run(&rewriting.plan).expect("warm run executes");
     assert!(!warm.is_empty(), "E6 must produce rows");
@@ -111,17 +115,19 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
 
 /// Heap-allocation ceiling for one warmed, sequential
 /// `Mdm::query_degraded` of the same walk — the *served* path: four branch
-/// executions, the UCQ merge, one decode. Measured 85,582 allocations on
+/// executions, the UCQ merge, one decode. Measured 45,530 allocations on
 /// the recording machine for a 39,171-row answer: one `Vec` per result row
-/// (the decoded tuple), one per fetched input row (`RelationProvider::rows`
-/// clones each wrapper's 10k rows every query — ROADMAP item 5), and a few
-/// thousand for plans, batches and the merge's buffers. The parent of the
-/// change that moved the merge onto term ids spent 129,378 here: every
-/// branch decoded its own rows (79,636 of them) before a `BTreeSet<Tuple>`
-/// union and a second sort. ~10% headroom; going back to per-branch row
-/// decode or a row-set merge costs an allocation per *branch* row and lands
-/// far above it.
-const SERVED_E6_10K_ALLOC_CEILING: u64 = 94_000;
+/// (the decoded tuple) and a few thousand for plans, batches and the
+/// merge's buffers. The parent of the change that made wrapper columns
+/// resident spent 85,582 here: one more `Vec` per fetched input row
+/// (`RelationProvider::rows` cloned each wrapper's 10k rows every query)
+/// plus the per-query column `Vec`s of the re-encode. Two changes back —
+/// before the merge moved onto term ids — it was 129,378: every branch
+/// decoded its own rows (79,636 of them) before a `BTreeSet<Tuple>` union
+/// and a second sort. ~10% headroom; a per-query row clone costs an
+/// allocation per *fetched* row, per-branch row decode or a row-set merge
+/// one per *branch* row, and either lands far above it.
+const SERVED_E6_10K_ALLOC_CEILING: u64 = 50_000;
 
 #[test]
 fn warmed_served_query_stays_under_allocation_budget() {
@@ -139,15 +145,22 @@ fn warmed_served_query_stays_under_allocation_budget() {
     assert!(warm.completeness.is_complete());
     assert!(!warm.table.is_empty(), "E6 must produce rows");
 
-    let decoded_before = metrics::snapshot().columnar.decodes;
+    let columnar_before = metrics::snapshot().columnar;
     let before = allocations();
     let answer = mdm
         .query_degraded(&walk, Deadline::none())
         .expect("measured query executes");
     let spent = allocations() - before;
-    let decoded = metrics::snapshot().columnar.decodes - decoded_before;
+    let columnar = metrics::snapshot().columnar;
+    let decoded = columnar.decodes - columnar_before.decodes;
 
     assert_eq!(answer.table.rows(), warm.table.rows());
+    // Every wrapper's release is resident as term columns after the warm
+    // query: a warm scan is an `Arc` clone, not an encode.
+    assert_eq!(
+        columnar.encodes, columnar_before.encodes,
+        "a warmed served query must not encode"
+    );
     // Branches stay encoded until the merge: the only terms decoded are the
     // final answer's, once.
     let result_terms = (answer.table.len() * answer.table.schema().len()) as u64;

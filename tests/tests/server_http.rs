@@ -347,7 +347,14 @@ fn lifecycle_from_empty_metadata_over_tcp() {
         );
     }
     let columnar = dp.get("columnar").expect("columnar stats exported");
-    for field in ["encodes", "decodes", "column_bytes", "kernel_invocations"] {
+    for field in [
+        "encodes",
+        "decodes",
+        "column_bytes",
+        "kernel_invocations",
+        "resident_relations",
+        "resident_bytes",
+    ] {
         assert!(
             columnar.get(field).and_then(Value::as_number).is_some(),
             "columnar misses numeric '{field}': {columnar:?}"
@@ -357,6 +364,9 @@ fn lifecycle_from_empty_metadata_over_tcp() {
         int_of(columnar, "encodes") > 0 && int_of(columnar, "kernel_invocations") > 0,
         "columnar default did not execute any kernels: {columnar:?}"
     );
+    // The Figure 8 walk scanned both registered wrappers, w1 and w2.
+    assert_eq!(int_of(columnar, "resident_relations"), 2, "{columnar:?}");
+    assert!(int_of(columnar, "resident_bytes") > 0, "{columnar:?}");
     server.shutdown();
 }
 
