@@ -17,7 +17,7 @@ use std::time::Duration;
 use mdm_core::usecase;
 use mdm_core::walk_dsl;
 use mdm_core::{FsyncPolicy, Mdm, MetaStore};
-use mdm_relational::{Deadline, Layout, OptimizeMode};
+use mdm_relational::{Deadline, OptimizeMode};
 use mdm_wrappers::football::{self, FootballEcosystem};
 use mdm_wrappers::FaultPlan;
 
@@ -42,9 +42,6 @@ pub struct Session {
     threads: Option<usize>,
     /// Operator batch width (`--batch-size`); `None` = the engine default.
     batch_size: Option<usize>,
-    /// Physical data layout (`--layout`); `None` = the engine default
-    /// (columnar).
-    layout: Option<Layout>,
     /// Plan-optimization mode (`--optimize`); `None` = the engine default
     /// (cost-based).
     optimize: Option<OptimizeMode>,
@@ -95,7 +92,6 @@ impl Session {
             deadline_ms: None,
             threads: None,
             batch_size: None,
-            layout: None,
             optimize: None,
             store: None,
             data_dir: None,
@@ -201,13 +197,6 @@ impl Session {
         self.apply_threads();
     }
 
-    /// Sets the physical data layout applied to every loaded system
-    /// (the `--layout` flag; parse with [`Layout::parse`]).
-    pub fn set_layout(&mut self, layout: Option<Layout>) {
-        self.layout = layout;
-        self.apply_threads();
-    }
-
     /// Sets the plan-optimization mode applied to every loaded system
     /// (the `--optimize` flag; parse with [`OptimizeMode::parse`]).
     pub fn set_optimize(&mut self, optimize: Option<OptimizeMode>) {
@@ -216,7 +205,7 @@ impl Session {
     }
 
     /// (Re)stamps the loaded system with the session's pool size, batch
-    /// width, data layout and optimization mode.
+    /// width and optimization mode.
     fn apply_threads(&mut self) {
         if let Some(mdm) = self.mdm.as_mut() {
             if let Some(threads) = self.threads {
@@ -224,9 +213,6 @@ impl Session {
             }
             if let Some(batch) = self.batch_size {
                 mdm.set_batch_size(batch);
-            }
-            if let Some(layout) = self.layout {
-                mdm.set_layout(layout);
             }
             if let Some(optimize) = self.optimize {
                 mdm.set_optimize(optimize);
@@ -1115,7 +1101,7 @@ MDM — Metadata Management System (EDBT 2018 reproduction)
                      derivation and print the optimized plan tree with
                      estimated vs. actual per-operator cardinalities
   query              enter a walk, finish with '.', execute it (Table 1 style)
-  trace              like query (same pool, layout, retries and fault plan), plus
+  trace              like query (same pool, retries and fault plan), plus
                      a provenance column (which branch/version); a dropped
                      branch is an error here, not a partial answer
   suggest <wrapper>  semi-automatic mapping suggestions for an unmapped wrapper

@@ -15,9 +15,6 @@
 //!   the sequential path; default sizes from `available_parallelism`).
 //! * `--batch-size <n>` — operator batch width while draining queries
 //!   (`0` restores the default; the executor adapts down for small inputs).
-//! * `--layout row|columnar` — physical data plane: fixed-width term
-//!   columns with vectorized kernels (default) or the tuple-at-a-time
-//!   reference interpreter (for oracle checks and debugging, not speed).
 //! * `--optimize off|cost` — plan optimization: the stats-driven cost
 //!   pipeline (default) or none. Results are byte-identical in both modes.
 //! * `--data-dir <dir>` — durable metadata: recover the journal in `dir`
@@ -65,12 +62,6 @@ fn parse_flags(session: &mut Session) -> Result<(), String> {
                     .map_err(|_| format!("--batch-size: '{raw}' is not an unsigned integer"))?;
                 session.set_batch_size(Some(batch));
             }
-            "--layout" => {
-                let raw = value(&mut args)?;
-                let layout =
-                    mdm_relational::Layout::parse(&raw).map_err(|e| format!("--layout: {e}"))?;
-                session.set_layout(Some(layout));
-            }
             "--optimize" => {
                 let raw = value(&mut args)?;
                 let mode = mdm_relational::OptimizeMode::parse(&raw)
@@ -89,8 +80,7 @@ fn parse_flags(session: &mut Session) -> Result<(), String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: mdm [--fault-seed <n>] [--deadline-ms <n>] [--threads <n>] \
-                     [--batch-size <n>] [--layout row|columnar] \
-                     [--optimize off|cost] [--data-dir <dir>] \
+                     [--batch-size <n>] [--optimize off|cost] [--data-dir <dir>] \
                      [--fsync always|never|interval[:ms]]"
                         .to_string(),
                 )

@@ -17,9 +17,9 @@
 //! computed, over term ids ([`merge_branches`]), then decoded once. One
 //! rule holds on both paths and both layouts: rows are the same when they
 //! are `==`, and of two `==` rows — v1 says `170`, v2 says `170.0` — the
-//! first branch in rewriting order wins. `Layout::Row` and zero-width
-//! results take `merge_rows`, the same rule over decoded rows and the
-//! encoded merge's oracle.
+//! first branch in rewriting order wins. `Layout::Row` results take
+//! `merge_rows`, the same rule over decoded rows and the encoded merge's
+//! oracle.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -257,9 +257,9 @@ pub fn execute_degraded(
     } else {
         MergeMode::All
     };
-    // All branches share `output_columns`, so they come back from the same
-    // plane: columnar results merge encoded and decode once; `Layout::Row`
-    // and zero-width results take the row merge.
+    // Every branch ran on the plane `exec_options.layout` chose: columnar
+    // results merge encoded and decode once, `Layout::Row` results take
+    // the row merge.
     let table = if survivors
         .iter()
         .all(|result| matches!(result, Undecoded::Columns { .. }))

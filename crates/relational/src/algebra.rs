@@ -11,22 +11,6 @@ use std::fmt;
 use crate::expr::Expr;
 use crate::schema::{ColumnRef, Schema};
 
-/// Join kinds. MDM's rewriting only emits inner equi-joins (joins are
-/// restricted to identifier features, §2.3); left joins exist for the
-/// OPTIONAL fragment of the SPARQL engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinKind {
-    Inner,
-    Left,
-}
-
-/// A sort direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SortOrder {
-    Asc,
-    Desc,
-}
-
 /// A logical plan node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Plan {
@@ -39,9 +23,10 @@ pub enum Plan {
         input: Box<Plan>,
         columns: Vec<(Expr, ColumnRef)>,
     },
-    /// ⋈ — equi-join on pairs of (left column, right column).
+    /// ⋈ — inner equi-join on pairs of (left column, right column); the
+    /// only join MDM's rewriting emits (joins are restricted to identifier
+    /// features, §2.3).
     Join {
-        kind: JoinKind,
         left: Box<Plan>,
         right: Box<Plan>,
         on: Vec<(ColumnRef, ColumnRef)>,
@@ -50,13 +35,6 @@ pub enum Plan {
     Union { inputs: Vec<Plan> },
     /// δ — duplicate elimination.
     Distinct { input: Box<Plan> },
-    /// Sort by columns.
-    Sort {
-        input: Box<Plan>,
-        keys: Vec<(ColumnRef, SortOrder)>,
-    },
-    /// First-n.
-    Limit { input: Box<Plan>, count: usize },
 }
 
 impl Plan {
@@ -97,7 +75,6 @@ impl Plan {
     /// Inner equi-join builder.
     pub fn join(self, right: Plan, on: Vec<(ColumnRef, ColumnRef)>) -> Plan {
         Plan::Join {
-            kind: JoinKind::Inner,
             left: Box::new(self),
             right: Box::new(right),
             on,
@@ -123,25 +100,6 @@ impl Plan {
         }
     }
 
-    /// Sort builder (ascending on the given columns).
-    pub fn sort_by(self, columns: &[&str]) -> Plan {
-        Plan::Sort {
-            input: Box::new(self),
-            keys: columns
-                .iter()
-                .map(|c| (ColumnRef::parse(c), SortOrder::Asc))
-                .collect(),
-        }
-    }
-
-    /// Limit builder.
-    pub fn limit(self, count: usize) -> Plan {
-        Plan::Limit {
-            input: Box::new(self),
-            count,
-        }
-    }
-
     /// The relations scanned by this plan, in first-use order.
     pub fn scanned_relations(&self) -> Vec<&str> {
         let mut out = Vec::new();
@@ -156,11 +114,9 @@ impl Plan {
                     out.push(relation);
                 }
             }
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.collect_scans(out),
+            Plan::Filter { input, .. } | Plan::Project { input, .. } | Plan::Distinct { input } => {
+                input.collect_scans(out)
+            }
             Plan::Join { left, right, .. } => {
                 left.collect_scans(out);
                 right.collect_scans(out);
@@ -181,10 +137,7 @@ impl Plan {
     ) -> Result<Schema, String> {
         match self {
             Plan::Scan { relation } => resolve(relation),
-            Plan::Filter { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.schema_with(resolve),
+            Plan::Filter { input, .. } | Plan::Distinct { input } => input.schema_with(resolve),
             Plan::Project { columns, .. } => Ok(Schema::new(
                 columns.iter().map(|(_, name)| name.clone()).collect(),
             )),
@@ -211,11 +164,9 @@ impl Plan {
     pub fn node_count(&self) -> usize {
         1 + match self {
             Plan::Scan { .. } => 0,
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.node_count(),
+            Plan::Filter { input, .. } | Plan::Project { input, .. } | Plan::Distinct { input } => {
+                input.node_count()
+            }
             Plan::Join { left, right, .. } => left.node_count() + right.node_count(),
             Plan::Union { inputs } => inputs.iter().map(Plan::node_count).sum(),
         }
@@ -227,11 +178,9 @@ impl Plan {
     pub fn union_width(&self) -> usize {
         match self {
             Plan::Union { inputs } => inputs.len(),
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.union_width(),
+            Plan::Filter { input, .. } | Plan::Project { input, .. } | Plan::Distinct { input } => {
+                input.union_width()
+            }
             _ => 1,
         }
     }
@@ -256,35 +205,15 @@ impl fmt::Display for Plan {
                     .collect();
                 write!(f, "π[{}]({input})", cols.join(", "))
             }
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => {
+            Plan::Join { left, right, on } => {
                 let conditions: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
-                let symbol = match kind {
-                    JoinKind::Inner => "⋈",
-                    JoinKind::Left => "⟕",
-                };
-                write!(f, "({left} {symbol}[{}] {right})", conditions.join(" ∧ "))
+                write!(f, "({left} ⋈[{}] {right})", conditions.join(" ∧ "))
             }
             Plan::Union { inputs } => {
                 let arms: Vec<String> = inputs.iter().map(Plan::to_string).collect();
                 write!(f, "({})", arms.join(" ∪ "))
             }
             Plan::Distinct { input } => write!(f, "δ({input})"),
-            Plan::Sort { input, keys } => {
-                let rendered: Vec<String> = keys
-                    .iter()
-                    .map(|(c, order)| match order {
-                        SortOrder::Asc => c.to_string(),
-                        SortOrder::Desc => format!("{c}↓"),
-                    })
-                    .collect();
-                write!(f, "sort[{}]({input})", rendered.join(", "))
-            }
-            Plan::Limit { input, count } => write!(f, "limit[{count}]({input})"),
         }
     }
 }
@@ -379,7 +308,7 @@ mod tests {
 
     #[test]
     fn distinct_and_limit_render() {
-        let p = Plan::scan("w").distinct().limit(5);
-        assert_eq!(p.to_string(), "limit[5](δ(w))");
+        let p = Plan::scan("w").distinct();
+        assert_eq!(p.to_string(), "δ(w)");
     }
 }

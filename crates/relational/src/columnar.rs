@@ -8,10 +8,10 @@
 //! dictionary), operators exchange [`ColumnBatch`]es of shared
 //! [`TypedColumn`]s, and the hot kernels — filter predicates, hash-join
 //! build/probe, DISTINCT, projection — run over raw id arrays. Terms decode
-//! back into `Value`s only at the edges: render time (`Table`), sorts, and
-//! the row-wise fallback that replays a batch whenever vectorized
-//! expression evaluation hits an error (so error text and error *order*
-//! stay byte-identical with the row plane).
+//! back into `Value`s only at the edges: render time (`Table`, and the UCQ
+//! merge's one decode in [`merge_branches`]), and the row-wise replay of a
+//! batch whenever vectorized expression evaluation hits an error (so error
+//! text and error *order* stay byte-identical with the row plane).
 //!
 //! Encoding is exact, not lossy: ints keep their i64 bits, floats their
 //! f64 bits (NaN payloads and -0.0 included), and strings their dictionary
@@ -34,7 +34,7 @@ use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{Tuple, Value};
 
-/// Which physical shape the executor builds for a plan.
+/// Which physical plane the executor builds a whole plan on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Layout {
     /// The tuple-at-a-time reference interpreter (oracle tests, debugging).
@@ -42,27 +42,6 @@ pub enum Layout {
     /// Fixed-width term columns with vectorized kernels.
     #[default]
     Columnar,
-}
-
-impl Layout {
-    /// Parses a CLI/server knob value.
-    pub fn parse(text: &str) -> Result<Layout, String> {
-        match text {
-            "row" => Ok(Layout::Row),
-            "columnar" => Ok(Layout::Columnar),
-            other => Err(format!(
-                "unknown layout '{other}' (expected 'row' or 'columnar')"
-            )),
-        }
-    }
-
-    /// The knob spelling of this layout.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Layout::Row => "row",
-            Layout::Columnar => "columnar",
-        }
-    }
 }
 
 const TAG_NULL: u64 = 0;
@@ -986,12 +965,10 @@ impl BuildTable {
 }
 
 /// Probes live rows `[start, end)` of `batch`, appending
-/// `(probe_physical_row, build_row)` pairs in probe order; `u32::MAX` as
-/// the build row marks an unmatched left-join probe.
+/// `(probe_physical_row, build_row)` pairs in probe order.
 fn probe_range_cols(
     table: &BuildTable,
     left_keys: &[usize],
-    emit_unmatched_left: bool,
     batch: &ColumnBatch,
     hashes: &[u64],
     range: std::ops::Range<usize>,
@@ -999,30 +976,24 @@ fn probe_range_cols(
 ) {
     for (i, hash) in hashes.iter().enumerate().take(range.end).skip(range.start) {
         let probe_row = batch.row_id(i) as usize;
-        let mut matched = false;
-        if !left_keys
+        if left_keys
             .iter()
             .any(|&k| batch.columns[k].ids[probe_row].is_null())
         {
-            if let Some(&head) = table.heads.get(hash) {
-                let mut j = head;
-                while j != u32::MAX {
-                    let ok = left_keys.iter().zip(&table.keys).all(|(&l, &r)| {
-                        term_eq(
-                            batch.columns[l].ids[probe_row],
-                            table.columns[r].ids[j as usize],
-                        )
-                    });
-                    if ok {
-                        matched = true;
-                        out.push((probe_row as u32, j));
-                    }
-                    j = table.next[j as usize];
-                }
-            }
+            continue;
         }
-        if !matched && emit_unmatched_left {
-            out.push((probe_row as u32, u32::MAX));
+        let mut j = table.heads.get(hash).copied().unwrap_or(u32::MAX);
+        while j != u32::MAX {
+            let ok = left_keys.iter().zip(&table.keys).all(|(&l, &r)| {
+                term_eq(
+                    batch.columns[l].ids[probe_row],
+                    table.columns[r].ids[j as usize],
+                )
+            });
+            if ok {
+                out.push((probe_row as u32, j));
+            }
+            j = table.next[j as usize];
         }
     }
 }
@@ -1036,8 +1007,6 @@ pub struct ColHashJoin {
     schema: Schema,
     left_keys: Vec<usize>,
     table: BuildTable,
-    right_width: usize,
-    emit_unmatched_left: bool,
     pool: Option<Arc<Pool>>,
 }
 
@@ -1047,18 +1016,14 @@ impl ColHashJoin {
         mut right: Box<dyn ColOperator>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        emit_unmatched_left: bool,
     ) -> Result<Self, ExecError> {
         let schema = left.schema().concat(right.schema());
-        let right_width = right.schema().len();
         let (columns, len) = drain_columns(right.as_mut())?;
         Ok(ColHashJoin {
             left,
             schema,
             left_keys,
             table: BuildTable::new(columns, len, right_keys),
-            right_width,
-            emit_unmatched_left,
             pool: None,
         })
     }
@@ -1082,12 +1047,11 @@ impl ColHashJoin {
                     .step_by(chunk.max(1))
                     .map(|s| (s, (s + chunk).min(n)))
                     .collect();
-                let (table, keys) = (&self.table, &self.left_keys);
-                let (emit, hashes_ref) = (self.emit_unmatched_left, &hashes);
+                let (table, keys, hashes) = (&self.table, &self.left_keys, &hashes);
                 let probed = pool.run(ranges.len(), |i| {
                     let (start, end) = ranges[i];
                     let mut part = Vec::new();
-                    probe_range_cols(table, keys, emit, batch, hashes_ref, start..end, &mut part);
+                    probe_range_cols(table, keys, batch, hashes, start..end, &mut part);
                     part
                 });
                 let mut out = Vec::with_capacity(probed.iter().map(Vec::len).sum());
@@ -1098,37 +1062,19 @@ impl ColHashJoin {
             }
         }
         let mut out = Vec::new();
-        probe_range_cols(
-            &self.table,
-            &self.left_keys,
-            self.emit_unmatched_left,
-            batch,
-            &hashes,
-            0..n,
-            &mut out,
-        );
+        probe_range_cols(&self.table, &self.left_keys, batch, &hashes, 0..n, &mut out);
         out
     }
 
-    /// Gathers matched pairs into dense output columns (left side from the
-    /// probe batch, right side from the build table, NULL-padded for
-    /// unmatched left-join rows).
+    /// Gathers matched pairs into dense output columns: the left side from
+    /// the probe batch, the right side from the build table.
     fn gather(&self, batch: &ColumnBatch, pairs: &[(u32, u32)], out: &mut [Vec<TermId>]) {
-        let left_width = self.schema.len() - self.right_width;
-        for (c, col) in out.iter_mut().enumerate() {
-            if c < left_width {
-                let ids = &batch.columns[c].ids;
-                col.extend(pairs.iter().map(|&(p, _)| ids[p as usize]));
-            } else {
-                let ids = &self.table.columns[c - left_width].ids;
-                col.extend(pairs.iter().map(|&(_, b)| {
-                    if b == u32::MAX {
-                        TermId::NULL
-                    } else {
-                        ids[b as usize]
-                    }
-                }));
-            }
+        let (left, right) = out.split_at_mut(self.left.schema().len());
+        for (col, source) in left.iter_mut().zip(&batch.columns) {
+            col.extend(pairs.iter().map(|&(p, _)| source.ids[p as usize]));
+        }
+        for (col, source) in right.iter_mut().zip(&self.table.columns) {
+            col.extend(pairs.iter().map(|&(_, b)| source.ids[b as usize]));
         }
     }
 }
@@ -1293,49 +1239,6 @@ impl ColOperator for ColDistinct {
                 return Some(Ok(batch.with_sel(Sel::Rows(sel))));
             }
         }
-    }
-}
-
-/// Columnar limit — narrows the final selection instead of copying rows.
-pub struct ColLimit {
-    input: Box<dyn ColOperator>,
-    remaining: usize,
-}
-
-impl ColLimit {
-    pub(crate) fn new(input: Box<dyn ColOperator>, count: usize) -> Self {
-        ColLimit {
-            input,
-            remaining: count,
-        }
-    }
-}
-
-impl ColOperator for ColLimit {
-    fn schema(&self) -> &Schema {
-        self.input.schema()
-    }
-
-    fn next_cols(&mut self, max: usize) -> Option<Result<ColumnBatch, ExecError>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let batch = match self.input.next_cols(max.min(self.remaining))? {
-            Ok(b) => b,
-            Err(e) => return Some(Err(e)),
-        };
-        if batch.len() <= self.remaining {
-            self.remaining -= batch.len();
-            return Some(Ok(batch));
-        }
-        let take = self.remaining as u32;
-        self.remaining = 0;
-        let sel = match &batch.sel {
-            Sel::All => Sel::Range(0, take),
-            Sel::Range(s, _) => Sel::Range(*s, s + take),
-            Sel::Rows(ids) => Sel::Rows(ids[..take as usize].to_vec()),
-        };
-        Some(Ok(batch.with_sel(sel)))
     }
 }
 
@@ -1656,16 +1559,14 @@ mod tests {
             Arc::new(batch_of(right_rows.clone(), 2).columns),
             4,
         );
-        let mut join =
-            ColHashJoin::new(Box::new(left), Box::new(right), vec![0], vec![0], true).unwrap();
+        let mut join = ColHashJoin::new(Box::new(left), Box::new(right), vec![0], vec![0]).unwrap();
         let got = drain_all(&mut join);
 
         // Reference: the row-plane join on the same inputs.
         let l = crate::physical::ScanExec::new(left_schema, left_rows);
         let r = crate::physical::ScanExec::new(right_schema, right_rows);
         let reference =
-            crate::physical::HashJoinExec::new(Box::new(l), Box::new(r), vec![0], vec![0], true)
-                .unwrap();
+            crate::physical::HashJoinExec::new(Box::new(l), Box::new(r), vec![0], vec![0]).unwrap();
         let want = crate::physical::drain(Box::new(reference)).unwrap();
         assert_eq!(got, want);
     }
@@ -1689,25 +1590,5 @@ mod tests {
             got,
             vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Null]]
         );
-    }
-
-    #[test]
-    fn limit_truncates_every_selection_shape() {
-        let schema = Schema::bare(["a"]);
-        let rows: Vec<Tuple> = (0..10).map(|i| vec![Value::Int(i)]).collect();
-        let scan = ColScan::new(schema, Arc::new(batch_of(rows, 1).columns), 10);
-        let mut limit = ColLimit::new(Box::new(scan), 4);
-        let got = drain_all(&mut limit);
-        assert_eq!(got.len(), 4);
-        assert_eq!(got[3], vec![Value::Int(3)]);
-    }
-
-    #[test]
-    fn layout_parses_both_knob_values() {
-        assert_eq!(Layout::parse("row"), Ok(Layout::Row));
-        assert_eq!(Layout::parse("columnar"), Ok(Layout::Columnar));
-        assert!(Layout::parse("arrow").is_err());
-        assert_eq!(Layout::default(), Layout::Columnar);
-        assert_eq!(Layout::Columnar.label(), "columnar");
     }
 }

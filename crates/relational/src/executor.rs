@@ -5,21 +5,20 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::algebra::{JoinKind, Plan, SortOrder};
+use crate::algebra::Plan;
 use crate::columnar::{
-    encode_rows, ColDistinct, ColFilter, ColHashJoin, ColLimit, ColOperator, ColProject, ColScan,
-    ColUnion, ColumnBatch, Layout,
+    encode_rows, ColDistinct, ColFilter, ColHashJoin, ColOperator, ColProject, ColScan, ColUnion,
+    ColumnBatch, Layout,
 };
 use crate::expr::Expr;
 use crate::metrics;
 use crate::physical::{
-    DecodeExec, DistinctExec, FilterExec, HashJoinExec, LimitExec, Operator, ProjectExec, ScanExec,
-    SortExec, UnionExec,
+    DistinctExec, FilterExec, HashJoinExec, Operator, ProjectExec, ScanExec, UnionExec,
 };
 use crate::pool::{self, Pool};
 use crate::resilience::{Deadline, RetryPolicy, ScanGuard};
 use crate::scan_cache::{EncodedScan, ScanCache};
-use crate::schema::Schema;
+use crate::schema::{ColumnRef, Schema};
 use crate::stats::StatsCatalog;
 use crate::table::Table;
 use crate::value::Tuple;
@@ -198,9 +197,9 @@ impl Catalog for MemoryCatalog {
     }
 }
 
-/// What [`Executor::run_undecoded`] drained: rows when the plan ran on the
-/// row plane ([`Layout::Row`], sorts, zero-width schemas), otherwise the
-/// columnar result still encoded as term batches.
+/// What [`Executor::run_undecoded`] drained, from the one plane the plan
+/// ran on: rows under [`Layout::Row`], otherwise the columnar result still
+/// encoded as term batches.
 #[derive(Debug)]
 pub enum Undecoded {
     /// A row-plane result, already a table.
@@ -254,9 +253,9 @@ pub struct ExecOptions {
     /// Metadata epoch stamped into scan-cache keys so rows can never leak
     /// across a steward mutation.
     pub epoch: u64,
-    /// Physical data layout: columnar (fixed-width term ids, vectorized
-    /// kernels — the default) or the tuple-at-a-time reference interpreter
-    /// the oracle tests hold it to.
+    /// Physical data layout, for the whole plan: columnar (fixed-width term
+    /// ids, vectorized kernels — the default) or the tuple-at-a-time
+    /// reference interpreter the oracle tests hold it to.
     pub layout: Layout,
     /// Statistics catalog to feed with scan observations (row counts,
     /// per-column distincts) as relations are fetched. Defaults to the
@@ -358,31 +357,20 @@ impl<'a> Executor<'a> {
     /// [`Executor::run`] without the decode: a columnar plan's result comes
     /// back as its schema plus the term batches it drained, so a caller
     /// that still has merging to do (`mdm-core` unions UCQ branches) only
-    /// pays decode for the rows that survive it.
+    /// pays decode for the rows that survive it; a [`Layout::Row`] plan's
+    /// comes back as the rows it drained.
     pub fn run_undecoded(&self, plan: &Plan) -> Result<Undecoded, ExecError> {
         let local = ScanCache::new();
         let cache = self.shared_cache.unwrap_or(&local);
         if self.options.deadline.expired() {
             return Err(self.options.deadline.exceeded("starting plan execution"));
         }
-        let built = self.build(plan, cache)?;
-        let schema = built.schema().clone();
-        // Drain with a deadline check per `batch_size` rows so a huge (or
-        // pathological) result cannot blow past the budget unnoticed.
-        // The batch width adapts downward to the input size (known exactly
-        // after `build`, which fetched every scanned relation): a 100-row
-        // query should not pay 1024-row drain bookkeeping.
-        let fetched = self.fetched_rows.load(Ordering::Relaxed) as usize;
-        let batch_size = match fetched {
-            0 => self.options.batch_size.max(1),
-            n => self
-                .options
-                .batch_size
-                .max(1)
-                .min(n.max(MIN_ADAPTIVE_BATCH)),
-        };
-        match built {
-            Built::Row(mut op) => {
+        // The plane is chosen once, for the whole plan: no operator of
+        // the other plane is ever built.
+        match self.options.layout {
+            Layout::Row => {
+                let mut op = self.build_row(plan, cache)?;
+                let batch_size = self.drain_width();
                 // One tuple per pull, on the columnar drain's cadence: a
                 // metrics record and a deadline check per `batch_size` rows.
                 let mut rows = Vec::new();
@@ -403,11 +391,13 @@ impl<'a> Executor<'a> {
                         break;
                     }
                 }
-                Table::new(schema, rows)
+                Table::new(op.schema().clone(), rows)
                     .map(Undecoded::Rows)
                     .map_err(ExecError::permanent)
             }
-            Built::Col(mut op) => {
+            Layout::Columnar => {
+                let mut op = self.build_col(plan, cache)?;
+                let batch_size = self.drain_width();
                 let mut batches = Vec::new();
                 while let Some(batch) = op.next_cols(batch_size) {
                     let batch = batch?;
@@ -417,8 +407,24 @@ impl<'a> Executor<'a> {
                         return Err(self.options.deadline.exceeded("draining result rows"));
                     }
                 }
-                Ok(Undecoded::Columns { schema, batches })
+                Ok(Undecoded::Columns {
+                    schema: op.schema().clone(),
+                    batches,
+                })
             }
+        }
+    }
+
+    /// Rows per drain step: a deadline check per step so a huge (or
+    /// pathological) result cannot blow past the budget unnoticed. The
+    /// width adapts downward to the input size (known exactly once the plan
+    /// is built, which fetched every scanned relation): a 100-row query
+    /// should not pay 1024-row drain bookkeeping.
+    fn drain_width(&self) -> usize {
+        let width = self.options.batch_size.max(1);
+        match self.fetched_rows.load(Ordering::Relaxed) as usize {
+            0 => width,
+            n => width.min(n.max(MIN_ADAPTIVE_BATCH)),
         }
     }
 
@@ -496,151 +502,145 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Translates a logical plan into a physical operator tree. The layout
-    /// is decided at the leaves and every other stage follows its children:
-    /// columnar wherever the plan shape allows (scan/filter/project/join/
-    /// union/distinct/limit), dropping to the row plane through
-    /// [`DecodeExec`] at the first stage that only exists row-wise (sort)
-    /// or when a subtree is degenerate (empty projection). Under
-    /// [`Layout::Row`] every leaf is a row scan, so the whole tree is the
-    /// reference interpreter and its row stream is the one the columnar
+    /// The provider behind a scan, and its schema. A relation without
+    /// columns is rejected on either plane: no MDM plan scans one (a
+    /// wrapper signature has at least one attribute), and neither plane
+    /// has a shape for it.
+    fn scan_source(&self, relation: &str) -> Result<(&dyn RelationProvider, Schema), ExecError> {
+        let provider = self.catalog.provider(relation).ok_or_else(|| {
+            ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
+        })?;
+        let schema = provider.provider_schema();
+        if schema.is_empty() {
+            return Err(ExecError::permanent(format!(
+                "relation '{relation}' has no columns; a plan must produce at least one"
+            )));
+        }
+        Ok((provider, schema))
+    }
+
+    /// Translates `plan` into the row plane's operator tree: the reference
+    /// interpreter [`Layout::Row`] selects, and the stream the columnar
     /// tree must reproduce byte for byte. Scans go through the per-query
-    /// cache: a relation referenced by `k` branches is fetched (and pays
-    /// retries/breaker events) once, not `k` times. A columnar leaf pulls
-    /// the provider's `columns()`, a row leaf its `rows()`.
-    fn build(&self, plan: &Plan, cache: &ScanCache) -> Result<Built, ExecError> {
-        match plan {
+    /// cache — a relation referenced by `k` branches is fetched (and pays
+    /// retries/breaker events) once, not `k` times — and pull the
+    /// provider's `rows()`.
+    fn build_row(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn Operator>, ExecError> {
+        let op: Box<dyn Operator> = match plan {
             Plan::Scan { relation } => {
-                let provider = self.catalog.provider(relation).ok_or_else(|| {
-                    ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
-                })?;
-                let schema = provider.provider_schema();
-                // A zero-column relation has no columns to carry the row
-                // count, so it stays on the row plane under either layout.
-                if self.options.layout == Layout::Row || schema.is_empty() {
-                    let rows = cache.fetch_or_insert(
-                        relation,
-                        provider.version(),
-                        self.options.epoch,
-                        || self.fetch(relation, provider),
-                    )?;
-                    return Ok(Built::Row(Box::new(ScanExec::new(schema, rows))));
-                }
+                let (provider, schema) = self.scan_source(relation)?;
+                let rows = cache.fetch_or_insert(
+                    relation,
+                    provider.version(),
+                    self.options.epoch,
+                    || self.fetch(relation, provider),
+                )?;
+                Box::new(ScanExec::new(schema, rows))
+            }
+            Plan::Filter { input, predicate } => Box::new(FilterExec::new(
+                self.build_row(input, cache)?,
+                predicate.clone(),
+            )),
+            Plan::Project { input, columns } => {
+                let (exprs, schema) = projection(columns)?;
+                Box::new(ProjectExec::new(
+                    self.build_row(input, cache)?,
+                    exprs,
+                    schema,
+                ))
+            }
+            Plan::Join { left, right, on } => {
+                let left = self.build_row(left, cache)?;
+                let right = self.build_row(right, cache)?;
+                let (left_keys, right_keys) = join_keys(on, left.schema(), right.schema())?;
+                Box::new(HashJoinExec::new(left, right, left_keys, right_keys)?)
+            }
+            Plan::Union { inputs } => Box::new(UnionExec::new(
+                inputs
+                    .iter()
+                    .map(|p| self.build_row(p, cache))
+                    .collect::<Result<_, _>>()?,
+            )?),
+            Plan::Distinct { input } => Box::new(DistinctExec::new(self.build_row(input, cache)?)),
+        };
+        Ok(op)
+    }
+
+    /// [`Executor::build_row`]'s columnar twin, the served plane: the same
+    /// plan shapes over term columns, each scan pulling the provider's
+    /// `columns()` through the same per-query cache.
+    fn build_col(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn ColOperator>, ExecError> {
+        let op: Box<dyn ColOperator> = match plan {
+            Plan::Scan { relation } => {
+                let (provider, schema) = self.scan_source(relation)?;
                 let (columns, len) = cache.fetch_or_insert_columns(
                     relation,
                     provider.version(),
                     self.options.epoch,
                     || self.fetch(relation, provider),
                 )?;
-                Ok(Built::Col(Box::new(ColScan::new(schema, columns, len))))
+                Box::new(ColScan::new(schema, columns, len))
             }
-            Plan::Filter { input, predicate } => match self.build(input, cache)? {
-                Built::Col(child) => Ok(Built::Col(Box::new(ColFilter::new(
-                    child,
-                    predicate.clone(),
-                )))),
-                Built::Row(child) => Ok(Built::Row(Box::new(FilterExec::new(
-                    child,
-                    predicate.clone(),
-                )))),
-            },
+            Plan::Filter { input, predicate } => Box::new(ColFilter::new(
+                self.build_col(input, cache)?,
+                predicate.clone(),
+            )),
             Plan::Project { input, columns } => {
-                let child = self.build(input, cache)?;
-                let exprs: Vec<Expr> = columns.iter().map(|(e, _)| e.clone()).collect();
-                let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
-                match child {
-                    Built::Col(child) if !exprs.is_empty() => {
-                        Ok(Built::Col(Box::new(ColProject::new(child, exprs, schema))))
-                    }
-                    child => Ok(Built::Row(Box::new(ProjectExec::new(
-                        child.into_row(),
-                        exprs,
-                        schema,
-                    )))),
-                }
+                let (exprs, schema) = projection(columns)?;
+                Box::new(ColProject::new(
+                    self.build_col(input, cache)?,
+                    exprs,
+                    schema,
+                ))
             }
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => {
-                let left_built = self.build(left, cache)?;
-                let right_built = self.build(right, cache)?;
-                let mut left_keys = Vec::with_capacity(on.len());
-                let mut right_keys = Vec::with_capacity(on.len());
-                for (l, r) in on {
-                    left_keys.push(
-                        left_built
-                            .schema()
-                            .index_of(l)
-                            .map_err(|e| ExecError::permanent(format!("join key: {e}")))?,
-                    );
-                    right_keys.push(
-                        right_built
-                            .schema()
-                            .index_of(r)
-                            .map_err(|e| ExecError::permanent(format!("join key: {e}")))?,
-                    );
-                }
-                let emit_unmatched_left = matches!(kind, JoinKind::Left);
-                match (left_built, right_built) {
-                    (Built::Col(l), Built::Col(r)) => Ok(Built::Col(Box::new(
-                        ColHashJoin::new(l, r, left_keys, right_keys, emit_unmatched_left)?
-                            .with_pool(self.options.pool.clone()),
-                    ))),
-                    (l, r) => Ok(Built::Row(Box::new(HashJoinExec::new(
-                        l.into_row(),
-                        r.into_row(),
-                        left_keys,
-                        right_keys,
-                        emit_unmatched_left,
-                    )?))),
-                }
+            Plan::Join { left, right, on } => {
+                let left = self.build_col(left, cache)?;
+                let right = self.build_col(right, cache)?;
+                let (left_keys, right_keys) = join_keys(on, left.schema(), right.schema())?;
+                Box::new(
+                    ColHashJoin::new(left, right, left_keys, right_keys)?
+                        .with_pool(self.options.pool.clone()),
+                )
             }
-            Plan::Union { inputs } => {
-                let built = inputs
+            Plan::Union { inputs } => Box::new(ColUnion::new(
+                inputs
                     .iter()
-                    .map(|p| self.build(p, cache))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if built.iter().all(|b| matches!(b, Built::Col(_))) {
-                    let ops = built
-                        .into_iter()
-                        .map(|b| match b {
-                            Built::Col(op) => op,
-                            Built::Row(_) => unreachable!("checked all-columnar"),
-                        })
-                        .collect();
-                    Ok(Built::Col(Box::new(ColUnion::new(ops)?)))
-                } else {
-                    let ops = built.into_iter().map(Built::into_row).collect();
-                    Ok(Built::Row(Box::new(UnionExec::new(ops)?)))
-                }
-            }
-            Plan::Distinct { input } => match self.build(input, cache)? {
-                Built::Col(child) => Ok(Built::Col(Box::new(ColDistinct::new(child)))),
-                Built::Row(child) => Ok(Built::Row(Box::new(DistinctExec::new(child)))),
-            },
-            Plan::Sort { input, keys } => {
-                let child = self.build(input, cache)?.into_row();
-                let resolved = keys
-                    .iter()
-                    .map(|(column, order)| {
-                        child
-                            .schema()
-                            .index_of(column)
-                            .map(|i| (i, matches!(order, SortOrder::Desc)))
-                            .map_err(ExecError::permanent)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Built::Row(Box::new(SortExec::new(child, resolved)?)))
-            }
-            Plan::Limit { input, count } => match self.build(input, cache)? {
-                Built::Col(child) => Ok(Built::Col(Box::new(ColLimit::new(child, *count)))),
-                Built::Row(child) => Ok(Built::Row(Box::new(LimitExec::new(child, *count)))),
-            },
-        }
+                    .map(|p| self.build_col(p, cache))
+                    .collect::<Result<_, _>>()?,
+            )?),
+            Plan::Distinct { input } => Box::new(ColDistinct::new(self.build_col(input, cache)?)),
+        };
+        Ok(op)
     }
+}
+
+/// A π's expressions and output schema. An empty projection is rejected
+/// on either plane, like a scan of a relation without columns.
+fn projection(columns: &[(Expr, ColumnRef)]) -> Result<(Vec<Expr>, Schema), ExecError> {
+    if columns.is_empty() {
+        return Err(ExecError::permanent(
+            "empty projection; a plan must produce at least one column",
+        ));
+    }
+    let exprs = columns.iter().map(|(e, _)| e.clone()).collect();
+    let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
+    Ok((exprs, schema))
+}
+
+/// Resolves a join's `on` pairs to column indices of its two inputs.
+fn join_keys(
+    on: &[(ColumnRef, ColumnRef)],
+    left: &Schema,
+    right: &Schema,
+) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
+    let index = |schema: &Schema, column| {
+        schema
+            .index_of(column)
+            .map_err(|e| ExecError::permanent(format!("join key: {e}")))
+    };
+    on.iter()
+        .map(|(l, r)| Ok((index(left, l)?, index(right, r)?)))
+        .collect()
 }
 
 /// What [`Executor::fetch`] pulls from a provider — rows for the row
@@ -681,34 +681,9 @@ impl Pulled for (EncodedScan, usize) {
     }
 }
 
-/// A physical operator of either layout, as produced by
-/// [`Executor::build`].
-enum Built {
-    Row(Box<dyn Operator>),
-    Col(Box<dyn ColOperator>),
-}
-
-impl Built {
-    fn schema(&self) -> &Schema {
-        match self {
-            Built::Row(op) => op.schema(),
-            Built::Col(op) => op.schema(),
-        }
-    }
-
-    /// Coerces to the row plane, decoding columnar output if needed.
-    fn into_row(self) -> Box<dyn Operator> {
-        match self {
-            Built::Row(op) => op,
-            Built::Col(op) => Box::new(DecodeExec::new(op)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnRef;
     use crate::value::Value;
 
     fn catalog() -> MemoryCatalog {
@@ -803,11 +778,9 @@ mod tests {
     fn filter_sort_limit_pipeline() {
         let catalog = catalog();
         let plan = Plan::scan("w1")
-            .filter(Expr::col("id").binary(crate::expr::BinOp::Gt, Expr::lit(1i64)))
-            .sort_by(&["w1.pName"])
-            .limit(1);
-        let table = Executor::new(&catalog).run(&plan).unwrap();
-        assert_eq!(table.len(), 1);
+            .filter(Expr::col("id").binary(crate::expr::BinOp::Gt, Expr::lit(1i64)));
+        let table = Executor::new(&catalog).run(&plan).unwrap().sorted();
+        assert_eq!(table.len(), 2);
         assert_eq!(table.rows()[0][1], Value::str("Robert Lewandowski"));
     }
 

@@ -20,18 +20,20 @@
 //!   while they are still term batches (∪ → δ → sort over term ids, then
 //!   the query's one decode);
 //! * `physical` (private) — the row plane: a tuple-at-a-time reference
-//!   interpreter (scan, filter, project, hash join, union, distinct, sort,
-//!   limit behind one `next()`). [`Layout::Row`] selects it as the oracle
-//!   the property tests and goldens hold the columnar plane to — it is not
-//!   a performance option — and it is the only home of sort and zero-width
-//!   relations;
+//!   interpreter (scan, filter, project, hash join, union, distinct behind
+//!   one `next()`). [`Layout::Row`] selects it as the oracle the property
+//!   tests and goldens hold the columnar plane to; it is not a performance
+//!   option;
 //! * [`executor`] — a single-plan interpreter: one logical plan plus a
 //!   [`Catalog`] of relation providers in, one materialised [`Table`] out
 //!   ([`Executor::run`]) — or, for a caller that still has merging to do,
 //!   the drained batches undecoded ([`Executor::run_undecoded`]) — with
-//!   per-query scan reuse ([`scan_cache`]). One builder translates a
-//!   plan into operators and decides the layout at the leaves. Fanning the
-//!   branches of a UCQ out across cores lives one level up, in
+//!   per-query scan reuse ([`scan_cache`]). The plane is chosen once per
+//!   plan, from [`ExecOptions::layout`]: both planes cover the same shapes
+//!   (the union of conjunctive queries MDM's rewriting emits — σ, π, inner
+//!   ⋈, ∪, δ), and a plan neither can run (a relation without columns, an
+//!   empty projection) is an error on both. Fanning the branches of a UCQ
+//!   out across cores lives one level up, in
 //!   `mdm_core::query::execute_degraded`, which hands the branches'
 //!   batches to [`columnar::merge_branches`];
 //! * [`pool`] — the bounded, work-stealing scoped-thread worker pool
@@ -63,7 +65,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use algebra::{JoinKind, Plan};
+pub use algebra::Plan;
 pub use columnar::{DictStats, Layout};
 pub use executor::{
     Catalog, ErrorKind, ExecError, ExecOptions, Executor, MemoryCatalog, RelationProvider,

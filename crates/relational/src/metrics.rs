@@ -90,7 +90,7 @@ pub fn optimizer_snapshot() -> OptimizerStats {
 pub struct ColumnarStats {
     /// Values encoded into fixed-width term ids.
     pub encodes: u64,
-    /// Term ids decoded back into `Value`s (render, sort, fallbacks).
+    /// Term ids decoded back into `Value`s (render, merge, replays).
     pub decodes: u64,
     /// Bytes of fixed-width column data produced (16 per term).
     pub column_bytes: u64,

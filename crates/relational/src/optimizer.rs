@@ -24,7 +24,7 @@
 
 use std::collections::HashSet;
 
-use crate::algebra::{JoinKind, Plan};
+use crate::algebra::Plan;
 use crate::expr::{BinOp, Expr};
 use crate::metrics;
 use crate::schema::{ColumnRef, Schema};
@@ -108,7 +108,7 @@ pub struct Optimizer<'a> {
     resolve: &'a dyn Fn(&str) -> Result<Schema, String>,
 }
 
-/// Pre-flight analysis of one inner-join region (see
+/// Pre-flight analysis of one join region (see
 /// [`Optimizer::analyze_region`]); its existence means reordering is safe.
 struct RegionPrep {
     /// Estimated rows per unit.
@@ -157,13 +157,7 @@ impl<'a> Optimizer<'a> {
                 input: Box::new(self.rewrite(*input)),
                 columns,
             },
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => Plan::Join {
-                kind,
+            Plan::Join { left, right, on } => Plan::Join {
                 left: Box::new(self.rewrite(*left)),
                 right: Box::new(self.rewrite(*right)),
                 on,
@@ -184,14 +178,6 @@ impl<'a> Optimizer<'a> {
             Plan::Distinct { input } => Plan::Distinct {
                 input: Box::new(self.rewrite(*input)),
             },
-            Plan::Sort { input, keys } => Plan::Sort {
-                input: Box::new(self.rewrite(*input)),
-                keys,
-            },
-            Plan::Limit { input, count } => Plan::Limit {
-                input: Box::new(self.rewrite(*input)),
-                count,
-            },
             leaf @ Plan::Scan { .. } => leaf,
         }
     }
@@ -208,17 +194,11 @@ impl<'a> Optimizer<'a> {
                         .collect(),
                 )
             }
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => {
+            Plan::Join { left, right, on } => {
                 // Sink into whichever side covers all referenced columns.
                 if self.covers(&left, &predicate) {
                     metrics::record_filter_pushed();
                     Plan::Join {
-                        kind,
                         left: Box::new(self.push_filter(*left, predicate)),
                         right,
                         on,
@@ -226,19 +206,12 @@ impl<'a> Optimizer<'a> {
                 } else if self.covers(&right, &predicate) {
                     metrics::record_filter_pushed();
                     Plan::Join {
-                        kind,
                         left,
                         right: Box::new(self.push_filter(*right, predicate)),
                         on,
                     }
                 } else {
-                    Plan::Join {
-                        kind,
-                        left,
-                        right,
-                        on,
-                    }
-                    .filter(predicate)
+                    Plan::Join { left, right, on }.filter(predicate)
                 }
             }
             other => other.filter(predicate),
@@ -261,8 +234,8 @@ impl<'a> Optimizer<'a> {
     ///
     /// `needed` is the set of column references the consumer requires;
     /// `None` means "everything" (no projection above has restarted the
-    /// set). The set restarts at projections, widens through filters,
-    /// joins and sorts by their own references, and resets to "everything"
+    /// set). The set restarts at projections, widens through filters and
+    /// joins by their own references, and resets to "everything"
     /// at distincts and unions — pruning below a `δ` would change which
     /// rows are duplicates, and union arms may disagree on names.
     fn prune(&self, plan: Plan, needed: Option<&[ColumnRef]>) -> Plan {
@@ -310,12 +283,7 @@ impl<'a> Optimizer<'a> {
                     predicate,
                 }
             }
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => {
+            Plan::Join { left, right, on } => {
                 let widened = needed.map(|base| {
                     let mut refs = base.to_vec();
                     for (l, r) in &on {
@@ -329,31 +297,11 @@ impl<'a> Optimizer<'a> {
                     refs
                 });
                 Plan::Join {
-                    kind,
                     left: Box::new(self.prune(*left, widened.as_deref())),
                     right: Box::new(self.prune(*right, widened.as_deref())),
                     on,
                 }
             }
-            Plan::Sort { input, keys } => {
-                let widened = needed.map(|base| {
-                    let mut refs = base.to_vec();
-                    for (column, _) in &keys {
-                        if !refs.contains(column) {
-                            refs.push(column.clone());
-                        }
-                    }
-                    refs
-                });
-                Plan::Sort {
-                    input: Box::new(self.prune(*input, widened.as_deref())),
-                    keys,
-                }
-            }
-            Plan::Limit { input, count } => Plan::Limit {
-                input: Box::new(self.prune(*input, needed)),
-                count,
-            },
             Plan::Distinct { input } => Plan::Distinct {
                 input: Box::new(self.prune(*input, None)),
             },
@@ -389,8 +337,8 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Greedy join-region reordering: within each maximal tree of inner
-    /// joins, units (non-inner-join subtrees) are re-joined cheapest
+    /// Greedy join-region reordering: within each maximal tree of joins,
+    /// units (non-join subtrees) are re-joined cheapest
     /// estimated join first, left-deep, with the smaller input on the
     /// right (the hash-join build side). Bails out — leaving the region
     /// untouched — whenever statistics are missing, a join condition
@@ -398,21 +346,7 @@ impl<'a> Optimizer<'a> {
     /// not connected, or its schema has ambiguous columns.
     fn reorder(&self, plan: Plan) -> Plan {
         match plan {
-            join @ Plan::Join {
-                kind: JoinKind::Inner,
-                ..
-            } => self.reorder_region(join),
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => Plan::Join {
-                kind,
-                left: Box::new(self.reorder(*left)),
-                right: Box::new(self.reorder(*right)),
-                on,
-            },
+            join @ Plan::Join { .. } => self.reorder_region(join),
             Plan::Filter { input, predicate } => Plan::Filter {
                 input: Box::new(self.reorder(*input)),
                 predicate,
@@ -427,19 +361,11 @@ impl<'a> Optimizer<'a> {
             Plan::Distinct { input } => Plan::Distinct {
                 input: Box::new(self.reorder(*input)),
             },
-            Plan::Sort { input, keys } => Plan::Sort {
-                input: Box::new(self.reorder(*input)),
-                keys,
-            },
-            Plan::Limit { input, count } => Plan::Limit {
-                input: Box::new(self.reorder(*input)),
-                count,
-            },
             leaf @ Plan::Scan { .. } => leaf,
         }
     }
 
-    /// Checks that the region rooted at `plan` (an inner join) can be
+    /// Checks that the region rooted at `plan` (a join) can be
     /// safely reordered, returning the data the greedy pass needs.
     fn analyze_region(&self, plan: &Plan) -> Option<RegionPrep> {
         let mut units: Vec<&Plan> = Vec::new();
@@ -511,22 +437,15 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// Reorders one inner-join region (see [`Optimizer::reorder`]).
+    /// Reorders one join region (see [`Optimizer::reorder`]).
     fn reorder_region(&self, plan: Plan) -> Plan {
         let Some(prep) = self.analyze_region(&plan) else {
             // Not reorderable: keep the region's shape, but still visit
             // the subtrees hanging below it.
-            let Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } = plan
-            else {
+            let Plan::Join { left, right, on } = plan else {
                 unreachable!("reorder_region is only called on joins");
             };
             return Plan::Join {
-                kind,
                 left: Box::new(self.reorder(*left)),
                 right: Box::new(self.reorder(*right)),
                 on,
@@ -572,7 +491,6 @@ impl<'a> Optimizer<'a> {
             }
         }
         let mut tree = Plan::Join {
-            kind: JoinKind::Inner,
             left: Box::new(units[left_unit].take().expect("unit consumed once")),
             right: Box::new(units[right_unit].take().expect("unit consumed once")),
             on,
@@ -626,7 +544,6 @@ impl<'a> Optimizer<'a> {
             tree = if unit_right {
                 leaf_order.push(unit);
                 Plan::Join {
-                    kind: JoinKind::Inner,
                     left: Box::new(tree),
                     right: Box::new(attached),
                     on,
@@ -634,7 +551,6 @@ impl<'a> Optimizer<'a> {
             } else {
                 leaf_order.insert(0, unit);
                 Plan::Join {
-                    kind: JoinKind::Inner,
                     left: Box::new(attached),
                     right: Box::new(tree),
                     on,
@@ -709,13 +625,7 @@ impl<'a> Optimizer<'a> {
                 input: Box::new(self.dedup_branches(*input)),
                 columns,
             },
-            Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-            } => Plan::Join {
-                kind,
+            Plan::Join { left, right, on } => Plan::Join {
                 left: Box::new(self.dedup_branches(*left)),
                 right: Box::new(self.dedup_branches(*right)),
                 on,
@@ -725,14 +635,6 @@ impl<'a> Optimizer<'a> {
                     .into_iter()
                     .map(|arm| self.dedup_branches(arm))
                     .collect(),
-            },
-            Plan::Sort { input, keys } => Plan::Sort {
-                input: Box::new(self.dedup_branches(*input)),
-                keys,
-            },
-            Plan::Limit { input, count } => Plan::Limit {
-                input: Box::new(self.dedup_branches(*input)),
-                count,
             },
             leaf @ Plan::Scan { .. } => leaf,
         }
@@ -750,10 +652,7 @@ impl<'a> Optimizer<'a> {
                 let rows = self.estimate(input)?;
                 Some(self.filter_estimate(rows, predicate))
             }
-            Plan::Project { input, .. } | Plan::Distinct { input } | Plan::Sort { input, .. } => {
-                self.estimate(input)
-            }
-            Plan::Limit { input, count } => self.estimate(input).map(|n| n.min(*count)),
+            Plan::Project { input, .. } | Plan::Distinct { input } => self.estimate(input),
             Plan::Join {
                 left, right, on, ..
             } => {
@@ -818,17 +717,12 @@ impl<'a> Optimizer<'a> {
     }
 }
 
-/// Splits a maximal inner-join tree into its units and conditions,
+/// Splits a maximal join tree into its units and conditions,
 /// in-order (left subtree, node conditions, right subtree). Must traverse
 /// identically to [`region_refs`].
 fn split_region(plan: Plan, units: &mut Vec<Plan>, conds: &mut Vec<(ColumnRef, ColumnRef)>) {
     match plan {
-        Plan::Join {
-            kind: JoinKind::Inner,
-            left,
-            right,
-            on,
-        } => {
+        Plan::Join { left, right, on } => {
             split_region(*left, units, conds);
             conds.extend(on);
             split_region(*right, units, conds);
@@ -844,12 +738,7 @@ fn region_refs<'p>(
     conds: &mut Vec<&'p (ColumnRef, ColumnRef)>,
 ) {
     match plan {
-        Plan::Join {
-            kind: JoinKind::Inner,
-            left,
-            right,
-            on,
-        } => {
+        Plan::Join { left, right, on } => {
             region_refs(left, units, conds);
             conds.extend(on.iter());
             region_refs(right, units, conds);
@@ -928,18 +817,12 @@ fn explain_node(
                 format!("π[{}]", cols.join(", "))
             }
         }
-        Plan::Join { kind, on, .. } => {
-            let symbol = match kind {
-                JoinKind::Inner => "⋈",
-                JoinKind::Left => "⟕",
-            };
+        Plan::Join { on, .. } => {
             let conditions: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
-            format!("{symbol}[{}]", conditions.join(" ∧ "))
+            format!("⋈[{}]", conditions.join(" ∧ "))
         }
         Plan::Union { inputs } => format!("∪ ({} arms)", inputs.len()),
         Plan::Distinct { .. } => "δ".to_string(),
-        Plan::Sort { keys, .. } => format!("sort[{} keys]", keys.len()),
-        Plan::Limit { count, .. } => format!("limit[{count}]"),
     };
     out.push_str(&"  ".repeat(depth));
     out.push_str(&label);
@@ -952,11 +835,9 @@ fn explain_node(
     out.push('\n');
     match plan {
         Plan::Scan { .. } => {}
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => explain_node(input, depth + 1, estimate, actual, out),
+        Plan::Filter { input, .. } | Plan::Project { input, .. } | Plan::Distinct { input } => {
+            explain_node(input, depth + 1, estimate, actual, out)
+        }
         Plan::Join { left, right, .. } => {
             explain_node(left, depth + 1, estimate, actual, out);
             explain_node(right, depth + 1, estimate, actual, out);

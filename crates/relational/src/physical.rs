@@ -2,22 +2,22 @@
 //!
 //! Each operator implements [`Operator`]: a pull-based iterator of tuples
 //! with a known output schema, and nothing else — no batches, no selection
-//! vectors, no worker pool. The served plane is [`columnar`]; this one is
-//! what [`Layout::Row`](crate::Layout::Row) selects, kept small enough to
-//! read in one sitting because the property tests and goldens hold the
-//! columnar kernels to it. It is also where a default-layout plan lands,
-//! through [`DecodeExec`], for the two shapes the columnar plane lacks:
-//! sort and zero-width relations.
+//! vectors, no worker pool. The served plane is
+//! [`columnar`](crate::columnar); this one is what
+//! [`Layout::Row`](crate::Layout::Row) selects, for a whole plan, kept
+//! small enough to read in one sitting because the property tests and
+//! goldens hold the columnar kernels to it. It covers exactly the shapes
+//! the columnar plane does — scan, σ, π, inner ⋈, ∪, δ — and nothing
+//! reaches it from a columnar plan.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::columnar::{self, ColOperator};
-use crate::executor::{ExecError, DEFAULT_BATCH};
+use crate::executor::ExecError;
 use crate::expr::Expr;
 use crate::schema::Schema;
-use crate::value::{Tuple, Value};
+use crate::value::Tuple;
 
 /// A pull-based operator: yields tuples until exhausted.
 pub trait Operator {
@@ -180,10 +180,6 @@ pub struct HashJoinExec {
     table: JoinTable,
     /// Pending output rows from the current probe (a reversed stack).
     pending: Vec<Tuple>,
-    /// For left joins: width of the right side (to emit NULLs) and whether
-    /// to emit unmatched probe rows.
-    right_width: usize,
-    emit_unmatched_left: bool,
 }
 
 impl HashJoinExec {
@@ -194,10 +190,8 @@ impl HashJoinExec {
         right: Box<dyn Operator>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        emit_unmatched_left: bool,
     ) -> Result<Self, ExecError> {
         let schema = left.schema().concat(right.schema());
-        let right_width = right.schema().len();
         let rows = drain(right)?;
         let mut buckets: HashMap<u64, Vec<u32>> = HashMap::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
@@ -219,8 +213,6 @@ impl HashJoinExec {
                 right_keys,
             },
             pending: Vec::new(),
-            right_width,
-            emit_unmatched_left,
         })
     }
 
@@ -228,24 +220,19 @@ impl HashJoinExec {
     /// (matches keep build-insertion order — bucket ids are appended in
     /// build order).
     fn probe_one(&self, probe: &Tuple, out: &mut Vec<Tuple>) {
-        let mut matched = false;
-        if !self.left_keys.iter().any(|&k| probe[k].is_null()) {
-            if let Some(bucket) = self.table.buckets.get(&key_hash(probe, &self.left_keys)) {
-                for &row_id in bucket {
-                    let build = &self.table.rows[row_id as usize];
-                    if keys_match(probe, &self.left_keys, build, &self.table.right_keys) {
-                        matched = true;
-                        let mut combined = probe.clone();
-                        combined.extend(build.iter().cloned());
-                        out.push(combined);
-                    }
-                }
-            }
+        if self.left_keys.iter().any(|&k| probe[k].is_null()) {
+            return;
         }
-        if !matched && self.emit_unmatched_left {
-            let mut combined = probe.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, self.right_width));
-            out.push(combined);
+        let Some(bucket) = self.table.buckets.get(&key_hash(probe, &self.left_keys)) else {
+            return;
+        };
+        for &row_id in bucket {
+            let build = &self.table.rows[row_id as usize];
+            if keys_match(probe, &self.left_keys, build, &self.table.right_keys) {
+                let mut combined = probe.clone();
+                combined.extend(build.iter().cloned());
+                out.push(combined);
+            }
         }
     }
 }
@@ -353,124 +340,11 @@ impl Operator for DistinctExec {
     }
 }
 
-/// Sort — materialises and sorts by key columns.
-pub struct SortExec {
-    schema: Schema,
-    rows: std::vec::IntoIter<Tuple>,
-}
-
-impl SortExec {
-    pub fn new(
-        input: Box<dyn Operator>,
-        keys: Vec<(usize, bool)>, // (column index, descending?)
-    ) -> Result<Self, ExecError> {
-        let schema = input.schema().clone();
-        let mut rows = drain(input)?;
-        rows.sort_by(|a, b| {
-            for &(index, descending) in &keys {
-                let ordering = a[index].cmp(&b[index]);
-                let ordering = if descending {
-                    ordering.reverse()
-                } else {
-                    ordering
-                };
-                if !ordering.is_eq() {
-                    return ordering;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        Ok(SortExec {
-            schema,
-            rows: rows.into_iter(),
-        })
-    }
-}
-
-impl Operator for SortExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Tuple, ExecError>> {
-        self.rows.next().map(Ok)
-    }
-}
-
-/// Limit — yields the first `count` tuples.
-pub struct LimitExec {
-    input: Box<dyn Operator>,
-    remaining: usize,
-}
-
-impl LimitExec {
-    pub fn new(input: Box<dyn Operator>, count: usize) -> Self {
-        LimitExec {
-            input,
-            remaining: count,
-        }
-    }
-}
-
-impl Operator for LimitExec {
-    fn schema(&self) -> &Schema {
-        self.input.schema()
-    }
-
-    fn next(&mut self) -> Option<Result<Tuple, ExecError>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.input.next()
-    }
-}
-
-/// Adapter from the columnar plane back into the row plane: decodes each
-/// [`columnar::ColumnBatch`] into tuples. The executor inserts one wherever
-/// a plan stage only exists row-wise (sort) or a tree mixes layouts (a
-/// row-plane join with one columnar side).
-pub struct DecodeExec {
-    input: Box<dyn ColOperator>,
-    schema: Schema,
-    buffered: std::collections::VecDeque<Tuple>,
-}
-
-impl DecodeExec {
-    pub fn new(input: Box<dyn ColOperator>) -> Self {
-        let schema = input.schema().clone();
-        DecodeExec {
-            input,
-            schema,
-            buffered: std::collections::VecDeque::new(),
-        }
-    }
-}
-
-impl Operator for DecodeExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Tuple, ExecError>> {
-        loop {
-            if let Some(tuple) = self.buffered.pop_front() {
-                return Some(Ok(tuple));
-            }
-            match self.input.next_cols(DEFAULT_BATCH)? {
-                Err(e) => return Some(Err(e)),
-                Ok(batch) => self
-                    .buffered
-                    .extend(columnar::decode_batches(std::slice::from_ref(&batch))),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::ColumnRef;
+    use crate::value::Value;
 
     fn players() -> ScanExec {
         ScanExec::new(
@@ -529,7 +403,6 @@ mod tests {
             Box::new(teams()),
             vec![2], // teamId
             vec![0], // id
-            false,
         )
         .unwrap();
         let mut rows = drain(Box::new(join)).unwrap();
@@ -545,33 +418,12 @@ mod tests {
             Schema::qualified("l", ["k"]),
             vec![vec![Value::Float(25.0)], vec![Value::Int(31)]],
         );
-        let join =
-            HashJoinExec::new(Box::new(left), Box::new(teams()), vec![0], vec![0], false).unwrap();
+        let join = HashJoinExec::new(Box::new(left), Box::new(teams()), vec![0], vec![0]).unwrap();
         let rows = drain(Box::new(join)).unwrap();
         // 25.0 joins 25 and 31 joins 31: coercing hash and equality agree.
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][2], Value::str("FC Barcelona"));
         assert_eq!(rows[1][2], Value::str("Juventus"));
-    }
-
-    #[test]
-    fn left_join_emits_nulls_for_unmatched() {
-        let join = HashJoinExec::new(
-            Box::new(players()),
-            Box::new(teams()),
-            vec![2],
-            vec![0],
-            true,
-        )
-        .unwrap();
-        let rows = drain(Box::new(join)).unwrap();
-        assert_eq!(rows.len(), 3);
-        let unattached = rows
-            .iter()
-            .find(|r| r[1] == Value::str("Unattached"))
-            .unwrap();
-        assert!(unattached[3].is_null());
-        assert!(unattached[4].is_null());
     }
 
     #[test]
@@ -601,32 +453,9 @@ mod tests {
     }
 
     #[test]
-    fn sort_orders_rows() {
-        let s = SortExec::new(Box::new(teams()), vec![(1, false)]).unwrap();
-        let rows = drain(Box::new(s)).unwrap();
-        assert_eq!(rows[0][1], Value::str("Bayern Munich"));
-        let s = SortExec::new(Box::new(teams()), vec![(1, true)]).unwrap();
-        let rows = drain(Box::new(s)).unwrap();
-        assert_eq!(rows[0][1], Value::str("Juventus"));
-    }
-
-    #[test]
-    fn limit_truncates() {
-        let l = LimitExec::new(Box::new(teams()), 2);
-        let rows = drain(Box::new(l)).unwrap();
-        assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
     fn join_schema_is_qualified_concat() {
-        let join = HashJoinExec::new(
-            Box::new(players()),
-            Box::new(teams()),
-            vec![2],
-            vec![0],
-            false,
-        )
-        .unwrap();
+        let join =
+            HashJoinExec::new(Box::new(players()), Box::new(teams()), vec![2], vec![0]).unwrap();
         assert_eq!(
             join.schema()
                 .index_of(&ColumnRef::qualified("w2", "name"))

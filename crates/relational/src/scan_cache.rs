@@ -16,8 +16,8 @@
 //! are ([`RelationProvider::columns`](crate::RelationProvider::columns) —
 //! for a wrapper the set it keeps resident per release, so a warm query
 //! neither clones rows nor encodes), a row-plane scan (the [`Layout::Row`]
-//! oracle, zero-width schemas) caches `rows()`. The two are memoised
-//! independently; nothing served mixes planes within one query. The cache
+//! oracle) caches `rows()`. The two are memoised independently; a plan
+//! runs on one plane, so one query fills one of them. The cache
 //! itself owns no data beyond the query: residency, and with it
 //! invalidation, belongs to the provider instance.
 //!

