@@ -307,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn distinct_and_limit_render() {
+    fn distinct_renders() {
         let p = Plan::scan("w").distinct();
         assert_eq!(p.to_string(), "δ(w)");
     }

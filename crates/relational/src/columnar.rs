@@ -18,10 +18,18 @@
 //! id, so the coercing `Value` semantics (`Int(1) == Float(1.0)`,
 //! `NaN != NaN` under `=` but `NaN ≤ NaN` under `total_cmp`) are
 //! re-implemented over terms rather than approximated.
+//!
+//! Join and δ tables are keyed by `key_hash`es — already mixed — and
+//! hashed once more by `KeyState`, a per-process keyed multiply, not
+//! SipHash. A single-key hash join does not build a table at all: it
+//! probes the chain index its build column owns ([`TypedColumn`] fills it
+//! once), so a wrapper's resident release is indexed once for its
+//! lifetime, not once per branch per query. Only multi-key joins (and
+//! joins over gathered, per-query columns) still build per execution.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
@@ -173,6 +181,117 @@ pub(crate) fn key_hash(terms: impl IntoIterator<Item = TermId>) -> u64 {
     h
 }
 
+/// The hasher of every `u64`-keyed table in this module (join chains, δ's
+/// seen set). Its keys are [`key_hash`]es, already mixed, so SipHash's
+/// rounds buy nothing; what must survive is the *keying*: where a key
+/// lands depends on seeds drawn once per process from [`RandomState`], so
+/// a source cannot pick values that pile into one bucket. Chains verify
+/// every candidate with [`term_eq`], so the hasher decides speed only.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyState {
+    seed: u64,
+    /// An odd 32-bit word shifted into the high half: the folded
+    /// product's low word is then `(key ^ seed)`'s high word times an odd
+    /// number (one-to-one onto the bucket bits) plus the top of its low
+    /// word's product (Fibonacci-style), so both halves of a key reach
+    /// the bucket index.
+    mul: u64,
+}
+
+impl Default for KeyState {
+    fn default() -> Self {
+        static SEEDS: OnceLock<KeyState> = OnceLock::new();
+        *SEEDS.get_or_init(|| {
+            let random = RandomState::new();
+            KeyState {
+                seed: random.hash_one(0u64),
+                mul: (random.hash_one(1u64) | 1) << 32,
+            }
+        })
+    }
+}
+
+impl BuildHasher for KeyState {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher {
+            state: *self,
+            key: 0,
+        }
+    }
+}
+
+/// [`KeyState`]'s hasher: a folded 64×64→128 multiply of `key ^ seed`.
+pub(crate) struct KeyHasher {
+    state: KeyState,
+    key: u64,
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.key = self.key.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.key = key;
+    }
+
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.key ^ self.state.seed) * u128::from(self.state.mul);
+        product as u64 ^ (product >> 64) as u64
+    }
+}
+
+/// A `u64`-keyed chain-head table under [`KeyState`].
+type Heads = HashMap<u64, u32, KeyState>;
+
+/// A chained hash index over rows `0..len` of a column set: `heads` maps a
+/// key's [`key_hash`] to its first row, `next` links each row to the next
+/// with the same hash (`u32::MAX` terminated) — parallel arrays instead of
+/// a per-key `Vec` per bucket, so building allocates O(1) times regardless
+/// of key distribution. Rows with a NULL key are left out (NULL never
+/// joins).
+#[derive(Debug)]
+struct ChainIndex {
+    heads: Heads,
+    next: Vec<u32>,
+}
+
+impl ChainIndex {
+    /// Indexes `len` rows keyed on `keys` (one term slice per key column).
+    fn build(keys: &[&[TermId]], len: usize) -> ChainIndex {
+        metrics::record_index_build();
+        let mut heads = Heads::with_capacity_and_hasher(len, KeyState::default());
+        let mut next = vec![u32::MAX; len];
+        // Insert in reverse build order: chains grow at the head, so a
+        // forward walk then replays build order — match emission order
+        // stays byte-identical with the row plane's bucket vectors.
+        for i in (0..len).rev() {
+            if keys.iter().any(|k| k[i].is_null()) {
+                continue;
+            }
+            let h = key_hash(keys.iter().map(|k| k[i]));
+            next[i] = heads.insert(h, i as u32).unwrap_or(u32::MAX);
+        }
+        ChainIndex { heads, next }
+    }
+
+    /// The first row whose key hashes to `hash`, or `u32::MAX`.
+    fn head(&self, hash: u64) -> u32 {
+        self.heads.get(&hash).copied().unwrap_or(u32::MAX)
+    }
+
+    /// What the index holds: a `(hash, head)` slot per unit of map
+    /// capacity plus one `next` link per row.
+    fn bytes(&self) -> usize {
+        self.heads.capacity() * std::mem::size_of::<(u64, u32)>()
+            + self.next.len() * std::mem::size_of::<u32>()
+    }
+}
+
 /// Dictionary shard count; matches the intern pool's sharding so parallel
 /// encodes spread the same way parallel interns do.
 const DICT_SHARDS: usize = 16;
@@ -288,10 +407,7 @@ pub fn encode_rows(rows: &[Tuple], width: usize) -> Vec<Arc<TypedColumn>> {
         }
     }
     metrics::record_encodes((rows.len() * width) as u64);
-    columns
-        .into_iter()
-        .map(|ids| Arc::new(TypedColumn { ids }))
-        .collect()
+    columns.into_iter().map(TypedColumn::shared).collect()
 }
 
 /// Decodes terms back into `Value`s, caching one read guard per touched
@@ -389,13 +505,24 @@ impl Drop for Decoder<'_> {
     }
 }
 
-/// A shared, immutable column of fixed-width terms.
+/// A shared, immutable column of fixed-width terms, plus — once a
+/// single-key hash join has built on it — that join's chain index over its
+/// own ids. The index lives exactly as long as the column: on a wrapper's
+/// resident column that is the release, on a gathered one the query.
 #[derive(Debug)]
 pub struct TypedColumn {
     ids: Vec<TermId>,
+    index: OnceLock<Arc<ChainIndex>>,
 }
 
 impl TypedColumn {
+    fn shared(ids: Vec<TermId>) -> Arc<TypedColumn> {
+        Arc::new(TypedColumn {
+            ids,
+            index: OnceLock::new(),
+        })
+    }
+
     /// Physical length (ignoring any selection).
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
@@ -404,6 +531,22 @@ impl TypedColumn {
     /// The physical terms, in row order.
     pub(crate) fn terms(&self) -> &[TermId] {
         &self.ids
+    }
+
+    /// This column's single-key join index, built on first use. Joins
+    /// racing for it serialise on the cell; the first builds, the rest
+    /// share.
+    fn index(&self) -> Arc<ChainIndex> {
+        Arc::clone(
+            self.index
+                .get_or_init(|| Arc::new(ChainIndex::build(&[&self.ids], self.ids.len()))),
+        )
+    }
+
+    /// Bytes of the join index this column holds, 0 until a single-key
+    /// hash join built on it.
+    pub fn index_bytes(&self) -> usize {
+        self.index.get().map_or(0, |index| index.bytes())
     }
 }
 
@@ -486,8 +629,9 @@ pub trait ColOperator {
 }
 
 /// Drains `op` into a single column set (the hash-join build side). A
-/// single full batch passes through zero-copy; anything else gathers into
-/// fresh dense columns.
+/// single full batch — a whole scan, or a pure π of one — passes through
+/// zero-copy, so a join index built on it lands on the provider's resident
+/// column; anything else gathers into fresh dense columns.
 pub(crate) fn drain_columns(
     op: &mut dyn ColOperator,
 ) -> Result<(Vec<Arc<TypedColumn>>, usize), ExecError> {
@@ -502,7 +646,7 @@ pub(crate) fn drain_columns(
     match batches.len() {
         0 => Ok((
             (0..width)
-                .map(|_| Arc::new(TypedColumn { ids: Vec::new() }))
+                .map(|_| TypedColumn::shared(Vec::new()))
                 .collect(),
             0,
         )),
@@ -523,10 +667,7 @@ pub(crate) fn drain_columns(
                 }
             }
             Ok((
-                columns
-                    .into_iter()
-                    .map(|ids| Arc::new(TypedColumn { ids }))
-                    .collect(),
+                columns.into_iter().map(TypedColumn::shared).collect(),
                 total,
             ))
         }
@@ -883,9 +1024,7 @@ impl ColProject {
         };
         if let Ok(vecs) = vecs {
             return Ok(ColumnBatch::all(
-                vecs.into_iter()
-                    .map(|ids| Arc::new(TypedColumn { ids }))
-                    .collect(),
+                vecs.into_iter().map(TypedColumn::shared).collect(),
             ));
         }
         // Row-wise replay for the exact row-order error (or, when no row
@@ -930,36 +1069,31 @@ impl ColOperator for ColProject {
 /// Probe batches below this width are not worth fanning out.
 const PARALLEL_PROBE_MIN: usize = 512;
 
-/// The build side of a columnar hash join: dense term columns plus a
-/// chained hash index (`heads` + `next`, `u32::MAX` terminated) — parallel
-/// arrays instead of a per-key `Vec` per bucket, so building allocates
-/// O(1) times regardless of key distribution.
+/// The build side of a columnar hash join: its term columns plus a
+/// [`ChainIndex`] over them. A single-key join takes the index its key
+/// column owns ([`TypedColumn::index`]) — built once per column, so once
+/// per wrapper release when the build side is a whole resident scan or a
+/// pure π of one. A multi-key join builds a private index per join, as
+/// does any join over gathered columns (fresh per query either way).
 struct BuildTable {
     columns: Vec<Arc<TypedColumn>>,
     keys: Vec<usize>,
-    heads: HashMap<u64, u32>,
-    next: Vec<u32>,
+    chains: Arc<ChainIndex>,
 }
 
 impl BuildTable {
     fn new(columns: Vec<Arc<TypedColumn>>, len: usize, keys: Vec<usize>) -> BuildTable {
-        let mut heads: HashMap<u64, u32> = HashMap::with_capacity(len);
-        let mut next = vec![u32::MAX; len];
-        // Insert in reverse build order: chains grow at the head, so a
-        // forward walk then replays build order — match emission order
-        // stays byte-identical with the row plane's bucket vectors.
-        for i in (0..len).rev() {
-            if keys.iter().any(|&k| columns[k].ids[i].is_null()) {
-                continue;
+        let chains = match keys[..] {
+            [key] => columns[key].index(),
+            _ => {
+                let terms: Vec<&[TermId]> = keys.iter().map(|&k| columns[k].terms()).collect();
+                Arc::new(ChainIndex::build(&terms, len))
             }
-            let h = key_hash(keys.iter().map(|&k| columns[k].ids[i]));
-            next[i] = heads.insert(h, i as u32).unwrap_or(u32::MAX);
-        }
+        };
         BuildTable {
             columns,
             keys,
-            heads,
-            next,
+            chains,
         }
     }
 }
@@ -982,7 +1116,7 @@ fn probe_range_cols(
         {
             continue;
         }
-        let mut j = table.heads.get(hash).copied().unwrap_or(u32::MAX);
+        let mut j = table.chains.head(*hash);
         while j != u32::MAX {
             let ok = left_keys.iter().zip(&table.keys).all(|(&l, &r)| {
                 term_eq(
@@ -993,7 +1127,7 @@ fn probe_range_cols(
             if ok {
                 out.push((probe_row as u32, j));
             }
-            j = table.next[j as usize];
+            j = table.chains.next[j as usize];
         }
     }
 }
@@ -1106,9 +1240,7 @@ impl ColOperator for ColHashJoin {
             return None;
         }
         Some(Ok(ColumnBatch::all(
-            out.into_iter()
-                .map(|ids| Arc::new(TypedColumn { ids }))
-                .collect(),
+            out.into_iter().map(TypedColumn::shared).collect(),
         )))
     }
 }
@@ -1169,7 +1301,7 @@ pub struct ColDistinct {
     /// (kept set index, physical row) per distinct row, chain-linked.
     entries: Vec<(u32, u32)>,
     next: Vec<u32>,
-    heads: HashMap<u64, u32>,
+    heads: Heads,
 }
 
 impl ColDistinct {
@@ -1179,7 +1311,7 @@ impl ColDistinct {
             kept: Vec::new(),
             entries: Vec::new(),
             next: Vec::new(),
-            heads: HashMap::new(),
+            heads: Heads::default(),
         }
     }
 
@@ -1489,6 +1621,20 @@ mod tests {
                 assert_eq!(dec.cmp(ta, tb), a.cmp(b), "{a:?} vs {b:?}");
             }
         }
+    }
+
+    /// The keyed hasher must carry a key's high word into the bucket bits.
+    /// Keys `k << 32` differ only there: a pass-through hasher maps all
+    /// 65 536 of them to low-16-bit value 0.
+    #[test]
+    fn key_hasher_spreads_high_bits_into_the_bucket_bits() {
+        let state = KeyState::default();
+        let mut seen = vec![false; 1 << 16];
+        for k in 0..1u64 << 16 {
+            seen[(state.hash_one(k << 32) & 0xffff) as usize] = true;
+        }
+        let distinct = seen.iter().filter(|&&s| s).count();
+        assert!(distinct >= 60_000, "{distinct} distinct low-16-bit hashes");
     }
 
     fn batch_of(rows: Vec<Tuple>, width: usize) -> ColumnBatch {

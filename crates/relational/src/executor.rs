@@ -775,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_sort_limit_pipeline() {
+    fn filter_then_sorted_table() {
         let catalog = catalog();
         let plan = Plan::scan("w1")
             .filter(Expr::col("id").binary(crate::expr::BinOp::Gt, Expr::lit(1i64)));

@@ -15,6 +15,7 @@ static COL_ENCODES: AtomicU64 = AtomicU64::new(0);
 static COL_DECODES: AtomicU64 = AtomicU64::new(0);
 static COL_BYTES: AtomicU64 = AtomicU64::new(0);
 static COL_KERNELS: AtomicU64 = AtomicU64::new(0);
+static COL_INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 static JOINS_REORDERED: AtomicU64 = AtomicU64::new(0);
 static FILTERS_PUSHED: AtomicU64 = AtomicU64::new(0);
 static PROJECTIONS_PRUNED: AtomicU64 = AtomicU64::new(0);
@@ -40,6 +41,12 @@ pub(crate) fn record_decodes(terms: u64) {
 /// Records one vectorized kernel invocation (filter/join/distinct/project).
 pub(crate) fn record_kernel() {
     COL_KERNELS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Records one hash-join chain index built (a column's own index filled,
+/// or a multi-key join's private one).
+pub(crate) fn record_index_build() {
+    COL_INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one join whose inputs were reordered by the optimizer.
@@ -96,6 +103,10 @@ pub struct ColumnarStats {
     pub column_bytes: u64,
     /// Vectorized kernel invocations (filter/join/distinct/project).
     pub kernel_invocations: u64,
+    /// Hash-join chain indexes built: one per column index filled (a
+    /// single-key join's build column, once per column) and one per
+    /// multi-key join (a private index, every execution).
+    pub index_builds: u64,
 }
 
 /// A point-in-time view of the data-plane counters.
@@ -124,6 +135,7 @@ pub fn snapshot() -> DataPlaneStats {
             decodes: COL_DECODES.load(Ordering::Relaxed),
             column_bytes: COL_BYTES.load(Ordering::Relaxed),
             kernel_invocations: COL_KERNELS.load(Ordering::Relaxed),
+            index_builds: COL_INDEX_BUILDS.load(Ordering::Relaxed),
         },
         dict: crate::columnar::dict_stats(),
     }

@@ -202,7 +202,7 @@ fn deep_plan_nesting_executes() {
 }
 
 #[test]
-fn sort_with_mixed_types_is_total() {
+fn sorted_table_with_mixed_types_is_total() {
     let mut catalog = MemoryCatalog::new();
     register(
         &mut catalog,

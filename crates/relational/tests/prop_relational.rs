@@ -173,7 +173,7 @@ proptest! {
     /// `Table::sorted` (the order every MDM answer is rendered in) orders
     /// full rows under `Value`'s total order and keeps every row.
     #[test]
-    fn sort_limit_laws(a in arb_table("a")) {
+    fn sorted_table_laws(a in arb_table("a")) {
         let a_len = a.len();
         let catalog = {
             let mut c = MemoryCatalog::new();

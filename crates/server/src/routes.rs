@@ -418,14 +418,13 @@ fn metrics(state: &AppState) -> Response {
         ])
     }));
     let dp = mdm_relational::metrics::snapshot();
-    // What keeping each release resident as term columns costs right now,
-    // read off the wrappers that own the columns.
+    // What keeping each release resident as term columns (and the join
+    // indexes built on them) costs right now, read off the wrappers that
+    // own the columns.
     let catalog = mdm.catalog();
-    let resident: Vec<usize> = catalog
-        .names()
-        .into_iter()
-        .filter_map(|name| catalog.get(name)?.resident_bytes())
-        .collect();
+    let wrappers = || catalog.names().into_iter().filter_map(|n| catalog.get(n));
+    let resident: Vec<usize> = wrappers().filter_map(|w| w.resident_bytes()).collect();
+    let resident_index_bytes: usize = wrappers().map(|w| w.resident_index_bytes()).sum();
     let data_plane = Value::object([
         ("rows_moved", Value::int(dp.rows_moved as i64)),
         ("batches_emitted", Value::int(dp.batches_emitted as i64)),
@@ -450,10 +449,15 @@ fn metrics(state: &AppState) -> Response {
                     "kernel_invocations",
                     Value::int(dp.columnar.kernel_invocations as i64),
                 ),
+                ("index_builds", Value::int(dp.columnar.index_builds as i64)),
                 ("resident_relations", Value::int(resident.len() as i64)),
                 (
                     "resident_bytes",
                     Value::int(resident.iter().sum::<usize>() as i64),
+                ),
+                (
+                    "resident_index_bytes",
+                    Value::int(resident_index_bytes as i64),
                 ),
             ]),
         ),

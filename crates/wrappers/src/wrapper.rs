@@ -304,6 +304,17 @@ impl Wrapper {
         Some(rows * self.signature.arity() * 16)
     }
 
+    /// Bytes of the hash-join indexes built on this instance's resident
+    /// columns (one per column a single-key join has built on); 0 until a
+    /// join indexed one. They are owned by the columns, so they go with
+    /// this instance, like the columns themselves.
+    pub fn resident_index_bytes(&self) -> usize {
+        match self.columns.get() {
+            Some(Ok((columns, _))) => columns.iter().map(|c| c.index_bytes()).sum(),
+            _ => 0,
+        }
+    }
+
     /// Counts one simulated fetch and draws its fate from the attached
     /// plan, if any: an injected failure is the `Err`, `Ok(None)` serves
     /// the clean payload (memoised), `Ok(Some(body))` is a truncated body

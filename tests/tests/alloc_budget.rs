@@ -69,13 +69,16 @@ fn e6_at_10k() -> (SyntheticEcosystem, Mdm) {
 }
 
 /// Heap-allocation ceiling for one warmed sequential E6 execution at 10k
-/// rows per wrapper. Measured 44,395 allocations on the recording machine
+/// rows per wrapper. Measured 44,371 allocations on the recording machine
 /// (≈1 per result row — operators move 16-byte term ids, every wrapper's
 /// release is resident as term columns so a warm scan is an `Arc` clone,
-/// and only the surviving result rows decode back into `Value`s). The
-/// parent of the change that made the columns resident spent 84,447: its
-/// scans cloned each wrapper's memoised rows (one `Vec` per fetched row,
-/// 40,000 of them) and re-encoded them every query. The row plane spent
+/// each of the plan's four single-key joins probes the index its resident
+/// build column kept instead of allocating a fresh map and `next` array,
+/// and only the surviving result rows decode back into `Value`s). Before
+/// the join indexes moved onto the columns it was 44,395. The parent of
+/// the change that made the columns resident spent 84,447: its scans
+/// cloned each wrapper's memoised rows (one `Vec` per fetched row, 40,000
+/// of them) and re-encoded them every query. The row plane spent
 /// ~882k here, ≈22 per result row. The ceiling leaves ~10% headroom for
 /// stdlib drift while still catching a regression that brings back a
 /// per-query row clone or silently falls back to row-at-a-time decode —
@@ -115,11 +118,13 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
 
 /// Heap-allocation ceiling for one warmed, sequential
 /// `Mdm::query_degraded` of the same walk — the *served* path: four branch
-/// executions, the UCQ merge, one decode. Measured 45,530 allocations on
+/// executions, the UCQ merge, one decode. Measured 45,506 allocations on
 /// the recording machine for a 39,171-row answer: one `Vec` per result row
 /// (the decoded tuple) and a few thousand for plans, batches and the
-/// merge's buffers. The parent of the change that made wrapper columns
-/// resident spent 85,582 here: one more `Vec` per fetched input row
+/// merge's buffers; no join builds a table of its own once the resident
+/// build columns hold their indexes (45,530 before they did). The parent
+/// of the change that made wrapper columns resident spent 85,582 here:
+/// one more `Vec` per fetched input row
 /// (`RelationProvider::rows` cloned each wrapper's 10k rows every query)
 /// plus the per-query column `Vec`s of the re-encode. Two changes back —
 /// before the merge moved onto term ids — it was 129,378: every branch

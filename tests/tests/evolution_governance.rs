@@ -2,15 +2,30 @@
 //! differential under randomized evolution streams (the measured core of
 //! experiment P3).
 
-use mdm_core::synthetic::{chain_walk, mdm_from_synthetic};
-use mdm_core::usecase;
-use mdm_relational::{Deadline, Layout};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use mdm_core::rewrite::plan_for_cq;
+use mdm_core::synthetic::{chain_walk, mdm_from_synthetic, register_synthetic_wrapper};
+use mdm_core::{usecase, Mdm, Walk};
+use mdm_relational::{metrics, Deadline, Layout, Plan, StatsCatalog};
 use mdm_wrappers::football;
 use mdm_wrappers::workload::{build, evolve_all, WorkloadConfig};
 use mdm_wrappers::Wrapper;
 
+/// One test at a time: every test here runs queries, and
+/// [`join_indexes_live_and_die_with_the_release_they_index`] counts the
+/// process-wide `index_builds`.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn e8_queries_survive_the_breaking_release() {
+    let _serial = serial();
     let eco = football::build_default();
     let mut mdm = usecase::football_mdm(&eco).unwrap();
     let walk = usecase::figure8_walk();
@@ -48,6 +63,7 @@ fn e8_queries_survive_the_breaking_release() {
 /// wrapper per query however many branches share it.
 #[test]
 fn resident_columns_never_outlive_the_release_they_encode() {
+    let _serial = serial();
     let walk = usecase::figure8_walk();
     for layout in [Layout::Columnar, Layout::Row] {
         for threads in [1, 4] {
@@ -111,8 +127,125 @@ fn resident_columns_never_outlive_the_release_they_encode() {
     }
 }
 
+/// Multi-key joins across every branch plan of `walk`'s rewriting: the
+/// joins that build a private index on every execution. (The optimizer
+/// may swap a join's sides, never how many keys it carries, on these
+/// two-wrapper branches.)
+fn multi_key_joins(mdm: &Mdm, walk: &Walk) -> u64 {
+    fn count(plan: &Plan) -> u64 {
+        match plan {
+            Plan::Scan { .. } => 0,
+            Plan::Filter { input, .. } | Plan::Project { input, .. } | Plan::Distinct { input } => {
+                count(input)
+            }
+            Plan::Join { left, right, on } => u64::from(on.len() > 1) + count(left) + count(right),
+            Plan::Union { inputs } => inputs.iter().map(count).sum(),
+        }
+    }
+    let rewriting = mdm.rewrite(walk).unwrap();
+    rewriting
+        .queries
+        .iter()
+        .map(|cq| count(&plan_for_cq(cq, &rewriting.output_columns).unwrap()))
+        .sum()
+}
+
+/// A single-key join builds on its key column's own index, so a release
+/// kept resident is indexed once, by its first query, and the index goes
+/// when the release does. Warm queries build only what multi-key joins
+/// build privately.
+#[test]
+fn join_indexes_live_and_die_with_the_release_they_index() {
+    let _serial = serial();
+    // The 2-concept × 2-version chain at 10k rows, with C0's third version
+    // held back as the release.
+    let mut eco = build(&WorkloadConfig {
+        concepts: 2,
+        features_per_concept: 3,
+        versions_per_source: 3,
+        rows_per_wrapper: 10_000,
+        seed: 42,
+    });
+    let release = eco.sources[0].wrappers.pop().unwrap();
+    eco.sources[1].wrappers.pop();
+    let mut mdm = mdm_from_synthetic(&eco).unwrap();
+    // Statistics of its own: the process-wide catalog keeps what earlier
+    // tests observed under the same wrapper names, and the optimizer's
+    // build sides — which columns get indexed — follow the statistics.
+    mdm.set_stats_catalog(Arc::new(StatsCatalog::new()));
+    let walk = chain_walk(&eco, 2);
+
+    let builds = || metrics::snapshot().columnar.index_builds;
+    let served = |mdm: &Mdm| -> u64 {
+        let before = builds();
+        let answer = mdm.query_degraded(&walk, Deadline::none()).unwrap();
+        assert!(answer.completeness.is_complete());
+        builds() - before
+    };
+    let bytes = |mdm: &Mdm, name: &str| mdm.catalog().get(name).unwrap().resident_index_bytes();
+    let total = |mdm: &Mdm| -> usize {
+        let names = mdm.catalog().names();
+        names.into_iter().map(|name| bytes(mdm, name)).sum()
+    };
+    // Columns of `name`'s resident release carrying an index.
+    let indexed = |mdm: &Mdm, name: &str| -> u64 {
+        let (columns, _) = mdm.catalog().get(name).unwrap().columns().unwrap();
+        columns.iter().filter(|c| c.index_bytes() > 0).count() as u64
+    };
+
+    let multi = multi_key_joins(&mdm, &walk);
+    let cold = served(&mdm);
+    let names: Vec<String> = mdm
+        .catalog()
+        .names()
+        .into_iter()
+        .map(String::from)
+        .collect();
+    let filled: u64 = names.iter().map(|name| indexed(&mdm, name)).sum();
+    assert!(filled > 0, "no single-key join built on a resident column");
+    assert_eq!(cold, multi + filled);
+    let resident = total(&mdm);
+    assert_eq!(served(&mdm), multi, "a warm query rebuilt a column index");
+    assert_eq!(total(&mdm), resident);
+
+    // A C0 release: its own resident columns get their own indexes, once,
+    // and every other release keeps the ones it has.
+    let released = release.name().to_string();
+    register_synthetic_wrapper(&mut mdm, &eco, 0, release).unwrap();
+    let multi = multi_key_joins(&mdm, &walk);
+    let first = served(&mdm);
+    let own = indexed(&mdm, &released);
+    assert!(own > 0, "the release was never a build side");
+    assert_eq!(first, multi + own);
+    assert_eq!(total(&mdm), resident + bytes(&mdm, &released));
+    assert_eq!(served(&mdm), multi);
+
+    // Retiring C0's v1 instance (the same payload re-published under the
+    // same name) takes its index bytes out of the gauge; the replacement
+    // indexes itself once, on its first query.
+    let resident = total(&mdm);
+    let old = mdm.catalog().get("s0_v1").unwrap();
+    let retired = bytes(&mdm, "s0_v1");
+    assert!(retired > 0);
+    let replacement = Wrapper::over_release(
+        old.signature().clone(),
+        old.source().to_string(),
+        old.release().clone(),
+        old.bindings().to_vec(),
+    )
+    .unwrap();
+    mdm.hydrate_wrapper(replacement).unwrap();
+    assert_eq!(bytes(&mdm, "s0_v1"), 0);
+    assert_eq!(total(&mdm), resident - retired);
+    let refill = served(&mdm);
+    assert_eq!(refill, multi + indexed(&mdm, "s0_v1"));
+    assert_eq!(total(&mdm), resident);
+    assert_eq!(served(&mdm), multi);
+}
+
 #[test]
 fn lav_results_are_monotonic_under_releases() {
+    let _serial = serial();
     // Synthetic: each extra version adds rows, never removes them.
     let config = WorkloadConfig {
         concepts: 2,
@@ -140,6 +273,7 @@ fn lav_results_are_monotonic_under_releases() {
 
 #[test]
 fn gav_goes_stale_where_lav_does_not() {
+    let _serial = serial();
     let eco = football::build_default();
     let mut mdm = usecase::football_mdm(&eco).unwrap();
     // Freeze GAV at design time (v1 only).
@@ -178,6 +312,7 @@ fn gav_goes_stale_where_lav_does_not() {
 
 #[test]
 fn randomized_evolution_stream_keeps_lav_answering() {
+    let _serial = serial();
     // 10 evolution events over a 3-concept chain; after every event the
     // walk must still rewrite and return at least the original rows.
     let config = WorkloadConfig {
@@ -218,6 +353,7 @@ fn randomized_evolution_stream_keeps_lav_answering() {
 
 #[test]
 fn breaking_changes_produce_dangling_bindings_outside_mdm() {
+    let _serial = serial();
     // Quantifies the failure mode for an unmanaged consumer: every breaking
     // change leaves at least one dangling binding in a wrapper that was not
     // re-bound; non-breaking changes leave none.

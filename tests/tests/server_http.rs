@@ -352,8 +352,10 @@ fn lifecycle_from_empty_metadata_over_tcp() {
         "decodes",
         "column_bytes",
         "kernel_invocations",
+        "index_builds",
         "resident_relations",
         "resident_bytes",
+        "resident_index_bytes",
     ] {
         assert!(
             columnar.get(field).and_then(Value::as_number).is_some(),
@@ -367,6 +369,35 @@ fn lifecycle_from_empty_metadata_over_tcp() {
     // The Figure 8 walk scanned both registered wrappers, w1 and w2.
     assert_eq!(int_of(columnar, "resident_relations"), 2, "{columnar:?}");
     assert!(int_of(columnar, "resident_bytes") > 0, "{columnar:?}");
+    // Its one join is single-key, so its build column kept the index the
+    // first query built: a warm query builds none and holds no new bytes.
+    let index_bytes = int_of(columnar, "resident_index_bytes");
+    assert!(index_bytes > 0, "{columnar:?}");
+    let columnar_now = || {
+        let metrics = get(addr, "/metrics");
+        let columnar = metrics
+            .get("data_plane")
+            .and_then(|dp| dp.get("columnar"))
+            .expect("columnar stats exported");
+        (
+            int_of(columnar, "index_builds"),
+            int_of(columnar, "resident_index_bytes"),
+        )
+    };
+    // `index_builds` is process-wide and other tests in this binary query
+    // alongside, so look for one quiet window: a warm query that rebuilt
+    // would move the counter in every one of them.
+    let quiet = (0..20).any(|_| {
+        let (builds, _) = columnar_now();
+        post(addr, "/analyst/query", &body);
+        let (after, bytes) = columnar_now();
+        assert_eq!(
+            bytes, index_bytes,
+            "a warm query changed the resident indexes"
+        );
+        after == builds
+    });
+    assert!(quiet, "every warm Figure 8 query built a join index");
     server.shutdown();
 }
 
