@@ -458,7 +458,7 @@ impl Session {
                     answer.rewriting.branch_count(),
                     answer.rewriting.algebra(),
                     answer.render(),
-                    answer.table.len(),
+                    answer.rows.len(),
                     answer.completeness.summary(),
                 )),
                 Err(e) => Outcome::Text(format!("query error: {e}")),
@@ -1240,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_appends_the_optimized_plan_tree() {
+    fn explain_appends_the_annotated_plan_tree() {
         let mut session = Session::new();
         session.interpret("setup football");
         session.interpret("explain");

@@ -663,7 +663,7 @@ impl Mdm {
         provenance: bool,
     ) -> Result<DegradedAnswer, MdmError> {
         let rewriting = self.rewrite_cached(walk)?;
-        let (table, mut completeness) = execute_degraded(
+        let (rows, mut completeness) = execute_degraded(
             &rewriting,
             &self.catalog,
             &self.options,
@@ -685,7 +685,7 @@ impl Mdm {
         }
         Ok(DegradedAnswer {
             rewriting,
-            table,
+            rows,
             completeness,
         })
     }
@@ -739,8 +739,8 @@ impl Mdm {
             });
         }
         Ok(QueryAnswer {
+            table: answer.table(),
             rewriting: answer.rewriting,
-            table: answer.table,
         })
     }
 
@@ -1242,7 +1242,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_annotates_the_optimized_plan() {
+    fn explain_annotates_plan_operators_with_estimated_and_actual_rows() {
         let mut mdm = football_mdm();
         mdm.set_stats_catalog(Arc::new(StatsCatalog::new()));
         let team = vocab::schema::SPORTS_TEAM.iri();

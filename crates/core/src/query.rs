@@ -14,17 +14,20 @@
 //! The served path ends where the paper's answer to evolution ends: union
 //! the coexisting versions' branches, eliminate duplicates, order the
 //! rows. Branch results come back undecoded and are merged where they were
-//! computed, over term ids ([`merge_branches`]), then decoded once. One
-//! rule holds on both paths and both layouts: rows are the same when they
-//! are `==`, and of two `==` rows — v1 says `170`, v2 says `170.0` — the
-//! first branch in rewriting order wins. `Layout::Row` results take
-//! `merge_rows`, the same rule over decoded rows and the encoded merge's
-//! oracle.
+//! computed, over term ids ([`merge_branches`]). The answer stays in that
+//! form: a [`DegradedAnswer`] carries [`MergedRows`], sorted term rows plus
+//! the answer's distinct strings, which the server prints as they are.
+//! Only a caller that wants `Value`s ([`DegradedAnswer::table`], the CLI,
+//! the tests) builds a [`Table`]. One rule holds on both paths and both
+//! layouts: rows are the same when they are `==`, and of two `==` rows —
+//! v1 says `170`, v2 says `170.0` — the first branch in rewriting order
+//! wins. `Layout::Row` results take `merge_rows`, the same rule over
+//! decoded rows and the encoded merge's oracle.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
-use mdm_relational::columnar::{merge_branches, MergeMode};
+use mdm_relational::columnar::{merge_branches, MergeMode, MergedRows};
 use mdm_relational::resilience::ScanGuard;
 use mdm_relational::schema::ColumnRef;
 use mdm_relational::{
@@ -128,19 +131,25 @@ impl Completeness {
     }
 }
 
-/// The answer to an OMQ executed in degraded mode: the surviving rows plus
-/// the completeness report saying what is missing and why.
+/// The answer to an OMQ executed in degraded mode: the surviving rows, in
+/// the term form the merge produced, plus the completeness report saying
+/// what is missing and why.
 #[derive(Clone, Debug)]
 pub struct DegradedAnswer {
     pub rewriting: Arc<Rewriting>,
-    pub table: Table,
+    pub rows: MergedRows,
     pub completeness: Completeness,
 }
 
 impl DegradedAnswer {
+    /// The rows decoded into a [`Table`].
+    pub fn table(&self) -> Table {
+        self.rows.to_table()
+    }
+
     /// The tabular rendering (cf. Table 1).
     pub fn render(&self) -> String {
-        self.table.render()
+        self.table().render()
     }
 }
 
@@ -170,7 +179,7 @@ pub fn execute_degraded(
     guard: Option<&dyn ScanGuard>,
     optimize: &dyn Fn(Plan) -> Plan,
     provenance: bool,
-) -> Result<(Table, Completeness), MdmError> {
+) -> Result<(MergedRows, Completeness), MdmError> {
     let mut completeness = Completeness {
         total_branches: rewriting.queries.len(),
         ..Completeness::default()
@@ -258,9 +267,8 @@ pub fn execute_degraded(
         MergeMode::All
     };
     // Every branch ran on the plane `exec_options.layout` chose: columnar
-    // results merge encoded and decode once, `Layout::Row` results take
-    // the row merge.
-    let table = if survivors
+    // results merge encoded, `Layout::Row` results take the row merge.
+    let rows = if survivors
         .iter()
         .all(|result| matches!(result, Undecoded::Columns { .. }))
     {
@@ -278,9 +286,10 @@ pub fn execute_degraded(
             .map(Undecoded::decode)
             .collect::<Result<Vec<Table>, String>>()
             .and_then(|tables| merge_rows(schema, tables, mode))
+            .map(MergedRows::from_table)
     }
     .map_err(MdmError::Execution)?;
-    Ok((table, completeness))
+    Ok((rows, completeness))
 }
 
 /// The row-plane merge, and the oracle the encoded
@@ -459,7 +468,7 @@ mod tests {
         let o = evolved_ontology();
         let options = RewriteOptions::default();
         let rewriting = rewrite_walk(&o, &figure8_walk(), &options).unwrap();
-        let (table, completeness) = execute_degraded(
+        let (rows, completeness) = execute_degraded(
             &rewriting,
             &catalog(),
             &options,
@@ -470,6 +479,7 @@ mod tests {
         )
         .unwrap();
         assert!(completeness.is_complete());
+        let table = rows.to_table();
         let labels: BTreeSet<String> = table
             .column(&ColumnRef::bare("provenance"))
             .unwrap()
@@ -540,8 +550,77 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(served.len(), 1, "{v1:?}/{v2:?} under {layout:?}");
-                assert_eq!(served.render(), reference, "{v1:?}/{v2:?} under {layout:?}");
+                assert_eq!(
+                    served.to_table().render(),
+                    reference,
+                    "{v1:?}/{v2:?} under {layout:?}"
+                );
             }
+        }
+    }
+
+    /// A source whose `height` went from int (v1) to float (v2) with values
+    /// beyond 2^53, where `as f64` ties `Int(2^53)` and `Int(2^53 + 1)` to
+    /// one float. One player name and a distinct weight per row keep every
+    /// row through δ; under the tie the weights would close cycles in the
+    /// row order. Served equals reference under both layouts, and neither
+    /// sort panics.
+    #[test]
+    fn served_and_reference_agree_on_ints_and_floats_beyond_two_to_the_53() {
+        let o = evolved_ontology();
+        let walk = Walk::new()
+            .feature(&ex("Player"), &ex("playerName"))
+            .feature(&ex("Player"), &ex("height"))
+            .feature(&ex("Player"), &ex("weight"));
+        let options = RewriteOptions::default();
+        let rewriting = rewrite_walk(&o, &walk, &options).unwrap();
+        let two_53 = 1i64 << 53;
+        let full = catalog();
+        let mut catalog = MemoryCatalog::new();
+        for (name, version) in [("w1", 0i64), ("w3", 1)] {
+            let rows = (0..40i64)
+                .map(|i| {
+                    let mut row = vec![Value::Null; 7];
+                    row[0] = Value::Int(version * 100 + i);
+                    row[1] = Value::str("Lionel Messi");
+                    // `Int(2^53)` rows outweigh the floats, which
+                    // outweigh the `Int(2^53 + 1)` rows.
+                    let (height, weight) = if version == 0 {
+                        (Value::Int(two_53 + i % 2), 200 * (1 - i % 2) + i)
+                    } else {
+                        (Value::Float(two_53 as f64), 100 + i)
+                    };
+                    row[2] = height;
+                    row[3] = Value::Int(weight);
+                    row
+                })
+                .collect();
+            let schema = full.relation_schema(name).unwrap();
+            catalog.register(name, Table::new(schema, rows).unwrap());
+        }
+        for layout in [Layout::Columnar, Layout::Row] {
+            let exec_options = ExecOptions {
+                layout,
+                ..ExecOptions::default()
+            };
+            let reference = answer_walk_with(&o, &walk, &catalog, &options, &exec_options).unwrap();
+            let (served, _) = execute_degraded(
+                &rewriting,
+                &catalog,
+                &options,
+                &exec_options,
+                None,
+                &|plan| plan,
+                false,
+            )
+            .unwrap();
+            assert_eq!(served.len(), 80, "under {layout:?}");
+            // `Debug`, not `==`: the spelling (Int or Float) must agree too.
+            assert_eq!(
+                format!("{:?}", served.to_table().rows()),
+                format!("{:?}", reference.table.rows()),
+                "under {layout:?}"
+            );
         }
     }
 

@@ -8,10 +8,13 @@
 //! dictionary), operators exchange [`ColumnBatch`]es of shared
 //! [`TypedColumn`]s, and the hot kernels — filter predicates, hash-join
 //! build/probe, DISTINCT, projection — run over raw id arrays. Terms decode
-//! back into `Value`s only at the edges: render time (`Table`, and the UCQ
-//! merge's one decode in [`merge_branches`]), and the row-wise replay of a
-//! batch whenever vectorized expression evaluation hits an error (so error
-//! text and error *order* stay byte-identical with the row plane).
+//! back into `Value`s only at the edges: a `Table` built from batches, and
+//! the row-wise replay of a batch whenever vectorized expression evaluation
+//! hits an error (so error text and error *order* stay byte-identical with
+//! the row plane). A served UCQ answer never becomes `Value`s at all:
+//! [`merge_branches`] unions, deduplicates and sorts the branches' terms
+//! and hands back [`MergedRows`] — sorted term rows plus the answer's
+//! distinct strings, read from the dictionary once each.
 //!
 //! Encoding is exact, not lossy: ints keep their i64 bits, floats their
 //! f64 bits (NaN payloads and -0.0 included), and strings their dictionary
@@ -39,8 +42,11 @@ use crate::intern::Sym;
 use crate::metrics;
 use crate::pool::Pool;
 use crate::schema::Schema;
-use crate::table::Table;
-use crate::value::{Tuple, Value};
+use crate::value::{cmp_int_float, Tuple, Value};
+
+mod merge;
+
+pub use merge::{merge_branches, Cell, MergeMode, MergedRows};
 
 /// Which physical plane the executor builds a whole plan on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -130,6 +136,16 @@ impl TermId {
     }
 }
 
+// Hashes the exact term, for tables keyed on terms rather than on the
+// coercing `term_eq`. One `u64` write, because `KeyState` keeps only the
+// last: the tag rides in the payload's high bits, and the table's `Eq`
+// separates the rare terms that share a word.
+impl Hash for TermId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.bits ^ self.tag.rotate_right(3));
+    }
+}
+
 /// Equality between terms, mirroring `Value`'s coercing `PartialEq`:
 /// exact for same-type ints/bools/strings (dictionary ids are unique per
 /// content), IEEE `==` for floats and mixed numerics, never across
@@ -182,11 +198,13 @@ pub(crate) fn key_hash(terms: impl IntoIterator<Item = TermId>) -> u64 {
 }
 
 /// The hasher of every `u64`-keyed table in this module (join chains, δ's
-/// seen set). Its keys are [`key_hash`]es, already mixed, so SipHash's
-/// rounds buy nothing; what must survive is the *keying*: where a key
-/// lands depends on seeds drawn once per process from [`RandomState`], so
-/// a source cannot pick values that pile into one bucket. Chains verify
-/// every candidate with [`term_eq`], so the hasher decides speed only.
+/// seen set) and of the merge's per-column term tables. Join and δ keys
+/// are [`key_hash`]es, already mixed, so SipHash's rounds buy nothing; the
+/// merge's are raw term words, which the folded multiply spreads (see
+/// `mul`). What must survive is the *keying*: where a key lands depends on
+/// seeds drawn once per process from [`RandomState`], so a source cannot
+/// pick values that pile into one bucket. Every table verifies candidates
+/// by equality, so the hasher decides speed only.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct KeyState {
     seed: u64,
@@ -477,23 +495,25 @@ impl<'d> Decoder<'d> {
 }
 
 /// Ordering between terms mirroring `Value::cmp` (exact int compare,
-/// `total_cmp` across numerics, type rank otherwise); `strings` orders the
-/// payloads of two string terms — by dictionary content in
-/// [`Decoder::cmp`], by precomputed rank in [`merge_branches`].
+/// `total_cmp` between floats, the exact [`cmp_int_float`] across the two,
+/// type rank otherwise); `strings` orders the payloads of two string terms
+/// — by dictionary content in [`Decoder::cmp`], by index into the answer's
+/// content-sorted strings in [`merge_branches`].
 fn term_cmp(
     a: TermId,
     b: TermId,
     strings: impl FnOnce(u64, u64) -> std::cmp::Ordering,
 ) -> std::cmp::Ordering {
+    let float = |t: TermId| f64::from_bits(t.bits);
     match (a.tag, b.tag) {
         (TAG_NULL, TAG_NULL) => std::cmp::Ordering::Equal,
         (TAG_BOOL, TAG_BOOL) => (a.bits != 0).cmp(&(b.bits != 0)),
         (TAG_INT, TAG_INT) => (a.bits as i64).cmp(&(b.bits as i64)),
+        (TAG_FLOAT, TAG_FLOAT) => float(a).total_cmp(&float(b)),
+        (TAG_INT, TAG_FLOAT) => cmp_int_float(a.bits as i64, float(b)),
+        (TAG_FLOAT, TAG_INT) => cmp_int_float(b.bits as i64, float(a)).reverse(),
         (TAG_STR, TAG_STR) => strings(a.bits, b.bits),
-        _ => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => x.total_cmp(&y),
-            _ => a.type_rank().cmp(&b.type_rank()),
-        },
+        _ => a.type_rank().cmp(&b.type_rank()),
     }
 }
 
@@ -1386,159 +1406,6 @@ pub(crate) fn decode_batches(batches: &[ColumnBatch]) -> Vec<Tuple> {
     rows
 }
 
-/// Replays drained batches as an operator: the merge's input to δ.
-struct Replay {
-    schema: Schema,
-    batches: std::vec::IntoIter<ColumnBatch>,
-}
-
-impl ColOperator for Replay {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_cols(&mut self, _max: usize) -> Option<Result<ColumnBatch, ExecError>> {
-        self.batches.next().map(Ok)
-    }
-}
-
-/// What [`merge_branches`] does with a row that several branches derive.
-#[derive(Clone, Copy, Debug)]
-pub enum MergeMode<'a> {
-    /// Bag union: every row of every branch.
-    All,
-    /// δ over the union: of rows that are `==`, the first in branch order
-    /// survives (so the earliest branch's spelling of a number wins).
-    Distinct,
-    /// Bag union with one label per branch appended to each of its rows as
-    /// a trailing column (provenance is per derivation, so nothing is a
-    /// duplicate).
-    Labelled(&'a [Value]),
-}
-
-/// The encoded UCQ merge: ∪ → δ → sort over term ids, then one decode.
-///
-/// `branches` are branch results in rewriting order, each a run of batches
-/// as wide as `schema` (less the label column under
-/// [`MergeMode::Labelled`]). δ is the [`ColDistinct`] kernel over their
-/// concatenation — exactly what a whole-plan `Union → Distinct` runs. The
-/// survivors are sorted stably under `Value::cmp`'s ordering over terms, made
-/// integer-only by ranking the result's distinct strings once, and only
-/// then decoded: `schema.len()` terms per result row, none per input row.
-pub fn merge_branches(
-    schema: Schema,
-    branches: Vec<Vec<ColumnBatch>>,
-    mode: MergeMode<'_>,
-) -> Result<Table, String> {
-    // Labels are encoded here, before the `Decoder` below exists.
-    let labels: Vec<TermId> = match mode {
-        MergeMode::Labelled(labels) if labels.len() != branches.len() => {
-            return Err(format!(
-                "{} provenance labels for {} branches",
-                labels.len(),
-                branches.len()
-            ));
-        }
-        MergeMode::Labelled(labels) => labels.iter().map(encode_value).collect(),
-        MergeMode::All | MergeMode::Distinct => Vec::new(),
-    };
-    let out_width = schema.len();
-    let width = out_width.saturating_sub(usize::from(!labels.is_empty()));
-    if let Some(batch) = branches.iter().flatten().find(|b| b.columns.len() != width) {
-        return Err(format!(
-            "union arity mismatch: a branch batch has {} columns, schema {schema} needs {width}",
-            batch.columns.len()
-        ));
-    }
-    let survivors: Vec<(ColumnBatch, Option<TermId>)> = if matches!(mode, MergeMode::Distinct) {
-        let batches: Vec<ColumnBatch> = branches.into_iter().flatten().collect();
-        let mut delta = ColDistinct::new(Box::new(Replay {
-            schema: schema.clone(),
-            batches: batches.into_iter(),
-        }));
-        let mut out = Vec::new();
-        while let Some(batch) = delta.next_cols(usize::MAX) {
-            out.push((batch.map_err(|e| e.message)?, None));
-        }
-        out
-    } else {
-        branches
-            .into_iter()
-            .enumerate()
-            .flat_map(|(b, batches)| {
-                let label = labels.get(b).copied();
-                batches.into_iter().map(move |batch| (batch, label))
-            })
-            .collect()
-    };
-
-    // Gather the survivors row-major: a row's sort keys sit side by side.
-    let len: usize = survivors.iter().map(|(batch, _)| batch.len()).sum();
-    let mut cells: Vec<TermId> = Vec::with_capacity(len * out_width);
-    for (batch, label) in &survivors {
-        for i in 0..batch.len() {
-            let row = batch.row_id(i) as usize;
-            cells.extend(batch.columns.iter().map(|c| c.ids[row]));
-            cells.extend(label);
-        }
-    }
-    drop(survivors);
-
-    // Rank the distinct strings of the result by content and swap each
-    // string cell's dictionary id for its rank: the sort below then never
-    // touches the dictionary. `ids[i]` is the dictionary id whose rank is
-    // `rank[i]`; `by_rank` inverts that for the decode.
-    let mut dec = Decoder::new();
-    let mut ids: Vec<u64> = cells
-        .iter()
-        .filter(|t| t.tag == TAG_STR)
-        .map(|t| t.bits)
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    let syms: Vec<Sym> = ids.iter().map(|&id| dec.sym(id)).collect();
-    let mut by_rank: Vec<u32> = (0..ids.len() as u32).collect();
-    by_rank.sort_unstable_by(|&a, &b| syms[a as usize].as_str().cmp(syms[b as usize].as_str()));
-    let mut rank = vec![0u64; ids.len()];
-    for (r, &i) in by_rank.iter().enumerate() {
-        rank[i as usize] = r as u64;
-    }
-    for cell in cells.iter_mut().filter(|t| t.tag == TAG_STR) {
-        let i = ids
-            .binary_search(&cell.bits)
-            .expect("every string id was collected");
-        cell.bits = rank[i];
-    }
-
-    let row = |r: u32| &cells[r as usize * out_width..][..out_width];
-    let mut order: Vec<u32> = (0..len as u32).collect();
-    order.sort_by(|&a, &b| {
-        row(a)
-            .iter()
-            .zip(row(b))
-            .map(|(&x, &y)| term_cmp(x, y, |l, r| l.cmp(&r)))
-            .find(|ordering| ordering.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    let rows = order
-        .iter()
-        .map(|&r| {
-            row(r)
-                .iter()
-                .map(|&cell| match cell.tag {
-                    TAG_STR => dec.value(TermId {
-                        tag: TAG_STR,
-                        bits: ids[by_rank[cell.bits as usize] as usize],
-                    }),
-                    _ => dec.value(cell),
-                })
-                .collect()
-        })
-        .collect();
-    Table::new(schema, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1610,6 +1477,17 @@ mod tests {
             Value::Int(7),
             Value::Float(2.5),
             Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(1 << 53),
+            Value::Int((1 << 53) + 1),
+            Value::Float((1i64 << 53) as f64),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
             Value::str("alpha"),
             Value::str("beta"),
             Value::str("a string comfortably longer than the inline capacity"),

@@ -17,8 +17,9 @@
 //!   filter/join/distinct/project kernels over shared column batches,
 //!   decoding back to [`Value`]s only at render time; and
 //!   [`columnar::merge_branches`], the merge of a UCQ's branch results
-//!   while they are still term batches (∪ → δ → sort over term ids, then
-//!   the query's one decode);
+//!   while they are still term batches (∪ → δ → sort over integer order
+//!   codes), returning the answer as [`columnar::MergedRows`] — sorted
+//!   term rows plus its distinct strings, never a [`Table`];
 //! * `physical` (private) — the row plane: a tuple-at-a-time reference
 //!   interpreter (scan, filter, project, hash join, union, distinct behind
 //!   one `next()`). [`Layout::Row`] selects it as the oracle the property
@@ -66,7 +67,7 @@ pub mod table;
 pub mod value;
 
 pub use algebra::Plan;
-pub use columnar::{DictStats, Layout};
+pub use columnar::{DictStats, Layout, MergedRows};
 pub use executor::{
     Catalog, ErrorKind, ExecError, ExecOptions, Executor, MemoryCatalog, RelationProvider,
     Undecoded,

@@ -136,17 +136,52 @@ impl Ord for Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            // total_cmp keeps NaN ordered instead of panicking.
+            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            (Value::Int(a), Value::Float(b)) => cmp_int_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) => {
-                if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-                    // total_cmp keeps NaN ordered instead of panicking.
-                    x.total_cmp(&y)
-                } else {
-                    a.type_rank().cmp(&b.type_rank())
-                }
-            }
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
     }
+}
+
+/// The exact order of an int against a float, shared by `Value::cmp` and
+/// the term comparator. An int sits at its exact value on `f64::total_cmp`'s
+/// line, `0` at `+0.0`: NaNs stay outermost by sign, `-0.0 < 0`, and an int
+/// ties a float only when it *is* that float's value. Where `|i| ≤ 2^53`
+/// this equals `(i as f64).total_cmp(&f)`. Above it the rounding of
+/// `as f64` ties distinct ints to one float (`2^53 == 2^53 as f64 ==
+/// (2^53 + 1) as f64`), which is not transitive, and a sort over such a
+/// column panics.
+pub(crate) fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    // 2^63, exact in f64: finite floats in [-2^63, 2^63) truncate to an
+    // i64 without loss.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64)).then_with(|| {
+        let fraction = f - whole;
+        if fraction > 0.0 {
+            Ordering::Less
+        } else if fraction < 0.0 || (i == 0 && f.is_sign_negative()) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    })
 }
 
 impl Hash for Value {
@@ -211,6 +246,7 @@ pub type Tuple = Vec<Value>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     #[test]
@@ -260,6 +296,95 @@ mod tests {
         assert_eq!(Value::Int(25).to_string(), "25");
         assert_eq!(Value::Float(25.0).to_string(), "25.0");
         assert_eq!(Value::str("FCB").to_string(), "FCB");
+    }
+
+    const TWO_53: i64 = 1 << 53;
+
+    /// Floats that `total_cmp` orders specially, and the edges of `i64`.
+    const EDGE_FLOATS: [f64; 11] = [
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        9_223_372_036_854_775_808.0,
+        -9_223_372_036_854_775_808.0,
+    ];
+    const EDGE_INTS: [i64; 3] = [i64::MIN, i64::MIN + 1, i64::MAX];
+
+    /// Numerics where `as f64` stops being exact (mostly), plus the edge
+    /// values. Floats above 2^53 are even, so each one ties one or two ints
+    /// under `as f64`.
+    fn arb_edge_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            4 => (-1i64..4).prop_map(|k| Value::Int(TWO_53 + k)),
+            3 => (0i64..2).prop_map(|k| Value::Float((TWO_53 + 2 * k) as f64)),
+            1 => (-3i64..1).prop_map(|k| Value::Int(-TWO_53 + k)),
+            1 => (0i64..2).prop_map(|k| Value::Float(-((TWO_53 + 2 * k) as f64))),
+            1 => (-2i64..3).prop_map(Value::Int),
+            1 => (0..EDGE_INTS.len()).prop_map(|i| Value::Int(EDGE_INTS[i])),
+            2 => (0..EDGE_FLOATS.len()).prop_map(|i| Value::Float(EDGE_FLOATS[i])),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `Value::cmp` is a total order where ints and floats meet beyond
+        /// 2^53: antisymmetric, transitive in `<`, `==` and mixed chains.
+        #[test]
+        fn cmp_is_a_total_order_across_int_and_float(
+            a in arb_edge_value(),
+            b in arb_edge_value(),
+            c in arb_edge_value(),
+        ) {
+            prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+            prop_assert_eq!(a.cmp(&a), Ordering::Equal);
+            if a.cmp(&b).is_eq() && b.cmp(&c).is_eq() {
+                prop_assert!(a.cmp(&c).is_eq(), "{:?} = {:?} = {:?}", a, b, c);
+            }
+            if a.cmp(&b).is_le() && b.cmp(&c).is_le() {
+                prop_assert!(a.cmp(&c).is_le(), "{:?} ≤ {:?} ≤ {:?}", a, b, c);
+                if a.cmp(&b).is_lt() || b.cmp(&c).is_lt() {
+                    prop_assert!(a.cmp(&c).is_lt(), "{:?} < {:?} ≤ {:?}", a, b, c);
+                }
+            }
+        }
+
+        /// A column mixing the two types sorts without the standard
+        /// library's total-order panic, into non-decreasing order.
+        #[test]
+        fn mixed_numeric_columns_sort(values in proptest::collection::vec(arb_edge_value(), 64..96)) {
+            let mut values = values;
+            values.sort();
+            prop_assert!(values.windows(2).all(|w| w[0].cmp(&w[1]).is_le()));
+        }
+    }
+
+    #[test]
+    fn int_float_order_is_exact_beyond_two_to_the_53() {
+        let float = Value::Float(TWO_53 as f64);
+        assert_eq!(Value::Int(TWO_53).cmp(&float), Ordering::Equal);
+        assert_eq!(Value::Int(TWO_53 + 1).cmp(&float), Ordering::Greater);
+        assert_eq!(
+            Value::Int(-TWO_53 - 1).cmp(&Value::Float(-(TWO_53 as f64))),
+            Ordering::Less
+        );
+        // Within ±2^53 the order is `(i as f64).total_cmp(&f)`, as before.
+        assert_eq!(Value::Int(0).cmp(&Value::Float(-0.0)), Ordering::Greater);
+        assert_eq!(Value::Int(0).cmp(&Value::Float(0.0)), Ordering::Equal);
+        assert_eq!(
+            Value::Int(i64::MAX).cmp(&Value::Float(f64::NAN)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).cmp(&Value::Float(-f64::NAN)),
+            Ordering::Greater
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Oracle for the encoded UCQ merge.
 //!
 //! [`merge_branches`] unions branch results while they are still term
-//! batches: δ over term ids, a sort over term ids with strings ranked once,
-//! one decode at the end. This file holds it, row for row and spelling for
-//! spelling, to the obvious thing written over decoded rows — concatenate in
-//! branch order, keep the first of `==` rows, `sort()` — over the cells
-//! where the two could drift apart: NULLs, bools, `-0.0`/`0.0`, `Int`/`Float`
-//! pairs that are `==` under coercion, inline and pooled strings.
+//! batches: δ over term ids, then a sort over per-column integer order
+//! codes, and hands back [`MergedRows`] — term rows plus the answer's
+//! strings. This file holds its [`MergedRows::to_table`], row for row and
+//! spelling for spelling, to the obvious thing written over decoded rows —
+//! concatenate in branch order, keep the first of `==` rows, `sort()` —
+//! over the cells where the two could drift apart: NULLs, bools,
+//! `-0.0`/`0.0`, `Int`/`Float` pairs that are `==` under coercion, inline
+//! and pooled strings, and provenance labels.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -14,7 +16,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use mdm_relational::algebra::Plan;
-use mdm_relational::columnar::{merge_branches, ColumnBatch, MergeMode};
+use mdm_relational::columnar::{merge_branches, ColumnBatch, MergeMode, MergedRows};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Tuple, Undecoded, Value};
 
@@ -116,6 +118,18 @@ fn spelled(rows: &[Tuple]) -> Vec<String> {
     rows.iter().map(|row| format!("{row:?}")).collect()
 }
 
+/// The merged rows, decoded, in `spelled` form. Also checks that each
+/// distinct string is listed once, in content order, and that taking the
+/// decoded table back into term form changes nothing.
+fn merged(rows: &MergedRows) -> Vec<String> {
+    let strings = rows.strings();
+    assert!(strings.windows(2).all(|w| w[0] < w[1]), "{strings:?}");
+    let table = rows.to_table();
+    let again = MergedRows::from_table(table.clone()).to_table();
+    assert_eq!(spelled(again.rows()), spelled(table.rows()));
+    spelled(table.rows())
+}
+
 proptest! {
     /// δ on, δ off and labelled, over every batch width: the encoded merge
     /// returns the naive reference's rows in the naive reference's order.
@@ -138,7 +152,7 @@ proptest! {
             encode(&branches, width, batch_size, false),
             MergeMode::All,
         ).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(spelled(all.rows()), spelled(&naive(&branches, None, false)));
+        prop_assert_eq!(merged(&all), spelled(&naive(&branches, None, false)));
 
         for pre_distinct in [false, true] {
             let distinct = merge_branches(
@@ -147,7 +161,7 @@ proptest! {
                 MergeMode::Distinct,
             ).map_err(TestCaseError::fail)?;
             prop_assert_eq!(
-                spelled(distinct.rows()),
+                merged(&distinct),
                 spelled(&naive(&branches, None, true)),
                 "per-branch δ first: {}", pre_distinct
             );
@@ -159,9 +173,55 @@ proptest! {
             MergeMode::Labelled(&labels),
         ).map_err(TestCaseError::fail)?;
         prop_assert_eq!(
-            spelled(labelled.rows()),
+            merged(&labelled),
             spelled(&naive(&branches, Some(&labels), false))
         );
+    }
+}
+
+/// Too many distinct values to pack a row's order codes and index into one
+/// `u64` (six columns of ~12 bits each, plus the row index): the merge
+/// sorts by comparing code slices instead, into the same order.
+#[test]
+fn codes_too_wide_to_pack_sort_like_the_reference() {
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut row = || -> Tuple {
+        (0..6)
+            .map(|c| match next() % 4096 {
+                v if c % 2 == 0 => Value::Int(v as i64),
+                v => Value::str(format!("s{v}")),
+            })
+            .collect()
+    };
+    let first: Vec<Tuple> = (0..3_000).map(|_| row()).collect();
+    // Every third row of the second branch respells one of the first's
+    // ints as floats: `==` twins whose order codes tie, so row order
+    // decides between them.
+    let second: Vec<Tuple> = first
+        .iter()
+        .enumerate()
+        .map(|(i, twin)| match i % 3 {
+            0 => twin
+                .iter()
+                .map(|v| match v {
+                    Value::Int(i) => Value::Float(*i as f64),
+                    other => other.clone(),
+                })
+                .collect(),
+            _ => row(),
+        })
+        .collect();
+    let branches = vec![first, second];
+    for (mode, distinct) in [(MergeMode::All, false), (MergeMode::Distinct, true)] {
+        let rows = merge_branches(schema_of(6), encode(&branches, 6, 1024, false), mode)
+            .expect("merge succeeds");
+        assert_eq!(merged(&rows), spelled(&naive(&branches, None, distinct)));
     }
 }
 
@@ -213,7 +273,7 @@ fn labels_are_encoded_before_the_decoder_exists() {
         .expect("merge succeeds");
     merger.join().expect("merge thread exits cleanly");
     assert_eq!(table.len(), 32 * 16);
-    assert!(table.rows().iter().all(|row| row[1]
+    assert!(table.to_table().rows().iter().all(|row| row[1]
         .as_str()
         .is_some_and(|label| label.starts_with("never-encoded-"))));
 }

@@ -60,6 +60,7 @@ use mdm_core::walk_dsl;
 use mdm_core::{ChangeRecord, JournalSink, Mdm, MdmError, MetaStore};
 use mdm_dataform::{json, Number, Value};
 use mdm_rdf::term::Iri;
+use mdm_relational::columnar::{Cell, MergedRows};
 use mdm_relational::Deadline;
 use mdm_wrappers::{Format, Release, Signature, Wrapper};
 
@@ -1579,8 +1580,9 @@ fn completeness_json(completeness: &mdm_core::Completeness) -> Value {
 
 /// `POST /analyst/query`. The answer and its epoch are taken under the read
 /// lock; the body is printed after it is released, rows straight from the
-/// [`Table`] into the response text (keys in the sorted order the JSON
-/// printer gives every other route) — no `Value` node per cell.
+/// merge's term rows into the response text (keys in the sorted order the
+/// JSON printer gives every other route) — no `Table`, and no `Value` node
+/// per cell.
 fn analyst_query(state: &AppState, request: &Request) -> Response {
     let deadline = Deadline::after(state.request_deadline);
     let (answer, epoch) = match with_walk(state, request, |mdm, walk| {
@@ -1589,17 +1591,17 @@ fn analyst_query(state: &AppState, request: &Request) -> Response {
         Ok(answered) => answered,
         Err(response) => return response,
     };
-    let table = &answer.table;
+    let rows = &answer.rows;
     // ~14 bytes per cell on the benchmark's wide answer; one up-front
     // reservation sized from the row count instead of doubling up to it.
-    let mut out = String::with_capacity(512 + table.len() * table.schema().len() * 16);
+    let mut out = String::with_capacity(512 + rows.len() * rows.schema().len() * 16);
     out.push_str("{\"branches\":");
     json::write_number(
         &mut out,
         Number::Int(answer.rewriting.branch_count() as i64),
     );
     out.push_str(",\"columns\":[");
-    for (i, column) in table.schema().columns().iter().enumerate() {
+    for (i, column) in rows.schema().columns().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -1610,27 +1612,145 @@ fn analyst_query(state: &AppState, request: &Request) -> Response {
     out.push_str(",\"epoch\":");
     json::write_number(&mut out, Number::Int(epoch as i64));
     out.push_str(",\"row_count\":");
-    json::write_number(&mut out, Number::Int(table.len() as i64));
-    out.push_str(",\"rows\":[");
-    for (i, row) in table.rows().iter().enumerate() {
+    json::write_number(&mut out, Number::Int(rows.len() as i64));
+    out.push_str(",\"rows\":");
+    write_rows(&mut out, rows);
+    out.push('}');
+    Response::json(200, out)
+}
+
+/// Prints `rows` as a JSON array of arrays. Each distinct string is
+/// escaped once into one buffer; a string cell copies its slice of it.
+fn write_rows(out: &mut String, rows: &MergedRows) {
+    let mut escaped = String::new();
+    let mut ends = Vec::with_capacity(rows.strings().len() + 1);
+    ends.push(0);
+    for string in rows.strings() {
+        json::write_string(&mut escaped, string.as_str());
+        ends.push(escaped.len());
+    }
+    out.push('[');
+    for (i, row) in rows.rows().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('[');
-        for (j, cell) in row.iter().enumerate() {
+        for (j, cell) in row.enumerate() {
             if j > 0 {
                 out.push(',');
             }
             match cell {
-                mdm_relational::Value::Null => out.push_str("null"),
-                mdm_relational::Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                mdm_relational::Value::Int(i) => json::write_number(&mut out, Number::Int(*i)),
-                mdm_relational::Value::Float(f) => json::write_number(&mut out, Number::Float(*f)),
-                mdm_relational::Value::Str(s) => json::write_string(&mut out, s.as_str()),
+                Cell::Null => out.push_str("null"),
+                Cell::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                Cell::Int(i) => json::write_number(out, Number::Int(i)),
+                Cell::Float(f) => json::write_number(out, Number::Float(f)),
+                Cell::Str(s) => out.push_str(&escaped[ends[s]..ends[s + 1]]),
             }
         }
         out.push(']');
     }
-    out.push_str("]}");
-    Response::json(200, out)
+    out.push(']');
+}
+
+#[cfg(test)]
+mod tests {
+    use mdm_relational::columnar::{merge_branches, MergeMode};
+    use mdm_relational::schema::{ColumnRef, Schema};
+    use mdm_relational::{
+        ExecOptions, Executor, MemoryCatalog, Plan, Table, Tuple, Undecoded, Value as Scalar,
+    };
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// How `/analyst/query` printed rows while the answer was a `Table`:
+    /// one `Value` at a time, every string escaped where it occurs. The
+    /// oracle for [`write_rows`].
+    fn write_table_rows(out: &mut String, table: &Table) {
+        out.push('[');
+        for (i, row) in table.rows().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            for (j, cell) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                match cell {
+                    Scalar::Null => out.push_str("null"),
+                    Scalar::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                    Scalar::Int(i) => json::write_number(out, Number::Int(*i)),
+                    Scalar::Float(f) => json::write_number(out, Number::Float(*f)),
+                    Scalar::Str(s) => json::write_string(out, s.as_str()),
+                }
+            }
+            out.push(']');
+        }
+        out.push(']');
+    }
+
+    /// Pieces of strings that JSON must escape, or that are multi-byte.
+    const FRAGMENTS: [&str; 12] = [
+        "\"", "\\", "\n", "\t", "\r", "\u{1}", "\u{1f}", "\u{7f}", "é", "日本", "🦀", "ab",
+    ];
+
+    fn arb_cell() -> impl Strategy<Value = Scalar> {
+        prop_oneof![
+            1 => Just(Scalar::Null),
+            1 => any::<bool>().prop_map(Scalar::Bool),
+            2 => (-2i64..3).prop_map(Scalar::Int),
+            2 => (-2i64..3).prop_map(|i| Scalar::Float(i as f64)),
+            1 => (0usize..5).prop_map(|i| {
+                Scalar::Float([-0.0, 0.5, 1e20, f64::NAN, f64::NEG_INFINITY][i])
+            }),
+            4 => proptest::collection::vec(0usize..FRAGMENTS.len(), 0..4)
+                .prop_map(|pieces| Scalar::str(pieces.iter().map(|&p| FRAGMENTS[p]).collect::<String>())),
+        ]
+    }
+
+    fn schema_of(width: usize) -> Schema {
+        Schema::new(
+            (0..width)
+                .map(|c| ColumnRef::bare(format!("c{c}")))
+                .collect(),
+        )
+    }
+
+    fn printed(rows: &MergedRows) -> String {
+        let mut out = String::new();
+        write_rows(&mut out, rows);
+        out
+    }
+
+    proptest! {
+        /// The term-row writer prints byte for byte what the `Table`
+        /// printer printed, for an answer taken into term form from a
+        /// table (the row plane's route) and for one the columnar merge
+        /// built from encoded batches.
+        #[test]
+        fn term_rows_print_as_the_table_printer_did(
+            rows in proptest::collection::vec(proptest::collection::vec(arb_cell(), 3), 0..30),
+            width in 1usize..4,
+        ) {
+            let rows: Vec<Tuple> = rows.into_iter().map(|row| row[..width].to_vec()).collect();
+            let table = Table::new(schema_of(width), rows).expect("arity matches");
+            let mut expected = String::new();
+            write_table_rows(&mut expected, &table.clone().sorted());
+
+            let mut catalog = MemoryCatalog::new();
+            catalog.register("answer", table.clone());
+            let batches = match Executor::with_options(&catalog, ExecOptions::sequential())
+                .run_undecoded(&Plan::scan("answer"))
+                .expect("scan executes")
+            {
+                Undecoded::Columns { batches, .. } => batches,
+                Undecoded::Rows(_) => panic!("a non-empty schema scans columnar"),
+            };
+            let merged = merge_branches(schema_of(width), vec![batches], MergeMode::All)
+                .map_err(TestCaseError::fail)?;
+            prop_assert_eq!(printed(&merged), expected.clone());
+            prop_assert_eq!(printed(&MergedRows::from_table(table.sorted())), expected);
+        }
+    }
 }

@@ -174,7 +174,7 @@ proptest! {
         mdm.set_threads(4);
         let parallel = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         prop_assert_eq!(sequential.render(), parallel.render());
-        prop_assert_eq!(&sequential.table, &parallel.table);
+        prop_assert_eq!(sequential.table(), parallel.table());
         // And both are the cold reference's answer.
         prop_assert_eq!(parallel.render(), mdm.query(&walk).unwrap().render());
     }
