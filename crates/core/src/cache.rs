@@ -478,6 +478,7 @@ mod tests {
             sparql: String::new(),
             output_columns: vec![tag.to_string()],
             expanded_identifiers: Vec::new(),
+            covered_by: Vec::new(),
         })
     }
 

@@ -9,8 +9,13 @@
 //! The cartesian combination of (per-concept alternative) × (per-edge
 //! witness) choices — deduplicated — is the UCQ: one
 //! [`ConjunctiveQuery`] per choice.
+//!
+//! The UCQ stays that product. Under δ, though, a branch that an earlier
+//! one [covers](ConjunctiveQuery::covers) adds no row:
+//! [`Rewriting::covered_by`](crate::rewrite::Rewriting::covered_by) names
+//! that earlier branch, and the served path skips the covered one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mdm_rdf::term::Iri;
 
@@ -63,6 +68,49 @@ impl ConjunctiveQuery {
             .collect();
         (atoms, joins, self.projections.clone())
     }
+
+    /// True when `self` contains `later` syntactically: `self`'s atoms and
+    /// (normalised) join pairs are subsets of `later`'s, and both project
+    /// the same `(wrapper, column)` at every position. `later` then joins
+    /// more atoms onto `self`'s and filters more, so each of its rows is
+    /// `self`'s projection of the same source rows — cell for cell, not
+    /// just `==`. Sound, not complete: a containment that needs a
+    /// homomorphism other than the identity is not found.
+    pub fn covers(&self, later: &ConjunctiveQuery) -> bool {
+        self.projections.len() == later.projections.len()
+            && self
+                .projections
+                .iter()
+                .zip(&later.projections)
+                .all(|((_, a), (_, b))| a == b)
+            && self.atoms.iter().all(|atom| later.atoms.contains(atom))
+            && self.joins.iter().all(|(a, b)| {
+                later
+                    .joins
+                    .iter()
+                    .any(|(c, d)| (a == c && b == d) || (a == d && b == c))
+            })
+    }
+}
+
+/// For each branch of `queries`, the earliest *earlier* branch that
+/// [covers](ConjunctiveQuery::covers) it. Coverage is transitive, so that
+/// branch is itself uncovered: only uncovered branches are tried, and only
+/// those with the same projection list.
+pub(crate) fn covering_branches(queries: &[ConjunctiveQuery]) -> Vec<Option<usize>> {
+    let mut containers: HashMap<&[(Iri, QualifiedColumn)], Vec<usize>> = HashMap::new();
+    queries
+        .iter()
+        .enumerate()
+        .map(|(index, cq)| {
+            let bucket = containers.entry(cq.projections.as_slice()).or_default();
+            let container = bucket.iter().copied().find(|&j| queries[j].covers(cq));
+            if container.is_none() {
+                bucket.push(index);
+            }
+            container
+        })
+        .collect()
 }
 
 /// Combines per-concept partial walks into the UCQ.
@@ -418,6 +466,146 @@ mod tests {
         let ucq = generate_ucq(&o, &walk, &alternatives_for(&o, &walk), MAX_UCQ_BRANCHES).unwrap();
         let keys: BTreeSet<_> = ucq.iter().map(|cq| cq.canonical_key()).collect();
         assert_eq!(keys.len(), ucq.len());
+    }
+
+    /// A two-concept synthetic chain at two versions per source, and the
+    /// `scan_join` walk over it: one feature of C0, concept C1 and the
+    /// edge. Every `s0_v*` wrapper also maps C1's identifier.
+    fn scan_join_system() -> (crate::Mdm, Walk, mdm_wrappers::workload::SyntheticEcosystem) {
+        use crate::synthetic::{concept_iri, feature_iri, mdm_from_synthetic, relation_iri};
+        let eco = mdm_wrappers::workload::build(&mdm_wrappers::workload::WorkloadConfig {
+            concepts: 2,
+            features_per_concept: 1,
+            versions_per_source: 2,
+            rows_per_wrapper: 20,
+            seed: 42,
+        });
+        let mdm = mdm_from_synthetic(&eco).unwrap();
+        let walk = Walk::new()
+            .feature(&concept_iri(0), &feature_iri(0, "c0_f0"))
+            .concept(&concept_iri(1))
+            .relation(&concept_iri(0), &relation_iri(0), &concept_iri(1));
+        (mdm, walk, eco)
+    }
+
+    /// A CQ over `atoms` with `wrapper.column` join pairs, emitting one
+    /// `wrapper.column`.
+    fn cq(atoms: &[&str], joins: &[(&str, &str)], emits: &str) -> ConjunctiveQuery {
+        let column = |qualified: &str| {
+            let (wrapper, column) = qualified.split_once('.').expect("wrapper.column");
+            (wrapper.to_string(), column.to_string())
+        };
+        ConjunctiveQuery {
+            atoms: atoms.iter().map(|a| a.to_string()).collect(),
+            joins: joins.iter().map(|&(a, b)| (column(a), column(b))).collect(),
+            projections: vec![(ex("f"), column(emits))],
+        }
+    }
+
+    #[test]
+    fn scan_join_branches_two_to_eight_and_ten_to_sixteen_are_covered() {
+        let (mdm, walk, _) = scan_join_system();
+        let rewriting = mdm.rewrite(&walk).unwrap();
+        assert_eq!(rewriting.branch_count(), 16);
+        // `explain` numbers branches from 1: branch 1 scans s0_v1 alone
+        // and covers 2–8, branch 9 scans s0_v2 alone and covers 10–16.
+        let explained = rewriting.explain();
+        assert!(
+            explained.contains("branch 1:\n    scans s0_v1\n"),
+            "{explained}"
+        );
+        assert!(
+            explained.contains("branch 9:\n    scans s0_v2\n"),
+            "{explained}"
+        );
+        let expected: Vec<Option<usize>> = (0..16)
+            .map(|i| match i {
+                0 | 8 => None,
+                1..=7 => Some(0),
+                _ => Some(8),
+            })
+            .collect();
+        assert_eq!(rewriting.covered_by, expected);
+    }
+
+    #[test]
+    fn wide_result_and_evolved_figure8_have_no_covered_branch() {
+        let (mdm, _, eco) = scan_join_system();
+        let wide = mdm.rewrite(&crate::synthetic::chain_walk(&eco, 2)).unwrap();
+        assert_eq!(wide.branch_count(), 8);
+        assert_eq!(wide.covered_by, vec![None; 8]);
+
+        let evolved = crate::rewrite::rewrite_walk(
+            &evolved_ontology(),
+            &figure8_walk(),
+            &crate::rewrite::RewriteOptions::default(),
+        )
+        .unwrap();
+        assert!(evolved.branch_count() >= 2);
+        assert_eq!(evolved.covered_by, vec![None; evolved.branch_count()]);
+    }
+
+    #[test]
+    fn a_later_container_is_never_used() {
+        let small = cq(&["a"], &[], "a.x");
+        let big = cq(&["a", "b"], &[("a.k", "b.k")], "a.x");
+        assert!(small.covers(&big));
+        assert!(!big.covers(&small));
+        assert_eq!(
+            covering_branches(&[small.clone(), big.clone()]),
+            vec![None, Some(0)]
+        );
+        assert_eq!(covering_branches(&[big, small]), vec![None, None]);
+    }
+
+    #[test]
+    fn an_extra_join_or_another_projection_column_blocks_coverage() {
+        let later = cq(&["a", "b"], &[("b.k", "a.k")], "a.x");
+        // Join pairs compare unordered: `a.k = b.k` is `b.k = a.k`.
+        assert!(cq(&["a", "b"], &[("a.k", "b.k")], "a.x").covers(&later));
+        let extra_join = cq(&["a", "b"], &[("a.j", "b.j")], "a.x");
+        assert!(!extra_join.covers(&later));
+        let other_column = cq(&["a"], &[], "a.y");
+        assert!(!other_column.covers(&later));
+        let other_wrapper = cq(&["b"], &[], "b.x");
+        assert!(!other_wrapper.covers(&later));
+        assert_eq!(
+            covering_branches(&[extra_join, other_column, later]),
+            vec![None; 3]
+        );
+    }
+
+    #[test]
+    fn bag_semantics_and_provenance_run_every_branch() {
+        let (mut mdm, walk, _) = scan_join_system();
+        // Provenance labels every derivation: all 16 branches produce one.
+        let traced = mdm.query_with_provenance(&walk).unwrap();
+        let labels: BTreeSet<String> = traced
+            .table
+            .column(&mdm_relational::schema::ColumnRef::bare("provenance"))
+            .unwrap()
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        let branches: BTreeSet<String> = traced
+            .rewriting
+            .queries
+            .iter()
+            .map(|cq| cq.atoms.join("+"))
+            .collect();
+        assert_eq!(labels, branches);
+
+        mdm.set_options(crate::rewrite::RewriteOptions {
+            distinct: false,
+            ..crate::rewrite::RewriteOptions::default()
+        });
+        let bag = mdm.rewrite(&walk).unwrap();
+        assert_eq!(bag.covered_by, vec![None; 16]);
+        // Every branch's rows count: 16 branches of 20 rows each.
+        let answer = mdm
+            .query_degraded(&walk, mdm_relational::Deadline::none())
+            .unwrap();
+        assert_eq!(answer.rows.len(), 16 * 20);
     }
 
     #[test]

@@ -171,6 +171,15 @@ impl DegradedAnswer {
 /// come from the old version, those from the new one" visible. Provenance
 /// is per derivation, so a row produced by several branches appears once
 /// per branch.
+///
+/// Under δ without provenance, a branch the rewriting records as covered
+/// ([`Rewriting::covered_by`]) runs no plan while its container survives:
+/// it only fetches its wrappers through the shared scan cache, and counts
+/// as executed. Its container is earlier in rewriting order and yields
+/// each of its rows cell for cell, so δ's "first branch wins" never picks
+/// one of them and the merged rows are the same as when it runs. (The one
+/// exception, a NaN cell, which is never `==` to itself, no wrapper
+/// produces.)
 pub fn execute_degraded(
     rewriting: &Rewriting,
     catalog: &dyn Catalog,
@@ -201,39 +210,79 @@ pub fn execute_degraded(
     // (and thus the completeness report) independent of how concurrent
     // branches interleave.
     let cache = ScanCache::new();
-    let run_branch = |i: usize| {
+    // A covered branch fetches what its plan scans, in the plan's order,
+    // stopping where the plan's build would stop, so fetches, fault draws,
+    // breaker events and retries stay those of running it. When a fetch
+    // fails it runs, to report its own error. Provenance labels every
+    // derivation, so there every branch runs.
+    let skip_covered = options.distinct && !provenance;
+    let container = |i: usize| {
+        rewriting
+            .covered_by
+            .get(i)
+            .copied()
+            .flatten()
+            .filter(|_| skip_covered)
+    };
+    // `None` is a covered branch that fetched everything and ran nothing.
+    let run_branch = |i: usize, may_skip: bool| {
         let mut executor =
             Executor::with_options(catalog, exec_options.clone()).with_scan_cache(&cache);
         if let Some(guard) = guard {
             executor = executor.with_guard(guard);
         }
-        let outcome = executor.run_undecoded(&plans[i]);
+        let skipped = may_skip
+            && container(i).is_some()
+            && plans[i]
+                .scanned_relations()
+                .into_iter()
+                .all(|relation| executor.prefetch(relation).is_ok());
+        let outcome = (!skipped).then(|| executor.run_undecoded(&plans[i]));
         (executor.retries(), outcome)
     };
     let pool = exec_options.pool.as_ref().filter(|p| p.size() > 1);
-    let outcomes = match pool {
-        Some(pool) if plans.len() > 1 => pool.run(plans.len(), run_branch),
-        _ => (0..plans.len()).map(&run_branch).collect(),
+    let fan_out = |branches: &[usize], may_skip: bool| match pool {
+        Some(pool) if branches.len() > 1 => {
+            pool.run(branches.len(), |k| run_branch(branches[k], may_skip))
+        }
+        _ => branches.iter().map(|&i| run_branch(i, may_skip)).collect(),
     };
+    let mut outcomes = fan_out(&(0..plans.len()).collect::<Vec<_>>(), true);
+    // A skipped branch whose container was dropped runs now: its rows may
+    // be the only ones left of the container's.
+    let orphans: Vec<usize> = (0..plans.len())
+        .filter(|&i| {
+            outcomes[i].1.is_none()
+                && container(i).is_some_and(|c| matches!(outcomes[c].1, Some(Err(_))))
+        })
+        .collect();
+    for (&i, (retries, outcome)) in orphans.iter().zip(fan_out(&orphans, false)) {
+        outcomes[i].0 += retries;
+        outcomes[i].1 = outcome;
+    }
     let mut contributors: BTreeSet<String> = BTreeSet::new();
     let mut survivors = Vec::new();
     let mut labels = Vec::new();
     for (cq, (retries, outcome)) in rewriting.queries.iter().zip(outcomes) {
         completeness.retries += retries;
-        match outcome {
-            Ok(result) => {
-                completeness.executed_branches += 1;
-                contributors.extend(cq.atoms.iter().cloned());
-                survivors.push(result);
-                if provenance {
-                    labels.push(Value::str(cq.atoms.join("+")));
-                }
+        let result = match outcome {
+            Some(Err(error)) => {
+                completeness.dropped.push(DroppedBranch {
+                    wrappers: cq.atoms.clone(),
+                    kind: error.kind.label().to_string(),
+                    reason: error.message,
+                });
+                continue;
             }
-            Err(error) => completeness.dropped.push(DroppedBranch {
-                wrappers: cq.atoms.clone(),
-                kind: error.kind.label().to_string(),
-                reason: error.message,
-            }),
+            Some(Ok(result)) => Some(result),
+            // Skipped: its container's rows stand for its own.
+            None => None,
+        };
+        completeness.executed_branches += 1;
+        contributors.extend(cq.atoms.iter().cloned());
+        survivors.extend(result);
+        if provenance {
+            labels.push(Value::str(cq.atoms.join("+")));
         }
     }
     completeness.contributors = contributors.into_iter().collect();

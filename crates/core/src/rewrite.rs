@@ -10,7 +10,7 @@ use mdm_relational::{Expr, Plan};
 use crate::error::MdmError;
 use crate::expansion::{expand, ExpandedWalk};
 use crate::footprint::Footprint;
-use crate::inter::{generate_ucq, ConjunctiveQuery, QualifiedColumn};
+use crate::inter::{covering_branches, generate_ucq, ConjunctiveQuery, QualifiedColumn};
 use crate::intra::{partial_walks, PartialWalk};
 use crate::ontology::BdiOntology;
 use crate::sparql_gen;
@@ -52,6 +52,11 @@ pub struct Rewriting {
     pub output_columns: Vec<String>,
     /// Identifiers injected by phase (a), for explanations.
     pub expanded_identifiers: Vec<(Iri, Iri)>,
+    /// Per branch, under δ, the earliest earlier branch that
+    /// [covers](ConjunctiveQuery::covers) it: every row the branch yields
+    /// is already a row of that one, so the served path need not run it.
+    /// All `None` without δ, where those rows count.
+    pub covered_by: Vec<Option<usize>>,
 }
 
 impl Rewriting {
@@ -190,6 +195,11 @@ pub fn assemble(
         plan = plan.distinct();
     }
 
+    let covered_by = if options.distinct {
+        covering_branches(&queries)
+    } else {
+        vec![None; queries.len()]
+    };
     let footprint = read_footprint(ontology, &expanded, &queries);
     let rewriting = Rewriting {
         sparql: sparql_gen::walk_to_sparql(ontology, walk),
@@ -197,6 +207,7 @@ pub fn assemble(
         output_columns,
         expanded_identifiers: expanded.added_identifiers.clone(),
         queries,
+        covered_by,
     };
     let artifacts = RewriteArtifacts {
         expanded,

@@ -519,6 +519,60 @@ impl<'a> Executor<'a> {
         Ok((provider, schema))
     }
 
+    /// A row-plane scan's input through `cache`: the first scan of
+    /// `relation` in the query fetches it, every later one replays that
+    /// outcome, success or error.
+    fn scan_rows(
+        &self,
+        relation: &str,
+        cache: &ScanCache,
+    ) -> Result<(Schema, Arc<Vec<Tuple>>), ExecError> {
+        let (provider, schema) = self.scan_source(relation)?;
+        let rows =
+            cache.fetch_or_insert(relation, provider.version(), self.options.epoch, || {
+                self.fetch(relation, provider)
+            })?;
+        Ok((schema, rows))
+    }
+
+    /// [`Executor::scan_rows`] on the columnar plane: the provider's term
+    /// columns and row count.
+    fn scan_columns(
+        &self,
+        relation: &str,
+        cache: &ScanCache,
+    ) -> Result<(Schema, (EncodedScan, usize)), ExecError> {
+        let (provider, schema) = self.scan_source(relation)?;
+        let columns = cache.fetch_or_insert_columns(
+            relation,
+            provider.version(),
+            self.options.epoch,
+            || self.fetch(relation, provider),
+        )?;
+        Ok((schema, columns))
+    }
+
+    /// Fetches `relation` into the attached scan cache without running a
+    /// plan: the scan a plan would make, on the plane the options choose,
+    /// through the same guard, retry, deadline and stats loop, leaving the
+    /// outcome every later scan of it in the query replays. An expired
+    /// deadline fails it first, as it fails a plan's start. Without an
+    /// attached cache the fetch is made and dropped.
+    pub fn prefetch(&self, relation: &str) -> Result<(), ExecError> {
+        if self.options.deadline.expired() {
+            return Err(self
+                .options
+                .deadline
+                .exceeded(&format!("prefetching relation '{relation}'")));
+        }
+        let local = ScanCache::new();
+        let cache = self.shared_cache.unwrap_or(&local);
+        match self.options.layout {
+            Layout::Row => self.scan_rows(relation, cache).map(drop),
+            Layout::Columnar => self.scan_columns(relation, cache).map(drop),
+        }
+    }
+
     /// Translates `plan` into the row plane's operator tree: the reference
     /// interpreter [`Layout::Row`] selects, and the stream the columnar
     /// tree must reproduce byte for byte. Scans go through the per-query
@@ -528,13 +582,7 @@ impl<'a> Executor<'a> {
     fn build_row(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn Operator>, ExecError> {
         let op: Box<dyn Operator> = match plan {
             Plan::Scan { relation } => {
-                let (provider, schema) = self.scan_source(relation)?;
-                let rows = cache.fetch_or_insert(
-                    relation,
-                    provider.version(),
-                    self.options.epoch,
-                    || self.fetch(relation, provider),
-                )?;
+                let (schema, rows) = self.scan_rows(relation, cache)?;
                 Box::new(ScanExec::new(schema, rows))
             }
             Plan::Filter { input, predicate } => Box::new(FilterExec::new(
@@ -572,13 +620,7 @@ impl<'a> Executor<'a> {
     fn build_col(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn ColOperator>, ExecError> {
         let op: Box<dyn ColOperator> = match plan {
             Plan::Scan { relation } => {
-                let (provider, schema) = self.scan_source(relation)?;
-                let (columns, len) = cache.fetch_or_insert_columns(
-                    relation,
-                    provider.version(),
-                    self.options.epoch,
-                    || self.fetch(relation, provider),
-                )?;
+                let (schema, (columns, len)) = self.scan_columns(relation, cache)?;
                 Box::new(ColScan::new(schema, columns, len))
             }
             Plan::Filter { input, predicate } => Box::new(ColFilter::new(
@@ -889,6 +931,44 @@ mod tests {
         let err = executor.run(&Plan::scan("f")).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Permanent);
         assert_eq!(executor.retries(), 0);
+    }
+
+    #[test]
+    fn prefetch_fills_the_shared_cache_that_a_later_scan_replays() {
+        let options = |layout| ExecOptions {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base_backoff: std::time::Duration::ZERO,
+                ..RetryPolicy::default()
+            },
+            layout,
+            ..ExecOptions::default()
+        };
+        for layout in [Layout::Columnar, Layout::Row] {
+            // One absorbed transient: the prefetch pays the retry, the
+            // scan after it fetches nothing.
+            let flaky = Flaky::new(1, ErrorKind::Transient);
+            let catalog = OneProvider { provider: &flaky };
+            let cache = ScanCache::new();
+            let prefetcher =
+                Executor::with_options(&catalog, options(layout)).with_scan_cache(&cache);
+            prefetcher.prefetch("f").unwrap();
+            assert_eq!(prefetcher.retries(), 1, "{layout:?}");
+            let runner = Executor::with_options(&catalog, options(layout)).with_scan_cache(&cache);
+            assert_eq!(runner.run(&Plan::scan("f")).unwrap().len(), 1);
+            assert_eq!(runner.retries(), 0, "{layout:?}");
+            assert_eq!(cache.stats().misses, 1, "{layout:?}");
+
+            // A failed prefetch leaves its error for the scan to replay,
+            // although the provider would now succeed.
+            let dead = Flaky::new(1, ErrorKind::Permanent);
+            let catalog = OneProvider { provider: &dead };
+            let cache = ScanCache::new();
+            let executor =
+                Executor::with_options(&catalog, options(layout)).with_scan_cache(&cache);
+            let err = executor.prefetch("f").unwrap_err();
+            assert_eq!(executor.run(&Plan::scan("f")).unwrap_err(), err);
+        }
     }
 
     #[test]

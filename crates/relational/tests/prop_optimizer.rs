@@ -131,7 +131,7 @@ proptest! {
     /// render is byte-identical to unoptimized execution under every
     /// layout × execution-path combination.
     #[test]
-    fn optimized_plans_render_identically(
+    fn cost_mode_renders_like_off_mode(
         a in arb_table("a"),
         b in arb_table("b"),
         c in arb_table("c"),

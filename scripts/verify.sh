@@ -41,6 +41,14 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quic
 awk '$1 == "metric" && $3 == "relational.terms_encoded" \
         && $2 ~ /^(serve_hot|scan_join|wide_result)$/ { seen++; if ($4 + 0 != 0) { print "warm queries encode again: " $0; bad = 1 } }
      END { if (seen != 3) { print "expected relational.terms_encoded on 3 read workloads, saw " seen + 0; bad = 1 } exit bad }' "$quick"
+# Covered UCQ branches run no plan: of scan_join's 16 branches two run, 8
+# kernel invocations per warm query at seed 42 (100 when every branch ran),
+# while the covered ones still fetch, so every wrapper is fetched once.
+awk '$1 == "metric" && $2 == "scan_join" && $3 == "relational.kernel_invocations" {
+         kernels++; if ($4 + 0 > 8) { print "covered branches run again: " $0; bad = 1 } }
+     $1 == "metric" && $2 == "scan_join" && $3 == "wrappers.fetches_per_query" {
+         fetches++; if ($4 + 0 != 4) { print "scan_join no longer fetches each wrapper once: " $0; bad = 1 } }
+     END { if (kernels != 1 || fetches != 1) { print "expected one scan_join kernel and fetch count, saw " kernels + 0 " and " fetches + 0; bad = 1 } exit bad }' "$quick"
 
 echo "==> evaluation harness (E1–E8 + P summaries regenerate)"
 cargo run --release --quiet -p mdm-bench --bin evaluation > /dev/null
