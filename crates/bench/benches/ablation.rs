@@ -48,8 +48,8 @@ impl Statistics for ExactStats<'_> {
     fn estimated_rows(&self, relation: &str) -> Option<usize> {
         self.catalog
             .provider(relation)
-            .and_then(|p| p.rows().ok())
-            .map(|rows| rows.len())
+            .and_then(|p| p.columns().ok())
+            .map(|(_, rows)| rows)
     }
 }
 

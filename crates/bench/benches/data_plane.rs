@@ -15,9 +15,9 @@
 //! 3. **Intern-pool effectiveness** — the hit rate of the global string
 //!    pool after warming, printed once per run for the P11 table.
 //!
-//! Every cell runs the default (columnar) plane; the row plane is an untuned
-//! reference interpreter and is not benchmarked (EXPERIMENTS.md P13 keeps
-//! the retired layout sweep's numbers as a dated record).
+//! Every cell runs the one (columnar) data plane; the row plane P11 and
+//! P13 once compared it with is deleted (EXPERIMENTS.md keeps the retired
+//! layout sweep's numbers as a dated record).
 //!
 //! Outputs are asserted identical across drain widths before sampling.
 

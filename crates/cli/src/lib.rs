@@ -799,7 +799,7 @@ impl Session {
             Ok(m) => m,
             Err(e) => return Outcome::Text(e),
         };
-        let report = mdm_core::stats::report(mdm.ontology());
+        let report = mdm_core::dashboard::report(mdm.ontology());
         Outcome::Text(report.render(mdm.ontology()))
     }
 

@@ -87,6 +87,7 @@
 pub mod assist;
 pub mod cache;
 pub mod changes;
+pub mod dashboard;
 pub mod durable;
 pub mod error;
 pub mod expansion;
@@ -104,7 +105,6 @@ pub mod render;
 pub mod repo;
 pub mod rewrite;
 pub mod sparql_gen;
-pub mod stats;
 pub mod synthetic;
 #[cfg(test)]
 pub(crate) mod testkit;

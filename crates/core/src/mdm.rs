@@ -8,8 +8,8 @@ use std::sync::Arc;
 use mdm_rdf::term::Iri;
 use mdm_relational::{
     explain_tree, pool, BreakerConfig, BreakerRegistry, BreakerSnapshot, Catalog, Deadline,
-    ExecOptions, Executor, Layout, OptimizeMode, Optimizer, Plan, Pool, PoolStats, RetryPolicy,
-    ScanCache, StatsCatalog, StatsSnapshot,
+    ExecOptions, Executor, OptimizeMode, Optimizer, Plan, Pool, PoolStats, RetryPolicy, ScanCache,
+    StatsCatalog, StatsSnapshot,
 };
 use mdm_wrappers::{FaultPlan, Wrapper, WrapperCatalog};
 
@@ -68,9 +68,6 @@ pub struct Mdm {
     /// Upper bound on tuples moved per operator batch while draining
     /// queries (the executor still adapts downward for small inputs).
     batch_size: usize,
-    /// Physical data layout queries execute under: columnar (the default)
-    /// or the tuple-at-a-time reference interpreter.
-    layout: Layout,
     /// Cardinality statistics feeding the cost-based optimizer. Shared with
     /// every executor this instance builds (scans feed observations back)
     /// and versioned by its own **stats epoch** — bumped by
@@ -109,7 +106,6 @@ impl Mdm {
             breakers: BreakerRegistry::default(),
             pool: Some(pool::global()),
             batch_size: mdm_relational::executor::DEFAULT_BATCH,
-            layout: Layout::default(),
             stats: mdm_relational::stats::global(),
             optimize: OptimizeMode::default(),
             journal: None,
@@ -154,19 +150,6 @@ impl Mdm {
     /// The configured operator batch width.
     pub fn batch_size(&self) -> usize {
         self.batch_size
-    }
-
-    /// Sets the physical data layout for query execution: columnar runs
-    /// the vectorized term-id kernels (the default), row selects the
-    /// tuple-at-a-time reference interpreter the oracle tests hold them to.
-    /// Results are byte-identical either way.
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-    }
-
-    /// The configured physical data layout.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Sets the plan-optimization mode: `cost` (default) runs the full
@@ -218,7 +201,6 @@ impl Mdm {
             pool: self.pool.clone(),
             batch_size: self.batch_size,
             epoch: self.epoch,
-            layout: self.layout,
             stats: Some(Arc::clone(&self.stats)),
         }
     }
@@ -655,7 +637,7 @@ impl Mdm {
     /// rewriting comes from the plan cache, each branch plan is optimized
     /// inline against the current statistics, and
     /// [`execute_degraded`] fans the branches out under this instance's
-    /// pool, layout, batch width, retry policy, breakers and epoch.
+    /// pool, batch width, retry policy, breakers and epoch.
     fn execute(
         &self,
         walk: &Walk,
@@ -798,8 +780,8 @@ impl Mdm {
     }
 
     /// Like [`Mdm::restore_metadata`], but the new instance keeps this
-    /// one's execution settings — pool, batch width, layout, optimizer
-    /// mode, retry policy, breaker configuration, stats catalog. A restore
+    /// one's execution settings — pool, batch width, optimizer mode, retry
+    /// policy, breaker configuration, stats catalog. A restore
     /// replaces metadata, not how the operator configured execution: this
     /// is what a front end swaps in for the instance it is serving.
     pub fn restored_from(&self, document: &str) -> Result<Mdm, MdmError> {
@@ -811,7 +793,6 @@ impl Mdm {
             breakers: BreakerRegistry::new(self.breakers.config().clone()),
             pool: self.pool.clone(),
             batch_size: self.batch_size,
-            layout: self.layout,
             stats: Arc::clone(&self.stats),
             optimize: self.optimize,
             ..Mdm::new()
@@ -1220,23 +1201,20 @@ mod tests {
                 &vocab::schema::SPORTS_TEAM.iri(),
             );
         // Served vs cold reference, under every knob that may not change a
-        // byte: optimizer on/off × both layouts × pool/sequential.
+        // byte: optimizer on/off × pool/sequential.
         for mode in [OptimizeMode::Off, OptimizeMode::Cost] {
-            for layout in [Layout::Columnar, Layout::Row] {
-                for threads in [1, 4] {
-                    let mut mdm = football_mdm();
-                    mdm.set_optimize(mode);
-                    mdm.set_layout(layout);
-                    mdm.set_threads(threads);
-                    assert_eq!(mdm.optimize_mode(), mode);
-                    assert_eq!(
-                        mdm.query_degraded(&walk, Deadline::none())
-                            .unwrap()
-                            .render(),
-                        mdm.query(&walk).unwrap().render(),
-                        "{mode} / {layout:?} / {threads} thread(s)"
-                    );
-                }
+            for threads in [1, 4] {
+                let mut mdm = football_mdm();
+                mdm.set_optimize(mode);
+                mdm.set_threads(threads);
+                assert_eq!(mdm.optimize_mode(), mode);
+                assert_eq!(
+                    mdm.query_degraded(&walk, Deadline::none())
+                        .unwrap()
+                        .render(),
+                    mdm.query(&walk).unwrap().render(),
+                    "{mode} / {threads} thread(s)"
+                );
             }
         }
     }

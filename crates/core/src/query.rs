@@ -18,21 +18,17 @@
 //! form: a [`DegradedAnswer`] carries [`MergedRows`], sorted term rows plus
 //! the answer's distinct strings, which the server prints as they are.
 //! Only a caller that wants `Value`s ([`DegradedAnswer::table`], the CLI,
-//! the tests) builds a [`Table`]. One rule holds on both paths and both
-//! layouts: rows are the same when they are `==`, and of two `==` rows —
-//! v1 says `170`, v2 says `170.0` — the first branch in rewriting order
-//! wins. `Layout::Row` results take `merge_rows`, the same rule over
-//! decoded rows and the encoded merge's oracle.
+//! the tests) builds a [`Table`]. One rule holds on both paths: rows are
+//! the same when they are `==`, and of two `==` rows — v1 says `170`, v2
+//! says `170.0` — the first branch in rewriting order wins.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mdm_relational::columnar::{merge_branches, MergeMode, MergedRows};
 use mdm_relational::resilience::ScanGuard;
 use mdm_relational::schema::ColumnRef;
-use mdm_relational::{
-    Catalog, ExecOptions, Executor, Plan, ScanCache, Schema, Table, Undecoded, Value,
-};
+use mdm_relational::{Catalog, ExecOptions, Executor, Plan, ScanCache, Schema, Table, Value};
 
 use crate::error::MdmError;
 use crate::ontology::BdiOntology;
@@ -306,7 +302,7 @@ pub fn execute_degraded(
             },
         );
     };
-    let mut schema = first.schema().clone();
+    let mut schema = first.schema.clone();
     let mode = if provenance {
         schema = schema.concat(&Schema::new(vec![ColumnRef::bare("provenance")]));
         MergeMode::Labelled(&labels)
@@ -315,60 +311,16 @@ pub fn execute_degraded(
     } else {
         MergeMode::All
     };
-    // Every branch ran on the plane `exec_options.layout` chose: columnar
-    // results merge encoded, `Layout::Row` results take the row merge.
-    let rows = if survivors
-        .iter()
-        .all(|result| matches!(result, Undecoded::Columns { .. }))
-    {
-        let encoded = survivors
-            .into_iter()
-            .filter_map(|result| match result {
-                Undecoded::Columns { batches, .. } => Some(batches),
-                Undecoded::Rows(_) => None,
-            })
-            .collect();
-        merge_branches(schema, encoded, mode)
-    } else {
-        survivors
-            .into_iter()
-            .map(Undecoded::decode)
-            .collect::<Result<Vec<Table>, String>>()
-            .and_then(|tables| merge_rows(schema, tables, mode))
-            .map(MergedRows::from_table)
-    }
-    .map_err(MdmError::Execution)?;
+    let batches = survivors.into_iter().map(|result| result.batches).collect();
+    let rows = merge_branches(schema, batches, mode).map_err(MdmError::Execution)?;
     Ok((rows, completeness))
-}
-
-/// The row-plane merge, and the oracle the encoded
-/// [`merge_branches`] is held to by the dual-layout goldens and
-/// properties: concatenate in branch order, keep the first of `==` rows,
-/// sort stably.
-fn merge_rows(schema: Schema, tables: Vec<Table>, mode: MergeMode<'_>) -> Result<Table, String> {
-    let mut rows = Vec::new();
-    for (b, table) in tables.into_iter().enumerate() {
-        let label = match mode {
-            MergeMode::Labelled(labels) => labels.get(b),
-            _ => None,
-        };
-        rows.extend(table.into_rows().into_iter().map(|mut row| {
-            row.extend(label.cloned());
-            row
-        }));
-    }
-    if matches!(mode, MergeMode::Distinct) {
-        let mut seen = HashSet::new();
-        rows.retain(|row| seen.insert(row.clone()));
-    }
-    Ok(Table::new(schema, rows)?.sorted())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::{evolved_ontology, ex, figure7_ontology, figure8_walk};
-    use mdm_relational::{Layout, MemoryCatalog};
+    use mdm_relational::MemoryCatalog;
 
     fn answer_walk(
         ontology: &BdiOntology,
@@ -553,8 +505,8 @@ mod tests {
     /// The paper's own scenario: v1 (w1) and v2 (w3) serve the same player
     /// and spell one number differently. The served merge and the cold
     /// reference must agree on which spelling survives — the first branch's
-    /// in rewriting order — under both layouts. (The `BTreeSet` union this
-    /// replaced kept the *last* `==` row, so the two paths disagreed.)
+    /// in rewriting order. (The `BTreeSet` union this replaced kept the
+    /// *last* `==` row, so the two paths disagreed.)
     #[test]
     fn served_and_reference_agree_when_versions_spell_a_number_differently() {
         let o = evolved_ontology();
@@ -580,31 +532,22 @@ mod tests {
                 row[2] = height.clone();
                 catalog.register(name, Table::new(schema, vec![row]).unwrap());
             }
-            for layout in [Layout::Columnar, Layout::Row] {
-                let exec_options = ExecOptions {
-                    layout,
-                    ..ExecOptions::default()
-                };
-                let reference = answer_walk_with(&o, &walk, &catalog, &options, &exec_options)
-                    .unwrap()
-                    .render();
-                let (served, _) = execute_degraded(
-                    &rewriting,
-                    &catalog,
-                    &options,
-                    &exec_options,
-                    None,
-                    &|plan| plan,
-                    false,
-                )
-                .unwrap();
-                assert_eq!(served.len(), 1, "{v1:?}/{v2:?} under {layout:?}");
-                assert_eq!(
-                    served.to_table().render(),
-                    reference,
-                    "{v1:?}/{v2:?} under {layout:?}"
-                );
-            }
+            let exec_options = ExecOptions::default();
+            let reference = answer_walk_with(&o, &walk, &catalog, &options, &exec_options)
+                .unwrap()
+                .render();
+            let (served, _) = execute_degraded(
+                &rewriting,
+                &catalog,
+                &options,
+                &exec_options,
+                None,
+                &|plan| plan,
+                false,
+            )
+            .unwrap();
+            assert_eq!(served.len(), 1, "{v1:?}/{v2:?}");
+            assert_eq!(served.to_table().render(), reference, "{v1:?}/{v2:?}");
         }
     }
 
@@ -612,8 +555,7 @@ mod tests {
     /// beyond 2^53, where `as f64` ties `Int(2^53)` and `Int(2^53 + 1)` to
     /// one float. One player name and a distinct weight per row keep every
     /// row through δ; under the tie the weights would close cycles in the
-    /// row order. Served equals reference under both layouts, and neither
-    /// sort panics.
+    /// row order. Served equals reference, and neither sort panics.
     #[test]
     fn served_and_reference_agree_on_ints_and_floats_beyond_two_to_the_53() {
         let o = evolved_ontology();
@@ -647,30 +589,24 @@ mod tests {
             let schema = full.relation_schema(name).unwrap();
             catalog.register(name, Table::new(schema, rows).unwrap());
         }
-        for layout in [Layout::Columnar, Layout::Row] {
-            let exec_options = ExecOptions {
-                layout,
-                ..ExecOptions::default()
-            };
-            let reference = answer_walk_with(&o, &walk, &catalog, &options, &exec_options).unwrap();
-            let (served, _) = execute_degraded(
-                &rewriting,
-                &catalog,
-                &options,
-                &exec_options,
-                None,
-                &|plan| plan,
-                false,
-            )
-            .unwrap();
-            assert_eq!(served.len(), 80, "under {layout:?}");
-            // `Debug`, not `==`: the spelling (Int or Float) must agree too.
-            assert_eq!(
-                format!("{:?}", served.to_table().rows()),
-                format!("{:?}", reference.table.rows()),
-                "under {layout:?}"
-            );
-        }
+        let exec_options = ExecOptions::default();
+        let reference = answer_walk_with(&o, &walk, &catalog, &options, &exec_options).unwrap();
+        let (served, _) = execute_degraded(
+            &rewriting,
+            &catalog,
+            &options,
+            &exec_options,
+            None,
+            &|plan| plan,
+            false,
+        )
+        .unwrap();
+        assert_eq!(served.len(), 80);
+        // `Debug`, not `==`: the spelling (Int or Float) must agree too.
+        assert_eq!(
+            format!("{:?}", served.to_table().rows()),
+            format!("{:?}", reference.table.rows())
+        );
     }
 
     #[test]

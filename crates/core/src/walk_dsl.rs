@@ -10,9 +10,11 @@
 //! ```
 //!
 //! One line per concept (with its requested features in braces, possibly
-//! empty) or per relation edge (`from -property-> to`). Prefixed names
-//! resolve through the ontology's prefix map; full IRIs in `<…>` work too.
-//! `#` starts a comment.
+//! empty) or per relation edge (`from -property-> to`: the first `->` ends
+//! the property, `from` is the first whitespace-delimited token, and the
+//! property follows its leading `-`, so names may contain `-`). Prefixed
+//! names resolve through the ontology's prefix map; full IRIs in `<…>`
+//! work too. `#` outside `<…>` starts a comment.
 
 use mdm_rdf::term::Iri;
 
@@ -28,20 +30,23 @@ use crate::walk::Walk;
 pub fn parse_walk(text: &str, ontology: &BdiOntology) -> Result<Walk, MdmError> {
     let mut walk = Walk::new();
     for (line_number, raw_line) in text.lines().enumerate() {
-        let line = raw_line.split('#').next().unwrap_or_default().trim();
+        let comment = find_outside_iris(raw_line, "#").unwrap_or(raw_line.len());
+        let line = raw_line[..comment].trim();
         if line.is_empty() {
             continue;
         }
         let fail = |message: String| MdmError::Walk(format!("line {}: {message}", line_number + 1));
-        if let Some((lhs, rest)) = line.split_once('-') {
-            if let Some((property, to)) = rest.split_once("->") {
-                // Relation line: from -property-> to
-                let from = resolve(lhs.trim(), ontology).map_err(&fail)?;
-                let property = resolve(property.trim(), ontology).map_err(&fail)?;
-                let to = resolve(to.trim(), ontology).map_err(&fail)?;
-                walk = walk.relation(&from, &property, &to);
-                continue;
-            }
+        if let Some(arrow) = find_outside_iris(line, "->") {
+            // Relation line: from -property-> to
+            let (from, property) = line[..arrow]
+                .split_once(char::is_whitespace)
+                .and_then(|(from, rest)| Some((from, rest.trim_start().strip_prefix('-')?)))
+                .ok_or_else(|| fail(format!("expected 'from -property-> to' in '{line}'")))?;
+            let from = resolve(from, ontology).map_err(&fail)?;
+            let property = resolve(property.trim(), ontology).map_err(&fail)?;
+            let to = resolve(line[arrow + 2..].trim(), ontology).map_err(&fail)?;
+            walk = walk.relation(&from, &property, &to);
+            continue;
         }
         if let Some((concept_text, rest)) = line.split_once('{') {
             // Concept line: concept { f1, f2, … }
@@ -65,6 +70,21 @@ pub fn parse_walk(text: &str, ontology: &BdiOntology) -> Result<Walk, MdmError> 
         walk = walk.concept(&concept);
     }
     Ok(walk)
+}
+
+/// The byte offset of the first `pattern` in `line` that does not start
+/// inside a bracketed IRI `<…>`.
+fn find_outside_iris(line: &str, pattern: &str) -> Option<usize> {
+    let mut in_iri = false;
+    for (i, c) in line.char_indices() {
+        match c {
+            '<' => in_iri = true,
+            '>' if in_iri => in_iri = false,
+            _ if !in_iri && line[i..].starts_with(pattern) => return Some(i),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Renders a walk back into the notation (a parse/print round-trip pair).
@@ -165,6 +185,38 @@ mod tests {
         assert!(err.message().contains("unknown prefix"));
         let err = parse_walk("ex:Player { ex:playerName", &o).unwrap_err();
         assert!(err.message().contains("missing closing"));
+    }
+
+    /// A `#` inside `<…>` is part of the IRI, not a comment.
+    #[test]
+    fn hash_iris_are_not_comments() {
+        let o = figure7_ontology();
+        let team = Iri::new("http://other.org/o#Team");
+        let name = Iri::new("http://other.org/o#name");
+        let walk = parse_walk(
+            "<http://other.org/o#Team> { <http://other.org/o#name> } # x",
+            &o,
+        )
+        .unwrap();
+        assert_eq!(walk, Walk::new().feature(&team, &name));
+    }
+
+    /// A hyphen in a name does not start the relation's property.
+    #[test]
+    fn hyphenated_names_in_relation_lines() {
+        let o = figure7_ontology();
+        let walk = parse_walk("ex:Player-Card -ex:hasTeam-> sc:SportsTeam", &o).unwrap();
+        let expected = Walk::new().relation(
+            &ex("Player-Card"),
+            &ex("hasTeam"),
+            &mdm_rdf::vocab::schema::SPORTS_TEAM.iri(),
+        );
+        assert_eq!(walk, expected);
+        let err = parse_walk("ex:Player-ex:hasTeam-> sc:SportsTeam", &o).unwrap_err();
+        assert!(
+            err.message().contains("expected 'from -property-> to'"),
+            "{err}"
+        );
     }
 
     #[test]

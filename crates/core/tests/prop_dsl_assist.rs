@@ -4,7 +4,9 @@ use proptest::prelude::*;
 
 use mdm_core::synthetic::{self, mdm_from_synthetic};
 use mdm_core::walk_dsl::{parse_walk, walk_to_text};
-use mdm_core::Walk;
+use mdm_core::{BdiOntology, Walk};
+use mdm_rdf::term::Iri;
+use mdm_rdf::vocab::EXAMPLE_NS;
 use mdm_wrappers::workload::{build, WorkloadConfig};
 
 /// Random walks over a synthetic chain ontology.
@@ -32,8 +34,55 @@ fn arb_walk(concepts: usize, features: usize) -> impl Strategy<Value = Walk> {
     })
 }
 
+/// The characters a name may hold that the notation itself also uses.
+const NAME_CHARS: [char; 5] = ['a', 'b', '-', '.', '_'];
+
+/// An IRI under `ex:`, written prefixed, or under a namespace no prefix
+/// covers, ending in a `#` fragment and written as `<…>`.
+fn arb_iri() -> impl Strategy<Value = Iri> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(0..NAME_CHARS.len(), 1..6),
+    )
+        .prop_map(|(prefixed, chars)| {
+            let name: String = chars.into_iter().map(|c| NAME_CHARS[c]).collect();
+            if prefixed {
+                Iri::new(format!("{EXAMPLE_NS}{name}"))
+            } else {
+                Iri::new(format!("http://other.org/o#{name}"))
+            }
+        })
+}
+
+/// Random walks over names like `ex:Player-Card` and `<…o#a.b>`.
+fn arb_named_walk() -> impl Strategy<Value = Walk> {
+    (
+        proptest::collection::vec((arb_iri(), arb_iri()), 1..4),
+        proptest::collection::vec((arb_iri(), arb_iri(), arb_iri()), 0..3),
+    )
+        .prop_map(|(features, relations)| {
+            let mut walk = Walk::new();
+            for (concept, feature) in features {
+                walk = walk.feature(&concept, &feature);
+            }
+            for (from, property, to) in relations {
+                walk = walk.relation(&from, &property, &to);
+            }
+            walk
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// parse(print(walk)) == walk when names hold `-`, `.`, `_` or a `#`.
+    #[test]
+    fn walk_notation_round_trips_awkward_names(walk in arb_named_walk()) {
+        let ontology = BdiOntology::new();
+        let text = walk_to_text(&walk, &ontology);
+        let reparsed = parse_walk(&text, &ontology).map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
+        prop_assert_eq!(reparsed, walk, "{}", text);
+    }
 
     /// parse(print(walk)) == walk for arbitrary walks.
     #[test]

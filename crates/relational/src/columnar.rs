@@ -1,17 +1,17 @@
-//! Columnar data plane: fixed-width term encoding and vectorized kernels.
+//! The data plane: fixed-width term encoding and vectorized kernels.
 //!
-//! The row plane moves `Vec<Tuple>` of enum [`Value`]s; every filter, join
-//! and distinct re-hashes full enum cells and clones tuples. This module
-//! gives the executor a second, columnar shape for the same plans: every
-//! cell becomes a fixed-width 16-byte [`TermId`] (a tag word plus an inline
-//! payload, with pooled/inline strings mapped through a process-wide
-//! dictionary), operators exchange [`ColumnBatch`]es of shared
-//! [`TypedColumn`]s, and the hot kernels — filter predicates, hash-join
-//! build/probe, DISTINCT, projection — run over raw id arrays. Terms decode
-//! back into `Value`s only at the edges: a `Table` built from batches, and
-//! the row-wise replay of a batch whenever vectorized expression evaluation
-//! hits an error (so error text and error *order* stay byte-identical with
-//! the row plane). A served UCQ answer never becomes `Value`s at all:
+//! The executor runs every plan here. Every cell is a fixed-width 16-byte
+//! [`TermId`] (a tag word plus an inline payload, with pooled/inline
+//! strings mapped through a process-wide dictionary), operators exchange
+//! [`ColumnBatch`]es of shared [`TypedColumn`]s, and the hot kernels —
+//! filter predicates, hash-join build/probe, DISTINCT, projection — run
+//! over raw id arrays instead of re-hashing enum [`Value`] cells and
+//! cloning tuples. Terms decode back into `Value`s only at the edges: a
+//! `Table` built from batches, and the row-wise replay of a batch whenever
+//! vectorized expression evaluation hits an error (so error text and error
+//! *order* are those of evaluating row by row, which the test suite's
+//! reference interpreter does). A served UCQ answer never becomes `Value`s
+//! at all:
 //! [`merge_branches`] unions, deduplicates and sorts the branches' terms
 //! and hands back [`MergedRows`] — sorted term rows plus the answer's
 //! distinct strings, read from the dictionary once each.
@@ -47,16 +47,6 @@ use crate::value::{cmp_int_float, Tuple, Value};
 mod merge;
 
 pub use merge::{merge_branches, Cell, MergeMode, MergedRows};
-
-/// Which physical plane the executor builds a whole plan on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Layout {
-    /// The tuple-at-a-time reference interpreter (oracle tests, debugging).
-    Row,
-    /// Fixed-width term columns with vectorized kernels.
-    #[default]
-    Columnar,
-}
 
 const TAG_NULL: u64 = 0;
 const TAG_BOOL: u64 = 1;
@@ -285,8 +275,8 @@ impl ChainIndex {
         let mut heads = Heads::with_capacity_and_hasher(len, KeyState::default());
         let mut next = vec![u32::MAX; len];
         // Insert in reverse build order: chains grow at the head, so a
-        // forward walk then replays build order — match emission order
-        // stays byte-identical with the row plane's bucket vectors.
+        // forward walk then replays build order — matches come out in
+        // build order, as a row-at-a-time nested loop emits them.
         for i in (0..len).rev() {
             if keys.iter().any(|k| k[i].is_null()) {
                 continue;
@@ -700,7 +690,8 @@ pub(crate) fn drain_columns(
 enum CExpr {
     Col(usize),
     /// A column that failed to resolve; erroring is deferred to evaluation
-    /// (a zero-row input must not error, mirroring the row plane).
+    /// (a zero-row input must not error, as row-by-row evaluation does
+    /// not).
     BadCol,
     Lit(TermId),
     Binary {
@@ -730,7 +721,7 @@ fn compile(expr: &Expr, schema: &Schema) -> CExpr {
 }
 
 /// Vectorized evaluation bailed; the caller must replay the batch
-/// row-wise so the error (and its row order) matches the row plane.
+/// row-wise so the error (and its row order) is row-by-row evaluation's.
 struct VecError;
 
 fn eval_vec(
@@ -778,8 +769,8 @@ fn eval_binary_vec(
     match op {
         And | Or => {
             for (&a, &b) in l.iter().zip(r) {
-                // The row plane is eager: both operands must be boolean (or
-                // NULL) even when one side already decides the result.
+                // `Expr` evaluation is eager: both operands must be boolean
+                // (or NULL) even when one side already decides the result.
                 let as_bool = |t: TermId| -> Result<Option<bool>, VecError> {
                     match t.tag {
                         TAG_BOOL => Ok(Some(t.bits != 0)),
@@ -870,7 +861,7 @@ fn eval_binary_vec(
 /// Columnar σ — vectorized predicate over term columns, emitting a
 /// narrowed selection. Any evaluation error (non-boolean operand, division
 /// by zero, unresolvable column) replays the batch row-wise so the error
-/// text and first-error row match the row plane exactly.
+/// text and first-error row are exactly row-by-row evaluation's.
 pub struct ColFilter {
     input: Box<dyn ColOperator>,
     predicate: Expr,
@@ -1574,24 +1565,30 @@ mod tests {
             vec![Value::Null, Value::str("rn")],
         ];
         let left = ColScan::new(
-            left_schema.clone(),
+            left_schema,
             Arc::new(batch_of(left_rows.clone(), 2).columns),
             4,
         );
         let right = ColScan::new(
-            right_schema.clone(),
+            right_schema,
             Arc::new(batch_of(right_rows.clone(), 2).columns),
             4,
         );
         let mut join = ColHashJoin::new(Box::new(left), Box::new(right), vec![0], vec![0]).unwrap();
         let got = drain_all(&mut join);
 
-        // Reference: the row-plane join on the same inputs.
-        let l = crate::physical::ScanExec::new(left_schema, left_rows);
-        let r = crate::physical::ScanExec::new(right_schema, right_rows);
-        let reference =
-            crate::physical::HashJoinExec::new(Box::new(l), Box::new(r), vec![0], vec![0]).unwrap();
-        let want = crate::physical::drain(Box::new(reference)).unwrap();
+        // Row-at-a-time order: each probe row meets the build rows in
+        // build order, under coercing equality; NULL keys never match.
+        let mut want = Vec::new();
+        for l in &left_rows {
+            for r in right_rows
+                .iter()
+                .filter(|r| !l[0].is_null() && r[0] == l[0])
+            {
+                want.push([l.clone(), r.clone()].concat());
+            }
+        }
+        assert_eq!(want.len(), 3);
         assert_eq!(got, want);
     }
 

@@ -143,43 +143,6 @@ impl MergedRows {
             .collect();
         Table::new(self.schema.clone(), rows).expect("every row is as wide as the schema")
     }
-
-    /// Takes a table's rows as they stand (no sort) into term form without
-    /// the term dictionary: the row plane's merge result, served through
-    /// the same type as the columnar one.
-    pub fn from_table(table: Table) -> MergedRows {
-        let schema = table.schema().clone();
-        let rows = table.into_rows();
-        let mut index: HashMap<Sym, usize> = HashMap::new();
-        let mut strings: Vec<Sym> = Vec::new();
-        let mut cells = Vec::with_capacity(rows.len() * schema.len());
-        for value in rows.iter().flatten() {
-            cells.push(match value {
-                Value::Str(s) => {
-                    let next = strings.len();
-                    let i = *index.entry(s.clone()).or_insert_with(|| {
-                        strings.push(s.clone());
-                        next
-                    });
-                    TermId {
-                        tag: TAG_STR,
-                        bits: i as u64,
-                    }
-                }
-                other => encode_value(other),
-            });
-        }
-        let position = sort_by_content(&mut strings);
-        for cell in cells.iter_mut().filter(|t| t.tag == TAG_STR) {
-            cell.bits = position[cell.bits as usize];
-        }
-        MergedRows {
-            schema,
-            len: rows.len(),
-            cells,
-            strings,
-        }
-    }
 }
 
 /// Puts `strings` in content order; returns each string's new index by its

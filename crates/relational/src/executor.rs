@@ -1,4 +1,13 @@
 //! The executor: logical plan + catalog → materialised [`Table`].
+//!
+//! There is one data plane. A plan becomes a tree of columnar operators
+//! over term columns, every scan pulls its provider's
+//! [`columns()`](RelationProvider::columns) through the per-query
+//! [`ScanCache`], and the drained batches decode into a [`Table`] only in
+//! [`Executor::run`]; [`Executor::run_undecoded`] hands them back still
+//! encoded. The oracle the kernels are held to is not in this crate: it
+//! is a row-at-a-time reference interpreter in the test suite, sharing no
+//! code with the operators.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -8,13 +17,10 @@ use std::sync::Arc;
 use crate::algebra::Plan;
 use crate::columnar::{
     encode_rows, ColDistinct, ColFilter, ColHashJoin, ColOperator, ColProject, ColScan, ColUnion,
-    ColumnBatch, Layout,
+    ColumnBatch,
 };
 use crate::expr::Expr;
 use crate::metrics;
-use crate::physical::{
-    DistinctExec, FilterExec, HashJoinExec, Operator, ProjectExec, ScanExec, UnionExec,
-};
 use crate::pool::{self, Pool};
 use crate::resilience::{Deadline, RetryPolicy, ScanGuard};
 use crate::scan_cache::{EncodedScan, ScanCache};
@@ -105,14 +111,14 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// A source of one named relation, as rows or as term columns.
+/// A source of one named relation.
 ///
 /// In MDM every wrapper is a `RelationProvider`: its schema is the wrapper
 /// signature `w(a1, …, an)` and a fetch runs the wrapper (API call, file
-/// read, …) and flattens the payload to 1NF. The two fetch methods are the
-/// two planes' views of the *same* fetch: [`rows`](Self::rows) feeds the
-/// row-plane oracle, [`columns`](Self::columns) the served columnar plane.
-/// A provider whose relation is immutable under one identity (a wrapper
+/// read, …) and flattens the payload to 1NF. The executor fetches through
+/// [`columns`](Self::columns) only. [`rows`](Self::rows) is the input an
+/// in-memory provider (a [`Table`]) gives the default `columns()`. A
+/// provider whose relation is immutable under one identity (a wrapper
 /// over one release) overrides `columns()` to hand out a column set it
 /// keeps resident, so a warm scan is an `Arc` clone; the provider owns
 /// those columns, and dropping the provider is their only invalidation.
@@ -126,9 +132,9 @@ pub trait RelationProvider: Sync {
     /// queries over evolved schemas "crash or return partial results").
     fn rows(&self) -> Result<Vec<Tuple>, ExecError>;
     /// The current rows as shared term columns (one per schema column)
-    /// plus the row count. Must be one fetch, observably like `rows()`:
-    /// the same failures, the same side effects, cell-for-cell the same
-    /// relation. The default encodes `rows()`.
+    /// plus the row count: one fetch, with the failures and side effects
+    /// of one, and cell-for-cell the relation `rows()` describes. The
+    /// default encodes `rows()`.
     fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
         let rows = self.rows()?;
         let width = self.provider_schema().len();
@@ -197,35 +203,20 @@ impl Catalog for MemoryCatalog {
     }
 }
 
-/// What [`Executor::run_undecoded`] drained, from the one plane the plan
-/// ran on: rows under [`Layout::Row`], otherwise the columnar result still
-/// encoded as term batches.
+/// What [`Executor::run_undecoded`] drained: the result still encoded as
+/// term batches, each with one column per schema column.
 #[derive(Debug)]
-pub enum Undecoded {
-    /// A row-plane result, already a table.
-    Rows(Table),
-    /// A columnar result: every batch has one column per schema column.
-    Columns {
-        schema: Schema,
-        batches: Vec<ColumnBatch>,
-    },
+pub struct Undecoded {
+    /// The result's schema.
+    pub schema: Schema,
+    /// The drained batches, in output order.
+    pub batches: Vec<ColumnBatch>,
 }
 
 impl Undecoded {
-    /// The result's schema.
-    pub fn schema(&self) -> &Schema {
-        match self {
-            Undecoded::Rows(table) => table.schema(),
-            Undecoded::Columns { schema, .. } => schema,
-        }
-    }
-
-    /// The result as a [`Table`]; columnar batches decode here.
+    /// The result as a [`Table`]: the batches decode here.
     pub fn decode(self) -> Result<Table, String> {
-        match self {
-            Undecoded::Rows(table) => Ok(table),
-            Undecoded::Columns { schema, batches } => Table::from_column_batches(schema, &batches),
-        }
+        Table::from_column_batches(self.schema, &self.batches)
     }
 }
 
@@ -246,17 +237,11 @@ pub struct ExecOptions {
     /// pool) keeps everything on the calling thread. Defaults to the
     /// process-wide [`pool::global`] pool.
     pub pool: Option<Arc<Pool>>,
-    /// Rows per `next_cols` pull while draining the columnar plane; the
-    /// row plane pulls tuples one at a time and only keeps this cadence
-    /// for its deadline checks.
+    /// Rows per `next_cols` pull while draining a plan.
     pub batch_size: usize,
     /// Metadata epoch stamped into scan-cache keys so rows can never leak
     /// across a steward mutation.
     pub epoch: u64,
-    /// Physical data layout, for the whole plan: columnar (fixed-width term
-    /// ids, vectorized kernels — the default) or the tuple-at-a-time
-    /// reference interpreter the oracle tests hold it to.
-    pub layout: Layout,
     /// Statistics catalog to feed with scan observations (row counts,
     /// per-column distincts) as relations are fetched. Defaults to the
     /// process-wide [`stats::global`](crate::stats::global) catalog;
@@ -272,7 +257,6 @@ impl Default for ExecOptions {
             pool: Some(pool::global()),
             batch_size: DEFAULT_BATCH,
             epoch: 0,
-            layout: Layout::default(),
             stats: Some(crate::stats::global()),
         }
     }
@@ -354,65 +338,31 @@ impl<'a> Executor<'a> {
             .map_err(ExecError::permanent)
     }
 
-    /// [`Executor::run`] without the decode: a columnar plan's result comes
-    /// back as its schema plus the term batches it drained, so a caller
-    /// that still has merging to do (`mdm-core` unions UCQ branches) only
-    /// pays decode for the rows that survive it; a [`Layout::Row`] plan's
-    /// comes back as the rows it drained.
+    /// [`Executor::run`] without the decode: the result comes back as its
+    /// schema plus the term batches it drained, so a caller that still has
+    /// merging to do (`mdm-core` unions UCQ branches) only pays decode for
+    /// the rows that survive it.
     pub fn run_undecoded(&self, plan: &Plan) -> Result<Undecoded, ExecError> {
         let local = ScanCache::new();
         let cache = self.shared_cache.unwrap_or(&local);
         if self.options.deadline.expired() {
             return Err(self.options.deadline.exceeded("starting plan execution"));
         }
-        // The plane is chosen once, for the whole plan: no operator of
-        // the other plane is ever built.
-        match self.options.layout {
-            Layout::Row => {
-                let mut op = self.build_row(plan, cache)?;
-                let batch_size = self.drain_width();
-                // One tuple per pull, on the columnar drain's cadence: a
-                // metrics record and a deadline check per `batch_size` rows.
-                let mut rows = Vec::new();
-                let mut recorded = 0;
-                loop {
-                    let next = op.next().transpose()?;
-                    let exhausted = next.is_none();
-                    rows.extend(next);
-                    let pending = rows.len() - recorded;
-                    if pending == batch_size || (exhausted && pending > 0) {
-                        metrics::record_batch(pending as u64);
-                        recorded = rows.len();
-                        if self.options.deadline.expired() {
-                            return Err(self.options.deadline.exceeded("draining result rows"));
-                        }
-                    }
-                    if exhausted {
-                        break;
-                    }
-                }
-                Table::new(op.schema().clone(), rows)
-                    .map(Undecoded::Rows)
-                    .map_err(ExecError::permanent)
-            }
-            Layout::Columnar => {
-                let mut op = self.build_col(plan, cache)?;
-                let batch_size = self.drain_width();
-                let mut batches = Vec::new();
-                while let Some(batch) = op.next_cols(batch_size) {
-                    let batch = batch?;
-                    metrics::record_batch(batch.len() as u64);
-                    batches.push(batch);
-                    if self.options.deadline.expired() {
-                        return Err(self.options.deadline.exceeded("draining result rows"));
-                    }
-                }
-                Ok(Undecoded::Columns {
-                    schema: op.schema().clone(),
-                    batches,
-                })
+        let mut op = self.build(plan, cache)?;
+        let batch_size = self.drain_width();
+        let mut batches = Vec::new();
+        while let Some(batch) = op.next_cols(batch_size) {
+            let batch = batch?;
+            metrics::record_batch(batch.len() as u64);
+            batches.push(batch);
+            if self.options.deadline.expired() {
+                return Err(self.options.deadline.exceeded("draining result rows"));
             }
         }
+        Ok(Undecoded {
+            schema: op.schema().clone(),
+            batches,
+        })
     }
 
     /// Rows per drain step: a deadline check per step so a huge (or
@@ -428,14 +378,14 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Fetches one relation — as rows or as term columns, whichever `T`
-    /// the scan's plane pulls — through the guard, the retry policy and
-    /// the deadline: the resilient edge between the engine and a source.
-    fn fetch<T: Pulled>(
+    /// Fetches one relation's term columns through the guard, the retry
+    /// policy and the deadline: the resilient edge between the engine and
+    /// a source.
+    fn fetch(
         &self,
         relation: &str,
         provider: &dyn RelationProvider,
-    ) -> Result<T, ExecError> {
+    ) -> Result<(EncodedScan, usize), ExecError> {
         if let Some(guard) = self.guard {
             // A breaker rejection is not a new failure; don't record it.
             guard.admit(relation)?;
@@ -452,12 +402,11 @@ impl<'a> Executor<'a> {
                 }
                 return Err(err);
             }
-            match T::pull(provider) {
-                Ok(pulled) => {
+            match provider.columns() {
+                Ok((columns, rows)) => {
                     if let Some(guard) = self.guard {
                         guard.record_success(relation);
                     }
-                    let rows = pulled.row_count();
                     self.fetched_rows.fetch_add(rows as u64, Ordering::Relaxed);
                     // Piggyback statistics observation on the fetch we
                     // already paid for: profile the relation unless the
@@ -466,10 +415,11 @@ impl<'a> Executor<'a> {
                     if let Some(stats) = &self.options.stats {
                         let version = provider.version();
                         if stats.needs_observation(relation, version, rows) {
-                            pulled.observe(stats, relation, version, &provider.provider_schema());
+                            let schema = provider.provider_schema();
+                            stats.observe_columns(relation, version, &schema, &columns, rows);
                         }
                     }
-                    return Ok(pulled);
+                    return Ok((columns, rows));
                 }
                 Err(err) if err.is_transient() && attempt < self.options.retry.max_attempts => {
                     let backoff = self.options.retry.backoff(attempt);
@@ -503,9 +453,8 @@ impl<'a> Executor<'a> {
     }
 
     /// The provider behind a scan, and its schema. A relation without
-    /// columns is rejected on either plane: no MDM plan scans one (a
-    /// wrapper signature has at least one attribute), and neither plane
-    /// has a shape for it.
+    /// columns is rejected: no MDM plan scans one (a wrapper signature has
+    /// at least one attribute), and a column batch has no shape for it.
     fn scan_source(&self, relation: &str) -> Result<(&dyn RelationProvider, Schema), ExecError> {
         let provider = self.catalog.provider(relation).ok_or_else(|| {
             ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
@@ -519,25 +468,10 @@ impl<'a> Executor<'a> {
         Ok((provider, schema))
     }
 
-    /// A row-plane scan's input through `cache`: the first scan of
-    /// `relation` in the query fetches it, every later one replays that
-    /// outcome, success or error.
-    fn scan_rows(
-        &self,
-        relation: &str,
-        cache: &ScanCache,
-    ) -> Result<(Schema, Arc<Vec<Tuple>>), ExecError> {
-        let (provider, schema) = self.scan_source(relation)?;
-        let rows =
-            cache.fetch_or_insert(relation, provider.version(), self.options.epoch, || {
-                self.fetch(relation, provider)
-            })?;
-        Ok((schema, rows))
-    }
-
-    /// [`Executor::scan_rows`] on the columnar plane: the provider's term
-    /// columns and row count.
-    fn scan_columns(
+    /// A scan's input through `cache`: the provider's term columns and
+    /// row count. The first scan of `relation` in the query fetches it,
+    /// every later one replays that outcome, success or error.
+    fn scan(
         &self,
         relation: &str,
         cache: &ScanCache,
@@ -553,9 +487,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Fetches `relation` into the attached scan cache without running a
-    /// plan: the scan a plan would make, on the plane the options choose,
-    /// through the same guard, retry, deadline and stats loop, leaving the
-    /// outcome every later scan of it in the query replays. An expired
+    /// plan: the scan a plan would make, through the same guard, retry,
+    /// deadline and stats loop, leaving the outcome every later scan of it
+    /// in the query replays. An expired
     /// deadline fails it first, as it fails a plan's start. Without an
     /// attached cache the fetch is made and dropped.
     pub fn prefetch(&self, relation: &str) -> Result<(), ExecError> {
@@ -567,77 +501,28 @@ impl<'a> Executor<'a> {
         }
         let local = ScanCache::new();
         let cache = self.shared_cache.unwrap_or(&local);
-        match self.options.layout {
-            Layout::Row => self.scan_rows(relation, cache).map(drop),
-            Layout::Columnar => self.scan_columns(relation, cache).map(drop),
-        }
+        self.scan(relation, cache).map(drop)
     }
 
-    /// Translates `plan` into the row plane's operator tree: the reference
-    /// interpreter [`Layout::Row`] selects, and the stream the columnar
-    /// tree must reproduce byte for byte. Scans go through the per-query
-    /// cache — a relation referenced by `k` branches is fetched (and pays
-    /// retries/breaker events) once, not `k` times — and pull the
-    /// provider's `rows()`.
-    fn build_row(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn Operator>, ExecError> {
-        let op: Box<dyn Operator> = match plan {
-            Plan::Scan { relation } => {
-                let (schema, rows) = self.scan_rows(relation, cache)?;
-                Box::new(ScanExec::new(schema, rows))
-            }
-            Plan::Filter { input, predicate } => Box::new(FilterExec::new(
-                self.build_row(input, cache)?,
-                predicate.clone(),
-            )),
-            Plan::Project { input, columns } => {
-                let (exprs, schema) = projection(columns)?;
-                Box::new(ProjectExec::new(
-                    self.build_row(input, cache)?,
-                    exprs,
-                    schema,
-                ))
-            }
-            Plan::Join { left, right, on } => {
-                let left = self.build_row(left, cache)?;
-                let right = self.build_row(right, cache)?;
-                let (left_keys, right_keys) = join_keys(on, left.schema(), right.schema())?;
-                Box::new(HashJoinExec::new(left, right, left_keys, right_keys)?)
-            }
-            Plan::Union { inputs } => Box::new(UnionExec::new(
-                inputs
-                    .iter()
-                    .map(|p| self.build_row(p, cache))
-                    .collect::<Result<_, _>>()?,
-            )?),
-            Plan::Distinct { input } => Box::new(DistinctExec::new(self.build_row(input, cache)?)),
-        };
-        Ok(op)
-    }
-
-    /// [`Executor::build_row`]'s columnar twin, the served plane: the same
-    /// plan shapes over term columns, each scan pulling the provider's
-    /// `columns()` through the same per-query cache.
-    fn build_col(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn ColOperator>, ExecError> {
+    /// Translates `plan` into its operator tree over term columns. Scans go
+    /// through the per-query cache — a relation referenced by `k` branches
+    /// is fetched (and pays retries/breaker events) once, not `k` times.
+    fn build(&self, plan: &Plan, cache: &ScanCache) -> Result<Box<dyn ColOperator>, ExecError> {
         let op: Box<dyn ColOperator> = match plan {
             Plan::Scan { relation } => {
-                let (schema, (columns, len)) = self.scan_columns(relation, cache)?;
+                let (schema, (columns, len)) = self.scan(relation, cache)?;
                 Box::new(ColScan::new(schema, columns, len))
             }
-            Plan::Filter { input, predicate } => Box::new(ColFilter::new(
-                self.build_col(input, cache)?,
-                predicate.clone(),
-            )),
+            Plan::Filter { input, predicate } => {
+                Box::new(ColFilter::new(self.build(input, cache)?, predicate.clone()))
+            }
             Plan::Project { input, columns } => {
                 let (exprs, schema) = projection(columns)?;
-                Box::new(ColProject::new(
-                    self.build_col(input, cache)?,
-                    exprs,
-                    schema,
-                ))
+                Box::new(ColProject::new(self.build(input, cache)?, exprs, schema))
             }
             Plan::Join { left, right, on } => {
-                let left = self.build_col(left, cache)?;
-                let right = self.build_col(right, cache)?;
+                let left = self.build(left, cache)?;
+                let right = self.build(right, cache)?;
                 let (left_keys, right_keys) = join_keys(on, left.schema(), right.schema())?;
                 Box::new(
                     ColHashJoin::new(left, right, left_keys, right_keys)?
@@ -647,17 +532,17 @@ impl<'a> Executor<'a> {
             Plan::Union { inputs } => Box::new(ColUnion::new(
                 inputs
                     .iter()
-                    .map(|p| self.build_col(p, cache))
+                    .map(|p| self.build(p, cache))
                     .collect::<Result<_, _>>()?,
             )?),
-            Plan::Distinct { input } => Box::new(ColDistinct::new(self.build_col(input, cache)?)),
+            Plan::Distinct { input } => Box::new(ColDistinct::new(self.build(input, cache)?)),
         };
         Ok(op)
     }
 }
 
-/// A π's expressions and output schema. An empty projection is rejected
-/// on either plane, like a scan of a relation without columns.
+/// A π's expressions and output schema. An empty projection is rejected,
+/// like a scan of a relation without columns.
 fn projection(columns: &[(Expr, ColumnRef)]) -> Result<(Vec<Expr>, Schema), ExecError> {
     if columns.is_empty() {
         return Err(ExecError::permanent(
@@ -683,44 +568,6 @@ fn join_keys(
     on.iter()
         .map(|(l, r)| Ok((index(left, l)?, index(right, r)?)))
         .collect()
-}
-
-/// What [`Executor::fetch`] pulls from a provider — rows for the row
-/// plane, term columns for the columnar one — so one retry/guard/deadline/
-/// observe loop serves both.
-trait Pulled: Sized {
-    fn pull(provider: &dyn RelationProvider) -> Result<Self, ExecError>;
-    fn row_count(&self) -> usize;
-    /// Profiles the pulled relation into `stats`.
-    fn observe(&self, stats: &StatsCatalog, relation: &str, version: u64, schema: &Schema);
-}
-
-impl Pulled for Vec<Tuple> {
-    fn pull(provider: &dyn RelationProvider) -> Result<Self, ExecError> {
-        provider.rows()
-    }
-
-    fn row_count(&self) -> usize {
-        self.len()
-    }
-
-    fn observe(&self, stats: &StatsCatalog, relation: &str, version: u64, schema: &Schema) {
-        stats.observe(relation, version, schema, self);
-    }
-}
-
-impl Pulled for (EncodedScan, usize) {
-    fn pull(provider: &dyn RelationProvider) -> Result<Self, ExecError> {
-        provider.columns()
-    }
-
-    fn row_count(&self) -> usize {
-        self.1
-    }
-
-    fn observe(&self, stats: &StatsCatalog, relation: &str, version: u64, schema: &Schema) {
-        stats.observe_columns(relation, version, schema, &self.0, self.1);
-    }
 }
 
 #[cfg(test)]
@@ -837,6 +684,137 @@ mod tests {
         assert!(err.message.contains("join key"));
     }
 
+    /// Players `p` (one without a team) and teams `t`, one operator's
+    /// worth of input each.
+    fn operators() -> MemoryCatalog {
+        let mut catalog = MemoryCatalog::new();
+        let mut register = |name: &str, columns: &[&str], rows| {
+            let schema = Schema::qualified(name, columns.to_vec());
+            catalog.register(name, Table::new(schema, rows).unwrap());
+        };
+        register(
+            "p",
+            &["id", "pName", "teamId"],
+            vec![
+                vec![Value::Int(1), Value::str("Messi"), Value::Int(25)],
+                vec![Value::Int(2), Value::str("Lewandowski"), Value::Int(27)],
+                vec![Value::Int(3), Value::str("Unattached"), Value::Null],
+            ],
+        );
+        register(
+            "t",
+            &["id", "name"],
+            vec![
+                vec![Value::Int(25), Value::str("FC Barcelona")],
+                vec![Value::Int(27), Value::str("Bayern Munich")],
+                vec![Value::Int(31), Value::str("Juventus")],
+            ],
+        );
+        register(
+            "l",
+            &["k"],
+            vec![vec![Value::Float(25.0)], vec![Value::Int(31)]],
+        );
+        register("n", &["only"], vec![]);
+        catalog
+    }
+
+    fn players_join_teams() -> Plan {
+        Plan::scan("p").join(
+            Plan::scan("t"),
+            vec![(
+                ColumnRef::qualified("p", "teamId"),
+                ColumnRef::qualified("t", "id"),
+            )],
+        )
+    }
+
+    #[test]
+    fn scan_yields_all_rows() {
+        let table = Executor::new(&operators()).run(&Plan::scan("p")).unwrap();
+        assert_eq!(table.len(), 3);
+    }
+
+    #[test]
+    fn filter_drops_nonmatching() {
+        let plan = Plan::scan("p").filter(Expr::col("pName").eq(Expr::lit("Messi")));
+        let table = Executor::new(&operators()).run(&plan).unwrap();
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.rows()[0][1], Value::str("Messi"));
+    }
+
+    #[test]
+    fn project_computes_and_renames() {
+        let plan = Plan::scan("p").project_named(&[("p.pName", "name")]);
+        let table = Executor::new(&operators()).run(&plan).unwrap();
+        assert_eq!(table.schema().join_names(", "), "name");
+        assert_eq!(table.rows()[0], vec![Value::str("Messi")]);
+    }
+
+    #[test]
+    fn hash_join_matches_and_skips_nulls() {
+        let table = Executor::new(&operators())
+            .run(&players_join_teams())
+            .unwrap()
+            .sorted();
+        // Unattached (NULL teamId) drops out.
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.rows()[0][1], Value::str("Messi"));
+        assert_eq!(table.rows()[0][4], Value::str("FC Barcelona"));
+    }
+
+    #[test]
+    fn hash_join_crosses_numeric_types() {
+        let plan = Plan::scan("l").join(
+            Plan::scan("t"),
+            vec![(
+                ColumnRef::qualified("l", "k"),
+                ColumnRef::qualified("t", "id"),
+            )],
+        );
+        let table = Executor::new(&operators()).run(&plan).unwrap();
+        // 25.0 joins 25 and 31 joins 31, in probe order.
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.rows()[0][2], Value::str("FC Barcelona"));
+        assert_eq!(table.rows()[1][2], Value::str("Juventus"));
+    }
+
+    #[test]
+    fn union_concatenates() {
+        let plan = Plan::union(vec![Plan::scan("t"), Plan::scan("t")]);
+        assert_eq!(Executor::new(&operators()).run(&plan).unwrap().len(), 6);
+    }
+
+    #[test]
+    fn union_arity_mismatch_rejected() {
+        let plan = Plan::union(vec![Plan::scan("t"), Plan::scan("n")]);
+        let err = Executor::new(&operators()).run(&plan).unwrap_err();
+        assert!(err.message.contains("union arity mismatch"), "{err}");
+    }
+
+    #[test]
+    fn union_of_zero_inputs_rejected() {
+        let err = Executor::new(&operators())
+            .run(&Plan::union(vec![]))
+            .unwrap_err();
+        assert!(err.message.contains("union of zero inputs"), "{err}");
+    }
+
+    #[test]
+    fn distinct_deduplicates() {
+        let plan = Plan::union(vec![Plan::scan("t"), Plan::scan("t")]).distinct();
+        assert_eq!(Executor::new(&operators()).run(&plan).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn join_schema_is_qualified_concat() {
+        let table = Executor::new(&operators())
+            .run(&players_join_teams())
+            .unwrap();
+        let name = ColumnRef::qualified("t", "name");
+        assert_eq!(table.schema().index_of(&name).unwrap(), 4);
+    }
+
     #[test]
     fn relation_schema_through_catalog() {
         let catalog = catalog();
@@ -935,40 +913,35 @@ mod tests {
 
     #[test]
     fn prefetch_fills_the_shared_cache_that_a_later_scan_replays() {
-        let options = |layout| ExecOptions {
+        let options = || ExecOptions {
             retry: RetryPolicy {
                 max_attempts: 3,
                 base_backoff: std::time::Duration::ZERO,
                 ..RetryPolicy::default()
             },
-            layout,
             ..ExecOptions::default()
         };
-        for layout in [Layout::Columnar, Layout::Row] {
-            // One absorbed transient: the prefetch pays the retry, the
-            // scan after it fetches nothing.
-            let flaky = Flaky::new(1, ErrorKind::Transient);
-            let catalog = OneProvider { provider: &flaky };
-            let cache = ScanCache::new();
-            let prefetcher =
-                Executor::with_options(&catalog, options(layout)).with_scan_cache(&cache);
-            prefetcher.prefetch("f").unwrap();
-            assert_eq!(prefetcher.retries(), 1, "{layout:?}");
-            let runner = Executor::with_options(&catalog, options(layout)).with_scan_cache(&cache);
-            assert_eq!(runner.run(&Plan::scan("f")).unwrap().len(), 1);
-            assert_eq!(runner.retries(), 0, "{layout:?}");
-            assert_eq!(cache.stats().misses, 1, "{layout:?}");
+        // One absorbed transient: the prefetch pays the retry, the scan
+        // after it fetches nothing.
+        let flaky = Flaky::new(1, ErrorKind::Transient);
+        let catalog = OneProvider { provider: &flaky };
+        let cache = ScanCache::new();
+        let prefetcher = Executor::with_options(&catalog, options()).with_scan_cache(&cache);
+        prefetcher.prefetch("f").unwrap();
+        assert_eq!(prefetcher.retries(), 1);
+        let runner = Executor::with_options(&catalog, options()).with_scan_cache(&cache);
+        assert_eq!(runner.run(&Plan::scan("f")).unwrap().len(), 1);
+        assert_eq!(runner.retries(), 0);
+        assert_eq!(cache.stats().misses, 1);
 
-            // A failed prefetch leaves its error for the scan to replay,
-            // although the provider would now succeed.
-            let dead = Flaky::new(1, ErrorKind::Permanent);
-            let catalog = OneProvider { provider: &dead };
-            let cache = ScanCache::new();
-            let executor =
-                Executor::with_options(&catalog, options(layout)).with_scan_cache(&cache);
-            let err = executor.prefetch("f").unwrap_err();
-            assert_eq!(executor.run(&Plan::scan("f")).unwrap_err(), err);
-        }
+        // A failed prefetch leaves its error for the scan to replay,
+        // although the provider would now succeed.
+        let dead = Flaky::new(1, ErrorKind::Permanent);
+        let catalog = OneProvider { provider: &dead };
+        let cache = ScanCache::new();
+        let executor = Executor::with_options(&catalog, options()).with_scan_cache(&cache);
+        let err = executor.prefetch("f").unwrap_err();
+        assert_eq!(executor.run(&Plan::scan("f")).unwrap_err(), err);
     }
 
     #[test]

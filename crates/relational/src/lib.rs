@@ -12,28 +12,24 @@
 //!   query-rewriting algorithm of `mdm-core` outputs one of these plans, and
 //!   its `Display` form is the "relational algebra expression" shown in
 //!   Figure 8;
-//! * [`columnar`] — the served data plane: fixed-width 16-byte term
-//!   encoding ([`Layout::Columnar`], the default) and vectorized
-//!   filter/join/distinct/project kernels over shared column batches,
-//!   decoding back to [`Value`]s only at render time; and
+//! * [`columnar`] — the data plane: fixed-width 16-byte term encoding and
+//!   vectorized filter/join/distinct/project kernels over shared column
+//!   batches, decoding back to [`Value`]s only at render time; and
 //!   [`columnar::merge_branches`], the merge of a UCQ's branch results
 //!   while they are still term batches (∪ → δ → sort over integer order
 //!   codes), returning the answer as [`columnar::MergedRows`] — sorted
 //!   term rows plus its distinct strings, never a [`Table`];
-//! * `physical` (private) — the row plane: a tuple-at-a-time reference
-//!   interpreter (scan, filter, project, hash join, union, distinct behind
-//!   one `next()`). [`Layout::Row`] selects it as the oracle the property
-//!   tests and goldens hold the columnar plane to; it is not a performance
-//!   option;
 //! * [`executor`] — a single-plan interpreter: one logical plan plus a
 //!   [`Catalog`] of relation providers in, one materialised [`Table`] out
 //!   ([`Executor::run`]) — or, for a caller that still has merging to do,
 //!   the drained batches undecoded ([`Executor::run_undecoded`]) — with
-//!   per-query scan reuse ([`scan_cache`]). The plane is chosen once per
-//!   plan, from [`ExecOptions::layout`]: both planes cover the same shapes
-//!   (the union of conjunctive queries MDM's rewriting emits — σ, π, inner
-//!   ⋈, ∪, δ), and a plan neither can run (a relation without columns, an
-//!   empty projection) is an error on both. Fanning the branches of a UCQ
+//!   per-query scan reuse ([`scan_cache`]). It covers the shapes MDM's
+//!   rewriting emits (the union of conjunctive queries: σ, π, inner ⋈,
+//!   ∪, δ), and a plan without columns (a relation without columns, an
+//!   empty projection) is an error. There is one data plane; the oracle
+//!   its kernels are held to is a row-at-a-time reference interpreter in
+//!   the test suite (`tests/support/reference.rs`), which shares no code
+//!   with them. Fanning the branches of a UCQ
 //!   out across cores lives one level up, in
 //!   `mdm_core::query::execute_degraded`, which hands the branches'
 //!   batches to [`columnar::merge_branches`];
@@ -57,7 +53,6 @@ pub mod expr;
 pub mod intern;
 pub mod metrics;
 pub mod optimizer;
-mod physical;
 pub mod pool;
 pub mod resilience;
 pub mod scan_cache;
@@ -67,7 +62,7 @@ pub mod table;
 pub mod value;
 
 pub use algebra::Plan;
-pub use columnar::{DictStats, Layout, MergedRows};
+pub use columnar::{DictStats, MergedRows};
 pub use executor::{
     Catalog, ErrorKind, ExecError, ExecOptions, Executor, MemoryCatalog, RelationProvider,
     Undecoded,

@@ -11,22 +11,17 @@
 //! and breaker bookkeeping exactly once per wrapper per query), the rest
 //! clone the `Arc`.
 //!
-//! What a slot holds is whatever the provider handed out for the plane
-//! that asked: a columnar scan caches the provider's term columns as they
-//! are ([`RelationProvider::columns`](crate::RelationProvider::columns) —
-//! for a wrapper the set it keeps resident per release, so a warm query
-//! neither clones rows nor encodes), a row-plane scan (the [`Layout::Row`]
-//! oracle) caches `rows()`. The two are memoised independently; a plan
-//! runs on one plane, so one query fills one of them. The cache
-//! itself owns no data beyond the query: residency, and with it
-//! invalidation, belongs to the provider instance.
+//! A slot holds the provider's term columns as they were handed out
+//! ([`RelationProvider::columns`](crate::RelationProvider::columns) — for
+//! a wrapper the set it keeps resident per release, so a warm query
+//! neither clones rows nor encodes). The cache itself owns no data beyond
+//! the query: residency, and with it invalidation, belongs to the provider
+//! instance.
 //!
 //! Errors are cached too — deliberately. A wrapper that failed terminally
 //! fails every branch that references it with the *same* error, which is
 //! what makes degraded-mode completeness reports identical between
 //! sequential and parallel execution.
-//!
-//! [`Layout::Row`]: crate::Layout::Row
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +29,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::columnar::TypedColumn;
 use crate::executor::ExecError;
-use crate::value::Tuple;
 
 /// A relation's rows encoded column-major as shared term columns.
 pub type EncodedScan = Arc<Vec<Arc<TypedColumn>>>;
@@ -46,15 +40,9 @@ struct ScanKey {
     epoch: u64,
 }
 
-/// One plane's memo of a fetch: empty until the first caller fills it,
-/// then that outcome — success or error — for every later one.
-type Cell<T> = Mutex<Option<Result<T, ExecError>>>;
-
-#[derive(Default)]
-struct Slot {
-    rows: Cell<Arc<Vec<Tuple>>>,
-    columns: Cell<(EncodedScan, usize)>,
-}
+/// The memo of one fetch: empty until the first caller fills it, then
+/// that outcome — success or error — for every later one.
+type Slot = Mutex<Option<Result<(EncodedScan, usize), ExecError>>>;
 
 /// Hit/miss counters for one query's cache, for tests and metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -81,7 +69,7 @@ impl ScanCache {
 
     /// The entry slot for `(relation, version, epoch)`, created empty on
     /// first sight. The map lock is held only for the lookup; fills
-    /// serialise on the slot's own cells.
+    /// serialise on the slot's own lock.
     fn slot(&self, relation: &str, version: u64, epoch: u64) -> Arc<Slot> {
         let mut entries = self.entries.lock().expect("scan cache poisoned");
         Arc::clone(
@@ -95,15 +83,20 @@ impl ScanCache {
         )
     }
 
-    /// What `cell` holds, running `fetch` (once, whatever its outcome) if
-    /// it is still empty. Concurrent callers block on the filling one and
-    /// share its result.
-    fn fill<T: Clone>(
+    /// The relation as shared term columns plus its row count, exactly as
+    /// `fetch` (the provider's `columns()` behind the executor's resilient
+    /// loop) returned them. `fetch` runs only if no entry for `(relation,
+    /// version, epoch)` is filled yet, once whatever its outcome;
+    /// concurrent callers block on the filling one and share its result.
+    pub fn fetch_or_insert_columns(
         &self,
-        cell: &Cell<T>,
-        fetch: impl FnOnce() -> Result<T, ExecError>,
-    ) -> Result<T, ExecError> {
-        let mut result = cell.lock().expect("scan cache slot poisoned");
+        relation: &str,
+        version: u64,
+        epoch: u64,
+        fetch: impl FnOnce() -> Result<(EncodedScan, usize), ExecError>,
+    ) -> Result<(EncodedScan, usize), ExecError> {
+        let slot = self.slot(relation, version, epoch);
+        let mut result = slot.lock().expect("scan cache slot poisoned");
         match &*result {
             Some(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -116,34 +109,6 @@ impl ScanCache {
                 fetched
             }
         }
-    }
-
-    /// The rows for `relation`, fetching through `fetch` only if no entry
-    /// for `(relation, version, epoch)` exists yet.
-    pub fn fetch_or_insert(
-        &self,
-        relation: &str,
-        version: u64,
-        epoch: u64,
-        fetch: impl FnOnce() -> Result<Vec<Tuple>, ExecError>,
-    ) -> Result<Arc<Vec<Tuple>>, ExecError> {
-        let slot = self.slot(relation, version, epoch);
-        self.fill(&slot.rows, || fetch().map(Arc::new))
-    }
-
-    /// Like [`ScanCache::fetch_or_insert`] for the columnar plane: the
-    /// relation as shared term columns plus its row count, exactly as
-    /// `fetch` (the provider's `columns()` behind the executor's resilient
-    /// loop) returned them.
-    pub fn fetch_or_insert_columns(
-        &self,
-        relation: &str,
-        version: u64,
-        epoch: u64,
-        fetch: impl FnOnce() -> Result<(EncodedScan, usize), ExecError>,
-    ) -> Result<(EncodedScan, usize), ExecError> {
-        let slot = self.slot(relation, version, epoch);
-        self.fill(&slot.columns, fetch)
     }
 
     /// Lifetime hit/miss counts.
@@ -160,18 +125,20 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
-    fn row(n: i64) -> Tuple {
-        vec![Value::Int(n)]
+    /// A one-column relation holding `n`, as a fetch returns it.
+    fn scan(n: i64) -> Result<(EncodedScan, usize), ExecError> {
+        let columns = crate::columnar::encode_rows(&[vec![Value::Int(n)]], 1);
+        Ok((Arc::new(columns), 1))
     }
 
     #[test]
     fn second_fetch_for_same_key_is_a_hit() {
         let cache = ScanCache::new();
-        let a = cache
-            .fetch_or_insert("w1", 1, 0, || Ok(vec![row(1)]))
+        let (a, _) = cache
+            .fetch_or_insert_columns("w1", 1, 0, || scan(1))
             .unwrap();
-        let b = cache
-            .fetch_or_insert("w1", 1, 0, || panic!("must not refetch"))
+        let (b, _) = cache
+            .fetch_or_insert_columns("w1", 1, 0, || panic!("must not refetch"))
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(
@@ -187,13 +154,13 @@ mod tests {
     fn version_and_epoch_partition_the_key_space() {
         let cache = ScanCache::new();
         cache
-            .fetch_or_insert("w1", 1, 0, || Ok(vec![row(1)]))
+            .fetch_or_insert_columns("w1", 1, 0, || scan(1))
             .unwrap();
         cache
-            .fetch_or_insert("w1", 2, 0, || Ok(vec![row(2)]))
+            .fetch_or_insert_columns("w1", 2, 0, || scan(2))
             .unwrap();
         cache
-            .fetch_or_insert("w1", 1, 7, || Ok(vec![row(3)]))
+            .fetch_or_insert_columns("w1", 1, 7, || scan(3))
             .unwrap();
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.stats().hits, 0);
@@ -202,9 +169,10 @@ mod tests {
     #[test]
     fn errors_are_cached_and_replayed() {
         let cache = ScanCache::new();
-        let first = cache.fetch_or_insert("dead", 1, 0, || Err(ExecError::permanent("gone")));
+        let first =
+            cache.fetch_or_insert_columns("dead", 1, 0, || Err(ExecError::permanent("gone")));
         assert!(first.is_err());
-        let second = cache.fetch_or_insert("dead", 1, 0, || panic!("must not refetch"));
+        let second = cache.fetch_or_insert_columns("dead", 1, 0, || panic!("must not refetch"));
         assert_eq!(second.unwrap_err(), ExecError::permanent("gone"));
         assert_eq!(cache.stats(), ScanCacheStats { hits: 1, misses: 1 });
     }
@@ -212,7 +180,8 @@ mod tests {
     #[test]
     fn columnar_slot_holds_the_fetched_columns_as_they_are() {
         let cache = ScanCache::new();
-        let resident: EncodedScan = Arc::new(crate::columnar::encode_rows(&[row(1), row(2)], 1));
+        let rows = [vec![Value::Int(1)], vec![Value::Int(2)]];
+        let resident: EncodedScan = Arc::new(crate::columnar::encode_rows(&rows, 1));
         let (first, len) = cache
             .fetch_or_insert_columns("w", 1, 0, || Ok((Arc::clone(&resident), 2)))
             .unwrap();
@@ -233,9 +202,9 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     cache
-                        .fetch_or_insert("w", 1, 0, || {
+                        .fetch_or_insert_columns("w", 1, 0, || {
                             fetches.fetch_add(1, Ordering::Relaxed);
-                            Ok(vec![row(9)])
+                            scan(9)
                         })
                         .unwrap();
                 });

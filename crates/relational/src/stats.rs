@@ -3,10 +3,10 @@
 //! Wrapper relations are opaque REST payloads until a query scans them, so
 //! MDM cannot ANALYZE ahead of time the way a warehouse does. Instead the
 //! catalog learns **opportunistically**: every resilient fetch the executor
-//! performs (`Executor::fetch`, see [`crate::executor`]) offers what it
-//! pulled here — rows on the row plane ([`StatsCatalog::observe`]), term
-//! columns on the served one ([`StatsCatalog::observe_columns`]; the two
-//! profilers store identical statistics for the same relation) — and the
+//! performs (`Executor::fetch`, see [`crate::executor`]) offers the term
+//! columns it pulled here ([`StatsCatalog::observe_columns`]; tests and
+//! embedders holding rows use [`StatsCatalog::observe`], which stores
+//! identical statistics for the same relation) — and the
 //! catalog keeps per-relation row counts plus per-column distinct-value
 //! estimates and null fractions. Observation is cheap to
 //! re-offer — a relation already profiled at the same provider version,

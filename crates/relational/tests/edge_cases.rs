@@ -4,7 +4,10 @@
 use mdm_relational::algebra::Plan;
 use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
-use mdm_relational::{ErrorKind, ExecOptions, Executor, Layout, MemoryCatalog, Table, Value};
+use mdm_relational::{ErrorKind, Executor, MemoryCatalog, Table, Value};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 fn register(catalog: &mut MemoryCatalog, name: &str, columns: &[&str], rows: Vec<Vec<Value>>) {
     catalog.register(
@@ -226,11 +229,11 @@ fn sorted_table_with_mixed_types_is_total() {
     assert_eq!(table.rows()[4][0], Value::str("z"));
 }
 
-/// No MDM plan produces a result without columns, and neither plane has a
-/// shape for one: a scan of a zero-column relation and an empty projection
-/// are the same permanent error under both layouts.
+/// No MDM plan produces a result without columns, and a column batch has
+/// no shape for one: a scan of a zero-column relation and an empty
+/// projection are the reference interpreter's permanent error.
 #[test]
-fn zero_width_plans_are_rejected_identically_on_both_layouts() {
+fn zero_width_plans_are_rejected_like_the_reference() {
     let mut catalog = MemoryCatalog::new();
     catalog.register(
         "void",
@@ -238,18 +241,9 @@ fn zero_width_plans_are_rejected_identically_on_both_layouts() {
     );
     register(&mut catalog, "t", &["k"], vec![vec![Value::Int(1)]]);
     for plan in [Plan::scan("void"), Plan::scan("t").project(vec![])] {
-        let run = |layout| {
-            let options = ExecOptions {
-                layout,
-                ..ExecOptions::default()
-            };
-            Executor::with_options(&catalog, options)
-                .run(&plan)
-                .unwrap_err()
-        };
-        let row = run(Layout::Row);
-        assert_eq!(row.kind, ErrorKind::Permanent, "{plan}: {row}");
-        assert_eq!(run(Layout::Columnar), row, "{plan}");
+        let err = Executor::new(&catalog).run(&plan).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Permanent, "{plan}: {err}");
+        assert_eq!(reference::run(&plan, &catalog).unwrap_err(), err, "{plan}");
     }
 }
 

@@ -2,7 +2,7 @@
 //! index its build column owns, so a column set that stays resident across
 //! queries (a wrapper release) is indexed once; a multi-key join builds a
 //! private index per execution. Whichever index it probes, the join's
-//! output — rows *and* emission order — is the row plane's.
+//! output — rows *and* emission order — is the reference interpreter's.
 //!
 //! `index_builds` is process-wide, so this file is a test binary of its
 //! own and every test in it takes [`SERIAL`].
@@ -13,9 +13,10 @@ use mdm_relational::algebra::Plan;
 use mdm_relational::scan_cache::EncodedScan;
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{columnar, metrics};
-use mdm_relational::{
-    Catalog, ExecError, ExecOptions, Executor, Layout, RelationProvider, Table, Tuple, Value,
-};
+use mdm_relational::{Catalog, ExecError, Executor, RelationProvider, Table, Tuple, Value};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -126,12 +127,8 @@ fn join_on(keys: &[&str]) -> Plan {
     )
 }
 
-fn run(catalog: &Pair, plan: &Plan, layout: Layout) -> Table {
-    let options = ExecOptions {
-        layout,
-        ..ExecOptions::default()
-    };
-    Executor::with_options(catalog, options).run(plan).unwrap()
+fn run(catalog: &Pair, plan: &Plan) -> Table {
+    Executor::new(catalog).run(plan).unwrap()
 }
 
 /// `Debug` tells `-0.0` from `0.0` and shows NaN, which `Value`'s
@@ -152,7 +149,7 @@ fn a_resident_build_column_is_indexed_once() {
     assert_eq!(catalog.r.index_bytes(), 0);
 
     let before = builds();
-    let first = run(&catalog, &single, Layout::Columnar);
+    let first = run(&catalog, &single);
     assert_eq!(builds() - before, 1, "the first join fills r.k's index");
     let bytes = catalog.r.index_bytes();
     assert!(bytes > 0);
@@ -163,7 +160,7 @@ fn a_resident_build_column_is_indexed_once() {
     );
 
     let before = builds();
-    let second = run(&catalog, &single, Layout::Columnar);
+    let second = run(&catalog, &single);
     assert_eq!(builds(), before, "the second join reuses r.k's index");
     assert_eq!(catalog.r.index_bytes(), bytes);
     assert_eq!(spelled(&first), spelled(&second));
@@ -173,7 +170,7 @@ fn a_resident_build_column_is_indexed_once() {
     let double = join_on(&["k", "k2"]);
     for _ in 0..2 {
         let before = builds();
-        run(&catalog, &double, Layout::Columnar);
+        run(&catalog, &double);
         assert_eq!(builds() - before, 1);
     }
     assert_eq!(catalog.r.index_bytes(), bytes);
@@ -185,16 +182,16 @@ fn b_indexed_joins_match_the_row_plane() {
     let catalog = pair();
     for keys in [&["k"][..], &["k2"], &["k", "k2"], &["k2", "k"]] {
         let plan = join_on(keys);
-        let want = spelled(&run(&catalog, &plan, Layout::Row));
-        // The first columnar run builds the index, the second probes the
-        // one the column kept.
+        let want = spelled(&reference::run(&plan, &catalog).unwrap());
+        // The first run builds the index, the second probes the one the
+        // column kept.
         for pass in 0..2 {
-            let got = spelled(&run(&catalog, &plan, Layout::Columnar));
+            let got = spelled(&run(&catalog, &plan));
             assert_eq!(got, want, "{keys:?}, pass {pass}");
         }
     }
     // Spot-check the semantics the comparison above relies on.
-    let rows = run(&catalog, &join_on(&["k"]), Layout::Columnar);
+    let rows = run(&catalog, &join_on(&["k"]));
     let tags: Vec<String> = rows
         .rows()
         .iter()

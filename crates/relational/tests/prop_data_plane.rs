@@ -1,19 +1,19 @@
-//! Byte-identity oracle for the zero-copy data plane.
+//! Byte-identity oracle for the data plane.
 //!
-//! The interned-string + shared-batch execution path must be observationally
-//! identical to naive row-at-a-time relational algebra. This file implements
-//! an independent reference interpreter over [`Plan`] — nested-loop joins in
-//! probe × build order, first-occurrence distinct, branch-order union —
-//! and property-checks that [`Executor::run`] renders the
-//! exact same table under the parallel path, the sequential path, and a
+//! The engine — fixed-width term encoding, interned strings, shared column
+//! batches, vectorized kernels — must be observationally identical to
+//! naive row-at-a-time relational algebra: same rows, same order, same
+//! rendered bytes, same errors. This file property-checks [`Executor::run`]
+//! against the reference interpreter (`support/reference.rs`) over random
+//! plans and data, under the parallel path, the sequential path, and a
 //! spread of batch widths (including width 1, the degenerate row-at-a-time
 //! drain).
 //!
 //! Random data deliberately mixes inline strings (≤ 22 bytes, stored in the
-//! `Sym` small-string buffer), long strings (pooled `Arc<str>`), NULLs, and
-//! Int/Float join keys that only match under numeric coercion.
-
-use std::collections::{HashMap, HashSet};
+//! `Sym` small-string buffer), long strings (pooled `Arc<str>`, and so the
+//! dictionary-id path of the term encoding), NULLs (which never match as
+//! join keys), Int/Float join keys that only match under numeric coercion,
+//! `-0.0` next to `0.0`, and NaN, which is not `==` to itself.
 
 use proptest::prelude::*;
 
@@ -22,113 +22,8 @@ use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Value};
 
-type Tuple = Vec<Value>;
-
-// ---------------------------------------------------------------------------
-// Reference interpreter
-// ---------------------------------------------------------------------------
-
-/// Evaluates `plan` row-at-a-time against in-memory tables. Mirrors the
-/// engine's documented semantics exactly; shares no code with the physical
-/// operators.
-fn eval(plan: &Plan, tables: &HashMap<&str, Table>) -> Result<(Schema, Vec<Tuple>), String> {
-    match plan {
-        Plan::Scan { relation } => {
-            let table = tables
-                .get(relation.as_str())
-                .ok_or_else(|| format!("unknown relation {relation}"))?;
-            Ok((table.schema().clone(), table.rows().to_vec()))
-        }
-        Plan::Filter { input, predicate } => {
-            let (schema, rows) = eval(input, tables)?;
-            let mut out = Vec::new();
-            for row in rows {
-                if predicate.eval_predicate(&schema, &row).map_err(|e| e.0)? {
-                    out.push(row);
-                }
-            }
-            Ok((schema, out))
-        }
-        Plan::Project { input, columns } => {
-            let (schema, rows) = eval(input, tables)?;
-            let out_schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut tuple = Vec::with_capacity(columns.len());
-                for (expr, _) in columns {
-                    tuple.push(expr.eval(&schema, &row).map_err(|e| e.0)?);
-                }
-                out.push(tuple);
-            }
-            Ok((out_schema, out))
-        }
-        Plan::Join { left, right, on } => {
-            let (left_schema, left_rows) = eval(left, tables)?;
-            let (right_schema, right_rows) = eval(right, tables)?;
-            let schema = left_schema.concat(&right_schema);
-            let left_keys: Vec<usize> = on
-                .iter()
-                .map(|(l, _)| left_schema.index_of(l))
-                .collect::<Result<_, _>>()?;
-            let right_keys: Vec<usize> = on
-                .iter()
-                .map(|(_, r)| right_schema.index_of(r))
-                .collect::<Result<_, _>>()?;
-            let mut out = Vec::new();
-            // Probe × build order: each left row scans right rows in their
-            // original order. NULL keys never match on either side.
-            for left_row in &left_rows {
-                if left_keys.iter().any(|&i| left_row[i].is_null()) {
-                    continue;
-                }
-                for right_row in &right_rows {
-                    if right_keys.iter().any(|&i| right_row[i].is_null()) {
-                        continue;
-                    }
-                    if left_keys
-                        .iter()
-                        .zip(&right_keys)
-                        .all(|(&l, &r)| left_row[l] == right_row[r])
-                    {
-                        let mut combined = left_row.clone();
-                        combined.extend(right_row.iter().cloned());
-                        out.push(combined);
-                    }
-                }
-            }
-            Ok((schema, out))
-        }
-        Plan::Union { inputs } => {
-            let mut iter = inputs.iter();
-            let first = iter.next().ok_or_else(|| "empty union".to_string())?;
-            let (schema, mut rows) = eval(first, tables)?;
-            for input in iter {
-                let (s, r) = eval(input, tables)?;
-                if s.len() != schema.len() {
-                    return Err("union arms have different arities".to_string());
-                }
-                rows.extend(r);
-            }
-            Ok((schema, rows))
-        }
-        Plan::Distinct { input } => {
-            let (schema, rows) = eval(input, tables)?;
-            let mut seen = HashSet::new();
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok((schema, out))
-        }
-    }
-}
-
-fn reference(plan: &Plan, tables: &HashMap<&str, Table>) -> Result<Table, String> {
-    let (schema, rows) = eval(plan, tables)?;
-    Table::new(schema, rows)
-}
+#[path = "support/reference.rs"]
+mod reference;
 
 // ---------------------------------------------------------------------------
 // Random data: inline strings, pooled strings, NULLs, coercing numerics
@@ -141,13 +36,14 @@ const LONG_KEYS: [&str; 2] = [
 ];
 const SHORT_KEYS: [&str; 2] = ["x", "y"];
 
-/// A join key: NULL, coercible Int/Float, inline string, or pooled string —
-/// all from a small domain so joins actually hit.
+/// A join key: NULL, coercible Int/Float, signed zeros, NaN, inline string,
+/// or pooled string — all from a small domain so joins actually hit.
 fn arb_key() -> impl Strategy<Value = Value> {
     prop_oneof![
         1 => Just(Value::Null),
         4 => (-3i64..3).prop_map(Value::Int),
         2 => (-3i64..3).prop_map(|i| Value::Float(i as f64)),
+        1 => prop_oneof![Just(-0.0), Just(f64::NAN)].prop_map(Value::Float),
         2 => (0usize..SHORT_KEYS.len()).prop_map(|i| Value::str(SHORT_KEYS[i])),
         1 => (0usize..LONG_KEYS.len()).prop_map(|i| Value::str(LONG_KEYS[i])),
     ]
@@ -181,21 +77,13 @@ fn arb_table(relation: &'static str) -> impl Strategy<Value = Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Harness: engine under every execution mode vs. the reference
+// Harness: the engine, under every execution mode, vs. the reference
 // ---------------------------------------------------------------------------
 
-/// Runs `plan` under the parallel default, the sequential path, and batch
-/// widths {1, 2, 1024}, asserting every rendering is byte-identical to the
-/// reference interpretation.
-fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCaseError> {
-    let mut catalog = MemoryCatalog::new();
-    let mut map = HashMap::new();
-    for (name, table) in tables {
-        catalog.register(name, table.clone());
-        map.insert(name, table);
-    }
-    let expected = reference(plan, &map).expect("reference interpretation succeeds");
-    let modes: Vec<(&str, ExecOptions)> = vec![
+/// The execution modes the engine runs under: the parallel default, the
+/// sequential path, and batch widths {1, 2, 1024}.
+fn modes() -> Vec<(&'static str, ExecOptions)> {
+    vec![
         ("parallel", ExecOptions::default()),
         ("sequential", ExecOptions::sequential()),
         (
@@ -219,17 +107,42 @@ fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCase
                 ..ExecOptions::default()
             },
         ),
-    ];
-    for (mode, options) in modes {
-        let got = Executor::with_options(&catalog, options)
-            .run(plan)
-            .expect("engine execution succeeds");
-        prop_assert_eq!(
-            got.render(),
-            expected.render(),
-            "mode {} diverged from the reference interpreter",
-            mode
-        );
+    ]
+}
+
+/// Runs `plan` once under the reference interpreter and under the engine in
+/// every mode, asserting every rendering is byte-identical to the
+/// reference's — and that errors, when they happen, carry identical
+/// messages.
+fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCaseError> {
+    let mut catalog = MemoryCatalog::new();
+    for (name, table) in tables {
+        catalog.register(name, table);
+    }
+    let expected = reference::run(plan, &catalog);
+    for (mode, options) in modes() {
+        let got = Executor::with_options(&catalog, options).run(plan);
+        match (&expected, got) {
+            (Ok(expected), Ok(got)) => prop_assert_eq!(
+                got.render(),
+                expected.render(),
+                "mode {} diverged from the reference interpreter",
+                mode
+            ),
+            (Err(expected), Err(got)) => prop_assert_eq!(
+                got.to_string(),
+                expected.to_string(),
+                "mode {} failed unlike the reference interpreter",
+                mode
+            ),
+            (expected, got) => prop_assert!(
+                false,
+                "mode {}: reference {:?} but engine {:?}",
+                mode,
+                expected.as_ref().map(Table::len),
+                got.map(|t| t.len())
+            ),
+        }
     }
     Ok(())
 }
@@ -251,8 +164,8 @@ proptest! {
         check(&plan, vec![("a", a)])?;
     }
 
-    /// Hash joins (memoized key hashes, coercing Int/Float keys, NULL-key
-    /// skips) match nested-loop probe × build order.
+    /// Hash joins (dictionary-id key comparison, coercing Int/Float keys,
+    /// NULL-key skips) match nested-loop probe × build order.
     #[test]
     fn join_matches_reference(a in arb_table("a"), b in arb_table("b")) {
         let plan = Plan::scan("a").join(Plan::scan("b"), join_on_k());
@@ -283,8 +196,10 @@ proptest! {
         check(&plan, vec![("a", a), ("b", b)])?;
     }
 
-    /// Distinct over a self-union halves exact duplicates identically in
-    /// every execution mode.
+    /// First-occurrence distinct over a self-union dedups identically in
+    /// every execution mode: term-id equality must be `Value` equality for
+    /// every encoding (NaN, -0.0, coerced Int/Float, inline vs pooled
+    /// strings).
     #[test]
     fn distinct_matches_reference(a in arb_table("a")) {
         let plan = Plan::union(vec![Plan::scan("a"), Plan::scan("a")]).distinct();

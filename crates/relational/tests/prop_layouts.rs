@@ -1,43 +1,47 @@
-//! Byte-identity oracle for the columnar data plane.
+//! Byte-identity oracle for the columnar kernels against the row plane.
 //!
 //! The fixed-width term encoding and vectorized kernels must be
-//! observationally identical to the row-at-a-time operators: same rows, same
-//! order, same rendered bytes, same errors. This file property-checks
-//! [`Layout::Columnar`] against [`Layout::Row`] over random plans and data —
-//! NULLs (which never match as join keys), Int/Float keys that only join
-//! under numeric coercion, inline (≤ 22 byte) and pooled (`Arc<str>`)
-//! strings, and on the columnar side batch widths {1, 2, 1024} and both the
-//! parallel and the sequential drain (the row plane is one tuple-at-a-time
-//! interpreter with no modes of its own).
-
-use std::collections::HashMap;
+//! observationally identical to row-at-a-time evaluation: same rows, same
+//! order, same rendered bytes, same errors. The row plane is the
+//! tuple-at-a-time reference interpreter (`support/reference.rs`), which
+//! shares no code with the engine. This file property-checks
+//! [`Executor::run`] against it over random plans and data — NULLs (which
+//! never match as join keys), Int/Float keys that only join under numeric
+//! coercion, `-0.0` next to `0.0`, NaN, inline (≤ 22 byte) and pooled
+//! (`Arc<str>`) strings — under batch widths {1, 2, 1024} and both the
+//! parallel and the sequential drain (the row plane has no modes of its
+//! own).
 
 use proptest::prelude::*;
 
 use mdm_relational::algebra::Plan;
 use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
-use mdm_relational::{ExecOptions, Executor, Layout, MemoryCatalog, Table, Value};
+use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Value};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 // ---------------------------------------------------------------------------
 // Random data: inline strings, pooled strings, NULLs, coercing numerics
 // ---------------------------------------------------------------------------
 
 /// Long join-key strings (> 22 bytes) take the shared intern-pool path and
-/// therefore the dictionary-id fast path in the columnar plane.
+/// therefore the dictionary-id fast path in the columnar kernels.
 const LONG_KEYS: [&str; 2] = [
     "columnar-dictionary-key-alpha-0001",
     "columnar-dictionary-key-omega-0002",
 ];
 const SHORT_KEYS: [&str; 2] = ["x", "y"];
 
-/// A join key: NULL, coercible Int/Float, inline string, or pooled string —
-/// all from a small domain so joins actually hit.
+/// A join key: NULL, coercible Int/Float, signed zeros, NaN, inline string,
+/// or pooled string — all from a small domain so joins actually hit.
 fn arb_key() -> impl Strategy<Value = Value> {
     prop_oneof![
         1 => Just(Value::Null),
         4 => (-3i64..3).prop_map(Value::Int),
         2 => (-3i64..3).prop_map(|i| Value::Float(i as f64)),
+        1 => prop_oneof![Just(-0.0), Just(f64::NAN)].prop_map(Value::Float),
         2 => (0usize..SHORT_KEYS.len()).prop_map(|i| Value::str(SHORT_KEYS[i])),
         1 => (0usize..LONG_KEYS.len()).prop_map(|i| Value::str(LONG_KEYS[i])),
     ]
@@ -71,33 +75,19 @@ fn arb_table(relation: &'static str) -> impl Strategy<Value = Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Harness: the columnar plane, under every execution mode, vs. the row oracle
+// Harness: the columnar kernels, under every execution mode, vs. the row plane
 // ---------------------------------------------------------------------------
 
-/// The execution modes the columnar plane runs under. The row plane has
-/// none: it pulls one tuple at a time on the calling thread whatever the
-/// batch width or pool.
+/// The execution modes the engine runs under. The row plane has none: it
+/// evaluates one tuple at a time on the calling thread whatever the batch
+/// width or pool.
 fn modes() -> Vec<(&'static str, ExecOptions)> {
-    let layout = Layout::Columnar;
     vec![
-        (
-            "parallel",
-            ExecOptions {
-                layout,
-                ..ExecOptions::default()
-            },
-        ),
-        (
-            "sequential",
-            ExecOptions {
-                layout,
-                ..ExecOptions::sequential()
-            },
-        ),
+        ("parallel", ExecOptions::default()),
+        ("sequential", ExecOptions::sequential()),
         (
             "batch=1",
             ExecOptions {
-                layout,
                 batch_size: 1,
                 ..ExecOptions::default()
             },
@@ -105,7 +95,6 @@ fn modes() -> Vec<(&'static str, ExecOptions)> {
         (
             "batch=2",
             ExecOptions {
-                layout,
                 batch_size: 2,
                 ..ExecOptions::sequential()
             },
@@ -113,7 +102,6 @@ fn modes() -> Vec<(&'static str, ExecOptions)> {
         (
             "batch=1024",
             ExecOptions {
-                layout,
                 batch_size: 1024,
                 ..ExecOptions::default()
             },
@@ -121,24 +109,18 @@ fn modes() -> Vec<(&'static str, ExecOptions)> {
     ]
 }
 
-/// Runs `plan` once under the row plane (the oracle) and under the columnar
-/// plane over parallel/sequential drains and batch widths {1, 2, 1024},
-/// asserting every columnar rendering is byte-identical to the row plane's —
-/// and that errors, when they happen, carry identical messages.
+/// Runs `plan` once under the row plane (the oracle) and under the engine
+/// over parallel/sequential drains and batch widths {1, 2, 1024}, asserting
+/// every rendering is byte-identical to the row plane's — and that errors,
+/// when they happen, carry identical messages.
 fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCaseError> {
     let mut catalog = MemoryCatalog::new();
-    let mut map = HashMap::new();
     for (name, table) in tables {
-        catalog.register(name, table.clone());
-        map.insert(name, table);
+        catalog.register(name, table);
     }
-    let row_options = ExecOptions {
-        layout: Layout::Row,
-        ..ExecOptions::default()
-    };
-    let row = Executor::with_options(&catalog, row_options).run(plan);
-    for (mode, col_options) in modes() {
-        let col = Executor::with_options(&catalog, col_options).run(plan);
+    let row = reference::run(plan, &catalog);
+    for (mode, options) in modes() {
+        let col = Executor::with_options(&catalog, options).run(plan);
         match (&row, col) {
             (Ok(row), Ok(col)) => prop_assert_eq!(
                 col.render(),
@@ -156,7 +138,7 @@ fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCase
                 false,
                 "mode {}: row plane {:?} but columnar {:?}",
                 mode,
-                row.as_ref().map(|t| t.len()),
+                row.as_ref().map(Table::len),
                 col.map(|t| t.len())
             ),
         }
@@ -172,8 +154,7 @@ fn join_on_k() -> Vec<(ColumnRef, ColumnRef)> {
 }
 
 proptest! {
-    /// σ and π (including computed projections, which take the vectorized
-    /// arithmetic kernel) match the row plane byte for byte.
+    /// σ and π match the row plane byte for byte.
     #[test]
     fn filter_project_matches_row_plane(a in arb_table("a"), threshold in -20i64..20) {
         let plan = Plan::scan("a")
@@ -183,7 +164,7 @@ proptest! {
     }
 
     /// Computed projections with possible division-by-zero: the columnar
-    /// plane must fall back to row-order evaluation and report the exact
+    /// kernels must fall back to row-order evaluation and report the exact
     /// same first error (or the same values when no row errors).
     #[test]
     fn computed_projection_matches_row_plane(a in arb_table("a"), divisor in -2i64..3) {
@@ -209,9 +190,9 @@ proptest! {
         check(&plan, vec![("a", a), ("b", b)])?;
     }
 
-    /// Full UCQ shells — union, distinct — render identically under both
-    /// layouts, row order included: δ keeps first occurrences in branch
-    /// order on both planes.
+    /// Full UCQ shells — union, distinct — render identically on both
+    /// planes, row order included: δ keeps first occurrences in branch
+    /// order.
     #[test]
     fn ucq_matches_row_plane(
         a in arb_table("a"),

@@ -1,7 +1,7 @@
 //! Property tests for the cost-based optimizer: for random plans, random
 //! data, and random statistics, optimized plans render byte-identically to
-//! unoptimized execution — in every optimize mode, both physical layouts,
-//! and both the parallel and sequential execution paths.
+//! unoptimized execution and to the reference interpreter's answer — on
+//! both the parallel and sequential execution paths.
 
 use proptest::prelude::*;
 
@@ -10,7 +10,10 @@ use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::optimizer::{OptimizeMode, Optimizer};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::stats::StatsCatalog;
-use mdm_relational::{pool, Catalog, ExecOptions, Executor, Layout, MemoryCatalog, Table, Value};
+use mdm_relational::{pool, Catalog, ExecOptions, Executor, MemoryCatalog, Table, Value};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 /// A random table with columns (k, v) — k from a small domain so joins hit.
 fn arb_table(relation: &'static str) -> impl Strategy<Value = Table> {
@@ -112,9 +115,8 @@ fn build(shape: &Shape) -> Plan {
     }
 }
 
-fn options(layout: Layout, parallel: bool) -> ExecOptions {
+fn options(parallel: bool) -> ExecOptions {
     ExecOptions {
-        layout,
         pool: if parallel { Some(pool::global()) } else { None },
         // Keep the process-wide catalog out of it: stats here are the
         // random ones fed explicitly below.
@@ -128,8 +130,8 @@ proptest! {
 
     /// The cost-based pipeline never changes results: for every random
     /// plan, dataset, and (possibly partial) stats catalog, the sorted
-    /// render is byte-identical to unoptimized execution under every
-    /// layout × execution-path combination.
+    /// render is byte-identical to unoptimized execution and to the
+    /// reference interpreter on every execution path.
     #[test]
     fn cost_mode_renders_like_off_mode(
         a in arb_table("a"),
@@ -157,21 +159,14 @@ proptest! {
         let resolve = |name: &str| catalog.relation_schema(name);
         let optimizer = Optimizer::new(&stats, &resolve);
         let plan = build(&shape);
-        for layout in [Layout::Columnar, Layout::Row] {
-            for parallel in [false, true] {
-                let executor =
-                    Executor::with_options(&catalog, options(layout, parallel));
-                let baseline = executor.run(&plan).unwrap().sorted().render();
-                let optimized = optimizer.optimize_with(OptimizeMode::Cost, plan.clone());
-                let rendered = executor.run(&optimized).unwrap().sorted().render();
-                prop_assert_eq!(
-                    &baseline,
-                    &rendered,
-                    "layout={:?} parallel={}",
-                    layout,
-                    parallel
-                );
-            }
+        let expected = reference::run(&plan, &catalog).unwrap().sorted().render();
+        for parallel in [false, true] {
+            let executor = Executor::with_options(&catalog, options(parallel));
+            let baseline = executor.run(&plan).unwrap().sorted().render();
+            prop_assert_eq!(&baseline, &expected, "parallel={}", parallel);
+            let optimized = optimizer.optimize_with(OptimizeMode::Cost, plan.clone());
+            let rendered = executor.run(&optimized).unwrap().sorted().render();
+            prop_assert_eq!(&rendered, &expected, "parallel={}", parallel);
         }
     }
 
@@ -197,7 +192,7 @@ proptest! {
         let optimizer = Optimizer::new(&stats, &resolve);
         let once = optimizer.optimize_with(OptimizeMode::Cost, build(&shape));
         let twice = optimizer.optimize_with(OptimizeMode::Cost, once.clone());
-        let executor = Executor::with_options(&catalog, options(Layout::Columnar, false));
+        let executor = Executor::with_options(&catalog, options(false));
         prop_assert_eq!(
             executor.run(&once).unwrap().sorted().render(),
             executor.run(&twice).unwrap().sorted().render()

@@ -1,0 +1,137 @@
+//! The reference interpreter: the oracle the columnar engine is held to.
+//!
+//! It evaluates a [`Plan`] row at a time over the rows each provider's
+//! `rows()` hands out — nested-loop joins in probe × build order,
+//! first-occurrence distinct, branch-order union — and shares no code with
+//! the engine's operators, its term encoding or its scan cache. What it
+//! does share is the specification: `Value`'s coercing equality, `Expr`'s
+//! row-wise evaluation, and the error each shape problem is reported with,
+//! so a test can compare rows, row order *and* error text.
+//!
+//! Include it with `#[path = "support/reference.rs"] mod reference;`.
+
+use std::collections::HashSet;
+
+use mdm_relational::algebra::Plan;
+use mdm_relational::schema::{ColumnRef, Schema};
+use mdm_relational::{Catalog, ExecError, Table, Tuple};
+
+/// Evaluates `plan` against `catalog`, as [`Executor::run`] must.
+///
+/// [`Executor::run`]: mdm_relational::Executor::run
+pub fn run(plan: &Plan, catalog: &dyn Catalog) -> Result<Table, ExecError> {
+    let (schema, rows) = eval(plan, catalog)?;
+    Table::new(schema, rows).map_err(ExecError::permanent)
+}
+
+fn eval(plan: &Plan, catalog: &dyn Catalog) -> Result<(Schema, Vec<Tuple>), ExecError> {
+    match plan {
+        Plan::Scan { relation } => {
+            let provider = catalog.provider(relation).ok_or_else(|| {
+                ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
+            })?;
+            let schema = provider.provider_schema();
+            if schema.is_empty() {
+                return Err(ExecError::permanent(format!(
+                    "relation '{relation}' has no columns; a plan must produce at least one"
+                )));
+            }
+            Ok((schema, provider.rows()?))
+        }
+        Plan::Filter { input, predicate } => {
+            let (schema, rows) = eval(input, catalog)?;
+            let mut out = Vec::new();
+            for row in rows {
+                let keep = predicate
+                    .eval_predicate(&schema, &row)
+                    .map_err(|e| ExecError::permanent(e.0))?;
+                if keep {
+                    out.push(row);
+                }
+            }
+            Ok((schema, out))
+        }
+        Plan::Project { input, columns } => {
+            if columns.is_empty() {
+                return Err(ExecError::permanent(
+                    "empty projection; a plan must produce at least one column",
+                ));
+            }
+            let (schema, rows) = eval(input, catalog)?;
+            let out_schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
+            let mut out = Vec::with_capacity(rows.len());
+            for row in rows {
+                let mut tuple = Vec::with_capacity(columns.len());
+                for (expr, _) in columns {
+                    tuple.push(
+                        expr.eval(&schema, &row)
+                            .map_err(|e| ExecError::permanent(e.0))?,
+                    );
+                }
+                out.push(tuple);
+            }
+            Ok((out_schema, out))
+        }
+        Plan::Join { left, right, on } => {
+            let (left_schema, left_rows) = eval(left, catalog)?;
+            let (right_schema, right_rows) = eval(right, catalog)?;
+            let index = |schema: &Schema, column: &ColumnRef| {
+                schema
+                    .index_of(column)
+                    .map_err(|e| ExecError::permanent(format!("join key: {e}")))
+            };
+            let left_keys = on
+                .iter()
+                .map(|(l, _)| index(&left_schema, l))
+                .collect::<Result<Vec<usize>, _>>()?;
+            let right_keys = on
+                .iter()
+                .map(|(_, r)| index(&right_schema, r))
+                .collect::<Result<Vec<usize>, _>>()?;
+            let mut out = Vec::new();
+            // Probe × build order: each left row meets the right rows in
+            // their original order. NULL keys never match on either side.
+            for left_row in &left_rows {
+                if left_keys.iter().any(|&i| left_row[i].is_null()) {
+                    continue;
+                }
+                for right_row in &right_rows {
+                    if right_keys.iter().any(|&i| right_row[i].is_null()) {
+                        continue;
+                    }
+                    if left_keys
+                        .iter()
+                        .zip(&right_keys)
+                        .all(|(&l, &r)| left_row[l] == right_row[r])
+                    {
+                        out.push([left_row.as_slice(), right_row].concat());
+                    }
+                }
+            }
+            Ok((left_schema.concat(&right_schema), out))
+        }
+        Plan::Union { inputs } => {
+            let mut arms = inputs.iter();
+            let first = arms
+                .next()
+                .ok_or_else(|| ExecError::permanent("union of zero inputs"))?;
+            let (schema, mut rows) = eval(first, catalog)?;
+            for arm in arms {
+                let (arm_schema, arm_rows) = eval(arm, catalog)?;
+                if arm_schema.len() != schema.len() {
+                    return Err(ExecError::permanent(format!(
+                        "union arity mismatch: {schema} vs {arm_schema}"
+                    )));
+                }
+                rows.extend(arm_rows);
+            }
+            Ok((schema, rows))
+        }
+        Plan::Distinct { input } => {
+            let (schema, mut rows) = eval(input, catalog)?;
+            let mut seen = HashSet::new();
+            rows.retain(|row| seen.insert(row.clone()));
+            Ok((schema, rows))
+        }
+    }
+}

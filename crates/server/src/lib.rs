@@ -80,10 +80,11 @@ pub struct ServerConfig {
     /// keeps the engine default; the executor still adapts downward for
     /// small inputs.
     pub batch_size: Option<usize>,
-    /// Physical data plane for served queries: `None` keeps the engine
-    /// default (columnar); `Some(Layout::Row)` is the tuple-at-a-time
-    /// reference interpreter (oracle tests, debugging).
-    pub layout: Option<mdm_relational::Layout>,
+    /// Always `None`: there is one data plane, and nothing to choose. The
+    /// field is kept only because the repo benchmark prints it
+    /// (`layout=None` in its environment line); ROADMAP item 1(b) drops
+    /// that print, and then this field goes.
+    pub layout: Option<std::convert::Infallible>,
     /// Plan-optimization mode for served queries: `None` keeps the engine
     /// default (cost-based); `Some(OptimizeMode::Off)` executes rewritings
     /// verbatim. Results are identical in both modes.

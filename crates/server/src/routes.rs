@@ -1657,7 +1657,7 @@ mod tests {
     use mdm_relational::columnar::{merge_branches, MergeMode};
     use mdm_relational::schema::{ColumnRef, Schema};
     use mdm_relational::{
-        ExecOptions, Executor, MemoryCatalog, Plan, Table, Tuple, Undecoded, Value as Scalar,
+        ExecOptions, Executor, MemoryCatalog, Plan, Table, Tuple, Value as Scalar,
     };
     use proptest::prelude::*;
 
@@ -1725,9 +1725,8 @@ mod tests {
 
     proptest! {
         /// The term-row writer prints byte for byte what the `Table`
-        /// printer printed, for an answer taken into term form from a
-        /// table (the row plane's route) and for one the columnar merge
-        /// built from encoded batches.
+        /// printer printed, for an answer the merge built from encoded
+        /// batches.
         #[test]
         fn term_rows_print_as_the_table_printer_did(
             rows in proptest::collection::vec(proptest::collection::vec(arb_cell(), 3), 0..30),
@@ -1739,18 +1738,14 @@ mod tests {
             write_table_rows(&mut expected, &table.clone().sorted());
 
             let mut catalog = MemoryCatalog::new();
-            catalog.register("answer", table.clone());
-            let batches = match Executor::with_options(&catalog, ExecOptions::sequential())
+            catalog.register("answer", table);
+            let batches = Executor::with_options(&catalog, ExecOptions::sequential())
                 .run_undecoded(&Plan::scan("answer"))
                 .expect("scan executes")
-            {
-                Undecoded::Columns { batches, .. } => batches,
-                Undecoded::Rows(_) => panic!("a non-empty schema scans columnar"),
-            };
+                .batches;
             let merged = merge_branches(schema_of(width), vec![batches], MergeMode::All)
                 .map_err(TestCaseError::fail)?;
-            prop_assert_eq!(printed(&merged), expected.clone());
-            prop_assert_eq!(printed(&MergedRows::from_table(table.sorted())), expected);
+            prop_assert_eq!(printed(&merged), expected);
         }
     }
 }

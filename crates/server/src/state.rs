@@ -100,9 +100,6 @@ impl AppState {
         if let Some(batch) = config.batch_size {
             mdm.set_batch_size(batch);
         }
-        if let Some(layout) = config.layout {
-            mdm.set_layout(layout);
-        }
         if let Some(mode) = config.optimize {
             mdm.set_optimize(mode);
         }

@@ -153,11 +153,9 @@ pub struct Wrapper {
     release: Release,
     /// An attached fault schedule makes every [`Wrapper::rows`] or
     /// [`Wrapper::columns`] call a fresh simulated fetch whose *fate* the
-    /// plan injects; the payload itself stays memoised (a wrapper models
-    /// one snapshot).
+    /// plan injects; the resident columns stay (a wrapper models one
+    /// snapshot).
     faults: Option<Arc<FaultPlan>>,
-    /// The clean payload as rows: what the row-plane oracle clones from.
-    cache: OnceLock<Result<Vec<Tuple>, WrapperError>>,
     /// The clean payload as term columns plus its row count, resident
     /// from the first clean [`Wrapper::columns`] for as long as this
     /// instance lives. A wrapper reads one immutable release, and term ids
@@ -180,7 +178,6 @@ impl Clone for Wrapper {
             bindings: self.bindings.clone(),
             release: self.release.clone(),
             faults: self.faults.clone(),
-            cache: OnceLock::new(),
             columns: OnceLock::new(),
             fetches: std::sync::atomic::AtomicU64::new(0),
         }
@@ -227,7 +224,6 @@ impl Wrapper {
             bindings,
             release,
             faults: None,
-            cache: OnceLock::new(),
             columns: OnceLock::new(),
             fetches: std::sync::atomic::AtomicU64::new(0),
         })
@@ -279,8 +275,8 @@ impl Wrapper {
     }
 
     /// Attaches a fault schedule: every subsequent fetch draws its fate
-    /// from the plan. The memoised clean payload — rows and resident
-    /// columns — is kept: a plan decides fates, not content.
+    /// from the plan. The resident columns are kept: a plan decides fates,
+    /// not content.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.faults = plan;
     }
@@ -317,8 +313,7 @@ impl Wrapper {
 
     /// Counts one simulated fetch and draws its fate from the attached
     /// plan, if any: an injected failure is the `Err`, `Ok(None)` serves
-    /// the clean payload (memoised), `Ok(Some(body))` is a truncated body
-    /// that has to be typed fresh.
+    /// the clean payload, `Ok(Some(body))` is a truncated body.
     fn draw_fetch(&self) -> Result<Option<String>, WrapperError> {
         self.fetches
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -346,34 +341,28 @@ impl Wrapper {
         }
     }
 
-    /// Fetches, parses, flattens and maps the payload into signature rows.
+    /// Fetches, parses, flattens and maps the payload into signature rows:
+    /// the uncached view, for inspection and for the oracles that check
+    /// [`Wrapper::columns`] against a payload typed independently of it.
     ///
-    /// The clean payload is computed once and cached, fault plan or not —
-    /// parsing and typing the release body is deterministic, and an
-    /// attached plan injects each simulated fetch's *outcome* (failure,
-    /// latency, truncation), not the payload's content, so a successful
-    /// fetch serves a clone of the memoised rows and fault-recovery
-    /// measurements see retry cost rather than re-parsing cost. Only a
-    /// `Malformed` outcome re-parses: it must type the truncated body,
-    /// which the cache of clean rows cannot answer. This is the row-plane
-    /// oracle's fetch; the served plane pulls [`Wrapper::columns`].
+    /// It is one fetch, like `columns()` — one `fetch_count` bump, one fate
+    /// drawn from an attached plan — but it keeps nothing: every call
+    /// parses and types the body (or, under a `Malformed` outcome, the
+    /// truncated body) afresh. Queries never call it.
     pub fn rows(&self) -> Result<Vec<Tuple>, WrapperError> {
         match self.draw_fetch()? {
             Some(truncated) => self.compute_rows(&truncated),
-            None => self
-                .cache
-                .get_or_init(|| self.compute_rows(&self.release.body))
-                .clone(),
+            None => self.compute_rows(&self.release.body),
         }
     }
 
     /// [`Wrapper::rows`] as shared term columns plus the row count: the
     /// same fetch (one `fetch_count` bump, one fate drawn per call), the
-    /// same relation cell for cell. The clean payload is parsed, typed and
-    /// encoded once, on the first clean call, and stays resident with this
-    /// instance; every later clean call is an `Arc` clone. A `Malformed`
-    /// outcome types and encodes the truncated body fresh and is never
-    /// memoised.
+    /// same relation cell for cell. This is what every scan pulls. The
+    /// clean payload is parsed, typed and encoded once, on the first clean
+    /// call, and stays resident with this instance; every later clean call
+    /// is an `Arc` clone. A `Malformed` outcome types and encodes the
+    /// truncated body fresh and is never memoised.
     pub fn columns(&self) -> Result<(EncodedScan, usize), WrapperError> {
         match self.draw_fetch()? {
             Some(truncated) => self.compute_columns(&truncated),
@@ -594,22 +583,27 @@ mod tests {
         .unwrap();
         let err = w.rows().unwrap_err();
         assert!(matches!(err, WrapperError::Malformed(_)), "{err}");
-        // The error is cached, not recomputed.
-        assert!(w.rows().is_err());
+        // Every call types the body again, to the same error.
+        assert_eq!(w.rows().unwrap_err(), err);
+        assert_eq!(w.columns().unwrap_err(), err);
     }
 
     #[test]
-    fn rows_are_cached_without_faults() {
+    fn rows_are_typed_fresh_and_leave_the_columns_alone() {
         let w = w1();
         let first = w.rows().unwrap();
-        let second = w.rows().unwrap();
-        assert_eq!(first, second);
-        // The cache holds the computed result; clones reset it. The clone
-        // is the behaviour under test, not a copy to optimise away.
-        assert!(w.cache.get().is_some());
+        assert_eq!(w.rows().unwrap(), first);
+        assert_eq!(w.fetch_count(), 2);
+        // `rows()` keeps nothing: the resident columns are filled only by
+        // `columns()`.
+        assert_eq!(w.resident_bytes(), None);
+        w.columns().unwrap();
+        assert_eq!(w.resident_bytes(), Some(2 * 7 * 16));
+        // A clone starts without resident columns. The clone is the
+        // behaviour under test, not a copy to optimise away.
         #[allow(clippy::redundant_clone)]
         let fresh_clone = w.clone();
-        assert!(fresh_clone.cache.get().is_none());
+        assert_eq!(fresh_clone.resident_bytes(), None);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! A wrapper's resident term columns are its rows, and `columns()` is the
 //! same fetch as `rows()`: one fate drawn, one `fetch_count` bump, the
-//! same outcome.
+//! same outcome. `rows()` types the payload afresh on every call and keeps
+//! nothing, so it is the independent view the encoded release is held to.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,8 +23,8 @@ impl Catalog for One<'_> {
     }
 }
 
-/// One `columns()` fetch of `wrapper`, decoded the way the served plane
-/// decodes it: a columnar scan, no retries, no statistics.
+/// One `columns()` fetch of `wrapper`, decoded the way a query decodes
+/// it: a scan, no retries, no statistics.
 fn decoded_columns(wrapper: &Wrapper) -> Result<Vec<Tuple>, ExecError> {
     let options = ExecOptions {
         retry: RetryPolicy::none(),
@@ -114,7 +115,7 @@ fn every_call_on_either_method_is_one_fetch() {
     assert_eq!(w.fetch_count(), 2);
     w.columns().unwrap();
     assert_eq!(w.fetch_count(), 3);
-    // The executor's columnar scan is one `columns()` fetch.
+    // The executor's scan is one `columns()` fetch.
     decoded_columns(&w).unwrap();
     assert_eq!(w.fetch_count(), 4);
     assert_eq!(w.resident_bytes(), Some(w.rows().unwrap().len() * 7 * 16));
@@ -195,8 +196,8 @@ fn a_malformed_outcome_is_typed_fresh_and_never_memoised() {
     let full = json.rows().unwrap().len();
     assert_eq!(json.columns().unwrap().1, full);
 
-    // CSV: the truncated body parses — into fewer rows, the same ones the
-    // row plane sees — and must not become the resident relation.
+    // CSV: the truncated body parses — into fewer rows, the same ones
+    // `rows()` types — and must not become the resident relation.
     let mut csv = football::w5_countries(&eco);
     let full = csv.rows().unwrap();
     let (resident, _) = csv.columns().unwrap();

@@ -49,6 +49,14 @@ awk '$1 == "metric" && $2 == "scan_join" && $3 == "relational.kernel_invocations
      $1 == "metric" && $2 == "scan_join" && $3 == "wrappers.fetches_per_query" {
          fetches++; if ($4 + 0 != 4) { print "scan_join no longer fetches each wrapper once: " $0; bad = 1 } }
      END { if (kernels != 1 || fetches != 1) { print "expected one scan_join kernel and fetch count, saw " kernels + 0 " and " fetches + 0; bad = 1 } exit bad }' "$quick"
+# The served answer is decoded once, result rows × width: 1290 terms per
+# warm query on scan_join and 7996 on wide_result (seed 42, --quick, the
+# counts recorded before the row engine was deleted). A second decode, or
+# one of rows the merge drops, moves them.
+awk '$1 == "metric" && $3 == "relational.terms_decoded" && $2 ~ /^(scan_join|wide_result)$/ {
+         seen++; want = ($2 == "scan_join") ? 1290 : 7996
+         if ($4 + 0 != want) { print "decode count moved (want " want "): " $0; bad = 1 } }
+     END { if (seen != 2) { print "expected relational.terms_decoded on scan_join and wide_result, saw " seen + 0; bad = 1 } exit bad }' "$quick"
 
 echo "==> evaluation harness (E1–E8 + P summaries regenerate)"
 cargo run --release --quiet -p mdm-bench --bin evaluation > /dev/null

@@ -8,7 +8,7 @@
 //! * the cold reference `Mdm::query`.
 //!
 //! Inputs are random synthetic chains under random kills and transient
-//! faults, on both layouts, sequential and pooled.
+//! faults, sequential and pooled.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -21,13 +21,12 @@ use mdm_core::synthetic::{chain_walk, concept_iri, feature_iri, mdm_from_synthet
 use mdm_core::{Completeness, DegradedAnswer, Mdm, MdmError, RewriteOptions, Rewriting, Walk};
 use mdm_relational::schema::ColumnRef;
 use mdm_relational::{
-    BreakerConfig, BreakerRegistry, Catalog, Deadline, ExecOptions, Layout, MemoryCatalog,
-    MergedRows, Optimizer, Plan, Pool, RetryPolicy, Schema, StatsCatalog, Table, Value,
+    BreakerConfig, BreakerRegistry, Catalog, Deadline, ExecOptions, MemoryCatalog, MergedRows,
+    Optimizer, Plan, Pool, RetryPolicy, Schema, StatsCatalog, Table, Value,
 };
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 use mdm_wrappers::FaultPlan;
 
-const LAYOUTS: [Layout; 2] = [Layout::Columnar, Layout::Row];
 const THREADS: [usize; 2] = [1, 2];
 
 /// A chain of `concepts` concepts, `versions` wrapper versions per source
@@ -63,16 +62,10 @@ fn instant_retries(max_attempts: u32) -> RetryPolicy {
 
 /// A system over `eco` with a statistics catalog of its own, so the
 /// optimizer sees the same numbers on every run of a case.
-fn system(
-    eco: &SyntheticEcosystem,
-    layout: Layout,
-    threads: usize,
-    max_attempts: u32,
-) -> (Mdm, Arc<StatsCatalog>) {
+fn system(eco: &SyntheticEcosystem, threads: usize, max_attempts: u32) -> (Mdm, Arc<StatsCatalog>) {
     let mut mdm = mdm_from_synthetic(eco).expect("synthetic system builds");
     let stats = Arc::new(StatsCatalog::new());
     mdm.set_stats_catalog(Arc::clone(&stats));
-    mdm.set_layout(layout);
     mdm.set_threads(threads);
     mdm.set_retry_policy(instant_retries(max_attempts));
     (mdm, stats)
@@ -86,7 +79,7 @@ fn every_branch(mdm: &Mdm, walk: &Walk) -> Rewriting {
 }
 
 /// What `Mdm::query_degraded` computes with every branch running: the same
-/// catalog, retry policy, layout, epoch, statistics and optimizer, a
+/// catalog, retry policy, epoch, statistics and optimizer, a
 /// fresh breaker registry, and the `wrapper@version` labels it adds.
 fn run_every_branch(
     mdm: &Mdm,
@@ -100,7 +93,6 @@ fn run_every_branch(
         retry: instant_retries(max_attempts),
         pool: (threads > 1).then(|| Arc::new(Pool::new(threads))),
         epoch: mdm.epoch(),
-        layout: mdm.layout(),
         stats: Some(Arc::clone(stats)),
         ..ExecOptions::default()
     };
@@ -223,38 +215,36 @@ proptest! {
             k => chain_walk(&eco, k),
         };
         let wrappers: Vec<String> = eco.all_wrappers().map(|w| w.name().to_string()).collect();
-        for layout in LAYOUTS {
-            for threads in THREADS {
-                let context = format!("{layout:?}, {threads} thread(s)");
-                let (mut mdm, stats) = system(&eco, layout, threads, max_attempts);
-                // Fault-free, the served rows are the reference's. The
-                // run also fills the statistics both faulted runs read.
-                let served = mdm.query_degraded(&walk, Deadline::none()).unwrap();
-                let reference = mdm.query(&walk).unwrap();
-                prop_assert_eq!(
-                    rows_of(&served.rows),
-                    format!("{:?}", reference.table.rows()),
-                    "{}",
-                    context
-                );
-                prop_assert!(served.completeness.is_complete());
+        for threads in THREADS {
+            let context = format!("{threads} thread(s)");
+            let (mut mdm, stats) = system(&eco, threads, max_attempts);
+            // Fault-free, the served rows are the reference's. The
+            // run also fills the statistics both faulted runs read.
+            let served = mdm.query_degraded(&walk, Deadline::none()).unwrap();
+            let reference = mdm.query(&walk).unwrap();
+            prop_assert_eq!(
+                rows_of(&served.rows),
+                format!("{:?}", reference.table.rows()),
+                "{}",
+                context
+            );
+            prop_assert!(served.completeness.is_complete());
 
-                let plan = Arc::new(faults.plan(&wrappers));
-                mdm.set_fault_plan(Some(Arc::clone(&plan)));
-                mdm.set_breaker_config(BreakerConfig::default());
-                let served = mdm.query_degraded(&walk, Deadline::none());
-                plan.reset();
-                let every = run_every_branch(&mdm, &stats, &walk, max_attempts);
-                assert_same(&served, &every, &context)?;
-            }
+            let plan = Arc::new(faults.plan(&wrappers));
+            mdm.set_fault_plan(Some(Arc::clone(&plan)));
+            mdm.set_breaker_config(BreakerConfig::default());
+            let served = mdm.query_degraded(&walk, Deadline::none());
+            plan.reset();
+            let every = run_every_branch(&mdm, &stats, &walk, max_attempts);
+            assert_same(&served, &every, &context)?;
         }
     }
 }
 
 /// The `scan_join` system at two versions per source: C0 from `s0_v1`,
 /// `s0_v2`; C1 from those and `s1_v1`, `s1_v2`.
-fn scan_join_system(layout: Layout, threads: usize) -> (Mdm, Arc<StatsCatalog>) {
-    system(&ecosystem(2, 2, 42), layout, threads, 1)
+fn scan_join_system(threads: usize) -> (Mdm, Arc<StatsCatalog>) {
+    system(&ecosystem(2, 2, 42), threads, 1)
 }
 
 /// The every-branch reference for a faulted query, fault counters reset.
@@ -291,7 +281,7 @@ fn branches_mentioning(mdm: &Mdm, wrapper: &str) -> BTreeSet<Vec<String>> {
 
 #[test]
 fn scan_join_runs_two_of_its_sixteen_branches() {
-    let (mdm, _) = scan_join_system(Layout::Columnar, 1);
+    let (mdm, _) = scan_join_system(1);
     let rewriting = mdm.rewrite_cached(&scan_join_walk()).unwrap();
     assert_eq!(rewriting.branch_count(), 16);
     let uncovered: Vec<usize> = (0..16)
@@ -302,77 +292,71 @@ fn scan_join_runs_two_of_its_sixteen_branches() {
 
 #[test]
 fn killing_a_c1_wrapper_drops_exactly_its_branches_and_keeps_every_row() {
-    for layout in LAYOUTS {
-        for threads in THREADS {
-            let (mut mdm, stats) = scan_join_system(layout, threads);
-            let clean = mdm
-                .query_degraded(&scan_join_walk(), Deadline::none())
-                .unwrap();
-            let plan = Arc::new(FaultPlan::seeded(1).kill("s1_v1"));
-            mdm.set_fault_plan(Some(Arc::clone(&plan)));
-            let (served, _) = served_and_every(&mdm, &stats, &plan, 1);
-            assert!(served.completeness.summary().starts_with("PARTIAL"));
-            let dropped: BTreeSet<Vec<String>> = served
-                .completeness
-                .dropped
-                .iter()
-                .map(|d| d.wrappers.clone())
-                .collect();
-            assert_eq!(dropped, branches_mentioning(&mdm, "s1_v1"));
-            assert_eq!(dropped.len(), 4);
-            assert_eq!(served.completeness.executed_branches, 12);
-            // Branches 1 and 9 never scan s1_v1: the answer is whole.
-            assert_eq!(rows_of(&served.rows), rows_of(&clean.rows));
-        }
+    for threads in THREADS {
+        let (mut mdm, stats) = scan_join_system(threads);
+        let clean = mdm
+            .query_degraded(&scan_join_walk(), Deadline::none())
+            .unwrap();
+        let plan = Arc::new(FaultPlan::seeded(1).kill("s1_v1"));
+        mdm.set_fault_plan(Some(Arc::clone(&plan)));
+        let (served, _) = served_and_every(&mdm, &stats, &plan, 1);
+        assert!(served.completeness.summary().starts_with("PARTIAL"));
+        let dropped: BTreeSet<Vec<String>> = served
+            .completeness
+            .dropped
+            .iter()
+            .map(|d| d.wrappers.clone())
+            .collect();
+        assert_eq!(dropped, branches_mentioning(&mdm, "s1_v1"));
+        assert_eq!(dropped.len(), 4);
+        assert_eq!(served.completeness.executed_branches, 12);
+        // Branches 1 and 9 never scan s1_v1: the answer is whole.
+        assert_eq!(rows_of(&served.rows), rows_of(&clean.rows));
     }
 }
 
 #[test]
 fn killing_a_container_wrapper_runs_its_covered_branches_to_their_own_errors() {
-    for layout in LAYOUTS {
-        for threads in THREADS {
-            let (mut mdm, stats) = scan_join_system(layout, threads);
-            let plan = Arc::new(FaultPlan::seeded(1).kill("s0_v1"));
-            mdm.set_fault_plan(Some(Arc::clone(&plan)));
-            // Branch 1 dies, and branches 2–8 with it: each one's prefetch
-            // fails, so it runs and reports the same error it always did.
-            let (served, _) = served_and_every(&mdm, &stats, &plan, 1);
-            let dropped: BTreeSet<Vec<String>> = served
-                .completeness
-                .dropped
-                .iter()
-                .map(|d| d.wrappers.clone())
-                .collect();
-            assert_eq!(dropped, branches_mentioning(&mdm, "s0_v1"));
-            for branch in &served.completeness.dropped {
-                assert_eq!(branch.kind, "permanent");
-                assert!(
-                    branch.reason.contains("injected terminal fault"),
-                    "{branch:?}"
-                );
-            }
+    for threads in THREADS {
+        let (mut mdm, stats) = scan_join_system(threads);
+        let plan = Arc::new(FaultPlan::seeded(1).kill("s0_v1"));
+        mdm.set_fault_plan(Some(Arc::clone(&plan)));
+        // Branch 1 dies, and branches 2–8 with it: each one's prefetch
+        // fails, so it runs and reports the same error it always did.
+        let (served, _) = served_and_every(&mdm, &stats, &plan, 1);
+        let dropped: BTreeSet<Vec<String>> = served
+            .completeness
+            .dropped
+            .iter()
+            .map(|d| d.wrappers.clone())
+            .collect();
+        assert_eq!(dropped, branches_mentioning(&mdm, "s0_v1"));
+        for branch in &served.completeness.dropped {
+            assert_eq!(branch.kind, "permanent");
+            assert!(
+                branch.reason.contains("injected terminal fault"),
+                "{branch:?}"
+            );
         }
     }
 }
 
 #[test]
 fn retries_absorbed_by_a_prefetch_are_counted() {
-    for layout in LAYOUTS {
-        for threads in THREADS {
-            let (mut mdm, stats) = scan_join_system(layout, threads);
-            mdm.set_retry_policy(instant_retries(2));
-            // Every wrapper fails its first attempt. Only covered branches
-            // scan s1_v1 and s1_v2, so their prefetches pay two retries.
-            let plan = Arc::new(
-                FaultPlan::seeded(2)
-                    .transient_window(1, 1.0)
-                    .transient_window(2, 0.0),
-            );
-            mdm.set_fault_plan(Some(Arc::clone(&plan)));
-            let (served, _) = served_and_every(&mdm, &stats, &plan, 2);
-            assert!(served.completeness.is_complete());
-            assert_eq!(served.completeness.retries, 4);
-        }
+    for threads in THREADS {
+        let (mut mdm, stats) = scan_join_system(threads);
+        mdm.set_retry_policy(instant_retries(2));
+        // Every wrapper fails its first attempt. Only covered branches
+        // scan s1_v1 and s1_v2, so their prefetches pay two retries.
+        let plan = Arc::new(
+            FaultPlan::seeded(2)
+                .transient_window(1, 1.0)
+                .transient_window(2, 0.0),
+        );
+        mdm.set_fault_plan(Some(Arc::clone(&plan)));
+        let (served, _) = served_and_every(&mdm, &stats, &plan, 2);
+        assert!(served.completeness.is_complete());
+        assert_eq!(served.completeness.retries, 4);
     }
 }
 
@@ -381,46 +365,43 @@ fn retries_absorbed_by_a_prefetch_are_counted() {
 /// their rows stand in for the container's.
 #[test]
 fn a_dropped_container_runs_its_covered_branches() {
-    for layout in LAYOUTS {
-        for threads in THREADS {
-            let (mdm, _) = scan_join_system(layout, threads);
-            let walk = scan_join_walk();
-            let covered = (*mdm.rewrite_cached(&walk).unwrap()).clone();
-            let every = every_branch(&mdm, &walk);
-            let exec_options = ExecOptions {
-                pool: (threads > 1).then(|| Arc::new(Pool::new(threads))),
-                epoch: mdm.epoch(),
-                layout,
-                ..ExecOptions::default()
-            };
-            let break_branch_one = |plan: Plan| {
-                if plan.scanned_relations() == ["s0_v1"] {
-                    let missing = ColumnRef::bare("missing");
-                    plan.join(Plan::scan("s0_v1"), vec![(missing.clone(), missing)])
-                } else {
-                    plan
-                }
-            };
-            let run = |rewriting: &Rewriting| {
-                execute_degraded(
-                    rewriting,
-                    mdm.catalog(),
-                    &RewriteOptions::default(),
-                    &exec_options,
-                    None,
-                    &break_branch_one,
-                    false,
-                )
-                .unwrap()
-            };
-            let (rows, completeness) = run(&covered);
-            let (every_rows, every_completeness) = run(&every);
-            assert_eq!(completeness, every_completeness);
-            assert_eq!(rows_of(&rows), rows_of(&every_rows));
-            assert_eq!(completeness.executed_branches, 15);
-            assert_eq!(completeness.dropped.len(), 1);
-            assert!(completeness.dropped[0].reason.contains("join key"));
-        }
+    for threads in THREADS {
+        let (mdm, _) = scan_join_system(threads);
+        let walk = scan_join_walk();
+        let covered = (*mdm.rewrite_cached(&walk).unwrap()).clone();
+        let every = every_branch(&mdm, &walk);
+        let exec_options = ExecOptions {
+            pool: (threads > 1).then(|| Arc::new(Pool::new(threads))),
+            epoch: mdm.epoch(),
+            ..ExecOptions::default()
+        };
+        let break_branch_one = |plan: Plan| {
+            if plan.scanned_relations() == ["s0_v1"] {
+                let missing = ColumnRef::bare("missing");
+                plan.join(Plan::scan("s0_v1"), vec![(missing.clone(), missing)])
+            } else {
+                plan
+            }
+        };
+        let run = |rewriting: &Rewriting| {
+            execute_degraded(
+                rewriting,
+                mdm.catalog(),
+                &RewriteOptions::default(),
+                &exec_options,
+                None,
+                &break_branch_one,
+                false,
+            )
+            .unwrap()
+        };
+        let (rows, completeness) = run(&covered);
+        let (every_rows, every_completeness) = run(&every);
+        assert_eq!(completeness, every_completeness);
+        assert_eq!(rows_of(&rows), rows_of(&every_rows));
+        assert_eq!(completeness.executed_branches, 15);
+        assert_eq!(completeness.dropped.len(), 1);
+        assert!(completeness.dropped[0].reason.contains("join key"));
     }
 }
 
@@ -429,7 +410,7 @@ fn a_dropped_container_runs_its_covered_branches() {
 /// `==` rows in rewriting order, which a covered branch never supplies.
 #[test]
 fn ints_and_floats_that_are_equal_keep_the_first_spelling() {
-    let (mdm, _) = scan_join_system(Layout::Columnar, 1);
+    let (mdm, _) = scan_join_system(1);
     let walk = scan_join_walk();
     let covered = (*mdm.rewrite_cached(&walk).unwrap()).clone();
     assert_eq!(covered.covered_by.iter().flatten().count(), 14);
@@ -451,40 +432,37 @@ fn ints_and_floats_that_are_equal_keep_the_first_spelling() {
         let schema = Schema::qualified(name, ["id", "c1_f0"]);
         catalog.register(name, Table::new(schema, rows).unwrap());
     }
-    for layout in LAYOUTS {
-        for threads in THREADS {
-            let exec_options = ExecOptions {
-                pool: (threads > 1).then(|| Arc::new(Pool::new(threads))),
-                layout,
-                stats: None,
-                ..ExecOptions::default()
-            };
-            let run = |rewriting: &Rewriting| {
-                let (rows, completeness) = execute_degraded(
-                    rewriting,
-                    &catalog,
-                    &RewriteOptions::default(),
-                    &exec_options,
-                    None,
-                    &|plan| plan,
-                    false,
-                )
-                .unwrap();
-                assert!(completeness.is_complete());
-                rows_of(&rows)
-            };
-            let reference = answer_walk_with(
-                mdm.ontology(),
-                &walk,
+    for threads in THREADS {
+        let exec_options = ExecOptions {
+            pool: (threads > 1).then(|| Arc::new(Pool::new(threads))),
+            stats: None,
+            ..ExecOptions::default()
+        };
+        let run = |rewriting: &Rewriting| {
+            let (rows, completeness) = execute_degraded(
+                rewriting,
                 &catalog,
                 &RewriteOptions::default(),
                 &exec_options,
+                None,
+                &|plan| plan,
+                false,
             )
             .unwrap();
-            let served = run(&covered);
-            assert_eq!(served, run(&every), "{layout:?}, {threads} thread(s)");
-            assert_eq!(served, format!("{:?}", reference.table.rows()));
-            assert_eq!(served, r#"[[Int(170)], [Str("x")]]"#);
-        }
+            assert!(completeness.is_complete());
+            rows_of(&rows)
+        };
+        let reference = answer_walk_with(
+            mdm.ontology(),
+            &walk,
+            &catalog,
+            &RewriteOptions::default(),
+            &exec_options,
+        )
+        .unwrap();
+        let served = run(&covered);
+        assert_eq!(served, run(&every), "{threads} thread(s)");
+        assert_eq!(served, format!("{:?}", reference.table.rows()));
+        assert_eq!(served, r#"[[Int(170)], [Str("x")]]"#);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! * A property test that under ANY interleaving of breaking feature
 //!   definitions, extension releases (wrapper + mapping), unrelated source
-//!   registrations and analyst queries — across both layouts and both
-//!   execution modes — every plan served from the footprint-validated cache
+//!   registrations and analyst queries — across both execution modes and
+//!   both optimizer modes — every plan served from the footprint-validated cache
 //!   (hit, survivor, or incremental extension) is byte-identical to a cold
 //!   rewrite at the same epoch. No stale unions, ever.
 //! * Deterministic hit-rate checks: disjoint-footprint churn keeps
@@ -29,7 +29,7 @@ use mdm_core::synthetic::{
 };
 use mdm_core::Mdm;
 use mdm_dataform::{json, Value};
-use mdm_relational::{Deadline, Layout, OptimizeMode};
+use mdm_relational::{Deadline, OptimizeMode};
 use mdm_server::client;
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 use proptest::prelude::*;
@@ -77,12 +77,11 @@ proptest! {
     /// queries: whatever the cache serves (equality hit, footprint
     /// survivor, or incrementally extended plan) must be byte-identical to
     /// a cold rewrite at the same epoch; and what the served path then
-    /// executes must render like the cold reference, under both layouts,
-    /// parallel and sequential execution, optimizer on and off.
+    /// executes must render like the cold reference, under parallel and
+    /// sequential execution, optimizer on and off.
     #[test]
     fn churned_cache_matches_cold_rewrite(
         codes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..32),
-        columnar in any::<bool>(),
         parallel in any::<bool>(),
         cost in any::<bool>(),
     ) {
@@ -94,7 +93,6 @@ proptest! {
             seed: 21,
         });
         let mut mdm = synthetic_base(&eco);
-        mdm.set_layout(if columnar { Layout::Columnar } else { Layout::Row });
         mdm.set_threads(if parallel { 2 } else { 1 });
         mdm.set_optimize(if cost { OptimizeMode::Cost } else { OptimizeMode::Off });
 

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use mdm_core::rewrite::plan_for_cq;
 use mdm_core::synthetic::{chain_walk, mdm_from_synthetic, register_synthetic_wrapper};
 use mdm_core::{usecase, Mdm, Walk};
-use mdm_relational::{metrics, Deadline, Layout, Plan, StatsCatalog};
+use mdm_relational::{metrics, Deadline, Plan, StatsCatalog};
 use mdm_wrappers::football;
 use mdm_wrappers::workload::{build, evolve_all, WorkloadConfig};
 use mdm_wrappers::Wrapper;
@@ -59,70 +59,60 @@ fn e8_queries_survive_the_breaking_release() {
 /// wrapper *instance*: whatever replaces the instance — a new payload
 /// hydrated under the same name and version (same scan-cache key, same
 /// epoch), or a new release — is what the very next served query reads,
-/// on either plane and any pool width, and a fetch is still drawn once per
+/// at any pool width, and a fetch is still drawn once per
 /// wrapper per query however many branches share it.
 #[test]
 fn resident_columns_never_outlive_the_release_they_encode() {
     let _serial = serial();
     let walk = usecase::figure8_walk();
-    for layout in [Layout::Columnar, Layout::Row] {
-        for threads in [1, 4] {
-            let eco = football::build_default();
-            let mut mdm = usecase::football_mdm(&eco).unwrap();
-            mdm.set_layout(layout);
-            mdm.set_threads(threads);
-            let served = |mdm: &mdm_core::Mdm| {
-                let answer = mdm.query_degraded(&walk, Deadline::none()).unwrap();
-                assert!(answer.completeness.is_complete());
-                answer.render()
-            };
-            let warm = served(&mdm);
-            assert!(warm.contains("Lionel Messi") && !warm.contains("Leo Messi"));
+    for threads in [1, 4] {
+        let eco = football::build_default();
+        let mut mdm = usecase::football_mdm(&eco).unwrap();
+        mdm.set_threads(threads);
+        let served = |mdm: &mdm_core::Mdm| {
+            let answer = mdm.query_degraded(&walk, Deadline::none()).unwrap();
+            assert!(answer.completeness.is_complete());
+            answer.render()
+        };
+        let warm = served(&mdm);
+        assert!(warm.contains("Lionel Messi") && !warm.contains("Leo Messi"));
 
-            // Same name, same version, different body.
-            let old = mdm.catalog().get("w1").unwrap();
-            let mut release = old.release().clone();
-            release.body = release.body.replace("Lionel Messi", "Leo Messi");
-            let replacement = Wrapper::over_release(
-                old.signature().clone(),
-                old.source().to_string(),
-                release,
-                old.bindings().to_vec(),
-            )
-            .unwrap();
-            mdm.hydrate_wrapper(replacement).unwrap();
-            let rehydrated = served(&mdm);
-            assert!(
-                rehydrated.contains("Leo Messi") && !rehydrated.contains("Lionel Messi"),
-                "{layout:?}/{threads}: stale payload served after re-registration"
-            );
-            assert_eq!(rehydrated, mdm.query(&walk).unwrap().render());
+        // Same name, same version, different body.
+        let old = mdm.catalog().get("w1").unwrap();
+        let mut release = old.release().clone();
+        release.body = release.body.replace("Lionel Messi", "Leo Messi");
+        let replacement = Wrapper::over_release(
+            old.signature().clone(),
+            old.source().to_string(),
+            release,
+            old.bindings().to_vec(),
+        )
+        .unwrap();
+        mdm.hydrate_wrapper(replacement).unwrap();
+        let rehydrated = served(&mdm);
+        assert!(
+            rehydrated.contains("Leo Messi") && !rehydrated.contains("Lionel Messi"),
+            "{threads}: stale payload served after re-registration"
+        );
+        assert_eq!(rehydrated, mdm.query(&walk).unwrap().render());
 
-            // A new release of the same source.
-            usecase::register_players_v2(&mut mdm, &eco).unwrap();
-            let released = served(&mdm);
-            assert!(
-                released.contains("Zlatan Ibrahimovic"),
-                "{layout:?}/{threads}"
-            );
-            assert_eq!(released, mdm.query(&walk).unwrap().render());
+        // A new release of the same source.
+        usecase::register_players_v2(&mut mdm, &eco).unwrap();
+        let released = served(&mdm);
+        assert!(released.contains("Zlatan Ibrahimovic"), "{threads}");
+        assert_eq!(released, mdm.query(&walk).unwrap().render());
 
-            // Four branches now share w2; each wrapper is one fetch a query.
-            let fetches = |mdm: &mdm_core::Mdm| -> Vec<u64> {
-                ["w1", "w2", "w3"]
-                    .map(|name| mdm.catalog().get(name).unwrap().fetch_count())
-                    .to_vec()
-            };
-            let before = fetches(&mdm);
-            assert_eq!(served(&mdm), released);
-            let after = fetches(&mdm);
-            for (before, after) in before.iter().zip(&after) {
-                assert_eq!(
-                    after - before,
-                    1,
-                    "{layout:?}/{threads}: {before} -> {after}"
-                );
-            }
+        // Four branches now share w2; each wrapper is one fetch a query.
+        let fetches = |mdm: &mdm_core::Mdm| -> Vec<u64> {
+            ["w1", "w2", "w3"]
+                .map(|name| mdm.catalog().get(name).unwrap().fetch_count())
+                .to_vec()
+        };
+        let before = fetches(&mdm);
+        assert_eq!(served(&mdm), released);
+        let after = fetches(&mdm);
+        for (before, after) in before.iter().zip(&after) {
+            assert_eq!(after - before, 1, "{threads}: {before} -> {after}");
         }
     }
 }

@@ -68,16 +68,8 @@ fn table1_query_output() {
     let eco = football::build_default();
     let mut mdm = usecase::football_mdm(&eco).unwrap();
     usecase::register_players_v2(&mut mdm, &eco).unwrap();
-    // The rendered table must match the golden byte for byte under both
-    // physical layouts: the columnar default and the row escape hatch.
-    for layout in [
-        mdm_relational::Layout::Columnar,
-        mdm_relational::Layout::Row,
-    ] {
-        mdm.set_layout(layout);
-        let answer = mdm.query(&usecase::figure8_walk()).unwrap();
-        check("table1_query_output.txt", &answer.render());
-    }
+    let answer = mdm.query(&usecase::figure8_walk()).unwrap();
+    check("table1_query_output.txt", &answer.render());
 }
 
 #[test]
@@ -91,18 +83,12 @@ fn trace_post_evolve() {
     usecase::register_players_v2(&mut mdm, &eco).unwrap();
     // Every execution knob of the instance applies to `trace`, and none
     // of them may change a byte.
-    for layout in [
-        mdm_relational::Layout::Columnar,
-        mdm_relational::Layout::Row,
-    ] {
-        for (threads, batch_size) in [(1, 0), (4, 1)] {
-            mdm.set_layout(layout);
-            mdm.set_threads(threads);
-            mdm.set_batch_size(batch_size);
-            let answer = mdm.query_with_provenance(&usecase::figure8_walk()).unwrap();
-            assert_eq!(answer.table.len(), 35);
-            check("trace_post_evolve.txt", &answer.render());
-        }
+    for (threads, batch_size) in [(1, 0), (4, 1)] {
+        mdm.set_threads(threads);
+        mdm.set_batch_size(batch_size);
+        let answer = mdm.query_with_provenance(&usecase::figure8_walk()).unwrap();
+        assert_eq!(answer.table.len(), 35);
+        check("trace_post_evolve.txt", &answer.render());
     }
 }
 
