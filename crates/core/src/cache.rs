@@ -44,12 +44,26 @@
 //! instead of pinning memory until their key is looked up again) and slide
 //! disjoint entries forward, keeping the common lookup on the equality
 //! fast path.
+//!
+//! Each entry also owns a **prepared slot**: the rewriting's branch plans
+//! as the served path runs them ([`PreparedPlans`]), with the key they
+//! were optimized against — one stats catalog, one
+//! [`OptimizeMode`], one catalog version. [`crate::Mdm`] fills the slot on
+//! the first query and fills it again whenever the key no longer matches,
+//! so a warm query reuses them and a query after `refresh_stats`, a new
+//! observation, `set_optimize` or `set_stats_catalog` gets what inline
+//! optimization would give it. The plans live and die with the entry:
+//! eviction, invalidation and replacement (an incremental extension
+//! included) drop them. Reading or filling the slot moves no counter.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
+
+use mdm_relational::{OptimizeMode, StatsCatalog};
 
 use crate::footprint::Footprint;
+use crate::query::PreparedPlans;
 use crate::rewrite::{RewriteArtifacts, Rewriting};
 
 /// Default bound on cached plans; enough for every distinct dashboard query
@@ -133,6 +147,34 @@ impl Lookup {
     }
 }
 
+/// What a prepared set was optimized against. The catalog is compared by
+/// identity; the `Weak` keeps its allocation, so a later catalog cannot
+/// take its address.
+pub(crate) struct PreparedKey {
+    pub stats: Weak<StatsCatalog>,
+    pub mode: OptimizeMode,
+    pub version: u64,
+}
+
+impl PreparedKey {
+    /// True when plans prepared under `self` are what `mode` and `stats`
+    /// at `version` would produce.
+    pub fn matches(&self, stats: &Arc<StatsCatalog>, mode: OptimizeMode, version: u64) -> bool {
+        self.mode == mode && self.version == version && self.stats.as_ptr() == Arc::as_ptr(stats)
+    }
+}
+
+/// One entry's prepared branch plans, empty until the first query.
+pub(crate) type PreparedSlot = Mutex<Option<(PreparedKey, Arc<PreparedPlans>)>>;
+
+/// [`PlanCache::lookup_prepared`]'s outcome.
+pub(crate) enum Found {
+    /// [`Lookup::Hit`], with the entry's prepared slot.
+    Hit(Arc<Rewriting>, Arc<PreparedSlot>),
+    /// [`Lookup::Extend`] or [`Lookup::Miss`].
+    Stale(Lookup),
+}
+
 struct LoggedMutation {
     epoch: u64,
     footprint: Footprint,
@@ -151,6 +193,8 @@ struct Entry {
     /// through the footprint-less [`PlanCache::insert`], which can only be
     /// validated by epoch equality.
     artifacts: Option<Arc<RewriteArtifacts>>,
+    /// `plan`'s prepared branch plans; a new entry starts a new slot.
+    prepared: Arc<PreparedSlot>,
     last_used: u64,
 }
 
@@ -287,16 +331,24 @@ impl PlanCache {
     /// * Anything else — including intervals the log cannot vouch for —
     ///   drops the entry conservatively and reports [`Lookup::Miss`].
     pub fn lookup(&self, key: &str, epoch: u64) -> Lookup {
+        match self.lookup_prepared(key, epoch) {
+            Found::Hit(plan, _) => Lookup::Hit(plan),
+            Found::Stale(lookup) => lookup,
+        }
+    }
+
+    /// [`PlanCache::lookup`], with a hit's prepared slot.
+    pub(crate) fn lookup_prepared(&self, key: &str, epoch: u64) -> Found {
         let inner = &mut *self.lock();
         let Some(entry) = inner.entries.get(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss;
+            return Found::Stale(Lookup::Miss);
         };
         if entry.epoch == epoch && !entry.pending {
-            let plan = Arc::clone(&entry.plan);
+            let hit = Found::Hit(Arc::clone(&entry.plan), Arc::clone(&entry.prepared));
             touch_entry(inner, key);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Hit(plan);
+            return hit;
         }
         // The interval test. Refuse to speculate when the log does not
         // cover (entry.epoch, epoch] or the footprint is unknown.
@@ -305,13 +357,13 @@ impl PlanCache {
             remove_entry(inner, key);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss;
+            return Found::Stale(Lookup::Miss);
         };
         if !covered {
             remove_entry(inner, key);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss;
+            return Found::Stale(Lookup::Miss);
         }
         let overlapping: Vec<&LoggedMutation> = inner
             .log
@@ -325,14 +377,14 @@ impl PlanCache {
         if overlapping.is_empty() {
             self.survivals.fetch_add(1, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            let plan = {
+            let hit = {
                 let entry = inner.entries.get_mut(key).expect("present above");
                 entry.epoch = epoch;
                 entry.pending = false;
-                Arc::clone(&entry.plan)
+                Found::Hit(Arc::clone(&entry.plan), Arc::clone(&entry.prepared))
             };
             touch_entry(inner, key);
-            return Lookup::Hit(plan);
+            return hit;
         }
         if overlapping.iter().all(|m| m.extension) {
             let affected: BTreeSet<String> = overlapping
@@ -341,17 +393,17 @@ impl PlanCache {
                 .collect();
             let plan = Arc::clone(&inner.entries.get(key).expect("present above").plan);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Extend {
+            return Found::Stale(Lookup::Extend {
                 plan,
                 artifacts,
                 affected,
-            };
+            });
         }
         remove_entry(inner, key);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         self.surgical_invalidations.fetch_add(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        Lookup::Miss
+        Found::Stale(Lookup::Miss)
     }
 
     /// Caches `plan` for `key` as of `epoch` without a footprint: the entry
@@ -370,8 +422,7 @@ impl PlanCache {
         plan: Arc<Rewriting>,
         artifacts: Arc<RewriteArtifacts>,
     ) {
-        self.full_rewrites.fetch_add(1, Ordering::Relaxed);
-        self.insert_entry(key, epoch, plan, Some(artifacts));
+        self.insert_prepared(key, epoch, plan, artifacts, false);
     }
 
     /// Caches the result of an incremental UCQ extension (see
@@ -383,8 +434,27 @@ impl PlanCache {
         plan: Arc<Rewriting>,
         artifacts: Arc<RewriteArtifacts>,
     ) {
-        self.incremental_extensions.fetch_add(1, Ordering::Relaxed);
-        self.insert_entry(key, epoch, plan, Some(artifacts));
+        self.insert_prepared(key, epoch, plan, artifacts, true);
+    }
+
+    /// [`PlanCache::insert_extended`] when `extended`, else
+    /// [`PlanCache::insert_with_artifacts`]; returns the new entry's
+    /// (empty) prepared slot.
+    pub(crate) fn insert_prepared(
+        &self,
+        key: String,
+        epoch: u64,
+        plan: Arc<Rewriting>,
+        artifacts: Arc<RewriteArtifacts>,
+        extended: bool,
+    ) -> Arc<PreparedSlot> {
+        let counter = if extended {
+            &self.incremental_extensions
+        } else {
+            &self.full_rewrites
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.insert_entry(key, epoch, plan, Some(artifacts))
     }
 
     fn insert_entry(
@@ -393,7 +463,7 @@ impl PlanCache {
         epoch: u64,
         plan: Arc<Rewriting>,
         artifacts: Option<Arc<RewriteArtifacts>>,
-    ) {
+    ) -> Arc<PreparedSlot> {
         let inner = &mut *self.lock();
         if !inner.entries.contains_key(&key) && inner.entries.len() >= self.capacity {
             if let Some((_, victim)) = inner.lru.pop_first() {
@@ -403,6 +473,7 @@ impl PlanCache {
         }
         inner.clock += 1;
         let last_used = inner.clock;
+        let prepared = Arc::new(PreparedSlot::default());
         if let Some(old) = inner.entries.insert(
             key.clone(),
             Entry {
@@ -410,12 +481,14 @@ impl PlanCache {
                 pending: false,
                 plan,
                 artifacts,
+                prepared: Arc::clone(&prepared),
                 last_used,
             },
         ) {
             inner.lru.remove(&(old.last_used, key.clone()));
         }
         inner.lru.insert((last_used, key));
+        prepared
     }
 
     /// Drops every entry (counters and the invalidation log are preserved).
@@ -650,6 +723,70 @@ mod tests {
         assert!(cache.lookup("b", 1).hit().is_none(), "b was evicted");
         assert!(cache.lookup("c", 1).hit().is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// Fills `slot` with an empty prepared set and returns a weak handle
+    /// to it: it upgrades exactly while something still owns the plans.
+    fn prepare(slot: &PreparedSlot) -> Weak<PreparedPlans> {
+        let stats = Arc::new(StatsCatalog::new());
+        let plans = Arc::new(PreparedPlans {
+            distinct: true,
+            branches: Vec::new(),
+        });
+        let key = PreparedKey {
+            stats: Arc::downgrade(&stats),
+            mode: OptimizeMode::Cost,
+            version: stats.version(),
+        };
+        assert!(key.matches(&stats, OptimizeMode::Cost, 0));
+        assert!(!key.matches(&stats, OptimizeMode::Off, 0));
+        assert!(!key.matches(&stats, OptimizeMode::Cost, 1));
+        assert!(!key.matches(&Arc::new(StatsCatalog::new()), OptimizeMode::Cost, 0));
+        let weak = Arc::downgrade(&plans);
+        *slot.lock().unwrap() = Some((key, plans));
+        weak
+    }
+
+    /// The prepared plans belong to the entry: evicting it, invalidating
+    /// it or replacing it drops them, and a hit hands out the same slot
+    /// without moving a counter.
+    #[test]
+    fn an_entry_that_leaves_the_cache_drops_its_prepared_plans() {
+        let cache = PlanCache::new(1);
+        let artifacts = || dummy_artifacts(&["A"], &["w1"]);
+        let slot = cache.insert_prepared("a".into(), 1, dummy_plan("a"), artifacts(), false);
+        let plans = prepare(&slot);
+        drop(slot);
+        let before = cache.stats();
+        let Found::Hit(_, again) = cache.lookup_prepared("a", 1) else {
+            panic!("expected a hit");
+        };
+        assert!(again.lock().unwrap().is_some(), "the same slot, filled");
+        drop(again);
+        assert_eq!(
+            cache.stats().hits,
+            before.hits + 1,
+            "only the lookup counts"
+        );
+        // Evicted: capacity 1, another key arrives.
+        cache.insert("b".into(), 1, dummy_plan("b"));
+        assert!(plans.upgrade().is_none(), "eviction dropped the plans");
+
+        // Invalidated by an overlapping mutation's sweep.
+        let cache = PlanCache::new(4);
+        let plans =
+            prepare(&cache.insert_prepared("a".into(), 1, dummy_plan("a"), artifacts(), false));
+        cache.note_mutation(2, fp(&["A"]), false);
+        assert!(plans.upgrade().is_none(), "invalidation dropped the plans");
+
+        // Replaced by an incremental extension: the new entry starts empty.
+        let plans =
+            prepare(&cache.insert_prepared("a".into(), 2, dummy_plan("a"), artifacts(), false));
+        cache.note_mutation(3, fp(&["A"]), true);
+        assert!(matches!(cache.lookup("a", 3), Lookup::Extend { .. }));
+        let slot = cache.insert_prepared("a".into(), 3, dummy_plan("a2"), artifacts(), true);
+        assert!(plans.upgrade().is_none(), "the extension dropped the plans");
+        assert!(slot.lock().unwrap().is_none());
     }
 
     #[test]

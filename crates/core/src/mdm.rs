@@ -3,6 +3,7 @@
 //! (c) definition of LAV mappings, (d) querying the global graph.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mdm_rdf::term::Iri;
@@ -13,7 +14,7 @@ use mdm_relational::{
 };
 use mdm_wrappers::{FaultPlan, Wrapper, WrapperCatalog};
 
-use crate::cache::{CacheStats, Lookup, PlanCache};
+use crate::cache::{CacheStats, Found, Lookup, PlanCache, PreparedKey, PreparedSlot};
 use crate::changes::{ChangeLog, ChangeRecord, DEFAULT_CHANGELOG_CAPACITY};
 use crate::error::MdmError;
 use crate::gav::GavMapping;
@@ -21,7 +22,9 @@ use crate::intra::partial_walks;
 use crate::journal::{JournalSink, MutationOp};
 use crate::mapping::MappingBuilder;
 use crate::ontology::BdiOntology;
-use crate::query::{answer_walk_with, execute_degraded, DegradedAnswer, QueryAnswer};
+use crate::query::{
+    answer_walk_with, execute_degraded, DegradedAnswer, PreparedPlans, QueryAnswer,
+};
 use crate::release::{register_source, register_wrapper, Registration};
 use crate::render;
 use crate::rewrite::{
@@ -77,6 +80,9 @@ pub struct Mdm {
     /// or `Off`. Never changes query *results*, only the physical plan
     /// shape.
     optimize: OptimizeMode,
+    /// Branch plans this instance has prepared (run through the
+    /// optimizer) for its plan cache's entries.
+    branch_plans_optimized: AtomicU64,
     /// Durability hook: every successful steward mutation is handed here as
     /// a [`MutationOp`] stamped with the post-mutation epoch. `None` (the
     /// default) keeps the instance purely in-memory.
@@ -108,6 +114,7 @@ impl Mdm {
             batch_size: mdm_relational::executor::DEFAULT_BATCH,
             stats: mdm_relational::stats::global(),
             optimize: OptimizeMode::default(),
+            branch_plans_optimized: AtomicU64::new(0),
             journal: None,
             changes: ChangeLog::new(DEFAULT_CHANGELOG_CAPACITY),
         }
@@ -155,7 +162,8 @@ impl Mdm {
     /// Sets the plan-optimization mode: `cost` (default) runs the full
     /// stats-driven pipeline, `off` executes rewritings verbatim (the
     /// optimizer's test oracle). Results are identical in both; only
-    /// execution cost changes.
+    /// execution cost changes. Cached walks prepare their branch plans
+    /// again on their next query.
     pub fn set_optimize(&mut self, mode: OptimizeMode) {
         self.optimize = mode;
     }
@@ -166,9 +174,18 @@ impl Mdm {
     }
 
     /// Replaces the statistics catalog — embedders and tests wanting
-    /// isolation from the process-wide one.
+    /// isolation from the process-wide one. Cached walks prepare their
+    /// branch plans again on their next query.
     pub fn set_stats_catalog(&mut self, stats: Arc<StatsCatalog>) {
         self.stats = stats;
+    }
+
+    /// Branch plans this instance has run through the optimizer since it
+    /// was built. A cached walk prepares its plans on its first query and
+    /// again only when the stats catalog, its version or the optimize
+    /// mode changed, so a warm repeat adds nothing.
+    pub fn branch_plans_optimized(&self) -> u64 {
+        self.branch_plans_optimized.load(Ordering::Relaxed)
     }
 
     /// The current stats epoch (see [`Mdm::refresh_stats`]).
@@ -177,8 +194,9 @@ impl Mdm {
     }
 
     /// The steward's "re-profile the ecosystem" action: bumps the stats
-    /// epoch so the next scan of each relation re-observes it and the next
-    /// query's inline optimization sees the fresh numbers. Takes `&self`
+    /// epoch so the next scan of each relation re-observes it, and the
+    /// catalog's version, so the next query of each cached walk optimizes
+    /// its branch plans again. Takes `&self`
     /// and does **not** touch the metadata epoch — a stats refresh is not a
     /// release, so cached rewritings (and golden outputs) survive it.
     pub fn refresh_stats(&self) -> u64 {
@@ -518,46 +536,97 @@ impl Mdm {
     /// concurrency — the cache is internally synchronised, so shared
     /// (`&self`) callers on many threads all benefit.
     pub fn rewrite_cached(&self, walk: &Walk) -> Result<Arc<Rewriting>, MdmError> {
+        self.rewrite_slotted(walk).map(|(rewriting, _)| rewriting)
+    }
+
+    /// [`Mdm::rewrite_cached`], with the cache entry's prepared slot.
+    fn rewrite_slotted(
+        &self,
+        walk: &Walk,
+    ) -> Result<(Arc<Rewriting>, Arc<PreparedSlot>), MdmError> {
         let key = walk.canonical_key();
-        match self.plan_cache.lookup(&key, self.epoch) {
-            Lookup::Hit(plan) => Ok(plan),
-            Lookup::Extend {
+        match self.plan_cache.lookup_prepared(&key, self.epoch) {
+            Found::Hit(rewriting, slot) => Ok((rewriting, slot)),
+            Found::Stale(Lookup::Extend {
                 artifacts,
                 affected,
                 ..
-            } => match self.extend_rewriting(walk, &artifacts, &affected) {
+            }) => match self.extend_rewriting(walk, &artifacts, &affected) {
                 Ok((rewriting, extended)) => {
                     let rewriting = Arc::new(rewriting);
-                    self.plan_cache.insert_extended(
+                    let slot = self.plan_cache.insert_prepared(
                         key,
                         self.epoch,
                         Arc::clone(&rewriting),
                         Arc::new(extended),
+                        true,
                     );
-                    Ok(rewriting)
+                    Ok((rewriting, slot))
                 }
                 // Extension is an optimization, never a correctness
                 // dependency: any failure falls back to the cold path.
                 Err(_) => self.rewrite_cold(walk, key),
             },
-            Lookup::Miss => self.rewrite_cold(walk, key),
+            Found::Stale(_) => self.rewrite_cold(walk, key),
         }
     }
 
     /// The cold path of [`Mdm::rewrite_cached`]: full three-phase rewrite,
     /// cached with its artifacts so later mutations can validate or extend
     /// it surgically.
-    fn rewrite_cold(&self, walk: &Walk, key: String) -> Result<Arc<Rewriting>, MdmError> {
+    fn rewrite_cold(
+        &self,
+        walk: &Walk,
+        key: String,
+    ) -> Result<(Arc<Rewriting>, Arc<PreparedSlot>), MdmError> {
         let (rewriting, artifacts) =
             rewrite_walk_with_artifacts(&self.ontology, walk, &self.options)?;
         let rewriting = Arc::new(rewriting);
-        self.plan_cache.insert_with_artifacts(
+        let slot = self.plan_cache.insert_prepared(
             key,
             self.epoch,
             Arc::clone(&rewriting),
             Arc::new(artifacts),
+            false,
         );
-        Ok(rewriting)
+        Ok((rewriting, slot))
+    }
+
+    /// The served path's [`Mdm::rewrite_cached`]: the cached rewriting and
+    /// its prepared branch plans. The plans are reused while the stats
+    /// catalog, its version and the optimize mode are the ones they were
+    /// prepared against; otherwise they are prepared again, inline, with
+    /// what this query would have optimized against, and stored for the
+    /// next query. The slot's lock is held while preparing, so concurrent
+    /// queries of one walk prepare once.
+    fn rewrite_prepared(
+        &self,
+        walk: &Walk,
+    ) -> Result<(Arc<Rewriting>, Arc<PreparedPlans>), MdmError> {
+        let (rewriting, slot) = self.rewrite_slotted(walk)?;
+        let mut slot = slot.lock().expect("prepared slot poisoned");
+        // Read before optimizing: an observation landing meanwhile moves
+        // the version past this key, so the next query prepares again.
+        let version = self.stats.version();
+        if let Some((key, plans)) = slot.as_ref() {
+            if key.matches(&self.stats, self.optimize, version) {
+                return Ok((rewriting, Arc::clone(plans)));
+            }
+        }
+        let plans = Arc::new(PreparedPlans::prepare(
+            &rewriting,
+            &self.options,
+            &|plan| self.optimize_plan(plan),
+        )?);
+        self.branch_plans_optimized
+            .fetch_add(plans.branches.len() as u64, Ordering::Relaxed);
+        let key = PreparedKey {
+            stats: Arc::downgrade(&self.stats),
+            mode: self.optimize,
+            version,
+        };
+        *slot = Some((key, Arc::clone(&plans)));
+        Ok((rewriting, plans))
     }
 
     /// Incremental UCQ extension: re-runs the intra-concept phase (b) only
@@ -634,24 +703,23 @@ impl Mdm {
     }
 
     /// The **served** pipeline, shared by every analyst-facing shape: the
-    /// rewriting comes from the plan cache, each branch plan is optimized
-    /// inline against the current statistics, and
-    /// [`execute_degraded`] fans the branches out under this instance's
-    /// pool, batch width, retry policy, breakers and epoch.
+    /// rewriting and its branch plans, optimized against the current
+    /// statistics, come from the plan cache ([`Mdm::rewrite_prepared`]),
+    /// and [`execute_degraded`] fans the branches out under this
+    /// instance's pool, batch width, retry policy, breakers and epoch.
     fn execute(
         &self,
         walk: &Walk,
         deadline: Deadline,
         provenance: bool,
     ) -> Result<DegradedAnswer, MdmError> {
-        let rewriting = self.rewrite_cached(walk)?;
+        let (rewriting, plans) = self.rewrite_prepared(walk)?;
         let (rows, mut completeness) = execute_degraded(
             &rewriting,
             &self.catalog,
-            &self.options,
+            &plans,
             &self.exec_options(deadline),
             Some(&self.breakers),
-            &|plan| self.optimize_plan(plan),
             provenance,
         )?;
         // Enrich wrapper names with the version each one consumes
@@ -755,22 +823,24 @@ impl Mdm {
         render::ontology_trig(&self.ontology)
     }
 
-    /// Serialises the metadata state (not the wrapper payloads). The text is
-    /// epoch-free so that snapshot → restore → snapshot is a byte fixpoint;
-    /// the durable store stamps the epoch itself (snapshot header + WAL
-    /// header) via [`Mdm::snapshot_stamped`].
+    /// Serialises the metadata state (not the wrapper payloads): the
+    /// ontology and, when they are not the default, the rewrite options.
+    /// The text is epoch-free so that snapshot → restore → snapshot is a
+    /// byte fixpoint; the durable store stamps the epoch itself (snapshot
+    /// header + WAL header) via [`Mdm::snapshot_stamped`].
     pub fn snapshot(&self) -> String {
-        crate::repo::snapshot(&self.ontology)
+        crate::repo::snapshot_document(&self.ontology, &self.options, None)
     }
 
     /// Like [`Mdm::snapshot`] but with the metadata epoch stamped into the
     /// header, so a restored process continues the epoch sequence instead of
     /// silently resetting it. This is what the durable store persists.
     pub fn snapshot_stamped(&self) -> String {
-        crate::repo::snapshot_with_epoch(&self.ontology, self.epoch)
+        crate::repo::snapshot_document(&self.ontology, &self.options, Some(self.epoch))
     }
 
-    /// Restores the metadata state from a snapshot, **including the epoch**
+    /// Restores the metadata state from a snapshot — the ontology and the
+    /// rewrite options — **including the epoch**
     /// if one is stamped in its header (plain snapshots restore at 0 —
     /// callers wanting in-process monotonicity bump it, see the server's
     /// restore route); wrappers must be re-registered into the catalog
@@ -785,10 +855,11 @@ impl Mdm {
     /// replaces metadata, not how the operator configured execution: this
     /// is what a front end swaps in for the instance it is serving.
     pub fn restored_from(&self, document: &str) -> Result<Mdm, MdmError> {
-        let (ontology, epoch) = crate::repo::restore_with_epoch(document)?;
+        let (ontology, epoch, options) = crate::repo::restore_with_epoch(document)?;
         Ok(Mdm {
             ontology,
             epoch,
+            options,
             retry: self.retry.clone(),
             breakers: BreakerRegistry::new(self.breakers.config().clone()),
             pool: self.pool.clone(),
@@ -1176,8 +1247,8 @@ mod tests {
         );
         assert_eq!(mdm.stats_epoch(), stats_epoch);
 
-        // The next query optimizes inline against the refreshed catalog;
-        // the cached rewriting keeps serving.
+        // The next query prepares its branch plans again against the
+        // refreshed catalog; the cached rewriting keeps serving.
         let after = mdm.query_degraded(&walk, Deadline::none()).unwrap();
         assert_eq!(after.render(), before.render(), "results are unchanged");
         assert!(Arc::ptr_eq(&after.rewriting, &before.rewriting));

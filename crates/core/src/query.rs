@@ -11,6 +11,12 @@
 //! [`execute_degraded`] is the **served** path and the only place in the
 //! workspace that fans UCQ branches out on the worker pool.
 //!
+//! The served path runs [`PreparedPlans`]: each branch's plan, derived
+//! from its conjunctive query and optimized once. [`crate::Mdm`] keeps
+//! them in the plan-cache entry next to the rewriting and prepares them
+//! again only when the optimizer's inputs moved (see [`crate::cache`]), so
+//! a warm query neither plans nor optimizes.
+//!
 //! The served path ends where the paper's answer to evolution ends: union
 //! the coexisting versions' branches, eliminate duplicates, order the
 //! rows. Branch results come back undecoded and are merged where they were
@@ -149,6 +155,63 @@ impl DegradedAnswer {
     }
 }
 
+/// One UCQ branch ready to run.
+#[derive(Clone, Debug)]
+pub struct PreparedBranch {
+    /// The branch's plan: [`plan_for_cq`], under δ when the options ask
+    /// for it, then optimized.
+    pub plan: Plan,
+    /// The relations `plan` scans, in scan order: what a covered branch
+    /// prefetches.
+    pub scans: Vec<String>,
+}
+
+/// The branch plans [`execute_degraded`] runs for one rewriting, one per
+/// branch in rewriting order.
+#[derive(Clone, Debug)]
+pub struct PreparedPlans {
+    /// Whether the branch plans end in δ ([`RewriteOptions::distinct`]);
+    /// the merge deduplicates across branches then, too.
+    pub distinct: bool,
+    pub branches: Vec<PreparedBranch>,
+}
+
+impl PreparedPlans {
+    /// Derives each branch's plan, wraps it in δ when `options` ask for
+    /// it, and hands it to `optimize`. Branches are optimized one by one
+    /// because each one executes — and can fail — on its own. A plan-shape
+    /// failure is a rewriting bug, not a source fault, so it fails here,
+    /// before any branch executes.
+    pub fn prepare(
+        rewriting: &Rewriting,
+        options: &RewriteOptions,
+        optimize: &dyn Fn(Plan) -> Plan,
+    ) -> Result<PreparedPlans, MdmError> {
+        let branches = rewriting
+            .queries
+            .iter()
+            .map(|cq| {
+                let plan = plan_for_cq(cq, &rewriting.output_columns)?;
+                let plan = optimize(if options.distinct {
+                    plan.distinct()
+                } else {
+                    plan
+                });
+                let scans = plan
+                    .scanned_relations()
+                    .into_iter()
+                    .map(str::to_string)
+                    .collect();
+                Ok(PreparedBranch { plan, scans })
+            })
+            .collect::<Result<_, MdmError>>()?;
+        Ok(PreparedPlans {
+            distinct: options.distinct,
+            branches,
+        })
+    }
+}
+
 /// Executes a rewriting branch by branch: a CQ branch that fails terminally
 /// is *dropped* — recorded in the completeness report — while the surviving
 /// branches still produce rows. Only when **no** branch survives does the
@@ -157,9 +220,10 @@ impl DegradedAnswer {
 /// This is the degraded-mode contract: under partial source failure an
 /// analyst gets the answerable fraction of the UCQ plus an honest account
 /// of what is missing, instead of an all-or-nothing error.
-/// `optimize` is applied to each branch plan after it is derived; branches
-/// are optimized independently because each one executes — and can fail —
-/// on its own.
+/// `plans` holds one prepared plan per branch of `rewriting`
+/// ([`PreparedPlans::prepare`]); this function neither plans nor
+/// optimizes, so the same `plans` serve every query over `rewriting`
+/// while the optimizer's inputs stand still.
 ///
 /// With `provenance`, every surviving branch table is tagged with its
 /// wrapper set (`cq.atoms` joined by `+`) in a trailing `provenance`
@@ -179,27 +243,22 @@ impl DegradedAnswer {
 pub fn execute_degraded(
     rewriting: &Rewriting,
     catalog: &dyn Catalog,
-    options: &RewriteOptions,
+    plans: &PreparedPlans,
     exec_options: &ExecOptions,
     guard: Option<&dyn ScanGuard>,
-    optimize: &dyn Fn(Plan) -> Plan,
     provenance: bool,
 ) -> Result<(MergedRows, Completeness), MdmError> {
+    if plans.branches.len() != rewriting.queries.len() {
+        return Err(MdmError::Execution(format!(
+            "internal: {} prepared plans for {} branches",
+            plans.branches.len(),
+            rewriting.queries.len()
+        )));
+    }
     let mut completeness = Completeness {
         total_branches: rewriting.queries.len(),
         ..Completeness::default()
     };
-    // A plan-shape failure is a rewriting bug, not a source fault —
-    // surface it before any branch executes.
-    let mut plans = Vec::with_capacity(rewriting.queries.len());
-    for cq in &rewriting.queries {
-        let plan = plan_for_cq(cq, &rewriting.output_columns)?;
-        plans.push(optimize(if options.distinct {
-            plan.distinct()
-        } else {
-            plan
-        }));
-    }
     // One scan cache for the whole UCQ: a wrapper referenced by several
     // branches is fetched once, so retries and breaker events fire once
     // per wrapper per query — which also keeps fault-injection outcomes
@@ -211,7 +270,7 @@ pub fn execute_degraded(
     // breaker events and retries stay those of running it. When a fetch
     // fails it runs, to report its own error. Provenance labels every
     // derivation, so there every branch runs.
-    let skip_covered = options.distinct && !provenance;
+    let skip_covered = plans.distinct && !provenance;
     let container = |i: usize| {
         rewriting
             .covered_by
@@ -229,11 +288,11 @@ pub fn execute_degraded(
         }
         let skipped = may_skip
             && container(i).is_some()
-            && plans[i]
-                .scanned_relations()
-                .into_iter()
+            && plans.branches[i]
+                .scans
+                .iter()
                 .all(|relation| executor.prefetch(relation).is_ok());
-        let outcome = (!skipped).then(|| executor.run_undecoded(&plans[i]));
+        let outcome = (!skipped).then(|| executor.run_undecoded(&plans.branches[i].plan));
         (executor.retries(), outcome)
     };
     let pool = exec_options.pool.as_ref().filter(|p| p.size() > 1);
@@ -243,10 +302,10 @@ pub fn execute_degraded(
         }
         _ => branches.iter().map(|&i| run_branch(i, may_skip)).collect(),
     };
-    let mut outcomes = fan_out(&(0..plans.len()).collect::<Vec<_>>(), true);
+    let mut outcomes = fan_out(&(0..plans.branches.len()).collect::<Vec<_>>(), true);
     // A skipped branch whose container was dropped runs now: its rows may
     // be the only ones left of the container's.
-    let orphans: Vec<usize> = (0..plans.len())
+    let orphans: Vec<usize> = (0..plans.branches.len())
         .filter(|&i| {
             outcomes[i].1.is_none()
                 && container(i).is_some_and(|c| matches!(outcomes[c].1, Some(Err(_))))
@@ -306,7 +365,7 @@ pub fn execute_degraded(
     let mode = if provenance {
         schema = schema.concat(&Schema::new(vec![ColumnRef::bare("provenance")]));
         MergeMode::Labelled(&labels)
-    } else if options.distinct {
+    } else if plans.distinct {
         MergeMode::Distinct
     } else {
         MergeMode::All
@@ -334,6 +393,31 @@ mod tests {
             &RewriteOptions::default(),
             &ExecOptions::default(),
         )
+    }
+
+    /// `rewriting`'s branch plans as the rewriting derives them.
+    fn unoptimized(rewriting: &Rewriting, options: &RewriteOptions) -> PreparedPlans {
+        PreparedPlans::prepare(rewriting, options, &|plan| plan).unwrap()
+    }
+
+    /// A prepared set that does not match its rewriting is refused, not
+    /// indexed out of bounds.
+    #[test]
+    fn plans_for_another_rewriting_are_refused() {
+        let options = RewriteOptions::default();
+        let rewriting = rewrite_walk(&evolved_ontology(), &figure8_walk(), &options).unwrap();
+        let mut plans = unoptimized(&rewriting, &options);
+        plans.branches.pop();
+        let error = execute_degraded(
+            &rewriting,
+            &catalog(),
+            &plans,
+            &ExecOptions::default(),
+            None,
+            false,
+        )
+        .unwrap_err();
+        assert!(error.message().contains("prepared plans"), "{error:?}");
     }
 
     /// Wrapper extensions with the paper's Table 1 rows.
@@ -472,10 +556,9 @@ mod tests {
         let (rows, completeness) = execute_degraded(
             &rewriting,
             &catalog(),
-            &options,
+            &unoptimized(&rewriting, &options),
             &ExecOptions::default(),
             None,
-            &|plan| plan,
             true,
         )
         .unwrap();
@@ -539,10 +622,9 @@ mod tests {
             let (served, _) = execute_degraded(
                 &rewriting,
                 &catalog,
-                &options,
+                &unoptimized(&rewriting, &options),
                 &exec_options,
                 None,
-                &|plan| plan,
                 false,
             )
             .unwrap();
@@ -594,10 +676,9 @@ mod tests {
         let (served, _) = execute_degraded(
             &rewriting,
             &catalog,
-            &options,
+            &unoptimized(&rewriting, &options),
             &exec_options,
             None,
-            &|plan| plan,
             false,
         )
         .unwrap();

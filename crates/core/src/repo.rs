@@ -9,29 +9,33 @@ use mdm_rdf::turtle;
 
 use crate::error::MdmError;
 use crate::ontology::BdiOntology;
+use crate::rewrite::RewriteOptions;
 
 const HEADER: &str = "# MDM SNAPSHOT v1";
 const EPOCH_MARK: &str = "# epoch: ";
+const OPTIONS_MARK: &str = "# options: ";
 const GLOBAL_MARK: &str = "=== GLOBAL ===";
 const SOURCE_MARK: &str = "=== SOURCE ===";
 const MAPPINGS_MARK: &str = "=== MAPPINGS ===";
 
-/// Serialises the ontology into a snapshot document without an epoch
-/// stamp — the form `Mdm::snapshot` exposes, chosen so that snapshot →
-/// restore → snapshot is a byte fixpoint. The durable store writes
-/// [`snapshot_with_epoch`] instead.
+/// Serialises the ontology alone into a snapshot document: default
+/// options, no epoch stamp.
 pub fn snapshot(ontology: &BdiOntology) -> String {
-    snapshot_document(ontology, None)
+    snapshot_document(ontology, &RewriteOptions::default(), None)
 }
 
-/// Serialises the ontology with the metadata epoch in the header, so a
-/// restored process continues the epoch sequence instead of re-issuing
-/// values remote clients have already seen against different plans.
-pub fn snapshot_with_epoch(ontology: &BdiOntology, epoch: u64) -> String {
-    snapshot_document(ontology, Some(epoch))
-}
-
-fn snapshot_document(ontology: &BdiOntology, epoch: Option<u64>) -> String {
+/// The snapshot of a whole [`crate::Mdm`]'s metadata: the ontology, the
+/// rewrite options when they are not the default (an `# options:` header
+/// line, so default documents keep their bytes) and, optionally, the
+/// metadata epoch. The durable store stamps the epoch, so a restored
+/// process continues the epoch sequence instead of re-issuing values
+/// remote clients have already seen against different plans. Restoring
+/// and re-snapshotting is a byte fixpoint either way.
+pub fn snapshot_document(
+    ontology: &BdiOntology,
+    options: &RewriteOptions,
+    epoch: Option<u64>,
+) -> String {
     let prefixes = ontology.prefixes();
     let mut out = String::new();
     out.push_str(HEADER);
@@ -40,6 +44,12 @@ fn snapshot_document(ontology: &BdiOntology, epoch: Option<u64>) -> String {
         out.push_str(EPOCH_MARK);
         out.push_str(&epoch.to_string());
         out.push('\n');
+    }
+    if *options != RewriteOptions::default() {
+        out.push_str(&format!(
+            "{OPTIONS_MARK}distinct={} max_branches={}\n",
+            options.distinct, options.max_branches
+        ));
     }
     out.push_str(GLOBAL_MARK);
     out.push('\n');
@@ -57,12 +67,13 @@ fn snapshot_document(ontology: &BdiOntology, epoch: Option<u64>) -> String {
 /// stamp. Callers that must preserve epoch continuity (the facade, the
 /// durable store) use [`restore_with_epoch`].
 pub fn restore(document: &str) -> Result<BdiOntology, MdmError> {
-    restore_with_epoch(document).map(|(ontology, _)| ontology)
+    restore_with_epoch(document).map(|(ontology, ..)| ontology)
 }
 
 /// Restores an ontology plus the epoch recorded in the snapshot header
-/// (0 for pre-epoch documents, which remain readable).
-pub fn restore_with_epoch(document: &str) -> Result<(BdiOntology, u64), MdmError> {
+/// (0 for pre-epoch documents, which remain readable) and the rewrite
+/// options (the default when the header names none).
+pub fn restore_with_epoch(document: &str) -> Result<(BdiOntology, u64, RewriteOptions), MdmError> {
     if !document.starts_with(HEADER) {
         return Err(MdmError::Repository(format!(
             "not an MDM snapshot (expected leading '{HEADER}')"
@@ -79,6 +90,14 @@ pub fn restore_with_epoch(document: &str) -> Result<(BdiOntology, u64), MdmError
         })
         .transpose()?
         .unwrap_or(0);
+    let options = document
+        .lines()
+        .skip(1)
+        .take_while(|line| line.starts_with('#'))
+        .find_map(|line| line.strip_prefix(OPTIONS_MARK))
+        .map(parse_options)
+        .transpose()?
+        .unwrap_or_default();
     let global_section = section(document, GLOBAL_MARK, SOURCE_MARK)?;
     let source_section = section(document, SOURCE_MARK, MAPPINGS_MARK)?;
     let mappings_section = document
@@ -112,7 +131,23 @@ pub fn restore_with_epoch(document: &str) -> Result<(BdiOntology, u64), MdmError
             target.insert(triple);
         }
     }
-    Ok((ontology, epoch))
+    Ok((ontology, epoch, options))
+}
+
+/// Parses an `# options:` header line's `key=value` words.
+fn parse_options(raw: &str) -> Result<RewriteOptions, MdmError> {
+    let invalid = || MdmError::Repository(format!("invalid options stamp '{}'", raw.trim()));
+    let mut options = RewriteOptions::default();
+    for word in raw.split_whitespace() {
+        match word.split_once('=').ok_or_else(invalid)? {
+            ("distinct", value) => options.distinct = value.parse().map_err(|_| invalid())?,
+            ("max_branches", value) => {
+                options.max_branches = value.parse().map_err(|_| invalid())?
+            }
+            _ => return Err(invalid()),
+        }
+    }
+    Ok(options)
 }
 
 fn section<'a>(document: &'a str, from: &str, to: &str) -> Result<&'a str, MdmError> {
@@ -195,18 +230,53 @@ mod tests {
     #[test]
     fn epoch_stamp_round_trips_and_is_optional() {
         let original = figure7_ontology();
-        let stamped = snapshot_with_epoch(&original, 42);
-        let (restored, epoch) = restore_with_epoch(&stamped).unwrap();
+        let default = RewriteOptions::default();
+        let stamped = snapshot_document(&original, &default, Some(42));
+        let (restored, epoch, _) = restore_with_epoch(&stamped).unwrap();
         assert_eq!(epoch, 42);
         assert_eq!(restored.concepts(), original.concepts());
         // Restoring and re-snapshotting keeps the stamp byte-identical.
-        assert_eq!(snapshot_with_epoch(&restored, epoch), stamped);
+        assert_eq!(snapshot_document(&restored, &default, Some(epoch)), stamped);
         // Pre-epoch documents restore with epoch 0.
-        let (_, epoch) = restore_with_epoch(&snapshot(&original)).unwrap();
+        let (_, epoch, _) = restore_with_epoch(&snapshot(&original)).unwrap();
         assert_eq!(epoch, 0);
         // A mangled stamp is rejected, not silently zeroed.
         let broken = stamped.replace("# epoch: 42", "# epoch: forty-two");
         assert!(restore_with_epoch(&broken).is_err());
+    }
+
+    /// Options other than the default travel in one header line, with or
+    /// without an epoch stamp; the default writes none, so default
+    /// documents keep their bytes.
+    #[test]
+    fn options_stamp_round_trips_and_is_optional() {
+        let original = figure7_ontology();
+        let default = RewriteOptions::default();
+        assert!(!snapshot_document(&original, &default, Some(7)).contains(OPTIONS_MARK));
+        assert!(!snapshot(&original).contains(OPTIONS_MARK));
+        let options = RewriteOptions {
+            distinct: false,
+            max_branches: 3,
+        };
+        for epoch in [None, Some(7)] {
+            let document = snapshot_document(&original, &options, epoch);
+            assert!(document.contains("# options: distinct=false max_branches=3\n"));
+            let (restored, restored_epoch, restored_options) =
+                restore_with_epoch(&document).unwrap();
+            assert_eq!(restored_epoch, epoch.unwrap_or(0));
+            assert_eq!(restored_options, options);
+            assert_eq!(
+                snapshot_document(&restored, &restored_options, epoch),
+                document
+            );
+            let (_, _, defaulted) = restore_with_epoch(&snapshot(&original)).unwrap();
+            assert_eq!(defaulted, default);
+        }
+        let document = snapshot_document(&original, &options, Some(7));
+        for mangled in ["distinct=no", "max_branches=-1", "depth=3", "distinct"] {
+            let broken = document.replace("distinct=false", mangled);
+            assert!(restore_with_epoch(&broken).is_err(), "{mangled}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::sparql_gen;
 use crate::walk::Walk;
 
 /// Options controlling plan generation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RewriteOptions {
     /// Wrap the union in a `Distinct` (set semantics). MDM's UI shows
     /// deduplicated tabular results; benches can turn it off.

@@ -16,9 +16,14 @@
 //! The **stats epoch** is a monotonically increasing counter bumped by
 //! [`StatsCatalog::refresh`] (the steward's "re-profile the ecosystem"
 //! action). It is deliberately *not* the metadata epoch: plans cached
-//! against metadata stay valid across a stats refresh — only their
-//! *optimized* physical form is recomputed (see `core::cache`) — so a
-//! refresh can never invalidate a rewriting or change golden outputs.
+//! against metadata stay valid across a stats refresh, so a refresh can
+//! never invalidate a rewriting or change golden outputs.
+//!
+//! The **version** ([`StatsCatalog::version`]) moves whenever what the
+//! optimizer could read may have changed: on every refresh and on every
+//! observation that stores different numbers. A core plan-cache entry
+//! keeps its branch plans optimized against one version and re-optimizes
+//! them on the next query once it moved (see `core::cache`).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,6 +82,7 @@ pub struct StatsSnapshot {
 #[derive(Debug, Default)]
 pub struct StatsCatalog {
     epoch: AtomicU64,
+    version: AtomicU64,
     refreshes: AtomicU64,
     observations: AtomicU64,
     entries: Mutex<HashMap<String, RelationStats>>,
@@ -94,12 +100,21 @@ impl StatsCatalog {
     }
 
     /// Bumps the stats epoch, making every cached entry stale: the next
-    /// scan of each relation re-profiles it, and plan caches keyed by the
-    /// stats epoch re-optimize. Returns the new epoch. The *metadata*
-    /// epoch is untouched — a refresh is not a release.
+    /// scan of each relation re-profiles it. Bumps the version too, so
+    /// plans optimized against it are optimized again. Returns the new
+    /// epoch. The *metadata* epoch is untouched — a refresh is not a
+    /// release.
     pub fn refresh(&self) -> u64 {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
+        self.version.fetch_add(1, Ordering::SeqCst);
         self.epoch.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Moves on every [`StatsCatalog::refresh`] and every observation that
+    /// changes a relation's stored statistics; an optimization done at one
+    /// version reads the same numbers as any other done at it.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::SeqCst)
     }
 
     /// True when offering `(relation, version, rows)` would actually run a
@@ -202,15 +217,25 @@ impl StatsCatalog {
             })
             .collect();
         self.observations.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().expect("stats catalog poisoned").insert(
-            relation.to_string(),
-            RelationStats {
+        let changed = {
+            let mut entries = self.entries.lock().expect("stats catalog poisoned");
+            let changed = entries
+                .get(relation)
+                .is_none_or(|old| old.rows != rows || old.columns != columns);
+            let stored = RelationStats {
                 version,
                 rows,
                 columns,
                 observed_epoch: epoch,
-            },
-        );
+            };
+            entries.insert(relation.to_string(), stored);
+            changed
+        };
+        // After the insert: whoever reads the new version reads the new
+        // numbers too.
+        if changed {
+            self.version.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// The stored statistics for `relation`, if profiled.
@@ -220,6 +245,29 @@ impl StatsCatalog {
             .expect("stats catalog poisoned")
             .get(relation)
             .cloned()
+    }
+
+    /// Reads one stored column of `relation`. `column` names it exactly
+    /// (`w.id`) or bare (`id`); a bare name matches only after a `.`, so
+    /// `id` is never `w.paid`.
+    fn column<T>(
+        &self,
+        relation: &str,
+        column: &str,
+        read: impl Fn(&ColumnStats) -> T,
+    ) -> Option<T> {
+        let entries = self.entries.lock().expect("stats catalog poisoned");
+        entries
+            .get(relation)?
+            .columns
+            .iter()
+            .find(|c| {
+                c.column == column
+                    || c.column
+                        .strip_suffix(column)
+                        .is_some_and(|head| head.ends_with('.'))
+            })
+            .map(read)
     }
 
     /// Counter + inventory snapshot for `/metrics` and the CLI.
@@ -249,23 +297,11 @@ impl Statistics for StatsCatalog {
     }
 
     fn distinct_values(&self, relation: &str, column: &str) -> Option<usize> {
-        let entries = self.entries.lock().expect("stats catalog poisoned");
-        let entry = entries.get(relation)?;
-        entry
-            .columns
-            .iter()
-            .find(|c| c.column == column || c.column.ends_with(column))
-            .map(|c| c.distinct.max(1))
+        self.column(relation, column, |c| c.distinct.max(1))
     }
 
     fn null_fraction(&self, relation: &str, column: &str) -> Option<f64> {
-        let entries = self.entries.lock().expect("stats catalog poisoned");
-        let entry = entries.get(relation)?;
-        entry
-            .columns
-            .iter()
-            .find(|c| c.column == column || c.column.ends_with(column))
-            .map(|c| c.null_fraction)
+        self.column(relation, column, |c| c.null_fraction)
     }
 }
 
@@ -307,7 +343,7 @@ mod tests {
         assert_eq!(catalog.estimated_rows("w"), Some(100));
         assert_eq!(catalog.distinct_values("w", "w.id"), Some(100));
         assert_eq!(catalog.distinct_values("w", "w.name"), Some(7));
-        // Bare lookup matches the qualified column by suffix.
+        // A bare lookup matches the qualified column after its `.`.
         assert_eq!(catalog.distinct_values("w", "id"), Some(100));
         let nulls = catalog.null_fraction("w", "w.grade").unwrap();
         assert!((nulls - 0.25).abs() < 1e-9, "{nulls}");
@@ -324,6 +360,48 @@ mod tests {
         assert!(catalog.needs_observation("w", 1, 101));
         catalog.refresh();
         assert!(catalog.needs_observation("w", 1, 100));
+    }
+
+    /// A bare name is a whole column name after the relation's `.`, never
+    /// the tail of a longer one: `id` is `w.id`, not `w.paid`.
+    #[test]
+    fn a_bare_column_name_matches_only_a_whole_column() {
+        let catalog = StatsCatalog::new();
+        let rows: Vec<Tuple> = (0..10)
+            .map(|i| vec![Value::Bool(i % 2 == 0), Value::Int(i)])
+            .collect();
+        catalog.observe("w", 1, &Schema::qualified("w", ["paid", "id"]), &rows);
+        assert_eq!(catalog.distinct_values("w", "id"), Some(10));
+        assert_eq!(catalog.distinct_values("w", "w.id"), Some(10));
+        assert_eq!(catalog.distinct_values("w", "paid"), Some(2));
+        assert_eq!(catalog.distinct_values("w", "d"), None);
+        assert_eq!(catalog.null_fraction("w", "aid"), None);
+        assert_eq!(catalog.null_fraction("w", "id"), Some(0.0));
+    }
+
+    /// The version moves when the stored numbers may change: a refresh, a
+    /// new relation, different numbers. Re-observing the same numbers
+    /// (after a refresh, or by a second query racing the first) keeps it.
+    #[test]
+    fn the_version_moves_only_when_what_the_optimizer_reads_may_change() {
+        let catalog = StatsCatalog::new();
+        assert_eq!(catalog.version(), 0);
+        catalog.observe("w", 1, &schema(), &rows(100));
+        assert_eq!(catalog.version(), 1);
+        catalog.observe("w", 1, &schema(), &rows(100));
+        assert_eq!(catalog.version(), 1, "the same numbers again");
+        catalog.refresh();
+        assert_eq!(catalog.version(), 2);
+        catalog.observe("w", 1, &schema(), &rows(100));
+        assert_eq!(
+            catalog.version(),
+            2,
+            "re-profiled after a refresh, unchanged"
+        );
+        catalog.observe("w", 2, &schema(), &rows(50));
+        assert_eq!(catalog.version(), 3);
+        catalog.observe("v", 1, &schema(), &rows(50));
+        assert_eq!(catalog.version(), 4);
     }
 
     #[test]

@@ -487,6 +487,10 @@ fn metrics(state: &AppState) -> Response {
             Value::int(opt.projections_pruned as i64),
         ),
         ("branches_deduped", Value::int(opt.branches_deduped as i64)),
+        (
+            "branch_plans_optimized",
+            Value::int(mdm.branch_plans_optimized() as i64),
+        ),
     ]);
     let journal = store.as_ref().map(|store| {
         let stats = store.stats();

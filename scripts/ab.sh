@@ -1,19 +1,24 @@
 #!/usr/bin/env bash
 # Same-session A/B of the repo benchmark: the working tree against a parent.
 #
-#   scripts/ab.sh PARENT_REF [SEED] [PAIRS]
+#   scripts/ab.sh PARENT_REF [SEED] [PAIRS] [WORKLOAD...]
 #
 # Checks PARENT_REF out as a git worktree under a temp dir (or, when
 # PARENT_REF is a directory, uses that checkout as it is), builds both
 # `mdm-benchmark` binaries into separate target dirs, then runs full
 # `run --seed SEED` outputs PAIRS times (default 42, 2), alternating which
-# side goes first, and feeds each pair to `mdm-benchmark compare`. A count
+# side goes first, and feeds each pair to `mdm-benchmark compare`. Naming
+# workloads after PAIRS runs only their measured windows
+# (`run --workload W --seed SEED --trace 0`, one after another), so many
+# pairs of one workload fit where a few full runs would. A count
 # the PR declares as changed shows up there as NOT IDENTICAL: that is the
 # expected output of an A/B, so compare's verdict is printed, not returned.
 # Ends with per-side medians over all pairs. Outputs stay in target/ab/out.
 set -uo pipefail
-[ $# -ge 1 ] || { echo "usage: $0 PARENT_REF [SEED] [PAIRS]" >&2; exit 2; }
+[ $# -ge 1 ] || { echo "usage: $0 PARENT_REF [SEED] [PAIRS] [WORKLOAD...]" >&2; exit 2; }
 ref=$1 seed=${2:-42} pairs=${3:-2}
+shift $(($# < 3 ? $# : 3))
+workloads=("$@")
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=$root/target/ab
 out=$work/out
@@ -40,12 +45,24 @@ for side in parent change; do
         --manifest-path "$tree/benchmark/Cargo.toml" || exit 2
 done
 bin() { echo "$work/build-$1/release/mdm-benchmark"; }
+# One side's output: the full run, or the named workloads' windows.
+measure() {
+    if [ ${#workloads[@]} -eq 0 ]; then
+        "$(bin "$1")" run --seed "$seed"
+    else
+        local status=0 workload
+        for workload in "${workloads[@]}"; do
+            "$(bin "$1")" run --workload "$workload" --seed "$seed" --trace 0 || status=1
+        done
+        return $status
+    fi
+}
 
 for i in $(seq 1 "$pairs"); do
     # Odd pairs run the parent first, even pairs the change.
     [ $((i % 2)) -eq 1 ] && order="parent change" || order="change parent"
     for side in $order; do
-        "$(bin $side)" run --seed "$seed" > "$out/$side-$i.txt" \
+        measure $side > "$out/$side-$i.txt" \
             || echo "pair $i: the $side run exited non-zero" >&2
     done
     echo "== pair $i ($order), seed $seed: first = parent, second = change =="

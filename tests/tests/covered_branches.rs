@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use mdm_core::query::{answer_walk_with, execute_degraded};
+use mdm_core::query::{answer_walk_with, execute_degraded, PreparedPlans};
 use mdm_core::synthetic::{chain_walk, concept_iri, feature_iri, mdm_from_synthetic, relation_iri};
 use mdm_core::{Completeness, DegradedAnswer, Mdm, MdmError, RewriteOptions, Rewriting, Walk};
 use mdm_relational::schema::ColumnRef;
@@ -99,13 +99,15 @@ fn run_every_branch(
     let resolve = |name: &str| mdm.catalog().relation_schema(name);
     let optimizer = Optimizer::new(stats.as_ref(), &resolve);
     let breakers = BreakerRegistry::new(BreakerConfig::default());
+    let plans = PreparedPlans::prepare(&rewriting, &RewriteOptions::default(), &|plan| {
+        optimizer.optimize_with(mdm.optimize_mode(), plan)
+    })?;
     let (rows, mut completeness) = execute_degraded(
         &rewriting,
         mdm.catalog(),
-        &RewriteOptions::default(),
+        &plans,
         &exec_options,
         Some(&breakers),
-        &|plan| optimizer.optimize_with(mdm.optimize_mode(), plan),
         false,
     )?;
     let label = |name: &String| {
@@ -384,16 +386,10 @@ fn a_dropped_container_runs_its_covered_branches() {
             }
         };
         let run = |rewriting: &Rewriting| {
-            execute_degraded(
-                rewriting,
-                mdm.catalog(),
-                &RewriteOptions::default(),
-                &exec_options,
-                None,
-                &break_branch_one,
-                false,
-            )
-            .unwrap()
+            let plans =
+                PreparedPlans::prepare(rewriting, &RewriteOptions::default(), &break_branch_one)
+                    .unwrap();
+            execute_degraded(rewriting, mdm.catalog(), &plans, &exec_options, None, false).unwrap()
         };
         let (rows, completeness) = run(&covered);
         let (every_rows, every_completeness) = run(&every);
@@ -439,16 +435,10 @@ fn ints_and_floats_that_are_equal_keep_the_first_spelling() {
             ..ExecOptions::default()
         };
         let run = |rewriting: &Rewriting| {
-            let (rows, completeness) = execute_degraded(
-                rewriting,
-                &catalog,
-                &RewriteOptions::default(),
-                &exec_options,
-                None,
-                &|plan| plan,
-                false,
-            )
-            .unwrap();
+            let plans = PreparedPlans::prepare(rewriting, &RewriteOptions::default(), &|plan| plan)
+                .unwrap();
+            let (rows, completeness) =
+                execute_degraded(rewriting, &catalog, &plans, &exec_options, None, false).unwrap();
             assert!(completeness.is_complete());
             rows_of(&rows)
         };

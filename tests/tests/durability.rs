@@ -501,3 +501,44 @@ fn compact_without_data_dir_is_a_clean_409() {
     assert!(response.body.contains("compact"), "{}", response.body);
     server.shutdown();
 }
+
+/// The rewrite options cross every snapshot boundary: WAL replay,
+/// compaction + re-attach (no record left to replay), and `restored_from`
+/// (the restore route and a replica's snapshot bootstrap). With
+/// `max_branches: 3` the Figure 8 walk over football + Players v2 (four
+/// branches) must keep being refused.
+#[test]
+fn rewrite_options_survive_compaction_and_restore() {
+    use mdm_core::{usecase, RewriteOptions};
+    use mdm_wrappers::football;
+
+    let eco = football::build_default();
+    let mut initial = usecase::football_mdm(&eco).unwrap();
+    usecase::register_players_v2(&mut initial, &eco).unwrap();
+    let walk = usecase::figure8_walk();
+    assert_eq!(initial.rewrite(&walk).unwrap().branch_count(), 4);
+
+    let dir = temp_dir("options");
+    let (meta, mut mdm, _) = MetaStore::attach(&dir, FsyncPolicy::Never, initial).unwrap();
+    mdm.set_options(RewriteOptions {
+        distinct: false,
+        max_branches: 3,
+    });
+    assert!(mdm.rewrite(&walk).is_err(), "4 branches > 3");
+    drop((meta, mdm));
+
+    let (meta, mdm, report) = MetaStore::attach(&dir, FsyncPolicy::Never, Mdm::new()).unwrap();
+    assert_eq!(report.replayed, 1);
+    assert!(mdm.rewrite(&walk).is_err(), "after WAL replay");
+    meta.compact(&mdm).unwrap();
+    let snapshot = mdm.snapshot();
+    drop((meta, mdm));
+
+    let (_meta, mdm, report) = MetaStore::attach(&dir, FsyncPolicy::Never, Mdm::new()).unwrap();
+    assert_eq!(report.replayed, 0);
+    assert!(mdm.rewrite(&walk).is_err(), "after compaction");
+    assert_eq!(mdm.snapshot(), snapshot, "the options line round-trips");
+    let restored = Mdm::new().restored_from(&snapshot).unwrap();
+    assert!(restored.rewrite(&walk).is_err(), "after restored_from");
+    let _ = std::fs::remove_dir_all(&dir);
+}

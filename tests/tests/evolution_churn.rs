@@ -29,7 +29,7 @@ use mdm_core::synthetic::{
 };
 use mdm_core::Mdm;
 use mdm_dataform::{json, Value};
-use mdm_relational::{Deadline, OptimizeMode};
+use mdm_relational::{Deadline, OptimizeMode, StatsCatalog};
 use mdm_server::client;
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 use proptest::prelude::*;
@@ -73,7 +73,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random churn scripts — extension releases, breaking feature
-    /// definitions, unrelated sources — interleaved with chain-walk
+    /// definitions, unrelated sources, statistics refreshes — interleaved
+    /// with chain-walk
     /// queries: whatever the cache serves (equality hit, footprint
     /// survivor, or incrementally extended plan) must be byte-identical to
     /// a cold rewrite at the same epoch; and what the served path then
@@ -95,6 +96,8 @@ proptest! {
         let mut mdm = synthetic_base(&eco);
         mdm.set_threads(if parallel { 2 } else { 1 });
         mdm.set_optimize(if cost { OptimizeMode::Cost } else { OptimizeMode::Off });
+        // Its own catalog: the refresh steps below move no other test's.
+        mdm.set_stats_catalog(Arc::new(StatsCatalog::new()));
 
         // Warm every walk so the churn below has plans to test against.
         for k in 1..=eco.config.concepts {
@@ -109,7 +112,16 @@ proptest! {
         let mut fresh = 0usize;
         for (action, operand) in codes {
             let c = operand as usize % eco.config.concepts;
-            match action % 4 {
+            let walk = chain_walk(&eco, 1 + operand as usize % eco.config.concepts);
+            // The served path agrees with the cold end-to-end reference.
+            let served_equals_reference = |mdm: &Mdm| {
+                prop_assert_eq!(
+                    mdm.query_degraded(&walk, Deadline::none()).map(|a| a.render()),
+                    mdm.query(&walk).map(|a| a.render())
+                );
+                Ok(())
+            };
+            match action % 5 {
                 0 => {
                     // Extension release: the source's next wrapper version
                     // plus its mapping; falls back to a no-footprint source
@@ -137,15 +149,24 @@ proptest! {
                     mdm.add_source(&format!("Fresh{fresh}")).unwrap();
                     fresh += 1;
                 }
-                _ => {} // pure query step
+                3 => {
+                    // New statistics under the cached rewritings: their
+                    // prepared branch plans go stale, not the rewritings.
+                    served_equals_reference(&mdm)?;
+                    mdm.refresh_stats();
+                }
+                _ => served_equals_reference(&mdm)?, // pure query step
             }
-            let walk = chain_walk(&eco, 1 + operand as usize % eco.config.concepts);
             // `Result`s, not unwraps: a churn script may widen the UCQ
             // past `max_branches`, and then both must refuse alike.
             prop_assert_eq!(
                 mdm.rewrite_cached(&walk).map(|r| fingerprint(&r)),
                 mdm.rewrite(&walk).map(|r| fingerprint(&r))
             );
+            if action % 5 == 3 {
+                // The query after a refresh prepares its plans again.
+                served_equals_reference(&mdm)?;
+            }
         }
 
         // The served path (cached rewriting, per-branch execution, merge)

@@ -599,6 +599,14 @@ fn plan_cache_hit_rate_and_release_invalidation() {
         .unwrap();
     assert!(hit_rate > 0.9, "expected >0.9 hit rate, got {hit_rate}");
     assert_eq!(int_of(cache, "misses"), 1, "one compile for 30 queries");
+    // The served queries prepared branch plans. Other tests in this binary
+    // move the shared statistics catalog, which makes walks prepare
+    // again, so `prepared_plans.rs` is where the count is exact.
+    let optimizer = metrics.get("optimizer").expect("optimizer exported");
+    assert!(
+        int_of(optimizer, "branch_plans_optimized") >= 1,
+        "{optimizer:?}"
+    );
 
     register_v2_over_http(addr, &eco);
     let after = post(addr, "/analyst/query", &body);
