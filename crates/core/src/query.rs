@@ -12,17 +12,18 @@
 //! workspace that fans UCQ branches out on the worker pool.
 //!
 //! The served path runs [`PreparedPlans`]: each branch's plan, derived
-//! from its conjunctive query and optimized once. [`crate::Mdm`] keeps
-//! them in the plan-cache entry next to the rewriting and prepares them
-//! again only when the optimizer's inputs moved (see [`crate::cache`]), so
-//! a warm query neither plans nor optimizes.
+//! from its conjunctive query and optimized once, with no δ of its own.
+//! [`crate::Mdm`] keeps them in the plan-cache entry next to the rewriting
+//! and prepares them again only when the optimizer's inputs moved (see
+//! [`crate::cache`]), so a warm query neither plans nor optimizes.
 //!
 //! The served path ends where the paper's answer to evolution ends: union
-//! the coexisting versions' branches, eliminate duplicates, order the
+//! the coexisting versions' branches, eliminate duplicates once, order the
 //! rows. Branch results come back undecoded and are merged where they were
-//! computed, over term ids ([`merge_branches`]). The answer stays in that
-//! form: a [`DegradedAnswer`] carries [`MergedRows`], sorted term rows plus
-//! the answer's distinct strings, which the server prints as they are.
+//! computed, over term ids ([`merge_branches`]); the merge is the only δ.
+//! The answer stays in that form: a [`DegradedAnswer`] carries
+//! [`MergedRows`], sorted term rows plus the answer's distinct strings,
+//! which the server prints as they are.
 //! Only a caller that wants `Value`s ([`DegradedAnswer::table`], the CLI,
 //! the tests) builds a [`Table`]. One rule holds on both paths: rows are
 //! the same when they are `==`, and of two `==` rows — v1 says `170`, v2
@@ -158,8 +159,8 @@ impl DegradedAnswer {
 /// One UCQ branch ready to run.
 #[derive(Clone, Debug)]
 pub struct PreparedBranch {
-    /// The branch's plan: [`plan_for_cq`], under δ when the options ask
-    /// for it, then optimized.
+    /// The branch's plan: [`plan_for_cq`], optimized. It has no δ: the
+    /// merge is the answer's only one.
     pub plan: Plan,
     /// The relations `plan` scans, in scan order: what a covered branch
     /// prefetches.
@@ -170,18 +171,18 @@ pub struct PreparedBranch {
 /// branch in rewriting order.
 #[derive(Clone, Debug)]
 pub struct PreparedPlans {
-    /// Whether the branch plans end in δ ([`RewriteOptions::distinct`]);
-    /// the merge deduplicates across branches then, too.
+    /// Whether the answer is a set ([`RewriteOptions::distinct`]): the
+    /// merge's δ bit. The branch plans never deduplicate.
     pub distinct: bool,
     pub branches: Vec<PreparedBranch>,
 }
 
 impl PreparedPlans {
-    /// Derives each branch's plan, wraps it in δ when `options` ask for
-    /// it, and hands it to `optimize`. Branches are optimized one by one
-    /// because each one executes — and can fail — on its own. A plan-shape
-    /// failure is a rewriting bug, not a source fault, so it fails here,
-    /// before any branch executes.
+    /// Derives each branch's plan and hands it to `optimize`; of `options`
+    /// only [`RewriteOptions::distinct`] is read, for the merge. Branches
+    /// are optimized one by one because each one executes — and can fail
+    /// — on its own. A plan-shape failure is a rewriting bug, not a source
+    /// fault, so it fails here, before any branch executes.
     pub fn prepare(
         rewriting: &Rewriting,
         options: &RewriteOptions,
@@ -191,12 +192,7 @@ impl PreparedPlans {
             .queries
             .iter()
             .map(|cq| {
-                let plan = plan_for_cq(cq, &rewriting.output_columns)?;
-                let plan = optimize(if options.distinct {
-                    plan.distinct()
-                } else {
-                    plan
-                });
+                let plan = optimize(plan_for_cq(cq, &rewriting.output_columns)?);
                 let scans = plan
                     .scanned_relations()
                     .into_iter()
@@ -225,12 +221,18 @@ impl PreparedPlans {
 /// optimizes, so the same `plans` serve every query over `rewriting`
 /// while the optimizer's inputs stand still.
 ///
+/// The branches run without δ; the merge ([`merge_branches`]) is the one
+/// δ of the answer, as in the reference plan `δ(∪ Bᵢ)`. Deduplicating a
+/// branch first would change which rows the merge sees: `==` is not
+/// transitive between ints and floats beyond 2^53, so a branch δ can drop
+/// a row the reference keeps.
+///
 /// With `provenance`, every surviving branch table is tagged with its
 /// wrapper set (`cq.atoms` joined by `+`) in a trailing `provenance`
 /// column before the merge — the governance view that makes "these rows
 /// come from the old version, those from the new one" visible. Provenance
 /// is per derivation, so a row produced by several branches appears once
-/// per branch.
+/// per branch; under δ the merge deduplicates within each branch.
 ///
 /// Under δ without provenance, a branch the rewriting records as covered
 /// ([`Rewriting::covered_by`]) runs no plan while its container survives:
@@ -364,7 +366,10 @@ pub fn execute_degraded(
     let mut schema = first.schema.clone();
     let mode = if provenance {
         schema = schema.concat(&Schema::new(vec![ColumnRef::bare("provenance")]));
-        MergeMode::Labelled(&labels)
+        MergeMode::Labelled {
+            labels: &labels,
+            distinct: plans.distinct,
+        }
     } else if plans.distinct {
         MergeMode::Distinct
     } else {
@@ -688,6 +693,89 @@ mod tests {
             format!("{:?}", served.to_table().rows()),
             format!("{:?}", reference.table.rows())
         );
+    }
+
+    /// `==` is not transitive beyond 2^53: `Int(2^53) == Float(2^53) ==
+    /// Int(2^53 + 1)`, but the two ints differ. The reference runs one δ
+    /// over the union, which keeps both ints. A δ per branch before the
+    /// merge would drop `Int(2^53 + 1)` against w3's own float, and the
+    /// merge would then drop the float against w1's int: one row.
+    #[test]
+    fn served_and_reference_agree_when_equality_is_not_transitive() {
+        let o = evolved_ontology();
+        let walk = Walk::new()
+            .feature(&ex("Player"), &ex("playerName"))
+            .feature(&ex("Player"), &ex("height"));
+        let options = RewriteOptions::default();
+        let rewriting = rewrite_walk(&o, &walk, &options).unwrap();
+        let two_53 = 1i64 << 53;
+        let full = catalog();
+        let mut catalog = MemoryCatalog::new();
+        for (name, heights) in [
+            ("w1", vec![Value::Int(two_53)]),
+            (
+                "w3",
+                vec![Value::Float(two_53 as f64), Value::Int(two_53 + 1)],
+            ),
+        ] {
+            let rows = heights
+                .into_iter()
+                .map(|height| {
+                    let mut row = vec![Value::Null; 7];
+                    row[1] = Value::str("Lionel Messi");
+                    row[2] = height;
+                    row
+                })
+                .collect();
+            let schema = full.relation_schema(name).unwrap();
+            catalog.register(name, Table::new(schema, rows).unwrap());
+        }
+        let exec_options = ExecOptions::default();
+        let reference = answer_walk_with(&o, &walk, &catalog, &options, &exec_options).unwrap();
+        assert_eq!(reference.table.len(), 2);
+        let (served, _) = execute_degraded(
+            &rewriting,
+            &catalog,
+            &unoptimized(&rewriting, &options),
+            &exec_options,
+            None,
+            false,
+        )
+        .unwrap();
+        assert_eq!(
+            format!("{:?}", served.to_table().rows()),
+            format!("{:?}", reference.table.rows())
+        );
+    }
+
+    /// The merge is the answer's only δ: no prepared branch plan has one.
+    #[test]
+    fn prepared_branch_plans_have_no_distinct() {
+        fn has_distinct(plan: &Plan) -> bool {
+            match plan {
+                Plan::Distinct { .. } => true,
+                Plan::Scan { .. } => false,
+                Plan::Filter { input, .. } | Plan::Project { input, .. } => has_distinct(input),
+                Plan::Join { left, right, .. } => has_distinct(left) || has_distinct(right),
+                Plan::Union { inputs } => inputs.iter().any(has_distinct),
+            }
+        }
+        let options = RewriteOptions::default();
+        assert!(options.distinct);
+        let rewriting = rewrite_walk(&evolved_ontology(), &figure8_walk(), &options).unwrap();
+        let catalog = catalog();
+        let stats = mdm_relational::StatsCatalog::new();
+        let resolve = |name: &str| catalog.relation_schema(name);
+        let optimizer = mdm_relational::Optimizer::new(&stats, &resolve);
+        let optimized =
+            PreparedPlans::prepare(&rewriting, &options, &|plan| optimizer.optimize(plan));
+        for plans in [unoptimized(&rewriting, &options), optimized.unwrap()] {
+            assert!(plans.distinct);
+            assert_eq!(plans.branches.len(), rewriting.branch_count());
+            for branch in &plans.branches {
+                assert!(!has_distinct(&branch.plan), "{}", branch.plan);
+            }
+        }
     }
 
     #[test]

@@ -50,10 +50,12 @@ pub enum MergeMode<'a> {
     /// δ over the union: of rows that are `==`, the first in branch order
     /// survives (so the earliest branch's spelling of a number wins).
     Distinct,
-    /// Bag union with one label per branch appended to each of its rows as
-    /// a trailing column (provenance is per derivation, so nothing is a
-    /// duplicate).
-    Labelled(&'a [Value]),
+    /// One label per branch appended to each of its rows as a trailing
+    /// column. Provenance is per derivation, so a row several branches
+    /// derive appears once per branch. With `distinct`, δ runs within each
+    /// branch: keyed on the branch, not on its label, which two branches
+    /// can share.
+    Labelled { labels: &'a [Value], distinct: bool },
 }
 
 /// One cell of a [`MergedRows`] row.
@@ -165,8 +167,11 @@ fn sort_by_content(strings: &mut Vec<Sym>) -> Vec<u64> {
 ///
 /// `branches` are branch results in rewriting order, each a run of batches
 /// as wide as `schema` (less the label column under
-/// [`MergeMode::Labelled`]). δ is the [`ColDistinct`] kernel over their
-/// concatenation — exactly what a whole-plan `Union → Distinct` runs. The
+/// [`MergeMode::Labelled`]). Whether a branch was deduplicated before does
+/// not change the result. Under
+/// [`MergeMode::Distinct`], δ is the [`ColDistinct`] kernel over the
+/// branches' concatenation — exactly what a whole-plan `Union → Distinct`
+/// runs; under a labelled δ it is one [`ColDistinct`] per branch. The
 /// survivors are sorted stably under `Value::cmp`'s order by their cells'
 /// order codes, and come back as [`MergedRows`]. Every result cell counts
 /// as one decode (`schema.len()` per result row, none per input row):
@@ -178,14 +183,14 @@ pub fn merge_branches(
 ) -> Result<MergedRows, String> {
     // Labels are encoded here, before the `Decoder` below exists.
     let labels: Vec<TermId> = match mode {
-        MergeMode::Labelled(labels) if labels.len() != branches.len() => {
+        MergeMode::Labelled { labels, .. } if labels.len() != branches.len() => {
             return Err(format!(
                 "{} provenance labels for {} branches",
                 labels.len(),
                 branches.len()
             ));
         }
-        MergeMode::Labelled(labels) => labels.iter().map(encode_value).collect(),
+        MergeMode::Labelled { labels, .. } => labels.iter().map(encode_value).collect(),
         MergeMode::All | MergeMode::Distinct => Vec::new(),
     };
     let out_width = schema.len();
@@ -196,27 +201,37 @@ pub fn merge_branches(
             batch.columns.len()
         ));
     }
-    let survivors: Vec<(ColumnBatch, Option<TermId>)> = if matches!(mode, MergeMode::Distinct) {
-        let batches: Vec<ColumnBatch> = branches.into_iter().flatten().collect();
+    let distinct = match mode {
+        MergeMode::All => false,
+        MergeMode::Distinct => true,
+        MergeMode::Labelled { distinct, .. } => distinct,
+    };
+    // Each run is what one δ sees: the whole union, or one branch.
+    let runs: Vec<(Vec<ColumnBatch>, Option<TermId>)> = if matches!(mode, MergeMode::Distinct) {
+        vec![(branches.into_iter().flatten().collect(), None)]
+    } else {
+        let labels = labels
+            .iter()
+            .copied()
+            .map(Some)
+            .chain(std::iter::repeat(None));
+        branches.into_iter().zip(labels).collect()
+    };
+    let unlabelled = Schema::new(schema.columns()[..width].to_vec());
+    let mut survivors: Vec<(ColumnBatch, Option<TermId>)> = Vec::new();
+    for (batches, label) in runs {
+        if !distinct {
+            survivors.extend(batches.into_iter().map(|batch| (batch, label)));
+            continue;
+        }
         let mut delta = ColDistinct::new(Box::new(Replay {
-            schema: schema.clone(),
+            schema: unlabelled.clone(),
             batches: batches.into_iter(),
         }));
-        let mut out = Vec::new();
         while let Some(batch) = delta.next_cols(usize::MAX) {
-            out.push((batch.map_err(|e| e.message)?, None));
+            survivors.push((batch.map_err(|e| e.message)?, label));
         }
-        out
-    } else {
-        branches
-            .into_iter()
-            .enumerate()
-            .flat_map(|(b, batches)| {
-                let label = labels.get(b).copied();
-                batches.into_iter().map(move |batch| (batch, label))
-            })
-            .collect()
-    };
+    }
 
     // Gather the survivors row-major: a row's sort keys sit side by side.
     let len: usize = survivors.iter().map(|(batch, _)| batch.len()).sum();

@@ -93,14 +93,16 @@ fn encode(
         .collect()
 }
 
-/// The reference: concatenate, label, first-seen dedup by `==`, `sort()`.
+/// The reference: concatenate, label, first-seen dedup by `==` (over the
+/// whole union, or within each branch when labelled), `sort()`.
 fn naive(branches: &[Vec<Tuple>], labels: Option<&[Value]>, distinct: bool) -> Vec<Tuple> {
     let mut rows: Vec<Tuple> = Vec::new();
     for (b, branch) in branches.iter().enumerate() {
+        let seen_from = if labels.is_some() { rows.len() } else { 0 };
         for row in branch {
             let mut row = row.clone();
             row.extend(labels.map(|l| l[b].clone()));
-            if !(distinct && rows.contains(&row)) {
+            if !(distinct && rows[seen_from..].contains(&row)) {
                 rows.push(row);
             }
         }
@@ -124,8 +126,11 @@ fn merged(rows: &MergedRows) -> Vec<String> {
 }
 
 proptest! {
-    /// δ on, δ off and labelled, over every batch width: the encoded merge
-    /// returns the naive reference's rows in the naive reference's order.
+    /// δ on, δ off and labelled with and without δ, over every batch
+    /// width: the encoded merge returns the naive reference's rows in the
+    /// naive reference's order. Branches deduplicated beforehand merge
+    /// like raw ones, and a labelled δ keeps a row once per branch even
+    /// where two branches share a label.
     #[test]
     fn encoded_merge_equals_naive_reference(
         rows in proptest::collection::vec(proptest::collection::vec(arb_cell(), 4..5), 0..40),
@@ -135,10 +140,16 @@ proptest! {
     ) {
         let branches = split(rows, width, &cuts);
         let batch_size = [1, 3, 1024][batch];
-        let labels: Vec<Value> = (0..branches.len())
-            // Later branches sort first, so the label really is a sort key.
-            .map(|b| Value::str(format!("w{}+w9", branches.len() - b)))
-            .collect();
+        // Later branches sort first, so the label really is a sort key;
+        // the shared set gives every other branch the same label.
+        let label_sets = [false, true].map(|shared| {
+            (0..branches.len())
+                .map(|b| {
+                    let n = branches.len() - b;
+                    Value::str(format!("w{}+w9", if shared { n % 2 } else { n }))
+                })
+                .collect::<Vec<Value>>()
+        });
 
         let all = merge_branches(
             schema_of(width),
@@ -160,15 +171,18 @@ proptest! {
             );
         }
 
-        let labelled = merge_branches(
-            schema_of(width + 1),
-            encode(&branches, width, batch_size, false),
-            MergeMode::Labelled(&labels),
-        ).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(
-            merged(&labelled),
-            spelled(&naive(&branches, Some(&labels), false))
-        );
+        for (labels, distinct) in label_sets.iter().flat_map(|l| [(l, false), (l, true)]) {
+            let labelled = merge_branches(
+                schema_of(width + 1),
+                encode(&branches, width, batch_size, false),
+                MergeMode::Labelled { labels, distinct },
+            ).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(
+                merged(&labelled),
+                spelled(&naive(&branches, Some(labels), distinct)),
+                "labelled δ: {}, labels: {:?}", distinct, labels
+            );
+        }
     }
 }
 
@@ -257,7 +271,14 @@ fn labels_are_encoded_before_the_decoder_exists() {
     let encoded = encode(&branches, 1, 1024, false);
     let (done, merged) = mpsc::channel();
     let merger = std::thread::spawn(move || {
-        let table = merge_branches(schema_of(2), encoded, MergeMode::Labelled(&labels));
+        let table = merge_branches(
+            schema_of(2),
+            encoded,
+            MergeMode::Labelled {
+                labels: &labels,
+                distinct: false,
+            },
+        );
         let _ = done.send(table);
     });
     let table = merged

@@ -16,13 +16,14 @@
 use std::sync::Arc;
 
 use mdm_core::query::{execute_degraded, PreparedPlans};
+use mdm_core::rewrite::plan_for_cq;
 use mdm_core::synthetic::{
     chain_walk, concept_iri, feature_iri, mdm_from_synthetic, register_synthetic_wrapper,
 };
 use mdm_core::{usecase, Mdm, RewriteOptions, Walk};
 use mdm_relational::{
-    BreakerConfig, BreakerRegistry, Catalog, Deadline, ExecOptions, OptimizeMode, Optimizer,
-    StatsCatalog,
+    BreakerConfig, BreakerRegistry, Catalog, Deadline, ExecOptions, Executor, OptimizeMode,
+    Optimizer, StatsCatalog, Tuple, Value,
 };
 use mdm_wrappers::football;
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
@@ -252,4 +253,52 @@ fn a_new_wrappers_first_fetch_prepares_every_branch_once() {
     // The C2 walk itself prepared once more for its own observation.
     assert_eq!(system.serve(&c2), c2_branches + 1);
     assert_eq!(system.serve(&c2), 0);
+}
+
+/// The prepared plans have no δ: under δ, the provenance merge
+/// deduplicates within each branch. `query_with_provenance` equals each
+/// branch run cold under its own δ, labelled with its wrapper set,
+/// concatenated in rewriting order and sorted — cold and warm, sequential
+/// and pooled. Football's team name + foot walk repeats rows within a
+/// branch (teammates who kick with the same foot), so there the per-branch
+/// δ drops rows.
+#[test]
+fn provenance_equals_each_branch_deduplicated_on_its_own() {
+    let team_foot = Walk::new()
+        .feature(&usecase::sports_team(), &usecase::ex("teamName"))
+        .feature(&usecase::ex("Player"), &usecase::ex("foot"))
+        .relation(
+            &usecase::ex("Player"),
+            &usecase::ex("hasTeam"),
+            &usecase::sports_team(),
+        );
+    let mut dropped_somewhere = false;
+    for (mut system, walk) in [football_v2(), (football_v2().0, team_foot), chain()] {
+        let rewriting = system.mdm.rewrite_cached(&walk).unwrap();
+        let mut oracle: Vec<Tuple> = Vec::new();
+        let mut derivations = 0;
+        for cq in &rewriting.queries {
+            let plan = plan_for_cq(cq, &rewriting.output_columns).unwrap();
+            let executor = Executor::new(system.mdm.catalog());
+            derivations += executor.run(&plan).unwrap().len();
+            let label = Value::str(cq.atoms.join("+"));
+            let table = executor.run(&plan.distinct()).unwrap();
+            oracle.extend(table.rows().iter().map(|row| {
+                let mut row = row.clone();
+                row.push(label.clone());
+                row
+            }));
+        }
+        dropped_somewhere |= oracle.len() < derivations;
+        oracle.sort();
+        let oracle = format!("{oracle:?}");
+        for threads in [1, 4] {
+            system.mdm.set_threads(threads);
+            for _ in 0..2 {
+                let traced = system.mdm.query_with_provenance(&walk).unwrap();
+                assert_eq!(format!("{:?}", traced.table.rows()), oracle, "{threads}");
+            }
+        }
+    }
+    assert!(dropped_somewhere, "no walk repeats a row within a branch");
 }
