@@ -58,9 +58,7 @@ fn p10_append_latency(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, ()| {
             b.iter(|| {
                 serial += 1;
-                concept_op(serial)
-                    .apply(&mut mdm)
-                    .expect("mutation applies");
+                mdm.apply(&concept_op(serial)).expect("mutation applies");
             })
         });
         drop((_meta, mdm));
@@ -82,7 +80,7 @@ fn p10_recovery_time(c: &mut Criterion) {
             let (_meta, mut mdm, _) =
                 MetaStore::attach(&dir, FsyncPolicy::Never, Mdm::new()).expect("store attaches");
             for n in 0..records {
-                concept_op(n).apply(&mut mdm).expect("mutation applies");
+                mdm.apply(&concept_op(n)).expect("mutation applies");
             }
             _meta.sync().expect("seed WAL flushes");
         }

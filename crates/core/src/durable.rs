@@ -6,9 +6,15 @@
 //! live generation's write-ahead log, and [`MetaStore::compact`] folds the
 //! log into a fresh canonical snapshot. [`MetaStore::attach`] is the
 //! open-or-create entry point a process calls on startup: it recovers the
-//! latest complete generation (snapshot + surviving WAL prefix), replays
-//! the journal, and returns an [`Mdm`] whose epoch continues where the
-//! crashed process stopped.
+//! latest complete generation (snapshot + surviving WAL prefix) and
+//! returns an [`Mdm`] whose epoch continues where the crashed process
+//! stopped.
+//!
+//! Replay has one implementation: [`Mdm::replay`] decodes a record and
+//! runs [`Mdm::apply`] — the function every typed mutator and steward
+//! route runs — and [`Mdm::recovered`] replays a record list on top of a
+//! restored snapshot. Crash recovery, replica bootstrap, replica replay
+//! and the replica's recovery of an old journal all go through them.
 //!
 //! A journal write failure (disk full, permissions) does **not** fail the
 //! steward call — the in-memory mutation stands, the store flips to
@@ -17,10 +23,10 @@
 //! succeeds.
 
 use std::path::Path;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mdm_store::{FsyncPolicy, ReplicationBatch, Store, StoreStats};
+use mdm_store::{FsyncPolicy, ReplicationBatch, Store, StoreStats, WalRecord};
 
 use crate::error::MdmError;
 use crate::journal::{JournalSink, MutationOp};
@@ -51,6 +57,31 @@ struct Inner {
     last_error: Option<String>,
 }
 
+impl Inner {
+    /// Latches the outcome of a store write: a success heals the store, a
+    /// failure marks it unhealthy with `describe`'s message, which the
+    /// error carries too.
+    fn settle<T>(
+        &mut self,
+        result: Result<T, mdm_store::StoreError>,
+        describe: impl FnOnce(mdm_store::StoreError) -> String,
+    ) -> Result<T, MdmError> {
+        match result {
+            Ok(value) => {
+                self.healthy = true;
+                self.last_error = None;
+                Ok(value)
+            }
+            Err(e) => {
+                let message = describe(e);
+                self.healthy = false;
+                self.last_error = Some(message.clone());
+                Err(MdmError::Repository(message))
+            }
+        }
+    }
+}
+
 /// A thread-safe durable journal for one metadata store directory.
 pub struct MetaStore {
     inner: Mutex<Inner>,
@@ -63,25 +94,21 @@ impl MetaStore {
     /// Opens the store in `dir` if one exists, otherwise creates one seeded
     /// with `initial`'s state. Returns the store, the system to serve (the
     /// recovered state when one existed, else `initial`), and a report. The
-    /// journal sink is **already attached** to the returned [`Mdm`].
+    /// recovered state is built by [`Mdm::recovered`] from `initial`, so it
+    /// keeps `initial`'s execution settings. The journal sink is **already
+    /// attached** to the returned [`Mdm`].
     pub fn attach(
         dir: &Path,
         policy: FsyncPolicy,
         initial: Mdm,
-    ) -> Result<(std::sync::Arc<MetaStore>, Mdm, RecoveryReport), MdmError> {
-        match Store::open(dir, policy).map_err(store_err)? {
+    ) -> Result<(Arc<MetaStore>, Mdm, RecoveryReport), MdmError> {
+        let (store, mut mdm, report) = match Store::open(dir, policy).map_err(store_err)? {
             Some((store, recovered)) => {
-                let mut mdm = Mdm::restore_metadata(&recovered.snapshot)?;
-                mdm.ensure_epoch_at_least(recovered.base_epoch);
-                for record in &recovered.records {
-                    let op = MutationOp::decode(&record.payload)?;
-                    op.apply(&mut mdm).map_err(|e| {
-                        MdmError::Repository(format!("journal replay of {} failed: {e}", op.kind()))
-                    })?;
-                    // The record carries the post-mutation epoch of the
-                    // crashed process; replay must not lag behind it.
-                    mdm.ensure_epoch_at_least(record.epoch);
-                }
+                let mdm = initial.recovered(
+                    &recovered.snapshot,
+                    recovered.base_epoch,
+                    &recovered.records,
+                )?;
                 let report = RecoveryReport {
                     generation: recovered.generation,
                     base_epoch: recovered.base_epoch,
@@ -91,16 +118,7 @@ impl MetaStore {
                     term: recovered.term,
                     term_start_epoch: recovered.term_start_epoch,
                 };
-                let meta = std::sync::Arc::new(MetaStore {
-                    inner: Mutex::new(Inner {
-                        store,
-                        healthy: true,
-                        last_error: None,
-                    }),
-                    changed: Condvar::new(),
-                });
-                mdm.set_journal(Some(meta.clone()));
-                Ok((meta, mdm, report))
+                (store, mdm, report)
             }
             None => {
                 let store =
@@ -115,19 +133,24 @@ impl MetaStore {
                     term: store.term(),
                     term_start_epoch: store.term_start_epoch(),
                 };
-                let meta = std::sync::Arc::new(MetaStore {
-                    inner: Mutex::new(Inner {
-                        store,
-                        healthy: true,
-                        last_error: None,
-                    }),
-                    changed: Condvar::new(),
-                });
-                let mut mdm = initial;
-                mdm.set_journal(Some(meta.clone()));
-                Ok((meta, mdm, report))
+                (store, initial, report)
             }
-        }
+        };
+        let meta = MetaStore::over(store);
+        mdm.set_journal(Some(meta.clone()));
+        Ok((meta, mdm, report))
+    }
+
+    /// A healthy journal over an opened store.
+    fn over(store: Store) -> Arc<MetaStore> {
+        Arc::new(MetaStore {
+            inner: Mutex::new(Inner {
+                store,
+                healthy: true,
+                last_error: None,
+            }),
+            changed: Condvar::new(),
+        })
     }
 
     /// Folds the journal into a fresh snapshot of `mdm`'s current state and
@@ -136,38 +159,19 @@ impl MetaStore {
         let snapshot = mdm.snapshot_stamped();
         let epoch = mdm.epoch();
         let mut inner = self.lock();
-        match inner.store.compact(&snapshot, epoch) {
-            Ok(generation) => {
-                inner.healthy = true;
-                inner.last_error = None;
-                // Generation changed: wake long-polling replicas so they
-                // re-bootstrap promptly instead of waiting out the poll.
-                self.changed.notify_all();
-                Ok(generation)
-            }
-            Err(e) => {
-                inner.healthy = false;
-                inner.last_error = Some(e.to_string());
-                Err(store_err(e))
-            }
-        }
+        let compacted = inner.store.compact(&snapshot, epoch);
+        let generation = inner.settle(compacted, |e| e.to_string())?;
+        // Generation changed: wake long-polling replicas so they
+        // re-bootstrap promptly instead of waiting out the poll.
+        self.changed.notify_all();
+        Ok(generation)
     }
 
     /// Forces buffered WAL records to stable storage (drain/shutdown path).
     pub fn sync(&self) -> Result<(), MdmError> {
         let mut inner = self.lock();
-        match inner.store.sync() {
-            Ok(()) => {
-                inner.healthy = true;
-                inner.last_error = None;
-                Ok(())
-            }
-            Err(e) => {
-                inner.healthy = false;
-                inner.last_error = Some(e.to_string());
-                Err(store_err(e))
-            }
-        }
+        let synced = inner.store.sync();
+        inner.settle(synced, |e| e.to_string())
     }
 
     /// Durability counters for `/metrics`.
@@ -190,7 +194,7 @@ impl MetaStore {
         policy: FsyncPolicy,
         mdm: &Mdm,
         new_term: u64,
-    ) -> Result<std::sync::Arc<MetaStore>, MdmError> {
+    ) -> Result<Arc<MetaStore>, MdmError> {
         let snapshot = mdm.snapshot_stamped();
         let epoch = mdm.epoch();
         let store = match Store::open(dir, policy).map_err(store_err)? {
@@ -206,14 +210,7 @@ impl MetaStore {
                 Store::create_at_term(dir, policy, &snapshot, epoch, new_term).map_err(store_err)?
             }
         };
-        Ok(std::sync::Arc::new(MetaStore {
-            inner: Mutex::new(Inner {
-                store,
-                healthy: true,
-                last_error: None,
-            }),
-            changed: Condvar::new(),
-        }))
+        Ok(MetaStore::over(store))
     }
 
     /// The live generation number.
@@ -292,24 +289,62 @@ impl MetaStore {
 impl JournalSink for MetaStore {
     fn record(&self, op: &MutationOp, epoch: u64) -> Result<(), String> {
         let mut inner = self.lock();
-        match inner.store.append(epoch, &op.encode()) {
-            Ok(()) => {
-                inner.healthy = true;
-                inner.last_error = None;
-                self.changed.notify_all();
-                Ok(())
-            }
-            Err(e) => {
-                let message = format!("journal append of {} failed: {e}", op.kind());
-                inner.healthy = false;
-                inner.last_error = Some(message.clone());
-                Err(message)
-            }
-        }
+        let appended = inner.store.append(epoch, &op.encode());
+        inner
+            .settle(appended, |e| {
+                format!("journal append of {} failed: {e}", op.kind())
+            })
+            .map_err(|e| e.message().to_string())?;
+        self.changed.notify_all();
+        Ok(())
     }
 
     fn flush(&self) -> Result<(), String> {
         self.sync().map_err(|e| e.to_string())
+    }
+}
+
+impl Mdm {
+    /// Replays one journal record: decodes its op, carries it out with
+    /// [`Mdm::apply`] and raises the epoch to the record's stamp (the
+    /// post-mutation epoch of the process that wrote it). Returns the op,
+    /// so a replica can see which wrappers the metadata now declares. The
+    /// error says whether the record failed to decode or to apply, and
+    /// names the op kind; callers add where the record sits.
+    pub fn replay(&mut self, record: &WalRecord) -> Result<MutationOp, MdmError> {
+        let op = MutationOp::decode(&record.payload)
+            .map_err(|e| MdmError::Repository(format!("failed to decode: {e}")))?;
+        self.apply(&op)
+            .map_err(|e| MdmError::Repository(format!("({}) failed to apply: {e}", op.kind())))?;
+        self.ensure_epoch_at_least(record.epoch);
+        Ok(op)
+    }
+
+    /// The system a snapshot plus the journal records written after it
+    /// describe: `snapshot` restored with this instance's execution
+    /// settings ([`Mdm::restored_from`]), its epoch raised to `base_epoch`,
+    /// then every record replayed in order. This is crash recovery
+    /// ([`MetaStore::attach`]), a replica's bootstrap (no records) and a
+    /// replica's recovery of a journal from a previous life. No journal
+    /// sink is attached, so the replay journals nothing.
+    pub fn recovered(
+        &self,
+        snapshot: &str,
+        base_epoch: u64,
+        records: &[WalRecord],
+    ) -> Result<Mdm, MdmError> {
+        let mut mdm = self.restored_from(snapshot)?;
+        mdm.ensure_epoch_at_least(base_epoch);
+        for record in records {
+            mdm.replay(record).map_err(|e| {
+                MdmError::Repository(format!(
+                    "WAL record at epoch {} {}",
+                    record.epoch,
+                    e.message()
+                ))
+            })?;
+        }
+        Ok(mdm)
     }
 }
 
@@ -321,6 +356,7 @@ fn store_err(e: mdm_store::StoreError) -> MdmError {
 mod tests {
     use super::*;
     use mdm_rdf::term::Iri;
+    use mdm_relational::{OptimizeMode, StatsCatalog};
     use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -387,6 +423,33 @@ mod tests {
         drop((meta2, recovered));
         let (_, again, _) = MetaStore::attach(&dir, FsyncPolicy::Never, Mdm::new()).unwrap();
         assert_eq!(again.snapshot(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_keeps_the_execution_settings_it_is_handed() {
+        let dir = temp_dir("settings");
+        let (meta, mut mdm, _) = MetaStore::attach(&dir, FsyncPolicy::Never, Mdm::new()).unwrap();
+        mdm.define_concept(&ex("Player")).unwrap();
+        drop((meta, mdm));
+
+        // A restart over the journal, configured unlike the defaults.
+        let stats = Arc::new(StatsCatalog::new());
+        let mut initial = Mdm::new();
+        initial.set_optimize(OptimizeMode::Off);
+        initial.set_threads(1);
+        initial.set_batch_size(7);
+        initial.set_stats_catalog(Arc::clone(&stats));
+        let (_meta, recovered, report) =
+            MetaStore::attach(&dir, FsyncPolicy::Never, initial).unwrap();
+        assert!(report.recovered);
+        assert_eq!(recovered.epoch(), 1);
+        assert_eq!(recovered.optimize_mode(), OptimizeMode::Off);
+        assert_eq!(recovered.threads(), 1);
+        assert_eq!(recovered.batch_size(), 7);
+        // The catalog handed in is the one recovery serves from.
+        let refreshed = recovered.refresh_stats();
+        assert_eq!(stats.epoch(), refreshed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,13 +1,16 @@
 //! Journalled steward mutations: the replayable unit of the durable store.
 //!
-//! Every successful metadata mutation on [`crate::Mdm`] is describable as
-//! one [`MutationOp`] — a small, self-contained value that encodes to a
-//! compact binary payload for the write-ahead log (`mdm-store` treats it as
-//! opaque bytes) and **replays** against a fresh `Mdm` during recovery.
-//! Replaying the ops recorded since the last compaction on top of the
-//! generation's snapshot reproduces the pre-crash metadata state exactly —
-//! the crash-recovery property tests assert byte-identical canonical
-//! snapshots.
+//! Every steward mutation is one [`MutationOp`] — a small, self-contained
+//! value that encodes to a compact binary payload for the write-ahead log
+//! (`mdm-store` treats it as opaque bytes). The op is the request, not a
+//! record made after the fact: the typed mutators build one, the steward
+//! routes decode their bodies into one, and recovery and replicas decode
+//! one from the WAL, and all of them hand it to [`crate::Mdm::apply`], the
+//! only function that carries an op out. Replaying the ops recorded since
+//! the last compaction on top of the generation's snapshot therefore runs
+//! the code the original mutations ran and reproduces the pre-crash
+//! metadata state exactly — the crash-recovery property tests assert
+//! byte-identical canonical snapshots.
 //!
 //! Wrapper *payloads* are data, not metadata: `RegisterWrapper` journals
 //! only the signature-level registration (source, name, version,
@@ -24,9 +27,6 @@
 use crate::error::MdmError;
 use crate::footprint::Footprint;
 use crate::mapping::MappingBuilder;
-use crate::mdm::Mdm;
-use crate::rewrite::RewriteOptions;
-use mdm_rdf::term::Iri;
 
 /// The sink half of the storage hook: [`crate::Mdm`] hands every mutation
 /// here right after applying it in memory. Implementations (the durable
@@ -102,8 +102,8 @@ const TAG_PREFIX: u8 = 8;
 const TAG_OPTIONS: u8 = 9;
 
 impl MutationOp {
-    /// Captures a mapping mutation from the builder about to be applied.
-    pub(crate) fn from_mapping(builder: &MappingBuilder) -> MutationOp {
+    /// The mapping mutation a [`MappingBuilder`] describes.
+    pub fn from_mapping(builder: &MappingBuilder) -> MutationOp {
         MutationOp::DefineMapping {
             wrapper: builder.wrapper.local_name().to_string(),
             concepts: builder.concepts.iter().map(|c| c.to_string()).collect(),
@@ -164,10 +164,7 @@ impl MutationOp {
                 put_str(&mut out, source);
                 put_str(&mut out, wrapper);
                 out.extend_from_slice(&version.to_le_bytes());
-                put_count(&mut out, attributes.len());
-                for attribute in attributes {
-                    put_str(&mut out, attribute);
-                }
+                put_strs(&mut out, attributes);
             }
             MutationOp::DefineMapping {
                 wrapper,
@@ -178,14 +175,8 @@ impl MutationOp {
             } => {
                 out.push(TAG_MAPPING);
                 put_str(&mut out, wrapper);
-                put_count(&mut out, concepts.len());
-                for concept in concepts {
-                    put_str(&mut out, concept);
-                }
-                put_count(&mut out, features.len());
-                for feature in features {
-                    put_str(&mut out, feature);
-                }
+                put_strs(&mut out, concepts);
+                put_strs(&mut out, features);
                 put_count(&mut out, relations.len());
                 for (from, property, to) in relations {
                     put_str(&mut out, from);
@@ -288,78 +279,6 @@ impl MutationOp {
             )));
         }
         Ok(op)
-    }
-
-    /// Replays this mutation against a system. Used during recovery, where
-    /// the sink is not yet attached — the replay must not re-journal.
-    pub fn apply(&self, mdm: &mut Mdm) -> Result<(), MdmError> {
-        match self {
-            MutationOp::DefineConcept { concept } => mdm.define_concept(&iri(concept)),
-            MutationOp::DefineFeature {
-                concept,
-                feature,
-                identifier,
-            } => {
-                let concept = iri(concept);
-                let feature = iri(feature);
-                if *identifier {
-                    mdm.define_identifier(&concept, &feature)
-                } else {
-                    mdm.define_feature(&concept, &feature)
-                }
-            }
-            MutationOp::DefineRelation { from, property, to } => {
-                mdm.define_relation(&iri(from), &iri(property), &iri(to))
-            }
-            MutationOp::DefineSubconcept { sub, sup } => {
-                mdm.define_subconcept(&iri(sub), &iri(sup))
-            }
-            MutationOp::AddSource { name } => mdm.add_source(name).map(|_| ()),
-            MutationOp::RegisterWrapper {
-                source,
-                wrapper,
-                version,
-                attributes,
-            } => mdm
-                .register_wrapper_metadata(source, wrapper, *version, attributes)
-                .map(|_| ()),
-            MutationOp::DefineMapping {
-                wrapper,
-                concepts,
-                features,
-                relations,
-                same_as,
-            } => {
-                let mut builder = MappingBuilder::for_wrapper(wrapper);
-                for concept in concepts {
-                    builder = builder.cover_concept(&iri(concept));
-                }
-                for feature in features {
-                    builder = builder.cover_feature(&iri(feature));
-                }
-                for (from, property, to) in relations {
-                    builder = builder.cover_relation(&iri(from), &iri(property), &iri(to));
-                }
-                for (attribute, feature) in same_as {
-                    builder = builder.same_as(attribute, &iri(feature));
-                }
-                mdm.define_mapping(builder).map(|_| ())
-            }
-            MutationOp::BindPrefix { prefix, namespace } => {
-                mdm.bind_prefix_internal(prefix, namespace);
-                Ok(())
-            }
-            MutationOp::SetOptions {
-                distinct,
-                max_branches,
-            } => {
-                mdm.set_options(RewriteOptions {
-                    distinct: *distinct,
-                    max_branches: *max_branches as usize,
-                });
-                Ok(())
-            }
-        }
     }
 
     /// The dependency footprint this mutation *writes*: which concepts and
@@ -500,13 +419,16 @@ impl MutationOp {
     }
 }
 
-fn iri(text: &str) -> Iri {
-    Iri::new(text)
-}
-
 fn put_str(out: &mut Vec<u8>, text: &str) {
     out.extend_from_slice(&(text.len() as u32).to_le_bytes());
     out.extend_from_slice(text.as_bytes());
+}
+
+fn put_strs(out: &mut Vec<u8>, texts: &[String]) {
+    put_count(out, texts.len());
+    for text in texts {
+        put_str(out, text);
+    }
 }
 
 fn put_count(out: &mut Vec<u8>, count: usize) {
@@ -576,6 +498,8 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mdm::Mdm;
+    use mdm_rdf::term::Iri;
 
     fn sample_ops() -> Vec<MutationOp> {
         vec![
@@ -694,7 +618,7 @@ mod tests {
         let mut replayed = Mdm::new();
         for op in &ops {
             let round_tripped = MutationOp::decode(&op.encode()).unwrap();
-            round_tripped.apply(&mut replayed).unwrap();
+            replayed.apply(&round_tripped).unwrap();
         }
         assert_eq!(replayed.snapshot(), direct.snapshot());
         assert_eq!(replayed.epoch(), direct.epoch());

@@ -118,7 +118,7 @@ pub use durable::{MetaStore, RecoveryReport};
 pub use error::MdmError;
 pub use footprint::Footprint;
 pub use journal::{JournalSink, MutationOp};
-pub use mdm::Mdm;
+pub use mdm::{Applied, Mdm};
 pub use mdm_store::FsyncPolicy;
 pub use ontology::BdiOntology;
 pub use query::{Completeness, DegradedAnswer, DroppedBranch, QueryAnswer};

@@ -47,6 +47,30 @@ pub struct OnboardReport {
     pub identifier_gaps: Vec<String>,
 }
 
+/// What [`Mdm::apply`] reports for the op it carried out: what the steward
+/// routes acknowledge.
+#[derive(Clone, Debug)]
+pub enum Applied {
+    /// The element the op defined: the concept, the feature, the relation's
+    /// property, the subconcept, the data source, or the mapping's named
+    /// graph.
+    Defined(Iri),
+    /// A wrapper registration: which attributes it reused and minted.
+    Registered(Registration),
+    /// A prefix binding or an options change.
+    Set,
+}
+
+impl Applied {
+    /// The IRI of an op that defines an element.
+    fn into_iri(self) -> Iri {
+        match self {
+            Applied::Defined(iri) => iri,
+            other => unreachable!("{other:?} defines no element"),
+        }
+    }
+}
+
 /// The Metadata Management System.
 ///
 /// Owns the BDI ontology (metadata level) and the wrapper catalog
@@ -249,13 +273,13 @@ impl Mdm {
     /// Commits one successfully applied mutation: bumps the metadata epoch,
     /// feeds the plan cache's invalidation log (which sweeps overlapping
     /// entries and slides disjoint ones forward), appends the changefeed
-    /// record, and hands the op to the journal. Every steward mutator
-    /// funnels through here, so the four surfaces cannot drift.
+    /// record, and hands the op to the journal. Only [`Mdm::apply`] calls
+    /// it, so the four surfaces cannot drift.
     ///
     /// A failing journal sink does not undo the in-memory change; the sink
     /// reports the durability loss through its own health surface
     /// (`/healthz` flips to `degraded`).
-    fn commit(&mut self, op: MutationOp) {
+    fn commit(&mut self, op: &MutationOp) {
         self.epoch += 1;
         let footprint = op.footprint();
         let extension = op.is_extension();
@@ -269,7 +293,7 @@ impl Mdm {
             extension,
         });
         if let Some(sink) = &self.journal {
-            let _ = sink.record(&op, self.epoch);
+            let _ = sink.record(op, self.epoch);
         }
     }
 
@@ -299,6 +323,100 @@ impl Mdm {
         &self.catalog
     }
 
+    /// Carries out one steward mutation — the one function every typed
+    /// mutator, steward route, WAL recovery and replica replay runs. It
+    /// makes the ontology (or options) change `op` describes, then commits
+    /// `op` itself: the epoch bump, the plan cache's footprint test, the
+    /// changefeed record and the journal append all see the op that was
+    /// applied. A rejected op changes nothing and commits nothing.
+    pub fn apply(&mut self, op: &MutationOp) -> Result<Applied, MdmError> {
+        let iri = |text: &str| Iri::new(text);
+        let applied = match op {
+            MutationOp::DefineConcept { concept } => {
+                let concept = iri(concept);
+                self.ontology.add_concept(&concept)?;
+                Applied::Defined(concept)
+            }
+            MutationOp::DefineFeature {
+                concept,
+                feature,
+                identifier,
+            } => {
+                let (concept, feature) = (iri(concept), iri(feature));
+                if *identifier {
+                    self.ontology.add_identifier(&concept, &feature)?;
+                } else {
+                    self.ontology.add_feature(&concept, &feature)?;
+                }
+                Applied::Defined(feature)
+            }
+            MutationOp::DefineRelation { from, property, to } => {
+                let property = iri(property);
+                self.ontology
+                    .add_relation(&iri(from), &property, &iri(to))?;
+                Applied::Defined(property)
+            }
+            MutationOp::DefineSubconcept { sub, sup } => {
+                let sub = iri(sub);
+                self.ontology.add_subconcept(&sub, &iri(sup))?;
+                Applied::Defined(sub)
+            }
+            MutationOp::AddSource { name } => {
+                Applied::Defined(register_source(&mut self.ontology, name)?)
+            }
+            MutationOp::RegisterWrapper {
+                source,
+                wrapper,
+                version,
+                attributes,
+            } => Applied::Registered(register_wrapper(
+                &mut self.ontology,
+                source,
+                wrapper,
+                *version,
+                attributes,
+            )?),
+            MutationOp::DefineMapping {
+                wrapper,
+                concepts,
+                features,
+                relations,
+                same_as,
+            } => {
+                let mut builder = MappingBuilder::for_wrapper(wrapper);
+                for concept in concepts {
+                    builder = builder.cover_concept(&iri(concept));
+                }
+                for feature in features {
+                    builder = builder.cover_feature(&iri(feature));
+                }
+                for (from, property, to) in relations {
+                    builder = builder.cover_relation(&iri(from), &iri(property), &iri(to));
+                }
+                for (attribute, feature) in same_as {
+                    builder = builder.same_as(attribute, &iri(feature));
+                }
+                Applied::Defined(builder.apply(&mut self.ontology)?)
+            }
+            MutationOp::BindPrefix { prefix, namespace } => {
+                self.ontology.bind_prefix(prefix, namespace);
+                Applied::Set
+            }
+            MutationOp::SetOptions {
+                distinct,
+                max_branches,
+            } => {
+                self.options = RewriteOptions {
+                    distinct: *distinct,
+                    max_branches: *max_branches as usize,
+                };
+                Applied::Set
+            }
+        };
+        self.commit(op);
+        Ok(applied)
+    }
+
     /// Sets the rewriting options (distinct on/off). Options shape the
     /// generated plans, so this bumps the epoch like a metadata change.
     pub fn set_options(&mut self, options: RewriteOptions) {
@@ -306,18 +424,7 @@ impl Mdm {
             distinct: options.distinct,
             max_branches: options.max_branches as u64,
         };
-        self.options = options;
-        self.commit(op);
-    }
-
-    /// Binds a rendering prefix on the underlying ontology. Prefixes flow
-    /// into compacted column names, hence into plans: epoch bump.
-    pub(crate) fn bind_prefix_internal(&mut self, prefix: &str, namespace: &str) {
-        self.ontology.bind_prefix(prefix, namespace);
-        self.commit(MutationOp::BindPrefix {
-            prefix: prefix.to_string(),
-            namespace: namespace.to_string(),
-        });
+        self.apply(&op).expect("options always apply");
     }
 
     // ------------------------------------------------------------------
@@ -326,33 +433,32 @@ impl Mdm {
 
     /// Declares a concept.
     pub fn define_concept(&mut self, concept: &Iri) -> Result<(), MdmError> {
-        self.ontology.add_concept(concept)?;
-        self.commit(MutationOp::DefineConcept {
-            concept: concept.to_string(),
-        });
-        Ok(())
+        let concept = concept.to_string();
+        self.apply(&MutationOp::DefineConcept { concept }).map(drop)
     }
 
     /// Declares a feature of a concept.
     pub fn define_feature(&mut self, concept: &Iri, feature: &Iri) -> Result<(), MdmError> {
-        self.ontology.add_feature(concept, feature)?;
-        self.commit(MutationOp::DefineFeature {
-            concept: concept.to_string(),
-            feature: feature.to_string(),
-            identifier: false,
-        });
-        Ok(())
+        self.define_feature_op(concept, feature, false)
     }
 
     /// Declares the identifier feature of a concept.
     pub fn define_identifier(&mut self, concept: &Iri, feature: &Iri) -> Result<(), MdmError> {
-        self.ontology.add_identifier(concept, feature)?;
-        self.commit(MutationOp::DefineFeature {
+        self.define_feature_op(concept, feature, true)
+    }
+
+    fn define_feature_op(
+        &mut self,
+        concept: &Iri,
+        feature: &Iri,
+        identifier: bool,
+    ) -> Result<(), MdmError> {
+        let op = MutationOp::DefineFeature {
             concept: concept.to_string(),
             feature: feature.to_string(),
-            identifier: true,
-        });
-        Ok(())
+            identifier,
+        };
+        self.apply(&op).map(drop)
     }
 
     /// Relates two concepts.
@@ -362,23 +468,19 @@ impl Mdm {
         property: &Iri,
         to: &Iri,
     ) -> Result<(), MdmError> {
-        self.ontology.add_relation(from, property, to)?;
-        self.commit(MutationOp::DefineRelation {
+        let op = MutationOp::DefineRelation {
             from: from.to_string(),
             property: property.to_string(),
             to: to.to_string(),
-        });
-        Ok(())
+        };
+        self.apply(&op).map(drop)
     }
 
     /// Declares a concept taxonomy edge.
     pub fn define_subconcept(&mut self, sub: &Iri, sup: &Iri) -> Result<(), MdmError> {
-        self.ontology.add_subconcept(sub, sup)?;
-        self.commit(MutationOp::DefineSubconcept {
-            sub: sub.to_string(),
-            sup: sup.to_string(),
-        });
-        Ok(())
+        let (sub, sup) = (sub.to_string(), sup.to_string());
+        self.apply(&MutationOp::DefineSubconcept { sub, sup })
+            .map(drop)
     }
 
     // ------------------------------------------------------------------
@@ -387,11 +489,8 @@ impl Mdm {
 
     /// Registers a data source.
     pub fn add_source(&mut self, name: &str) -> Result<Iri, MdmError> {
-        let iri = register_source(&mut self.ontology, name)?;
-        self.commit(MutationOp::AddSource {
-            name: name.to_string(),
-        });
-        Ok(iri)
+        let name = name.to_string();
+        Ok(self.apply(&MutationOp::AddSource { name })?.into_iri())
     }
 
     /// Registers a wrapper release: extracts its schema into the source
@@ -399,15 +498,19 @@ impl Mdm {
     /// *and* installs the runnable wrapper in the execution catalog.
     ///
     /// The wrapper's signature and the metadata registration are taken from
-    /// the same object, so they cannot drift.
+    /// the same object, so they cannot drift. The journal records the
+    /// registration only: payloads are data, not metadata, so recovery and
+    /// replicas repopulate the catalog separately.
     pub fn register_wrapper(&mut self, wrapper: Wrapper) -> Result<Registration, MdmError> {
-        let attributes: Vec<String> = wrapper.signature().attributes().to_vec();
-        let registration = self.register_wrapper_metadata(
-            wrapper.source(),
-            wrapper.name(),
-            wrapper.version(),
-            &attributes,
-        )?;
+        let op = MutationOp::RegisterWrapper {
+            source: wrapper.source().to_string(),
+            wrapper: wrapper.name().to_string(),
+            version: wrapper.version(),
+            attributes: wrapper.signature().attributes().to_vec(),
+        };
+        let Applied::Registered(registration) = self.apply(&op)? else {
+            unreachable!("a wrapper registration reports its attributes")
+        };
         self.catalog.register(wrapper);
         Ok(registration)
     }
@@ -433,29 +536,6 @@ impl Mdm {
         }
         self.catalog.register(wrapper);
         Ok(())
-    }
-
-    /// Registers a wrapper's *metadata* (source-graph schema) without a
-    /// runnable payload. This is what the journal replays on recovery —
-    /// wrapper payloads are data, not metadata, so like
-    /// [`Mdm::restore_metadata`] the execution catalog must be repopulated
-    /// separately.
-    pub fn register_wrapper_metadata(
-        &mut self,
-        source: &str,
-        wrapper: &str,
-        version: u32,
-        attributes: &[String],
-    ) -> Result<Registration, MdmError> {
-        let registration =
-            register_wrapper(&mut self.ontology, source, wrapper, version, attributes)?;
-        self.commit(MutationOp::RegisterWrapper {
-            source: source.to_string(),
-            wrapper: wrapper.to_string(),
-            version,
-            attributes: attributes.to_vec(),
-        });
-        Ok(registration)
     }
 
     /// One-call onboarding of a source release: instantiates the wrappers a
@@ -509,12 +589,10 @@ impl Mdm {
     // (c) Definition of LAV mappings
     // ------------------------------------------------------------------
 
-    /// Applies a LAV mapping built with [`MappingBuilder`].
+    /// Applies a LAV mapping built with [`MappingBuilder`]; returns its
+    /// named graph.
     pub fn define_mapping(&mut self, builder: MappingBuilder) -> Result<Iri, MdmError> {
-        let op = MutationOp::from_mapping(&builder);
-        let graph = builder.apply(&mut self.ontology)?;
-        self.commit(op);
-        Ok(graph)
+        Ok(self.apply(&MutationOp::from_mapping(&builder))?.into_iri())
     }
 
     // ------------------------------------------------------------------

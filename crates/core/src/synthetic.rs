@@ -13,6 +13,7 @@ use mdm_wrappers::workload::SyntheticEcosystem;
 use mdm_wrappers::Wrapper;
 
 use crate::error::MdmError;
+use crate::journal::MutationOp;
 use crate::mapping::MappingBuilder;
 use crate::mdm::Mdm;
 use crate::walk::Walk;
@@ -44,7 +45,10 @@ pub fn relation_iri(c: usize) -> Iri {
 /// Builds an [`Mdm`] with the ecosystem's ontology, wrappers and mappings.
 pub fn mdm_from_synthetic(eco: &SyntheticEcosystem) -> Result<Mdm, MdmError> {
     let mut mdm = Mdm::new();
-    mdm.ontology_bind_prefix();
+    mdm.apply(&MutationOp::BindPrefix {
+        prefix: "syn".to_string(),
+        namespace: SYN_NS.to_string(),
+    })?;
     let concepts = eco.config.concepts;
 
     // Global graph.
@@ -125,13 +129,6 @@ pub fn chain_walk(eco: &SyntheticEcosystem, k: usize) -> Walk {
         walk = walk.relation(&concept_iri(c), &relation_iri(c), &concept_iri(c + 1));
     }
     walk
-}
-
-impl Mdm {
-    /// Binds the synthetic prefix for rendering.
-    fn ontology_bind_prefix(&mut self) {
-        self.bind_prefix_internal("syn", SYN_NS);
-    }
 }
 
 #[cfg(test)]

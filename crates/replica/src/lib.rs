@@ -8,12 +8,14 @@
 //!    primary's snapshot generation; the replica restores it into a fresh
 //!    `Mdm` and swaps it behind the server's lock.
 //! 2. **Replay** — subsequent responses carry CRC-framed WAL records; each
-//!    decodes to a [`MutationOp`] and replays through the same apply path
-//!    crash recovery uses, so the replica's metadata (and epoch) is
+//!    replays through [`Mdm::replay`] — decoded to a [`MutationOp`] and
+//!    carried out by `Mdm::apply`, the function every steward route and
+//!    crash recovery run — so the replica's metadata (and epoch) is
 //!    byte-identical to a primary restored at the same offset.
 //! 3. **Hydrate** — the journal ships metadata only; wrapper payloads are
-//!    fetched separately (`/replication/wrapper?name=`) and installed into
-//!    the execution catalog without touching the epoch.
+//!    fetched separately (`/replication/wrapper?name=`), decoded by the
+//!    codec `POST /steward/wrappers` uses, and installed into the
+//!    execution catalog without touching the epoch.
 //! 4. **Follow** — caught up, the replica long-polls; a steward mutation
 //!    on the primary lands here within one poll cycle.
 //!
@@ -53,10 +55,10 @@ use mdm_core::{Mdm, MutationOp};
 use mdm_dataform::{json, Value};
 use mdm_server::client::Connection;
 use mdm_server::replication::{ReplicaState, ReplicaStatus};
+use mdm_server::routes::decode_wrapper;
 use mdm_server::state::AppState;
 use mdm_server::{serve_replica_aware, ServerConfig, ServerHandle};
-use mdm_store::{purge, Recovered, ReplicationBatch, Store};
-use mdm_wrappers::{Format, Release, Signature, Wrapper};
+use mdm_store::{purge, ReplicationBatch, Store};
 
 /// How a replica node connects to its primary and serves locally.
 #[derive(Clone, Debug)]
@@ -193,7 +195,13 @@ impl ReplicaNode {
         if let Some(dir) = &config.data_dir {
             match Store::open(dir, server_config.fsync) {
                 Ok(Some((_store, recovered))) => {
-                    let local = recover_mdm(&recovered).map_err(io::Error::other)?;
+                    let local = mdm
+                        .recovered(
+                            &recovered.snapshot,
+                            recovered.base_epoch,
+                            &recovered.records,
+                        )
+                        .map_err(io::Error::other)?;
                     recovered_tail = recovered.records.iter().map(|r| r.epoch).collect();
                     status.observe_term(recovered.term);
                     status.replay_epoch.store(local.epoch(), Ordering::SeqCst);
@@ -548,13 +556,12 @@ fn apply_batch(
         .primary_epoch
         .store(batch.primary_epoch, Ordering::SeqCst);
     if let Some(snapshot) = &batch.snapshot {
-        let restored = ctx
-            .state
-            .mdm
-            .read()
-            .expect("state poisoned")
-            .restored_from(snapshot);
-        let mut restored = match restored {
+        let restored = ctx.state.mdm.read().expect("state poisoned").recovered(
+            snapshot,
+            batch.base_epoch,
+            &[],
+        );
+        let restored = match restored {
             Ok(mdm) => mdm,
             Err(e) => {
                 // The frame passed its CRC, so these bytes are what the
@@ -564,11 +571,7 @@ fn apply_batch(
                 return Err(SessionEnd::Poisoned);
             }
         };
-        restored.ensure_epoch_at_least(batch.base_epoch);
-        {
-            let mut mdm = ctx.state.mdm.write().expect("state poisoned");
-            *mdm = restored;
-        }
+        *ctx.state.mdm.write().expect("state poisoned") = restored;
         ctx.status
             .generation
             .store(batch.generation, Ordering::SeqCst);
@@ -589,32 +592,24 @@ fn apply_batch(
     }
     for (index, record) in batch.records.iter().enumerate() {
         let offset = batch.start + index as u64;
-        let op = match MutationOp::decode(&record.payload) {
-            Ok(op) => op,
+        let replayed = ctx
+            .state
+            .mdm
+            .write()
+            .expect("state poisoned")
+            .replay(record);
+        match replayed {
+            Ok(MutationOp::RegisterWrapper { wrapper, .. }) => {
+                pending_wrappers.insert(wrapper);
+            }
+            Ok(_) => {}
             Err(e) => {
                 ctx.status.poison(
                     offset,
-                    format!("WAL record at offset {offset} failed to decode: {e}"),
+                    format!("WAL record at offset {offset} {}", e.message()),
                 );
                 return Err(SessionEnd::Poisoned);
             }
-        };
-        {
-            let mut mdm = ctx.state.mdm.write().expect("state poisoned");
-            if let Err(e) = op.apply(&mut mdm) {
-                ctx.status.poison(
-                    offset,
-                    format!(
-                        "WAL record at offset {offset} ({}) failed to apply: {e}",
-                        op.kind()
-                    ),
-                );
-                return Err(SessionEnd::Poisoned);
-            }
-            mdm.ensure_epoch_at_least(record.epoch);
-        }
-        if let MutationOp::RegisterWrapper { wrapper, .. } = &op {
-            pending_wrappers.insert(wrapper.clone());
         }
         ctx.status.records_applied.fetch_add(1, Ordering::SeqCst);
         cursor.from = offset + 1;
@@ -637,24 +632,6 @@ fn apply_batch(
     }
     ctx.status.set_state(ReplicaState::Replicating);
     Ok(())
-}
-
-/// Rebuilds the metadata a previous life journalled: snapshot restore
-/// plus WAL replay through the same apply path crash recovery uses. No
-/// journal sink is attached — the replayed tail may yet prove divergent
-/// and be discarded at the rejoin handshake.
-fn recover_mdm(recovered: &Recovered) -> Result<Mdm, String> {
-    let mut mdm = Mdm::restore_metadata(&recovered.snapshot)
-        .map_err(|e| format!("snapshot restore failed: {e}"))?;
-    mdm.ensure_epoch_at_least(recovered.base_epoch);
-    for record in &recovered.records {
-        let op = MutationOp::decode(&record.payload)
-            .map_err(|e| format!("WAL record at epoch {} failed to decode: {e}", record.epoch))?;
-        op.apply(&mut mdm)
-            .map_err(|e| format!("WAL record at epoch {} failed to apply: {e}", record.epoch))?;
-        mdm.ensure_epoch_at_least(record.epoch);
-    }
-    Ok(mdm)
 }
 
 // ---------------------------------------------------------------------
@@ -705,7 +682,7 @@ fn hydrate_pending(
         let body = raw
             .into_ok()
             .map_err(|e| format!("wrapper fetch for '{name}' failed: {e}"))?;
-        match parse_wrapper(&body) {
+        match decode_wrapper(&body) {
             Ok(wrapper) => {
                 let mut mdm = ctx.state.mdm.write().expect("state poisoned");
                 if let Err(e) = mdm.hydrate_wrapper(wrapper) {
@@ -714,9 +691,11 @@ fn hydrate_pending(
                 }
                 pending.remove(&name);
             }
-            Err(e) => {
-                ctx.status
-                    .set_error(Some(format!("wrapper '{name}' payload malformed: {e}")));
+            Err(rejected) => {
+                ctx.status.set_error(Some(format!(
+                    "wrapper '{name}' payload malformed: {}",
+                    String::from_utf8_lossy(&rejected.body)
+                )));
                 pending.remove(&name);
             }
         }
@@ -724,100 +703,9 @@ fn hydrate_pending(
     Ok(())
 }
 
-/// Rebuilds an executable [`Wrapper`] from `/replication/wrapper` JSON.
-fn parse_wrapper(body: &[u8]) -> Result<Wrapper, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let value = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let field = |name: &str| -> Result<&str, String> {
-        value
-            .get(name)
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("missing string field '{name}'"))
-    };
-    let name = field("name")?;
-    let source = field("source")?;
-    let payload = field("payload")?;
-    let notes = value
-        .get("notes")
-        .and_then(Value::as_str)
-        .unwrap_or_default();
-    let version = value
-        .get("version")
-        .and_then(Value::as_number)
-        .and_then(|n| n.as_i64())
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| "missing unsigned field 'version'".to_string())?;
-    let format = match value
-        .get("format")
-        .and_then(Value::as_str)
-        .unwrap_or("json")
-    {
-        "json" => Format::Json,
-        "xml" => Format::Xml,
-        "csv" => Format::Csv,
-        other => return Err(format!("unknown format '{other}'")),
-    };
-    let attributes: Vec<String> = value
-        .get("attributes")
-        .and_then(Value::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
-    let bindings_object = value
-        .get("bindings")
-        .and_then(Value::as_object)
-        .ok_or_else(|| "missing object field 'bindings'".to_string())?;
-    let mut bindings = Vec::with_capacity(attributes.len());
-    for attribute in &attributes {
-        let column = bindings_object
-            .get(attribute)
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("bindings lacks a column for attribute '{attribute}'"))?;
-        bindings.push((attribute.clone(), column.to_string()));
-    }
-    let signature = Signature::new(name, attributes).map_err(|e| e.to_string())?;
-    let release = Release {
-        version,
-        format,
-        body: payload.to_string(),
-        notes: notes.to_string(),
-    };
-    Wrapper::over_release(signature, source, release, bindings).map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wrapper_round_trips_through_replication_json() {
-        let json_body = br#"{
-            "name": "w1",
-            "source": "PlayersAPI",
-            "version": 3,
-            "format": "json",
-            "payload": "[{\"id\": 1, \"pName\": \"a\"}]",
-            "notes": "",
-            "attributes": ["id", "pName"],
-            "bindings": {"id": "id", "pName": "pName"}
-        }"#;
-        let wrapper = parse_wrapper(json_body).unwrap();
-        assert_eq!(wrapper.name(), "w1");
-        assert_eq!(wrapper.source(), "PlayersAPI");
-        assert_eq!(wrapper.release().version, 3);
-        assert_eq!(wrapper.bindings().len(), 2);
-    }
-
-    #[test]
-    fn malformed_wrapper_json_is_an_error_not_a_panic() {
-        assert!(parse_wrapper(b"not json").is_err());
-        assert!(parse_wrapper(b"{}").is_err());
-        assert!(parse_wrapper(br#"{"name": "w", "source": "s", "version": 1, "payload": "[]", "attributes": ["a"], "bindings": {}}"#).is_err());
-    }
 
     #[test]
     fn unbootstrapped_replica_reports_degraded() {

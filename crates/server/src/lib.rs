@@ -206,8 +206,9 @@ pub fn serve(config: ServerConfig, mdm: Mdm) -> io::Result<ServerHandle> {
 ///
 /// When [`ServerConfig::data_dir`] is set, the durable store in that
 /// directory is opened (or created): an existing journal **replaces** the
-/// passed `mdm` with the recovered state, and every steward mutation from
-/// then on is appended to the WAL.
+/// passed `mdm`'s metadata with the recovered state (its execution
+/// settings carry over), and every steward mutation from then on is
+/// appended to the WAL.
 pub fn serve_on(
     listener: TcpListener,
     config: &ServerConfig,

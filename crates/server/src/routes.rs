@@ -1,6 +1,11 @@
 //! The route table: the steward and analyst APIs as JSON-over-HTTP.
 //!
-//! Steward routes (metadata mutations, write lock):
+//! Steward routes (metadata mutations, write lock). The first six bodies
+//! each decode to one [`MutationOp`] that [`Mdm::apply`] carries out — the
+//! function the typed mutators, WAL recovery and replica replay run too —
+//! and the ack names the element it defined. `/steward/wrappers` decodes
+//! through the wrapper-release codec ([`decode_wrapper`], shared with the
+//! replica's hydration) because the release carries a payload:
 //!
 //! | method | path                  | body |
 //! |--------|-----------------------|------|
@@ -57,7 +62,7 @@ use std::time::{Duration, Instant};
 use mdm_core::mapping::MappingBuilder;
 use mdm_core::walk::Walk;
 use mdm_core::walk_dsl;
-use mdm_core::{ChangeRecord, JournalSink, Mdm, MdmError, MetaStore};
+use mdm_core::{Applied, ChangeRecord, JournalSink, Mdm, MdmError, MetaStore, MutationOp};
 use mdm_dataform::{json, Number, Value};
 use mdm_rdf::term::Iri;
 use mdm_relational::columnar::{Cell, MergedRows};
@@ -153,13 +158,13 @@ fn route(state: &AppState, request: &Request) -> Response {
         ("GET", "/replication/stream") => replication_stream(state, request),
         ("GET", "/replication/wrappers") => replication_wrappers(state),
         ("GET", "/replication/wrapper") => replication_wrapper(state, request),
-        ("POST", "/steward/concepts") => steward_concepts(state, request),
-        ("POST", "/steward/features") => steward_features(state, request),
-        ("POST", "/steward/relations") => steward_relations(state, request),
-        ("POST", "/steward/subconcepts") => steward_subconcepts(state, request),
-        ("POST", "/steward/sources") => steward_sources(state, request),
+        ("POST", "/steward/concepts") => steward_op(state, request, "concept", decode_concept),
+        ("POST", "/steward/features") => steward_op(state, request, "feature", decode_feature),
+        ("POST", "/steward/relations") => steward_op(state, request, "property", decode_relation),
+        ("POST", "/steward/subconcepts") => steward_op(state, request, "sub", decode_subconcept),
+        ("POST", "/steward/sources") => steward_op(state, request, "source", decode_source),
         ("POST", "/steward/wrappers") => steward_wrappers(state, request),
-        ("POST", "/steward/mappings") => steward_mappings(state, request),
+        ("POST", "/steward/mappings") => steward_op(state, request, "graph", decode_mapping),
         ("GET", "/steward/snapshot") => steward_snapshot(state),
         ("POST", "/steward/restore") => steward_restore(state, request),
         ("POST", "/steward/stats/refresh") => steward_stats_refresh(state),
@@ -189,14 +194,16 @@ fn ok_json(value: Value) -> Response {
 }
 
 fn error_response(status: u16, category: &str, message: &str) -> Response {
-    let body = Value::object([(
-        "error",
-        Value::object([
-            ("category", Value::string(category)),
-            ("message", Value::string(message)),
-        ]),
-    )]);
+    let body = Value::object([("error", error_value(category, message))]);
     Response::json(status, json::to_string(&body))
+}
+
+/// The `{"category","message"}` object every error body carries.
+fn error_value(category: &str, message: &str) -> Value {
+    Value::object([
+        ("category", Value::string(category)),
+        ("message", Value::string(message)),
+    ])
 }
 
 /// A fencing 409: the standard error envelope plus the responder's
@@ -209,13 +216,7 @@ fn term_error(
     term_start_epoch: Option<u64>,
 ) -> Response {
     let mut fields = vec![
-        (
-            "error",
-            Value::object([
-                ("category", Value::string("fencing")),
-                ("message", Value::string(message)),
-            ]),
-        ),
+        ("error", error_value("fencing", message)),
         ("observed_term", Value::int(observed_term as i64)),
     ];
     if let Some(start) = term_start_epoch {
@@ -234,10 +235,9 @@ fn mdm_error_response(error: &MdmError) -> Response {
     error_response(status, error.category(), error.message())
 }
 
-fn parse_body(request: &Request) -> Result<Value, Response> {
-    let text = request
-        .body_text()
-        .map_err(|m| error_response(400, "protocol", &m))?;
+fn parse_body(body: &[u8]) -> Result<Value, Response> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| error_response(400, "protocol", "request body is not UTF-8"))?;
     json::parse(text)
         .map_err(|e| error_response(400, "protocol", &format!("invalid JSON body: {e}")))
 }
@@ -248,16 +248,53 @@ fn str_field<'v>(body: &'v Value, name: &str) -> Result<&'v str, Response> {
         .ok_or_else(|| error_response(400, "protocol", &format!("missing string field '{name}'")))
 }
 
-fn u32_field(body: &Value, name: &str) -> Result<u32, Response> {
+fn uint_field<T: TryFrom<i64>>(body: &Value, name: &str) -> Result<T, Response> {
     body.get(name)
         .and_then(Value::as_number)
         .and_then(|n| n.as_i64())
-        .and_then(|n| u32::try_from(n).ok())
+        .and_then(|n| T::try_from(n).ok())
         .ok_or_else(|| error_response(400, "protocol", &format!("missing unsigned field '{name}'")))
+}
+
+/// An optional field: `None` when absent, a 400 naming it when present
+/// with another type than `cast` reads (`kind` says which).
+fn optional_field<'v, T>(
+    body: &'v Value,
+    name: &str,
+    kind: &str,
+    cast: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<Option<T>, Response> {
+    body.get(name)
+        .map(|value| {
+            cast(value).ok_or_else(|| {
+                error_response(400, "protocol", &format!("field '{name}' must be {kind}"))
+            })
+        })
+        .transpose()
+}
+
+/// An optional array field's elements, each read by `cast` (`kind` names
+/// the element type); absent is empty.
+fn array_field<'v, T>(
+    body: &'v Value,
+    name: &'static str,
+    kind: &'static str,
+    cast: impl Fn(&'v Value) -> Option<T> + 'v,
+) -> Result<impl Iterator<Item = Result<T, Response>> + 'v, Response> {
+    let items = optional_field(body, name, "an array", Value::as_array)?.unwrap_or(&[]);
+    Ok(items.iter().map(move |item| {
+        cast(item)
+            .ok_or_else(|| error_response(400, "protocol", &format!("'{name}' must hold {kind}")))
+    }))
 }
 
 fn resolve(mdm: &Mdm, token: &str) -> Result<Iri, Response> {
     walk_dsl::resolve_name(token, mdm.ontology()).map_err(|e| mdm_error_response(&e))
+}
+
+/// A required name field (`ex:Player` or `<iri>`), resolved to its IRI text.
+fn name_field(mdm: &Mdm, body: &Value, name: &str) -> Result<String, Response> {
+    resolve(mdm, str_field(body, name)?).map(|iri| iri.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -642,26 +679,8 @@ fn change_value(record: &ChangeRecord) -> Value {
         (
             "footprint",
             Value::object([
-                (
-                    "concepts",
-                    Value::array(
-                        record
-                            .footprint
-                            .concepts
-                            .iter()
-                            .map(|c| Value::string(c.as_str())),
-                    ),
-                ),
-                (
-                    "wrappers",
-                    Value::array(
-                        record
-                            .footprint
-                            .wrappers
-                            .iter()
-                            .map(|w| Value::string(w.as_str())),
-                    ),
-                ),
+                ("concepts", strings(&record.footprint.concepts)),
+                ("wrappers", strings(&record.footprint.wrappers)),
                 ("global", Value::Bool(record.footprint.global)),
             ]),
         ),
@@ -671,7 +690,8 @@ fn change_value(record: &ChangeRecord) -> Value {
 /// `GET /changes?since=N&limit=L&wait_ms=W`: the evolution changefeed —
 /// every committed steward mutation after epoch `N`, oldest first, with
 /// its dependency footprint. Serves on every role (replica replay commits
-/// through the same mutators, so a replica's feed mirrors its primary's).
+/// through `Mdm::apply` like every write, so a replica's feed mirrors its
+/// primary's).
 ///
 /// A caught-up cursor long-polls: with `wait_ms > 0` the request parks
 /// (on the durable store's condvar when one exists, otherwise a short
@@ -836,18 +856,13 @@ fn admin_promote(state: &AppState) -> Response {
 /// the fence and stops accepting writes; a replica raises the term it
 /// presents upstream, so a stale primary is rejected at next contact.
 fn admin_fence(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
+    let body = match parse_body(&request.body) {
         Ok(v) => v,
         Err(r) => return r,
     };
-    let term = match body
-        .get("term")
-        .and_then(Value::as_number)
-        .and_then(|n| n.as_i64())
-        .and_then(|n| u64::try_from(n).ok())
-    {
-        Some(t) => t,
-        None => return error_response(400, "protocol", "missing unsigned field 'term'"),
+    let term: u64 = match uint_field(&body, "term") {
+        Ok(t) => t,
+        Err(r) => return r,
     };
     if let Some(replica) = state.replica() {
         replica.observe_term(term);
@@ -1038,37 +1053,7 @@ fn replication_wrapper(state: &AppState, request: &Request) -> Response {
     let Some(wrapper) = mdm.catalog().get(name) else {
         return error_response(404, "replication", &format!("no wrapper named '{name}'"));
     };
-    let release = wrapper.release();
-    let format = match release.format {
-        Format::Json => "json",
-        Format::Xml => "xml",
-        Format::Csv => "csv",
-    };
-    let bindings = Value::object(
-        wrapper
-            .bindings()
-            .iter()
-            .map(|(attribute, column)| (attribute.clone(), Value::string(column.as_str()))),
-    );
-    ok_json(Value::object([
-        ("name", Value::string(wrapper.name())),
-        ("source", Value::string(wrapper.source())),
-        ("version", Value::int(release.version as i64)),
-        ("format", Value::string(format)),
-        ("payload", Value::string(release.body.as_str())),
-        ("notes", Value::string(release.notes.as_str())),
-        (
-            "attributes",
-            Value::array(
-                wrapper
-                    .signature()
-                    .attributes()
-                    .iter()
-                    .map(|a| Value::string(a.as_str())),
-            ),
-        ),
-        ("bindings", bindings),
-    ]))
+    ok_json(encode_wrapper(wrapper))
 }
 
 // ---------------------------------------------------------------------
@@ -1085,193 +1070,97 @@ fn ack(mdm: &Mdm, extras: Vec<(&'static str, Value)>) -> Response {
     ok_json(Value::object(fields))
 }
 
-fn steward_concepts(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
+/// The steward routes that are one [`MutationOp`] each: the body decodes
+/// to the op, [`Mdm::apply`] carries it out under the write lock, and the
+/// ack names the element it defined under `key`.
+fn steward_op(
+    state: &AppState,
+    request: &Request,
+    key: &'static str,
+    decode: fn(&Mdm, &Value) -> Result<MutationOp, Response>,
+) -> Response {
+    let body = match parse_body(&request.body) {
         Ok(v) => v,
         Err(r) => return r,
     };
     let mut mdm = state.mdm.write().expect("state poisoned");
-    let concept = match str_field(&body, "concept").and_then(|t| resolve(&mdm, t)) {
-        Ok(iri) => iri,
-        Err(r) => return r,
-    };
-    match mdm.define_concept(&concept) {
-        Ok(()) => ack(&mdm, vec![("concept", Value::string(concept.to_string()))]),
-        Err(e) => mdm_error_response(&e),
+    let applied =
+        decode(&mdm, &body).and_then(|op| mdm.apply(&op).map_err(|e| mdm_error_response(&e)));
+    match applied {
+        Ok(Applied::Defined(iri)) => ack(&mdm, vec![(key, Value::string(iri.to_string()))]),
+        Ok(_) => ack(&mdm, Vec::new()),
+        Err(r) => r,
     }
 }
 
-fn steward_features(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let identifier = body
-        .get("identifier")
-        .and_then(Value::as_bool)
-        .unwrap_or(false);
-    let mut mdm = state.mdm.write().expect("state poisoned");
-    let parsed = str_field(&body, "concept")
-        .and_then(|t| resolve(&mdm, t))
-        .and_then(|c| {
-            str_field(&body, "feature")
-                .and_then(|t| resolve(&mdm, t))
-                .map(|f| (c, f))
-        });
-    let (concept, feature) = match parsed {
-        Ok(pair) => pair,
-        Err(r) => return r,
-    };
-    let result = if identifier {
-        mdm.define_identifier(&concept, &feature)
-    } else {
-        mdm.define_feature(&concept, &feature)
-    };
-    match result {
-        Ok(()) => ack(&mdm, vec![("feature", Value::string(feature.to_string()))]),
-        Err(e) => mdm_error_response(&e),
-    }
+fn decode_concept(mdm: &Mdm, body: &Value) -> Result<MutationOp, Response> {
+    Ok(MutationOp::DefineConcept {
+        concept: name_field(mdm, body, "concept")?,
+    })
 }
 
-fn steward_relations(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let mut mdm = state.mdm.write().expect("state poisoned");
-    let parsed = (|| {
-        let from = resolve(&mdm, str_field(&body, "from")?)?;
-        let property = resolve(&mdm, str_field(&body, "property")?)?;
-        let to = resolve(&mdm, str_field(&body, "to")?)?;
-        Ok((from, property, to))
-    })();
-    let (from, property, to) = match parsed {
-        Ok(triple) => triple,
-        Err(r) => return r,
-    };
-    match mdm.define_relation(&from, &property, &to) {
-        Ok(()) => ack(
-            &mdm,
-            vec![("property", Value::string(property.to_string()))],
-        ),
-        Err(e) => mdm_error_response(&e),
-    }
+fn decode_feature(mdm: &Mdm, body: &Value) -> Result<MutationOp, Response> {
+    let identifier = optional_field(body, "identifier", "a boolean", Value::as_bool)?;
+    Ok(MutationOp::DefineFeature {
+        concept: name_field(mdm, body, "concept")?,
+        feature: name_field(mdm, body, "feature")?,
+        identifier: identifier.unwrap_or(false),
+    })
 }
 
-fn steward_subconcepts(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let mut mdm = state.mdm.write().expect("state poisoned");
-    let parsed = (|| {
-        let sub = resolve(&mdm, str_field(&body, "sub")?)?;
-        let sup = resolve(&mdm, str_field(&body, "sup")?)?;
-        Ok((sub, sup))
-    })();
-    let (sub, sup) = match parsed {
-        Ok(pair) => pair,
-        Err(r) => return r,
-    };
-    match mdm.define_subconcept(&sub, &sup) {
-        Ok(()) => ack(&mdm, vec![("sub", Value::string(sub.to_string()))]),
-        Err(e) => mdm_error_response(&e),
-    }
+fn decode_relation(mdm: &Mdm, body: &Value) -> Result<MutationOp, Response> {
+    Ok(MutationOp::DefineRelation {
+        from: name_field(mdm, body, "from")?,
+        property: name_field(mdm, body, "property")?,
+        to: name_field(mdm, body, "to")?,
+    })
 }
 
-fn steward_sources(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let name = match str_field(&body, "name") {
-        Ok(n) => n,
-        Err(r) => return r,
-    };
-    let mut mdm = state.mdm.write().expect("state poisoned");
-    match mdm.add_source(name) {
-        Ok(iri) => ack(&mdm, vec![("source", Value::string(iri.to_string()))]),
-        Err(e) => mdm_error_response(&e),
-    }
+fn decode_subconcept(mdm: &Mdm, body: &Value) -> Result<MutationOp, Response> {
+    Ok(MutationOp::DefineSubconcept {
+        sub: name_field(mdm, body, "sub")?,
+        sup: name_field(mdm, body, "sup")?,
+    })
 }
 
-/// Registers a wrapper release. `attributes` fixes the signature order;
-/// `bindings` is an object mapping each attribute to the flattened payload
-/// column it reads; `payload` is the release body in `format`
-/// (json | xml | csv, default json).
+fn decode_source(_: &Mdm, body: &Value) -> Result<MutationOp, Response> {
+    Ok(MutationOp::AddSource {
+        name: str_field(body, "name")?.to_string(),
+    })
+}
+
+/// A mapping body, built through [`MappingBuilder`] so the op lists each
+/// covered element once, as the typed mutator's op does.
+fn decode_mapping(mdm: &Mdm, body: &Value) -> Result<MutationOp, Response> {
+    let mut builder = MappingBuilder::for_wrapper(str_field(body, "wrapper")?);
+    for token in array_field(body, "concepts", "strings", Value::as_str)? {
+        builder = builder.cover_concept(&resolve(mdm, token?)?);
+    }
+    for token in array_field(body, "features", "strings", Value::as_str)? {
+        builder = builder.cover_feature(&resolve(mdm, token?)?);
+    }
+    // An element that is a JSON object, kept as a `Value` for `str_field`.
+    let object = |item| Value::as_object(item).map(|_| item);
+    for item in array_field(body, "relations", "objects", object)? {
+        let item = item?;
+        let from = resolve(mdm, str_field(item, "from")?)?;
+        let property = resolve(mdm, str_field(item, "property")?)?;
+        let to = resolve(mdm, str_field(item, "to")?)?;
+        builder = builder.cover_relation(&from, &property, &to);
+    }
+    for item in array_field(body, "same_as", "objects", object)? {
+        let item = item?;
+        let attribute = str_field(item, "attribute")?;
+        builder = builder.same_as(attribute, &resolve(mdm, str_field(item, "feature")?)?);
+    }
+    Ok(MutationOp::from_mapping(&builder))
+}
+
+/// Registers a wrapper release (see [`decode_wrapper`] for the body). Not
+/// a [`steward_op`]: the op journals the signature, while the catalog
+/// takes the payload too.
 fn steward_wrappers(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let built = (|| {
-        let name = str_field(&body, "name")?;
-        let source = str_field(&body, "source")?;
-        let version = u32_field(&body, "version")?;
-        let payload = str_field(&body, "payload")?;
-        let format = match body.get("format").and_then(Value::as_str).unwrap_or("json") {
-            "json" => Format::Json,
-            "xml" => Format::Xml,
-            "csv" => Format::Csv,
-            other => {
-                return Err(error_response(
-                    400,
-                    "protocol",
-                    &format!("unknown format '{other}' (expected json, xml or csv)"),
-                ))
-            }
-        };
-        let attributes: Vec<String> = body
-            .get("attributes")
-            .and_then(Value::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
-        if attributes.is_empty() {
-            return Err(error_response(
-                400,
-                "protocol",
-                "missing array field 'attributes'",
-            ));
-        }
-        let bindings_object = body
-            .get("bindings")
-            .and_then(Value::as_object)
-            .ok_or_else(|| error_response(400, "protocol", "missing object field 'bindings'"))?;
-        let mut bindings = Vec::with_capacity(attributes.len());
-        for attribute in &attributes {
-            let column = bindings_object
-                .get(attribute)
-                .and_then(Value::as_str)
-                .ok_or_else(|| {
-                    error_response(
-                        400,
-                        "protocol",
-                        &format!("bindings lacks a column for attribute '{attribute}'"),
-                    )
-                })?;
-            bindings.push((attribute.clone(), column.to_string()));
-        }
-        let signature = Signature::new(name, attributes)
-            .map_err(|e| error_response(400, "registration", &e.to_string()))?;
-        let release = Release {
-            version,
-            format,
-            body: payload.to_string(),
-            notes: body
-                .get("notes")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-        };
-        Wrapper::over_release(signature, source, release, bindings)
-            .map_err(|e| error_response(400, "registration", &e.to_string()))
-    })();
-    let wrapper = match built {
+    let wrapper = match decode_wrapper(&request.body) {
         Ok(w) => w,
         Err(r) => return r,
     };
@@ -1281,84 +1170,114 @@ fn steward_wrappers(state: &AppState, request: &Request) -> Response {
             &mdm,
             vec![
                 ("wrapper", Value::string(registration.wrapper.to_string())),
-                (
-                    "reused",
-                    Value::array(
-                        registration
-                            .reused
-                            .iter()
-                            .map(|s| Value::string(s.as_str())),
-                    ),
-                ),
-                (
-                    "minted",
-                    Value::array(
-                        registration
-                            .minted
-                            .iter()
-                            .map(|s| Value::string(s.as_str())),
-                    ),
-                ),
+                ("reused", strings(&registration.reused)),
+                ("minted", strings(&registration.minted)),
             ],
         ),
         Err(e) => mdm_error_response(&e),
     }
 }
 
-fn steward_mappings(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
+/// A JSON array of strings.
+fn strings<'s>(items: impl IntoIterator<Item = &'s String>) -> Value {
+    Value::array(items.into_iter().map(|s| Value::string(s.as_str())))
+}
+
+/// The release formats a wrapper body names, by their JSON spelling.
+const FORMATS: [(&str, Format); 3] = [
+    ("json", Format::Json),
+    ("xml", Format::Xml),
+    ("csv", Format::Csv),
+];
+
+/// Decodes a wrapper release — the body of `POST /steward/wrappers` and
+/// of `GET /replication/wrapper`, which a replica hydrates from:
+/// `{"name","source","version","format"?,"payload","notes"?,"attributes",
+/// "bindings"}`. `attributes` fixes the signature order; `bindings` maps
+/// each attribute to the flattened payload column it reads; `payload` is
+/// the release body in `format` (json | xml | csv, default json). A
+/// missing or wrongly typed field is a 400 `protocol` error naming it; a
+/// signature or release the wrapper layer rejects is a 400
+/// `registration` error.
+pub fn decode_wrapper(body: &[u8]) -> Result<Wrapper, Response> {
+    let body = parse_body(body)?;
+    let name = str_field(&body, "name")?;
+    let source = str_field(&body, "source")?;
+    let version = uint_field(&body, "version")?;
+    let payload = str_field(&body, "payload")?;
+    let format = optional_field(&body, "format", "a string", Value::as_str)?.unwrap_or("json");
+    let Some(&(_, format)) = FORMATS.iter().find(|(spelling, _)| *spelling == format) else {
+        return Err(error_response(
+            400,
+            "protocol",
+            &format!("unknown format '{format}' (expected json, xml or csv)"),
+        ));
     };
-    let mut mdm = state.mdm.write().expect("state poisoned");
-    let built = (|| {
-        let wrapper = str_field(&body, "wrapper")?;
-        let mut builder = MappingBuilder::for_wrapper(wrapper);
-        for item in body
-            .get("concepts")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-        {
-            let token = item
-                .as_str()
-                .ok_or_else(|| error_response(400, "protocol", "'concepts' must hold strings"))?;
-            builder = builder.cover_concept(&resolve(&mdm, token)?);
-        }
-        for item in body
-            .get("features")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-        {
-            let token = item
-                .as_str()
-                .ok_or_else(|| error_response(400, "protocol", "'features' must hold strings"))?;
-            builder = builder.cover_feature(&resolve(&mdm, token)?);
-        }
-        for item in body
-            .get("relations")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-        {
-            let from = resolve(&mdm, str_field(item, "from")?)?;
-            let property = resolve(&mdm, str_field(item, "property")?)?;
-            let to = resolve(&mdm, str_field(item, "to")?)?;
-            builder = builder.cover_relation(&from, &property, &to);
-        }
-        for item in body.get("same_as").and_then(Value::as_array).unwrap_or(&[]) {
-            let attribute = str_field(item, "attribute")?;
-            let feature = resolve(&mdm, str_field(item, "feature")?)?;
-            builder = builder.same_as(attribute, &feature);
-        }
-        Ok(builder)
-    })();
-    let builder = match built {
-        Ok(b) => b,
-        Err(r) => return r,
-    };
-    match mdm.define_mapping(builder) {
-        Ok(graph) => ack(&mdm, vec![("graph", Value::string(graph.to_string()))]),
-        Err(e) => mdm_error_response(&e),
+    let attributes = array_field(&body, "attributes", "strings", Value::as_str)?
+        .map(|attribute| attribute.map(str::to_string))
+        .collect::<Result<Vec<_>, _>>()?;
+    if attributes.is_empty() {
+        return Err(error_response(
+            400,
+            "protocol",
+            "missing array field 'attributes'",
+        ));
     }
+    let bindings_object = body
+        .get("bindings")
+        .and_then(Value::as_object)
+        .ok_or_else(|| error_response(400, "protocol", "missing object field 'bindings'"))?;
+    let mut bindings = Vec::with_capacity(attributes.len());
+    for attribute in &attributes {
+        let column = bindings_object
+            .get(attribute)
+            .and_then(Value::as_str)
+            .ok_or_else(|| {
+                error_response(
+                    400,
+                    "protocol",
+                    &format!("bindings lacks a column for attribute '{attribute}'"),
+                )
+            })?;
+        bindings.push((attribute.clone(), column.to_string()));
+    }
+    let signature = Signature::new(name, attributes)
+        .map_err(|e| error_response(400, "registration", &e.to_string()))?;
+    let release = Release {
+        version,
+        format,
+        body: payload.to_string(),
+        notes: optional_field(&body, "notes", "a string", Value::as_str)?
+            .unwrap_or_default()
+            .to_string(),
+    };
+    Wrapper::over_release(signature, source, release, bindings)
+        .map_err(|e| error_response(400, "registration", &e.to_string()))
+}
+
+/// Encodes a wrapper's full release in the shape [`decode_wrapper`] reads.
+fn encode_wrapper(wrapper: &Wrapper) -> Value {
+    let release = wrapper.release();
+    let (format, _) = FORMATS
+        .iter()
+        .find(|(_, format)| *format == release.format)
+        .expect("every format has a spelling");
+    let bindings = Value::object(
+        wrapper
+            .bindings()
+            .iter()
+            .map(|(attribute, column)| (attribute.clone(), Value::string(column.as_str()))),
+    );
+    Value::object([
+        ("name", Value::string(wrapper.name())),
+        ("source", Value::string(wrapper.source())),
+        ("version", Value::int(release.version as i64)),
+        ("format", Value::string(*format)),
+        ("payload", Value::string(release.body.as_str())),
+        ("notes", Value::string(release.notes.as_str())),
+        ("attributes", strings(wrapper.signature().attributes())),
+        ("bindings", bindings),
+    ])
 }
 
 /// `POST /steward/stats/refresh`: bumps the **stats epoch** — the next
@@ -1390,7 +1309,7 @@ fn steward_snapshot(state: &AppState) -> Response {
 /// `/steward/wrappers`. The epoch keeps increasing across the swap, and
 /// the execution settings stamped from `ServerConfig` carry over.
 fn steward_restore(state: &AppState, request: &Request) -> Response {
-    let body = match parse_body(request) {
+    let body = match parse_body(&request.body) {
         Ok(v) => v,
         Err(r) => return r,
     };
@@ -1431,7 +1350,7 @@ fn with_walk<T>(
     request: &Request,
     handler: impl FnOnce(&Mdm, &Walk) -> Result<T, MdmError>,
 ) -> Result<T, Response> {
-    let body = parse_body(request)?;
+    let body = parse_body(&request.body)?;
     let text = str_field(&body, "walk")?;
     let mdm = state.mdm.read().expect("state poisoned");
     walk_dsl::parse_walk(text, mdm.ontology())
@@ -1467,15 +1386,7 @@ fn analyst_rewrite(state: &AppState, request: &Request) -> Response {
             ("sparql", Value::string(rewriting.sparql.clone())),
             ("algebra", Value::string(rewriting.algebra())),
             ("branches", Value::int(rewriting.branch_count() as i64)),
-            (
-                "output_columns",
-                Value::array(
-                    rewriting
-                        .output_columns
-                        .iter()
-                        .map(|s| Value::string(s.as_str())),
-                ),
-            ),
+            ("output_columns", strings(&rewriting.output_columns)),
             ("epoch", Value::int(mdm.epoch() as i64)),
         ]))
     }))
@@ -1549,10 +1460,7 @@ fn analyst_explain_get(state: &AppState, request: &Request) -> Response {
 fn completeness_json(completeness: &mdm_core::Completeness) -> Value {
     let dropped = Value::array(completeness.dropped.iter().map(|d| {
         Value::object([
-            (
-                "wrappers",
-                Value::array(d.wrappers.iter().map(|w| Value::string(w.as_str()))),
-            ),
+            ("wrappers", strings(&d.wrappers)),
             ("kind", Value::string(d.kind.as_str())),
             ("reason", Value::string(d.reason.as_str())),
         ])
@@ -1567,15 +1475,7 @@ fn completeness_json(completeness: &mdm_core::Completeness) -> Value {
             "executed_branches",
             Value::int(completeness.executed_branches as i64),
         ),
-        (
-            "contributors",
-            Value::array(
-                completeness
-                    .contributors
-                    .iter()
-                    .map(|c| Value::string(c.as_str())),
-            ),
-        ),
+        ("contributors", strings(&completeness.contributors)),
         ("dropped", dropped),
         ("retries", Value::int(completeness.retries as i64)),
         ("summary", Value::string(completeness.summary())),
@@ -1725,6 +1625,36 @@ mod tests {
         let mut out = String::new();
         write_rows(&mut out, rows);
         out
+    }
+
+    #[test]
+    fn wrapper_round_trips_through_replication_json() {
+        let json_body = br#"{
+            "name": "w1",
+            "source": "PlayersAPI",
+            "version": 3,
+            "format": "json",
+            "payload": "[{\"id\": 1, \"pName\": \"a\"}]",
+            "notes": "",
+            "attributes": ["id", "pName"],
+            "bindings": {"id": "id", "pName": "pName"}
+        }"#;
+        let wrapper = decode_wrapper(json_body).unwrap();
+        assert_eq!(wrapper.name(), "w1");
+        assert_eq!(wrapper.source(), "PlayersAPI");
+        assert_eq!(wrapper.release().version, 3);
+        assert_eq!(wrapper.bindings().len(), 2);
+        // What `GET /replication/wrapper` serves decodes to the same release.
+        let encoded = json::to_string(&encode_wrapper(&wrapper));
+        let again = decode_wrapper(encoded.as_bytes()).unwrap();
+        assert_eq!(json::to_string(&encode_wrapper(&again)), encoded);
+    }
+
+    #[test]
+    fn malformed_wrapper_json_is_an_error_not_a_panic() {
+        assert!(decode_wrapper(b"not json").is_err());
+        assert!(decode_wrapper(b"{}").is_err());
+        assert!(decode_wrapper(br#"{"name": "w", "source": "s", "version": 1, "payload": "[]", "attributes": ["a"], "bindings": {}}"#).is_err());
     }
 
     proptest! {

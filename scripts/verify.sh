@@ -65,6 +65,19 @@ awk '$1 == "metric" && $3 == "relational.terms_decoded" && $2 ~ /^(scan_join|wid
          seen++; want = ($2 == "scan_join") ? 1290 : 7996
          if ($4 + 0 != want) { print "decode count moved (want " want "): " $0; bad = 1 } }
      END { if (seen != 2) { print "expected relational.terms_decoded on scan_join and wide_result, saw " seen + 0; bad = 1 } exit bad }' "$quick"
+# Every steward write is one journal op, applied by Mdm::apply whether it
+# came from a typed mutator or a steward route: each workload's setup and
+# evolution_churn's releases (POSTed through /steward/*) append the same
+# records of the same bytes. Exact at seed 42 (--quick); a changed op, op
+# encoding or route decoder moves them.
+awk 'BEGIN {
+         want["serve_hot store.wal_records"] = 3;       want["serve_hot store.wal_bytes_per_release"] = 1276
+         want["scan_join store.wal_records"] = 2;       want["scan_join store.wal_bytes_per_release"] = 946
+         want["wide_result store.wal_records"] = 2;     want["wide_result store.wal_bytes_per_release"] = 946
+         want["evolution_churn store.wal_records"] = 8; want["evolution_churn store.wal_bytes_per_release"] = 946 }
+     $1 == "metric" && (($2 " " $3) in want) {
+         seen++; if ($4 + 0 != want[$2 " " $3]) { print "journal records moved (want " want[$2 " " $3] "): " $0; bad = 1 } }
+     END { if (seen != 8) { print "expected store.wal_records and store.wal_bytes_per_release on 4 workloads, saw " seen + 0; bad = 1 } exit bad }' "$quick"
 
 echo "==> evaluation harness (E1–E8 + P summaries regenerate)"
 cargo run --release --quiet -p mdm-bench --bin evaluation > /dev/null

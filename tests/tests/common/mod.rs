@@ -141,16 +141,15 @@ pub fn build_ops(codes: &[u8]) -> Vec<MutationOp> {
     ops
 }
 
-/// Replays a decoded batch exactly as the replica sync thread does:
-/// snapshot restore, then record decode + apply + epoch alignment.
+/// Replays a decoded batch exactly as the replica sync thread does: the
+/// snapshot bootstrap, then `Mdm::replay` per record.
 pub fn replay_batch(batch: &ReplicationBatch) -> Mdm {
     let snapshot = batch.snapshot.as_deref().expect("bootstrap batch");
-    let mut mdm = Mdm::restore_metadata(snapshot).expect("snapshot restores");
-    mdm.ensure_epoch_at_least(batch.base_epoch);
+    let mut mdm = Mdm::new()
+        .recovered(snapshot, batch.base_epoch, &[])
+        .expect("snapshot restores");
     for record in &batch.records {
-        let op = MutationOp::decode(&record.payload).expect("record decodes");
-        op.apply(&mut mdm).expect("record applies");
-        mdm.ensure_epoch_at_least(record.epoch);
+        mdm.replay(record).expect("record replays");
     }
     mdm
 }

@@ -189,7 +189,7 @@ fn build_ops(codes: &[u8]) -> Vec<MutationOp> {
 fn reference(ops: &[MutationOp]) -> Mdm {
     let mut mdm = Mdm::new();
     for op in ops {
-        op.apply(&mut mdm).unwrap();
+        mdm.apply(op).unwrap();
     }
     mdm
 }
@@ -201,7 +201,7 @@ fn run_with_store(dir: &Path, ops: &[MutationOp]) {
     let (meta, mut mdm, report) = MetaStore::attach(dir, FsyncPolicy::Always, Mdm::new()).unwrap();
     assert!(!report.recovered);
     for op in ops {
-        op.apply(&mut mdm).unwrap();
+        mdm.apply(op).unwrap();
     }
     assert_eq!(meta.stats().wal_records, ops.len() as u64);
     drop((meta, mdm)); // kill -9: no shutdown hook runs, the WAL is as-is
@@ -318,11 +318,11 @@ fn recovery_after_compaction_replays_only_the_new_wal() {
 
     let (meta, mut mdm, _) = MetaStore::attach(&dir, FsyncPolicy::Always, Mdm::new()).unwrap();
     for op in &ops[..split] {
-        op.apply(&mut mdm).unwrap();
+        mdm.apply(op).unwrap();
     }
     meta.compact(&mdm).unwrap();
     for op in &ops[split..] {
-        op.apply(&mut mdm).unwrap();
+        mdm.apply(op).unwrap();
     }
     assert_eq!(meta.stats().wal_records as usize, ops.len() - split);
     let expected_snapshot = mdm.snapshot();

@@ -493,7 +493,7 @@ proptest! {
         let (store, mut primary, _report) =
             MetaStore::attach(&primary_dir, FsyncPolicy::Never, Mdm::new()).unwrap();
         for op in &ops {
-            op.apply(&mut primary).unwrap();
+            primary.apply(op).unwrap();
         }
         let prefix = prefix_selector as usize % (ops.len() + 1);
 
@@ -510,7 +510,7 @@ proptest! {
         // the WAL is empty, and the term starts at the promotion epoch.
         let mut reference = Mdm::new();
         for op in &ops[..prefix] {
-            op.apply(&mut reference).unwrap();
+            reference.apply(op).unwrap();
         }
         let (reopened, recovered) = Store::open(&promoted_dir, FsyncPolicy::Never)
             .unwrap()

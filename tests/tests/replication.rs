@@ -46,7 +46,7 @@ proptest! {
         let (store, mut primary, _report) =
             MetaStore::attach(&dir, FsyncPolicy::Never, Mdm::new()).unwrap();
         for op in &ops {
-            op.apply(&mut primary).unwrap();
+            primary.apply(op).unwrap();
         }
         let prefix = prefix_selector as usize % (ops.len() + 1);
 
@@ -58,7 +58,7 @@ proptest! {
 
         let mut reference = Mdm::new();
         for op in &ops[..prefix] {
-            op.apply(&mut reference).unwrap();
+            reference.apply(op).unwrap();
         }
         prop_assert_eq!(replica.epoch(), reference.epoch());
         prop_assert_eq!(replica.snapshot_stamped(), reference.snapshot_stamped());
