@@ -1,6 +1,6 @@
 //! P11 — zero-copy data-plane microbenchmarks.
 //!
-//! Three questions, all over the E6 shape (2 chained concepts × 2
+//! Two questions, all over the E6 shape (2 chained concepts × 2
 //! coexisting versions → a 4-branch UCQ with joins, σ, π and δ):
 //!
 //! 1. **Batched vs. row-at-a-time** — the same plan drained with the
@@ -12,8 +12,6 @@
 //!    scan→join→σ→π→∪→δ at 1k and 10k rows per wrapper, the numbers
 //!    recorded in EXPERIMENTS.md P11 (the 100k point was sampled with the
 //!    since-retired `p4_point` bin).
-//! 3. **Intern-pool effectiveness** — the hit rate of the global string
-//!    pool after warming, printed once per run for the P11 table.
 //!
 //! Every cell runs the one (columnar) data plane; the row plane P11 and
 //! P13 once compared it with is deleted (EXPERIMENTS.md keeps the retired
@@ -24,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use mdm_bench::mixed_system;
-use mdm_relational::{metrics, ExecOptions, Executor};
+use mdm_relational::{ExecOptions, Executor};
 
 fn p11_data_plane(c: &mut Criterion) {
     let mut group = c.benchmark_group("p11_data_plane");
@@ -64,21 +62,6 @@ fn p11_data_plane(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    // Intern-pool effectiveness after the warmed runs above: one line for
-    // the EXPERIMENTS.md P11 table.
-    let stats = metrics::snapshot();
-    let lookups = stats.intern.hits + stats.intern.misses;
-    let hit_rate = if lookups > 0 {
-        100.0 * stats.intern.hits as f64 / lookups as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "p11 intern pool: {lookups} lookups, {hit_rate:.1}% hits, {} live entries, \
-         {} bytes interned (0 lookups ⇒ every string fit the 22-byte inline buffer)",
-        stats.intern.entries, stats.intern.interned_bytes,
-    );
 }
 
 criterion_group!(benches, p11_data_plane);

@@ -20,8 +20,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use mdm_core::rewrite::rewrite_walk_with_artifacts;
 use mdm_core::synthetic::{chain_walk, concept_iri, feature_iri, register_synthetic_wrapper};
-use mdm_core::{Mdm, PlanCache};
+use mdm_core::{Found, Mdm, PlanCache, RewriteOptions};
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 
 /// Chain length; hot walks read concepts 0..3, releases land on 5..7.
@@ -147,12 +148,24 @@ fn report(cell: &str, r: &CellResult) {
 /// capacity 256 — the regression guard for the O(log n) LRU order.
 fn lru_micro_bench(eco: &SyntheticEcosystem) {
     let mdm = base_mdm(eco);
-    let plan = Arc::new(mdm.rewrite(&chain_walk(eco, 2)).unwrap());
+    let (plan, artifacts) = rewrite_walk_with_artifacts(
+        mdm.ontology(),
+        &chain_walk(eco, 2),
+        &RewriteOptions::default(),
+    )
+    .unwrap();
+    let (plan, artifacts) = (Arc::new(plan), Arc::new(artifacts));
     let cache = PlanCache::new(256);
     const INSERTS: usize = 50_000;
     let started = Instant::now();
     for i in 0..INSERTS {
-        cache.insert(format!("walk-{i}"), 1, Arc::clone(&plan));
+        cache.insert(
+            format!("walk-{i}"),
+            1,
+            Arc::clone(&plan),
+            Arc::clone(&artifacts),
+            false,
+        );
     }
     let insert_ns = started.elapsed().as_nanos() as f64 / INSERTS as f64;
     let evictions = cache.stats().evictions;
@@ -162,7 +175,7 @@ fn lru_micro_bench(eco: &SyntheticEcosystem) {
     let hot = format!("walk-{}", INSERTS - 1);
     let started = Instant::now();
     for _ in 0..LOOKUPS {
-        assert!(cache.lookup(&hot, 1).hit().is_some());
+        assert!(matches!(cache.lookup(&hot, 1), Found::Hit(..)));
     }
     let lookup_ns = started.elapsed().as_nanos() as f64 / LOOKUPS as f64;
     println!(

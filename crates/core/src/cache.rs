@@ -30,7 +30,7 @@
 //!
 //! When the only overlapping mutations are new mapping definitions
 //! ([`crate::journal::MutationOp::is_extension`]), the cache returns
-//! [`Lookup::Extend`] instead of a miss: the caller re-runs phase (b) for
+//! [`Found::Extend`] instead of a miss: the caller re-runs phase (b) for
 //! the affected concepts only and re-assembles (see
 //! [`crate::rewrite::assemble`]), splicing the new union branches in at a
 //! fraction of a cold rewrite.
@@ -117,16 +117,15 @@ impl CacheStats {
 }
 
 /// Outcome of a cache lookup.
-pub enum Lookup {
-    /// Valid at the lookup epoch (directly or by footprint survival).
-    Hit(Arc<Rewriting>),
+pub enum Found {
+    /// Valid at the lookup epoch (directly or by footprint survival): the
+    /// rewriting and its entry's prepared slot.
+    Hit(Arc<Rewriting>, Arc<PreparedSlot>),
     /// Stale, but every overlapping mutation since the entry's epoch was an
     /// extendable mapping definition: the caller can re-run phase (b) for
     /// `affected` concepts over the cached artifacts and re-assemble,
-    /// then store the result with [`PlanCache::insert_extended`].
+    /// then store the result with [`PlanCache::insert`] as `extended`.
     Extend {
-        /// The stale rewriting (for reference; its plan must not be served).
-        plan: Arc<Rewriting>,
         /// The reusable phase (a)/(b) artifacts.
         artifacts: Arc<RewriteArtifacts>,
         /// Concepts (IRI text) the intervening mappings cover.
@@ -134,17 +133,6 @@ pub enum Lookup {
     },
     /// Absent or irrecoverably stale: rewrite from scratch.
     Miss,
-}
-
-impl Lookup {
-    /// The hit payload, if any — convenience for callers (and tests) that
-    /// do not use incremental extension.
-    pub fn hit(self) -> Option<Arc<Rewriting>> {
-        match self {
-            Lookup::Hit(plan) => Some(plan),
-            _ => None,
-        }
-    }
 }
 
 /// What a prepared set was optimized against. The catalog is compared by
@@ -164,16 +152,10 @@ impl PreparedKey {
     }
 }
 
-/// One entry's prepared branch plans, empty until the first query.
-pub(crate) type PreparedSlot = Mutex<Option<(PreparedKey, Arc<PreparedPlans>)>>;
-
-/// [`PlanCache::lookup_prepared`]'s outcome.
-pub(crate) enum Found {
-    /// [`Lookup::Hit`], with the entry's prepared slot.
-    Hit(Arc<Rewriting>, Arc<PreparedSlot>),
-    /// [`Lookup::Extend`] or [`Lookup::Miss`].
-    Stale(Lookup),
-}
+/// One entry's prepared branch plans, empty until [`crate::Mdm`]'s first
+/// query of the entry fills it.
+#[derive(Default)]
+pub struct PreparedSlot(pub(crate) Mutex<Option<(PreparedKey, Arc<PreparedPlans>)>>);
 
 struct LoggedMutation {
     epoch: u64,
@@ -186,13 +168,11 @@ struct Entry {
     /// when mutations prove disjoint.
     epoch: u64,
     /// True when an extendable mutation overlapped this entry: it is stale
-    /// (must not be served as a hit) but repairable via [`Lookup::Extend`].
+    /// (must not be served as a hit) but repairable via [`Found::Extend`].
     pending: bool,
     plan: Arc<Rewriting>,
-    /// Read footprint + reusable rewrite phases. `None` for entries stored
-    /// through the footprint-less [`PlanCache::insert`], which can only be
-    /// validated by epoch equality.
-    artifacts: Option<Arc<RewriteArtifacts>>,
+    /// Read footprint + reusable rewrite phases.
+    artifacts: Arc<RewriteArtifacts>,
     /// `plan`'s prepared branch plans; a new entry starts a new slot.
     prepared: Arc<PreparedSlot>,
     last_used: u64,
@@ -296,18 +276,18 @@ impl PlanCache {
             if entry.epoch >= epoch {
                 continue;
             }
-            match entry.artifacts.as_ref() {
-                Some(artifacts) if !footprint.overlaps(&artifacts.footprint) => {
-                    // Disjoint: slide forward, but only entries provably
-                    // current through the predecessor epoch; anything else
-                    // is resolved by the interval test at lookup.
-                    if !entry.pending && entry.epoch == epoch - 1 {
-                        entry.epoch = epoch;
-                        survived += 1;
-                    }
+            if !footprint.overlaps(&entry.artifacts.footprint) {
+                // Disjoint: slide forward, but only entries provably
+                // current through the predecessor epoch; anything else is
+                // resolved by the interval test at lookup.
+                if !entry.pending && entry.epoch == epoch - 1 {
+                    entry.epoch = epoch;
+                    survived += 1;
                 }
-                Some(_) if extension => entry.pending = true,
-                _ => dropped.push(key.clone()),
+            } else if extension {
+                entry.pending = true;
+            } else {
+                dropped.push(key.clone());
             }
         }
         let overlapped = dropped.len() as u64;
@@ -322,27 +302,19 @@ impl PlanCache {
 
     /// Validates and returns the plan cached for `key` as of `epoch`.
     ///
-    /// * Same epoch → [`Lookup::Hit`].
+    /// * Same epoch → [`Found::Hit`].
     /// * Older epoch, every logged mutation in `(entry.epoch, epoch]`
     ///   disjoint from the entry's footprint → the entry slides forward
-    ///   and serves ([`Lookup::Hit`], counted as a survival).
+    ///   and serves ([`Found::Hit`], counted as a survival).
     /// * Older epoch, overlapping mutations all extendable →
-    ///   [`Lookup::Extend`].
+    ///   [`Found::Extend`].
     /// * Anything else — including intervals the log cannot vouch for —
-    ///   drops the entry conservatively and reports [`Lookup::Miss`].
-    pub fn lookup(&self, key: &str, epoch: u64) -> Lookup {
-        match self.lookup_prepared(key, epoch) {
-            Found::Hit(plan, _) => Lookup::Hit(plan),
-            Found::Stale(lookup) => lookup,
-        }
-    }
-
-    /// [`PlanCache::lookup`], with a hit's prepared slot.
-    pub(crate) fn lookup_prepared(&self, key: &str, epoch: u64) -> Found {
+    ///   drops the entry conservatively and reports [`Found::Miss`].
+    pub fn lookup(&self, key: &str, epoch: u64) -> Found {
         let inner = &mut *self.lock();
         let Some(entry) = inner.entries.get(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Found::Stale(Lookup::Miss);
+            return Found::Miss;
         };
         if entry.epoch == epoch && !entry.pending {
             let hit = Found::Hit(Arc::clone(&entry.plan), Arc::clone(&entry.prepared));
@@ -351,20 +323,15 @@ impl PlanCache {
             return hit;
         }
         // The interval test. Refuse to speculate when the log does not
-        // cover (entry.epoch, epoch] or the footprint is unknown.
+        // cover (entry.epoch, epoch].
         let covered = epoch >= entry.epoch && entry.epoch >= inner.floor && epoch <= inner.frontier;
-        let Some(artifacts) = entry.artifacts.clone() else {
-            remove_entry(inner, key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Found::Stale(Lookup::Miss);
-        };
         if !covered {
             remove_entry(inner, key);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Found::Stale(Lookup::Miss);
+            return Found::Miss;
         }
+        let artifacts = Arc::clone(&entry.artifacts);
         let overlapping: Vec<&LoggedMutation> = inner
             .log
             .iter()
@@ -391,56 +358,25 @@ impl PlanCache {
                 .iter()
                 .flat_map(|m| m.footprint.concepts.iter().cloned())
                 .collect();
-            let plan = Arc::clone(&inner.entries.get(key).expect("present above").plan);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Found::Stale(Lookup::Extend {
-                plan,
+            return Found::Extend {
                 artifacts,
                 affected,
-            });
+            };
         }
         remove_entry(inner, key);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         self.surgical_invalidations.fetch_add(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        Found::Stale(Lookup::Miss)
+        Found::Miss
     }
 
-    /// Caches `plan` for `key` as of `epoch` without a footprint: the entry
-    /// can only be validated by epoch equality (kept for embedders and
-    /// tests; [`crate::Mdm`] stores footprinted entries).
-    pub fn insert(&self, key: String, epoch: u64, plan: Arc<Rewriting>) {
-        self.insert_entry(key, epoch, plan, None);
-    }
-
-    /// Caches a cold rewrite with its artifacts (read footprint + reusable
-    /// phases).
-    pub fn insert_with_artifacts(
-        &self,
-        key: String,
-        epoch: u64,
-        plan: Arc<Rewriting>,
-        artifacts: Arc<RewriteArtifacts>,
-    ) {
-        self.insert_prepared(key, epoch, plan, artifacts, false);
-    }
-
-    /// Caches the result of an incremental UCQ extension (see
-    /// [`Lookup::Extend`]), replacing the stale entry.
-    pub fn insert_extended(
-        &self,
-        key: String,
-        epoch: u64,
-        plan: Arc<Rewriting>,
-        artifacts: Arc<RewriteArtifacts>,
-    ) {
-        self.insert_prepared(key, epoch, plan, artifacts, true);
-    }
-
-    /// [`PlanCache::insert_extended`] when `extended`, else
-    /// [`PlanCache::insert_with_artifacts`]; returns the new entry's
-    /// (empty) prepared slot.
-    pub(crate) fn insert_prepared(
+    /// Caches `plan` for `key` as of `epoch` with its artifacts (read
+    /// footprint + reusable phases), replacing any entry for `key`:
+    /// a cold rewrite, or with `extended` the result of an incremental UCQ
+    /// extension (see [`Found::Extend`]). Returns the new entry's (empty)
+    /// prepared slot.
+    pub fn insert(
         &self,
         key: String,
         epoch: u64,
@@ -454,16 +390,6 @@ impl PlanCache {
             &self.full_rewrites
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        self.insert_entry(key, epoch, plan, Some(artifacts))
-    }
-
-    fn insert_entry(
-        &self,
-        key: String,
-        epoch: u64,
-        plan: Arc<Rewriting>,
-        artifacts: Option<Arc<RewriteArtifacts>>,
-    ) -> Arc<PreparedSlot> {
         let inner = &mut *self.lock();
         if !inner.entries.contains_key(&key) && inner.entries.len() >= self.capacity {
             if let Some((_, victim)) = inner.lru.pop_first() {
@@ -570,6 +496,30 @@ mod tests {
         })
     }
 
+    /// Caches a cold rewrite tagged `tag` under `key` as of `epoch`.
+    fn put(
+        cache: &PlanCache,
+        key: &str,
+        epoch: u64,
+        tag: &str,
+        artifacts: Arc<RewriteArtifacts>,
+    ) -> Arc<PreparedSlot> {
+        cache.insert(key.into(), epoch, dummy_plan(tag), artifacts, false)
+    }
+
+    /// Artifacts whose footprint no mutation overlaps.
+    fn no_artifacts() -> Arc<RewriteArtifacts> {
+        dummy_artifacts(&[], &[])
+    }
+
+    /// The hit's rewriting, if the lookup hit.
+    fn hit(found: Found) -> Option<Arc<Rewriting>> {
+        match found {
+            Found::Hit(plan, _) => Some(plan),
+            _ => None,
+        }
+    }
+
     fn fp(concepts: &[&str]) -> Footprint {
         Footprint {
             concepts: concepts.iter().map(|s| s.to_string()).collect(),
@@ -580,10 +530,10 @@ mod tests {
     #[test]
     fn hit_after_insert_at_same_epoch() {
         let cache = PlanCache::new(4);
-        assert!(cache.lookup("q", 1).hit().is_none());
-        cache.insert("q".into(), 1, dummy_plan("w1"));
-        let hit = cache.lookup("q", 1).hit().expect("cached");
-        assert_eq!(hit.output_columns, vec!["w1".to_string()]);
+        assert!(hit(cache.lookup("q", 1)).is_none());
+        put(&cache, "q", 1, "w1", no_artifacts());
+        let cached = hit(cache.lookup("q", 1)).expect("cached");
+        assert_eq!(cached.output_columns, vec!["w1".to_string()]);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < f64::EPSILON);
@@ -594,9 +544,9 @@ mod tests {
         // No `note_mutation` ran, so the log cannot vouch for the interval
         // (1, 2]: the entry must invalidate conservatively.
         let cache = PlanCache::new(4);
-        cache.insert("q".into(), 1, dummy_plan("old"));
+        put(&cache, "q", 1, "old", no_artifacts());
         assert!(
-            cache.lookup("q", 2).hit().is_none(),
+            hit(cache.lookup("q", 2)).is_none(),
             "stale plan must not serve"
         );
         let stats = cache.stats();
@@ -607,20 +557,15 @@ mod tests {
     #[test]
     fn disjoint_footprint_survives_and_slides_forward() {
         let cache = PlanCache::new(4);
-        cache.insert_with_artifacts(
-            "q".into(),
-            1,
-            dummy_plan("w1"),
-            dummy_artifacts(&["A"], &["w1"]),
-        );
+        put(&cache, "q", 1, "w1", dummy_artifacts(&["A"], &["w1"]));
         cache.note_mutation(2, fp(&["B"]), false);
-        assert!(cache.lookup("q", 2).hit().is_some(), "disjoint ⇒ survive");
+        assert!(hit(cache.lookup("q", 2)).is_some(), "disjoint ⇒ survive");
         let stats = cache.stats();
         assert_eq!(stats.survivals, 1, "sweep slid the entry forward");
         assert_eq!(stats.surgical_invalidations, 0);
         // A later overlapping mutation still invalidates.
         cache.note_mutation(3, fp(&["A"]), false);
-        assert!(cache.lookup("q", 3).hit().is_none());
+        assert!(hit(cache.lookup("q", 3)).is_none());
         let stats = cache.stats();
         assert_eq!(stats.surgical_invalidations, 1);
         assert_eq!(stats.entries, 0);
@@ -632,96 +577,77 @@ mod tests {
         // stayed pinned until its exact key was looked up again. The sweep
         // drops it at mutation time.
         let cache = PlanCache::new(8);
-        cache.insert_with_artifacts("a".into(), 1, dummy_plan("a"), dummy_artifacts(&["A"], &[]));
-        cache.insert_with_artifacts("b".into(), 1, dummy_plan("b"), dummy_artifacts(&["B"], &[]));
+        put(&cache, "a", 1, "a", dummy_artifacts(&["A"], &[]));
+        put(&cache, "b", 1, "b", dummy_artifacts(&["B"], &[]));
         cache.note_mutation(2, fp(&["A"]), false);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1, "overlapping entry reclaimed on commit");
         assert_eq!(stats.invalidations, 1);
         assert_eq!(stats.surgical_invalidations, 1);
-        assert!(cache.lookup("b", 2).hit().is_some(), "disjoint entry hot");
+        assert!(hit(cache.lookup("b", 2)).is_some(), "disjoint entry hot");
     }
 
     #[test]
     fn extendable_mutation_reports_extend_with_affected_concepts() {
         let cache = PlanCache::new(4);
-        cache.insert_with_artifacts(
-            "q".into(),
-            1,
-            dummy_plan("w1"),
-            dummy_artifacts(&["A"], &["w1"]),
-        );
+        put(&cache, "q", 1, "w1", dummy_artifacts(&["A"], &["w1"]));
         let mut mapping = fp(&["A"]);
         mapping.wrappers.insert("w9".into());
         cache.note_mutation(2, mapping, true);
         match cache.lookup("q", 2) {
-            Lookup::Extend { affected, .. } => {
+            Found::Extend { affected, .. } => {
                 assert_eq!(affected, ["A".to_string()].into_iter().collect());
             }
             _ => panic!("expected Extend"),
         }
         // The extended result replaces the stale entry and serves.
-        cache.insert_extended(
+        cache.insert(
             "q".into(),
             2,
             dummy_plan("w1w9"),
             dummy_artifacts(&["A"], &["w1", "w9"]),
+            true,
         );
-        assert!(cache.lookup("q", 2).hit().is_some());
+        assert!(hit(cache.lookup("q", 2)).is_some());
         assert_eq!(cache.stats().incremental_extensions, 1);
     }
 
     #[test]
     fn extension_then_breaking_mutation_invalidates() {
         let cache = PlanCache::new(4);
-        cache.insert_with_artifacts(
-            "q".into(),
-            1,
-            dummy_plan("w1"),
-            dummy_artifacts(&["A"], &["w1"]),
-        );
+        put(&cache, "q", 1, "w1", dummy_artifacts(&["A"], &["w1"]));
         cache.note_mutation(2, fp(&["A"]), true); // extendable
         cache.note_mutation(3, fp(&["A"]), false); // breaking
-        assert!(cache.lookup("q", 3).hit().is_none());
+        assert!(hit(cache.lookup("q", 3)).is_none());
         assert!(cache.stats().surgical_invalidations >= 1);
     }
 
     #[test]
     fn epoch_gap_truncates_log_coverage() {
         let cache = PlanCache::new(4);
-        cache.insert_with_artifacts(
-            "q".into(),
-            1,
-            dummy_plan("w1"),
-            dummy_artifacts(&["A"], &[]),
-        );
+        put(&cache, "q", 1, "w1", dummy_artifacts(&["A"], &[]));
         cache.note_mutation(2, fp(&["B"]), false);
         // Epoch jumps to 10 without noted mutations in between: coverage
         // restarts, and the old entry cannot be vouched for.
         cache.note_mutation(10, fp(&["B"]), false);
-        assert!(cache.lookup("q", 10).hit().is_none());
+        assert!(hit(cache.lookup("q", 10)).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         // Entries inserted after the gap validate normally.
-        cache.insert_with_artifacts(
-            "r".into(),
-            10,
-            dummy_plan("w2"),
-            dummy_artifacts(&["C"], &[]),
-        );
+        put(&cache, "r", 10, "w2", dummy_artifacts(&["C"], &[]));
         cache.note_mutation(11, fp(&["B"]), false);
-        assert!(cache.lookup("r", 11).hit().is_some());
+        assert!(hit(cache.lookup("r", 11)).is_some());
     }
 
     #[test]
     fn lru_eviction_keeps_recently_used() {
         let cache = PlanCache::new(2);
-        cache.insert("a".into(), 1, dummy_plan("a"));
-        cache.insert("b".into(), 1, dummy_plan("b"));
+        put(&cache, "a", 1, "a", no_artifacts());
+        put(&cache, "b", 1, "b", no_artifacts());
         cache.lookup("a", 1); // refresh a; b is now least recently used
-        cache.insert("c".into(), 1, dummy_plan("c"));
-        assert!(cache.lookup("a", 1).hit().is_some());
-        assert!(cache.lookup("b", 1).hit().is_none(), "b was evicted");
-        assert!(cache.lookup("c", 1).hit().is_some());
+        put(&cache, "c", 1, "c", no_artifacts());
+        assert!(hit(cache.lookup("a", 1)).is_some());
+        assert!(hit(cache.lookup("b", 1)).is_none(), "b was evicted");
+        assert!(hit(cache.lookup("c", 1)).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -743,7 +669,7 @@ mod tests {
         assert!(!key.matches(&stats, OptimizeMode::Cost, 1));
         assert!(!key.matches(&Arc::new(StatsCatalog::new()), OptimizeMode::Cost, 0));
         let weak = Arc::downgrade(&plans);
-        *slot.lock().unwrap() = Some((key, plans));
+        *slot.0.lock().unwrap() = Some((key, plans));
         weak
     }
 
@@ -754,14 +680,14 @@ mod tests {
     fn an_entry_that_leaves_the_cache_drops_its_prepared_plans() {
         let cache = PlanCache::new(1);
         let artifacts = || dummy_artifacts(&["A"], &["w1"]);
-        let slot = cache.insert_prepared("a".into(), 1, dummy_plan("a"), artifacts(), false);
+        let slot = put(&cache, "a", 1, "a", artifacts());
         let plans = prepare(&slot);
         drop(slot);
         let before = cache.stats();
-        let Found::Hit(_, again) = cache.lookup_prepared("a", 1) else {
+        let Found::Hit(_, again) = cache.lookup("a", 1) else {
             panic!("expected a hit");
         };
-        assert!(again.lock().unwrap().is_some(), "the same slot, filled");
+        assert!(again.0.lock().unwrap().is_some(), "the same slot, filled");
         drop(again);
         assert_eq!(
             cache.stats().hits,
@@ -769,38 +695,36 @@ mod tests {
             "only the lookup counts"
         );
         // Evicted: capacity 1, another key arrives.
-        cache.insert("b".into(), 1, dummy_plan("b"));
+        put(&cache, "b", 1, "b", no_artifacts());
         assert!(plans.upgrade().is_none(), "eviction dropped the plans");
 
         // Invalidated by an overlapping mutation's sweep.
         let cache = PlanCache::new(4);
-        let plans =
-            prepare(&cache.insert_prepared("a".into(), 1, dummy_plan("a"), artifacts(), false));
+        let plans = prepare(&put(&cache, "a", 1, "a", artifacts()));
         cache.note_mutation(2, fp(&["A"]), false);
         assert!(plans.upgrade().is_none(), "invalidation dropped the plans");
 
         // Replaced by an incremental extension: the new entry starts empty.
-        let plans =
-            prepare(&cache.insert_prepared("a".into(), 2, dummy_plan("a"), artifacts(), false));
+        let plans = prepare(&put(&cache, "a", 2, "a", artifacts()));
         cache.note_mutation(3, fp(&["A"]), true);
-        assert!(matches!(cache.lookup("a", 3), Lookup::Extend { .. }));
-        let slot = cache.insert_prepared("a".into(), 3, dummy_plan("a2"), artifacts(), true);
+        assert!(matches!(cache.lookup("a", 3), Found::Extend { .. }));
+        let slot = cache.insert("a".into(), 3, dummy_plan("a2"), artifacts(), true);
         assert!(plans.upgrade().is_none(), "the extension dropped the plans");
-        assert!(slot.lock().unwrap().is_none());
+        assert!(slot.0.lock().unwrap().is_none());
     }
 
     #[test]
     fn capacity_minimum_is_one() {
         let cache = PlanCache::new(0);
-        cache.insert("a".into(), 1, dummy_plan("a"));
-        assert!(cache.lookup("a", 1).hit().is_some());
+        put(&cache, "a", 1, "a", no_artifacts());
+        assert!(hit(cache.lookup("a", 1)).is_some());
         assert_eq!(cache.stats().capacity, 1);
     }
 
     #[test]
     fn clear_preserves_counters() {
         let cache = PlanCache::new(4);
-        cache.insert("a".into(), 1, dummy_plan("a"));
+        put(&cache, "a", 1, "a", no_artifacts());
         cache.lookup("a", 1);
         cache.clear();
         let stats = cache.stats();
@@ -811,13 +735,13 @@ mod tests {
     #[test]
     fn shared_across_threads() {
         let cache = Arc::new(PlanCache::new(16));
-        cache.insert("q".into(), 1, dummy_plan("w"));
+        put(&cache, "q", 1, "w", no_artifacts());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        assert!(cache.lookup("q", 1).hit().is_some());
+                        assert!(hit(cache.lookup("q", 1)).is_some());
                     }
                 })
             })

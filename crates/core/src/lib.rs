@@ -112,7 +112,7 @@ pub mod usecase;
 pub mod walk;
 pub mod walk_dsl;
 
-pub use cache::{CacheStats, Lookup, PlanCache};
+pub use cache::{CacheStats, Found, PlanCache};
 pub use changes::{ChangeLog, ChangeRecord};
 pub use durable::{MetaStore, RecoveryReport};
 pub use error::MdmError;

@@ -14,7 +14,7 @@ use mdm_relational::{
 };
 use mdm_wrappers::{FaultPlan, Wrapper, WrapperCatalog};
 
-use crate::cache::{CacheStats, Found, Lookup, PlanCache, PreparedKey, PreparedSlot};
+use crate::cache::{CacheStats, Found, PlanCache, PreparedKey, PreparedSlot};
 use crate::changes::{ChangeLog, ChangeRecord, DEFAULT_CHANGELOG_CAPACITY};
 use crate::error::MdmError;
 use crate::gav::GavMapping;
@@ -623,16 +623,15 @@ impl Mdm {
         walk: &Walk,
     ) -> Result<(Arc<Rewriting>, Arc<PreparedSlot>), MdmError> {
         let key = walk.canonical_key();
-        match self.plan_cache.lookup_prepared(&key, self.epoch) {
+        match self.plan_cache.lookup(&key, self.epoch) {
             Found::Hit(rewriting, slot) => Ok((rewriting, slot)),
-            Found::Stale(Lookup::Extend {
+            Found::Extend {
                 artifacts,
                 affected,
-                ..
-            }) => match self.extend_rewriting(walk, &artifacts, &affected) {
+            } => match self.extend_rewriting(walk, &artifacts, &affected) {
                 Ok((rewriting, extended)) => {
                     let rewriting = Arc::new(rewriting);
-                    let slot = self.plan_cache.insert_prepared(
+                    let slot = self.plan_cache.insert(
                         key,
                         self.epoch,
                         Arc::clone(&rewriting),
@@ -645,7 +644,7 @@ impl Mdm {
                 // dependency: any failure falls back to the cold path.
                 Err(_) => self.rewrite_cold(walk, key),
             },
-            Found::Stale(_) => self.rewrite_cold(walk, key),
+            Found::Miss => self.rewrite_cold(walk, key),
         }
     }
 
@@ -660,7 +659,7 @@ impl Mdm {
         let (rewriting, artifacts) =
             rewrite_walk_with_artifacts(&self.ontology, walk, &self.options)?;
         let rewriting = Arc::new(rewriting);
-        let slot = self.plan_cache.insert_prepared(
+        let slot = self.plan_cache.insert(
             key,
             self.epoch,
             Arc::clone(&rewriting),
@@ -682,7 +681,7 @@ impl Mdm {
         walk: &Walk,
     ) -> Result<(Arc<Rewriting>, Arc<PreparedPlans>), MdmError> {
         let (rewriting, slot) = self.rewrite_slotted(walk)?;
-        let mut slot = slot.lock().expect("prepared slot poisoned");
+        let mut slot = slot.0.lock().expect("prepared slot poisoned");
         // Read before optimizing: an observation landing meanwhile moves
         // the version past this key, so the next query prepares again.
         let version = self.stats.version();
@@ -744,17 +743,26 @@ impl Mdm {
         Optimizer::new(self.stats.as_ref(), &resolve).optimize_with(self.optimize, plan)
     }
 
-    /// The `explain` surface: the optimized physical plan tree, each
-    /// operator annotated with its estimated cardinality and — because
-    /// MDM queries run against live wrappers anyway — the actual row count
-    /// obtained by executing that subtree (one shared scan cache keeps
-    /// every wrapper fetched once despite the per-node runs).
+    /// The `explain` surface: the prepared branch plans the served path
+    /// runs for `walk` — the ones the walk's plan-cache entry hands the
+    /// next query — each operator annotated with its estimated cardinality and
+    /// the actual row count obtained by executing that subtree.
+    ///
+    /// The first line is the merge (δ under set semantics, ∪ otherwise)
+    /// and how many branches run; then comes every branch in rewriting
+    /// order, labelled with its wrapper set. A branch the served path
+    /// skips because an earlier branch covers it prints that branch and
+    /// no plan. One shared scan cache keeps every wrapper fetched once
+    /// despite the per-node runs, and the runs feed no statistics, so the
+    /// plans explained stay the ones the next query runs.
     pub fn explain_plan(&self, walk: &Walk) -> Result<String, MdmError> {
-        let rewriting = self.rewrite_cached(walk)?;
-        let plan = self.optimize_plan(rewriting.plan.clone());
+        let (rewriting, plans) = self.rewrite_prepared(walk)?;
         let resolve = |name: &str| self.catalog.relation_schema(name);
         let optimizer = Optimizer::new(self.stats.as_ref(), &resolve);
-        let exec_options = self.exec_options(Deadline::none());
+        let exec_options = ExecOptions {
+            stats: None,
+            ..self.exec_options(Deadline::none())
+        };
         let cache = ScanCache::new();
         let actual = |subtree: &Plan| {
             Executor::with_options(&self.catalog, exec_options.clone())
@@ -763,7 +771,33 @@ impl Mdm {
                 .ok()
                 .map(|table| table.len())
         };
-        Ok(explain_tree(&plan, &|p| optimizer.estimate(p), &actual))
+        let total = plans.branches.len();
+        let containers: Vec<Option<usize>> =
+            (0..total).map(|i| plans.container(&rewriting, i)).collect();
+        let covered = containers.iter().flatten().count();
+        let merge = if plans.distinct { "δ" } else { "∪" };
+        let mut out = format!(
+            "{merge} over {total} branches: {} run, {covered} covered\n",
+            total - covered
+        );
+        for (i, (cq, container)) in rewriting.queries.iter().zip(containers).enumerate() {
+            let label = format!("branch {} [{}]", i + 1, cq.atoms.join("+"));
+            match container {
+                Some(j) => out.push_str(&format!("{label}: covered by branch {}\n", j + 1)),
+                None => {
+                    out.push_str(&label);
+                    out.push('\n');
+                    let tree =
+                        explain_tree(&plans.branches[i].plan, &|p| optimizer.estimate(p), &actual);
+                    for line in tree.lines() {
+                        out.push_str("  ");
+                        out.push_str(line);
+                        out.push('\n');
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// The **reference** path: rewrites cold and executes the whole UCQ

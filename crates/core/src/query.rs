@@ -206,6 +206,19 @@ impl PreparedPlans {
             branches,
         })
     }
+
+    /// The earlier branch whose rows stand for branch `i`'s under this
+    /// merge: [`Rewriting::covered_by`] when the merge is a δ, otherwise
+    /// none. The served path runs no plan for such a branch while its
+    /// container survives (see [`execute_degraded`]).
+    pub(crate) fn container(&self, rewriting: &Rewriting, i: usize) -> Option<usize> {
+        rewriting
+            .covered_by
+            .get(i)
+            .copied()
+            .flatten()
+            .filter(|_| self.distinct)
+    }
 }
 
 /// Executes a rewriting branch by branch: a CQ branch that fails terminally
@@ -272,15 +285,7 @@ pub fn execute_degraded(
     // breaker events and retries stay those of running it. When a fetch
     // fails it runs, to report its own error. Provenance labels every
     // derivation, so there every branch runs.
-    let skip_covered = plans.distinct && !provenance;
-    let container = |i: usize| {
-        rewriting
-            .covered_by
-            .get(i)
-            .copied()
-            .flatten()
-            .filter(|_| skip_covered)
-    };
+    let container = |i: usize| plans.container(rewriting, i).filter(|_| !provenance);
     // `None` is a covered branch that fetched everything and ran nothing.
     let run_branch = |i: usize, may_skip: bool| {
         let mut executor =

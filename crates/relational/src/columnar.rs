@@ -1,7 +1,7 @@
 //! The data plane: fixed-width term encoding and vectorized kernels.
 //!
 //! The executor runs every plan here. Every cell is a fixed-width 16-byte
-//! [`TermId`] (a tag word plus an inline payload, with pooled/inline
+//! [`TermId`] (a tag word plus an inline payload, with inline and long
 //! strings mapped through a process-wide dictionary), operators exchange
 //! [`ColumnBatch`]es of shared [`TypedColumn`]s, and the hot kernels —
 //! filter predicates, hash-join build/probe, DISTINCT, projection — run
@@ -300,8 +300,8 @@ impl ChainIndex {
     }
 }
 
-/// Dictionary shard count; matches the intern pool's sharding so parallel
-/// encodes spread the same way parallel interns do.
+/// Dictionary shard count: enough that parallel encodes rarely contend on
+/// one lock.
 const DICT_SHARDS: usize = 16;
 
 struct DictShard {
@@ -311,11 +311,10 @@ struct DictShard {
 
 /// The process-wide string→id dictionary backing [`TermId`] string terms.
 ///
-/// Ids are stable for the process lifetime: the dictionary holds a `Sym`
-/// clone per entry, which pins pooled `Arc<str>`s (strong count ≥ 2) so the
-/// intern pool's strong-count sweep never reclaims a string a live column
-/// might still reference. Inline `Sym`s cost 24 bytes each and never touch
-/// the pool.
+/// It is the process's only string table. Ids are stable for the process
+/// lifetime. Each entry keeps one `Sym`, because a decode hands out a clone
+/// of it: a long string's clones share its `Arc<str>`, an inline one costs
+/// its 24 bytes.
 struct TermDict {
     shards: [RwLock<DictShard>; DICT_SHARDS],
 }

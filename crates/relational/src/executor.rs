@@ -27,7 +27,6 @@ use crate::scan_cache::{EncodedScan, ScanCache};
 use crate::schema::{ColumnRef, Schema};
 use crate::stats::StatsCatalog;
 use crate::table::Table;
-use crate::value::Tuple;
 
 /// Classifies an [`ExecError`] by what the caller should do about it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,30 +115,23 @@ impl std::error::Error for ExecError {}
 /// In MDM every wrapper is a `RelationProvider`: its schema is the wrapper
 /// signature `w(a1, …, an)` and a fetch runs the wrapper (API call, file
 /// read, …) and flattens the payload to 1NF. The executor fetches through
-/// [`columns`](Self::columns) only. [`rows`](Self::rows) is the input an
-/// in-memory provider (a [`Table`]) gives the default `columns()`. A
+/// [`columns`](Self::columns), the only way to read a provider. A
 /// provider whose relation is immutable under one identity (a wrapper
-/// over one release) overrides `columns()` to hand out a column set it
-/// keeps resident, so a warm scan is an `Arc` clone; the provider owns
-/// those columns, and dropping the provider is their only invalidation.
+/// over one release) hands out a column set it keeps resident, so a warm
+/// scan is an `Arc` clone; the provider owns those columns, and dropping
+/// the provider is their only invalidation. An in-memory one (a
+/// [`Table`]) encodes its rows per fetch ([`encode_rows`]).
 /// `Sync` because union branches executing on pool workers fetch through
 /// shared references; providers must tolerate concurrent fetches.
 pub trait RelationProvider: Sync {
     /// The relation's schema (qualified by the relation name).
     fn provider_schema(&self) -> Schema;
-    /// Produces the current rows. May fail — a crashed source is an error
-    /// the engine surfaces rather than hides (cf. the paper's motivation:
-    /// queries over evolved schemas "crash or return partial results").
-    fn rows(&self) -> Result<Vec<Tuple>, ExecError>;
     /// The current rows as shared term columns (one per schema column)
     /// plus the row count: one fetch, with the failures and side effects
-    /// of one, and cell-for-cell the relation `rows()` describes. The
-    /// default encodes `rows()`.
-    fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
-        let rows = self.rows()?;
-        let width = self.provider_schema().len();
-        Ok((Arc::new(encode_rows(&rows, width)), rows.len()))
-    }
+    /// of one. May fail — a crashed source is an error the engine surfaces
+    /// rather than hides (cf. the paper's motivation: queries over evolved
+    /// schemas "crash or return partial results").
+    fn columns(&self) -> Result<(EncodedScan, usize), ExecError>;
     /// A version discriminator for the per-query scan cache key; providers
     /// whose rows never change under one identity may leave the default.
     fn version(&self) -> u64 {
@@ -185,6 +177,11 @@ impl MemoryCatalog {
         names.sort();
         names
     }
+
+    /// The table registered under `name`, rows as registered.
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.tables.get(name)
+    }
 }
 
 impl RelationProvider for Table {
@@ -192,8 +189,9 @@ impl RelationProvider for Table {
         self.schema().clone()
     }
 
-    fn rows(&self) -> Result<Vec<Tuple>, ExecError> {
-        Ok(self.rows().to_vec())
+    fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
+        let columns = encode_rows(self.rows(), self.schema().len());
+        Ok((Arc::new(columns), self.len()))
     }
 }
 
@@ -843,13 +841,13 @@ mod tests {
             Schema::qualified("f", ["id"])
         }
 
-        fn rows(&self) -> Result<Vec<Tuple>, ExecError> {
+        fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
             let left = self.failures.load(Ordering::Relaxed);
             if left > 0 {
                 self.failures.store(left - 1, Ordering::Relaxed);
                 return Err(ExecError::new(self.kind, "injected"));
             }
-            Ok(vec![vec![Value::Int(1)]])
+            Ok((Arc::new(encode_rows(&[vec![Value::Int(1)]], 1)), 1))
         }
     }
 

@@ -1,40 +1,35 @@
-//! Interned string symbols: the data plane's string representation.
+//! String symbols: the data plane's string representation.
 //!
 //! Wrapper payloads repeat the same strings thousands of times (team names,
-//! enum-like attributes, identifiers), and before interning every operator
-//! that moved a tuple deep-copied each `String` cell. [`Sym`] makes string
-//! cells cheap to move: short strings (≤ [`INLINE_CAP`] bytes, the vast
-//! majority of wrapper cell values) are stored inline with zero heap
-//! traffic, and longer strings are deduplicated into a process-wide pool of
-//! `Arc<str>` so every downstream clone is a pointer-sized refcount bump.
+//! enum-like attributes, identifiers), and a `String` cell deep-copies on
+//! every clone. [`Sym`] makes string cells cheap to move: short strings
+//! (≤ [`INLINE_CAP`] bytes, the vast majority of wrapper cell values) are
+//! stored inline with zero heap traffic, and a longer string owns one
+//! `Arc<str>`, so every clone of it is a pointer-sized refcount bump.
 //!
-//! The pool is process-wide, not per-query, on purpose: wrappers memoise
-//! their parsed row sets across queries (`mdm_wrappers` caches the typed
-//! rows per payload), so symbols must outlive any single query. Growth is
-//! bounded by an opportunistic sweep — when a shard crosses its watermark,
-//! entries whose only owner is the pool itself are dropped.
+//! There is no string table here. The one place that maps a string to a
+//! shared identity is the columnar [`TermDict`](crate::columnar), which
+//! keeps one `Sym` per entry; a string cell becomes a term id there, so
+//! two equal long strings built apart need not share an allocation.
 //!
 //! [`Sym`] behaves exactly like the `String` it replaces: `Eq`/`Ord`/`Hash`
 //! all delegate to the underlying `str` (so `Value`'s coercing semantics
 //! and every hash table keyed on tuples are unchanged), with an
-//! `Arc::ptr_eq` fast path for pooled symbols.
+//! `Arc::ptr_eq` fast path for clones of one long symbol.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-/// Maximum string length stored inline (no allocation, no pool traffic).
+/// Maximum string length stored inline (no allocation).
 /// Chosen so `Sym` stays 24 bytes — the same size as the `String` it
 /// replaced.
 pub const INLINE_CAP: usize = 22;
 
-/// An immutable interned string: inline for short strings, a shared
-/// `Arc<str>` from the process-wide pool otherwise. Cloning is always
-/// allocation-free.
+/// An immutable string: inline for short strings, an `Arc<str>` its
+/// clones share otherwise. Cloning is always allocation-free.
 #[derive(Clone)]
 pub struct Sym(Repr);
 
@@ -45,7 +40,7 @@ enum Repr {
 }
 
 impl Sym {
-    /// Interns `text`: inline when it fits, pooled otherwise.
+    /// Stores `text` inline when it fits, in a new `Arc<str>` otherwise.
     pub fn new(text: &str) -> Self {
         if text.len() <= INLINE_CAP {
             let mut buf = [0u8; INLINE_CAP];
@@ -55,7 +50,7 @@ impl Sym {
                 buf,
             })
         } else {
-            Sym(Repr::Shared(pool().intern(text)))
+            Sym(Repr::Shared(Arc::from(text)))
         }
     }
 
@@ -70,7 +65,7 @@ impl Sym {
         }
     }
 
-    /// True when the symbol is stored inline (no pool entry).
+    /// True when the symbol is stored inline (no heap allocation).
     pub fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })
     }
@@ -111,7 +106,7 @@ impl From<String> for Sym {
 impl PartialEq for Sym {
     fn eq(&self, other: &Self) -> bool {
         match (&self.0, &other.0) {
-            // Pooled symbols with one pointer are equal without looking.
+            // Clones of one long symbol are equal without looking.
             (Repr::Shared(a), Repr::Shared(b)) if Arc::ptr_eq(a, b) => true,
             _ => self.as_str() == other.as_str(),
         }
@@ -157,108 +152,6 @@ impl fmt::Debug for Sym {
     }
 }
 
-/// Shard count for the pool: enough that parallel wrapper parses rarely
-/// contend on one mutex.
-const SHARDS: usize = 16;
-
-/// A shard sweeps (drops entries only the pool still owns) when it grows
-/// past its watermark; the watermark then doubles from the surviving size.
-const SWEEP_FLOOR: usize = 1 << 12;
-
-struct Shard {
-    set: HashSet<Arc<str>>,
-    sweep_at: usize,
-}
-
-struct InternPool {
-    shards: [Mutex<Shard>; SHARDS],
-}
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static SWEEPS: AtomicU64 = AtomicU64::new(0);
-
-fn pool() -> &'static InternPool {
-    static POOL: OnceLock<InternPool> = OnceLock::new();
-    POOL.get_or_init(|| InternPool {
-        shards: std::array::from_fn(|_| {
-            Mutex::new(Shard {
-                set: HashSet::new(),
-                sweep_at: SWEEP_FLOOR,
-            })
-        }),
-    })
-}
-
-impl InternPool {
-    fn intern(&self, text: &str) -> Arc<str> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        text.hash(&mut hasher);
-        let shard = &self.shards[(hasher.finish() as usize) % SHARDS];
-        let mut shard = shard.lock().expect("intern pool poisoned");
-        if let Some(existing) = shard.set.get(text) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(existing);
-        }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(text.len() as u64, Ordering::Relaxed);
-        let entry: Arc<str> = Arc::from(text);
-        shard.set.insert(Arc::clone(&entry));
-        if shard.set.len() >= shard.sweep_at {
-            shard.set.retain(|s| Arc::strong_count(s) > 1);
-            shard.sweep_at = (shard.set.len() * 2).max(SWEEP_FLOOR);
-            SWEEPS.fetch_add(1, Ordering::Relaxed);
-        }
-        entry
-    }
-
-    fn entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("intern pool poisoned").set.len() as u64)
-            .sum()
-    }
-}
-
-/// A snapshot of the pool's lifetime counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InternStats {
-    /// Pool lookups answered by an existing entry.
-    pub hits: u64,
-    /// Pool lookups that allocated a new entry.
-    pub misses: u64,
-    /// Total bytes of string data interned (cumulative, not live).
-    pub interned_bytes: u64,
-    /// Entries currently held by the pool.
-    pub entries: u64,
-    /// Watermark sweeps performed (entries only the pool owned dropped).
-    pub sweeps: u64,
-}
-
-impl InternStats {
-    /// Hits over lookups, 0.0 when the pool was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Lifetime pool counters (process-wide).
-pub fn stats() -> InternStats {
-    InternStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        interned_bytes: BYTES.load(Ordering::Relaxed),
-        entries: pool().entries(),
-        sweeps: SWEEPS.load(Ordering::Relaxed),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,21 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn long_strings_are_pooled_and_deduplicated() {
-        let text = "a string comfortably longer than the inline capacity";
-        let a = Sym::new(text);
-        let b = Sym::new(text);
-        assert!(!a.is_inline());
-        assert_eq!(a, b);
-        match (&a.0, &b.0) {
-            (Repr::Shared(x), Repr::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
-            _ => panic!("expected pooled representations"),
-        }
-    }
-
-    #[test]
     fn hash_matches_string_hash() {
-        for text in ["", "short", "x".repeat(100).as_str()] {
+        let long = "a string comfortably longer than the inline capacity";
+        for text in ["", "short", long, "x".repeat(100).as_str()] {
             assert_eq!(hash_of(&Sym::new(text)), hash_of(&text.to_string()));
         }
     }
@@ -307,23 +188,28 @@ mod tests {
 
     #[test]
     fn boundary_lengths_round_trip() {
-        for len in [0, 1, INLINE_CAP - 1, INLINE_CAP, INLINE_CAP + 1, 200] {
+        let lengths = [0, 1, INLINE_CAP - 1, INLINE_CAP, INLINE_CAP + 1, 200];
+        for len in lengths {
             let text = "x".repeat(len);
             let sym = Sym::new(&text);
             assert_eq!(sym.as_str(), text);
             assert_eq!(sym.is_inline(), len <= INLINE_CAP);
+            // Built apart, equal symbols compare like their strings.
+            assert_eq!(sym, Sym::new(&text));
+            // A clone shares the long symbol's allocation.
+            let clone = sym.clone();
+            assert_eq!(clone, sym);
+            match (&sym.0, &clone.0) {
+                (Repr::Shared(a), Repr::Shared(b)) => assert!(Arc::ptr_eq(a, b)),
+                _ => assert!(sym.is_inline() && clone.is_inline()),
+            }
+            // Symbols around the inline boundary compare and order like
+            // `str`, whichever side is inline.
+            let others = lengths.map(|l| "x".repeat(l));
+            for other in others.iter().flat_map(|o| [o.clone(), o.clone() + "y"]) {
+                assert_eq!(sym.cmp(&Sym::new(&other)), text.as_str().cmp(&other));
+                assert_eq!(sym == Sym::new(&other), text == other);
+            }
         }
-    }
-
-    #[test]
-    fn stats_track_pool_traffic() {
-        let before = stats();
-        let text = "another string comfortably longer than the inline cap";
-        let _a = Sym::new(text);
-        let _b = Sym::new(text);
-        let after = stats();
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
-        assert!(after.interned_bytes >= before.interned_bytes + text.len() as u64);
     }
 }

@@ -37,10 +37,10 @@
 //!   (hash-join probes here, UCQ branches in `mdm-core`);
 //! * [`scan_cache`] — the per-query `(relation, version, epoch)`-keyed
 //!   scan cache (each wrapper fetched once per query);
-//! * [`optimizer`] — plan optimization: predicate pushdown plus the
-//!   cost-based passes (projection pruning, greedy join-region
-//!   reordering, branch dedup) driven by the [`stats`] catalog, with
-//!   `off` kept as the oracle;
+//! * [`optimizer`] — plan optimization, one branch plan at a time:
+//!   predicate pushdown plus the cost-based passes (projection pruning,
+//!   greedy join-region reordering) driven by the [`stats`] catalog, with
+//!   `off` kept as the oracle; ∪ and δ pass through it untouched;
 //! * [`stats`] — the cardinality-statistics catalog: per-relation row
 //!   counts and per-column distinct/null estimates, learned
 //!   opportunistically from executor scans and versioned by a stats
@@ -68,7 +68,7 @@ pub use executor::{
     Undecoded,
 };
 pub use expr::{BinOp, Expr};
-pub use intern::{InternStats, Sym};
+pub use intern::Sym;
 pub use metrics::{DataPlaneStats, OptimizerStats};
 pub use optimizer::{explain_tree, OptimizeMode, Optimizer, Statistics};
 pub use pool::{Pool, PoolStats};

@@ -2,12 +2,9 @@
 //!
 //! The executor increments these as it drains operator trees; the server's
 //! `/metrics` endpoint exposes them next to the pool and breaker gauges so
-//! an operator can see how much data the federation layer is moving and
-//! how well the string intern pool is paying off.
+//! an operator can see how much data the federation layer is moving.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::intern::{self, InternStats};
 
 static ROWS_MOVED: AtomicU64 = AtomicU64::new(0);
 static BATCHES_EMITTED: AtomicU64 = AtomicU64::new(0);
@@ -19,7 +16,6 @@ static COL_INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 static JOINS_REORDERED: AtomicU64 = AtomicU64::new(0);
 static FILTERS_PUSHED: AtomicU64 = AtomicU64::new(0);
 static PROJECTIONS_PRUNED: AtomicU64 = AtomicU64::new(0);
-static BRANCHES_DEDUPED: AtomicU64 = AtomicU64::new(0);
 
 /// Records `rows` tuples crossing the executor's drain loop in one batch.
 pub(crate) fn record_batch(rows: u64) {
@@ -64,11 +60,6 @@ pub(crate) fn record_projection_pruned() {
     PROJECTIONS_PRUNED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one duplicate union arm dropped under a distinct.
-pub(crate) fn record_branch_deduped() {
-    BRANCHES_DEDUPED.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Counters for the plan-optimization passes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptimizerStats {
@@ -78,8 +69,6 @@ pub struct OptimizerStats {
     pub filters_pushed: u64,
     /// Scans narrowed to their consumed columns.
     pub projections_pruned: u64,
-    /// Duplicate union arms dropped under a distinct.
-    pub branches_deduped: u64,
 }
 
 /// The process-wide optimizer counters.
@@ -88,7 +77,6 @@ pub fn optimizer_snapshot() -> OptimizerStats {
         joins_reordered: JOINS_REORDERED.load(Ordering::Relaxed),
         filters_pushed: FILTERS_PUSHED.load(Ordering::Relaxed),
         projections_pruned: PROJECTIONS_PRUNED.load(Ordering::Relaxed),
-        branches_deduped: BRANCHES_DEDUPED.load(Ordering::Relaxed),
     }
 }
 
@@ -116,11 +104,9 @@ pub struct DataPlaneStats {
     pub rows_moved: u64,
     /// Batches emitted by the executor drain loop.
     pub batches_emitted: u64,
-    /// String intern pool counters.
-    pub intern: InternStats,
     /// Columnar execution path counters.
     pub columnar: ColumnarStats,
-    /// Term dictionary gauges (pooled `Sym` → dense id mapping).
+    /// Term dictionary gauges (string → dense id mapping).
     pub dict: crate::columnar::DictStats,
 }
 
@@ -129,7 +115,6 @@ pub fn snapshot() -> DataPlaneStats {
     DataPlaneStats {
         rows_moved: ROWS_MOVED.load(Ordering::Relaxed),
         batches_emitted: BATCHES_EMITTED.load(Ordering::Relaxed),
-        intern: intern::stats(),
         columnar: ColumnarStats {
             encodes: COL_ENCODES.load(Ordering::Relaxed),
             decodes: COL_DECODES.load(Ordering::Relaxed),

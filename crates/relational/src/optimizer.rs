@@ -7,14 +7,18 @@
 //! * **off** — execute the rewriting exactly as produced (the reference
 //!   `prop_optimizer` holds the other mode against);
 //! * **cost** (the default) — predicate pushdown (filters sink below joins
-//!   and unions to the arm that can evaluate them), then the passes driven
-//!   by the [`stats`](crate::stats) catalog: projection pruning (scans are
+//!   to the side that can evaluate them), then the passes driven by the
+//!   [`stats`](crate::stats) catalog: projection pruning (scans are
 //!   narrowed to the columns the plan above actually consumes, shrinking
-//!   every downstream join gather), greedy join-region reordering
+//!   every downstream join gather) and greedy join-region reordering
 //!   (cheapest estimated join first, left-deep, smaller input on the right
-//!   because both planes' hash joins always build right), and post-reorder
-//!   union-arm dedup under `δ` (joins that become identical only once
-//!   canonically ordered collapse to one branch).
+//!   because the hash join always builds right).
+//!
+//! The served path optimizes one UCQ branch at a time, and a branch plan
+//! holds no ∪ or δ: the branches' union and its one δ are the merge's.
+//! Every pass still recurses through ∪ and δ unchanged, and pruning
+//! restarts at them, so a whole-UCQ plan optimizes to an equivalent one
+//! (`prop_optimizer` holds both shapes to the reference).
 //!
 //! Every rewrite is semantics-preserving **including output column
 //! order**: when reordering changes the left-to-right leaf order of a
@@ -28,20 +32,6 @@ use crate::algebra::Plan;
 use crate::expr::{BinOp, Expr};
 use crate::metrics;
 use crate::schema::{ColumnRef, Schema};
-
-/// A structural fingerprint of a plan subtree, used to drop duplicate
-/// union arms under `δ`. The `Display` rendering of a plan is deterministic
-/// and complete (it is the Figure-8 algebra expression, covering
-/// predicates, projections, join keys and relation names), so equal
-/// renderings mean structurally equal plans; fingerprint hits are still
-/// verified with `Plan::eq` by the caller, so a 64-bit collision can never
-/// merge two different branches.
-fn subtree_fingerprint(plan: &Plan) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    plan.to_string().hash(&mut hasher);
-    hasher.finish()
-}
 
 /// Cardinality statistics for base relations; the cost model's input.
 /// Implemented by the process-wide [`StatsCatalog`](crate::stats) and by
@@ -140,13 +130,12 @@ impl<'a> Optimizer<'a> {
             OptimizeMode::Cost => {
                 let plan = self.rewrite(plan);
                 let plan = self.prune(plan, None);
-                let plan = self.reorder(plan);
-                self.dedup_branches(plan)
+                self.reorder(plan)
             }
         }
     }
 
-    /// Predicate pushdown and union-arm simplification.
+    /// Predicate pushdown.
     fn rewrite(&self, plan: Plan) -> Plan {
         match plan {
             Plan::Filter { input, predicate } => {
@@ -162,19 +151,9 @@ impl<'a> Optimizer<'a> {
                 right: Box::new(self.rewrite(*right)),
                 on,
             },
-            Plan::Union { inputs } => {
-                // Flatten nested unions: ∪(∪(a, b), c) → ∪(a, b, c). Arm
-                // order is preserved, so results are unchanged, and one
-                // flat union is what `dedup_branches` compares arms over.
-                let mut flat = Vec::with_capacity(inputs.len());
-                for input in inputs {
-                    match self.rewrite(input) {
-                        Plan::Union { inputs: nested } => flat.extend(nested),
-                        other => flat.push(other),
-                    }
-                }
-                Plan::union(flat)
-            }
+            Plan::Union { inputs } => Plan::Union {
+                inputs: inputs.into_iter().map(|arm| self.rewrite(arm)).collect(),
+            },
             Plan::Distinct { input } => Plan::Distinct {
                 input: Box::new(self.rewrite(*input)),
             },
@@ -182,18 +161,10 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Sinks `predicate` as deep as its column references allow.
+    /// Sinks `predicate` below joins as deep as its column references
+    /// allow; it stays above every other operator.
     fn push_filter(&self, input: Plan, predicate: Expr) -> Plan {
         match input {
-            Plan::Union { inputs } => {
-                // A filter over a union applies to every arm.
-                Plan::union(
-                    inputs
-                        .into_iter()
-                        .map(|arm| self.push_filter(arm, predicate.clone()))
-                        .collect(),
-                )
-            }
             Plan::Join { left, right, on } => {
                 // Sink into whichever side covers all referenced columns.
                 if self.covers(&left, &predicate) {
@@ -586,60 +557,6 @@ impl<'a> Optimizer<'a> {
         tree
     }
 
-    /// Drops duplicate union arms under a `δ` — set semantics make them
-    /// redundant, and after canonical reordering previously distinct-
-    /// looking joins often become structurally identical.
-    fn dedup_branches(&self, plan: Plan) -> Plan {
-        match plan {
-            Plan::Distinct { input } => {
-                let input = self.dedup_branches(*input);
-                if let Plan::Union { inputs } = input {
-                    let mut kept: Vec<(u64, Plan)> = Vec::new();
-                    for arm in inputs {
-                        let fingerprint = subtree_fingerprint(&arm);
-                        if kept
-                            .iter()
-                            .any(|(seen, kept_arm)| *seen == fingerprint && kept_arm == &arm)
-                        {
-                            metrics::record_branch_deduped();
-                        } else {
-                            kept.push((fingerprint, arm));
-                        }
-                    }
-                    Plan::Distinct {
-                        input: Box::new(Plan::Union {
-                            inputs: kept.into_iter().map(|(_, arm)| arm).collect(),
-                        }),
-                    }
-                } else {
-                    Plan::Distinct {
-                        input: Box::new(input),
-                    }
-                }
-            }
-            Plan::Filter { input, predicate } => Plan::Filter {
-                input: Box::new(self.dedup_branches(*input)),
-                predicate,
-            },
-            Plan::Project { input, columns } => Plan::Project {
-                input: Box::new(self.dedup_branches(*input)),
-                columns,
-            },
-            Plan::Join { left, right, on } => Plan::Join {
-                left: Box::new(self.dedup_branches(*left)),
-                right: Box::new(self.dedup_branches(*right)),
-                on,
-            },
-            Plan::Union { inputs } => Plan::Union {
-                inputs: inputs
-                    .into_iter()
-                    .map(|arm| self.dedup_branches(arm))
-                    .collect(),
-            },
-            leaf @ Plan::Scan { .. } => leaf,
-        }
-    }
-
     /// Estimated output cardinality of `plan`; `None` when a scanned
     /// relation has no statistics. Scans use the catalog; equality
     /// filters divide by the column's distinct count when profiled;
@@ -942,31 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_over_union_distributes() {
-        let plan = Plan::union(vec![Plan::scan("w1"), Plan::scan("w1")])
-            .filter(Expr::col("w1.id").eq(Expr::lit(1i64)));
-        let optimizer = Optimizer::new(&NoStats, &resolve);
-        let rendered = optimizer.optimize(plan).to_string();
-        assert_eq!(rendered.matches("σ[").count(), 2, "got {rendered}");
-    }
-
-    #[test]
-    fn nested_unions_flatten_in_arm_order() {
-        let plan = Plan::union(vec![
-            Plan::union(vec![Plan::scan("w1"), Plan::scan("w2")]),
-            Plan::scan("w1"),
-        ]);
-        let optimizer = Optimizer::new(&NoStats, &resolve);
-        match optimizer.optimize(plan) {
-            Plan::Union { inputs } => {
-                let arms: Vec<String> = inputs.iter().map(Plan::to_string).collect();
-                assert_eq!(arms, ["w1", "w2", "w1"]);
-            }
-            other => panic!("expected a flat union, got {other}"),
-        }
-    }
-
-    #[test]
     fn cross_side_predicate_stays_above_join() {
         let plan = join_plan().filter(Expr::col("w1.teamId").eq(Expr::col("w2.id")));
         let optimizer = Optimizer::new(&NoStats, &resolve);
@@ -1109,27 +1001,6 @@ mod tests {
         let optimizer = Optimizer::new(&NoStats, &resolve);
         let rendered = optimizer.optimize(plan).to_string();
         assert_eq!(rendered, "π[w1.pName→name](δ(w1))");
-    }
-
-    #[test]
-    fn duplicate_union_arms_dedup_under_distinct() {
-        let arm = || join_plan().project_named(&[("w1.pName", "p")]);
-        let other = Plan::scan("w1").project_named(&[("w1.pName", "p")]);
-        let plan = Plan::union(vec![arm(), other, arm()]).distinct();
-        let optimizer = Optimizer::new(&NoStats, &resolve);
-        match optimizer.optimize(plan) {
-            Plan::Distinct { input } => match *input {
-                Plan::Union { inputs } => assert_eq!(inputs.len(), 2),
-                other => panic!("expected union, got {other}"),
-            },
-            other => panic!("expected distinct, got {other}"),
-        }
-        // Without δ the union keeps bag semantics: no dedup.
-        let plan = Plan::union(vec![arm(), arm()]);
-        match optimizer.optimize(plan) {
-            Plan::Union { inputs } => assert_eq!(inputs.len(), 2),
-            other => panic!("expected union, got {other}"),
-        }
     }
 
     #[test]

@@ -13,7 +13,9 @@ use mdm_relational::algebra::Plan;
 use mdm_relational::scan_cache::EncodedScan;
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{columnar, metrics};
-use mdm_relational::{Catalog, ExecError, Executor, RelationProvider, Table, Tuple, Value};
+use mdm_relational::{
+    Catalog, ExecError, Executor, MemoryCatalog, RelationProvider, Table, Tuple, Value,
+};
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -29,8 +31,7 @@ fn serial() -> MutexGuard<'static, ()> {
 /// A relation kept resident as term columns, the way a wrapper keeps its
 /// release: every `columns()` hands out the same column set.
 struct Resident {
-    schema: Schema,
-    rows: Vec<Tuple>,
+    table: Table,
     columns: EncodedScan,
 }
 
@@ -38,8 +39,7 @@ impl Resident {
     fn new(schema: Schema, rows: Vec<Tuple>) -> Resident {
         let columns = Arc::new(columnar::encode_rows(&rows, schema.len()));
         Resident {
-            schema,
-            rows,
+            table: Table::new(schema, rows).unwrap(),
             columns,
         }
     }
@@ -51,21 +51,27 @@ impl Resident {
 
 impl RelationProvider for Resident {
     fn provider_schema(&self) -> Schema {
-        self.schema.clone()
-    }
-
-    fn rows(&self) -> Result<Vec<Tuple>, ExecError> {
-        Ok(self.rows.clone())
+        self.table.schema().clone()
     }
 
     fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
-        Ok((Arc::clone(&self.columns), self.rows.len()))
+        Ok((Arc::clone(&self.columns), self.table.len()))
     }
 }
 
 struct Pair {
     l: Resident,
     r: Resident,
+}
+
+impl Pair {
+    /// The same relations as plain tables, for the reference interpreter.
+    fn tables(&self) -> MemoryCatalog {
+        let mut tables = MemoryCatalog::new();
+        tables.register("l", self.l.table.clone());
+        tables.register("r", self.r.table.clone());
+        tables
+    }
 }
 
 impl Catalog for Pair {
@@ -182,7 +188,7 @@ fn b_indexed_joins_match_the_row_plane() {
     let catalog = pair();
     for keys in [&["k"][..], &["k2"], &["k", "k2"], &["k2", "k"]] {
         let plan = join_on(keys);
-        let want = spelled(&reference::run(&plan, &catalog).unwrap());
+        let want = spelled(&reference::run(&plan, &catalog.tables()).unwrap());
         // The first run builds the index, the second probes the one the
         // column kept.
         for pass in 0..2 {

@@ -10,7 +10,7 @@
 //! drain).
 //!
 //! Random data deliberately mixes inline strings (≤ 22 bytes, stored in the
-//! `Sym` small-string buffer), long strings (pooled `Arc<str>`, and so the
+//! `Sym` small-string buffer), long strings (an `Arc<str>` each, and so the
 //! dictionary-id path of the term encoding), NULLs (which never match as
 //! join keys), Int/Float join keys that only match under numeric coercion,
 //! `-0.0` next to `0.0`, and NaN, which is not `==` to itself.
@@ -26,10 +26,10 @@ use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Value};
 mod reference;
 
 // ---------------------------------------------------------------------------
-// Random data: inline strings, pooled strings, NULLs, coercing numerics
+// Random data: inline strings, long strings, NULLs, coercing numerics
 // ---------------------------------------------------------------------------
 
-/// Long join-key strings (> 22 bytes) take the shared intern-pool path.
+/// Long join-key strings (> 22 bytes) take the `Arc<str>` path.
 const LONG_KEYS: [&str; 2] = [
     "player-registry-key-alpha-0001",
     "player-registry-key-omega-0002",
@@ -37,7 +37,7 @@ const LONG_KEYS: [&str; 2] = [
 const SHORT_KEYS: [&str; 2] = ["x", "y"];
 
 /// A join key: NULL, coercible Int/Float, signed zeros, NaN, inline string,
-/// or pooled string — all from a small domain so joins actually hit.
+/// or long string — all from a small domain so joins actually hit.
 fn arb_key() -> impl Strategy<Value = Value> {
     prop_oneof![
         1 => Just(Value::Null),
@@ -49,7 +49,7 @@ fn arb_key() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// A payload string column mixing inline and pooled representations, with
+/// A payload string column mixing inline and long representations, with
 /// repeats so distinct/dedup paths are exercised.
 fn arb_text() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -155,7 +155,7 @@ fn join_on_k() -> Vec<(ColumnRef, ColumnRef)> {
 }
 
 proptest! {
-    /// σ and π over mixed inline/pooled/NULL data match the reference.
+    /// σ and π over mixed inline/long/NULL data match the reference.
     #[test]
     fn filter_project_matches_reference(a in arb_table("a"), threshold in -20i64..20) {
         let plan = Plan::scan("a")
@@ -198,7 +198,7 @@ proptest! {
 
     /// First-occurrence distinct over a self-union dedups identically in
     /// every execution mode: term-id equality must be `Value` equality for
-    /// every encoding (NaN, -0.0, coerced Int/Float, inline vs pooled
+    /// every encoding (NaN, -0.0, coerced Int/Float, inline vs long
     /// strings).
     #[test]
     fn distinct_matches_reference(a in arb_table("a")) {

@@ -7,7 +7,7 @@
 //! shares no code with the engine. This file property-checks
 //! [`Executor::run`] against it over random plans and data — NULLs (which
 //! never match as join keys), Int/Float keys that only join under numeric
-//! coercion, `-0.0` next to `0.0`, NaN, inline (≤ 22 byte) and pooled
+//! coercion, `-0.0` next to `0.0`, NaN, inline (≤ 22 byte) and long
 //! (`Arc<str>`) strings — under batch widths {1, 2, 1024} and both the
 //! parallel and the sequential drain (the row plane has no modes of its
 //! own).
@@ -23,10 +23,10 @@ use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Value};
 mod reference;
 
 // ---------------------------------------------------------------------------
-// Random data: inline strings, pooled strings, NULLs, coercing numerics
+// Random data: inline strings, long strings, NULLs, coercing numerics
 // ---------------------------------------------------------------------------
 
-/// Long join-key strings (> 22 bytes) take the shared intern-pool path and
+/// Long join-key strings (> 22 bytes) take the `Arc<str>` path and
 /// therefore the dictionary-id fast path in the columnar kernels.
 const LONG_KEYS: [&str; 2] = [
     "columnar-dictionary-key-alpha-0001",
@@ -35,7 +35,7 @@ const LONG_KEYS: [&str; 2] = [
 const SHORT_KEYS: [&str; 2] = ["x", "y"];
 
 /// A join key: NULL, coercible Int/Float, signed zeros, NaN, inline string,
-/// or pooled string — all from a small domain so joins actually hit.
+/// or long string — all from a small domain so joins actually hit.
 fn arb_key() -> impl Strategy<Value = Value> {
     prop_oneof![
         1 => Just(Value::Null),
@@ -47,7 +47,7 @@ fn arb_key() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// A payload string column mixing inline and pooled representations, with
+/// A payload string column mixing inline and long representations, with
 /// repeats so distinct paths dedup across the two encodings.
 fn arb_text() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -210,7 +210,7 @@ proptest! {
 
     /// First-occurrence distinct over a self-union dedups identically:
     /// term-id equality must match Value equality for every encoding (NaN,
-    /// -0.0, coerced Int/Float, inline vs pooled strings).
+    /// -0.0, coerced Int/Float, inline vs long strings).
     #[test]
     fn distinct_matches_row_plane(a in arb_table("a")) {
         let plan = Plan::union(vec![Plan::scan("a"), Plan::scan("a")]).distinct();

@@ -8,7 +8,7 @@
 //! concatenate in branch order, keep the first of `==` rows, `sort()` —
 //! over the cells where the two could drift apart: NULLs, bools,
 //! `-0.0`/`0.0`, `Int`/`Float` pairs that are `==` under coercion, inline
-//! and pooled strings, and provenance labels.
+//! and long strings, and provenance labels.
 
 use std::sync::mpsc;
 use std::time::Duration;

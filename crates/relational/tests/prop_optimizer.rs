@@ -30,8 +30,11 @@ fn arb_table(relation: &'static str) -> impl Strategy<Value = Table> {
 
 /// Shape knobs for a random π-topped plan over relations a, b, c: an
 /// optional third join (exercises reordering), optional filters (exercise
-/// pushdown), an optional second union arm (exercises branch dedup), and
-/// an optional distinct on top.
+/// pushdown), an optional second union arm, and an optional distinct on
+/// top. The optimizer leaves ∪ and δ as they are and optimizes below
+/// them; the served path never hands it either (a branch plan has
+/// neither), so the union and distinct shapes are here as equivalence
+/// inputs: every pass must recurse through them without changing a row.
 #[derive(Debug, Clone)]
 struct Shape {
     three_way: bool,
@@ -103,8 +106,8 @@ fn arm(shape: &Shape, threshold: Option<i64>) -> Plan {
 fn build(shape: &Shape) -> Plan {
     let first = arm(shape, shape.filter_a);
     let plan = match shape.union_arm {
-        // Equal thresholds make the arms identical — exactly the case
-        // branch dedup folds away.
+        // Equal thresholds make the arms identical: under δ the second
+        // adds no row, without δ it doubles every one.
         Some(t) => Plan::union(vec![first, arm(shape, Some(t))]),
         None => first,
     };

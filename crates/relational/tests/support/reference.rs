@@ -1,7 +1,7 @@
 //! The reference interpreter: the oracle the columnar engine is held to.
 //!
-//! It evaluates a [`Plan`] row at a time over the rows each provider's
-//! `rows()` hands out — nested-loop joins in probe × build order,
+//! It evaluates a [`Plan`] row at a time over the rows of the tables a
+//! [`MemoryCatalog`] holds, as they were registered — nested-loop joins in probe × build order,
 //! first-occurrence distinct, branch-order union — and shares no code with
 //! the engine's operators, its term encoding or its scan cache. What it
 //! does share is the specification: `Value`'s coercing equality, `Expr`'s
@@ -14,29 +14,29 @@ use std::collections::HashSet;
 
 use mdm_relational::algebra::Plan;
 use mdm_relational::schema::{ColumnRef, Schema};
-use mdm_relational::{Catalog, ExecError, Table, Tuple};
+use mdm_relational::{ExecError, MemoryCatalog, Table, Tuple};
 
 /// Evaluates `plan` against `catalog`, as [`Executor::run`] must.
 ///
 /// [`Executor::run`]: mdm_relational::Executor::run
-pub fn run(plan: &Plan, catalog: &dyn Catalog) -> Result<Table, ExecError> {
+pub fn run(plan: &Plan, catalog: &MemoryCatalog) -> Result<Table, ExecError> {
     let (schema, rows) = eval(plan, catalog)?;
     Table::new(schema, rows).map_err(ExecError::permanent)
 }
 
-fn eval(plan: &Plan, catalog: &dyn Catalog) -> Result<(Schema, Vec<Tuple>), ExecError> {
+fn eval(plan: &Plan, catalog: &MemoryCatalog) -> Result<(Schema, Vec<Tuple>), ExecError> {
     match plan {
         Plan::Scan { relation } => {
-            let provider = catalog.provider(relation).ok_or_else(|| {
+            let table = catalog.table(relation).ok_or_else(|| {
                 ExecError::permanent(format!("unknown relation '{relation}' in catalog"))
             })?;
-            let schema = provider.provider_schema();
+            let schema = table.schema().clone();
             if schema.is_empty() {
                 return Err(ExecError::permanent(format!(
                     "relation '{relation}' has no columns; a plan must produce at least one"
                 )));
             }
-            Ok((schema, provider.rows()?))
+            Ok((schema, table.rows().to_vec()))
         }
         Plan::Filter { input, predicate } => {
             let (schema, rows) = eval(input, catalog)?;

@@ -621,16 +621,18 @@ fn apply_batch(
         healthy: false,
     })?;
     // The gauge is published only now, after wrapper hydration: a reader
-    // of `replay_epoch` (or `wait_for_epoch`) must be able to *query* at
-    // that epoch, not merely know its metadata was applied. Reading the
-    // epoch back from the Mdm also re-publishes after a hydration retry
-    // that rode an empty batch.
-    let replayed = ctx.state.mdm.read().expect("state poisoned").epoch();
-    ctx.status.replay_epoch.store(replayed, Ordering::SeqCst);
+    // of `replay_epoch` (`/epoch`, `wait_for_epoch`) must be able to
+    // *query* at that epoch, not merely know its metadata was applied.
+    // The state goes first, so a reader who sees the new epoch also sees
+    // the replica bootstrapped and replicating. Reading the epoch back
+    // from the Mdm also re-publishes after a hydration retry that rode an
+    // empty batch.
     if batch.snapshot.is_some() {
         ctx.status.mark_bootstrapped();
     }
     ctx.status.set_state(ReplicaState::Replicating);
+    let replayed = ctx.state.mdm.read().expect("state poisoned").epoch();
+    ctx.status.replay_epoch.store(replayed, Ordering::SeqCst);
     Ok(())
 }
 

@@ -365,24 +365,30 @@ fn healthz(state: &AppState) -> Response {
 /// `GET /epoch`: the minimal staleness probe — the metadata epoch this
 /// node answers queries at, the store generation backing it, and (on a
 /// replica) how far behind the primary it believes it is.
+///
+/// A replica answers at its published `replay_epoch`, not at its `Mdm`'s
+/// epoch: snapshot restore and replay raise the latter before the
+/// wrappers those records declare are hydrated, and a query at that epoch
+/// could not yet run.
 fn epoch(state: &AppState) -> Response {
     let store = state.store();
     let replica = state.replica();
-    let mdm = state.mdm.read().expect("state poisoned");
-    let (role, store_generation, replay_lag) = match &replica {
+    let (role, metadata_epoch, store_generation, replay_lag) = match &replica {
         Some(replica) => (
             "replica",
-            replica.generation.load(std::sync::atomic::Ordering::SeqCst),
+            replica.replay_epoch.load(SeqCst),
+            replica.generation.load(SeqCst),
             replica.replay_lag(),
         ),
         None => (
             if store.is_some() { "primary" } else { "single" },
+            state.mdm.read().expect("state poisoned").epoch(),
             store.as_ref().map_or(0, |s| s.generation()),
             0,
         ),
     };
     ok_json(Value::object([
-        ("metadata_epoch", Value::int(mdm.epoch() as i64)),
+        ("metadata_epoch", Value::int(metadata_epoch as i64)),
         ("store_generation", Value::int(store_generation as i64)),
         ("term", Value::int(state.current_term() as i64)),
         ("replay_lag", Value::int(replay_lag as i64)),
@@ -466,15 +472,6 @@ fn metrics(state: &AppState) -> Response {
     let data_plane = Value::object([
         ("rows_moved", Value::int(dp.rows_moved as i64)),
         ("batches_emitted", Value::int(dp.batches_emitted as i64)),
-        ("intern_hits", Value::int(dp.intern.hits as i64)),
-        ("intern_misses", Value::int(dp.intern.misses as i64)),
-        ("intern_hit_rate", Value::float(dp.intern.hit_rate())),
-        (
-            "interned_bytes",
-            Value::int(dp.intern.interned_bytes as i64),
-        ),
-        ("intern_entries", Value::int(dp.intern.entries as i64)),
-        ("intern_sweeps", Value::int(dp.intern.sweeps as i64)),
         ("dict_entries", Value::int(dp.dict.entries as i64)),
         ("dict_bytes", Value::int(dp.dict.bytes as i64)),
         (
@@ -523,7 +520,6 @@ fn metrics(state: &AppState) -> Response {
             "projections_pruned",
             Value::int(opt.projections_pruned as i64),
         ),
-        ("branches_deduped", Value::int(opt.branches_deduped as i64)),
         (
             "branch_plans_optimized",
             Value::int(mdm.branch_plans_optimized() as i64),
@@ -1351,7 +1347,15 @@ fn with_walk<T>(
     handler: impl FnOnce(&Mdm, &Walk) -> Result<T, MdmError>,
 ) -> Result<T, Response> {
     let body = parse_body(&request.body)?;
-    let text = str_field(&body, "walk")?;
+    with_walk_text(state, str_field(&body, "walk")?, handler)
+}
+
+/// [`with_walk`] for a walk that did not come in a JSON body.
+fn with_walk_text<T>(
+    state: &AppState,
+    text: &str,
+    handler: impl FnOnce(&Mdm, &Walk) -> Result<T, MdmError>,
+) -> Result<T, Response> {
     let mdm = state.mdm.read().expect("state poisoned");
     walk_dsl::parse_walk(text, mdm.ontology())
         .and_then(|walk| walk.validate(mdm.ontology()).map(|()| walk))
@@ -1392,8 +1396,9 @@ fn analyst_rewrite(state: &AppState, request: &Request) -> Response {
     }))
 }
 
-/// The explain payload: the derivation narration plus the optimized plan
-/// tree annotated with estimated and actual per-operator cardinalities.
+/// The explain payload: the derivation narration plus the prepared branch
+/// plans the served path runs, annotated with estimated and actual
+/// per-operator cardinalities.
 fn explain_value(mdm: &Mdm, walk: &Walk) -> Result<Value, MdmError> {
     let rewriting = mdm.rewrite_cached(walk)?;
     let plan = mdm.explain_plan(walk)?;
@@ -1443,18 +1448,7 @@ fn analyst_explain_get(state: &AppState, request: &Request) -> Response {
     let Some(raw) = query_param(request, "walk") else {
         return error_response(400, "protocol", "missing query parameter 'walk'");
     };
-    let text = percent_decode(raw);
-    let mdm = state.mdm.read().expect("state poisoned");
-    let walk = match walk_dsl::parse_walk(&text, mdm.ontology())
-        .and_then(|walk| walk.validate(mdm.ontology()).map(|()| walk))
-    {
-        Ok(walk) => walk,
-        Err(e) => return mdm_error_response(&e),
-    };
-    match explain_value(&mdm, &walk) {
-        Ok(value) => ok_json(value),
-        Err(e) => mdm_error_response(&e),
-    }
+    walk_json(with_walk_text(state, &percent_decode(raw), explain_value))
 }
 
 fn completeness_json(completeness: &mdm_core::Completeness) -> Value {
@@ -1625,6 +1619,42 @@ mod tests {
         let mut out = String::new();
         write_rows(&mut out, rows);
         out
+    }
+
+    /// A replica restores or replays metadata before it hydrates the
+    /// wrappers that metadata declares, and only then publishes
+    /// `replay_epoch`: `/epoch` must report that epoch, the one its
+    /// queries can run at, not its `Mdm`'s.
+    #[test]
+    fn a_replica_reports_its_replay_epoch_not_its_metadata_epoch() {
+        let mut mdm = Mdm::new();
+        for name in ["A", "B", "C"] {
+            let concept = Iri::new(format!("http://example.org/{name}"));
+            mdm.define_concept(&concept).unwrap();
+        }
+        assert_eq!(mdm.epoch(), 3);
+        let status = std::sync::Arc::new(crate::replication::ReplicaStatus::new("127.0.0.1:1"));
+        status.replay_epoch.store(1, SeqCst);
+        status.primary_epoch.store(3, SeqCst);
+        let state = AppState::new(mdm, &crate::ServerConfig::default(), None, Some(status));
+        let request = Request {
+            method: "GET".into(),
+            path: "/epoch".into(),
+            query: None,
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let response = dispatch(&state, &request);
+        assert_eq!(response.status, 200);
+        let body = json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        let int = |name: &str| {
+            body.get(name)
+                .and_then(Value::as_number)
+                .and_then(|n| n.as_i64())
+        };
+        assert_eq!(int("metadata_epoch"), Some(1));
+        assert_eq!(int("replay_lag"), Some(2));
+        assert_eq!(body.get("role").and_then(Value::as_str), Some("replica"));
     }
 
     #[test]

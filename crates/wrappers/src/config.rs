@@ -162,7 +162,6 @@ impl WrapperConfig {
 mod tests {
     use super::*;
     use crate::rest::{Format, Release};
-    use mdm_relational::RelationProvider;
 
     fn endpoint() -> RestSource {
         let mut source = RestSource::new("PlayersAPI");
@@ -198,7 +197,7 @@ mod tests {
         assert_eq!(config.wrappers[0].bindings.len(), 3);
         let wrappers = config.instantiate(&endpoint()).unwrap();
         assert_eq!(wrappers.len(), 1);
-        let rows = RelationProvider::rows(&wrappers[0]).unwrap();
+        let rows = wrappers[0].rows().unwrap();
         assert_eq!(rows[0][1], mdm_relational::Value::str("Messi"));
         assert_eq!(rows[0][2], mdm_relational::Value::Int(94));
     }

@@ -256,7 +256,7 @@ mod tests {
         // Every source's v1 wrapper produces rows whose id is 0..n and whose
         // foreign key joins position-for-position with the next concept.
         let w0 = &eco.sources[0].wrappers[0];
-        let rows = RelationProvider::rows(w0).unwrap();
+        let rows = w0.rows().unwrap();
         assert_eq!(rows.len(), 10);
         let schema = w0.provider_schema();
         let next = schema

@@ -427,10 +427,6 @@ impl RelationProvider for Wrapper {
         Schema::qualified(self.name(), self.signature.attributes().to_vec())
     }
 
-    fn rows(&self) -> Result<Vec<Tuple>, ExecError> {
-        Wrapper::rows(self).map_err(ExecError::from)
-    }
-
     fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
         Wrapper::columns(self).map_err(ExecError::from)
     }

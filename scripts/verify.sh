@@ -79,6 +79,20 @@ awk 'BEGIN {
          seen++; if ($4 + 0 != want[$2 " " $3]) { print "journal records moved (want " want[$2 " " $3] "): " $0; bad = 1 } }
      END { if (seen != 8) { print "expected store.wal_records and store.wal_bytes_per_release on 4 workloads, saw " seen + 0; bad = 1 } exit bad }' "$quick"
 
+# The term dictionary is the process's only string table: every string a
+# workload's wrappers and queries hold is one of its entries. Exact at seed
+# 42 (--quick), recorded when the string intern pool beside it was deleted;
+# a string encoded differently, or one the dictionary no longer holds,
+# moves them.
+awk 'BEGIN {
+         want["serve_hot relational.dict_entries"] = 52;          want["serve_hot relational.dict_bytes"] = 621
+         want["scan_join relational.dict_entries"] = 3401;        want["scan_join relational.dict_bytes"] = 34672
+         want["wide_result relational.dict_entries"] = 3401;      want["wide_result relational.dict_bytes"] = 34672
+         want["evolution_churn relational.dict_entries"] = 1804;  want["evolution_churn relational.dict_bytes"] = 18128 }
+     $1 == "metric" && (($2 " " $3) in want) {
+         seen++; if ($4 + 0 != want[$2 " " $3]) { print "term dictionary moved (want " want[$2 " " $3] "): " $0; bad = 1 } }
+     END { if (seen != 8) { print "expected relational.dict_entries and relational.dict_bytes on 4 workloads, saw " seen + 0; bad = 1 } exit bad }' "$quick"
+
 echo "==> evaluation harness (E1–E8 + P summaries regenerate)"
 cargo run --release --quiet -p mdm-bench --bin evaluation > /dev/null
 

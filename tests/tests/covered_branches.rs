@@ -292,6 +292,77 @@ fn scan_join_runs_two_of_its_sixteen_branches() {
     assert_eq!(uncovered, vec![0, 8]);
 }
 
+/// `explain` renders the prepared plans the served path runs: the merge,
+/// then all 16 branches once, in rewriting order. The 14 covered ones name
+/// their container and show no plan; the scans shown are exactly those of
+/// the 2 plans that run, and no operator is a ∪.
+#[test]
+fn explain_shows_the_two_branch_plans_the_server_runs() {
+    let (mdm, stats) = scan_join_system(1);
+    let walk = scan_join_walk();
+    let text = mdm.explain_plan(&walk).unwrap();
+    let rewriting = mdm.rewrite_cached(&walk).unwrap();
+    assert_eq!(rewriting.branch_count(), 16);
+    // The branch plans as the served path prepares them.
+    let resolve = |name: &str| mdm.catalog().relation_schema(name);
+    let optimizer = Optimizer::new(stats.as_ref(), &resolve);
+    let plans = PreparedPlans::prepare(&rewriting, &RewriteOptions::default(), &|plan| {
+        optimizer.optimize_with(mdm.optimize_mode(), plan)
+    })
+    .unwrap();
+
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines[0], "δ over 16 branches: 2 run, 14 covered", "{text}");
+    let headers: Vec<usize> = (0..lines.len())
+        .filter(|&n| lines[n].starts_with("branch "))
+        .collect();
+    assert_eq!(headers.len(), 16, "{text}");
+    let mut want_scans = Vec::new();
+    for (i, (cq, &at)) in rewriting.queries.iter().zip(&headers).enumerate() {
+        let label = format!("branch {} [{}]", i + 1, cq.atoms.join("+"));
+        match rewriting.covered_by[i] {
+            Some(j) => {
+                assert_eq!(lines[at], format!("{label}: covered by branch {}", j + 1));
+                let next = lines.get(at + 1);
+                assert!(
+                    next.is_none_or(|line| line.starts_with("branch ")),
+                    "{text}"
+                );
+            }
+            None => {
+                assert_eq!(lines[at], label);
+                want_scans.extend(plans.branches[i].scans.iter().map(|s| format!("scan {s}")));
+            }
+        }
+    }
+    let operators: Vec<&str> = lines
+        .iter()
+        .filter(|line| line.starts_with("  "))
+        .map(|line| line.trim_start())
+        .collect();
+    let scans: Vec<&str> = operators
+        .iter()
+        .filter(|op| op.starts_with("scan "))
+        .map(|op| op.split("  ").next().unwrap())
+        .collect();
+    assert_eq!(scans, want_scans, "{text}");
+    assert!(!operators.iter().any(|op| op.starts_with('∪')), "{text}");
+    assert!(text.contains("act=") && text.contains("est≈"), "{text}");
+}
+
+/// Explaining a cold walk prepares its branch plans, and they are the ones
+/// the query after it runs: that query prepares nothing.
+#[test]
+fn explaining_a_cold_walk_prepares_what_the_next_query_runs() {
+    let (mdm, _) = scan_join_system(1);
+    let walk = scan_join_walk();
+    mdm.explain_plan(&walk).unwrap();
+    let prepared = mdm.branch_plans_optimized();
+    assert_eq!(prepared, 16);
+    mdm.query_degraded(&walk, Deadline::none()).unwrap();
+    assert_eq!(mdm.branch_plans_optimized(), prepared);
+}
+
 #[test]
 fn killing_a_c1_wrapper_drops_exactly_its_branches_and_keeps_every_row() {
     for threads in THREADS {

@@ -11,6 +11,8 @@ use proptest::prelude::*;
 use mdm_core::synthetic::{chain_walk, mdm_from_synthetic};
 use mdm_core::usecase;
 use mdm_core::Mdm;
+use mdm_relational::columnar::encode_rows;
+use mdm_relational::scan_cache::EncodedScan;
 use mdm_relational::{
     BinOp, Catalog, Deadline, ExecError, ExecOptions, Executor, Expr, Plan, Pool, RelationProvider,
     RetryPolicy, ScanCache, Schema, Tuple, Value,
@@ -43,9 +45,10 @@ impl RelationProvider for Counting {
         Schema::qualified(self.name, ["id"])
     }
 
-    fn rows(&self) -> Result<Vec<Tuple>, ExecError> {
+    fn columns(&self) -> Result<(EncodedScan, usize), ExecError> {
         self.fetches.fetch_add(1, Ordering::Relaxed);
-        Ok((0..16).map(|n| vec![Value::Int(n)]).collect())
+        let rows: Vec<Tuple> = (0..16).map(|n| vec![Value::Int(n)]).collect();
+        Ok((Arc::new(encode_rows(&rows, 1)), rows.len()))
     }
 }
 

@@ -325,19 +325,15 @@ fn lifecycle_from_empty_metadata_over_tcp() {
     assert_eq!(int_of(&metrics, "errors_total"), 0);
     assert!(int_of(&metrics, "requests_total") >= 30);
 
-    // The data-plane export carries intern-pool, dictionary, and columnar
-    // counters; the queries above ran under the columnar default, so the
-    // encode path must have moved.
+    // The data-plane export carries dictionary and columnar counters; the
+    // queries above ran under the columnar default, so the encode path
+    // must have moved.
     let dp = metrics
         .get("data_plane")
         .expect("data_plane stats exported");
     for field in [
         "rows_moved",
         "batches_emitted",
-        "intern_hits",
-        "intern_misses",
-        "intern_entries",
-        "intern_sweeps",
         "dict_entries",
         "dict_bytes",
     ] {
@@ -620,7 +616,8 @@ fn plan_cache_hit_rate_and_release_invalidation() {
 
     // The key set is exactly what the one served pipeline can move: no
     // optimized-plan side slot, no invalidation mode, no run-time branch
-    // sharing.
+    // sharing, no string table beside the term dictionary and no
+    // whole-UCQ optimizer pass.
     for field in ["reoptimizations", "optimized_hits", "optimized_misses"] {
         assert!(
             cache.get(field).is_none(),
@@ -628,10 +625,19 @@ fn plan_cache_hit_rate_and_release_invalidation() {
         );
     }
     let data_plane = metrics.get("data_plane").expect("data plane exported");
-    assert!(
-        data_plane.get("branches_shared").is_none(),
-        "{data_plane:?}"
-    );
+    for field in [
+        "branches_shared",
+        "intern_hits",
+        "intern_misses",
+        "intern_hit_rate",
+        "interned_bytes",
+        "intern_entries",
+        "intern_sweeps",
+    ] {
+        assert!(data_plane.get(field).is_none(), "{data_plane:?}");
+    }
+    let optimizer = metrics.get("optimizer").expect("optimizer exported");
+    assert!(optimizer.get("branches_deduped").is_none(), "{optimizer:?}");
     assert!(int_of(data_plane, "rows_moved") > 0);
     let evolution = metrics
         .get("evolution")
