@@ -13,8 +13,9 @@
 //! reference interpreter does). A served UCQ answer never becomes `Value`s
 //! at all:
 //! [`merge_branches`] unions, deduplicates and sorts the branches' terms
-//! and hands back [`MergedRows`] — sorted term rows plus the answer's
-//! distinct strings, read from the dictionary once each.
+//! in one sort by the dictionary's content order and hands back
+//! [`MergedRows`] — sorted term rows plus the answer's distinct strings,
+//! read from the dictionary once each.
 //!
 //! Encoding is exact, not lossy: ints keep their i64 bits, floats their
 //! f64 bits (NaN payloads and -0.0 included), and strings their dictionary
@@ -188,7 +189,7 @@ pub(crate) fn key_hash(terms: impl IntoIterator<Item = TermId>) -> u64 {
 }
 
 /// The hasher of every `u64`-keyed table in this module (join chains, δ's
-/// seen set) and of the merge's per-column term tables. Join and δ keys
+/// seen set) and of the merge's per-column number tables. Join and δ keys
 /// are [`key_hash`]es, already mixed, so SipHash's rounds buy nothing; the
 /// merge's are raw term words, which the folded multiply spreads (see
 /// `mul`). What must survive is the *keying*: where a key lands depends on
@@ -315,22 +316,61 @@ struct DictShard {
 /// lifetime. Each entry keeps one `Sym`, because a decode hands out a clone
 /// of it: a long string's clones share its `Arc<str>`, an inline one costs
 /// its 24 bytes.
+///
+/// It also keeps its strings' content order ([`ContentOrder`]), which the
+/// UCQ merge sorts by. The order is extended lazily: a merge that finds
+/// entries the order does not cover yet sorts only those and merges them
+/// into the ranked list, O(D + k log k) for k new strings over D; a merge
+/// after no growth reads one atomic and takes the order's read lock.
+///
+/// Lock order: the order lock comes before any shard lock. Extending the
+/// order read-locks every shard while it holds the order's write lock, so a
+/// thread holding shard read guards — a live [`Decoder`] — must not take
+/// the order lock.
 struct TermDict {
     shards: [RwLock<DictShard>; DICT_SHARDS],
+    /// Entries inserted so far, bumped (`Release`) under the inserting
+    /// shard's write lock after the push: an `Acquire` load that counts an
+    /// entry sees it in its shard.
+    entries: AtomicU64,
+    order: RwLock<ContentOrder>,
+}
+
+/// The term dictionary's strings in `str::cmp` order: a dense rank per id,
+/// and the id per rank.
+#[derive(Default)]
+struct ContentOrder {
+    /// The number of entries ranked: `TermDict::entries` when the order
+    /// was last extended.
+    covered: u64,
+    /// Each entry's rank, per shard, indexed like the shard's entries.
+    ranks: [Vec<u32>; DICT_SHARDS],
+    /// Ids in rank order.
+    ids: Vec<u64>,
+}
+
+impl ContentOrder {
+    /// The rank of string id `id`; the id must be covered.
+    fn rank(&self, id: u64) -> u32 {
+        self.ranks[(id >> 32) as usize][(id & 0xffff_ffff) as usize]
+    }
+
+    /// The string id at `rank`.
+    fn id(&self, rank: u32) -> u64 {
+        self.ids[rank as usize]
+    }
+
+    /// Number of ranked strings.
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
 }
 
 static DICT_BYTES: AtomicU64 = AtomicU64::new(0);
 
 fn dict() -> &'static TermDict {
     static DICT: OnceLock<TermDict> = OnceLock::new();
-    DICT.get_or_init(|| TermDict {
-        shards: std::array::from_fn(|_| {
-            RwLock::new(DictShard {
-                map: HashMap::new(),
-                entries: Vec::new(),
-            })
-        }),
-    })
+    DICT.get_or_init(TermDict::new)
 }
 
 fn dict_shard_of(text: &str) -> usize {
@@ -340,6 +380,19 @@ fn dict_shard_of(text: &str) -> usize {
 }
 
 impl TermDict {
+    fn new() -> TermDict {
+        TermDict {
+            shards: std::array::from_fn(|_| {
+                RwLock::new(DictShard {
+                    map: HashMap::new(),
+                    entries: Vec::new(),
+                })
+            }),
+            entries: AtomicU64::new(0),
+            order: RwLock::new(ContentOrder::default()),
+        }
+    }
+
     /// The id for `sym`'s content, inserting on first sight. Read-locks on
     /// the hit path; upgrades to a write lock only for new strings.
     fn id_of(&self, sym: &Sym) -> u64 {
@@ -358,8 +411,73 @@ impl TermDict {
         let idx = guard.entries.len() as u32;
         guard.entries.push(sym.clone());
         guard.map.insert(sym.clone(), idx);
+        self.entries.fetch_add(1, AtomicOrdering::Release);
         DICT_BYTES.fetch_add(sym.len() as u64, AtomicOrdering::Relaxed);
         ((shard_idx as u64) << 32) | idx as u64
+    }
+
+    /// The content order, covering every string encoded before the call.
+    /// Takes the order lock: the calling thread must not hold a
+    /// [`Decoder`].
+    fn content_order(&self) -> RwLockReadGuard<'_, ContentOrder> {
+        let wanted = self.entries.load(AtomicOrdering::Acquire);
+        {
+            let order = self.order.read().expect("content order poisoned");
+            if order.covered >= wanted {
+                return order;
+            }
+        }
+        {
+            let mut order = self.order.write().expect("content order poisoned");
+            if order.covered < wanted {
+                self.extend_order(&mut order);
+            }
+        }
+        self.order.read().expect("content order poisoned")
+    }
+
+    /// Ranks the entries `order` does not cover: sorts those k strings and
+    /// merges them into the D ranked ones, then renumbers every rank.
+    fn extend_order(&self, order: &mut ContentOrder) {
+        let shards: Vec<RwLockReadGuard<'_, DictShard>> = self
+            .shards
+            .iter()
+            .map(|shard| shard.read().expect("term dict poisoned"))
+            .collect();
+        // Read under every shard's read lock: the counter moves only under a
+        // shard's write lock, so it counts exactly the entries ranked here.
+        let covered = self.entries.load(AtomicOrdering::Acquire);
+        let mut fresh: Vec<(&str, u64)> = Vec::new();
+        for (s, shard) in shards.iter().enumerate() {
+            let first = order.ranks[s].len();
+            fresh.extend(
+                shard.entries[first..]
+                    .iter()
+                    .zip(first..)
+                    .map(|(sym, idx)| (sym.as_str(), (s as u64) << 32 | idx as u64)),
+            );
+        }
+        fresh.sort_unstable_by(|a, b| a.0.cmp(b.0));
+
+        let mut ids = Vec::with_capacity(order.ids.len() + fresh.len());
+        let mut fresh = fresh.into_iter().peekable();
+        for &id in &order.ids {
+            let text = shards[(id >> 32) as usize].entries[(id & 0xffff_ffff) as usize].as_str();
+            while let Some((_, new)) = fresh.next_if(|&(new, _)| new < text) {
+                ids.push(new);
+            }
+            ids.push(id);
+        }
+        ids.extend(fresh.map(|(_, id)| id));
+
+        for (ranks, shard) in order.ranks.iter_mut().zip(&shards) {
+            ranks.resize(shard.entries.len(), 0);
+        }
+        for (rank, &id) in ids.iter().enumerate() {
+            order.ranks[(id >> 32) as usize][(id & 0xffff_ffff) as usize] = rank as u32;
+        }
+        order.ids = ids;
+        order.covered = covered;
     }
 }
 
@@ -374,13 +492,8 @@ pub struct DictStats {
 
 /// A snapshot of the term dictionary's size.
 pub fn dict_stats() -> DictStats {
-    let entries = dict()
-        .shards
-        .iter()
-        .map(|s| s.read().expect("term dict poisoned").entries.len() as u64)
-        .sum();
     DictStats {
-        entries,
+        entries: dict().entries.load(AtomicOrdering::Relaxed),
         bytes: DICT_BYTES.load(AtomicOrdering::Relaxed),
     }
 }
@@ -421,7 +534,9 @@ pub fn encode_rows(rows: &[Tuple], width: usize) -> Vec<Arc<TypedColumn>> {
 /// dictionary shard so a batch decode locks each shard at most once.
 ///
 /// While a `Decoder` is alive its thread MUST NOT encode (a new string
-/// would need a write lock on a shard this decoder may already read-hold).
+/// would need a write lock on a shard this decoder may already read-hold),
+/// nor take the dictionary's content order (whose extension read-locks
+/// every shard after the order lock; see [`TermDict`]).
 pub(crate) struct Decoder<'d> {
     guards: [Option<RwLockReadGuard<'d, DictShard>>; DICT_SHARDS],
     decoded: u64,
@@ -486,8 +601,8 @@ impl<'d> Decoder<'d> {
 /// Ordering between terms mirroring `Value::cmp` (exact int compare,
 /// `total_cmp` between floats, the exact [`cmp_int_float`] across the two,
 /// type rank otherwise); `strings` orders the payloads of two string terms
-/// — by dictionary content in [`Decoder::cmp`], by index into the answer's
-/// content-sorted strings in [`merge_branches`].
+/// — by dictionary content in [`Decoder::cmp`]. [`merge_branches`] ranks
+/// only numbers with it: its strings come ranked by the dictionary.
 fn term_cmp(
     a: TermId,
     b: TermId,
@@ -1589,6 +1704,43 @@ mod tests {
         }
         assert_eq!(want.len(), 3);
         assert_eq!(got, want);
+    }
+
+    /// The content order ranks each string once: a second read after no
+    /// growth re-ranks nothing, and strings added later land before,
+    /// between and after the ranked ones.
+    #[test]
+    fn content_order_ranks_only_strings_it_has_not_ranked() {
+        let dict = TermDict::new();
+        let encode = |texts: &[&str]| {
+            for text in texts {
+                dict.id_of(&Sym::new(text));
+            }
+        };
+        // The ranked texts, and where the rank list lives: an extension
+        // builds a new one.
+        let ranked = |dict: &TermDict| -> (Vec<String>, *const u64) {
+            let order = dict.content_order();
+            let texts = (0..order.len() as u32)
+                .map(|rank| {
+                    let id = order.id(rank);
+                    assert_eq!(order.rank(id), rank);
+                    let shard = dict.shards[(id >> 32) as usize].read().unwrap();
+                    shard.entries[(id & 0xffff_ffff) as usize].to_string()
+                })
+                .collect();
+            (texts, order.ids.as_ptr())
+        };
+        let long = "m: a string comfortably longer than the inline capacity";
+        encode(&["m", "c", "x", long]);
+        let (texts, list) = ranked(&dict);
+        assert_eq!(texts, ["c", "m", long, "x"]);
+        assert_eq!(ranked(&dict).1, list, "no growth, nothing re-ranked");
+        encode(&["a", "n", "zz", "m"]);
+        let (texts, grown) = ranked(&dict);
+        assert_eq!(texts, ["a", "c", "m", long, "n", "x", "zz"]);
+        assert_ne!(grown, list, "growth extends the order");
+        assert_eq!(dict.entries.load(AtomicOrdering::Relaxed), 7);
     }
 
     #[test]

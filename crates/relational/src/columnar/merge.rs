@@ -1,23 +1,31 @@
 //! The UCQ merge over term ids, and the answer it hands back.
 //!
 //! [`merge_branches`] unions a rewriting's branch results while they are
-//! still term batches, removes duplicates with the [`ColDistinct`] kernel
-//! and sorts the survivors under `Value::cmp`'s order. It never builds a
-//! `Table`. The caller gets [`MergedRows`]: sorted row-major terms plus the
-//! answer's distinct strings, each string once. The server prints that
-//! straight into a response body; the CLI and the oracles call
+//! still term batches, removes duplicates and sorts the survivors under
+//! `Value::cmp`'s order, all in one sort. It never builds a `Table`. The
+//! caller gets [`MergedRows`]: sorted row-major terms plus the answer's
+//! distinct strings, each string once. The server prints that straight
+//! into a response body; the CLI and the oracles call
 //! [`MergedRows::to_table`].
 //!
-//! The sort compares integers only. Each cell gets an *order code*: the
-//! dense rank of its term among its column's distinct terms. A row's codes
-//! compare as its terms do, so sorting rows by (codes, position) gives the
-//! stable sort's order without matching on tags or reading the dictionary.
+//! The sort compares integers only. Each cell gets an *order code*: null
+//! 0, false 1, true 2, then its column's distinct numbers densely ranked
+//! under `term_cmp`, then strings at their rank in the term dictionary's
+//! content order, which the dictionary keeps across queries (so a warm
+//! merge hashes no string and sorts no string). A row's codes compare as
+//! its terms do, so sorting every input row once by (codes, position)
+//! gives the stable sort's order. Without floats, equal codes are exactly
+//! `==` terms, so δ keeps the first row of each run of equal codes: the
+//! earliest branch's row, as a first-seen δ over the union would. IEEE
+//! `==` is not an order (`-0.0 == 0.0`, `NaN != NaN`, ints against floats
+//! beyond 2^53), so an input with a float cell runs the [`ColDistinct`]
+//! kernel before the sort instead.
 
 use std::collections::HashMap;
 
 use super::{
-    encode_value, term_cmp, ColDistinct, ColOperator, ColumnBatch, Decoder, KeyState, TermId,
-    TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_NULL, TAG_STR,
+    dict, encode_value, term_cmp, ColDistinct, ColOperator, ColumnBatch, ContentOrder, Decoder,
+    KeyState, TermId, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_NULL, TAG_STR,
 };
 use crate::executor::ExecError;
 use crate::intern::Sym;
@@ -26,7 +34,8 @@ use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 
-/// Replays drained batches as an operator: the merge's input to δ.
+/// Replays drained batches as an operator: the input of the float case's
+/// δ.
 struct Replay {
     schema: Schema,
     batches: std::vec::IntoIter<ColumnBatch>,
@@ -147,41 +156,28 @@ impl MergedRows {
     }
 }
 
-/// Puts `strings` in content order; returns each string's new index by its
-/// old one.
-fn sort_by_content(strings: &mut Vec<Sym>) -> Vec<u64> {
-    // `Sym::as_str` checks an inline symbol's UTF-8 on every call: take
-    // each text once, not twice per comparison.
-    let texts: Vec<&str> = strings.iter().map(Sym::as_str).collect();
-    let mut by_content: Vec<usize> = (0..strings.len()).collect();
-    by_content.sort_unstable_by(|&a, &b| texts[a].cmp(texts[b]));
-    let mut position = vec![0u64; by_content.len()];
-    for (p, &s) in by_content.iter().enumerate() {
-        position[s] = p as u64;
-    }
-    *strings = by_content.into_iter().map(|s| strings[s].clone()).collect();
-    position
-}
-
 /// The encoded UCQ merge: ∪ → δ → sort, all over term ids.
 ///
 /// `branches` are branch results in rewriting order, each a run of batches
 /// as wide as `schema` (less the label column under
 /// [`MergeMode::Labelled`]). Whether a branch was deduplicated before does
-/// not change the result. Under
-/// [`MergeMode::Distinct`], δ is the [`ColDistinct`] kernel over the
-/// branches' concatenation — exactly what a whole-plan `Union → Distinct`
-/// runs; under a labelled δ it is one [`ColDistinct`] per branch. The
-/// survivors are sorted stably under `Value::cmp`'s order by their cells'
-/// order codes, and come back as [`MergedRows`]. Every result cell counts
-/// as one decode (`schema.len()` per result row, none per input row):
-/// this is where the answer leaves the dictionary's ids.
+/// not change the result. Every input row is sorted once by its cells'
+/// order codes and its position, and δ drops a row whose codes equal its
+/// predecessor's (under a labelled δ, only within one branch). That keeps
+/// what a first-seen δ over the branches' concatenation keeps — exactly
+/// what a whole-plan `Union → Distinct` runs — in the stable sort's order
+/// under `Value::cmp`. An input with a float cell is deduplicated by the
+/// [`ColDistinct`] kernel before the sort instead (one per branch under a
+/// labelled δ). The merge counts as one kernel invocation; every result
+/// cell counts as one decode (`schema.len()` per result row, none per
+/// input row): this is where the answer leaves the dictionary's ids.
 pub fn merge_branches(
     schema: Schema,
     branches: Vec<Vec<ColumnBatch>>,
     mode: MergeMode<'_>,
 ) -> Result<MergedRows, String> {
-    // Labels are encoded here, before the `Decoder` below exists.
+    // Labels are encoded here, before the content order is read and before
+    // the `Decoder` below exists.
     let labels: Vec<TermId> = match mode {
         MergeMode::Labelled { labels, .. } if labels.len() != branches.len() => {
             return Err(format!(
@@ -206,169 +202,337 @@ pub fn merge_branches(
         MergeMode::Distinct => true,
         MergeMode::Labelled { distinct, .. } => distinct,
     };
-    // Each run is what one δ sees: the whole union, or one branch.
-    let runs: Vec<(Vec<ColumnBatch>, Option<TermId>)> = if matches!(mode, MergeMode::Distinct) {
-        vec![(branches.into_iter().flatten().collect(), None)]
-    } else {
-        let labels = labels
-            .iter()
-            .copied()
-            .map(Some)
-            .chain(std::iter::repeat(None));
-        branches.into_iter().zip(labels).collect()
-    };
-    let unlabelled = Schema::new(schema.columns()[..width].to_vec());
-    let mut survivors: Vec<(ColumnBatch, Option<TermId>)> = Vec::new();
-    for (batches, label) in runs {
-        if !distinct {
-            survivors.extend(batches.into_iter().map(|batch| (batch, label)));
-            continue;
-        }
-        let mut delta = ColDistinct::new(Box::new(Replay {
-            schema: unlabelled.clone(),
-            batches: batches.into_iter(),
-        }));
-        while let Some(batch) = delta.next_cols(usize::MAX) {
-            survivors.push((batch.map_err(|e| e.message)?, label));
-        }
-    }
+    let per_branch = matches!(mode, MergeMode::Labelled { .. });
+    metrics::record_kernel();
 
-    // Gather the survivors row-major: a row's sort keys sit side by side.
-    let len: usize = survivors.iter().map(|(batch, _)| batch.len()).sum();
-    let mut cells: Vec<TermId> = Vec::with_capacity(len * out_width);
-    for (batch, label) in &survivors {
-        for i in 0..batch.len() {
-            let row = batch.row_id(i) as usize;
-            cells.extend(batch.columns.iter().map(|c| c.ids[row]));
-            cells.extend(label);
-        }
+    let order = dict().content_order();
+    let mut input = Input::new(branches, labels);
+    let coders: Vec<Coder> = (0..out_width)
+        .map(|c| Coder::new(input.column(c), &order))
+        .collect();
+    let floats = coders.iter().any(|coder| coder.floats);
+    if distinct && floats {
+        let unlabelled = Schema::new(schema.columns()[..width].to_vec());
+        input.deduplicate(&unlabelled, per_branch)?;
     }
-    drop(survivors);
+    // A run of equal codes is one row's duplicates; under a labelled δ only
+    // those of one branch are (positions follow branch order, so each
+    // branch's rows sit together within the run).
+    let dedup = distinct && !floats;
+    let same = |a: u32, b: u32| !per_branch || input.branch(a) == input.branch(b);
+    let survivors = sort_by_codes(&input, &coders, &order, |a, b| dedup && same(a, b));
+    drop(coders);
+
+    // Read the survivors through their batches, in position order, each
+    // into its row of the answer. A string cell carries its dictionary id
+    // until the answer's strings are numbered.
+    let mut row_of = vec![u32::MAX; input.len()];
+    for (row, &pos) in survivors.iter().enumerate() {
+        row_of[pos as usize] = row as u32;
+    }
+    let mut cells = vec![TermId::NULL; survivors.len() * out_width];
+    for c in 0..out_width {
+        let mut rows = row_of.iter();
+        input.column(c).for_each(|term| {
+            let row = *rows.next().expect("one row slot per input row");
+            if row != u32::MAX {
+                cells[row as usize * out_width + c] = term;
+            }
+        });
+    }
+    drop(input);
+    let strings = number_strings(&mut cells, &order);
+    let len = survivors.len();
     metrics::record_decodes((len * out_width) as u64);
-
-    let mut merged = MergedRows {
+    Ok(MergedRows {
         schema,
         len,
         cells,
-        strings: Vec::new(),
-    };
-    let (codes, top) = merged.order_codes();
-    let order = sort_by_codes(&codes, len, &top);
-    merged.cells = order
-        .iter()
-        .flat_map(|&r| &merged.cells[r as usize * out_width..][..out_width])
-        .copied()
-        .collect();
-    Ok(merged)
+        strings,
+    })
 }
 
-impl MergedRows {
-    /// Swaps every string cell's dictionary id for its index into the
-    /// answer's content-sorted `strings`. Returns each cell's order code
-    /// (row-major, like `cells`) and each column's largest code.
-    fn order_codes(&mut self) -> (Vec<u32>, Vec<u32>) {
-        let width = self.schema.len();
-        // Per column, number its distinct terms first-seen first (exact
-        // terms, so `Int(1)` and `Float(1.0)` get two slots) and note each
-        // cell's slot.
-        let mut codes = vec![0u32; self.cells.len()];
-        let mut distinct: Vec<Vec<TermId>> = Vec::with_capacity(width);
-        for c in 0..width {
-            let mut slots: HashMap<TermId, u32, KeyState> =
-                HashMap::with_capacity_and_hasher(self.len, KeyState::default());
-            let mut terms = Vec::new();
-            for (code, &term) in codes
-                .iter_mut()
-                .skip(c)
-                .step_by(width)
-                .zip(self.cells.iter().skip(c).step_by(width))
-            {
-                *code = *slots.entry(term).or_insert_with(|| {
-                    terms.push(term);
-                    (terms.len() - 1) as u32
-                });
-            }
-            distinct.push(terms);
-        }
+/// The merge's input rows: every branch's batches in rewriting order, each
+/// with its branch. A row's *position* is its index in that order.
+struct Input {
+    batches: Vec<(ColumnBatch, usize)>,
+    /// Each batch's first position.
+    starts: Vec<u32>,
+    /// The label term per branch, empty when unlabelled.
+    labels: Vec<TermId>,
+}
 
-        // The answer's distinct strings, once across columns: the only
-        // dictionary reads of the merge. The decoder's read guards go
-        // before anything is sorted.
-        {
-            let mut dec = Decoder::new();
-            let mut index: HashMap<u64, u64, KeyState> = HashMap::default();
-            for term in distinct.iter_mut().flatten().filter(|t| t.tag == TAG_STR) {
-                let next = self.strings.len() as u64;
-                term.bits = *index.entry(term.bits).or_insert_with(|| {
-                    self.strings.push(dec.sym(term.bits));
-                    next
-                });
-            }
-        }
-        let position = sort_by_content(&mut self.strings);
+impl Input {
+    fn new(branches: Vec<Vec<ColumnBatch>>, labels: Vec<TermId>) -> Input {
+        let batches = branches
+            .into_iter()
+            .enumerate()
+            .flat_map(|(branch, batches)| batches.into_iter().map(move |batch| (batch, branch)))
+            .filter(|(batch, _)| batch.len() > 0)
+            .collect();
+        let mut input = Input {
+            batches,
+            starts: Vec::new(),
+            labels,
+        };
+        input.number();
+        input
+    }
 
-        // Per column, rank the distinct terms densely under `term_cmp`
-        // (strings by content position), then give each cell its final
-        // term and its code.
-        let mut top = Vec::with_capacity(width);
-        for (c, terms) in distinct.iter_mut().enumerate() {
-            for term in terms.iter_mut().filter(|t| t.tag == TAG_STR) {
-                term.bits = position[term.bits as usize];
-            }
-            let cmp = |a: TermId, b: TermId| term_cmp(a, b, |l, r| l.cmp(&r));
-            let mut by_order: Vec<u32> = (0..terms.len() as u32).collect();
-            by_order.sort_unstable_by(|&a, &b| cmp(terms[a as usize], terms[b as usize]));
-            let mut rank = vec![0u32; terms.len()];
-            let mut code = 0u32;
-            for (k, &slot) in by_order.iter().enumerate() {
-                if k > 0 && cmp(terms[by_order[k - 1] as usize], terms[slot as usize]).is_ne() {
-                    code += 1;
-                }
-                rank[slot as usize] = code;
-            }
-            top.push(code);
-            for (cell_code, cell) in codes
-                .iter_mut()
-                .skip(c)
-                .step_by(width)
-                .zip(self.cells.iter_mut().skip(c).step_by(width))
-            {
-                *cell = terms[*cell_code as usize];
-                *cell_code = rank[*cell_code as usize];
+    fn number(&mut self) {
+        let mut start = 0u32;
+        self.starts = self
+            .batches
+            .iter()
+            .map(|(batch, _)| {
+                let first = start;
+                start += batch.len() as u32;
+                first
+            })
+            .collect();
+    }
+
+    fn len(&self) -> usize {
+        self.batches.iter().map(|(batch, _)| batch.len()).sum()
+    }
+
+    /// Column `c`'s terms in position order; the column past the branches'
+    /// width is each row's label. (Drive it with `for_each`: a flattened
+    /// iterator's internal iteration is a plain loop per batch.)
+    fn column(&self, c: usize) -> impl Iterator<Item = TermId> + '_ {
+        self.batches.iter().flat_map(move |(batch, branch)| {
+            let column = batch.columns.get(c);
+            let label = self.labels.get(*branch).copied();
+            (0..batch.len()).map(move |i| match column {
+                Some(column) => column.ids[batch.row_id(i) as usize],
+                None => label.expect("only a labelled merge reads past the branches' width"),
+            })
+        })
+    }
+
+    /// The branch of the row at position `pos`.
+    fn branch(&self, pos: u32) -> usize {
+        self.batches[self.starts.partition_point(|&start| start <= pos) - 1].1
+    }
+
+    /// Runs the [`ColDistinct`] kernel over the whole input, or over each
+    /// branch's rows when `per_branch`; the survivors keep their order.
+    fn deduplicate(&mut self, schema: &Schema, per_branch: bool) -> Result<(), String> {
+        let mut runs: Vec<(usize, Vec<ColumnBatch>)> = Vec::new();
+        for (batch, branch) in std::mem::take(&mut self.batches) {
+            match runs.last_mut() {
+                Some((run, batches)) if *run == branch || !per_branch => batches.push(batch),
+                _ => runs.push((branch, vec![batch])),
             }
         }
-        (codes, top)
+        for (branch, batches) in runs {
+            let mut delta = ColDistinct::new(Box::new(Replay {
+                schema: schema.clone(),
+                batches: batches.into_iter(),
+            }));
+            while let Some(batch) = delta.next_cols(usize::MAX) {
+                self.batches.push((batch.map_err(|e| e.message)?, branch));
+            }
+        }
+        self.number();
+        Ok(())
     }
 }
 
-/// Row indices `0..len` sorted by their codes (`top.len()` per row, column
-/// `c`'s at most `top[c]`), ties in row order. When the columns' code
-/// widths plus the row index's fit in 64 bits, a row's codes and its index
-/// pack into one `u64` key.
-fn sort_by_codes(codes: &[u32], len: usize, top: &[u32]) -> Vec<u32> {
-    let width = top.len();
-    let row = |r: usize| &codes[r * width..][..width];
-    let bits_of = |max: u64| u64::BITS - max.leading_zeros();
-    let index_bits = bits_of(len.saturating_sub(1) as u64);
-    let code_bits: Vec<u32> = top.iter().map(|&t| bits_of(u64::from(t))).collect();
-    if code_bits.iter().sum::<u32>() + index_bits <= u64::BITS {
-        let mut keys: Vec<u64> = (0..len)
-            .map(|r| {
-                let key = row(r)
-                    .iter()
-                    .zip(&code_bits)
-                    .fold(0u64, |key, (&code, &bits)| key << bits | u64::from(code));
-                key << index_bits | r as u64
-            })
-            .collect();
-        keys.sort_unstable();
+fn bits_of(max: u64) -> u32 {
+    u64::BITS - max.leading_zeros()
+}
+
+/// Bits a position among `len` rows takes.
+fn index_bits(len: usize) -> u32 {
+    bits_of(len.saturating_sub(1) as u64)
+}
+
+/// How one column's terms become order codes.
+struct Coder {
+    /// Each distinct number of the column (exact terms, so `Int(1)` and
+    /// `Float(1.0)` are two keys) to its code; numbers that tie under
+    /// `term_cmp` share one.
+    numbers: HashMap<TermId, u32, KeyState>,
+    /// The code of the first string: a string codes at this plus its rank.
+    strings: u32,
+    /// An upper bound on the column's codes.
+    top: u32,
+    /// Whether the column holds a float.
+    floats: bool,
+}
+
+impl Coder {
+    fn new(terms: impl Iterator<Item = TermId>, order: &ContentOrder) -> Coder {
+        let mut numbers: HashMap<TermId, u32, KeyState> = HashMap::default();
+        let mut distinct: Vec<TermId> = Vec::new();
+        let (mut texts, mut floats) = (false, false);
+        terms.for_each(|term| match term.tag {
+            TAG_INT | TAG_FLOAT => {
+                floats |= term.tag == TAG_FLOAT;
+                numbers.entry(term).or_insert_with(|| {
+                    distinct.push(term);
+                    0
+                });
+            }
+            TAG_STR => texts = true,
+            _ => {}
+        });
+        // Rank the distinct numbers densely under `term_cmp`, after the
+        // three null and bool codes.
+        let cmp = |a: TermId, b: TermId| term_cmp(a, b, |l, r| l.cmp(&r));
+        distinct.sort_unstable_by(|&a, &b| cmp(a, b));
+        let mut code = 2;
+        for (k, &term) in distinct.iter().enumerate() {
+            if k == 0 || cmp(distinct[k - 1], term).is_ne() {
+                code += 1;
+            }
+            numbers.insert(term, code);
+        }
+        let strings = code + 1;
+        Coder {
+            numbers,
+            strings,
+            top: if texts {
+                strings + order.len().saturating_sub(1) as u32
+            } else {
+                code
+            },
+            floats,
+        }
+    }
+
+    fn bits(&self) -> u32 {
+        bits_of(u64::from(self.top))
+    }
+
+    fn code(&self, term: TermId, order: &ContentOrder) -> u32 {
+        match term.tag {
+            TAG_NULL => 0,
+            TAG_BOOL => 1 + term.bits as u32,
+            TAG_STR => self.strings + order.rank(term.bits),
+            _ => self.numbers[&term],
+        }
+    }
+}
+
+/// Points each string cell of the answer at its index among the answer's
+/// distinct strings and returns those strings in content order, each
+/// decoded once. The string cells sort once by (rank, cell), so a run of
+/// one rank is one string: the work follows the answer's size, not the
+/// dictionary's.
+fn number_strings(cells: &mut [TermId], order: &ContentOrder) -> Vec<Sym> {
+    let cell_bits = index_bits(cells.len());
+    let mut refs: Vec<u64> = cells
+        .iter()
+        .enumerate()
+        .filter(|(_, cell)| cell.tag == TAG_STR)
+        .map(|(at, cell)| u64::from(order.rank(cell.bits)) << cell_bits | at as u64)
+        .collect();
+    radix_sort(&mut refs, cell_bits, index_bits(order.len()));
+    let cell_mask = (1u64 << cell_bits) - 1;
+    let mut dec = Decoder::new();
+    let mut strings: Vec<Sym> = Vec::new();
+    let mut last = None;
+    for key in refs {
+        let rank = (key >> cell_bits) as u32;
+        if last != Some(rank) {
+            last = Some(rank);
+            strings.push(dec.sym(order.id(rank)));
+        }
+        cells[(key & cell_mask) as usize].bits = (strings.len() - 1) as u64;
+    }
+    strings
+}
+
+/// The input's positions sorted by their rows' codes, ties in position
+/// order; of each run of equal codes, a position is dropped when
+/// `duplicate(it, predecessor)` holds. When the columns' code widths plus
+/// the position's fit in 64 bits, a row's codes and its position pack into
+/// one `u64` key; otherwise rows sort by comparing their code slices.
+fn sort_by_codes(
+    input: &Input,
+    coders: &[Coder],
+    order: &ContentOrder,
+    duplicate: impl Fn(u32, u32) -> bool,
+) -> Vec<u32> {
+    let len = input.len();
+    let index_bits = index_bits(len);
+    let code_bits: u32 = coders.iter().map(Coder::bits).sum();
+    if code_bits + index_bits <= u64::BITS {
+        let mut keys = vec![0u64; len];
+        for (c, coder) in coders.iter().enumerate() {
+            let (bits, mut keys) = (coder.bits(), keys.iter_mut());
+            input.column(c).for_each(|term| {
+                let key = keys.next().expect("one key per input row");
+                *key = *key << bits | u64::from(coder.code(term, order));
+            });
+        }
+        for (pos, key) in keys.iter_mut().enumerate() {
+            *key = *key << index_bits | pos as u64;
+        }
+        radix_sort(&mut keys, index_bits, code_bits);
         let index_mask = (1u64 << index_bits) - 1;
+        keys.dedup_by(|key, kept| {
+            *key >> index_bits == *kept >> index_bits
+                && duplicate((*key & index_mask) as u32, (*kept & index_mask) as u32)
+        });
         keys.into_iter()
             .map(|key| (key & index_mask) as u32)
             .collect()
     } else {
+        let width = coders.len();
+        let mut codes = vec![0u32; len * width];
+        for (c, coder) in coders.iter().enumerate() {
+            let mut cells = codes.iter_mut().skip(c).step_by(width);
+            input.column(c).for_each(|term| {
+                *cells.next().expect("one code per input cell") = coder.code(term, order);
+            });
+        }
+        let row = |r: u32| &codes[r as usize * width..][..width];
         let mut order: Vec<u32> = (0..len as u32).collect();
-        order.sort_unstable_by(|&a, &b| row(a as usize).cmp(row(b as usize)).then(a.cmp(&b)));
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)).then(a.cmp(&b)));
+        order.dedup_by(|&mut pos, &mut kept| row(pos) == row(kept) && duplicate(pos, kept));
         order
+    }
+}
+
+/// Sorts `keys` — distinct, and ascending in their bits below `low` — by
+/// their `bits` bits from `low` up: an LSD radix sort of at most 11 bits a
+/// pass, stable, so the order below `low` breaks ties and the keys end up
+/// ascending. A few keys take a comparison sort, which ends in the same
+/// order.
+fn radix_sort(keys: &mut Vec<u64>, low: u32, bits: u32) {
+    if keys.len() <= 256 {
+        keys.sort_unstable();
+        return;
+    }
+    let passes = bits.div_ceil(11);
+    if passes == 0 {
+        return;
+    }
+    let digit = bits.div_ceil(passes);
+    let mask = (1u64 << digit) - 1;
+    let mut sorted = vec![0u64; keys.len()];
+    let mut starts = vec![0usize; 1 << digit];
+    for pass in 0..passes {
+        let shift = low + pass * digit;
+        starts.fill(0);
+        for &key in keys.iter() {
+            starts[((key >> shift) & mask) as usize] += 1;
+        }
+        if starts.contains(&keys.len()) {
+            continue; // every key has the same digit here
+        }
+        let mut start = 0;
+        for slot in starts.iter_mut() {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &key in keys.iter() {
+            let slot = &mut starts[((key >> shift) & mask) as usize];
+            sorted[*slot] = key;
+            *slot += 1;
+        }
+        std::mem::swap(keys, &mut sorted);
     }
 }

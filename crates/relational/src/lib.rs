@@ -16,9 +16,11 @@
 //!   vectorized filter/join/distinct/project kernels over shared column
 //!   batches, decoding back to [`Value`]s only at render time; and
 //!   [`columnar::merge_branches`], the merge of a UCQ's branch results
-//!   while they are still term batches (∪ → δ → sort over integer order
-//!   codes), returning the answer as [`columnar::MergedRows`] — sorted
-//!   term rows plus its distinct strings, never a [`Table`];
+//!   while they are still term batches (∪, then one sort over integer
+//!   order codes — strings at their rank in the term dictionary's content
+//!   order — in which δ drops adjacent duplicates), returning the answer
+//!   as [`columnar::MergedRows`] — sorted term rows plus its distinct
+//!   strings, never a [`Table`];
 //! * [`executor`] — a single-plan interpreter: one logical plan plus a
 //!   [`Catalog`] of relation providers in, one materialised [`Table`] out
 //!   ([`Executor::run`]) — or, for a caller that still has merging to do,

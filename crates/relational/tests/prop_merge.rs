@@ -1,22 +1,26 @@
 //! Oracle for the encoded UCQ merge.
 //!
 //! [`merge_branches`] unions branch results while they are still term
-//! batches: δ over term ids, then a sort over per-column integer order
-//! codes, and hands back [`MergedRows`] — term rows plus the answer's
-//! strings. This file holds its [`MergedRows::to_table`], row for row and
-//! spelling for spelling, to the obvious thing written over decoded rows —
-//! concatenate in branch order, keep the first of `==` rows, `sort()` —
-//! over the cells where the two could drift apart: NULLs, bools,
-//! `-0.0`/`0.0`, `Int`/`Float` pairs that are `==` under coercion, inline
-//! and long strings, and provenance labels.
+//! batches: one sort over per-column integer order codes (strings ranked
+//! by the dictionary's content order) in which δ drops adjacent equal rows
+//! — or, when a float is in the input, the δ kernel first — and hands back
+//! [`MergedRows`]: term rows plus the answer's strings. This file holds its
+//! [`MergedRows::to_table`], row for row and spelling for spelling, to the
+//! obvious thing written over decoded rows — concatenate in branch order,
+//! keep the first of `==` rows, `sort()` — over the cells where the two
+//! could drift apart: NULLs, bools, `-0.0`/`0.0`, `Int`/`Float` pairs that
+//! are `==` under coercion, inline and long strings, provenance labels,
+//! rows too wide to pack, and strings the dictionary learns between (or
+//! during) merges.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use mdm_relational::algebra::Plan;
-use mdm_relational::columnar::{merge_branches, ColumnBatch, MergeMode, MergedRows};
+use mdm_relational::columnar::{encode_rows, merge_branches, ColumnBatch, MergeMode, MergedRows};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Tuple, Value};
 
@@ -39,6 +43,104 @@ fn arb_cell() -> impl Strategy<Value = Value> {
         }),
         1 => (0usize..POOLED.len()).prop_map(|i| Value::str(POOLED[i])),
     ]
+}
+
+/// One float-free cell from a small domain: the merge deduplicates these
+/// by adjacency in its sort, not with the δ kernel.
+fn arb_plain_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        1 => any::<bool>().prop_map(Value::Bool),
+        2 => (-2i64..3).prop_map(Value::Int),
+        3 => (0u8..3, 0usize..3).prop_map(|(c, len)| {
+            Value::str(char::from(b'a' + c).to_string().repeat(len))
+        }),
+        2 => (0usize..POOLED.len()).prop_map(|i| Value::str(POOLED[i])),
+    ]
+}
+
+/// Long strings enough that the dictionary's ranks take 13 bits: five
+/// string columns of them cannot pack with a row position into 64 bits, so
+/// the merge sorts such rows by comparing their code slices.
+const WIDE: usize = 4_096;
+
+fn wide_string(i: usize) -> Value {
+    Value::str(format!("merge-wide-dictionary-string-{i:05}"))
+}
+
+fn arb_wide_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        8 => (0..WIDE).prop_map(wide_string),
+    ]
+}
+
+/// Puts every [`wide_string`] in the dictionary, so its ranks are as wide
+/// as [`WIDE`] says.
+fn encode_wide_strings() {
+    let rows: Vec<Tuple> = (0..WIDE).map(|i| vec![wide_string(i)]).collect();
+    encode_rows(&rows, 1);
+}
+
+/// Labels per branch: later branches sort first, so the label really is a
+/// sort key; the shared set gives every other branch the same label.
+fn label_sets(branches: usize) -> [Vec<Value>; 2] {
+    [false, true].map(|shared| {
+        (0..branches)
+            .map(|b| {
+                let n = branches - b;
+                Value::str(format!("w{}+w9", if shared { n % 2 } else { n }))
+            })
+            .collect()
+    })
+}
+
+/// Every mode against the naive reference over the same branches.
+fn check_every_mode(
+    branches: &[Vec<Tuple>],
+    width: usize,
+    batch_size: usize,
+) -> Result<(), TestCaseError> {
+    let all = merge_branches(
+        schema_of(width),
+        encode(branches, width, batch_size, false),
+        MergeMode::All,
+    )
+    .map_err(TestCaseError::fail)?;
+    prop_assert_eq!(merged(&all), spelled(&naive(branches, None, false)));
+
+    for pre_distinct in [false, true] {
+        let distinct = merge_branches(
+            schema_of(width),
+            encode(branches, width, batch_size, pre_distinct),
+            MergeMode::Distinct,
+        )
+        .map_err(TestCaseError::fail)?;
+        prop_assert_eq!(
+            merged(&distinct),
+            spelled(&naive(branches, None, true)),
+            "per-branch δ first: {}",
+            pre_distinct
+        );
+    }
+
+    let label_sets = label_sets(branches.len());
+    for (labels, distinct) in label_sets.iter().flat_map(|l| [(l, false), (l, true)]) {
+        let labelled = merge_branches(
+            schema_of(width + 1),
+            encode(branches, width, batch_size, false),
+            MergeMode::Labelled { labels, distinct },
+        )
+        .map_err(TestCaseError::fail)?;
+        prop_assert_eq!(
+            merged(&labelled),
+            spelled(&naive(branches, Some(labels), distinct)),
+            "labelled δ: {}, labels: {:?}",
+            distinct,
+            labels
+        );
+    }
+    Ok(())
 }
 
 fn schema_of(width: usize) -> Schema {
@@ -139,50 +241,88 @@ proptest! {
         batch in 0usize..3,
     ) {
         let branches = split(rows, width, &cuts);
-        let batch_size = [1, 3, 1024][batch];
-        // Later branches sort first, so the label really is a sort key;
-        // the shared set gives every other branch the same label.
-        let label_sets = [false, true].map(|shared| {
-            (0..branches.len())
-                .map(|b| {
-                    let n = branches.len() - b;
-                    Value::str(format!("w{}+w9", if shared { n % 2 } else { n }))
-                })
-                .collect::<Vec<Value>>()
-        });
+        check_every_mode(&branches, width, [1, 3, 1024][batch])?;
+    }
 
-        let all = merge_branches(
-            schema_of(width),
-            encode(&branches, width, batch_size, false),
-            MergeMode::All,
-        ).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(merged(&all), spelled(&naive(&branches, None, false)));
+    /// The same over float-free cells with many duplicates, up to five
+    /// columns: δ is adjacency in the merge's one sort.
+    #[test]
+    fn float_free_merge_equals_naive_reference(
+        rows in proptest::collection::vec(proptest::collection::vec(arb_plain_cell(), 5..6), 0..60),
+        width in 1usize..6,
+        cuts in proptest::collection::vec(0usize..1000, 0..6),
+        batch in 0usize..3,
+    ) {
+        let branches = split(rows, width, &cuts);
+        check_every_mode(&branches, width, [1, 3, 1024][batch])?;
+    }
 
-        for pre_distinct in [false, true] {
-            let distinct = merge_branches(
-                schema_of(width),
-                encode(&branches, width, batch_size, pre_distinct),
-                MergeMode::Distinct,
-            ).map_err(TestCaseError::fail)?;
-            prop_assert_eq!(
-                merged(&distinct),
-                spelled(&naive(&branches, None, true)),
-                "per-branch δ first: {}", pre_distinct
-            );
-        }
+    /// Up to five columns of many distinct long strings: at five the
+    /// dictionary ranks overflow a packed key, and float-free rows sort by
+    /// their code slices, δ still dropping adjacent equal rows.
+    #[test]
+    fn rows_too_wide_for_dictionary_ranks_merge_like_the_reference(
+        rows in proptest::collection::vec(proptest::collection::vec(arb_wide_cell(), 5..6), 0..40),
+        width in 1usize..6,
+        cuts in proptest::collection::vec(0usize..1000, 0..4),
+    ) {
+        encode_wide_strings();
+        let mut branches = split(rows, width, &cuts);
+        // Repeat the first branch at the end: every row of it is a
+        // duplicate.
+        branches.push(branches[0].clone());
+        check_every_mode(&branches, width, 3)?;
+    }
+}
 
-        for (labels, distinct) in label_sets.iter().flat_map(|l| [(l, false), (l, true)]) {
-            let labelled = merge_branches(
-                schema_of(width + 1),
-                encode(&branches, width, batch_size, false),
-                MergeMode::Labelled { labels, distinct },
-            ).map_err(TestCaseError::fail)?;
-            prop_assert_eq!(
-                merged(&labelled),
-                spelled(&naive(&branches, Some(labels), distinct)),
-                "labelled δ: {}, labels: {:?}", distinct, labels
-            );
-        }
+/// Thousands of float-free rows with many duplicates: enough keys that the
+/// merge radix-sorts them over several passes instead of comparing them.
+#[test]
+fn many_rows_radix_sort_like_the_reference() {
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut cell = || match next() % 16 {
+        0 => Value::Null,
+        1 => Value::Bool(next() % 2 == 0),
+        2..=5 => Value::Int((next() % 9) as i64 - 4),
+        6..=8 => Value::str(POOLED[(next() % 2) as usize]),
+        _ => Value::str(format!("r{}", next() % 40)),
+    };
+    let branches: Vec<Vec<Tuple>> = (0..3)
+        .map(|_| (0..700).map(|_| (0..3).map(|_| cell()).collect()).collect())
+        .collect();
+    for batch_size in [7, 1024] {
+        check_every_mode(&branches, 3, batch_size).expect("merge matches the reference");
+    }
+}
+
+/// A few rows after the dictionary has grown by tens of thousands of
+/// strings: the answer's strings are numbered among themselves, so they
+/// come out in content order whatever the dictionary holds around them.
+#[test]
+fn a_small_answer_over_a_large_dictionary_merges_like_the_reference() {
+    let tag = unique();
+    let text = |i: usize| Value::str(format!("merge-large-{tag}-{i:05}"));
+    let grown: Vec<Tuple> = (0..50_000).map(|i| vec![text(i)]).collect();
+    encode_rows(&grown, 1);
+    let branches = vec![
+        vec![
+            vec![text(49_999), Value::Int(1)],
+            vec![Value::str("b"), Value::Null],
+            vec![text(7), text(49_999)],
+        ],
+        vec![
+            vec![text(7), text(49_999)],
+            vec![text(0), Value::Bool(true)],
+        ],
+    ];
+    for batch_size in [1, 1024] {
+        check_every_mode(&branches, 2, batch_size).expect("merge matches the reference");
     }
 }
 
@@ -290,4 +430,97 @@ fn labels_are_encoded_before_the_decoder_exists() {
     assert!(table.to_table().rows().iter().all(|row| row[1]
         .as_str()
         .is_some_and(|label| label.starts_with("never-encoded-"))));
+}
+
+/// A process-unique tag, so a test's strings are new to the dictionary.
+fn unique() -> u128 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .expect("clock after epoch")
+        .as_nanos()
+}
+
+/// The dictionary ranks its strings once and extends the ranking as it
+/// grows. Strings encoded between two merges sort before, between and
+/// after the ones the first merge ranked, short and long: a merge that
+/// read stale ranks would misplace them (or find them unranked).
+#[test]
+fn strings_encoded_between_merges_sort_into_place() {
+    let tag = unique();
+    let known: Vec<Tuple> = (0..6)
+        .map(|i| {
+            vec![
+                Value::str(format!("m{i}")),
+                Value::str(format!("m{i}-{tag}-a string past the inline capacity")),
+            ]
+        })
+        .collect();
+    let mut branches = vec![known];
+    check_every_mode(&branches, 2, 1024).expect("first merge matches the reference");
+    for round in 0..3 {
+        let fresh: Vec<Tuple> = [
+            format!("!{round}"),
+            format!("m{round}{round}"),
+            format!("~{round}"),
+        ]
+        .into_iter()
+        .map(|short| {
+            let long = format!("{short}-{tag}-a string past the inline capacity");
+            vec![Value::str(short), Value::str(long)]
+        })
+        .collect();
+        branches.push(fresh);
+        check_every_mode(&branches, 2, 1024).expect("merge after growth matches the reference");
+    }
+}
+
+/// Encodes race merges: while one thread keeps adding strings to the
+/// dictionary, another merges — and so extends the content order, which
+/// read-locks every shard the encoder is writing to. Neither may block for
+/// good (the timeout catches it), and every merge still matches the
+/// reference.
+#[test]
+fn an_encode_racing_a_merge_neither_blocks_nor_misorders() {
+    let tag = unique();
+    let branches: Vec<Vec<Tuple>> = (0..4)
+        .map(|b| {
+            (0..64)
+                .map(|i| {
+                    vec![
+                        Value::str(format!("race-{tag}-{}", (b * 7 + i) % 50)),
+                        Value::Int(i % 3),
+                    ]
+                })
+                .collect()
+        })
+        .collect();
+    let start = Arc::new(Barrier::new(2));
+    let stop = Arc::new(AtomicBool::new(false));
+    let encoder = {
+        let (start, stop) = (Arc::clone(&start), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            start.wait();
+            let mut round = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let rows: Vec<Tuple> = (0..32)
+                    .map(|i| vec![Value::str(format!("racer-{tag}-{round}-{i}"))])
+                    .collect();
+                encode_rows(&rows, 1);
+                round += 1;
+            }
+        })
+    };
+    let (done, result) = mpsc::channel();
+    let merger = std::thread::spawn(move || {
+        start.wait();
+        let outcome = (0..40).try_for_each(|_| check_every_mode(&branches, 2, 16));
+        let _ = done.send(outcome);
+    });
+    let outcome = result
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a merge racing an encode blocked (or panicked)");
+    stop.store(true, Ordering::Relaxed);
+    merger.join().expect("merge thread exits cleanly");
+    encoder.join().expect("encode thread exits cleanly");
+    outcome.expect("every racing merge matches the reference");
 }

@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use crate::http::{parse_buffered, write_response, Request, Response};
+use crate::http::{parse_buffered, write_response, Request, Response, MAX_HEAD};
 use crate::routes;
 use crate::state::AppState;
 
@@ -523,8 +523,10 @@ impl EventLoop {
     }
 }
 
-/// Reads until `WouldBlock`, appending to the connection buffer. An EOF
-/// sets `read_eof`; hard errors propagate (connection closes).
+/// Reads until `WouldBlock`, appending to the connection buffer — or until
+/// an unterminated head outgrows [`MAX_HEAD`], which `try_dispatch` then
+/// refuses. An EOF sets `read_eof`; hard errors propagate (connection
+/// closes).
 fn fill_read(conn: &mut Conn) -> io::Result<()> {
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -536,6 +538,12 @@ fn fill_read(conn: &mut Conn) -> io::Result<()> {
             Ok(n) => {
                 conn.buf.extend_from_slice(&chunk[..n]);
                 conn.last_activity = Instant::now();
+                if conn.buf.len() > MAX_HEAD {
+                    conn.scan_headers();
+                    if !conn.headers_done {
+                        return Ok(());
+                    }
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -587,6 +595,15 @@ fn try_dispatch(
         return Verdict::Keep;
     }
     conn.scan_headers();
+    if !conn.headers_done && conn.buf.len() > MAX_HEAD {
+        // No head the parser accepts is this long: answer its verdict now
+        // rather than buffer the rest.
+        let refusal = match parse_buffered(&conn.buf) {
+            Err(e) => e.to_string(),
+            Ok(_) => "request head too large".to_string(),
+        };
+        return refuse(conn, state, &refusal);
+    }
     if !conn.headers_done {
         // No terminator yet: close on EOF (nothing answerable), else wait.
         return if conn.read_eof && conn.out.is_empty() {
@@ -658,17 +675,20 @@ fn try_dispatch(
                 Verdict::Keep
             }
         }
-        Err(e) => {
-            let response = protocol_error_response(state, &e.to_string());
-            conn.out.clear();
-            conn.written = 0;
-            if write_response(&mut conn.out, &response, false).is_err() {
-                return Verdict::Close;
-            }
-            conn.phase = Phase::Writing { close_after: true };
-            advance_write(conn)
-        }
+        Err(e) => refuse(conn, state, &e.to_string()),
     }
+}
+
+/// Answers a malformed request with the protocol 400, then closes.
+fn refuse(conn: &mut Conn, state: &AppState, message: &str) -> Verdict {
+    let response = protocol_error_response(state, message);
+    conn.out.clear();
+    conn.written = 0;
+    if write_response(&mut conn.out, &response, false).is_err() {
+        return Verdict::Close;
+    }
+    conn.phase = Phase::Writing { close_after: true };
+    advance_write(conn)
 }
 
 fn is_stream_route(request: &Request) -> bool {

@@ -11,6 +11,11 @@ use std::io::{self, BufRead, Write};
 const MAX_LINE: usize = 8 * 1024;
 /// Upper bound on header count.
 const MAX_HEADERS: usize = 100;
+/// The longest request head [`read_request`] accepts with CRLF line ends:
+/// the request line and [`MAX_HEADERS`] headers, each up to [`MAX_LINE`]
+/// bytes, then the blank line. A longer head without its blank line can
+/// only end in the parser's 400.
+pub(crate) const MAX_HEAD: usize = (MAX_HEADERS + 1) * (MAX_LINE + 2) + 2;
 /// Upper bound on a request body (wrapper payloads ride in JSON strings).
 const MAX_BODY: usize = 16 * 1024 * 1024;
 

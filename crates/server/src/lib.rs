@@ -415,6 +415,32 @@ mod tests {
         server.shutdown();
     }
 
+    /// A head that never ends — header lines without the blank line — is
+    /// refused with the parser's 400 once it outgrows any head the parser
+    /// accepts, instead of being buffered for as long as the peer writes.
+    #[test]
+    fn endless_request_head_is_refused_not_buffered() {
+        use std::io::{Read, Write};
+        let server = serve(ServerConfig::default(), Mdm::new()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut head = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        while head.len() < 2 << 20 {
+            head.extend_from_slice(b"X-Filler: 0123456789abcdef0123456789abcdef\r\n");
+        }
+        // The server may stop reading (and reset the connection) before
+        // the last filler line: a failed write is expected.
+        let _ = stream.write_all(&head);
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        let response = String::from_utf8_lossy(&response);
+        assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
+        assert!(response.contains("\"protocol\""), "{response}");
+        server.shutdown();
+    }
+
     #[test]
     fn request_split_across_many_writes_still_parses() {
         use std::io::{Read, Write};
