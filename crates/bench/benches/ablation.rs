@@ -1,16 +1,17 @@
 //! P6 — ablations of the design choices DESIGN.md calls out.
 //!
-//! * **distinct on/off**: the δ wrapper of the UCQ (set vs bag semantics);
+//! * **distinct on/off**: the δ of the UCQ's answer (set vs bag
+//!   semantics), on the served path `Mdm::query_degraded`, whose merge is
+//!   that δ;
 //! * **optimizer on/off**: predicate pushdown + join input ordering on the
-//!   rewritten plan with a selective filter stacked on top;
-//! * **minimal-cover pruning**: phase (b) with the minimality filter is
-//!   compared against executing a deliberately redundant union.
+//!   rewritten plan with a selective filter stacked on top.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mdm_bench::mixed_system;
 use mdm_core::RewriteOptions;
 use mdm_relational::optimizer::{Optimizer, Statistics};
+use mdm_relational::resilience::Deadline;
 use mdm_relational::{Catalog, Executor, Expr, Plan};
 
 fn distinct_ablation(c: &mut Criterion) {
@@ -21,15 +22,15 @@ fn distinct_ablation(c: &mut Criterion) {
             distinct,
             ..RewriteOptions::default()
         });
-        let rewriting = system.mdm.rewrite(&system.walk).expect("rewrites");
         group.bench_with_input(
             BenchmarkId::from_parameter(if distinct { "distinct" } else { "bag" }),
-            &(&system, rewriting),
-            |b, (system, rewriting)| {
+            &system,
+            |b, system| {
                 b.iter(|| {
                     std::hint::black_box(
-                        Executor::new(system.mdm.catalog())
-                            .run(&rewriting.plan)
+                        system
+                            .mdm
+                            .query_degraded(&system.walk, Deadline::none())
                             .expect("executes"),
                     )
                 })
@@ -100,38 +101,5 @@ fn optimizer_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn redundant_union_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("p6_minimal_covers_vs_redundant_union");
-    let system = mixed_system(1, 2, 10_000);
-    let rewriting = system.mdm.rewrite(&system.walk).expect("rewrites");
-    group.bench_function("minimal_ucq", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                Executor::new(system.mdm.catalog())
-                    .run(&rewriting.plan)
-                    .expect("runs"),
-            )
-        })
-    });
-    // Without minimality, a cover could also join both versions — simulate
-    // the redundant branch the pruning avoids.
-    let redundant = Plan::union(vec![rewriting.plan.clone(), rewriting.plan.clone()]).distinct();
-    group.bench_function("redundant_union", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                Executor::new(system.mdm.catalog())
-                    .run(&redundant)
-                    .expect("runs"),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    distinct_ablation,
-    optimizer_ablation,
-    redundant_union_ablation
-);
+criterion_group!(benches, distinct_ablation, optimizer_ablation);
 criterion_main!(benches);

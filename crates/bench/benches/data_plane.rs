@@ -1,17 +1,17 @@
 //! P11 — zero-copy data-plane microbenchmarks.
 //!
 //! Two questions, all over the E6 shape (2 chained concepts × 2
-//! coexisting versions → a 4-branch UCQ with joins, σ, π and δ):
+//! coexisting versions → an 8-branch UCQ of joins and projections):
 //!
-//! 1. **Batched vs. row-at-a-time** — the same plan drained with the
-//!    default operator batch width against `batch_size = 1`, which
+//! 1. **Batched vs. row-at-a-time** — the same branch plans drained with
+//!    the default operator batch width against `batch_size = 1`, which
 //!    degenerates every `next_cols` pull into one-row batches. The batched
 //!    path must never be slower, including at 1k rows where the adaptive
 //!    width clamps down.
-//! 2. **End-to-end UCQ throughput** — rows/sec through
-//!    scan→join→σ→π→∪→δ at 1k and 10k rows per wrapper, the numbers
-//!    recorded in EXPERIMENTS.md P11 (the 100k point was sampled with the
-//!    since-retired `p4_point` bin).
+//! 2. **Kernel throughput** — rows/sec through scan→join→π over the eight
+//!    branch plans, run one after the other through one executor and one
+//!    scan cache, at 1k and 10k rows per wrapper (EXPERIMENTS.md P11 keeps
+//!    the dated numbers).
 //!
 //! Every cell runs the one (columnar) data plane; the row plane P11 and
 //! P13 once compared it with is deleted (EXPERIMENTS.md keeps the retired
@@ -22,7 +22,18 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use mdm_bench::mixed_system;
-use mdm_relational::{ExecOptions, Executor};
+use mdm_core::rewrite::plan_for_cq;
+use mdm_relational::{Catalog, ExecOptions, Executor, Plan, ScanCache, Table};
+
+/// Runs `plans` in order through one executor over one scan cache.
+fn run_branches(catalog: &dyn Catalog, options: &ExecOptions, plans: &[Plan]) -> Vec<Table> {
+    let cache = ScanCache::new();
+    let executor = Executor::with_options(catalog, options.clone()).with_scan_cache(&cache);
+    plans
+        .iter()
+        .map(|plan| executor.run(plan).expect("executes"))
+        .collect()
+}
 
 fn p11_data_plane(c: &mut Criterion) {
     let mut group = c.benchmark_group("p11_data_plane");
@@ -30,6 +41,12 @@ fn p11_data_plane(c: &mut Criterion) {
     for rows in [1_000usize, 10_000] {
         let system = mixed_system(2, 2, rows);
         let rewriting = system.mdm.rewrite(&system.walk).expect("rewrites");
+        let plans: Vec<Plan> = rewriting
+            .queries
+            .iter()
+            .map(|cq| plan_for_cq(cq, &rewriting.output_columns).expect("branch plan"))
+            .collect();
+        let catalog = system.mdm.catalog();
         let batched = ExecOptions::sequential();
         let row_at_a_time = ExecOptions {
             batch_size: 1,
@@ -37,26 +54,17 @@ fn p11_data_plane(c: &mut Criterion) {
         };
         // Warm the wrapper payload caches and prove the drain width does
         // not change a byte of the answer.
-        let warm = Executor::with_options(system.mdm.catalog(), batched.clone())
-            .run(&rewriting.plan)
-            .expect("executes");
-        let narrow = Executor::with_options(system.mdm.catalog(), row_at_a_time.clone())
-            .run(&rewriting.plan)
-            .expect("executes");
+        let warm = run_branches(catalog, &batched, &plans);
+        let narrow = run_branches(catalog, &row_at_a_time, &plans);
         assert_eq!(warm, narrow, "drain width must not change the answer");
-        group.throughput(Throughput::Elements(warm.len() as u64));
+        let rows: usize = warm.iter().map(Table::len).sum();
+        group.throughput(Throughput::Elements(rows as u64));
         for (label, options) in [("batched", &batched), ("row_at_a_time", &row_at_a_time)] {
             group.bench_with_input(
                 BenchmarkId::new(format!("e6_rows={rows}"), label),
                 options,
                 |b, options| {
-                    b.iter(|| {
-                        std::hint::black_box(
-                            Executor::with_options(system.mdm.catalog(), options.clone())
-                                .run(&rewriting.plan)
-                                .expect("executes"),
-                        )
-                    })
+                    b.iter(|| std::hint::black_box(run_branches(catalog, options, &plans)))
                 },
             );
         }

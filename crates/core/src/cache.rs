@@ -468,12 +468,11 @@ impl Default for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdm_relational::Plan;
 
     fn dummy_plan(tag: &str) -> Arc<Rewriting> {
         Arc::new(Rewriting {
             queries: Vec::new(),
-            plan: Plan::scan(tag),
+            distinct: true,
             sparql: String::new(),
             output_columns: vec![tag.to_string()],
             expanded_identifiers: Vec::new(),
@@ -656,7 +655,6 @@ mod tests {
     fn prepare(slot: &PreparedSlot) -> Weak<PreparedPlans> {
         let stats = Arc::new(StatsCatalog::new());
         let plans = Arc::new(PreparedPlans {
-            distinct: true,
             branches: Vec::new(),
         });
         let key = PreparedKey {

@@ -273,7 +273,7 @@ mod tests {
         let gav = GavMapping::derive(&o).unwrap();
         let (cq, plan, outputs) = gav.rewrite(&o, &figure8_walk()).unwrap();
         assert_eq!(cq.atoms, vec!["w1", "w2"]);
-        assert_eq!(plan.union_width(), 1);
+        assert_eq!(plan.scanned_relations(), vec!["w1", "w2"]);
         assert_eq!(outputs, vec!["ex:playerName", "ex:teamName"]);
     }
 

@@ -690,11 +690,9 @@ impl Mdm {
                 return Ok((rewriting, Arc::clone(plans)));
             }
         }
-        let plans = Arc::new(PreparedPlans::prepare(
-            &rewriting,
-            &self.options,
-            &|plan| self.optimize_plan(plan),
-        )?);
+        let plans = Arc::new(PreparedPlans::prepare(&rewriting, &|plan| {
+            self.optimize_plan(plan)
+        })?);
         self.branch_plans_optimized
             .fetch_add(plans.branches.len() as u64, Ordering::Relaxed);
         let key = PreparedKey {
@@ -772,15 +770,18 @@ impl Mdm {
                 .map(|table| table.len())
         };
         let total = plans.branches.len();
-        let containers: Vec<Option<usize>> =
-            (0..total).map(|i| plans.container(&rewriting, i)).collect();
-        let covered = containers.iter().flatten().count();
-        let merge = if plans.distinct { "δ" } else { "∪" };
+        let covered = rewriting.covered_by.iter().flatten().count();
+        let merge = if rewriting.distinct { "δ" } else { "∪" };
         let mut out = format!(
             "{merge} over {total} branches: {} run, {covered} covered\n",
             total - covered
         );
-        for (i, (cq, container)) in rewriting.queries.iter().zip(containers).enumerate() {
+        for (i, (cq, container)) in rewriting
+            .queries
+            .iter()
+            .zip(&rewriting.covered_by)
+            .enumerate()
+        {
             let label = format!("branch {} [{}]", i + 1, cq.atoms.join("+"));
             match container {
                 Some(j) => out.push_str(&format!("{label}: covered by branch {}\n", j + 1)),
@@ -800,10 +801,11 @@ impl Mdm {
         Ok(out)
     }
 
-    /// The **reference** path: rewrites cold and executes the whole UCQ
-    /// plan on one executor. Nothing serves this; goldens, the churn
-    /// proptest and the benchmark oracle hold [`Mdm::query_degraded`]
-    /// against it row for row.
+    /// The **reference** path ([`answer_walk_with`]): rewrites cold, runs
+    /// each branch's unoptimized plan on one executor and does its own
+    /// union, δ and sort. Nothing serves this; goldens, the churn proptest
+    /// and the benchmark oracle hold [`Mdm::query_degraded`] against it row
+    /// for row.
     pub fn query(&self, walk: &Walk) -> Result<QueryAnswer, MdmError> {
         answer_walk_with(
             &self.ontology,

@@ -6,8 +6,9 @@
 //! `mdm-relational` engine against any [`Catalog`] of wrapper relations.
 //!
 //! Two paths exist. [`answer_walk_with`] is the **reference**: a cold
-//! rewrite executed as one whole-plan operator union — what goldens, the
-//! churn proptest and the benchmark oracle compare against.
+//! rewrite whose branch plans run unoptimized, one after the other, their
+//! rows concatenated, deduplicated by `Value` equality and sorted — what
+//! goldens, the churn proptest and the benchmark oracle compare against.
 //! [`execute_degraded`] is the **served** path and the only place in the
 //! workspace that fans UCQ branches out on the worker pool.
 //!
@@ -29,7 +30,7 @@
 //! the same when they are `==`, and of two `==` rows — v1 says `170`, v2
 //! says `170.0` — the first branch in rewriting order wins.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use mdm_relational::columnar::{merge_branches, MergeMode, MergedRows};
@@ -56,10 +57,13 @@ impl QueryAnswer {
     }
 }
 
-/// The reference path: rewrites `walk` cold and executes the whole UCQ
-/// plan on one executor (union, δ and all), sorted. [`crate::Mdm::query`]
-/// threads its pool, retry policy and metadata epoch in through
-/// `exec_options`.
+/// The reference path: rewrites `walk` cold, runs each branch's
+/// [`plan_for_cq`], unoptimized, on one executor over one scan cache (each
+/// wrapper is fetched once), and concatenates the rows in rewriting order.
+/// Under δ the first of rows that are `==` stays. The rows come back
+/// sorted. None of this is the served merge's code ([`merge_branches`]).
+/// [`crate::Mdm::query`] threads its pool, retry policy and metadata epoch
+/// in through `exec_options`.
 pub fn answer_walk_with(
     ontology: &BdiOntology,
     walk: &Walk,
@@ -68,9 +72,22 @@ pub fn answer_walk_with(
     exec_options: &ExecOptions,
 ) -> Result<QueryAnswer, MdmError> {
     let rewriting = rewrite_walk(ontology, walk, options)?;
-    let table = Executor::with_options(catalog, exec_options.clone())
-        .run(&rewriting.plan)
-        .map_err(MdmError::from_exec)?
+    let cache = ScanCache::new();
+    let executor = Executor::with_options(catalog, exec_options.clone()).with_scan_cache(&cache);
+    let mut schema = Schema::new(Vec::new());
+    let mut rows = Vec::new();
+    for cq in &rewriting.queries {
+        let plan = plan_for_cq(cq, &rewriting.output_columns)?;
+        let table = executor.run(&plan).map_err(MdmError::from_exec)?;
+        schema = table.schema().clone();
+        rows.extend(table.into_rows());
+    }
+    if rewriting.distinct {
+        let mut seen = HashSet::new();
+        rows.retain(|row| seen.insert(row.clone()));
+    }
+    let table = Table::new(schema, rows)
+        .map_err(MdmError::Execution)?
         .sorted();
     Ok(QueryAnswer {
         rewriting: Arc::new(rewriting),
@@ -168,24 +185,20 @@ pub struct PreparedBranch {
 }
 
 /// The branch plans [`execute_degraded`] runs for one rewriting, one per
-/// branch in rewriting order.
+/// branch in rewriting order. They never deduplicate: under
+/// [`Rewriting::distinct`] the merge is the answer's δ.
 #[derive(Clone, Debug)]
 pub struct PreparedPlans {
-    /// Whether the answer is a set ([`RewriteOptions::distinct`]): the
-    /// merge's δ bit. The branch plans never deduplicate.
-    pub distinct: bool,
     pub branches: Vec<PreparedBranch>,
 }
 
 impl PreparedPlans {
-    /// Derives each branch's plan and hands it to `optimize`; of `options`
-    /// only [`RewriteOptions::distinct`] is read, for the merge. Branches
-    /// are optimized one by one because each one executes — and can fail
-    /// — on its own. A plan-shape failure is a rewriting bug, not a source
+    /// Derives each branch's plan and hands it to `optimize`. Branches are
+    /// optimized one by one because each one executes — and can fail — on
+    /// its own. A plan-shape failure is a rewriting bug, not a source
     /// fault, so it fails here, before any branch executes.
     pub fn prepare(
         rewriting: &Rewriting,
-        options: &RewriteOptions,
         optimize: &dyn Fn(Plan) -> Plan,
     ) -> Result<PreparedPlans, MdmError> {
         let branches = rewriting
@@ -201,23 +214,7 @@ impl PreparedPlans {
                 Ok(PreparedBranch { plan, scans })
             })
             .collect::<Result<_, MdmError>>()?;
-        Ok(PreparedPlans {
-            distinct: options.distinct,
-            branches,
-        })
-    }
-
-    /// The earlier branch whose rows stand for branch `i`'s under this
-    /// merge: [`Rewriting::covered_by`] when the merge is a δ, otherwise
-    /// none. The served path runs no plan for such a branch while its
-    /// container survives (see [`execute_degraded`]).
-    pub(crate) fn container(&self, rewriting: &Rewriting, i: usize) -> Option<usize> {
-        rewriting
-            .covered_by
-            .get(i)
-            .copied()
-            .flatten()
-            .filter(|_| self.distinct)
+        Ok(PreparedPlans { branches })
     }
 }
 
@@ -235,7 +232,8 @@ impl PreparedPlans {
 /// while the optimizer's inputs stand still.
 ///
 /// The branches run without δ; the merge ([`merge_branches`]) is the one
-/// δ of the answer, as in the reference plan `δ(∪ Bᵢ)`. Deduplicating a
+/// δ of the answer, as the reference's is one δ over every branch's rows
+/// (`δ(∪ Bᵢ)`). Deduplicating a
 /// branch first would change which rows the merge sees: `==` is not
 /// transitive between ints and floats beyond 2^53, so a branch δ can drop
 /// a row the reference keeps.
@@ -285,7 +283,7 @@ pub fn execute_degraded(
     // breaker events and retries stay those of running it. When a fetch
     // fails it runs, to report its own error. Provenance labels every
     // derivation, so there every branch runs.
-    let container = |i: usize| plans.container(rewriting, i).filter(|_| !provenance);
+    let container = |i: usize| rewriting.covered_by[i].filter(|_| !provenance);
     // `None` is a covered branch that fetched everything and ran nothing.
     let run_branch = |i: usize, may_skip: bool| {
         let mut executor =
@@ -373,9 +371,9 @@ pub fn execute_degraded(
         schema = schema.concat(&Schema::new(vec![ColumnRef::bare("provenance")]));
         MergeMode::Labelled {
             labels: &labels,
-            distinct: plans.distinct,
+            distinct: rewriting.distinct,
         }
-    } else if plans.distinct {
+    } else if rewriting.distinct {
         MergeMode::Distinct
     } else {
         MergeMode::All
@@ -406,8 +404,8 @@ mod tests {
     }
 
     /// `rewriting`'s branch plans as the rewriting derives them.
-    fn unoptimized(rewriting: &Rewriting, options: &RewriteOptions) -> PreparedPlans {
-        PreparedPlans::prepare(rewriting, options, &|plan| plan).unwrap()
+    fn unoptimized(rewriting: &Rewriting) -> PreparedPlans {
+        PreparedPlans::prepare(rewriting, &|plan| plan).unwrap()
     }
 
     /// A prepared set that does not match its rewriting is refused, not
@@ -416,7 +414,7 @@ mod tests {
     fn plans_for_another_rewriting_are_refused() {
         let options = RewriteOptions::default();
         let rewriting = rewrite_walk(&evolved_ontology(), &figure8_walk(), &options).unwrap();
-        let mut plans = unoptimized(&rewriting, &options);
+        let mut plans = unoptimized(&rewriting);
         plans.branches.pop();
         let error = execute_degraded(
             &rewriting,
@@ -566,7 +564,7 @@ mod tests {
         let (rows, completeness) = execute_degraded(
             &rewriting,
             &catalog(),
-            &unoptimized(&rewriting, &options),
+            &unoptimized(&rewriting),
             &ExecOptions::default(),
             None,
             true,
@@ -632,7 +630,7 @@ mod tests {
             let (served, _) = execute_degraded(
                 &rewriting,
                 &catalog,
-                &unoptimized(&rewriting, &options),
+                &unoptimized(&rewriting),
                 &exec_options,
                 None,
                 false,
@@ -686,7 +684,7 @@ mod tests {
         let (served, _) = execute_degraded(
             &rewriting,
             &catalog,
-            &unoptimized(&rewriting, &options),
+            &unoptimized(&rewriting),
             &exec_options,
             None,
             false,
@@ -741,7 +739,7 @@ mod tests {
         let (served, _) = execute_degraded(
             &rewriting,
             &catalog,
-            &unoptimized(&rewriting, &options),
+            &unoptimized(&rewriting),
             &exec_options,
             None,
             false,
@@ -762,7 +760,6 @@ mod tests {
                 Plan::Scan { .. } => false,
                 Plan::Filter { input, .. } | Plan::Project { input, .. } => has_distinct(input),
                 Plan::Join { left, right, .. } => has_distinct(left) || has_distinct(right),
-                Plan::Union { inputs } => inputs.iter().any(has_distinct),
             }
         }
         let options = RewriteOptions::default();
@@ -772,10 +769,9 @@ mod tests {
         let stats = mdm_relational::StatsCatalog::new();
         let resolve = |name: &str| catalog.relation_schema(name);
         let optimizer = mdm_relational::Optimizer::new(&stats, &resolve);
-        let optimized =
-            PreparedPlans::prepare(&rewriting, &options, &|plan| optimizer.optimize(plan));
-        for plans in [unoptimized(&rewriting, &options), optimized.unwrap()] {
-            assert!(plans.distinct);
+        let optimized = PreparedPlans::prepare(&rewriting, &|plan| optimizer.optimize(plan));
+        assert!(rewriting.distinct);
+        for plans in [unoptimized(&rewriting), optimized.unwrap()] {
             assert_eq!(plans.branches.len(), rewriting.branch_count());
             for branch in &plans.branches {
                 assert!(!has_distinct(&branch.plan), "{}", branch.plan);

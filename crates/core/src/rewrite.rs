@@ -38,14 +38,17 @@ impl Default for RewriteOptions {
     }
 }
 
-/// The rewriting output: the UCQ, its relational-algebra plan, and the
-/// SPARQL text of the walk (what the MDM interface shows side by side).
+/// The rewriting output: the UCQ and the SPARQL text of the walk (what the
+/// MDM interface shows side by side). Each branch's plan over wrapper
+/// relations is [`plan_for_cq`]'s; the union of the branches, and its δ,
+/// are the answer's.
 #[derive(Clone, Debug)]
 pub struct Rewriting {
     /// The conjunctive queries, one per union branch.
     pub queries: Vec<ConjunctiveQuery>,
-    /// The executable plan over wrapper relations.
-    pub plan: Plan,
+    /// Whether the answer is a set ([`RewriteOptions::distinct`]): δ over
+    /// the union of the branches.
+    pub distinct: bool,
     /// The SPARQL translation of the walk.
     pub sparql: String,
     /// Output column names, in walk order (compacted feature IRIs).
@@ -65,9 +68,29 @@ impl Rewriting {
         self.queries.len()
     }
 
-    /// The plan rendered in algebra notation (Figure 8's right-hand side).
+    /// The UCQ rendered in algebra notation (Figure 8's right-hand side):
+    /// each branch's plan, `(a ∪ b ∪ …)` over several, `δ(…)` under δ. A
+    /// branch without a plan, a rewriting bug that
+    /// [`crate::query::PreparedPlans::prepare`] reports, renders as its
+    /// error.
     pub fn algebra(&self) -> String {
-        self.plan.to_string()
+        let branches: Vec<String> = self
+            .queries
+            .iter()
+            .map(|cq| match plan_for_cq(cq, &self.output_columns) {
+                Ok(plan) => plan.to_string(),
+                Err(error) => error.to_string(),
+            })
+            .collect();
+        let union = match branches.as_slice() {
+            [branch] => branch.clone(),
+            _ => format!("({})", branches.join(" ∪ ")),
+        };
+        if self.distinct {
+            format!("δ({union})")
+        } else {
+            union
+        }
     }
 
     /// A human-readable derivation report: what phase (a) injected and what
@@ -127,7 +150,7 @@ pub struct RewriteArtifacts {
     pub footprint: Footprint,
 }
 
-/// Runs the three phases and builds the plan.
+/// Runs the three phases.
 pub fn rewrite_walk(
     ontology: &BdiOntology,
     walk: &Walk,
@@ -156,11 +179,10 @@ pub fn rewrite_walk_with_artifacts(
     assemble(ontology, walk, expanded, alternatives, options)
 }
 
-/// Phase (c) + relational-algebra assembly over precomputed phase (a)/(b)
-/// outputs. Deterministic in its inputs: `generate_ucq` enumerates and
-/// sorts branches canonically, and plan construction is purely structural —
-/// so re-assembling with partially reused `alternatives` produces exactly
-/// the plan a cold rewrite would.
+/// Phase (c) over precomputed phase (a)/(b) outputs. Deterministic in its
+/// inputs: `generate_ucq` enumerates and sorts branches canonically — so
+/// re-assembling with partially reused `alternatives` produces exactly the
+/// rewriting a cold rewrite would.
 pub fn assemble(
     ontology: &BdiOntology,
     walk: &Walk,
@@ -176,25 +198,11 @@ pub fn assemble(
         ));
     }
 
-    // Assemble the relational algebra.
     let output_columns: Vec<String> = queries[0]
         .projections
         .iter()
         .map(|(feature, _)| ontology.compact(feature))
         .collect();
-    let branches: Vec<Plan> = queries
-        .iter()
-        .map(|cq| plan_for_cq(cq, &output_columns))
-        .collect::<Result<_, _>>()?;
-    let mut plan = if branches.len() == 1 {
-        branches.into_iter().next().expect("len checked")
-    } else {
-        Plan::union(branches)
-    };
-    if options.distinct {
-        plan = plan.distinct();
-    }
-
     let covered_by = if options.distinct {
         covering_branches(&queries)
     } else {
@@ -203,7 +211,7 @@ pub fn assemble(
     let footprint = read_footprint(ontology, &expanded, &queries);
     let rewriting = Rewriting {
         sparql: sparql_gen::walk_to_sparql(ontology, walk),
-        plan,
+        distinct: options.distinct,
         output_columns,
         expanded_identifiers: expanded.added_identifiers.clone(),
         queries,
@@ -388,8 +396,31 @@ mod tests {
         let rewriting = rewrite_walk(&o, &figure8_walk(), &RewriteOptions::default()).unwrap();
         assert!(rewriting.branch_count() >= 2);
         assert!(rewriting.algebra().contains('∪'));
-        // All branches project identically.
-        assert_eq!(rewriting.plan.union_width(), rewriting.branch_count());
+    }
+
+    /// The evolved Figure 8 walk's four branches — w1 and w3 each alone
+    /// and joined through the other — byte for byte, one per plan, joined
+    /// by `∪` in rewriting order, `δ` over the union under set semantics.
+    #[test]
+    fn evolved_figure8_algebra_is_pinned() {
+        const BRANCHES: [&str; 4] = [
+            "π[w1.pName→ex:playerName, w2.name→ex:teamName]((w1 ⋈[w1.teamId=w2.id] w2))",
+            "π[w1.pName→ex:playerName, w2.name→ex:teamName]\
+             (((w1 ⋈[w1.id=w3.id] w3) ⋈[w3.teamId=w2.id] w2))",
+            "π[w3.pName→ex:playerName, w2.name→ex:teamName]((w3 ⋈[w3.teamId=w2.id] w2))",
+            "π[w3.pName→ex:playerName, w2.name→ex:teamName]\
+             (((w3 ⋈[w3.id=w1.id] w1) ⋈[w1.teamId=w2.id] w2))",
+        ];
+        let union = format!("({})", BRANCHES.join(" ∪ "));
+        let o = evolved_ontology();
+        for (distinct, expected) in [(true, format!("δ({union})")), (false, union)] {
+            let options = RewriteOptions {
+                distinct,
+                ..RewriteOptions::default()
+            };
+            let rewriting = rewrite_walk(&o, &figure8_walk(), &options).unwrap();
+            assert_eq!(rewriting.algebra(), expected);
+        }
     }
 
     #[test]

@@ -117,6 +117,18 @@ fn super_walk_unions_sub_and_super_wrappers() {
     }
 }
 
+/// The `wp ∪ wg` rewriting byte for byte: the goalkeeper branch first,
+/// as the rewriting orders them, under δ.
+#[test]
+fn super_walk_algebra_is_pinned() {
+    let mdm = taxonomy_mdm();
+    let walk = Walk::new().feature(&ex("Player"), &ex("playerName"));
+    assert_eq!(
+        mdm.rewrite(&walk).unwrap().algebra(),
+        "δ((π[wg.name→ex:playerName](wg) ∪ π[wp.name→ex:playerName](wp)))"
+    );
+}
+
 #[test]
 fn sub_walk_stays_on_sub_wrappers() {
     let mdm = taxonomy_mdm();

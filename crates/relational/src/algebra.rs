@@ -1,10 +1,11 @@
 //! The logical relational algebra.
 //!
-//! The query-rewriting algorithm of `mdm-core` produces a [`Plan`]: a union
-//! of conjunctive queries over wrapper relations. `Display` renders the plan
-//! in textbook notation — `π`, `σ`, `⋈`, `∪`, `δ` — which is exactly the
-//! "generated relational algebra expression over the wrappers" the MDM
-//! frontend shows next to a query (paper Figure 8).
+//! The query-rewriting algorithm of `mdm-core` produces a union of
+//! conjunctive queries over wrapper relations; each conjunctive query is a
+//! [`Plan`], and the union is the answer's, not the algebra's. `Display`
+//! renders a plan in textbook notation — `π`, `σ`, `⋈`, `δ` — from which
+//! `mdm-core` writes the "generated relational algebra expression over the
+//! wrappers" the MDM frontend shows next to a query (paper Figure 8).
 
 use std::fmt;
 
@@ -31,8 +32,6 @@ pub enum Plan {
         right: Box<Plan>,
         on: Vec<(ColumnRef, ColumnRef)>,
     },
-    /// ∪ — set union of compatible inputs (bag semantics until `Distinct`).
-    Union { inputs: Vec<Plan> },
     /// δ — duplicate elimination.
     Distinct { input: Box<Plan> },
 }
@@ -81,18 +80,6 @@ impl Plan {
         }
     }
 
-    /// ∪ builder; flattens nested unions.
-    pub fn union(inputs: Vec<Plan>) -> Plan {
-        let mut flat = Vec::new();
-        for input in inputs {
-            match input {
-                Plan::Union { inputs } => flat.extend(inputs),
-                other => flat.push(other),
-            }
-        }
-        Plan::Union { inputs: flat }
-    }
-
     /// δ builder.
     pub fn distinct(self) -> Plan {
         Plan::Distinct {
@@ -121,11 +108,6 @@ impl Plan {
                 left.collect_scans(out);
                 right.collect_scans(out);
             }
-            Plan::Union { inputs } => {
-                for input in inputs {
-                    input.collect_scans(out);
-                }
-            }
         }
     }
 
@@ -144,19 +126,6 @@ impl Plan {
             Plan::Join { left, right, .. } => Ok(left
                 .schema_with(resolve)?
                 .concat(&right.schema_with(resolve)?)),
-            Plan::Union { inputs } => {
-                let first = inputs
-                    .first()
-                    .ok_or_else(|| "empty union".to_string())?
-                    .schema_with(resolve)?;
-                for input in &inputs[1..] {
-                    let s = input.schema_with(resolve)?;
-                    if s.len() != first.len() {
-                        return Err(format!("union arms have different arities: {first} vs {s}"));
-                    }
-                }
-                Ok(first)
-            }
         }
     }
 
@@ -168,20 +137,6 @@ impl Plan {
                 input.node_count()
             }
             Plan::Join { left, right, .. } => left.node_count() + right.node_count(),
-            Plan::Union { inputs } => inputs.iter().map(Plan::node_count).sum(),
-        }
-    }
-
-    /// Number of union branches at the top of the plan (ignoring the
-    /// projection/distinct shell); the UCQ width the paper's rewriting
-    /// produces — one branch per wrapper-version combination.
-    pub fn union_width(&self) -> usize {
-        match self {
-            Plan::Union { inputs } => inputs.len(),
-            Plan::Filter { input, .. } | Plan::Project { input, .. } | Plan::Distinct { input } => {
-                input.union_width()
-            }
-            _ => 1,
         }
     }
 }
@@ -208,10 +163,6 @@ impl fmt::Display for Plan {
             Plan::Join { left, right, on } => {
                 let conditions: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
                 write!(f, "({left} ⋈[{}] {right})", conditions.join(" ∧ "))
-            }
-            Plan::Union { inputs } => {
-                let arms: Vec<String> = inputs.iter().map(Plan::to_string).collect();
-                write!(f, "({})", arms.join(" ∪ "))
             }
             Plan::Distinct { input } => write!(f, "δ({input})"),
         }
@@ -245,19 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn union_flattens() {
-        let u = Plan::union(vec![
-            Plan::scan("a"),
-            Plan::union(vec![Plan::scan("b"), Plan::scan("c")]),
-        ]);
-        match &u {
-            Plan::Union { inputs } => assert_eq!(inputs.len(), 3),
-            _ => panic!("expected union"),
-        }
-        assert_eq!(u.union_width(), 3);
-    }
-
-    #[test]
     fn scanned_relations_in_order() {
         assert_eq!(figure8_plan().scanned_relations(), vec!["w1", "w2"]);
     }
@@ -287,18 +225,6 @@ mod tests {
             )],
         );
         assert_eq!(plan.schema_with(&resolve).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn union_arity_mismatch_detected() {
-        let resolve = |name: &str| -> Result<Schema, String> {
-            Ok(match name {
-                "a" => Schema::bare(["x"]),
-                _ => Schema::bare(["x", "y"]),
-            })
-        };
-        let u = Plan::union(vec![Plan::scan("a"), Plan::scan("b")]);
-        assert!(u.schema_with(&resolve).is_err());
     }
 
     #[test]

@@ -1370,52 +1370,6 @@ impl ColOperator for ColHashJoin {
     }
 }
 
-/// Columnar ∪ — drains inputs in order; all inputs must share an arity.
-pub struct ColUnion {
-    inputs: Vec<Box<dyn ColOperator>>,
-    schema: Schema,
-    current: usize,
-}
-
-impl ColUnion {
-    pub(crate) fn new(inputs: Vec<Box<dyn ColOperator>>) -> Result<Self, ExecError> {
-        let first = inputs
-            .first()
-            .ok_or_else(|| ExecError::permanent("union of zero inputs"))?;
-        let schema = first.schema().clone();
-        for input in &inputs {
-            if input.schema().len() != schema.len() {
-                return Err(ExecError::permanent(format!(
-                    "union arity mismatch: {} vs {}",
-                    schema,
-                    input.schema()
-                )));
-            }
-        }
-        Ok(ColUnion {
-            inputs,
-            schema,
-            current: 0,
-        })
-    }
-}
-
-impl ColOperator for ColUnion {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_cols(&mut self, max: usize) -> Option<Result<ColumnBatch, ExecError>> {
-        while self.current < self.inputs.len() {
-            match self.inputs[self.current].next_cols(max) {
-                Some(item) => return Some(item),
-                None => self.current += 1,
-            }
-        }
-        None
-    }
-}
-
 /// Columnar δ — duplicate elimination without materialising tuples: the
 /// *seen* set is a chained hash index over retained column sets, and
 /// emitted batches are selections over the input's shared columns.

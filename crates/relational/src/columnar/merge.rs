@@ -165,8 +165,8 @@ impl MergedRows {
 /// order codes and its position, and δ drops a row whose codes equal its
 /// predecessor's (under a labelled δ, only within one branch). That keeps
 /// what a first-seen δ over the branches' concatenation keeps — exactly
-/// what a whole-plan `Union → Distinct` runs — in the stable sort's order
-/// under `Value::cmp`. An input with a float cell is deduplicated by the
+/// what the reference path (`mdm_core::query::answer_walk_with`) keeps —
+/// in the stable sort's order under `Value::cmp`. An input with a float cell is deduplicated by the
 /// [`ColDistinct`] kernel before the sort instead (one per branch under a
 /// labelled δ). The merge counts as one kernel invocation; every result
 /// cell counts as one decode (`schema.len()` per result row, none per

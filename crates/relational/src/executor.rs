@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 use crate::algebra::Plan;
 use crate::columnar::{
-    encode_rows, ColDistinct, ColFilter, ColHashJoin, ColOperator, ColProject, ColScan, ColUnion,
-    ColumnBatch,
+    encode_rows, ColDistinct, ColFilter, ColHashJoin, ColOperator, ColProject, ColScan, ColumnBatch,
 };
 use crate::expr::Expr;
 use crate::metrics;
@@ -527,12 +526,6 @@ impl<'a> Executor<'a> {
                         .with_pool(self.options.pool.clone()),
                 )
             }
-            Plan::Union { inputs } => Box::new(ColUnion::new(
-                inputs
-                    .iter()
-                    .map(|p| self.build(p, cache))
-                    .collect::<Result<_, _>>()?,
-            )?),
             Plan::Distinct { input } => Box::new(ColDistinct::new(self.build(input, cache)?)),
         };
         Ok(op)
@@ -656,8 +649,12 @@ mod tests {
     #[test]
     fn union_distinct_pipeline() {
         let catalog = catalog();
-        let plan = Plan::union(vec![Plan::scan("w2"), Plan::scan("w2")]).distinct();
-        let table = Executor::new(&catalog).run(&plan).unwrap();
+        // Every team once per player: each row three times.
+        let teams = Plan::scan("w1")
+            .join(Plan::scan("w2"), vec![])
+            .project_named(&[("w2.name", "team")]);
+        assert_eq!(Executor::new(&catalog).run(&teams).unwrap().len(), 9);
+        let table = Executor::new(&catalog).run(&teams.distinct()).unwrap();
         assert_eq!(table.len(), 3);
     }
 
@@ -778,29 +775,12 @@ mod tests {
     }
 
     #[test]
-    fn union_concatenates() {
-        let plan = Plan::union(vec![Plan::scan("t"), Plan::scan("t")]);
-        assert_eq!(Executor::new(&operators()).run(&plan).unwrap().len(), 6);
-    }
-
-    #[test]
-    fn union_arity_mismatch_rejected() {
-        let plan = Plan::union(vec![Plan::scan("t"), Plan::scan("n")]);
-        let err = Executor::new(&operators()).run(&plan).unwrap_err();
-        assert!(err.message.contains("union arity mismatch"), "{err}");
-    }
-
-    #[test]
-    fn union_of_zero_inputs_rejected() {
-        let err = Executor::new(&operators())
-            .run(&Plan::union(vec![]))
-            .unwrap_err();
-        assert!(err.message.contains("union of zero inputs"), "{err}");
-    }
-
-    #[test]
     fn distinct_deduplicates() {
-        let plan = Plan::union(vec![Plan::scan("t"), Plan::scan("t")]).distinct();
+        // Each of the three teams once per player.
+        let plan = Plan::scan("p")
+            .join(Plan::scan("t"), vec![])
+            .project_named(&[("t.name", "team")])
+            .distinct();
         assert_eq!(Executor::new(&operators()).run(&plan).unwrap().len(), 3);
     }
 

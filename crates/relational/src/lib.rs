@@ -8,10 +8,10 @@
 //! * [`Value`] / [`Tuple`] / [`Schema`] / [`Table`] — the data model, with a
 //!   figure-style pretty printer (Table 1 of the paper is produced by it);
 //! * [`expr`] — scalar expressions and predicates over tuples;
-//! * [`algebra`] — the logical relational algebra (σ, π, ⋈, ∪, δ, ρ); the
-//!   query-rewriting algorithm of `mdm-core` outputs one of these plans, and
-//!   its `Display` form is the "relational algebra expression" shown in
-//!   Figure 8;
+//! * [`algebra`] — the logical relational algebra (σ, π, ⋈, δ, ρ); the
+//!   query-rewriting algorithm of `mdm-core` outputs one of these plans per
+//!   conjunctive query, and their `Display` forms make up the "relational
+//!   algebra expression" shown in Figure 8;
 //! * [`columnar`] — the data plane: fixed-width 16-byte term encoding and
 //!   vectorized filter/join/distinct/project kernels over shared column
 //!   batches, decoding back to [`Value`]s only at render time; and
@@ -26,8 +26,8 @@
 //!   ([`Executor::run`]) — or, for a caller that still has merging to do,
 //!   the drained batches undecoded ([`Executor::run_undecoded`]) — with
 //!   per-query scan reuse ([`scan_cache`]). It covers the shapes MDM's
-//!   rewriting emits (the union of conjunctive queries: σ, π, inner ⋈,
-//!   ∪, δ), and a plan without columns (a relation without columns, an
+//!   rewriting emits for one conjunctive query (σ, π, inner ⋈) plus δ,
+//!   and a plan without columns (a relation without columns, an
 //!   empty projection) is an error. There is one data plane; the oracle
 //!   its kernels are held to is a row-at-a-time reference interpreter in
 //!   the test suite (`tests/support/reference.rs`), which shares no code
@@ -42,7 +42,7 @@
 //! * [`optimizer`] — plan optimization, one branch plan at a time:
 //!   predicate pushdown plus the cost-based passes (projection pruning,
 //!   greedy join-region reordering) driven by the [`stats`] catalog, with
-//!   `off` kept as the oracle; ∪ and δ pass through it untouched;
+//!   `off` kept as the oracle; δ passes through it untouched;
 //! * [`stats`] — the cardinality-statistics catalog: per-relation row
 //!   counts and per-column distinct/null estimates, learned
 //!   opportunistically from executor scans and versioned by a stats

@@ -15,10 +15,10 @@
 //!   because the hash join always builds right).
 //!
 //! The served path optimizes one UCQ branch at a time, and a branch plan
-//! holds no ∪ or δ: the branches' union and its one δ are the merge's.
-//! Every pass still recurses through ∪ and δ unchanged, and pruning
-//! restarts at them, so a whole-UCQ plan optimizes to an equivalent one
-//! (`prop_optimizer` holds both shapes to the reference).
+//! holds no δ: the branches' union and its one δ are the merge's. Every
+//! pass still recurses through δ unchanged, and pruning restarts at it,
+//! so a plan under δ optimizes to an equivalent one (`prop_optimizer`
+//! holds both shapes to the reference).
 //!
 //! Every rewrite is semantics-preserving **including output column
 //! order**: when reordering changes the left-to-right leaf order of a
@@ -151,9 +151,6 @@ impl<'a> Optimizer<'a> {
                 right: Box::new(self.rewrite(*right)),
                 on,
             },
-            Plan::Union { inputs } => Plan::Union {
-                inputs: inputs.into_iter().map(|arm| self.rewrite(arm)).collect(),
-            },
             Plan::Distinct { input } => Plan::Distinct {
                 input: Box::new(self.rewrite(*input)),
             },
@@ -207,8 +204,8 @@ impl<'a> Optimizer<'a> {
     /// `None` means "everything" (no projection above has restarted the
     /// set). The set restarts at projections, widens through filters and
     /// joins by their own references, and resets to "everything"
-    /// at distincts and unions — pruning below a `δ` would change which
-    /// rows are duplicates, and union arms may disagree on names.
+    /// at distincts — pruning below a `δ` would change which rows are
+    /// duplicates.
     fn prune(&self, plan: Plan, needed: Option<&[ColumnRef]>) -> Plan {
         match plan {
             Plan::Project { input, columns } => {
@@ -276,12 +273,6 @@ impl<'a> Optimizer<'a> {
             Plan::Distinct { input } => Plan::Distinct {
                 input: Box::new(self.prune(*input, None)),
             },
-            Plan::Union { inputs } => Plan::Union {
-                inputs: inputs
-                    .into_iter()
-                    .map(|arm| self.prune(arm, None))
-                    .collect(),
-            },
             Plan::Scan { relation } => {
                 if let Some(needed) = needed {
                     if let Ok(schema) = (self.resolve)(&relation) {
@@ -325,9 +316,6 @@ impl<'a> Optimizer<'a> {
             Plan::Project { input, columns } => Plan::Project {
                 input: Box::new(self.reorder(*input)),
                 columns,
-            },
-            Plan::Union { inputs } => Plan::Union {
-                inputs: inputs.into_iter().map(|arm| self.reorder(arm)).collect(),
             },
             Plan::Distinct { input } => Plan::Distinct {
                 input: Box::new(self.reorder(*input)),
@@ -561,7 +549,7 @@ impl<'a> Optimizer<'a> {
     /// relation has no statistics. Scans use the catalog; equality
     /// filters divide by the column's distinct count when profiled;
     /// joins divide the cross product by the larger join-key distinct
-    /// count (System-R style), falling back to a tenth; unions add.
+    /// count (System-R style), falling back to a tenth.
     pub fn estimate(&self, plan: &Plan) -> Option<usize> {
         match plan {
             Plan::Scan { relation } => self.stats.estimated_rows(relation),
@@ -576,13 +564,6 @@ impl<'a> Optimizer<'a> {
                 let l = self.estimate(left)?;
                 let r = self.estimate(right)?;
                 Some(self.join_estimate(l, r, on.first()))
-            }
-            Plan::Union { inputs } => {
-                let mut total = 0usize;
-                for input in inputs {
-                    total = total.saturating_add(self.estimate(input)?);
-                }
-                Some(total)
             }
         }
     }
@@ -738,7 +719,6 @@ fn explain_node(
             let conditions: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
             format!("⋈[{}]", conditions.join(" ∧ "))
         }
-        Plan::Union { inputs } => format!("∪ ({} arms)", inputs.len()),
         Plan::Distinct { .. } => "δ".to_string(),
     };
     out.push_str(&"  ".repeat(depth));
@@ -758,11 +738,6 @@ fn explain_node(
         Plan::Join { left, right, .. } => {
             explain_node(left, depth + 1, estimate, actual, out);
             explain_node(right, depth + 1, estimate, actual, out);
-        }
-        Plan::Union { inputs } => {
-            for input in inputs {
-                explain_node(input, depth + 1, estimate, actual, out);
-            }
         }
     }
 }

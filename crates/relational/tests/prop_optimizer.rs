@@ -28,20 +28,20 @@ fn arb_table(relation: &'static str) -> impl Strategy<Value = Table> {
     })
 }
 
-/// Shape knobs for a random π-topped plan over relations a, b, c: an
-/// optional third join (exercises reordering), optional filters (exercise
-/// pushdown), an optional second union arm, and an optional distinct on
-/// top. The optimizer leaves ∪ and δ as they are and optimizes below
-/// them; the served path never hands it either (a branch plan has
-/// neither), so the union and distinct shapes are here as equivalence
-/// inputs: every pass must recurse through them without changing a row.
+/// Shape knobs for random π-topped branch plans over relations a, b, c:
+/// an optional third join (exercises reordering), optional filters
+/// (exercise pushdown), an optional second branch, and an optional
+/// distinct on top of each. The optimizer leaves δ as it is and optimizes
+/// below it; the served path never hands it one (a branch plan has none),
+/// so the distinct shape is here as an equivalence input: every pass must
+/// recurse through it without changing a row.
 #[derive(Debug, Clone)]
 struct Shape {
     three_way: bool,
     filter_a: Option<i64>,
     filter_b: Option<i64>,
     distinct: bool,
-    union_arm: Option<i64>,
+    second_branch: Option<i64>,
 }
 
 /// An optional filter threshold (None roughly a third of the time).
@@ -62,19 +62,19 @@ fn arb_shape() -> BoxedStrategy<Shape> {
         arb_threshold(),
     )
         .prop_map(
-            |(three_way, filter_a, filter_b, distinct, union_arm)| Shape {
+            |(three_way, filter_a, filter_b, distinct, second_branch)| Shape {
                 three_way,
                 filter_a,
                 filter_b,
                 distinct,
-                union_arm,
+                second_branch,
             },
         )
 }
 
-/// One union arm: joins, then filters, then a π to the bare (k, bv) schema
-/// shared by every arm.
-fn arm(shape: &Shape, threshold: Option<i64>) -> Plan {
+/// One branch: joins, then filters, then a π to the bare (k, bv) schema
+/// shared by every branch.
+fn branch(shape: &Shape, threshold: Option<i64>) -> Plan {
     let mut plan = Plan::scan("a").join(
         Plan::scan("b"),
         vec![(
@@ -103,19 +103,14 @@ fn arm(shape: &Shape, threshold: Option<i64>) -> Plan {
     ])
 }
 
-fn build(shape: &Shape) -> Plan {
-    let first = arm(shape, shape.filter_a);
-    let plan = match shape.union_arm {
-        // Equal thresholds make the arms identical: under δ the second
-        // adds no row, without δ it doubles every one.
-        Some(t) => Plan::union(vec![first, arm(shape, Some(t))]),
-        None => first,
-    };
+/// The branch plans of one random UCQ, in branch order.
+fn build(shape: &Shape) -> Vec<Plan> {
+    let mut plans = vec![branch(shape, shape.filter_a)];
+    plans.extend(shape.second_branch.map(|t| branch(shape, Some(t))));
     if shape.distinct {
-        plan.distinct()
-    } else {
-        plan
+        plans = plans.into_iter().map(Plan::distinct).collect();
     }
+    plans
 }
 
 fn options(parallel: bool) -> ExecOptions {
@@ -161,15 +156,16 @@ proptest! {
         catalog.register("c", c);
         let resolve = |name: &str| catalog.relation_schema(name);
         let optimizer = Optimizer::new(&stats, &resolve);
-        let plan = build(&shape);
-        let expected = reference::run(&plan, &catalog).unwrap().sorted().render();
-        for parallel in [false, true] {
-            let executor = Executor::with_options(&catalog, options(parallel));
-            let baseline = executor.run(&plan).unwrap().sorted().render();
-            prop_assert_eq!(&baseline, &expected, "parallel={}", parallel);
-            let optimized = optimizer.optimize_with(OptimizeMode::Cost, plan.clone());
-            let rendered = executor.run(&optimized).unwrap().sorted().render();
-            prop_assert_eq!(&rendered, &expected, "parallel={}", parallel);
+        for plan in build(&shape) {
+            let expected = reference::run(&plan, &catalog).unwrap().sorted().render();
+            for parallel in [false, true] {
+                let executor = Executor::with_options(&catalog, options(parallel));
+                let baseline = executor.run(&plan).unwrap().sorted().render();
+                prop_assert_eq!(&baseline, &expected, "parallel={}", parallel);
+                let optimized = optimizer.optimize_with(OptimizeMode::Cost, plan.clone());
+                let rendered = executor.run(&optimized).unwrap().sorted().render();
+                prop_assert_eq!(&rendered, &expected, "parallel={}", parallel);
+            }
         }
     }
 
@@ -193,12 +189,14 @@ proptest! {
         catalog.register("c", c);
         let resolve = |name: &str| catalog.relation_schema(name);
         let optimizer = Optimizer::new(&stats, &resolve);
-        let once = optimizer.optimize_with(OptimizeMode::Cost, build(&shape));
-        let twice = optimizer.optimize_with(OptimizeMode::Cost, once.clone());
         let executor = Executor::with_options(&catalog, options(false));
-        prop_assert_eq!(
-            executor.run(&once).unwrap().sorted().render(),
-            executor.run(&twice).unwrap().sorted().render()
-        );
+        for plan in build(&shape) {
+            let once = optimizer.optimize_with(OptimizeMode::Cost, plan);
+            let twice = optimizer.optimize_with(OptimizeMode::Cost, once.clone());
+            prop_assert_eq!(
+                executor.run(&once).unwrap().sorted().render(),
+                executor.run(&twice).unwrap().sorted().render()
+            );
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! It evaluates a [`Plan`] row at a time over the rows of the tables a
 //! [`MemoryCatalog`] holds, as they were registered — nested-loop joins in probe × build order,
-//! first-occurrence distinct, branch-order union — and shares no code with
+//! first-occurrence distinct — and shares no code with
 //! the engine's operators, its term encoding or its scan cache. What it
 //! does share is the specification: `Value`'s coercing equality, `Expr`'s
 //! row-wise evaluation, and the error each shape problem is reported with,
@@ -109,23 +109,6 @@ fn eval(plan: &Plan, catalog: &MemoryCatalog) -> Result<(Schema, Vec<Tuple>), Ex
                 }
             }
             Ok((left_schema.concat(&right_schema), out))
-        }
-        Plan::Union { inputs } => {
-            let mut arms = inputs.iter();
-            let first = arms
-                .next()
-                .ok_or_else(|| ExecError::permanent("union of zero inputs"))?;
-            let (schema, mut rows) = eval(first, catalog)?;
-            for arm in arms {
-                let (arm_schema, arm_rows) = eval(arm, catalog)?;
-                if arm_schema.len() != schema.len() {
-                    return Err(ExecError::permanent(format!(
-                        "union arity mismatch: {schema} vs {arm_schema}"
-                    )));
-                }
-                rows.extend(arm_rows);
-            }
-            Ok((schema, rows))
         }
         Plan::Distinct { input } => {
             let (schema, mut rows) = eval(input, catalog)?;

@@ -10,6 +10,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> no union operator in the relational algebra (grep gate)"
+# A UCQ is a list of branch plans whose union is the answer's merge: no
+# Plan holds a ∪, no kernel runs one, and a rewriting carries no whole-UCQ
+# plan. The reference path unions branch rows itself.
+if grep -rnE 'Plan::Union|Plan::union|ColUnion|union_width|rewriting\.plan' \
+        crates/*/src tests examples; then
+    echo "the union operator or a whole-UCQ plan is back (see above)"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

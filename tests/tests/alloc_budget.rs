@@ -1,7 +1,8 @@
 //! Allocation-budget regression test for the zero-copy data plane.
 //!
-//! Re-running a warmed E6 query (the paper's 4-branch version-crossing UCQ)
-//! must stay under a recorded heap-allocation ceiling. Interned strings,
+//! Re-running a warmed E6 query (an 8-branch version-crossing UCQ)
+//! must stay under a recorded heap-allocation ceiling, both for its branch
+//! plans on the kernels alone and for the served query. Interned strings,
 //! shared batches, and selection vectors exist precisely to keep per-query
 //! allocations proportional to result size rather than to (rows × string
 //! columns); this test pins that property so a regression that quietly
@@ -16,9 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use mdm_core::rewrite::plan_for_cq;
 use mdm_core::synthetic::{chain_walk, mdm_from_synthetic};
 use mdm_core::Mdm;
-use mdm_relational::{metrics, Deadline, ExecOptions, Executor};
+use mdm_relational::{metrics, Deadline, ExecOptions, Executor, Plan};
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 
 struct CountingAlloc;
@@ -53,7 +55,7 @@ fn allocations() -> u64 {
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The E6 shape from EXPERIMENTS.md: 2 chained concepts × 2 coexisting
-/// versions per source → a 4-branch UCQ (mdm_bench::mixed_system(2, 2, n)
+/// versions per source → an 8-branch UCQ (mdm_bench::mixed_system(2, 2, n)
 /// rebuilt here because the test crate does not depend on mdm-bench).
 fn e6_at_10k() -> (SyntheticEcosystem, Mdm) {
     let config = WorkloadConfig {
@@ -68,23 +70,25 @@ fn e6_at_10k() -> (SyntheticEcosystem, Mdm) {
     (eco, mdm)
 }
 
-/// Heap-allocation ceiling for one warmed sequential E6 execution at 10k
-/// rows per wrapper. Measured 44,371 allocations on the recording machine
-/// (≈1 per result row — operators move 16-byte term ids, every wrapper's
+/// Heap-allocation ceiling for E6's eight branch plans at 10k rows per
+/// wrapper, warmed, run one after the other through one sequential
+/// executor, each decoded into a `Table`: the kernels' per-row budget,
+/// with no merge (the served path's is the next test's). Measured 85,053
+/// allocations on the recording machine for the branches' 80,000 rows (≈1
+/// per branch row: operators move 16-byte term ids, every wrapper's
 /// release is resident as term columns so a warm scan is an `Arc` clone,
-/// each of the plan's four single-key joins probes the index its resident
-/// build column kept instead of allocating a fresh map and `next` array,
-/// and only the surviving result rows decode back into `Value`s). Before
-/// the join indexes moved onto the columns it was 44,395. The parent of
-/// the change that made the columns resident spent 84,447: its scans
-/// cloned each wrapper's memoised rows (one `Vec` per fetched row, 40,000
-/// of them) and re-encoded them every query. The row plane spent
-/// ~882k here, ≈22 per result row. The ceiling leaves ~10% headroom for
-/// stdlib drift while still catching a regression that brings back a
-/// per-query row clone or silently falls back to row-at-a-time decode —
-/// the latter alone costs one allocation per string cell per operator,
-/// i.e. hundreds of thousands at this scale.
-const E6_10K_ALLOC_CEILING: u64 = 48_800;
+/// each single-key join probes the index its resident build column kept,
+/// and each branch's rows decode back into `Value`s, one `Vec` per row).
+/// Until 2026-10-19 this test ran the rewriting's whole `δ(∪ …)` plan,
+/// which decoded only the 39,171 rows δ kept: 44,371 (44,395 before the
+/// join indexes moved onto the columns; 84,447 before the columns were
+/// resident, when every scan cloned each wrapper's memoised rows and
+/// re-encoded them; ~882k on the deleted row plane). The ceiling leaves
+/// ~10% headroom for stdlib drift while still catching a regression that
+/// brings back a per-query row clone or silently falls back to
+/// row-at-a-time decode — the latter alone costs one allocation per
+/// string cell per operator, i.e. hundreds of thousands at this scale.
+const E6_10K_ALLOC_CEILING: u64 = 93_600;
 
 #[test]
 fn warmed_e6_execution_stays_under_allocation_budget() {
@@ -94,22 +98,37 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
     let (eco, mdm) = e6_at_10k();
     let walk = chain_walk(&eco, 2);
     let rewriting = mdm.rewrite(&walk).expect("rewrites");
+    let plans: Vec<Plan> = rewriting
+        .queries
+        .iter()
+        .map(|cq| plan_for_cq(cq, &rewriting.output_columns).expect("branch plan"))
+        .collect();
 
     // Warm run: parses wrapper payloads, fills each wrapper's resident
     // columns, interns the string domain. Sequential options keep the count deterministic.
     let executor = Executor::with_options(mdm.catalog(), ExecOptions::sequential());
-    let warm = executor.run(&rewriting.plan).expect("warm run executes");
-    assert!(!warm.is_empty(), "E6 must produce rows");
+    let run = || -> Vec<usize> {
+        plans
+            .iter()
+            .map(|plan| executor.run(plan).expect("branch executes").len())
+            .collect()
+    };
+    let warm = run();
+    assert!(
+        warm.iter().all(|&rows| rows > 0),
+        "E6 branches must produce rows"
+    );
 
-    // Measured run: the steady-state query path the server actually serves.
+    // Measured run: the branch plans again, on warm wrappers.
     let before = allocations();
-    let table = executor
-        .run(&rewriting.plan)
-        .expect("measured run executes");
+    let measured = run();
     let spent = allocations() - before;
 
-    assert_eq!(table.len(), warm.len(), "warm and measured runs agree");
-    eprintln!("warmed E6 @10k spent {spent} allocations (ceiling {E6_10K_ALLOC_CEILING})");
+    assert_eq!(measured, warm, "warm and measured runs agree");
+    eprintln!(
+        "warmed E6 @10k: {} branch rows, {spent} allocations (ceiling {E6_10K_ALLOC_CEILING})",
+        measured.iter().sum::<usize>()
+    );
     assert!(
         spent <= E6_10K_ALLOC_CEILING,
         "warmed E6 @10k spent {spent} allocations, budget is {E6_10K_ALLOC_CEILING}"
@@ -117,7 +136,7 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
 }
 
 /// Heap-allocation ceiling for one warmed, sequential
-/// `Mdm::query_degraded` of the same walk — the *served* path: four branch
+/// `Mdm::query_degraded` of the same walk — the *served* path: the branch
 /// executions and the UCQ merge, whose answer stays in term form
 /// (`MergedRows`). Measured 5,493 allocations on the recording machine for
 /// a 39,171-row answer when this test runs first in its process (3,838

@@ -99,7 +99,7 @@ fn run_every_branch(
     let resolve = |name: &str| mdm.catalog().relation_schema(name);
     let optimizer = Optimizer::new(stats.as_ref(), &resolve);
     let breakers = BreakerRegistry::new(BreakerConfig::default());
-    let plans = PreparedPlans::prepare(&rewriting, &RewriteOptions::default(), &|plan| {
+    let plans = PreparedPlans::prepare(&rewriting, &|plan| {
         optimizer.optimize_with(mdm.optimize_mode(), plan)
     })?;
     let (rows, mut completeness) = execute_degraded(
@@ -306,7 +306,7 @@ fn explain_shows_the_two_branch_plans_the_server_runs() {
     // The branch plans as the served path prepares them.
     let resolve = |name: &str| mdm.catalog().relation_schema(name);
     let optimizer = Optimizer::new(stats.as_ref(), &resolve);
-    let plans = PreparedPlans::prepare(&rewriting, &RewriteOptions::default(), &|plan| {
+    let plans = PreparedPlans::prepare(&rewriting, &|plan| {
         optimizer.optimize_with(mdm.optimize_mode(), plan)
     })
     .unwrap();
@@ -457,9 +457,7 @@ fn a_dropped_container_runs_its_covered_branches() {
             }
         };
         let run = |rewriting: &Rewriting| {
-            let plans =
-                PreparedPlans::prepare(rewriting, &RewriteOptions::default(), &break_branch_one)
-                    .unwrap();
+            let plans = PreparedPlans::prepare(rewriting, &break_branch_one).unwrap();
             execute_degraded(rewriting, mdm.catalog(), &plans, &exec_options, None, false).unwrap()
         };
         let (rows, completeness) = run(&covered);
@@ -506,8 +504,7 @@ fn ints_and_floats_that_are_equal_keep_the_first_spelling() {
             ..ExecOptions::default()
         };
         let run = |rewriting: &Rewriting| {
-            let plans = PreparedPlans::prepare(rewriting, &RewriteOptions::default(), &|plan| plan)
-                .unwrap();
+            let plans = PreparedPlans::prepare(rewriting, &|plan| plan).unwrap();
             let (rows, completeness) =
                 execute_degraded(rewriting, &catalog, &plans, &exec_options, None, false).unwrap();
             assert!(completeness.is_complete());

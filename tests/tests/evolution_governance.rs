@@ -129,7 +129,6 @@ fn multi_key_joins(mdm: &Mdm, walk: &Walk) -> u64 {
                 count(input)
             }
             Plan::Join { left, right, on } => u64::from(on.len() > 1) + count(left) + count(right),
-            Plan::Union { inputs } => inputs.iter().map(count).sum(),
         }
     }
     let rewriting = mdm.rewrite(walk).unwrap();

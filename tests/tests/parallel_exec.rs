@@ -73,31 +73,24 @@ fn eight_branches_over_two_wrappers_fetch_each_wrapper_once() {
         wa: Counting::new("wa"),
         wb: Counting::new("wb"),
     };
-    // Eight union branches alternating over the two providers — the shape
-    // a version-crossing UCQ takes when branches share wrappers.
-    let plan = Plan::union(
-        (0..8)
-            .map(|i| {
-                Plan::scan(if i % 2 == 0 { "wa" } else { "wb" })
-                    .filter(Expr::col("id").binary(BinOp::Gt, Expr::lit(-1 - i as i64)))
-            })
-            .collect(),
-    )
-    .distinct();
+    // Eight branch plans alternating over the two providers — the shape
+    // a version-crossing UCQ takes when branches share wrappers — run one
+    // after the other through one executor over one scan cache.
+    let plans: Vec<Plan> = (0..8)
+        .map(|i| {
+            Plan::scan(if i % 2 == 0 { "wa" } else { "wb" })
+                .filter(Expr::col("id").binary(BinOp::Gt, Expr::lit(-1 - i as i64)))
+        })
+        .collect();
     let cache = ScanCache::new();
     let options = ExecOptions {
         pool: Some(Arc::new(Pool::new(4))),
         ..ExecOptions::default()
     };
-    let table = Executor::with_options(&catalog, options)
-        .with_scan_cache(&cache)
-        .run(&plan)
-        .unwrap();
-    assert_eq!(
-        table.len(),
-        16,
-        "distinct collapses the 8 overlapping scans"
-    );
+    let executor = Executor::with_options(&catalog, options).with_scan_cache(&cache);
+    for plan in &plans {
+        assert_eq!(executor.run(plan).unwrap().len(), 16, "{plan}");
+    }
     assert_eq!(catalog.wa.fetches.load(Ordering::Relaxed), 1);
     assert_eq!(catalog.wb.fetches.load(Ordering::Relaxed), 1);
     let stats = cache.stats();
@@ -106,6 +99,46 @@ fn eight_branches_over_two_wrappers_fetch_each_wrapper_once() {
         (2, 6),
         "8 branch scans collapse to 2 provider fetches"
     );
+}
+
+/// The reference path (`Mdm::query`) runs its branch plans one by one,
+/// yet over one scan cache: on E6 (8 branches over 4 wrappers) every
+/// wrapper is fetched once per query, and the stats catalog learns each
+/// wrapper on the first query only. Pinned to what the whole `δ(∪ …)`
+/// plan it replaced did: fetches 1/1/1/1 per query, version 0 → 4 → 4.
+#[test]
+fn reference_query_fetches_each_wrapper_once_and_profiles_it_once() {
+    let config = WorkloadConfig {
+        concepts: 2,
+        features_per_concept: 3,
+        versions_per_source: 2,
+        rows_per_wrapper: 200,
+        seed: 42,
+    };
+    let eco = build(&config);
+    let mut mdm = mdm_from_synthetic(&eco).unwrap();
+    let stats = Arc::new(mdm_relational::StatsCatalog::new());
+    mdm.set_stats_catalog(Arc::clone(&stats));
+    let walk = chain_walk(&eco, 2);
+    let mut names = mdm.catalog().names();
+    names.sort_unstable();
+    assert_eq!(names, ["s0_v1", "s0_v2", "s1_v1", "s1_v2"]);
+    let fetches = || -> Vec<u64> {
+        names
+            .iter()
+            .map(|name| mdm.catalog().get(name).unwrap().fetch_count())
+            .collect()
+    };
+    assert_eq!(stats.version(), 0);
+    for version_after in [4, 4] {
+        let before = fetches();
+        let answer = mdm.query(&walk).unwrap();
+        assert_eq!(answer.rewriting.branch_count(), 8);
+        assert_eq!(answer.table.len(), 800);
+        let moved: Vec<u64> = fetches().iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(moved, [1, 1, 1, 1], "each wrapper once per query");
+        assert_eq!(stats.version(), version_after);
+    }
 }
 
 #[test]

@@ -20,7 +20,7 @@ use mdm_core::rewrite::plan_for_cq;
 use mdm_core::synthetic::{
     chain_walk, concept_iri, feature_iri, mdm_from_synthetic, register_synthetic_wrapper,
 };
-use mdm_core::{usecase, Mdm, RewriteOptions, Walk};
+use mdm_core::{usecase, Mdm, Walk};
 use mdm_relational::{
     BreakerConfig, BreakerRegistry, Catalog, Deadline, ExecOptions, Executor, OptimizeMode,
     Optimizer, StatsCatalog, Tuple, Value,
@@ -65,7 +65,7 @@ impl System {
         assert!(Arc::ptr_eq(&rewriting, &served.rewriting));
         let resolve = |name: &str| mdm.catalog().relation_schema(name);
         let optimizer = Optimizer::new(self.stats.as_ref(), &resolve);
-        let plans = PreparedPlans::prepare(&rewriting, &RewriteOptions::default(), &|plan| {
+        let plans = PreparedPlans::prepare(&rewriting, &|plan| {
             optimizer.optimize_with(mdm.optimize_mode(), plan)
         })
         .unwrap();
