@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::value::Value;
+use crate::value::{Number, Scalar, Value};
 
 /// A CSV parse error with the 1-based record number it occurred in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,31 +45,34 @@ impl CsvTable {
                     self.header
                         .iter()
                         .zip(record)
-                        .map(|(name, field)| (name.clone(), type_field(field))),
+                        .map(|(name, field)| (name.clone(), type_scalar(field).into())),
                 )
             })
             .collect()
     }
 }
 
-fn type_field(field: &str) -> Value {
+/// A field as the cell it types to: empty is null, canonical integers and
+/// dotted floats are numbers, `true`/`false` are bools, anything else is
+/// the string itself.
+pub fn type_scalar(field: &str) -> Scalar<'_> {
     if field.is_empty() {
-        return Value::Null;
+        return Scalar::Null;
     }
     if let Ok(i) = field.parse::<i64>() {
         if field == i.to_string() {
-            return Value::int(i);
+            return Scalar::Number(Number::Int(i));
         }
     }
     if let Ok(f) = field.parse::<f64>() {
         if field.contains('.') {
-            return Value::float(f);
+            return Scalar::Number(Number::Float(f));
         }
     }
     match field {
-        "true" => Value::Bool(true),
-        "false" => Value::Bool(false),
-        _ => Value::string(field),
+        "true" => Scalar::Bool(true),
+        "false" => Scalar::Bool(false),
+        _ => Scalar::Str(field),
     }
 }
 
@@ -77,17 +80,38 @@ fn type_field(field: &str) -> Value {
 /// different from the header are an error (ragged tables hide schema drift,
 /// which is exactly what MDM is built to surface).
 pub fn parse(input: &str) -> Result<CsvTable, CsvError> {
-    let mut rows = parse_rows(input)?;
-    if rows.is_empty() {
+    let mut records = Vec::new();
+    let header = read_records(input, |_, record| records.push(record))?;
+    Ok(CsvTable { header, records })
+}
+
+/// Reads a CSV document with a header row record by record, handing each
+/// data record to `sink` (with the header) as soon as it is read, and
+/// returns the header: [`parse`] without holding the table.
+///
+/// It fails exactly as `parse` does. A record of the wrong width is the
+/// error unless a malformed field follows it, and no record from it on
+/// reaches `sink`.
+pub fn read_records(
+    input: &str,
+    mut sink: impl FnMut(&[String], Vec<String>),
+) -> Result<Vec<String>, CsvError> {
+    let mut rows = Rows::new(input);
+    let Some(header) = rows.next() else {
         return Err(CsvError {
             message: "empty document (missing header)".to_string(),
             record: 0,
         });
-    }
-    let header = rows.remove(0);
-    for (i, row) in rows.iter().enumerate() {
+    };
+    let header = header?;
+    let mut ragged = None;
+    for (i, row) in rows.enumerate() {
+        let row = row?;
+        if ragged.is_some() {
+            continue;
+        }
         if row.len() != header.len() {
-            return Err(CsvError {
+            ragged = Some(CsvError {
                 message: format!(
                     "record has {} fields but header has {}",
                     row.len(),
@@ -95,83 +119,102 @@ pub fn parse(input: &str) -> Result<CsvTable, CsvError> {
                 ),
                 record: i + 1,
             });
+        } else {
+            sink(&header, row);
         }
     }
-    Ok(CsvTable {
-        header,
-        records: rows,
-    })
+    ragged.map_or(Ok(header), Err)
 }
 
-/// Parses raw rows without header interpretation.
-pub fn parse_rows(input: &str) -> Result<Vec<Vec<String>>, CsvError> {
-    let mut rows = Vec::new();
-    let mut row: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = input.chars().peekable();
-    let mut in_quotes = false;
-    let mut field_started = false;
+/// Raw rows, the header among them, read one at a time. After an error it
+/// yields nothing more.
+struct Rows<'a> {
+    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    /// Rows read so far; errors name the next one, 1-based.
+    read: usize,
+    done: bool,
+}
 
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
+impl<'a> Rows<'a> {
+    fn new(input: &'a str) -> Self {
+        Rows {
+            chars: input.chars().peekable(),
+            read: 0,
+            done: false,
+        }
+    }
+
+    fn error(&mut self, message: &str) -> Option<Result<Vec<String>, CsvError>> {
+        self.done = true;
+        Some(Err(CsvError {
+            message: message.to_string(),
+            record: self.read + 1,
+        }))
+    }
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Result<Vec<String>, CsvError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let mut row: Vec<String> = Vec::new();
+        let mut field = String::new();
+        let mut in_quotes = false;
+        let mut field_started = false;
+
+        while let Some(c) = self.chars.next() {
+            if in_quotes {
+                match c {
+                    '"' => {
+                        if self.chars.peek() == Some(&'"') {
+                            self.chars.next();
+                            field.push('"');
+                        } else {
+                            in_quotes = false;
+                        }
                     }
+                    c => field.push(c),
                 }
-                c => field.push(c),
+                continue;
             }
-            continue;
-        }
-        match c {
-            '"' if field.is_empty() && !field_started => {
-                in_quotes = true;
-                field_started = true;
-            }
-            '"' => {
-                return Err(CsvError {
-                    message: "quote inside unquoted field".to_string(),
-                    record: rows.len() + 1,
-                })
-            }
-            ',' => {
-                row.push(std::mem::take(&mut field));
-                field_started = false;
-            }
-            '\r' => {
-                if chars.peek() == Some(&'\n') {
-                    chars.next();
+            match c {
+                '"' if field.is_empty() && !field_started => {
+                    in_quotes = true;
+                    field_started = true;
                 }
-                row.push(std::mem::take(&mut field));
-                rows.push(std::mem::take(&mut row));
-                field_started = false;
-            }
-            '\n' => {
-                row.push(std::mem::take(&mut field));
-                rows.push(std::mem::take(&mut row));
-                field_started = false;
-            }
-            c => {
-                field.push(c);
-                field_started = true;
+                '"' => return self.error("quote inside unquoted field"),
+                ',' => {
+                    row.push(std::mem::take(&mut field));
+                    field_started = false;
+                }
+                '\r' | '\n' => {
+                    if c == '\r' && self.chars.peek() == Some(&'\n') {
+                        self.chars.next();
+                    }
+                    row.push(field);
+                    self.read += 1;
+                    return Some(Ok(row));
+                }
+                c => {
+                    field.push(c);
+                    field_started = true;
+                }
             }
         }
+        self.done = true;
+        if in_quotes {
+            return self.error("unterminated quoted field");
+        }
+        if field_started || !field.is_empty() || !row.is_empty() {
+            row.push(field);
+            self.read += 1;
+            return Some(Ok(row));
+        }
+        None
     }
-    if in_quotes {
-        return Err(CsvError {
-            message: "unterminated quoted field".to_string(),
-            record: rows.len() + 1,
-        });
-    }
-    if field_started || !field.is_empty() || !row.is_empty() {
-        row.push(field);
-        rows.push(row);
-    }
-    Ok(rows)
 }
 
 /// Writes a header and records as CSV, quoting only where required.
@@ -237,6 +280,18 @@ mod tests {
         let err = parse("a,b\n1,2,3\n").unwrap_err();
         assert!(err.message.contains("3 fields"));
         assert_eq!(err.record, 1);
+    }
+
+    #[test]
+    fn a_malformed_field_outranks_an_earlier_ragged_record() {
+        let err = parse("a,b\n1,2\n3\n\"open").unwrap_err();
+        assert_eq!(err.message, "unterminated quoted field");
+        assert_eq!(err.record, 4);
+        // Records before the ragged one are handed out; none after it.
+        let mut seen = Vec::new();
+        let err = read_records("a,b\n1,2\n3\n4,5\n", |_, record| seen.push(record)).unwrap_err();
+        assert_eq!(err.record, 2);
+        assert_eq!(seen, vec![vec!["1", "2"]]);
     }
 
     #[test]

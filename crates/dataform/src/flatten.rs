@@ -13,10 +13,11 @@
 //! * a nested array *unnests*: the cartesian product with its parent row,
 //!   which is the 1NF interpretation of repeated groups.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::value::Value;
+use crate::value::{Scalar, Value};
 
 /// Options controlling flattening.
 #[derive(Clone, Debug)]
@@ -38,93 +39,123 @@ impl Default for FlattenOptions {
 
 /// A flat row: column name → scalar text (empty string encodes null).
 /// Column names are `Arc<str>` because every row of a payload repeats the
-/// same handful of names: one allocation per column per payload, not one
-/// per cell. `Arc<str>: Borrow<str>`, so `row["id"]` lookups still work.
+/// same handful of names. `Arc<str>: Borrow<str>`, so `row["id"]` lookups
+/// still work.
 pub type Row = BTreeMap<Arc<str>, String>;
 
-/// Flattens a document into 1NF rows.
+/// One cell of a row as [`flatten`] hands it out: the column name (borrowed
+/// from the document where it is a top-level key) and the scalar.
+pub type Cell<'a> = (Cow<'a, str>, Scalar<'a>);
+
+/// Flattens a document into 1NF rows, collected as [`Row`]s.
 pub fn flatten_rows(value: &Value, options: &FlattenOptions) -> Vec<Row> {
-    match value {
-        Value::Array(items) => items
-            .iter()
-            .flat_map(|item| flatten_rows(item, options))
-            .collect(),
-        Value::Object(_) => flatten_object(value, "", options),
-        scalar => {
-            let mut row = Row::new();
-            row.insert(
-                Arc::from(options.scalar_column.as_str()),
-                scalar.scalar_text().unwrap_or_default(),
-            );
-            vec![row]
+    let mut rows = Vec::new();
+    flatten(value, options, &mut |cells: &[Cell<'_>]| {
+        let mut row = Row::new();
+        for (column, cell) in cells {
+            row.insert(Arc::from(column.as_ref()), cell.to_text());
         }
+        rows.push(row);
+    });
+    rows
+}
+
+/// Flattens a document into 1NF rows, handing each row to `sink` as soon as
+/// it is made: the one flattening implementation ([`flatten_rows`] is its
+/// collecting sink).
+///
+/// A row lists its cells in assignment order, and a column may appear in
+/// it more than once — nested names can collide with flat ones (`a_b`
+/// next to `a: {b}`); the *later* cell is the column's value, as a map
+/// insert keeps it. Object keys are visited in sorted order.
+pub fn flatten<'a>(
+    value: &'a Value,
+    options: &'a FlattenOptions,
+    sink: &mut impl FnMut(&[Cell<'a>]),
+) {
+    match value {
+        Value::Array(items) => {
+            for item in items {
+                flatten(item, options, sink);
+            }
+        }
+        Value::Object(_) => {
+            for row in object_rows(value, &Cow::Borrowed(""), options) {
+                sink(&row);
+            }
+        }
+        scalar => sink(&[(
+            Cow::Borrowed(options.scalar_column.as_str()),
+            Scalar::of(scalar).unwrap_or(Scalar::Null),
+        )]),
     }
 }
 
 /// Flattens one object into one-or-more rows (more when arrays unnest).
-fn flatten_object(value: &Value, prefix: &str, options: &FlattenOptions) -> Vec<Row> {
+fn object_rows<'a>(
+    value: &'a Value,
+    prefix: &Cow<'a, str>,
+    options: &'a FlattenOptions,
+) -> Vec<Vec<Cell<'a>>> {
     let Some(map) = value.as_object() else {
-        // Scalar under a prefix: single column.
-        let mut row = Row::new();
-        let column: Arc<str> = if prefix.is_empty() {
-            Arc::from(options.scalar_column.as_str())
+        // Scalar under a prefix: single column. An array here (an array
+        // element that is itself an array) is no scalar and reads as null.
+        let column = if prefix.is_empty() {
+            Cow::Borrowed(options.scalar_column.as_str())
         } else {
-            Arc::from(prefix)
+            prefix.clone()
         };
-        row.insert(column, value.scalar_text().unwrap_or_default());
-        return vec![row];
+        return vec![vec![(column, Scalar::of(value).unwrap_or(Scalar::Null))]];
     };
 
     // Start from a single row and expand multiplicatively on arrays.
-    let mut rows: Vec<Row> = vec![Row::new()];
+    let mut rows: Vec<Vec<Cell<'a>>> = vec![Vec::with_capacity(map.len())];
     for (key, field) in map {
-        let column: Arc<str> = if prefix.is_empty() {
-            Arc::from(key.as_str())
+        let column: Cow<'a, str> = if prefix.is_empty() {
+            Cow::Borrowed(key.as_str())
         } else {
-            Arc::from(format!("{prefix}{}{key}", options.separator))
+            Cow::Owned(format!("{prefix}{}{key}", options.separator))
         };
         match field {
+            // Empty array: keep parent rows, no columns added.
+            Value::Array(items) if items.is_empty() => {}
+            // Unnest: each element's rows pair with each existing row,
+            // element by element.
             Value::Array(items) => {
-                // Unnest: each existing row pairs with each element's rows.
                 let mut expanded = Vec::new();
-                if items.is_empty() {
-                    // Empty array: keep parent rows, no columns added.
-                    expanded = rows;
-                } else {
-                    for item in items {
-                        let sub_rows = flatten_object(item, &column, options);
-                        for row in &rows {
-                            for sub in &sub_rows {
-                                let mut merged = row.clone();
-                                merged.extend(sub.clone());
-                                expanded.push(merged);
-                            }
-                        }
-                    }
+                for item in items {
+                    expanded.extend(product(&rows, &object_rows(item, &column, options)));
                 }
                 rows = expanded;
             }
             Value::Object(_) => {
-                let sub_rows = flatten_object(field, &column, options);
-                let mut expanded = Vec::new();
-                for row in &rows {
-                    for sub in &sub_rows {
-                        let mut merged = row.clone();
-                        merged.extend(sub.clone());
-                        expanded.push(merged);
-                    }
-                }
-                rows = expanded;
+                rows = product(&rows, &object_rows(field, &column, options)).collect();
             }
             scalar => {
-                let text = scalar.scalar_text().unwrap_or_default();
+                let cell = Scalar::of(scalar).unwrap_or(Scalar::Null);
                 for row in &mut rows {
-                    row.insert(column.clone(), text.clone());
+                    row.push((column.clone(), cell));
                 }
             }
         }
     }
     rows
+}
+
+/// Every row followed by every sub-row, row-major; a sub-row's cells come
+/// later, so they win.
+fn product<'r, 'a>(
+    rows: &'r [Vec<Cell<'a>>],
+    sub_rows: &'r [Vec<Cell<'a>>],
+) -> impl Iterator<Item = Vec<Cell<'a>>> + 'r {
+    rows.iter().flat_map(move |row| {
+        sub_rows.iter().map(move |sub| {
+            let mut merged = Vec::with_capacity(row.len() + sub.len());
+            merged.extend_from_slice(row);
+            merged.extend_from_slice(sub);
+            merged
+        })
+    })
 }
 
 /// Extracts the union of column names across rows, sorted — the inferred 1NF

@@ -31,17 +31,79 @@ impl std::error::Error for JsonError {}
 
 /// Parses a JSON document. Trailing non-whitespace input is an error.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut parser = JsonParser {
-        input: input.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = JsonParser::new(input);
     parser.skip_ws();
     let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.input.len() {
-        return Err(parser.error("trailing characters after document"));
-    }
+    parser.finish()?;
     Ok(value)
+}
+
+/// The records of a JSON document, parsed one at a time: the elements of a
+/// top-level array, or the document itself when it is not an array. Only
+/// the record being parsed is ever held, never the whole tree.
+///
+/// The stream parses with [`parse`]'s parser and grammar. It fails where
+/// `parse` fails, with the same error at the same line:column, and yields
+/// nothing after it. An element is yielded only once the `,` or `]` after it
+/// has been read (the last one only once the document is known to end
+/// there), so a document cut short yields none of the record it was cut in.
+pub fn records(input: &str) -> Records<'_> {
+    Records {
+        parser: JsonParser::new(input),
+        state: Stream::Start,
+    }
+}
+
+/// The iterator [`records`] returns.
+pub struct Records<'a> {
+    parser: JsonParser<'a>,
+    state: Stream,
+}
+
+enum Stream {
+    Start,
+    Array,
+    Done,
+}
+
+impl Iterator for Records<'_> {
+    type Item = Result<Value, JsonError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let parser = &mut self.parser;
+        let element = match self.state {
+            Stream::Done => return None,
+            Stream::Start => {
+                parser.skip_ws();
+                if parser.peek() != Some(b'[') {
+                    // Not an array: the document is its one record.
+                    self.state = Stream::Done;
+                    return Some(parser.parse_value().and_then(|value| {
+                        parser.finish()?;
+                        Ok(value)
+                    }));
+                }
+                if parser.open_array() {
+                    self.state = Stream::Done;
+                    return parser.finish().err().map(Err);
+                }
+                self.state = Stream::Array;
+                parser.parse_element()
+            }
+            Stream::Array => parser.parse_element(),
+        };
+        Some(match element {
+            Ok((value, false)) => Ok(value),
+            Ok((value, true)) => {
+                self.state = Stream::Done;
+                parser.finish().map(|()| value)
+            }
+            Err(e) => {
+                self.state = Stream::Done;
+                Err(e)
+            }
+        })
+    }
 }
 
 /// Prints a value as compact JSON.
@@ -150,6 +212,22 @@ struct JsonParser<'a> {
 }
 
 impl<'a> JsonParser<'a> {
+    fn new(input: &'a str) -> Self {
+        JsonParser {
+            input: input.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// After the document: only whitespace may follow.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.error("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         let consumed = &self.input[..self.pos.min(self.input.len())];
         let line = consumed.iter().filter(|&&c| c == b'\n').count() + 1;
@@ -239,22 +317,41 @@ impl<'a> JsonParser<'a> {
     }
 
     fn parse_array(&mut self) -> Result<Value, JsonError> {
-        self.bump(); // '['
         let mut items = Vec::new();
+        if !self.open_array() {
+            loop {
+                let (item, last) = self.parse_element()?;
+                items.push(item);
+                if last {
+                    break;
+                }
+            }
+        }
+        Ok(Value::Array(items))
+    }
+
+    /// Consumes an array's `[`; true when the array is empty (its `]`
+    /// consumed too).
+    fn open_array(&mut self) -> bool {
+        self.bump(); // '['
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.bump();
-            return Ok(Value::Array(items));
+            return true;
         }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
+        false
+    }
+
+    /// One array element and the `,` or `]` after it; true when that was
+    /// the `]`.
+    fn parse_element(&mut self) -> Result<(Value, bool), JsonError> {
+        self.skip_ws();
+        let value = self.parse_value()?;
+        self.skip_ws();
+        match self.bump() {
+            Some(b',') => Ok((value, false)),
+            Some(b']') => Ok((value, true)),
+            _ => Err(self.error("expected ',' or ']' in array")),
         }
     }
 
@@ -504,6 +601,51 @@ mod tests {
     fn huge_integer_degrades_to_float() {
         let v = parse("123456789012345678901234567890").unwrap();
         assert!(matches!(v, Value::Number(Number::Float(_))));
+    }
+
+    fn streamed(doc: &str) -> Result<Vec<Value>, JsonError> {
+        records(doc).collect()
+    }
+
+    #[test]
+    fn records_are_the_top_level_elements_or_the_document() {
+        assert_eq!(
+            streamed(r#" [ {"a":1}, 2, [3] ] "#).unwrap(),
+            vec![
+                Value::object([("a", Value::int(1))]),
+                Value::int(2),
+                Value::array([Value::int(3)]),
+            ]
+        );
+        assert_eq!(streamed("[]").unwrap(), vec![]);
+        assert_eq!(
+            streamed(r#"{"a":[1]}"#).unwrap(),
+            vec![parse(r#"{"a":[1]}"#).unwrap()]
+        );
+        assert_eq!(streamed(" 7 ").unwrap(), vec![Value::int(7)]);
+    }
+
+    #[test]
+    fn records_fail_as_parse_fails() {
+        for doc in [
+            "", "[", "[1,", "[1 2]", "[1,2] x", "[] x", "{\"a\":1", "7 8", "[1,x]",
+        ] {
+            assert_eq!(streamed(doc).unwrap_err(), parse(doc).unwrap_err(), "{doc}");
+        }
+    }
+
+    #[test]
+    fn a_record_cut_short_is_never_yielded() {
+        // "[10,23" cut after "2": the parser reads a complete number 2, but
+        // the element has no separator after it.
+        let mut stream = records("[10,2");
+        assert_eq!(stream.next().unwrap().unwrap(), Value::int(10));
+        assert!(stream.next().unwrap().is_err());
+        assert!(stream.next().is_none());
+        // The last element waits for the end of the document.
+        let mut stream = records("[1] x");
+        assert!(stream.next().unwrap().is_err());
+        assert!(stream.next().is_none());
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //!
 //! * [`Value`] — a unified document tree (null / bool / number / string /
 //!   array / object) shared by all formats.
-//! * [`json`] — a strict JSON parser and printer.
+//! * [`json`] — a strict JSON parser and printer, plus a record stream
+//!   ([`json::records`]) that parses a top-level array one element at a
+//!   time.
 //! * [`xml`] — a parser and printer for the XML subset REST APIs emit
 //!   (elements, attributes, text; no DTDs or processing instructions).
-//! * [`csv`] — an RFC-4180-style reader/writer for tabular sources.
-//! * [`flatten`] — converts a document tree into the flat 1NF rows that
-//!   wrapper signatures `w(a1, …, an)` expose (paper §2.2).
+//! * [`csv`] — an RFC-4180-style reader/writer for tabular sources, which
+//!   also reads record by record ([`csv::read_records`]).
+//! * [`mod@flatten`] — converts a document tree into the flat 1NF rows that
+//!   wrapper signatures `w(a1, …, an)` expose (paper §2.2), handing each
+//!   row to a sink as borrowed [`Scalar`] cells.
 //! * [`path`] — dotted-path accessors (`team.name`, `stats.0.goals`) used by
 //!   wrapper queries to rename and project fields.
 
@@ -24,6 +28,6 @@ pub mod path;
 pub mod value;
 pub mod xml;
 
-pub use flatten::{flatten_rows, FlattenOptions};
+pub use flatten::{flatten, flatten_rows, Cell, FlattenOptions};
 pub use path::Path;
-pub use value::{Number, Value};
+pub use value::{Number, Scalar, Value};

@@ -1,7 +1,7 @@
 //! The unified document tree shared by JSON, XML and CSV.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A numeric value, preserving the integer/float distinction so wrapper
 /// attributes keep their source types (e.g. Players API `weight: 159` vs
@@ -158,13 +158,7 @@ impl Value {
     /// naturally, null renders as empty, arrays/objects are `None` (they are
     /// not scalars and must be flattened structurally).
     pub fn scalar_text(&self) -> Option<String> {
-        match self {
-            Value::Null => Some(String::new()),
-            Value::Bool(b) => Some(b.to_string()),
-            Value::Number(n) => Some(n.to_string()),
-            Value::String(s) => Some(s.clone()),
-            Value::Array(_) | Value::Object(_) => None,
-        }
+        Scalar::of(self).map(Scalar::to_text)
     }
 
     /// A short name for the value's shape, used in error messages.
@@ -176,6 +170,70 @@ impl Value {
             Value::String(_) => "string",
             Value::Array(_) => "array",
             Value::Object(_) => "object",
+        }
+    }
+}
+
+/// One 1NF cell as flattening hands it out: a scalar borrowed from its
+/// document (or a CSV field), rendered to text only when a consumer asks.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Number(Number),
+    Str(&'a str),
+}
+
+impl<'a> Scalar<'a> {
+    /// `value` as a cell; `None` for arrays and objects, which are not
+    /// scalars.
+    pub fn of(value: &'a Value) -> Option<Scalar<'a>> {
+        match value {
+            Value::Null => Some(Scalar::Null),
+            Value::Bool(b) => Some(Scalar::Bool(*b)),
+            Value::Number(n) => Some(Scalar::Number(*n)),
+            Value::String(s) => Some(Scalar::Str(s)),
+            Value::Array(_) | Value::Object(_) => None,
+        }
+    }
+
+    /// The cell's text, as [`Value::scalar_text`] renders it: a string is
+    /// borrowed, a number is written into `scratch`, null is empty.
+    pub fn text<'s>(self, scratch: &'s mut String) -> &'s str
+    where
+        'a: 's,
+    {
+        match self {
+            Scalar::Null => "",
+            Scalar::Bool(true) => "true",
+            Scalar::Bool(false) => "false",
+            Scalar::Number(n) => {
+                scratch.clear();
+                // `fmt::Write` for `String` cannot fail.
+                let _ = write!(scratch, "{n}");
+                scratch
+            }
+            Scalar::Str(s) => s,
+        }
+    }
+
+    /// The cell's text as an owned string.
+    pub fn to_text(self) -> String {
+        match self {
+            Scalar::Number(n) => n.to_string(),
+            // Only a number writes into the scratch, so this one stays empty.
+            other => other.text(&mut String::new()).to_string(),
+        }
+    }
+}
+
+impl From<Scalar<'_>> for Value {
+    fn from(scalar: Scalar<'_>) -> Value {
+        match scalar {
+            Scalar::Null => Value::Null,
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Number(n) => Value::Number(n),
+            Scalar::Str(s) => Value::string(s),
         }
     }
 }

@@ -43,7 +43,7 @@ use crate::intern::Sym;
 use crate::metrics;
 use crate::pool::Pool;
 use crate::schema::Schema;
-use crate::value::{cmp_int_float, Tuple, Value};
+use crate::value::{cmp_int_float, Tuple, TypedText, Value};
 
 mod merge;
 
@@ -90,6 +90,15 @@ impl TermId {
         TermId {
             tag: TAG_FLOAT,
             bits: f.to_bits(),
+        }
+    }
+
+    /// The string `text`'s term, interning it on first sight. Takes the
+    /// dictionary write path for unseen strings.
+    fn string(text: &str) -> TermId {
+        TermId {
+            tag: TAG_STR,
+            bits: dict().id_of(text),
         }
     }
 
@@ -393,22 +402,24 @@ impl TermDict {
         }
     }
 
-    /// The id for `sym`'s content, inserting on first sight. Read-locks on
-    /// the hit path; upgrades to a write lock only for new strings.
-    fn id_of(&self, sym: &Sym) -> u64 {
-        let shard_idx = dict_shard_of(sym.as_str());
+    /// The id for `text`, inserting on first sight. Read-locks on the hit
+    /// path; upgrades to a write lock only for new strings, the only ones
+    /// that become a `Sym`.
+    fn id_of(&self, text: &str) -> u64 {
+        let shard_idx = dict_shard_of(text);
         let shard = &self.shards[shard_idx];
         {
             let guard = shard.read().expect("term dict poisoned");
-            if let Some(&idx) = guard.map.get(sym.as_str()) {
+            if let Some(&idx) = guard.map.get(text) {
                 return ((shard_idx as u64) << 32) | idx as u64;
             }
         }
         let mut guard = shard.write().expect("term dict poisoned");
-        if let Some(&idx) = guard.map.get(sym.as_str()) {
+        if let Some(&idx) = guard.map.get(text) {
             return ((shard_idx as u64) << 32) | idx as u64;
         }
         let idx = guard.entries.len() as u32;
+        let sym = Sym::new(text);
         guard.entries.push(sym.clone());
         guard.map.insert(sym.clone(), idx);
         self.entries.fetch_add(1, AtomicOrdering::Release);
@@ -506,10 +517,7 @@ pub(crate) fn encode_value(v: &Value) -> TermId {
         Value::Bool(b) => TermId::bool(*b),
         Value::Int(i) => TermId::int(*i),
         Value::Float(f) => TermId::float(*f),
-        Value::Str(s) => TermId {
-            tag: TAG_STR,
-            bits: dict().id_of(s),
-        },
+        Value::Str(s) => TermId::string(s),
     }
 }
 
@@ -528,6 +536,89 @@ pub fn encode_rows(rows: &[Tuple], width: usize) -> Vec<Arc<TypedColumn>> {
     }
     metrics::record_encodes((rows.len() * width) as u64);
     columns.into_iter().map(TypedColumn::shared).collect()
+}
+
+/// Term columns built cell by cell from flat text, typed by
+/// [`Value::from_text`]'s rules: how a wrapper streams its release into
+/// resident columns without a `Value`, a tuple or a `String` per cell. A
+/// string is interned straight from its slice (only one the dictionary
+/// lacks becomes a `Sym`). Like [`encode_rows`], it must not run on a
+/// thread that is decoding terms (whose dictionary read guards an unseen
+/// string's insert would wait on).
+///
+/// Each column grows in fixed chunks and [`TermColumnsBuilder::finish`]
+/// copies it once into an exact-size column, so a build holds at most
+/// about twice the finished columns — no doubling `Vec` reallocating a
+/// release-sized buffer.
+pub struct TermColumnsBuilder {
+    columns: Vec<Chunks>,
+}
+
+/// Terms per chunk: 64 KiB.
+const CHUNK_TERMS: usize = 4096;
+
+/// One column under construction: full chunks plus the one filling.
+#[derive(Default)]
+struct Chunks {
+    full: Vec<Vec<TermId>>,
+    filling: Vec<TermId>,
+}
+
+impl Chunks {
+    fn push(&mut self, id: TermId) {
+        if self.filling.len() == CHUNK_TERMS {
+            let full = std::mem::replace(&mut self.filling, Vec::with_capacity(CHUNK_TERMS));
+            self.full.push(full);
+        }
+        self.filling.push(id);
+    }
+
+    fn len(&self) -> usize {
+        self.full.len() * CHUNK_TERMS + self.filling.len()
+    }
+
+    /// The terms in one exact-size `Vec`, each chunk freed once copied.
+    fn finish(self) -> Vec<TermId> {
+        let mut ids = Vec::with_capacity(self.len());
+        for chunk in self.full {
+            ids.extend_from_slice(&chunk);
+        }
+        ids.extend_from_slice(&self.filling);
+        ids
+    }
+}
+
+impl TermColumnsBuilder {
+    /// A builder of `width` empty columns.
+    pub fn new(width: usize) -> Self {
+        TermColumnsBuilder {
+            columns: (0..width).map(|_| Chunks::default()).collect(),
+        }
+    }
+
+    /// Types `text` as [`Value::from_text`] would and appends its term to
+    /// column `column`.
+    pub fn push(&mut self, column: usize, text: &str) {
+        let id = match TypedText::of(text) {
+            TypedText::Null => TermId::NULL,
+            TypedText::Bool(b) => TermId::bool(b),
+            TypedText::Int(i) => TermId::int(i),
+            TypedText::Float(f) => TermId::float(f),
+            TypedText::Str(s) => TermId::string(s),
+        };
+        self.columns[column].push(id);
+    }
+
+    /// The shared columns, counted as encoded terms (rows × width, as
+    /// [`encode_rows`] counts them).
+    pub fn finish(self) -> Vec<Arc<TypedColumn>> {
+        let terms: usize = self.columns.iter().map(Chunks::len).sum();
+        metrics::record_encodes(terms as u64);
+        self.columns
+            .into_iter()
+            .map(|column| TypedColumn::shared(column.finish()))
+            .collect()
+    }
 }
 
 /// Decodes terms back into `Value`s, caching one read guard per touched

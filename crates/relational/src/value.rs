@@ -57,23 +57,12 @@ impl Value {
     /// Parses a scalar from the flat text produced by
     /// `mdm_dataform::flatten`: empty → null, then int, float, bool, string.
     pub fn from_text(text: &str) -> Value {
-        if text.is_empty() {
-            return Value::Null;
-        }
-        if let Ok(i) = text.parse::<i64>() {
-            if text == i.to_string() {
-                return Value::Int(i);
-            }
-        }
-        if text.contains('.') || text.contains('e') || text.contains('E') {
-            if let Ok(f) = text.parse::<f64>() {
-                return Value::Float(f);
-            }
-        }
-        match text {
-            "true" => Value::Bool(true),
-            "false" => Value::Bool(false),
-            _ => Value::str(text),
+        match TypedText::of(text) {
+            TypedText::Null => Value::Null,
+            TypedText::Bool(b) => Value::Bool(b),
+            TypedText::Int(i) => Value::Int(i),
+            TypedText::Float(f) => Value::Float(f),
+            TypedText::Str(s) => Value::str(s),
         }
     }
 
@@ -86,6 +75,52 @@ impl Value {
             Value::Str(_) => 3,
         }
     }
+}
+
+/// A flat text typed by [`Value::from_text`]'s rules, a string left
+/// borrowed: the one typing rule, shared by `from_text` and the term-column
+/// builder that types payload text without building a `Value`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum TypedText<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+}
+
+impl<'a> TypedText<'a> {
+    /// Empty → null, then a canonical int (one that prints back as
+    /// `text`), a float (with a `.`, `e` or `E`), a bool, a string.
+    pub(crate) fn of(text: &'a str) -> TypedText<'a> {
+        if text.is_empty() {
+            return TypedText::Null;
+        }
+        if let Some(i) = canonical_int(text) {
+            return TypedText::Int(i);
+        }
+        if text.contains('.') || text.contains('e') || text.contains('E') {
+            if let Ok(f) = text.parse::<f64>() {
+                return TypedText::Float(f);
+            }
+        }
+        match text {
+            "true" => TypedText::Bool(true),
+            "false" => TypedText::Bool(false),
+            _ => TypedText::Str(text),
+        }
+    }
+}
+
+/// `text` as an `i64` when `i.to_string() == text`: decimal digits with at
+/// most a leading `-`, no `+`, no leading zero and no `-0` — checked on the
+/// text, so typing an integer cell allocates nothing.
+fn canonical_int(text: &str) -> Option<i64> {
+    let i = text.parse::<i64>().ok()?;
+    let digits = text.strip_prefix('-').unwrap_or(text);
+    let canonical = !text.starts_with('+')
+        && (!digits.starts_with('0') || (digits == "0" && digits.len() == text.len()));
+    canonical.then_some(i)
 }
 
 impl fmt::Display for Value {
@@ -288,6 +323,42 @@ mod tests {
         assert_eq!(Value::from_text("true"), Value::Bool(true));
         assert_eq!(Value::from_text("left"), Value::str("left"));
         assert_eq!(Value::from_text("007"), Value::str("007"));
+    }
+
+    #[test]
+    fn canonical_ints_are_those_that_print_back() {
+        for text in [
+            "0",
+            "-0",
+            "00",
+            "007",
+            "-07",
+            "+5",
+            "5",
+            "-5",
+            "10",
+            "-",
+            "+",
+            "",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "1_000",
+            " 1",
+            "1 ",
+            "٣",
+        ] {
+            let printed_back = text.parse::<i64>().ok().filter(|i| i.to_string() == text);
+            assert_eq!(canonical_int(text), printed_back, "{text:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn canonical_int_agrees_with_printing(text in "[-+]?[0-9]{0,20}") {
+            let printed_back = text.parse::<i64>().ok().filter(|i| i.to_string() == text);
+            prop_assert_eq!(canonical_int(&text), printed_back);
+        }
     }
 
     #[test]

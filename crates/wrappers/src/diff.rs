@@ -157,14 +157,9 @@ fn common_prefix(names: &[String]) -> String {
 }
 
 fn columns(release: &Release) -> Result<Vec<String>, DiffError> {
-    let value = release
-        .parse()
-        .map_err(|e| DiffError(e.message().to_string()))?;
-    let rows = mdm_dataform::flatten::flatten_rows(
-        &value,
-        &mdm_dataform::flatten::FlattenOptions::default(),
-    );
-    Ok(mdm_dataform::flatten::infer_columns(&rows))
+    release
+        .payload_columns()
+        .map_err(|e| DiffError(e.message().to_string()))
 }
 
 /// Folded-name similarity (substring containment or edit distance).

@@ -13,9 +13,9 @@
 //!   JSON/XML/CSV payloads, with multiple *releases* (schema versions) per
 //!   endpoint, replacing the external APIs (Facebook Graph API, football
 //!   data providers) the paper ingests;
-//! * [`wrapper`] — [`Wrapper`]: signature + payload bindings; parses the
-//!   payload, flattens it to 1NF and exposes it as a
-//!   [`RelationProvider`](mdm_relational::RelationProvider);
+//! * [`wrapper`] — [`Wrapper`]: signature + payload bindings; streams the
+//!   payload, record by record and flattened to 1NF, into term columns it
+//!   exposes as a [`RelationProvider`](mdm_relational::RelationProvider);
 //! * [`registry`] — a catalog of wrappers for the federated executor;
 //! * [`football`] — the motivational use case: Players (JSON), Teams (XML),
 //!   Leagues (JSON), Countries (CSV) APIs, including the breaking v2 release

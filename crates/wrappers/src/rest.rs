@@ -8,10 +8,12 @@
 //! the same code path as a live API (payload bytes → parse → flatten) while
 //! staying deterministic.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use mdm_dataform::{json, xml, Value};
+use mdm_dataform::flatten::{flatten, Cell, FlattenOptions};
+use mdm_dataform::{csv, json, xml, Value};
 
 use crate::wrapper::WrapperError;
 
@@ -58,15 +60,74 @@ impl Release {
     /// harness uses it to feed truncated payloads through the real parser.
     pub fn parse_body(&self, body: &str) -> Result<Value, WrapperError> {
         match self.format {
-            Format::Json => json::parse(body).map_err(|e| WrapperError::Malformed(e.to_string())),
+            Format::Json => json::parse(body).map_err(malformed),
             Format::Xml => xml::parse(body)
                 .map(|e| xml::to_value(&e))
-                .map_err(|e| WrapperError::Malformed(e.to_string())),
-            Format::Csv => mdm_dataform::csv::parse(body)
+                .map_err(malformed),
+            Format::Csv => csv::parse(body)
                 .map(|t| Value::Array(t.to_values()))
-                .map_err(|e| WrapperError::Malformed(e.to_string())),
+                .map_err(malformed),
         }
     }
+
+    /// Streams an arbitrary body in this release's format to `sink` as 1NF
+    /// rows: the rows [`flatten_rows`](mdm_dataform::flatten_rows) makes of
+    /// [`Release::parse_body`]'s document, in the same order, without
+    /// holding that document. A JSON body is parsed record by record (the
+    /// elements of a top-level array) and each record flattened on its
+    /// own; CSV records go from the reader straight to rows, typed as
+    /// [`Release::parse_body`] types them; an XML body (fixture-sized)
+    /// keeps its element tree. It fails with `parse_body`'s error, once
+    /// the rows before the failing record have reached `sink`: every row
+    /// comes from a complete record.
+    pub fn stream_rows(
+        &self,
+        body: &str,
+        sink: &mut impl FnMut(&[Cell<'_>]),
+    ) -> Result<(), WrapperError> {
+        let options = FlattenOptions::default();
+        match self.format {
+            Format::Json => {
+                for record in json::records(body) {
+                    flatten(&record.map_err(malformed)?, &options, sink);
+                }
+            }
+            Format::Xml => flatten(&self.parse_body(body)?, &options, sink),
+            Format::Csv => {
+                csv::read_records(body, |header, record| {
+                    let cells: Vec<Cell<'_>> = header
+                        .iter()
+                        .zip(&record)
+                        .map(|(name, field)| {
+                            (Cow::Borrowed(name.as_str()), csv::type_scalar(field))
+                        })
+                        .collect();
+                    sink(&cells);
+                })
+                .map_err(malformed)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The flattened payload columns this release provides, sorted — the
+    /// raw material for MDM's automatic *schema extraction* step (§2.2),
+    /// read off the row stream.
+    pub fn payload_columns(&self) -> Result<Vec<String>, WrapperError> {
+        let mut columns = BTreeSet::new();
+        self.stream_rows(&self.body, &mut |row| {
+            for (column, _) in row {
+                if !columns.contains(column.as_ref()) {
+                    columns.insert(column.to_string());
+                }
+            }
+        })?;
+        Ok(columns.into_iter().collect())
+    }
+}
+
+fn malformed(error: impl fmt::Display) -> WrapperError {
+    WrapperError::Malformed(error.to_string())
 }
 
 /// A simulated REST API endpoint: a name and its ordered releases.

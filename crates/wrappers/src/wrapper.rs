@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use mdm_dataform::flatten::{flatten_rows, FlattenOptions, Row};
-use mdm_relational::columnar::encode_rows;
+use mdm_relational::columnar::TermColumnsBuilder;
 use mdm_relational::scan_cache::EncodedScan;
 use mdm_relational::{ErrorKind, ExecError, RelationProvider, Schema, Tuple, Value};
 
@@ -359,10 +359,10 @@ impl Wrapper {
     /// [`Wrapper::rows`] as shared term columns plus the row count: the
     /// same fetch (one `fetch_count` bump, one fate drawn per call), the
     /// same relation cell for cell. This is what every scan pulls. The
-    /// clean payload is parsed, typed and encoded once, on the first clean
+    /// clean payload is streamed into term columns once, on the first clean
     /// call, and stays resident with this instance; every later clean call
-    /// is an `Arc` clone. A `Malformed` outcome types and encodes the
-    /// truncated body fresh and is never memoised.
+    /// is an `Arc` clone. A `Malformed` outcome streams the truncated body
+    /// fresh and is never memoised.
     pub fn columns(&self) -> Result<(EncodedScan, usize), WrapperError> {
         match self.draw_fetch()? {
             Some(truncated) => self.compute_columns(&truncated),
@@ -373,17 +373,40 @@ impl Wrapper {
         }
     }
 
+    /// Streams `body` straight into term columns, one record at a time:
+    /// each row's bound cells are typed and interned as they arrive, so a
+    /// fill holds one record's tree plus the column builders — never the
+    /// document, its text rows or its tuples. A body that fails to parse
+    /// interns only what its complete records hold.
     fn compute_columns(&self, body: &str) -> Result<(EncodedScan, usize), WrapperError> {
-        let rows = self.compute_rows(body)?;
-        let columns = encode_rows(&rows, self.signature.arity());
-        Ok((Arc::new(columns), rows.len()))
+        let mut columns = TermColumnsBuilder::new(self.bindings.len());
+        let mut rows = 0;
+        let mut scratch = String::new();
+        self.release
+            .stream_rows(body, &mut |row| {
+                for (c, (_, column)) in self.bindings.iter().enumerate() {
+                    // A later cell for a column overrides an earlier one.
+                    let text = row
+                        .iter()
+                        .rev()
+                        .find(|(name, _)| name == column)
+                        .map_or("", |(_, cell)| cell.text(&mut scratch));
+                    columns.push(c, text);
+                }
+                rows += 1;
+            })
+            .map_err(|e| self.malformed(e))?;
+        Ok((Arc::new(columns.finish()), rows))
     }
 
+    /// Parses the whole body into a document, flattens it into text rows
+    /// and types those: the tree path, kept for [`Wrapper::rows`] as a view
+    /// independent of [`Wrapper::columns`]' stream.
     fn compute_rows(&self, body: &str) -> Result<Vec<Tuple>, WrapperError> {
         let value = self
             .release
             .parse_body(body)
-            .map_err(|e| WrapperError::Malformed(format!("{}: {}", self.name(), e.message())))?;
+            .map_err(|e| self.malformed(e))?;
         let flat: Vec<Row> = flatten_rows(&value, &FlattenOptions::default());
         let rows = flat
             .into_iter()
@@ -401,12 +424,15 @@ impl Wrapper {
         Ok(rows)
     }
 
+    /// A body's parse error, named after this wrapper.
+    fn malformed(&self, error: WrapperError) -> WrapperError {
+        WrapperError::Malformed(format!("{}: {}", self.name(), error.message()))
+    }
+
     /// The flattened payload columns this release actually provides — the
     /// raw material for MDM's automatic *schema extraction* step (§2.2).
     pub fn payload_columns(&self) -> Result<Vec<String>, WrapperError> {
-        let value = self.release.parse()?;
-        let flat = flatten_rows(&value, &FlattenOptions::default());
-        Ok(mdm_dataform::flatten::infer_columns(&flat))
+        self.release.payload_columns()
     }
 
     /// Bindings whose payload column is absent from the release — the

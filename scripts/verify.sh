@@ -104,6 +104,14 @@ awk 'BEGIN {
      $1 == "metric" && (($2 " " $3) in want) {
          seen++; if ($4 + 0 != want[$2 " " $3]) { print "term dictionary moved (want " want[$2 " " $3] "): " $0; bad = 1 } }
      END { if (seen != 8) { print "expected relational.dict_entries and relational.dict_bytes on 4 workloads, saw " seen + 0; bad = 1 } exit bad }' "$quick"
+# evolution_churn's encodes are its cold fills: each freshly released
+# wrapper streams its payload into term columns once. Exact at seed 42
+# (--quick), recorded while a fill still parsed the whole document and
+# encoded typed tuples; an ingest that drops, adds or double-encodes a
+# cell moves it.
+awk '$1 == "metric" && $2 == "evolution_churn" && $3 == "relational.terms_encoded" {
+         seen++; if ($4 + 0 != 107.14285714285714) { print "cold fills encode a different count (want 107.14285714285714): " $0; bad = 1 } }
+     END { if (seen != 1) { print "expected one evolution_churn relational.terms_encoded, saw " seen + 0; bad = 1 } exit bad }' "$quick"
 
 echo "==> evaluation harness (E1–E8 + P summaries regenerate)"
 cargo run --release --quiet -p mdm-bench --bin evaluation > /dev/null

@@ -1,4 +1,4 @@
-//! Allocation-budget regression test for the zero-copy data plane.
+//! Allocation-budget regression tests for the zero-copy data plane.
 //!
 //! Re-running a warmed E6 query (an 8-branch version-crossing UCQ)
 //! must stay under a recorded heap-allocation ceiling, both for its branch
@@ -7,11 +7,14 @@
 //! allocations proportional to result size rather than to (rows × string
 //! columns); this test pins that property so a regression that quietly
 //! reintroduces per-cell `String` clones fails CI instead of only showing
-//! up in benchmarks.
+//! up in benchmarks. A wrapper's cold fill — its release streamed into
+//! resident term columns — is held to a peak-memory bound and a ceiling of
+//! its own.
 //!
 //! The counting allocator wraps [`System`] and lives in its own integration
 //! test binary so the count reflects only this file's work; the tests take
-//! [`SERIAL`] so they do not count each other's.
+//! [`SERIAL`] so they do not count each other's. It also tracks live heap
+//! bytes and their peak.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,23 +25,45 @@ use mdm_core::synthetic::{chain_walk, mdm_from_synthetic};
 use mdm_core::Mdm;
 use mdm_relational::{metrics, Deadline, ExecOptions, Executor, Plan};
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
+use mdm_wrappers::Wrapper;
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Heap bytes allocated and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The highest `LIVE` since the last [`reset_peak`]. A realloc counts the
+/// old block and the new one together, as a moving realloc holds both.
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(by: usize, transient: usize) {
+    let live = LIVE.fetch_add(by as u64, Ordering::Relaxed) + by as u64;
+    PEAK.fetch_max(live + transient as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grow(new_size - layout.size(), layout.size());
+        } else {
+            PEAK.fetch_max(
+                LIVE.load(Ordering::Relaxed) + new_size as u64,
+                Ordering::Relaxed,
+            );
+            LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,6 +73,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Restarts the peak at the live bytes now, and returns them.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
 }
 
 /// One measuring test at a time: the allocation and decode counters are
@@ -206,5 +238,77 @@ fn warmed_served_query_stays_under_allocation_budget() {
     assert!(
         spent <= SERVED_E6_10K_ALLOC_CEILING,
         "warmed served E6 @10k spent {spent} allocations, budget is {SERVED_E6_10K_ALLOC_CEILING}"
+    );
+}
+
+/// A 10k-row synthetic JSON release: `s0_v1` of a two-concept chain, five
+/// attributes (an id, a text, an int, a float and a foreign key).
+fn synthetic_10k_wrapper() -> Wrapper {
+    let config = WorkloadConfig {
+        concepts: 2,
+        features_per_concept: 3,
+        versions_per_source: 1,
+        rows_per_wrapper: 10_000,
+        seed: 7,
+    };
+    let eco = build(&config);
+    let wrapper = eco.sources[0].wrappers[0].clone();
+    assert_eq!(wrapper.name(), "s0_v1");
+    wrapper
+}
+
+/// Heap-allocation ceiling for one cold `Wrapper::columns()` of
+/// [`synthetic_10k_wrapper`]: the release (0.72 MB of JSON) streamed
+/// record by record into five term columns. Measured 99,274
+/// allocations on the recording machine (≈ 10 per row: each record's
+/// parsed tree — its map nodes, key and string values — and its flattened
+/// row, none of which outlive the record, plus the column chunks and the
+/// dictionary's growth); the ceiling is that + 10 %. Before the fill
+/// streamed, it parsed the whole document, flattened it into text rows,
+/// typed those into tuples and encoded them: 289,229 allocations.
+const COLD_FILL_ALLOC_CEILING: u64 = 109_200;
+
+/// A cold fill's peak heap above what was live before it is at most twice
+/// the columns it leaves resident: it holds one record's tree and the
+/// column builders, never the document, its text rows or its tuples.
+/// Measured 1,233,304 bytes over 800,000 resident on the recording machine
+/// (1.54×); the whole-document fill peaked at 13,793,328 (17.2×).
+#[test]
+fn cold_fill_peaks_under_twice_its_resident_columns() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let wrapper = synthetic_10k_wrapper();
+    let encodes_before = metrics::snapshot().columnar.encodes;
+
+    let live_before = reset_peak();
+    let allocations_before = allocations();
+    let (columns, rows) = wrapper.columns().expect("the release parses");
+    let spent = allocations() - allocations_before;
+    let peak = PEAK.load(Ordering::Relaxed) - live_before;
+
+    assert_eq!(rows, 10_000);
+    assert_eq!(columns.len(), 5);
+    let resident = wrapper
+        .resident_bytes()
+        .expect("clean columns are resident") as u64;
+    assert_eq!(resident, 10_000 * 5 * 16);
+    assert_eq!(
+        metrics::snapshot().columnar.encodes - encodes_before,
+        10_000 * 5,
+        "one encode per cell"
+    );
+    eprintln!(
+        "cold fill @10k ({} B of JSON): peak {peak} B above {live_before} B live, \
+         {resident} B resident, {spent} allocations (ceiling {COLD_FILL_ALLOC_CEILING})",
+        wrapper.release().body.len()
+    );
+    assert!(
+        peak <= 2 * resident,
+        "a cold fill peaked {peak} B above its start, over twice the {resident} B it keeps"
+    );
+    assert!(
+        spent <= COLD_FILL_ALLOC_CEILING,
+        "a cold fill spent {spent} allocations, budget is {COLD_FILL_ALLOC_CEILING}"
     );
 }
