@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use mdm_rdf::term::Iri;
 use mdm_relational::schema::ColumnRef;
-use mdm_relational::{Expr, Plan};
+use mdm_relational::Plan;
 
 use crate::error::MdmError;
 use crate::expansion::{expand, ExpandedWalk};
@@ -256,8 +256,9 @@ fn read_footprint(
 /// Builds the join tree + projection for one conjunctive query.
 ///
 /// Atoms join left-deep in connectivity (BFS) order; join conditions attach
-/// as equi-join keys when they link the new atom to the tree, or as filters
-/// when a cycle closes over atoms already joined.
+/// as equi-join keys when they link the new atom to the tree, or as σ
+/// column equalities when they close over atoms already joined (a
+/// condition between two columns of one atom always does).
 pub fn plan_for_cq(cq: &ConjunctiveQuery, output_columns: &[String]) -> Result<Plan, MdmError> {
     if cq.atoms.is_empty() {
         return Err(MdmError::Rewrite(
@@ -301,20 +302,17 @@ pub fn plan_for_cq(cq: &ConjunctiveQuery, output_columns: &[String]) -> Result<P
 
     // Any leftover conditions close cycles: apply as filters.
     for ((wa, ca), (wb, cb)) in remaining {
-        plan = plan.filter(
-            Expr::Column(ColumnRef::qualified(wa, ca))
-                .eq(Expr::Column(ColumnRef::qualified(wb, cb))),
-        );
+        plan = plan.filter(ColumnRef::qualified(wa, ca), ColumnRef::qualified(wb, cb));
     }
 
     // Final projection with the compacted feature names.
-    let columns: Vec<(Expr, ColumnRef)> = cq
+    let columns: Vec<(ColumnRef, ColumnRef)> = cq
         .projections
         .iter()
         .zip(output_columns)
         .map(|((_, (wrapper, column)), name)| {
             (
-                Expr::Column(ColumnRef::qualified(wrapper, column)),
+                ColumnRef::qualified(wrapper, column),
                 ColumnRef::bare(name.clone()),
             )
         })
@@ -459,8 +457,9 @@ mod tests {
     fn cyclic_join_conditions_all_consumed_as_keys() {
         // Synthetic CQ with a 3-cycle: a-b, b-c, c-a. Connectivity-ordered
         // insertion attaches every condition when its *later* endpoint joins
-        // the tree, so the full cycle lands in equi-join keys (the σ
-        // fallback in plan_for_cq is purely defensive).
+        // the tree, so the full cycle lands in equi-join keys. Only a
+        // condition within one atom reaches the σ fallback
+        // (`tests/cq_plans.rs`).
         let cq = ConjunctiveQuery {
             atoms: vec!["a".to_string(), "b".to_string(), "c".to_string()],
             joins: vec![

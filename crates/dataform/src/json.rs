@@ -9,6 +9,11 @@ use std::fmt::{self, Write};
 
 use crate::value::{Number, Value};
 
+/// The deepest nesting of arrays and objects a document may have. The
+/// parser recurses once per level; past this it fails instead of
+/// overflowing the thread's stack on a hostile payload or request body.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON parse error with byte offset and 1-based line/column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -29,7 +34,8 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a JSON document. Trailing non-whitespace input is an error.
+/// Parses a JSON document. Trailing non-whitespace input is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut parser = JsonParser::new(input);
     parser.skip_ws();
@@ -42,8 +48,9 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 /// top-level array, or the document itself when it is not an array. Only
 /// the record being parsed is ever held, never the whole tree.
 ///
-/// The stream parses with [`parse`]'s parser and grammar. It fails where
-/// `parse` fails, with the same error at the same line:column, and yields
+/// The stream parses with [`parse`]'s parser and grammar, the top-level
+/// array counting as one level of [`MAX_DEPTH`]. It fails where `parse`
+/// fails, with the same error at the same line:column, and yields
 /// nothing after it. An element is yielded only once the `,` or `]` after it
 /// has been read (the last one only once the document is known to end
 /// there), so a document cut short yields none of the record it was cut in.
@@ -75,19 +82,19 @@ impl Iterator for Records<'_> {
             Stream::Done => return None,
             Stream::Start => {
                 parser.skip_ws();
+                self.state = Stream::Done;
                 if parser.peek() != Some(b'[') {
                     // Not an array: the document is its one record.
-                    self.state = Stream::Done;
                     return Some(parser.parse_value().and_then(|value| {
                         parser.finish()?;
                         Ok(value)
                     }));
                 }
-                if parser.open_array() {
-                    self.state = Stream::Done;
-                    return parser.finish().err().map(Err);
+                match parser.open_array() {
+                    Err(e) => return Some(Err(e)),
+                    Ok(true) => return parser.finish().err().map(Err),
+                    Ok(false) => self.state = Stream::Array,
                 }
-                self.state = Stream::Array;
                 parser.parse_element()
             }
             Stream::Array => parser.parse_element(),
@@ -209,6 +216,8 @@ pub fn write_string(out: &mut String, s: &str) {
 struct JsonParser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -216,7 +225,17 @@ impl<'a> JsonParser<'a> {
         JsonParser {
             input: input.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Enters the array or object whose bracket is at `pos`.
+    fn descend(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     /// After the document: only whitespace may follow.
@@ -287,11 +306,13 @@ impl<'a> JsonParser<'a> {
     }
 
     fn parse_object(&mut self) -> Result<Value, JsonError> {
+        self.descend()?;
         self.bump(); // '{'
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.bump();
+            self.depth -= 1;
             return Ok(Value::Object(map));
         }
         loop {
@@ -310,7 +331,10 @@ impl<'a> JsonParser<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
+                Some(b'}') => {
+                    self.depth -= 1;
+                    return Ok(Value::Object(map));
+                }
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
         }
@@ -318,7 +342,7 @@ impl<'a> JsonParser<'a> {
 
     fn parse_array(&mut self) -> Result<Value, JsonError> {
         let mut items = Vec::new();
-        if !self.open_array() {
+        if !self.open_array()? {
             loop {
                 let (item, last) = self.parse_element()?;
                 items.push(item);
@@ -327,19 +351,21 @@ impl<'a> JsonParser<'a> {
                 }
             }
         }
+        self.depth -= 1;
         Ok(Value::Array(items))
     }
 
-    /// Consumes an array's `[`; true when the array is empty (its `]`
-    /// consumed too).
-    fn open_array(&mut self) -> bool {
+    /// Consumes an array's `[`, one level deeper; true when the array is
+    /// empty (its `]` consumed too).
+    fn open_array(&mut self) -> Result<bool, JsonError> {
+        self.descend()?;
         self.bump(); // '['
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.bump();
-            return true;
+            return Ok(true);
         }
-        false
+        Ok(false)
     }
 
     /// One array element and the `,` or `]` after it; true when that was
@@ -632,6 +658,37 @@ mod tests {
         ] {
             assert_eq!(streamed(doc).unwrap_err(), parse(doc).unwrap_err(), "{doc}");
         }
+    }
+
+    /// `depth` levels, alternating arrays and objects, around one number.
+    fn nested(depth: usize) -> String {
+        let open: String = (0..depth)
+            .map(|level| if level % 2 == 0 { "[" } else { "{\"k\":" })
+            .collect();
+        let close: String = (0..depth)
+            .rev()
+            .map(|level| if level % 2 == 0 { "]" } else { "}" })
+            .collect();
+        format!("{open}1{close}")
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(streamed(&nested(MAX_DEPTH)).unwrap().len(), 1);
+        let too_deep = nested(MAX_DEPTH + 1);
+        let err = parse(&too_deep).unwrap_err();
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        // The opening bracket of level 129, after 64 `[` and 64 `{"k":`.
+        assert_eq!((err.line, err.column), (1, 64 + 64 * 5 + 1));
+        assert_eq!(streamed(&too_deep).unwrap_err(), err);
+        // Far past the limit it is the same error, not a stack overflow.
+        let hostile = "[".repeat(20_000);
+        assert_eq!(parse(&hostile).unwrap_err().column, MAX_DEPTH + 1);
+        assert_eq!(streamed(&hostile).unwrap_err().column, MAX_DEPTH + 1);
+        // Depth is nesting, not a count of brackets: siblings do not add up.
+        let siblings = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert_eq!(streamed(&siblings).unwrap().len(), 3);
     }
 
     #[test]

@@ -18,16 +18,18 @@
 //! * [`mod@flatten`] — converts a document tree into the flat 1NF rows that
 //!   wrapper signatures `w(a1, …, an)` expose (paper §2.2), handing each
 //!   row to a sink as borrowed [`Scalar`] cells.
-//! * [`path`] — dotted-path accessors (`team.name`, `stats.0.goals`) used by
-//!   wrapper queries to rename and project fields.
+//!
+//! Both document parsers bound nesting at [`json::MAX_DEPTH`] and
+//! [`xml::MAX_DEPTH`] levels: they recurse once per level, and a payload or
+//! request body nested deeper fails to parse instead of exhausting the
+//! thread's stack. A wrapper's bindings name flattened columns, not paths
+//! into the document.
 
 pub mod csv;
 pub mod flatten;
 pub mod json;
-pub mod path;
 pub mod value;
 pub mod xml;
 
 pub use flatten::{flatten, flatten_rows, Cell, FlattenOptions};
-pub use path::Path;
 pub use value::{Number, Scalar, Value};

@@ -128,11 +128,18 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-/// Parses an XML document into its root element.
+/// The deepest nesting of elements a document may have, the root counting
+/// as one. The parser recurses once per level; past this it fails instead
+/// of overflowing the thread's stack on a hostile payload.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses an XML document into its root element. Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut parser = XmlParser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_prolog()?;
     let root = parser.parse_element()?;
@@ -262,6 +269,8 @@ fn scalar_from_text(text: &str) -> Value {
 struct XmlParser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Elements open around `pos`.
+    depth: usize,
 }
 
 impl<'a> XmlParser<'a> {
@@ -329,7 +338,18 @@ impl<'a> XmlParser<'a> {
         }
     }
 
+    /// The element starting at `pos`, one level deeper than its parent.
     fn parse_element(&mut self) -> Result<Element, XmlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let element = self.parse_element_body();
+        self.depth -= 1;
+        element
+    }
+
+    fn parse_element_body(&mut self) -> Result<Element, XmlError> {
         if self.peek() != Some(b'<') {
             return Err(self.error("expected '<'"));
         }
@@ -624,6 +644,17 @@ mod tests {
     fn zero_padded_codes_stay_strings() {
         let v = to_value(&parse("<r><code>007</code></r>").unwrap());
         assert_eq!(v.get("code").unwrap().as_str(), Some("007"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        assert_eq!((err.line, err.column), (1, 3 * MAX_DEPTH + 1));
+        // Far past the limit it is the same error, not a stack overflow.
+        assert_eq!(parse(&"<a>".repeat(20_000)).unwrap_err(), err);
     }
 
     #[test]

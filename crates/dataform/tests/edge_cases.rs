@@ -1,7 +1,7 @@
 //! Edge-case tests for the data-format substrate.
 
 use mdm_dataform::flatten::{flatten_rows, FlattenOptions};
-use mdm_dataform::{csv, json, xml, Path, Value};
+use mdm_dataform::{csv, json, xml, Value};
 
 // ---- JSON ----
 
@@ -105,7 +105,7 @@ fn csv_quoted_field_at_record_boundaries() {
     assert_eq!(t.records[1], vec!["begin", "finish"]);
 }
 
-// ---- flatten + path ----
+// ---- flatten ----
 
 #[test]
 fn flatten_three_level_nesting() {
@@ -129,13 +129,6 @@ fn flatten_null_heavy_document() {
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[0]["a"], "");
     assert_eq!(rows[1]["a"], "1");
-}
-
-#[test]
-fn path_through_mixed_tree() {
-    let v = json::parse(r#"{"teams":[{"players":[{"n":"a"},{"n":"b"}]}]}"#).unwrap();
-    let path: Path = "teams.0.players.1.n".parse().unwrap();
-    assert_eq!(path.resolve(&v).unwrap().as_str(), Some("b"));
 }
 
 #[test]

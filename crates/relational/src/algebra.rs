@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use crate::expr::Expr;
 use crate::schema::{ColumnRef, Schema};
 
 /// A logical plan node.
@@ -17,12 +16,18 @@ use crate::schema::{ColumnRef, Schema};
 pub enum Plan {
     /// A base relation (a wrapper, in MDM's usage).
     Scan { relation: String },
-    /// σ — keep rows satisfying the predicate.
-    Filter { input: Box<Plan>, predicate: Expr },
-    /// π — compute output columns (each an expression with an output name).
+    /// σ — keep rows whose two columns are equal: both non-NULL and equal
+    /// under `Value`'s coercing equality. The rewriting emits one per join
+    /// condition that closes a cycle over atoms already joined.
+    Filter {
+        input: Box<Plan>,
+        left: ColumnRef,
+        right: ColumnRef,
+    },
+    /// π — select input columns, each renamed to an output name.
     Project {
         input: Box<Plan>,
-        columns: Vec<(Expr, ColumnRef)>,
+        columns: Vec<(ColumnRef, ColumnRef)>,
     },
     /// ⋈ — inner equi-join on pairs of (left column, right column); the
     /// only join MDM's rewriting emits (joins are restricted to identifier
@@ -44,29 +49,30 @@ impl Plan {
         }
     }
 
-    /// σ builder.
-    pub fn filter(self, predicate: Expr) -> Plan {
+    /// σ builder: `left = right`.
+    pub fn filter(self, left: ColumnRef, right: ColumnRef) -> Plan {
         Plan::Filter {
             input: Box::new(self),
-            predicate,
+            left,
+            right,
         }
     }
 
-    /// π builder from `(expr, output name)` pairs.
-    pub fn project(self, columns: Vec<(Expr, ColumnRef)>) -> Plan {
+    /// π builder from `(source column, output name)` pairs.
+    pub fn project(self, columns: Vec<(ColumnRef, ColumnRef)>) -> Plan {
         Plan::Project {
             input: Box::new(self),
             columns,
         }
     }
 
-    /// π builder that just selects existing columns, renaming each to its
-    /// bare output name.
+    /// π builder from `rel.name` (or bare `name`) source notation, renaming
+    /// each column to its bare output name.
     pub fn project_named(self, pairs: &[(&str, &str)]) -> Plan {
         self.project(
             pairs
                 .iter()
-                .map(|(source, output)| (Expr::col(source), ColumnRef::bare(*output)))
+                .map(|(source, output)| (ColumnRef::parse(source), ColumnRef::bare(*output)))
                 .collect(),
         )
     }
@@ -145,20 +151,9 @@ impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Plan::Scan { relation } => write!(f, "{relation}"),
-            Plan::Filter { input, predicate } => write!(f, "σ[{predicate}]({input})"),
+            Plan::Filter { input, left, right } => write!(f, "σ[{left} = {right}]({input})"),
             Plan::Project { input, columns } => {
-                let cols: Vec<String> = columns
-                    .iter()
-                    .map(|(expr, name)| {
-                        let rendered = expr.to_string();
-                        if rendered == name.to_string() {
-                            rendered
-                        } else {
-                            format!("{rendered}→{name}")
-                        }
-                    })
-                    .collect();
-                write!(f, "π[{}]({input})", cols.join(", "))
+                write!(f, "π[{}]({input})", projection_list(columns))
             }
             Plan::Join { left, right, on } => {
                 let conditions: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
@@ -167,6 +162,23 @@ impl fmt::Display for Plan {
             Plan::Distinct { input } => write!(f, "δ({input})"),
         }
     }
+}
+
+/// A π's column list as `Display` and `explain` print it: `src→out`, or
+/// just `src` when the column keeps its name.
+pub(crate) fn projection_list(columns: &[(ColumnRef, ColumnRef)]) -> String {
+    let cols: Vec<String> = columns
+        .iter()
+        .map(|(source, name)| {
+            let rendered = source.to_string();
+            if rendered == name.to_string() {
+                rendered
+            } else {
+                format!("{rendered}→{name}")
+            }
+        })
+        .collect();
+    cols.join(", ")
 }
 
 #[cfg(test)]
@@ -230,6 +242,15 @@ mod tests {
     #[test]
     fn node_count() {
         assert_eq!(figure8_plan().node_count(), 4); // scan, scan, join, project
+    }
+
+    #[test]
+    fn filter_renders_its_column_equality() {
+        let p = Plan::scan("w1").filter(
+            ColumnRef::qualified("w1", "id"),
+            ColumnRef::qualified("w1", "teamId"),
+        );
+        assert_eq!(p.to_string(), "σ[w1.id = w1.teamId](w1)");
     }
 
     #[test]

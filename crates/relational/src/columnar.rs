@@ -4,14 +4,13 @@
 //! [`TermId`] (a tag word plus an inline payload, with inline and long
 //! strings mapped through a process-wide dictionary), operators exchange
 //! [`ColumnBatch`]es of shared [`TypedColumn`]s, and the hot kernels —
-//! filter predicates, hash-join build/probe, DISTINCT, projection — run
-//! over raw id arrays instead of re-hashing enum [`Value`] cells and
-//! cloning tuples. Terms decode back into `Value`s only at the edges: a
-//! `Table` built from batches, and the row-wise replay of a batch whenever
-//! vectorized expression evaluation hits an error (so error text and error
-//! *order* are those of evaluating row by row, which the test suite's
-//! reference interpreter does). A served UCQ answer never becomes `Value`s
-//! at all:
+//! column-equality filter, hash-join build/probe, DISTINCT, projection —
+//! run over raw id arrays instead of re-hashing enum [`Value`] cells and
+//! cloning tuples. No kernel evaluates an expression or can fail on a
+//! row: σ compares two term columns and π reorders columns, both resolved
+//! when the plan is built. Terms decode back into `Value`s only at the
+//! edge, a `Table` built from batches. A served UCQ answer never becomes
+//! `Value`s at all:
 //! [`merge_branches`] unions, deduplicates and sorts the branches' terms
 //! in one sort by the dictionary's content order and hands back
 //! [`MergedRows`] — sorted term rows plus the answer's distinct strings,
@@ -38,7 +37,6 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use crate::executor::ExecError;
-use crate::expr::{BinOp, Expr};
 use crate::intern::Sym;
 use crate::metrics;
 use crate::pool::Pool;
@@ -675,30 +673,14 @@ impl<'d> Decoder<'d> {
             );
         }
     }
-
-    /// Ordering between terms mirroring `Value::cmp`; strings compare by
-    /// dictionary content.
-    pub(crate) fn cmp(&mut self, a: TermId, b: TermId) -> std::cmp::Ordering {
-        term_cmp(a, b, |left, right| {
-            if left == right {
-                std::cmp::Ordering::Equal
-            } else {
-                self.sym(left).as_str().cmp(self.sym(right).as_str())
-            }
-        })
-    }
 }
 
 /// Ordering between terms mirroring `Value::cmp` (exact int compare,
 /// `total_cmp` between floats, the exact [`cmp_int_float`] across the two,
-/// type rank otherwise); `strings` orders the payloads of two string terms
-/// — by dictionary content in [`Decoder::cmp`]. [`merge_branches`] ranks
-/// only numbers with it: its strings come ranked by the dictionary.
-fn term_cmp(
-    a: TermId,
-    b: TermId,
-    strings: impl FnOnce(u64, u64) -> std::cmp::Ordering,
-) -> std::cmp::Ordering {
+/// type rank otherwise) — except between two strings, which order by
+/// dictionary id, not content. [`merge_branches`] ranks only numbers with
+/// it: its strings come ranked by the dictionary.
+fn term_cmp(a: TermId, b: TermId) -> std::cmp::Ordering {
     let float = |t: TermId| f64::from_bits(t.bits);
     match (a.tag, b.tag) {
         (TAG_NULL, TAG_NULL) => std::cmp::Ordering::Equal,
@@ -707,7 +689,7 @@ fn term_cmp(
         (TAG_FLOAT, TAG_FLOAT) => float(a).total_cmp(&float(b)),
         (TAG_INT, TAG_FLOAT) => cmp_int_float(a.bits as i64, float(b)),
         (TAG_FLOAT, TAG_INT) => cmp_int_float(b.bits as i64, float(a)).reverse(),
-        (TAG_STR, TAG_STR) => strings(a.bits, b.bits),
+        (TAG_STR, TAG_STR) => a.bits.cmp(&b.bits),
         _ => a.type_rank().cmp(&b.type_rank()),
     }
 }
@@ -889,243 +871,34 @@ pub(crate) fn drain_columns(
     }
 }
 
-/// A compiled expression: columns resolved to indices and literals encoded
-/// once, at operator construction — so vectorized evaluation never touches
-/// the dictionary write path (see [`Decoder`]'s deadlock contract).
-enum CExpr {
-    Col(usize),
-    /// A column that failed to resolve; erroring is deferred to evaluation
-    /// (a zero-row input must not error, as row-by-row evaluation does
-    /// not).
-    BadCol,
-    Lit(TermId),
-    Binary {
-        op: BinOp,
-        left: Box<CExpr>,
-        right: Box<CExpr>,
-    },
-    Not(Box<CExpr>),
-    IsNull(Box<CExpr>),
-}
-
-fn compile(expr: &Expr, schema: &Schema) -> CExpr {
-    match expr {
-        Expr::Column(c) => match schema.index_of(c) {
-            Ok(i) => CExpr::Col(i),
-            Err(_) => CExpr::BadCol,
-        },
-        Expr::Literal(v) => CExpr::Lit(encode_value(v)),
-        Expr::Binary { op, left, right } => CExpr::Binary {
-            op: *op,
-            left: Box::new(compile(left, schema)),
-            right: Box::new(compile(right, schema)),
-        },
-        Expr::Not(inner) => CExpr::Not(Box::new(compile(inner, schema))),
-        Expr::IsNull(inner) => CExpr::IsNull(Box::new(compile(inner, schema))),
-    }
-}
-
-/// Vectorized evaluation bailed; the caller must replay the batch
-/// row-wise so the error (and its row order) is row-by-row evaluation's.
-struct VecError;
-
-fn eval_vec(
-    expr: &CExpr,
-    batch: &ColumnBatch,
-    dec: &mut Decoder<'_>,
-) -> Result<Vec<TermId>, VecError> {
-    let n = batch.len();
-    match expr {
-        CExpr::Col(idx) => Ok((0..n).map(|i| batch.term(*idx, i)).collect()),
-        CExpr::BadCol => Err(VecError),
-        CExpr::Lit(t) => Ok(vec![*t; n]),
-        CExpr::IsNull(inner) => Ok(eval_vec(inner, batch, dec)?
-            .into_iter()
-            .map(|t| TermId::bool(t.is_null()))
-            .collect()),
-        CExpr::Not(inner) => {
-            let vals = eval_vec(inner, batch, dec)?;
-            let mut out = Vec::with_capacity(n);
-            for t in vals {
-                out.push(match t.tag {
-                    TAG_NULL => TermId::NULL,
-                    TAG_BOOL => TermId::bool(t.bits == 0),
-                    _ => return Err(VecError),
-                });
-            }
-            Ok(out)
-        }
-        CExpr::Binary { op, left, right } => {
-            let l = eval_vec(left, batch, dec)?;
-            let r = eval_vec(right, batch, dec)?;
-            eval_binary_vec(*op, &l, &r, dec)
-        }
-    }
-}
-
-fn eval_binary_vec(
-    op: BinOp,
-    l: &[TermId],
-    r: &[TermId],
-    dec: &mut Decoder<'_>,
-) -> Result<Vec<TermId>, VecError> {
-    use BinOp::*;
-    let mut out = Vec::with_capacity(l.len());
-    match op {
-        And | Or => {
-            for (&a, &b) in l.iter().zip(r) {
-                // `Expr` evaluation is eager: both operands must be boolean
-                // (or NULL) even when one side already decides the result.
-                let as_bool = |t: TermId| -> Result<Option<bool>, VecError> {
-                    match t.tag {
-                        TAG_BOOL => Ok(Some(t.bits != 0)),
-                        TAG_NULL => Ok(None),
-                        _ => Err(VecError),
-                    }
-                };
-                let (lb, rb) = (as_bool(a)?, as_bool(b)?);
-                let result = match (op, lb, rb) {
-                    (And, Some(false), _) | (And, _, Some(false)) => Some(false),
-                    (And, Some(true), Some(true)) => Some(true),
-                    (Or, Some(true), _) | (Or, _, Some(true)) => Some(true),
-                    (Or, Some(false), Some(false)) => Some(false),
-                    _ => None,
-                };
-                out.push(result.map_or(TermId::NULL, TermId::bool));
-            }
-        }
-        Eq | Ne => {
-            for (&a, &b) in l.iter().zip(r) {
-                out.push(if a.is_null() || b.is_null() {
-                    TermId::NULL
-                } else {
-                    TermId::bool(term_eq(a, b) == (op == Eq))
-                });
-            }
-        }
-        Lt | Le | Gt | Ge => {
-            for (&a, &b) in l.iter().zip(r) {
-                out.push(if a.is_null() || b.is_null() {
-                    TermId::NULL
-                } else {
-                    let ord = dec.cmp(a, b);
-                    TermId::bool(match op {
-                        Lt => ord.is_lt(),
-                        Le => ord.is_le(),
-                        Gt => ord.is_gt(),
-                        Ge => ord.is_ge(),
-                        _ => unreachable!(),
-                    })
-                });
-            }
-        }
-        Add | Sub | Mul | Div => {
-            for (&a, &b) in l.iter().zip(r) {
-                if a.is_null() || b.is_null() {
-                    out.push(TermId::NULL);
-                    continue;
-                }
-                if a.tag == TAG_INT && b.tag == TAG_INT {
-                    let (x, y) = (a.bits as i64, b.bits as i64);
-                    out.push(TermId::int(match op {
-                        Add => x.wrapping_add(y),
-                        Sub => x.wrapping_sub(y),
-                        Mul => x.wrapping_mul(y),
-                        Div => {
-                            if y == 0 {
-                                return Err(VecError);
-                            }
-                            x / y
-                        }
-                        _ => unreachable!(),
-                    }));
-                    continue;
-                }
-                let (x, y) = match (a.as_f64(), b.as_f64()) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => return Err(VecError),
-                };
-                out.push(TermId::float(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => {
-                        if y == 0.0 {
-                            return Err(VecError);
-                        }
-                        x / y
-                    }
-                    _ => unreachable!(),
-                }));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Columnar σ — vectorized predicate over term columns, emitting a
-/// narrowed selection. Any evaluation error (non-boolean operand, division
-/// by zero, unresolvable column) replays the batch row-wise so the error
-/// text and first-error row are exactly row-by-row evaluation's.
+/// Columnar σ — keeps the rows whose two columns hold equal terms: both
+/// non-NULL and `term_eq` (`Value`'s coercing equality: `Int(1) =
+/// Float(1.0)`, `-0.0 = 0.0`, NaN equal to nothing), emitting a narrowed
+/// selection. The columns are resolved when the plan is built.
 pub struct ColFilter {
     input: Box<dyn ColOperator>,
-    predicate: Expr,
-    compiled: CExpr,
+    left: usize,
+    right: usize,
 }
 
 impl ColFilter {
-    pub(crate) fn new(input: Box<dyn ColOperator>, predicate: Expr) -> Self {
-        let compiled = compile(&predicate, input.schema());
-        ColFilter {
-            input,
-            predicate,
-            compiled,
-        }
+    pub(crate) fn new(input: Box<dyn ColOperator>, left: usize, right: usize) -> Self {
+        ColFilter { input, left, right }
     }
 
     /// The surviving physical row ids of `batch`, in order.
-    fn select(&self, batch: &ColumnBatch) -> Result<Vec<u32>, ExecError> {
-        let vals = {
-            let mut dec = Decoder::new();
-            eval_vec(&self.compiled, batch, &mut dec)
-        };
-        if let Ok(vals) = vals {
-            let mut sel = Vec::with_capacity(vals.len());
-            let mut bail = false;
-            for (i, t) in vals.iter().enumerate() {
-                match t.tag {
-                    TAG_BOOL => {
-                        if t.bits != 0 {
-                            sel.push(batch.row_id(i));
-                        }
-                    }
-                    TAG_NULL => {}
-                    _ => {
-                        bail = true;
-                        break;
-                    }
-                }
-            }
-            if !bail {
-                return Ok(sel);
-            }
-        }
-        // Row-wise replay: decode first, drop the decoder (its read guards)
-        // before `eval` runs, then re-filter with the interpreted path.
-        let mut rows = Vec::with_capacity(batch.len());
-        {
-            let mut dec = Decoder::new();
-            dec.rows_into(batch, &mut rows);
-        }
-        let mut sel = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            match self.predicate.eval_predicate(self.input.schema(), row) {
-                Ok(true) => sel.push(batch.row_id(i)),
-                Ok(false) => {}
-                Err(e) => return Err(ExecError::permanent(e.0)),
-            }
-        }
-        Ok(sel)
+    fn select(&self, batch: &ColumnBatch) -> Vec<u32> {
+        let (left, right) = (
+            batch.columns[self.left].terms(),
+            batch.columns[self.right].terms(),
+        );
+        (0..batch.len())
+            .map(|i| batch.row_id(i))
+            .filter(|&row| {
+                let (a, b) = (left[row as usize], right[row as usize]);
+                !a.is_null() && !b.is_null() && term_eq(a, b)
+            })
+            .collect()
     }
 }
 
@@ -1144,10 +917,7 @@ impl ColOperator for ColFilter {
                 continue;
             }
             metrics::record_kernel();
-            let sel = match self.select(&batch) {
-                Ok(sel) => sel,
-                Err(e) => return Some(Err(e)),
-            };
+            let sel = self.select(&batch);
             if !sel.is_empty() {
                 return Some(Ok(batch.with_sel(Sel::Rows(sel))));
             }
@@ -1193,77 +963,32 @@ impl ColOperator for ColScan {
     }
 }
 
-/// Columnar π — pure column projections reorder shared `Arc` columns
-/// (zero copy, selection preserved); computed expressions gather dense
-/// output columns via the vectorized evaluator.
+/// Columnar π — reorders the input's shared `Arc` columns (zero copy,
+/// selection preserved). The columns are resolved when the plan is built.
 pub struct ColProject {
     input: Box<dyn ColOperator>,
-    exprs: Vec<Expr>,
-    compiled: Vec<CExpr>,
-    /// Column indices when every expression is a resolved column ref.
-    pure: Option<Vec<usize>>,
+    columns: Vec<usize>,
     schema: Schema,
 }
 
 impl ColProject {
-    pub(crate) fn new(input: Box<dyn ColOperator>, exprs: Vec<Expr>, schema: Schema) -> Self {
-        let compiled: Vec<CExpr> = exprs.iter().map(|e| compile(e, input.schema())).collect();
-        let pure = compiled
-            .iter()
-            .map(|c| match c {
-                CExpr::Col(i) => Some(*i),
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>();
+    pub(crate) fn new(input: Box<dyn ColOperator>, columns: Vec<usize>, schema: Schema) -> Self {
         ColProject {
             input,
-            exprs,
-            compiled,
-            pure,
+            columns,
             schema,
         }
     }
 
-    fn project(&self, batch: &ColumnBatch) -> Result<ColumnBatch, ExecError> {
-        if let Some(cols) = &self.pure {
-            return Ok(ColumnBatch {
-                columns: cols.iter().map(|&c| batch.columns[c].clone()).collect(),
-                sel: batch.sel.clone(),
-            });
-        }
-        let vecs = {
-            let mut dec = Decoder::new();
-            self.compiled
+    fn project(&self, batch: ColumnBatch) -> ColumnBatch {
+        ColumnBatch {
+            columns: self
+                .columns
                 .iter()
-                .map(|c| eval_vec(c, batch, &mut dec))
-                .collect::<Result<Vec<Vec<TermId>>, VecError>>()
-        };
-        if let Ok(vecs) = vecs {
-            return Ok(ColumnBatch::all(
-                vecs.into_iter().map(TypedColumn::shared).collect(),
-            ));
+                .map(|&c| batch.columns[c].clone())
+                .collect(),
+            sel: batch.sel,
         }
-        // Row-wise replay for the exact row-order error (or, when no row
-        // actually errors, the correct values). Decode, drop the decoder,
-        // evaluate, then re-encode — eval cannot mint new strings, so the
-        // encode below stays on the dictionary's read path.
-        let mut rows = Vec::with_capacity(batch.len());
-        {
-            let mut dec = Decoder::new();
-            dec.rows_into(batch, &mut rows);
-        }
-        let mut out = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut projected = Vec::with_capacity(self.exprs.len());
-            for expr in &self.exprs {
-                match expr.eval(self.input.schema(), row) {
-                    Ok(v) => projected.push(v),
-                    Err(e) => return Err(ExecError::permanent(e.0)),
-                }
-            }
-            out.push(projected);
-        }
-        Ok(ColumnBatch::all(encode_rows(&out, self.exprs.len())))
     }
 }
 
@@ -1278,7 +1003,7 @@ impl ColOperator for ColProject {
             Err(e) => return Some(Err(e)),
         };
         metrics::record_kernel();
-        Some(self.project(&batch))
+        Some(Ok(self.project(batch)))
     }
 }
 
@@ -1639,14 +1364,15 @@ mod tests {
             Value::Int(i64::MAX),
             Value::Int(i64::MIN),
             Value::str("alpha"),
-            Value::str("beta"),
             Value::str("a string comfortably longer than the inline capacity"),
         ];
-        let mut dec = Decoder::new();
         for a in &cases {
             for b in &cases {
+                if matches!((a, b), (Value::Str(_), Value::Str(_))) {
+                    continue; // two strings order by id, not content
+                }
                 let (ta, tb) = (encode_value(a), encode_value(b));
-                assert_eq!(dec.cmp(ta, tb), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(term_cmp(ta, tb), a.cmp(b), "{a:?} vs {b:?}");
             }
         }
     }
@@ -1673,21 +1399,25 @@ mod tests {
     fn filter_kernel_matches_row_semantics() {
         let schema = Schema::bare(["a", "b"]);
         let rows: Vec<Tuple> = vec![
-            vec![Value::Int(1), Value::str("x")],
-            vec![Value::Null, Value::str("y")],
-            vec![Value::Int(3), Value::str("x")],
-            vec![Value::Float(1.0), Value::str("z")],
+            vec![Value::Int(1), Value::Float(1.0)],
+            vec![Value::Null, Value::Null],
+            vec![Value::Float(f64::NAN), Value::Float(f64::NAN)],
+            vec![Value::Float(-0.0), Value::Int(0)],
+            vec![Value::str("x"), Value::str("x")],
+            vec![Value::str("x"), Value::str("y")],
+            vec![Value::Int(3), Value::Null],
         ];
-        let mut scan = ColScan::new(schema.clone(), Arc::new(batch_of(rows, 2).columns), 4);
-        let pred = Expr::col("a").eq(Expr::lit(1i64));
-        let mut filter = ColFilter::new(Box::new(drain_into_scan(&mut scan, schema)), pred);
+        let mut scan = ColScan::new(schema.clone(), Arc::new(batch_of(rows, 2).columns), 7);
+        let mut filter = ColFilter::new(Box::new(drain_into_scan(&mut scan, schema)), 0, 1);
         let out = drain_all(&mut filter);
-        // Int(1) and Float(1.0) both match; NULL drops.
+        // Int(1) = Float(1.0) and -0.0 = 0 under coercing equality; NULL
+        // equals nothing, NaN not even itself.
         assert_eq!(
             out,
             vec![
-                vec![Value::Int(1), Value::str("x")],
-                vec![Value::Float(1.0), Value::str("z")],
+                vec![Value::Int(1), Value::Float(1.0)],
+                vec![Value::Float(-0.0), Value::Int(0)],
+                vec![Value::str("x"), Value::str("x")],
             ]
         );
     }

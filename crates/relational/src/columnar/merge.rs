@@ -380,11 +380,10 @@ impl Coder {
         });
         // Rank the distinct numbers densely under `term_cmp`, after the
         // three null and bool codes.
-        let cmp = |a: TermId, b: TermId| term_cmp(a, b, |l, r| l.cmp(&r));
-        distinct.sort_unstable_by(|&a, &b| cmp(a, b));
+        distinct.sort_unstable_by(|&a, &b| term_cmp(a, b));
         let mut code = 2;
         for (k, &term) in distinct.iter().enumerate() {
-            if k == 0 || cmp(distinct[k - 1], term).is_ne() {
+            if k == 0 || term_cmp(distinct[k - 1], term).is_ne() {
                 code += 1;
             }
             numbers.insert(term, code);

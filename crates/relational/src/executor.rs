@@ -18,7 +18,6 @@ use crate::algebra::Plan;
 use crate::columnar::{
     encode_rows, ColDistinct, ColFilter, ColHashJoin, ColOperator, ColProject, ColScan, ColumnBatch,
 };
-use crate::expr::Expr;
 use crate::metrics;
 use crate::pool::{self, Pool};
 use crate::resilience::{Deadline, RetryPolicy, ScanGuard};
@@ -510,12 +509,25 @@ impl<'a> Executor<'a> {
                 let (schema, (columns, len)) = self.scan(relation, cache)?;
                 Box::new(ColScan::new(schema, columns, len))
             }
-            Plan::Filter { input, predicate } => {
-                Box::new(ColFilter::new(self.build(input, cache)?, predicate.clone()))
+            Plan::Filter { input, left, right } => {
+                let input = self.build(input, cache)?;
+                let left = column_index(input.schema(), left)?;
+                let right = column_index(input.schema(), right)?;
+                Box::new(ColFilter::new(input, left, right))
             }
             Plan::Project { input, columns } => {
-                let (exprs, schema) = projection(columns)?;
-                Box::new(ColProject::new(self.build(input, cache)?, exprs, schema))
+                if columns.is_empty() {
+                    return Err(ExecError::permanent(
+                        "empty projection; a plan must produce at least one column",
+                    ));
+                }
+                let input = self.build(input, cache)?;
+                let indices = columns
+                    .iter()
+                    .map(|(source, _)| column_index(input.schema(), source))
+                    .collect::<Result<_, _>>()?;
+                let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
+                Box::new(ColProject::new(input, indices, schema))
             }
             Plan::Join { left, right, on } => {
                 let left = self.build(left, cache)?;
@@ -532,17 +544,9 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// A π's expressions and output schema. An empty projection is rejected,
-/// like a scan of a relation without columns.
-fn projection(columns: &[(Expr, ColumnRef)]) -> Result<(Vec<Expr>, Schema), ExecError> {
-    if columns.is_empty() {
-        return Err(ExecError::permanent(
-            "empty projection; a plan must produce at least one column",
-        ));
-    }
-    let exprs = columns.iter().map(|(e, _)| e.clone()).collect();
-    let schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
-    Ok((exprs, schema))
+/// Resolves a σ or π column against its input's schema.
+fn column_index(schema: &Schema, column: &ColumnRef) -> Result<usize, ExecError> {
+    schema.index_of(column).map_err(ExecError::permanent)
 }
 
 /// Resolves a join's `on` pairs to column indices of its two inputs.
@@ -661,11 +665,15 @@ mod tests {
     #[test]
     fn filter_then_sorted_table() {
         let catalog = catalog();
-        let plan = Plan::scan("w1")
-            .filter(Expr::col("id").binary(crate::expr::BinOp::Gt, Expr::lit(1i64)));
+        // Every player against every team, then σ keeps each player's own.
+        let plan = Plan::scan("w1").join(Plan::scan("w2"), vec![]).filter(
+            ColumnRef::qualified("w1", "teamId"),
+            ColumnRef::qualified("w2", "id"),
+        );
         let table = Executor::new(&catalog).run(&plan).unwrap().sorted();
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.rows()[0][1], Value::str("Robert Lewandowski"));
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.rows()[1][1], Value::str("Robert Lewandowski"));
+        assert_eq!(table.rows()[1][4], Value::str("Bayern Munich"));
     }
 
     #[test]
@@ -732,10 +740,33 @@ mod tests {
 
     #[test]
     fn filter_drops_nonmatching() {
-        let plan = Plan::scan("p").filter(Expr::col("pName").eq(Expr::lit("Messi")));
+        // The NULL teamId equals no team id, and Juventus has no player.
+        let plan = Plan::scan("p").join(Plan::scan("t"), vec![]).filter(
+            ColumnRef::qualified("p", "teamId"),
+            ColumnRef::qualified("t", "id"),
+        );
         let table = Executor::new(&operators()).run(&plan).unwrap();
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.len(), 2);
         assert_eq!(table.rows()[0][1], Value::str("Messi"));
+        assert_eq!(table.rows()[1][4], Value::str("Bayern Munich"));
+    }
+
+    /// An unresolvable σ or π column fails when the plan is built, with
+    /// the schema's message, even over a relation without rows.
+    #[test]
+    fn missing_column_is_a_build_error() {
+        let only = ColumnRef::qualified("n", "only");
+        let nope = ColumnRef::qualified("n", "nope");
+        let filter = Plan::scan("n").filter(only.clone(), nope.clone());
+        let project = Plan::scan("n").project(vec![(nope, ColumnRef::bare("out"))]);
+        for plan in [filter, project] {
+            let err = Executor::new(&operators()).run(&plan).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Permanent);
+            assert_eq!(
+                err.message, "column 'n.nope' not found in schema [n.only]",
+                "{plan}"
+            );
+        }
     }
 
     #[test]

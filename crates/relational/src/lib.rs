@@ -7,14 +7,17 @@
 //!
 //! * [`Value`] / [`Tuple`] / [`Schema`] / [`Table`] — the data model, with a
 //!   figure-style pretty printer (Table 1 of the paper is produced by it);
-//! * [`expr`] — scalar expressions and predicates over tuples;
-//! * [`algebra`] — the logical relational algebra (σ, π, ⋈, δ, ρ); the
-//!   query-rewriting algorithm of `mdm-core` outputs one of these plans per
-//!   conjunctive query, and their `Display` forms make up the "relational
-//!   algebra expression" shown in Figure 8;
+//! * [`algebra`] — the logical relational algebra of a conjunctive query:
+//!   σ equating two columns, π selecting and renaming columns, inner ⋈ on
+//!   column pairs, and δ. The query-rewriting algorithm of `mdm-core`
+//!   outputs one of these plans per conjunctive query, and their `Display`
+//!   forms make up the "relational algebra expression" shown in Figure 8.
+//!   There is no scalar expression language: no literal, operator or
+//!   evaluation error exists to be planned;
 //! * [`columnar`] — the data plane: fixed-width 16-byte term encoding and
-//!   vectorized filter/join/distinct/project kernels over shared column
-//!   batches, decoding back to [`Value`]s only at render time; and
+//!   column-equality filter, join, distinct and project kernels over
+//!   shared column batches, decoding back to [`Value`]s only at render
+//!   time; and
 //!   [`columnar::merge_branches`], the merge of a UCQ's branch results
 //!   while they are still term batches (∪, then one sort over integer
 //!   order codes — strings at their rank in the term dictionary's content
@@ -51,7 +54,6 @@
 pub mod algebra;
 pub mod columnar;
 pub mod executor;
-pub mod expr;
 pub mod intern;
 pub mod metrics;
 pub mod optimizer;
@@ -69,7 +71,6 @@ pub use executor::{
     Catalog, ErrorKind, ExecError, ExecOptions, Executor, MemoryCatalog, RelationProvider,
     Undecoded,
 };
-pub use expr::{BinOp, Expr};
 pub use intern::Sym;
 pub use metrics::{DataPlaneStats, OptimizerStats};
 pub use optimizer::{explain_tree, OptimizeMode, Optimizer, Statistics};

@@ -28,8 +28,7 @@
 
 use std::collections::HashSet;
 
-use crate::algebra::Plan;
-use crate::expr::{BinOp, Expr};
+use crate::algebra::{projection_list, Plan};
 use crate::metrics;
 use crate::schema::{ColumnRef, Schema};
 
@@ -138,9 +137,9 @@ impl<'a> Optimizer<'a> {
     /// Predicate pushdown.
     fn rewrite(&self, plan: Plan) -> Plan {
         match plan {
-            Plan::Filter { input, predicate } => {
+            Plan::Filter { input, left, right } => {
                 let input = self.rewrite(*input);
-                self.push_filter(input, predicate)
+                self.push_filter(input, left, right)
             }
             Plan::Project { input, columns } => Plan::Project {
                 input: Box::new(self.rewrite(*input)),
@@ -158,44 +157,40 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Sinks `predicate` below joins as deep as its column references
+    /// Sinks the equality `a = b` below joins as deep as its two columns
     /// allow; it stays above every other operator.
-    fn push_filter(&self, input: Plan, predicate: Expr) -> Plan {
+    fn push_filter(&self, input: Plan, a: ColumnRef, b: ColumnRef) -> Plan {
         match input {
             Plan::Join { left, right, on } => {
-                // Sink into whichever side covers all referenced columns.
-                if self.covers(&left, &predicate) {
+                // Sink into whichever side resolves both columns.
+                if self.covers(&left, &a, &b) {
                     metrics::record_filter_pushed();
                     Plan::Join {
-                        left: Box::new(self.push_filter(*left, predicate)),
+                        left: Box::new(self.push_filter(*left, a, b)),
                         right,
                         on,
                     }
-                } else if self.covers(&right, &predicate) {
+                } else if self.covers(&right, &a, &b) {
                     metrics::record_filter_pushed();
                     Plan::Join {
                         left,
-                        right: Box::new(self.push_filter(*right, predicate)),
+                        right: Box::new(self.push_filter(*right, a, b)),
                         on,
                     }
                 } else {
-                    Plan::Join { left, right, on }.filter(predicate)
+                    Plan::Join { left, right, on }.filter(a, b)
                 }
             }
-            other => other.filter(predicate),
+            other => other.filter(a, b),
         }
     }
 
-    /// True when every column the predicate references resolves in the
-    /// plan's output schema.
-    fn covers(&self, plan: &Plan, predicate: &Expr) -> bool {
+    /// True when both columns resolve in the plan's output schema.
+    fn covers(&self, plan: &Plan, a: &ColumnRef, b: &ColumnRef) -> bool {
         let Ok(schema) = plan.schema_with(self.resolve) else {
             return false;
         };
-        predicate
-            .referenced_columns()
-            .iter()
-            .all(|column| schema.index_of(column).is_ok())
+        schema.index_of(a).is_ok() && schema.index_of(b).is_ok()
     }
 
     /// Projection pruning: narrows scans to the columns consumed above.
@@ -210,20 +205,16 @@ impl<'a> Optimizer<'a> {
         match plan {
             Plan::Project { input, columns } => {
                 let mut refs: Vec<ColumnRef> = Vec::new();
-                for (expr, _) in &columns {
-                    for column in expr.referenced_columns() {
-                        if !refs.contains(column) {
-                            refs.push(column.clone());
-                        }
+                for (column, _) in &columns {
+                    if !refs.contains(column) {
+                        refs.push(column.clone());
                     }
                 }
                 let input = self.prune(*input, Some(&refs));
                 // A narrowing π the pass inserted on an earlier run looks
                 // like an identity projection over the same columns; keep
                 // only one so pruning is idempotent.
-                let identity = columns
-                    .iter()
-                    .all(|(expr, out)| matches!(expr, Expr::Column(c) if c == out));
+                let identity = columns.iter().all(|(source, out)| source == out);
                 let input = match input {
                     Plan::Project {
                         input: inner,
@@ -236,10 +227,10 @@ impl<'a> Optimizer<'a> {
                     columns,
                 }
             }
-            Plan::Filter { input, predicate } => {
+            Plan::Filter { input, left, right } => {
                 let widened = needed.map(|base| {
                     let mut refs = base.to_vec();
-                    for column in predicate.referenced_columns() {
+                    for column in [&left, &right] {
                         if !refs.contains(column) {
                             refs.push(column.clone());
                         }
@@ -248,7 +239,8 @@ impl<'a> Optimizer<'a> {
                 });
                 Plan::Filter {
                     input: Box::new(self.prune(*input, widened.as_deref())),
-                    predicate,
+                    left,
+                    right,
                 }
             }
             Plan::Join { left, right, on } => {
@@ -288,7 +280,7 @@ impl<'a> Optimizer<'a> {
                                 input: Box::new(Plan::Scan { relation }),
                                 columns: kept
                                     .into_iter()
-                                    .map(|column| (Expr::Column(column.clone()), column))
+                                    .map(|column| (column.clone(), column))
                                     .collect(),
                             };
                         }
@@ -309,9 +301,10 @@ impl<'a> Optimizer<'a> {
     fn reorder(&self, plan: Plan) -> Plan {
         match plan {
             join @ Plan::Join { .. } => self.reorder_region(join),
-            Plan::Filter { input, predicate } => Plan::Filter {
+            Plan::Filter { input, left, right } => Plan::Filter {
                 input: Box::new(self.reorder(*input)),
-                predicate,
+                left,
+                right,
             },
             Plan::Project { input, columns } => Plan::Project {
                 input: Box::new(self.reorder(*input)),
@@ -524,7 +517,7 @@ impl<'a> Optimizer<'a> {
         for (k, cond) in conds.iter().enumerate() {
             if !used[k] {
                 let (l, r) = cond.clone();
-                tree = tree.filter(Expr::Column(l).eq(Expr::Column(r)));
+                tree = tree.filter(l, r);
             }
         }
 
@@ -538,7 +531,7 @@ impl<'a> Optimizer<'a> {
                 columns: original_schema
                     .columns()
                     .iter()
-                    .map(|column| (Expr::Column(column.clone()), column.clone()))
+                    .map(|column| (column.clone(), column.clone()))
                     .collect(),
             };
         }
@@ -546,17 +539,14 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Estimated output cardinality of `plan`; `None` when a scanned
-    /// relation has no statistics. Scans use the catalog; equality
-    /// filters divide by the column's distinct count when profiled;
-    /// joins divide the cross product by the larger join-key distinct
-    /// count (System-R style), falling back to a tenth.
+    /// relation has no statistics. Scans use the catalog; a column
+    /// equality keeps half its input; joins divide the cross product by
+    /// the larger join-key distinct count (System-R style), falling back
+    /// to a tenth.
     pub fn estimate(&self, plan: &Plan) -> Option<usize> {
         match plan {
             Plan::Scan { relation } => self.stats.estimated_rows(relation),
-            Plan::Filter { input, predicate } => {
-                let rows = self.estimate(input)?;
-                Some(self.filter_estimate(rows, predicate))
-            }
+            Plan::Filter { input, .. } => Some((self.estimate(input)? / 2).max(1)),
             Plan::Project { input, .. } | Plan::Distinct { input } => self.estimate(input),
             Plan::Join {
                 left, right, on, ..
@@ -566,30 +556,6 @@ impl<'a> Optimizer<'a> {
                 Some(self.join_estimate(l, r, on.first()))
             }
         }
-    }
-
-    /// Selectivity of one predicate over `rows` input rows.
-    fn filter_estimate(&self, rows: usize, predicate: &Expr) -> usize {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = predicate
-        {
-            let column = match (&**left, &**right) {
-                (Expr::Column(c), Expr::Literal(_)) | (Expr::Literal(_), Expr::Column(c)) => {
-                    Some(c)
-                }
-                _ => None,
-            };
-            if let Some(column) = column {
-                if let Some(distinct) = self.column_distinct(column) {
-                    return (rows / distinct.max(1)).max(1);
-                }
-                return (rows / 3).max(1);
-            }
-        }
-        (rows / 2).max(1)
     }
 
     /// Estimated size of an equi-join of `l` × `r` rows on `cond`.
@@ -696,23 +662,12 @@ fn explain_node(
 ) {
     let label = match plan {
         Plan::Scan { relation } => format!("scan {relation}"),
-        Plan::Filter { predicate, .. } => format!("σ[{predicate}]"),
+        Plan::Filter { left, right, .. } => format!("σ[{left} = {right}]"),
         Plan::Project { columns, .. } => {
             if columns.len() > 6 {
                 format!("π[{} columns]", columns.len())
             } else {
-                let cols: Vec<String> = columns
-                    .iter()
-                    .map(|(expr, name)| {
-                        let rendered = expr.to_string();
-                        if rendered == name.to_string() {
-                            rendered
-                        } else {
-                            format!("{rendered}→{name}")
-                        }
-                    })
-                    .collect();
-                format!("π[{}]", cols.join(", "))
+                format!("π[{}]", projection_list(columns))
             }
         }
         Plan::Join { on, .. } => {
@@ -810,9 +765,18 @@ mod tests {
         assert_eq!(OptimizeMode::Cost.to_string(), "cost");
     }
 
+    /// σ[w1.id = w1.teamId]: both columns come from w1.
+    fn w1_equality() -> (ColumnRef, ColumnRef) {
+        (
+            ColumnRef::qualified("w1", "id"),
+            ColumnRef::qualified("w1", "teamId"),
+        )
+    }
+
     #[test]
     fn off_mode_is_identity() {
-        let plan = join_plan().filter(Expr::col("w1.pName").eq(Expr::lit("Messi")));
+        let (l, r) = w1_equality();
+        let plan = join_plan().filter(l, r);
         let optimizer = Optimizer::new(&NoStats, &resolve);
         assert_eq!(
             optimizer.optimize_with(OptimizeMode::Off, plan.clone()),
@@ -822,20 +786,24 @@ mod tests {
 
     #[test]
     fn filter_sinks_below_join() {
-        let plan = join_plan().filter(Expr::col("w1.pName").eq(Expr::lit("Messi")));
+        let (l, r) = w1_equality();
+        let plan = join_plan().filter(l, r);
         let optimizer = Optimizer::new(&NoStats, &resolve);
         let optimized = optimizer.optimize(plan);
         let rendered = optimized.to_string();
         // The σ must appear inside the join, applied to w1.
         assert!(
-            rendered.contains("σ[w1.pName = 'Messi'](w1)"),
+            rendered.contains("σ[w1.id = w1.teamId](w1)"),
             "got {rendered}"
         );
     }
 
     #[test]
     fn cross_side_predicate_stays_above_join() {
-        let plan = join_plan().filter(Expr::col("w1.teamId").eq(Expr::col("w2.id")));
+        let plan = join_plan().filter(
+            ColumnRef::qualified("w1", "teamId"),
+            ColumnRef::qualified("w2", "id"),
+        );
         let optimizer = Optimizer::new(&NoStats, &resolve);
         let rendered = optimizer.optimize(plan).to_string();
         assert!(rendered.starts_with("σ["), "got {rendered}");
@@ -978,6 +946,23 @@ mod tests {
         assert_eq!(rendered, "π[w1.pName→name](δ(w1))");
     }
 
+    /// A column equality keeps half its input, at least one row, whatever
+    /// the columns' statistics say.
+    #[test]
+    fn a_column_equality_keeps_half_its_input() {
+        let (l, r) = w1_equality();
+        let stats = FullStats {
+            rows: HashMap::from([("w1".to_string(), 101), ("w2".to_string(), 1)]),
+            distinct: HashMap::from([(("w1".to_string(), "w1.id".to_string()), 101)]),
+        };
+        let optimizer = Optimizer::new(&stats, &resolve);
+        assert_eq!(
+            optimizer.estimate(&Plan::scan("w1").filter(l.clone(), r.clone())),
+            Some(50)
+        );
+        assert_eq!(optimizer.estimate(&Plan::scan("w2").filter(l, r)), Some(1));
+    }
+
     #[test]
     fn explain_tree_annotates_cardinalities() {
         let stats = MapStats(HashMap::from([
@@ -1006,7 +991,7 @@ mod tests {
             Table::new(
                 Schema::qualified("w1", ["id", "pName", "teamId"]),
                 vec![
-                    vec![Value::Int(1), Value::str("Messi"), Value::Int(25)],
+                    vec![Value::Int(25), Value::str("Messi"), Value::Int(25)],
                     vec![Value::Int(2), Value::str("Lewandowski"), Value::Int(27)],
                 ],
             )
@@ -1023,8 +1008,9 @@ mod tests {
             )
             .unwrap(),
         );
+        let (l, r) = w1_equality();
         let plan = join_plan()
-            .filter(Expr::col("w1.pName").eq(Expr::lit("Messi")))
+            .filter(l, r)
             .project_named(&[("w2.name", "team")]);
         let executor = Executor::new(&catalog);
         let baseline = executor.run(&plan).unwrap().sorted();

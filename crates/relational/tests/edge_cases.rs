@@ -2,7 +2,6 @@
 //! pipelines, empty inputs, duplicate-heavy joins, and plan-level errors.
 
 use mdm_relational::algebra::Plan;
-use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{ErrorKind, Executor, MemoryCatalog, Table, Value};
 
@@ -40,7 +39,10 @@ fn empty_inputs_flow_through_every_operator() {
         .unwrap()
         .is_empty());
     let chained = Plan::scan("e")
-        .filter(Expr::col("v").eq(Expr::lit("x")))
+        .filter(
+            ColumnRef::qualified("e", "k"),
+            ColumnRef::qualified("e", "v"),
+        )
         .distinct()
         .project_named(&[("e.v", "out")]);
     assert!(executor.run(&chained).unwrap().is_empty());
@@ -138,50 +140,28 @@ fn multi_key_join_requires_all_keys() {
 }
 
 #[test]
-fn projection_expressions_compute() {
-    let mut catalog = MemoryCatalog::new();
-    register(
-        &mut catalog,
-        "m",
-        &["height_cm"],
-        vec![vec![Value::Float(170.18)], vec![Value::Int(184)]],
-    );
-    let plan = Plan::scan("m").project(vec![(
-        Expr::col("height_cm").binary(BinOp::Div, Expr::lit(100.0)),
-        ColumnRef::bare("height_m"),
-    )]);
-    let table = Executor::new(&catalog).run(&plan).unwrap();
-    assert_eq!(table.rows()[0][0], Value::Float(1.7018));
-    assert_eq!(table.rows()[1][0], Value::Float(1.84));
-}
-
-#[test]
-fn filter_type_error_surfaces_not_panics() {
-    let mut catalog = MemoryCatalog::new();
-    register(&mut catalog, "t", &["v"], vec![vec![Value::str("text")]]);
-    // v + 1 on a string is an evaluation error.
-    let plan = Plan::scan("t").filter(
-        Expr::col("v")
-            .binary(BinOp::Add, Expr::lit(1i64))
-            .eq(Expr::lit(2i64)),
-    );
-    let err = Executor::new(&catalog).run(&plan).unwrap_err();
-    assert!(err.message.contains("arithmetic"), "{err}");
-}
-
-#[test]
 fn deep_plan_nesting_executes() {
     let mut catalog = MemoryCatalog::new();
+    // k = j on the first 30 rows only.
     register(
         &mut catalog,
         "base",
-        &["k"],
-        (0..50).map(|i| vec![Value::Int(i)]).collect(),
+        &["k", "j"],
+        (0..50)
+            .map(|i| {
+                let j = if i < 30 {
+                    Value::Float(i as f64)
+                } else {
+                    Value::Int(i + 1)
+                };
+                vec![Value::Int(i), j]
+            })
+            .collect(),
     );
     // 20 stacked filters.
     let mut plan = Plan::scan("base");
-    for i in 0..20 {
-        plan = plan.filter(Expr::col("k").binary(BinOp::Ne, Expr::lit(i as i64)));
+    for _ in 0..20 {
+        plan = plan.filter(ColumnRef::bare("k"), ColumnRef::bare("j"));
     }
     let table = Executor::new(&catalog).run(&plan).unwrap();
     assert_eq!(table.len(), 30);

@@ -18,7 +18,6 @@
 use proptest::prelude::*;
 
 use mdm_relational::algebra::Plan;
-use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Value};
 
@@ -147,19 +146,21 @@ fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCase
     Ok(())
 }
 
+fn column(relation: &str, name: &str) -> ColumnRef {
+    ColumnRef::qualified(relation, name)
+}
+
 fn join_on_k() -> Vec<(ColumnRef, ColumnRef)> {
-    vec![(
-        ColumnRef::qualified("a", "k"),
-        ColumnRef::qualified("b", "k"),
-    )]
+    vec![(column("a", "k"), column("b", "k"))]
 }
 
 proptest! {
-    /// σ and π over mixed inline/long/NULL data match the reference.
+    /// σ equating two columns of one relation, and π, over mixed
+    /// inline/long/NULL data match the reference.
     #[test]
-    fn filter_project_matches_reference(a in arb_table("a"), threshold in -20i64..20) {
+    fn filter_project_matches_reference(a in arb_table("a")) {
         let plan = Plan::scan("a")
-            .filter(Expr::col("a.v").binary(BinOp::Gt, Expr::lit(threshold)))
+            .filter(column("a", "k"), column("a", "v"))
             .project_named(&[("a.s", "s"), ("a.k", "k"), ("a.v", "v")]);
         check(&plan, vec![("a", a)])?;
     }
@@ -172,6 +173,18 @@ proptest! {
         check(&plan, vec![("a", a), ("b", b)])?;
     }
 
+    /// σ over a cross product keeps the pairs whose keys are equal: the
+    /// join's rows, in probe × build order, by a column comparison
+    /// instead of a hash probe.
+    #[test]
+    fn cross_join_equality_matches_reference(a in arb_table("a"), b in arb_table("b")) {
+        let plan = Plan::scan("a")
+            .join(Plan::scan("b"), vec![])
+            .filter(column("a", "k"), column("b", "k"))
+            .project_named(&[("b.s", "s"), ("a.k", "k"), ("b.k", "bk")]);
+        check(&plan, vec![("a", a), ("b", b)])?;
+    }
+
     /// A UCQ's branch plans — a join and a scan — match the reference,
     /// row order included, bare and under δ (π drops `v`, so δ meets
     /// duplicates).
@@ -179,11 +192,10 @@ proptest! {
     fn ucq_matches_reference(
         a in arb_table("a"),
         b in arb_table("b"),
-        threshold in -20i64..20,
     ) {
         let join_branch = Plan::scan("a")
             .join(Plan::scan("b"), join_on_k())
-            .filter(Expr::col("a.v").binary(BinOp::Gt, Expr::lit(threshold)))
+            .filter(column("a", "v"), column("b", "v"))
             .project_named(&[("a.k", "k"), ("b.s", "s")]);
         let scan_branch = Plan::scan("a").project_named(&[("a.k", "k"), ("a.s", "s")]);
         for branch in [join_branch, scan_branch] {

@@ -15,7 +15,6 @@
 use proptest::prelude::*;
 
 use mdm_relational::algebra::Plan;
-use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{ExecOptions, Executor, MemoryCatalog, Table, Value};
 
@@ -146,38 +145,41 @@ fn check(plan: &Plan, tables: Vec<(&'static str, Table)>) -> Result<(), TestCase
     Ok(())
 }
 
+fn column(relation: &str, name: &str) -> ColumnRef {
+    ColumnRef::qualified(relation, name)
+}
+
 fn join_on_k() -> Vec<(ColumnRef, ColumnRef)> {
-    vec![(
-        ColumnRef::qualified("a", "k"),
-        ColumnRef::qualified("b", "k"),
-    )]
+    vec![(column("a", "k"), column("b", "k"))]
 }
 
 proptest! {
-    /// σ and π match the row plane byte for byte.
+    /// σ equating two columns of one relation, and π, match the row
+    /// plane byte for byte.
     #[test]
-    fn filter_project_matches_row_plane(a in arb_table("a"), threshold in -20i64..20) {
+    fn filter_project_matches_row_plane(a in arb_table("a")) {
         let plan = Plan::scan("a")
-            .filter(Expr::col("a.v").binary(BinOp::Gt, Expr::lit(threshold)))
+            .filter(column("a", "k"), column("a", "v"))
             .project_named(&[("a.s", "s"), ("a.k", "k"), ("a.v", "v")]);
         check(&plan, vec![("a", a)])?;
     }
 
-    /// Computed projections with possible division-by-zero: the columnar
-    /// kernels must fall back to row-order evaluation and report the exact
-    /// same first error (or the same values when no row errors).
+    /// π repeats and renames columns like the row plane; a column the
+    /// input lacks fails the plan with the row plane's error, empty input
+    /// or not.
     #[test]
-    fn computed_projection_matches_row_plane(a in arb_table("a"), divisor in -2i64..3) {
-        let plan = Plan::scan("a").project(vec![
-            (
-                Expr::col("a.v").binary(BinOp::Add, Expr::lit(1i64)),
-                ColumnRef::bare("v1"),
-            ),
-            (
-                Expr::col("a.v").binary(BinOp::Div, Expr::lit(divisor)),
-                ColumnRef::bare("q"),
-            ),
-        ]);
+    fn projection_matches_row_plane(a in arb_table("a"), missing in any::<bool>()) {
+        let mut columns = vec![
+            (column("a", "v"), ColumnRef::bare("v1")),
+            (column("a", "k"), ColumnRef::bare("k")),
+            (column("a", "v"), ColumnRef::bare("v2")),
+        ];
+        if missing {
+            columns.push((column("a", "w"), ColumnRef::bare("w")));
+        }
+        let plan = Plan::scan("a")
+            .filter(column("a", "k"), column("a", "v"))
+            .project(columns);
         check(&plan, vec![("a", a)])?;
     }
 
@@ -190,6 +192,18 @@ proptest! {
         check(&plan, vec![("a", a), ("b", b)])?;
     }
 
+    /// σ over a cross product keeps the pairs whose keys are equal: the
+    /// join's rows, in probe × build order, by a column comparison
+    /// instead of a hash probe.
+    #[test]
+    fn cross_join_equality_matches_row_plane(a in arb_table("a"), b in arb_table("b")) {
+        let plan = Plan::scan("a")
+            .join(Plan::scan("b"), vec![])
+            .filter(column("a", "k"), column("b", "k"))
+            .project_named(&[("b.s", "s"), ("a.k", "k"), ("b.k", "bk")]);
+        check(&plan, vec![("a", a), ("b", b)])?;
+    }
+
     /// A UCQ's branch plans under δ render identically on both planes,
     /// row order included: δ keeps first occurrences (π drops `v`, so it
     /// meets duplicates).
@@ -197,11 +211,10 @@ proptest! {
     fn ucq_matches_row_plane(
         a in arb_table("a"),
         b in arb_table("b"),
-        threshold in -20i64..20,
     ) {
         let join_branch = Plan::scan("a")
             .join(Plan::scan("b"), join_on_k())
-            .filter(Expr::col("a.v").binary(BinOp::Gt, Expr::lit(threshold)))
+            .filter(column("a", "v"), column("b", "v"))
             .project_named(&[("a.k", "k"), ("b.s", "s")]);
         let scan_branch = Plan::scan("a").project_named(&[("a.k", "k"), ("a.s", "s")]);
         for branch in [join_branch, scan_branch] {

@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 
 use mdm_relational::algebra::Plan;
-use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::optimizer::{OptimizeMode, Optimizer};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::stats::StatsCatalog;
@@ -38,17 +37,21 @@ fn arb_table(relation: &'static str) -> impl Strategy<Value = Table> {
 #[derive(Debug, Clone)]
 struct Shape {
     three_way: bool,
-    filter_a: Option<i64>,
-    filter_b: Option<i64>,
+    /// σ[a.k = a.v], which sinks to `a`.
+    filter_a: bool,
+    /// `Some(false)` is σ[b.k = b.v], which sinks to `b`; `Some(true)` is
+    /// σ[a.v = b.v], which no join side covers alone.
+    filter_b: Option<bool>,
     distinct: bool,
-    second_branch: Option<i64>,
+    /// A second branch, with its own `filter_a`.
+    second_branch: Option<bool>,
 }
 
-/// An optional filter threshold (None roughly a third of the time).
-fn arb_threshold() -> BoxedStrategy<Option<i64>> {
+/// An optional flag (None roughly a third of the time).
+fn arb_choice() -> BoxedStrategy<Option<bool>> {
     prop_oneof![
         1 => Just(None),
-        2 => (-50i64..50).prop_map(Some),
+        2 => any::<bool>().prop_map(Some),
     ]
     .boxed()
 }
@@ -56,10 +59,10 @@ fn arb_threshold() -> BoxedStrategy<Option<i64>> {
 fn arb_shape() -> BoxedStrategy<Shape> {
     (
         any::<bool>(),
-        arb_threshold(),
-        arb_threshold(),
         any::<bool>(),
-        arb_threshold(),
+        arb_choice(),
+        any::<bool>(),
+        arb_choice(),
     )
         .prop_map(
             |(three_way, filter_a, filter_b, distinct, second_branch)| Shape {
@@ -72,9 +75,13 @@ fn arb_shape() -> BoxedStrategy<Shape> {
         )
 }
 
+fn column(relation: &str, name: &str) -> ColumnRef {
+    ColumnRef::qualified(relation, name)
+}
+
 /// One branch: joins, then filters, then a π to the bare (k, bv) schema
 /// shared by every branch.
-fn branch(shape: &Shape, threshold: Option<i64>) -> Plan {
+fn branch(shape: &Shape, filter_a: bool) -> Plan {
     let mut plan = Plan::scan("a").join(
         Plan::scan("b"),
         vec![(
@@ -91,22 +98,24 @@ fn branch(shape: &Shape, threshold: Option<i64>) -> Plan {
             )],
         );
     }
-    if let Some(t) = threshold {
-        plan = plan.filter(Expr::col("a.v").binary(BinOp::Gt, Expr::lit(t)));
+    if filter_a {
+        plan = plan.filter(column("a", "k"), column("a", "v"));
     }
-    if let Some(t) = shape.filter_b {
-        plan = plan.filter(Expr::col("b.v").binary(BinOp::Le, Expr::lit(t)));
+    match shape.filter_b {
+        Some(false) => plan = plan.filter(column("b", "k"), column("b", "v")),
+        Some(true) => plan = plan.filter(column("a", "v"), column("b", "v")),
+        None => {}
     }
     plan.project(vec![
-        (Expr::col("a.k"), ColumnRef::bare("k")),
-        (Expr::col("b.v"), ColumnRef::bare("bv")),
+        (column("a", "k"), ColumnRef::bare("k")),
+        (column("b", "v"), ColumnRef::bare("bv")),
     ])
 }
 
 /// The branch plans of one random UCQ, in branch order.
 fn build(shape: &Shape) -> Vec<Plan> {
     let mut plans = vec![branch(shape, shape.filter_a)];
-    plans.extend(shape.second_branch.map(|t| branch(shape, Some(t))));
+    plans.extend(shape.second_branch.map(|filter_a| branch(shape, filter_a)));
     if shape.distinct {
         plans = plans.into_iter().map(Plan::distinct).collect();
     }

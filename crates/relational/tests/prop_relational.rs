@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 
 use mdm_relational::algebra::Plan;
-use mdm_relational::expr::{BinOp, Expr};
 use mdm_relational::optimizer::{Optimizer, Statistics};
 use mdm_relational::schema::{ColumnRef, Schema};
 use mdm_relational::{Catalog, Executor, MemoryCatalog, Table, Value};
@@ -113,25 +112,27 @@ proptest! {
         prop_assert_eq!(d1.len(), d2.len());
     }
 
-    /// σ commutes with itself and conjunction splits.
+    /// σ commutes with itself and with its own operands swapped, and σ
+    /// over a cross product is the equi-join on the same pair.
     #[test]
-    fn filter_laws(a in arb_table("a"), threshold in -50i64..50) {
-        let catalog = {
-            let mut c = MemoryCatalog::new();
-            c.register("a", a);
-            c
-        };
+    fn filter_laws(a in arb_table("a"), b in arb_table("b")) {
+        let catalog = catalog(a, b);
         let executor = Executor::new(&catalog);
-        let p1 = Expr::col("a.v").binary(BinOp::Gt, Expr::lit(threshold));
-        let p2 = Expr::col("a.k").binary(BinOp::Le, Expr::lit(4i64));
-        let seq = Plan::scan("a").filter(p1.clone()).filter(p2.clone());
-        let swapped = Plan::scan("a").filter(p2.clone()).filter(p1.clone());
-        let conj = Plan::scan("a").filter(p1.and(p2));
-        let r_seq = executor.run(&seq).unwrap();
-        let r_swapped = executor.run(&swapped).unwrap();
-        let r_conj = executor.run(&conj).unwrap();
-        prop_assert_eq!(canonical(&r_seq, &["a.k", "a.v"]), canonical(&r_swapped, &["a.k", "a.v"]));
-        prop_assert_eq!(canonical(&r_seq, &["a.k", "a.v"]), canonical(&r_conj, &["a.k", "a.v"]));
+        let (ak, av) = (ColumnRef::qualified("a", "k"), ColumnRef::qualified("a", "v"));
+        let (bk, bv) = (ColumnRef::qualified("b", "k"), ColumnRef::qualified("b", "v"));
+        let cross = Plan::scan("a").join(Plan::scan("b"), vec![]);
+        let joined = Plan::scan("a").join(Plan::scan("b"), vec![(ak.clone(), bk.clone())]);
+        let keys = cross.clone().filter(ak.clone(), bk.clone());
+        let seq = keys.clone().filter(av.clone(), bv.clone());
+        let swapped = cross
+            .filter(bv.clone(), av.clone())
+            .filter(bk, ak);
+        let on_join = joined.clone().filter(av, bv);
+        let columns = ["a.k", "a.v", "b.k", "b.v"];
+        let run = |plan: &Plan| canonical(&executor.run(plan).unwrap(), &columns);
+        prop_assert_eq!(run(&keys), run(&joined));
+        prop_assert_eq!(run(&seq), run(&swapped));
+        prop_assert_eq!(run(&seq), run(&on_join));
     }
 
     /// The optimizer never changes results.
@@ -139,7 +140,6 @@ proptest! {
     fn optimizer_preserves_semantics(
         a in arb_table("a"),
         b in arb_table("b"),
-        threshold in -50i64..50,
     ) {
         let catalog = catalog(a, b);
         let resolve = |name: &str| catalog.relation_schema(name);
@@ -148,10 +148,10 @@ proptest! {
                 Plan::scan("b"),
                 vec![(ColumnRef::qualified("a", "k"), ColumnRef::qualified("b", "k"))],
             )
-            .filter(Expr::col("a.v").binary(BinOp::Gt, Expr::lit(threshold)))
+            .filter(ColumnRef::qualified("a", "k"), ColumnRef::qualified("a", "v"))
             .project(vec![
-                (Expr::col("a.k"), ColumnRef::bare("k")),
-                (Expr::col("b.v"), ColumnRef::bare("bv")),
+                (ColumnRef::qualified("a", "k"), ColumnRef::bare("k")),
+                (ColumnRef::qualified("b", "v"), ColumnRef::bare("bv")),
             ]);
         struct NoStats;
         impl Statistics for NoStats {

@@ -1,12 +1,14 @@
 //! The reference interpreter: the oracle the columnar engine is held to.
 //!
 //! It evaluates a [`Plan`] row at a time over the rows of the tables a
-//! [`MemoryCatalog`] holds, as they were registered — nested-loop joins in probe × build order,
-//! first-occurrence distinct — and shares no code with
-//! the engine's operators, its term encoding or its scan cache. What it
-//! does share is the specification: `Value`'s coercing equality, `Expr`'s
-//! row-wise evaluation, and the error each shape problem is reported with,
-//! so a test can compare rows, row order *and* error text.
+//! [`MemoryCatalog`] holds, as they were registered — σ by `Value ==` on
+//! two non-NULL cells, π by index, nested-loop joins in probe × build
+//! order, first-occurrence distinct — and shares no evaluation code with
+//! the engine: not its operators, its term encoding or its scan cache.
+//! What it does share is the specification: `Value`'s coercing equality,
+//! `Schema::index_of`'s column resolution, and the error each shape
+//! problem is reported with, so a test can compare rows, row order *and*
+//! error text.
 //!
 //! Include it with `#[path = "support/reference.rs"] mod reference;`.
 
@@ -38,18 +40,12 @@ fn eval(plan: &Plan, catalog: &MemoryCatalog) -> Result<(Schema, Vec<Tuple>), Ex
             }
             Ok((schema, table.rows().to_vec()))
         }
-        Plan::Filter { input, predicate } => {
-            let (schema, rows) = eval(input, catalog)?;
-            let mut out = Vec::new();
-            for row in rows {
-                let keep = predicate
-                    .eval_predicate(&schema, &row)
-                    .map_err(|e| ExecError::permanent(e.0))?;
-                if keep {
-                    out.push(row);
-                }
-            }
-            Ok((schema, out))
+        Plan::Filter { input, left, right } => {
+            let (schema, mut rows) = eval(input, catalog)?;
+            let l = schema.index_of(left).map_err(ExecError::permanent)?;
+            let r = schema.index_of(right).map_err(ExecError::permanent)?;
+            rows.retain(|row| !row[l].is_null() && !row[r].is_null() && row[l] == row[r]);
+            Ok((schema, rows))
         }
         Plan::Project { input, columns } => {
             if columns.is_empty() {
@@ -58,18 +54,15 @@ fn eval(plan: &Plan, catalog: &MemoryCatalog) -> Result<(Schema, Vec<Tuple>), Ex
                 ));
             }
             let (schema, rows) = eval(input, catalog)?;
+            let indices = columns
+                .iter()
+                .map(|(source, _)| schema.index_of(source).map_err(ExecError::permanent))
+                .collect::<Result<Vec<usize>, _>>()?;
             let out_schema = Schema::new(columns.iter().map(|(_, name)| name.clone()).collect());
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut tuple = Vec::with_capacity(columns.len());
-                for (expr, _) in columns {
-                    tuple.push(
-                        expr.eval(&schema, &row)
-                            .map_err(|e| ExecError::permanent(e.0))?,
-                    );
-                }
-                out.push(tuple);
-            }
+            let out = rows
+                .iter()
+                .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
+                .collect();
             Ok((out_schema, out))
         }
         Plan::Join { left, right, on } => {

@@ -20,6 +20,19 @@ if grep -rnE 'Plan::Union|Plan::union|ColUnion|union_width|rewriting\.plan' \
     exit 1
 fi
 
+echo "==> no scalar expression language in the algebra (grep gate)"
+# A conjunctive query's σ equates two columns and its π selects and renames
+# columns: no literal, operator, evaluation error or vectorised evaluator
+# exists to plan or run, and wrapper payloads are read by flattening, not
+# by dotted paths. mdm-sparql's FILTER evaluator is separate code with an
+# EvalError of its own, so that one name is gated outside it only.
+if grep -rnE 'BinOp|Expr::Literal|eval_vec|CExpr|Decoder::cmp|mdm_dataform::Path' \
+        crates/*/src tests examples \
+    || grep -rn 'EvalError' crates/*/src tests examples | grep -v '^crates/sparql/'; then
+    echo "the expression language or the dataform path accessor is back (see above)"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -13,9 +13,10 @@ use mdm_core::usecase;
 use mdm_core::Mdm;
 use mdm_relational::columnar::encode_rows;
 use mdm_relational::scan_cache::EncodedScan;
+use mdm_relational::schema::ColumnRef;
 use mdm_relational::{
-    BinOp, Catalog, Deadline, ExecError, ExecOptions, Executor, Expr, Plan, Pool, RelationProvider,
-    RetryPolicy, ScanCache, Schema, Tuple, Value,
+    Catalog, Deadline, ExecError, ExecOptions, Executor, Plan, Pool, RelationProvider, RetryPolicy,
+    ScanCache, Schema, Tuple, Value,
 };
 use mdm_wrappers::football;
 use mdm_wrappers::workload::{build, WorkloadConfig};
@@ -78,8 +79,9 @@ fn eight_branches_over_two_wrappers_fetch_each_wrapper_once() {
     // after the other through one executor over one scan cache.
     let plans: Vec<Plan> = (0..8)
         .map(|i| {
-            Plan::scan(if i % 2 == 0 { "wa" } else { "wb" })
-                .filter(Expr::col("id").binary(BinOp::Gt, Expr::lit(-1 - i as i64)))
+            let name = if i % 2 == 0 { "wa" } else { "wb" };
+            let id = ColumnRef::qualified(name, "id");
+            Plan::scan(name).filter(id.clone(), id)
         })
         .collect();
     let cache = ScanCache::new();

@@ -663,3 +663,27 @@ fn plan_cache_hit_rate_and_release_invalidation() {
     );
     server.shutdown();
 }
+
+/// A body nested far deeper than any parser limit is a 400, not a dead
+/// process: each worker runs on a default-sized thread stack, and a
+/// megabyte of `[` used to recurse through all of it.
+#[test]
+fn a_deeply_nested_body_is_rejected_and_the_server_lives() {
+    let server = serve(ServerConfig::default(), Mdm::new()).unwrap();
+    let addr = server.addr();
+    let body = "[".repeat(1 << 20);
+    let response = client::post_json(addr, "/analyst/query", &body).expect("server answers");
+    assert_eq!(response.status, 400, "{}", response.body);
+    let error = json::parse(&response.body).expect("error body is JSON");
+    let error = error.get("error").expect("error object");
+    assert_eq!(
+        error.get("category").and_then(Value::as_str),
+        Some("protocol"),
+        "{error:?}"
+    );
+    let message = error.get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("nesting"), "{message}");
+    let health = client::get(addr, "/healthz").expect("server still answers");
+    assert_eq!(health.status, 200, "{}", health.body);
+    server.shutdown();
+}
