@@ -1,7 +1,8 @@
 //! P15 — evolution churn: sustained analyst traffic over the head of a
 //! long concept chain while the steward releases new wrapper versions over
-//! the tail, under footprint-interval (surgical) invalidation — the only
-//! behaviour the cache has. The coarse (epoch-equality) cell this bench
+//! the tail, under surgical invalidation — each commit's footprint sweep
+//! keeps, extends or drops every cached plan, the only behaviour the cache
+//! has. The coarse (epoch-equality) cell this bench
 //! used to run beside it is retired with the mode; its 0.00 → 1.00
 //! hit-rate result stays in EXPERIMENTS.md as a dated record.
 //!
@@ -15,7 +16,8 @@
 //!
 //! Every cell asserts the served plan is byte-identical to a cold rewrite
 //! before reporting. A final micro-bench times `PlanCache` insert+evict at
-//! capacity 256 (the O(log n) LRU heap-order check of the satellite task).
+//! capacity 256 (every insert scans the full cache for its LRU victim) and
+//! the hot lookup.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,7 +147,7 @@ fn report(cell: &str, r: &CellResult) {
 }
 
 /// Insert+evict and hot-lookup throughput of the plan cache at the default
-/// capacity 256 — the regression guard for the O(log n) LRU order.
+/// capacity 256, where each insert's victim scan visits every entry.
 fn lru_micro_bench(eco: &SyntheticEcosystem) {
     let mdm = base_mdm(eco);
     let (plan, artifacts) = rewrite_walk_with_artifacts(

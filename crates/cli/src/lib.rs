@@ -840,7 +840,7 @@ impl Session {
         if truncated {
             writeln!(
                 out,
-                "(cursor {since} predates the retained horizon — older records were dropped)"
+                "(cursor {since} is below the feed's horizon — earlier records are not held here)"
             )
             .unwrap();
         }
@@ -910,7 +910,7 @@ impl Session {
             {
                 writeln!(
                     out,
-                    "(cursor {since} predates the retained horizon — older records were dropped)"
+                    "(cursor {since} is below the feed's horizon — earlier records are not held here)"
                 )
                 .unwrap();
             }

@@ -6,44 +6,41 @@
 //! stamps every mutation with a monotonically increasing **metadata epoch**
 //! and this cache keys plans by canonical walk, validated against the epoch.
 //!
-//! Historically validation was equality — `entry.epoch == lookup.epoch` —
-//! which made *every* cached plan unreachable after *any* steward mutation:
-//! under continuous source evolution (the paper's core scenario) the cache
-//! degenerated to a 0% hit rate. Validation is now an **epoch-interval
-//! test** against a bounded, append-only **invalidation log**: each cached
-//! rewriting records the dependency [`Footprint`] it read (concepts with
-//! their taxonomic closure, wrappers scanned), each mutation records the
-//! footprint it wrote, and an entry from an older epoch survives iff every
-//! logged mutation in `(entry.epoch, lookup.epoch]` is disjoint from the
-//! entry's footprint — in which case the entry *slides forward* to the
-//! lookup epoch and keeps serving. A release of concept A leaves every plan
-//! over concepts B..Z hot.
+//! Validation by epoch equality alone would make *every* cached plan
+//! unreachable after *any* steward mutation: under continuous source
+//! evolution (the paper's core scenario) the hit rate would be 0%. Instead
+//! each cached rewriting records the dependency [`Footprint`] it read
+//! (concepts with their taxonomic closure, wrappers scanned), and every
+//! committed mutation, with the footprint it wrote, **sweeps** the cache
+//! once ([`PlanCache::note_mutation`]). That sweep is the only place a
+//! verdict is made:
 //!
-//! Soundness rests on two properties. First, the log is append-only and
-//! epochs increase strictly, so the interval `(entry.epoch, lookup.epoch]`
-//! enumerates *exactly* the mutations committed since the entry was (last
-//! known) valid — nothing can be inserted behind the cursor. Second,
-//! whenever coverage is uncertain — the entry predates the log's retained
-//! horizon, the lookup epoch is beyond the logged frontier (an epoch jump
-//! the cache was not told about), or the entry has no recorded footprint —
-//! the cache invalidates conservatively. A stale union is never served.
+//! * an entry the mutation does not overlap *slides forward* to the new
+//!   epoch and keeps serving — a release of concept A leaves every plan
+//!   over concepts B..Z hot;
+//! * an entry a new mapping definition
+//!   ([`crate::journal::MutationOp::is_extension`]) overlaps slides forward
+//!   *pending*, collecting the mapping's concepts: its next lookup returns
+//!   [`Found::Extend`], and the caller re-runs phase (b) for those concepts
+//!   only and re-assembles (see [`crate::rewrite::assemble`]), splicing the
+//!   new union branches in at a fraction of a cold rewrite;
+//! * an entry any other mutation overlaps is dropped at once, so a plan for
+//!   a retired dashboard does not pin memory until its key is looked up.
 //!
-//! When the only overlapping mutations are new mapping definitions
-//! ([`crate::journal::MutationOp::is_extension`]), the cache returns
-//! [`Found::Extend`] instead of a miss: the caller re-runs phase (b) for
-//! the affected concepts only and re-assembles (see
-//! [`crate::rewrite::assemble`]), splicing the new union branches in at a
-//! fraction of a cold rewrite.
+//! Soundness rests on the sweep seeing every epoch. An entry slides only
+//! from the epoch just before the mutation's; one that is not current
+//! through it (the epoch jumped without the cache being told, as after a
+//! restore) is dropped by the sweep, and a lookup at any epoch other than
+//! the entry's drops it too. A stale union is never served. [`crate::Mdm`]
+//! inserts and looks up at its current epoch and sweeps at every commit, so
+//! a lookup only reads the verdict the last sweep left.
 //!
-//! The cache is LRU-bounded — the victim scan is O(log n) via an ordered
-//! `(last_used, key)` index, not a full-map sweep — and internally
-//! synchronised, so it serves concurrent analysts holding a shared
-//! reference: many readers under an `RwLock` read guard in `mdm-server`,
-//! all hitting the same cache. Mutations eagerly sweep overlapping entries
-//! (so invalidated plans for retired dashboards are reclaimed immediately
-//! instead of pinning memory until their key is looked up again) and slide
-//! disjoint entries forward, keeping the common lookup on the equality
-//! fast path.
+//! The cache is LRU-bounded: an insert into a full cache evicts the entry
+//! with the oldest use stamp, found by a scan (the default capacity is 256;
+//! a deployment's distinct dashboard walks are far fewer). It is internally
+//! synchronised by one mutex, so it serves concurrent analysts holding a
+//! shared reference: many readers under an `RwLock` read guard in
+//! `mdm-server`, all hitting the same cache.
 //!
 //! Each entry also owns a **prepared slot**: the rewriting's branch plans
 //! as the served path runs them ([`PreparedPlans`]), with the key they
@@ -56,8 +53,7 @@
 //! eviction, invalidation and replacement (an incremental extension
 //! included) drop them. Reading or filling the slot moves no counter.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, Weak};
 
 use mdm_relational::{OptimizeMode, StatsCatalog};
@@ -70,11 +66,6 @@ use crate::rewrite::{RewriteArtifacts, Rewriting};
 /// of a deployment while keeping the worst-case memory small (plans are a
 /// few KiB each).
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
-
-/// Bound on the invalidation log. Entries older than the retained window
-/// invalidate conservatively, so this trades memory for how long an idle
-/// plan can survive without a lookup.
-pub const INVALIDATION_LOG_CAPACITY: usize = 1024;
 
 /// A point-in-time view of the cache counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -121,9 +112,9 @@ pub enum Found {
     /// Valid at the lookup epoch (directly or by footprint survival): the
     /// rewriting and its entry's prepared slot.
     Hit(Arc<Rewriting>, Arc<PreparedSlot>),
-    /// Stale, but every overlapping mutation since the entry's epoch was an
-    /// extendable mapping definition: the caller can re-run phase (b) for
-    /// `affected` concepts over the cached artifacts and re-assemble,
+    /// Stale, but every overlapping mutation since the entry was cached was
+    /// an extendable mapping definition: the caller can re-run phase (b)
+    /// for `affected` concepts over the cached artifacts and re-assemble,
     /// then store the result with [`PlanCache::insert`] as `extended`.
     Extend {
         /// The reusable phase (a)/(b) artifacts.
@@ -157,55 +148,34 @@ impl PreparedKey {
 #[derive(Default)]
 pub struct PreparedSlot(pub(crate) Mutex<Option<(PreparedKey, Arc<PreparedPlans>)>>);
 
-struct LoggedMutation {
-    epoch: u64,
-    footprint: Footprint,
-    extension: bool,
-}
-
 struct Entry {
-    /// The epoch through which this entry is known valid. Slides forward
-    /// when mutations prove disjoint.
+    /// The epoch through which this entry is known valid. Each commit's
+    /// sweep slides it forward or drops the entry.
     epoch: u64,
-    /// True when an extendable mutation overlapped this entry: it is stale
-    /// (must not be served as a hit) but repairable via [`Found::Extend`].
-    pending: bool,
+    /// `Some` once an extendable mutation overlapped this entry: the
+    /// concepts of every such mutation since. The entry is stale (never
+    /// served as a hit) but repairable via [`Found::Extend`].
+    pending: Option<BTreeSet<String>>,
     plan: Arc<Rewriting>,
     /// Read footprint + reusable rewrite phases.
     artifacts: Arc<RewriteArtifacts>,
     /// `plan`'s prepared branch plans; a new entry starts a new slot.
     prepared: Arc<PreparedSlot>,
+    /// Use stamp from `Inner::clock`: the LRU victim has the lowest.
     last_used: u64,
 }
 
 struct Inner {
     entries: HashMap<String, Entry>,
-    /// `(last_used, key)` index over `entries`: the LRU victim is
-    /// `lru.first()` — O(log n), not a full-map scan.
-    lru: BTreeSet<(u64, String)>,
     clock: u64,
-    /// The invalidation log: footprints of committed mutations, epochs
-    /// strictly increasing (append-only).
-    log: VecDeque<LoggedMutation>,
-    /// Epochs `<= floor` have fallen off the log (or were never covered):
-    /// entries from them invalidate conservatively.
-    floor: u64,
-    /// The highest epoch the log covers; lookups beyond it invalidate
-    /// conservatively (an epoch jump the cache was not told about).
-    frontier: u64,
+    /// The counters; `entries` and `capacity` are filled in by
+    /// [`PlanCache::stats`].
+    stats: CacheStats,
 }
 
 /// The LRU-bounded, footprint-validated plan cache.
 pub struct PlanCache {
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
-    surgical_invalidations: AtomicU64,
-    survivals: AtomicU64,
-    incremental_extensions: AtomicU64,
-    full_rewrites: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -214,21 +184,10 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            surgical_invalidations: AtomicU64::new(0),
-            survivals: AtomicU64::new(0),
-            incremental_extensions: AtomicU64::new(0),
-            full_rewrites: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                lru: BTreeSet::new(),
                 clock: 0,
-                log: VecDeque::new(),
-                floor: 0,
-                frontier: 0,
+                stats: CacheStats::default(),
             }),
         }
     }
@@ -237,138 +196,75 @@ impl PlanCache {
         self.inner.lock().expect("plan cache poisoned")
     }
 
-    /// Records one committed mutation in the invalidation log and sweeps
-    /// the entries: overlapping entries are dropped (or marked pending
-    /// extension when the mutation is an extendable mapping definition and
-    /// the entry kept its artifacts), disjoint current entries slide
-    /// forward to `epoch`. The eager sweep is what fixes the historical
-    /// stale-entry leak — an invalidated plan is reclaimed at mutation
-    /// time, not when (if ever) its key is looked up again.
-    ///
-    /// Epochs at or below the logged frontier are ignored (idempotent
-    /// replay); a gap above the frontier truncates coverage, so entries
-    /// predating the gap invalidate conservatively.
+    /// Sweeps the entries for one mutation committed at `epoch` with
+    /// `footprint`. An entry current through `epoch - 1` slides forward to
+    /// `epoch`: pending, with the mutation's concepts added to its
+    /// affected set, when `extension` and the footprints overlap; dropped
+    /// when they overlap otherwise. An entry not current through
+    /// `epoch - 1` is dropped: the cache cannot vouch for the epochs it was
+    /// not told about. Entries already at or past `epoch` are left alone,
+    /// so a repeated call changes nothing.
     pub fn note_mutation(&self, epoch: u64, footprint: Footprint, extension: bool) {
-        let inner = &mut *self.lock();
-        if epoch <= inner.frontier {
-            return;
-        }
-        if epoch > inner.frontier + 1 {
-            // The cache was not told about epochs (frontier, epoch): it
-            // cannot vouch for them. Restart coverage at the gap's edge.
-            inner.log.clear();
-            inner.floor = epoch - 1;
-        }
-        inner.log.push_back(LoggedMutation {
-            epoch,
-            footprint: footprint.clone(),
-            extension,
-        });
-        inner.frontier = epoch;
-        while inner.log.len() > INVALIDATION_LOG_CAPACITY {
-            if let Some(dropped) = inner.log.pop_front() {
-                inner.floor = dropped.epoch;
-            }
-        }
-        let mut dropped: Vec<String> = Vec::new();
-        let mut survived = 0u64;
-        for (key, entry) in inner.entries.iter_mut() {
+        let Inner { entries, stats, .. } = &mut *self.lock();
+        entries.retain(|_, entry| {
             if entry.epoch >= epoch {
-                continue;
+                return true;
             }
-            if !footprint.overlaps(&entry.artifacts.footprint) {
-                // Disjoint: slide forward, but only entries provably
-                // current through the predecessor epoch; anything else is
-                // resolved by the interval test at lookup.
-                if !entry.pending && entry.epoch == epoch - 1 {
-                    entry.epoch = epoch;
-                    survived += 1;
+            if entry.epoch + 1 != epoch {
+                stats.invalidations += 1;
+                return false;
+            }
+            if footprint.overlaps(&entry.artifacts.footprint) {
+                if !extension {
+                    stats.invalidations += 1;
+                    stats.surgical_invalidations += 1;
+                    return false;
                 }
-            } else if extension {
-                entry.pending = true;
-            } else {
-                dropped.push(key.clone());
+                let affected = entry.pending.get_or_insert_with(BTreeSet::new);
+                affected.extend(footprint.concepts.iter().cloned());
+            } else if entry.pending.is_none() {
+                stats.survivals += 1;
             }
-        }
-        let overlapped = dropped.len() as u64;
-        for key in dropped {
-            remove_entry(inner, &key);
-        }
-        self.survivals.fetch_add(survived, Ordering::Relaxed);
-        self.invalidations.fetch_add(overlapped, Ordering::Relaxed);
-        self.surgical_invalidations
-            .fetch_add(overlapped, Ordering::Relaxed);
+            entry.epoch = epoch;
+            true
+        });
     }
 
-    /// Validates and returns the plan cached for `key` as of `epoch`.
-    ///
-    /// * Same epoch → [`Found::Hit`].
-    /// * Older epoch, every logged mutation in `(entry.epoch, epoch]`
-    ///   disjoint from the entry's footprint → the entry slides forward
-    ///   and serves ([`Found::Hit`], counted as a survival).
-    /// * Older epoch, overlapping mutations all extendable →
-    ///   [`Found::Extend`].
-    /// * Anything else — including intervals the log cannot vouch for —
-    ///   drops the entry conservatively and reports [`Found::Miss`].
+    /// Returns the plan cached for `key` as of `epoch`: [`Found::Hit`]
+    /// when the entry is current at `epoch`, [`Found::Extend`] when it is
+    /// pending an extension, and [`Found::Miss`] when it is absent. An
+    /// entry at any other epoch is dropped and reported as a miss.
     pub fn lookup(&self, key: &str, epoch: u64) -> Found {
-        let inner = &mut *self.lock();
-        let Some(entry) = inner.entries.get(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Found::Miss;
+        let Inner {
+            entries,
+            clock,
+            stats,
+        } = &mut *self.lock();
+        let found = match entries.get_mut(key) {
+            Some(entry) if entry.epoch == epoch => match &entry.pending {
+                None => {
+                    *clock += 1;
+                    entry.last_used = *clock;
+                    Found::Hit(Arc::clone(&entry.plan), Arc::clone(&entry.prepared))
+                }
+                Some(affected) => Found::Extend {
+                    artifacts: Arc::clone(&entry.artifacts),
+                    affected: affected.clone(),
+                },
+            },
+            Some(_) => {
+                entries.remove(key);
+                stats.invalidations += 1;
+                Found::Miss
+            }
+            None => Found::Miss,
         };
-        if entry.epoch == epoch && !entry.pending {
-            let hit = Found::Hit(Arc::clone(&entry.plan), Arc::clone(&entry.prepared));
-            touch_entry(inner, key);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
+        if matches!(found, Found::Hit(..)) {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
         }
-        // The interval test. Refuse to speculate when the log does not
-        // cover (entry.epoch, epoch].
-        let covered = epoch >= entry.epoch && entry.epoch >= inner.floor && epoch <= inner.frontier;
-        if !covered {
-            remove_entry(inner, key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Found::Miss;
-        }
-        let artifacts = Arc::clone(&entry.artifacts);
-        let overlapping: Vec<&LoggedMutation> = inner
-            .log
-            .iter()
-            .filter(|m| {
-                m.epoch > entry.epoch
-                    && m.epoch <= epoch
-                    && m.footprint.overlaps(&artifacts.footprint)
-            })
-            .collect();
-        if overlapping.is_empty() {
-            self.survivals.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let hit = {
-                let entry = inner.entries.get_mut(key).expect("present above");
-                entry.epoch = epoch;
-                entry.pending = false;
-                Found::Hit(Arc::clone(&entry.plan), Arc::clone(&entry.prepared))
-            };
-            touch_entry(inner, key);
-            return hit;
-        }
-        if overlapping.iter().all(|m| m.extension) {
-            let affected: BTreeSet<String> = overlapping
-                .iter()
-                .flat_map(|m| m.footprint.concepts.iter().cloned())
-                .collect();
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Found::Extend {
-                artifacts,
-                affected,
-            };
-        }
-        remove_entry(inner, key);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        self.surgical_invalidations.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Found::Miss
+        found
     }
 
     /// Caches `plan` for `key` as of `epoch` with its artifacts (read
@@ -384,78 +280,48 @@ impl PlanCache {
         artifacts: Arc<RewriteArtifacts>,
         extended: bool,
     ) -> Arc<PreparedSlot> {
-        let counter = if extended {
-            &self.incremental_extensions
+        let Inner {
+            entries,
+            clock,
+            stats,
+        } = &mut *self.lock();
+        if extended {
+            stats.incremental_extensions += 1;
         } else {
-            &self.full_rewrites
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let inner = &mut *self.lock();
-        if !inner.entries.contains_key(&key) && inner.entries.len() >= self.capacity {
-            if let Some((_, victim)) = inner.lru.pop_first() {
-                inner.entries.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+            stats.full_rewrites += 1;
+        }
+        if !entries.contains_key(&key) && entries.len() >= self.capacity {
+            let victim = entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(victim, _)| victim.clone());
+            if let Some(victim) = victim {
+                entries.remove(&victim);
+                stats.evictions += 1;
             }
         }
-        inner.clock += 1;
-        let last_used = inner.clock;
+        *clock += 1;
         let prepared = Arc::new(PreparedSlot::default());
-        if let Some(old) = inner.entries.insert(
-            key.clone(),
-            Entry {
-                epoch,
-                pending: false,
-                plan,
-                artifacts,
-                prepared: Arc::clone(&prepared),
-                last_used,
-            },
-        ) {
-            inner.lru.remove(&(old.last_used, key.clone()));
-        }
-        inner.lru.insert((last_used, key));
+        let entry = Entry {
+            epoch,
+            pending: None,
+            plan,
+            artifacts,
+            prepared: Arc::clone(&prepared),
+            last_used: *clock,
+        };
+        entries.insert(key, entry);
         prepared
-    }
-
-    /// Drops every entry (counters and the invalidation log are preserved).
-    pub fn clear(&self) {
-        let inner = &mut *self.lock();
-        inner.entries.clear();
-        inner.lru.clear();
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
+        let inner = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            surgical_invalidations: self.surgical_invalidations.load(Ordering::Relaxed),
-            survivals: self.survivals.load(Ordering::Relaxed),
-            incremental_extensions: self.incremental_extensions.load(Ordering::Relaxed),
-            full_rewrites: self.full_rewrites.load(Ordering::Relaxed),
-            entries: self.lock().entries.len(),
+            entries: inner.entries.len(),
             capacity: self.capacity,
+            ..inner.stats
         }
-    }
-}
-
-/// Removes one entry and its LRU index pair.
-fn remove_entry(inner: &mut Inner, key: &str) -> Option<Entry> {
-    let entry = inner.entries.remove(key)?;
-    inner.lru.remove(&(entry.last_used, key.to_string()));
-    Some(entry)
-}
-
-/// Refreshes one entry's recency in the LRU index.
-fn touch_entry(inner: &mut Inner, key: &str) {
-    inner.clock += 1;
-    let clock = inner.clock;
-    if let Some(entry) = inner.entries.get_mut(key) {
-        inner.lru.remove(&(entry.last_used, key.to_string()));
-        entry.last_used = clock;
-        inner.lru.insert((clock, key.to_string()));
     }
 }
 
@@ -540,8 +406,8 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_without_log_coverage() {
-        // No `note_mutation` ran, so the log cannot vouch for the interval
-        // (1, 2]: the entry must invalidate conservatively.
+        // No `note_mutation` ran, so the cache cannot vouch for epoch 2:
+        // the entry must invalidate conservatively.
         let cache = PlanCache::new(4);
         put(&cache, "q", 1, "old", no_artifacts());
         assert!(
@@ -626,8 +492,8 @@ mod tests {
         let cache = PlanCache::new(4);
         put(&cache, "q", 1, "w1", dummy_artifacts(&["A"], &[]));
         cache.note_mutation(2, fp(&["B"]), false);
-        // Epoch jumps to 10 without noted mutations in between: coverage
-        // restarts, and the old entry cannot be vouched for.
+        // Epoch jumps to 10 without noted mutations in between: the old
+        // entry cannot be vouched for, and the sweep drops it.
         cache.note_mutation(10, fp(&["B"]), false);
         assert!(hit(cache.lookup("q", 10)).is_none());
         assert_eq!(cache.stats().invalidations, 1);
@@ -717,17 +583,6 @@ mod tests {
         put(&cache, "a", 1, "a", no_artifacts());
         assert!(hit(cache.lookup("a", 1)).is_some());
         assert_eq!(cache.stats().capacity, 1);
-    }
-
-    #[test]
-    fn clear_preserves_counters() {
-        let cache = PlanCache::new(4);
-        put(&cache, "a", 1, "a", no_artifacts());
-        cache.lookup("a", 1);
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.hits, 1);
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! same). Epochs increase strictly, so a cursor — "give me everything after
 //! epoch N" — observes each committed mutation exactly once.
 //!
-//! The log is bounded: when it overflows, the oldest records are dropped
-//! and [`ChangeLog::since`] reports `truncated = true` for cursors that
-//! predate the retained horizon, so consumers know to re-sync instead of
-//! silently missing changes.
+//! The log has a **horizon**: it holds a record of every epoch after it,
+//! and may miss any epoch at or before it. The horizon starts at the epoch
+//! the instance starts from — 0 for a new system, the snapshot's epoch for
+//! a restored one (crash recovery, a replica's bootstrap,
+//! `POST /steward/restore`) — rises with any epoch jump
+//! ([`crate::Mdm::ensure_epoch_at_least`]), and follows the oldest records
+//! out when the bounded log overflows. [`ChangeLog::since`] reports
+//! `truncated = true` for cursors below it, so consumers know to re-sync
+//! instead of silently missing changes.
 
 use std::collections::VecDeque;
 
@@ -42,9 +47,10 @@ pub struct ChangeRecord {
 #[derive(Debug, Default)]
 pub struct ChangeLog {
     records: VecDeque<ChangeRecord>,
-    /// Epoch of the newest *dropped* record (0 = nothing dropped): cursors
-    /// at or before this may have missed changes.
-    truncated_at: u64,
+    /// The horizon: every epoch after it has its record here; those at or
+    /// before it may have been dropped or never held (0 = the log holds
+    /// every epoch). Cursors below it may have missed changes.
+    horizon: u64,
     capacity: usize,
 }
 
@@ -53,7 +59,7 @@ impl ChangeLog {
     pub fn new(capacity: usize) -> ChangeLog {
         ChangeLog {
             records: VecDeque::new(),
-            truncated_at: 0,
+            horizon: 0,
             capacity: capacity.max(1),
         }
     }
@@ -69,16 +75,24 @@ impl ChangeLog {
         self.records.push_back(record);
         while self.records.len() > self.capacity {
             if let Some(dropped) = self.records.pop_front() {
-                self.truncated_at = dropped.epoch;
+                self.horizon = self.horizon.max(dropped.epoch);
             }
         }
     }
 
+    /// Moves the horizon up to `epoch`: the history through it is not
+    /// held here (it is in a snapshot, or was never seen by this process).
+    pub fn forget_through(&mut self, epoch: u64) {
+        self.horizon = self.horizon.max(epoch);
+    }
+
     /// Records with `epoch > since`, oldest first, at most `limit`. The
-    /// boolean is true when records after `since` were already dropped —
-    /// the cursor predates the retained horizon and should re-sync.
+    /// boolean is true when `since` is below the horizon: epochs after the
+    /// cursor have no record here (dropped on overflow, or before the
+    /// epoch this log started from), and the cursor should re-sync. A
+    /// cursor at the horizon gets every record after it.
     pub fn since(&self, since: u64, limit: usize) -> (Vec<ChangeRecord>, bool) {
-        let truncated = since < self.truncated_at;
+        let truncated = since < self.horizon;
         let records = self
             .records
             .iter()
@@ -146,5 +160,21 @@ mod tests {
         assert_eq!(records.first().unwrap().epoch, 3);
         let (_, truncated) = log.since(2, 10);
         assert!(!truncated, "cursor 2 saw everything dropped");
+    }
+
+    #[test]
+    fn a_log_that_starts_late_flags_cursors_below_its_start() {
+        let mut log = ChangeLog::new(2);
+        log.push(record(1));
+        log.forget_through(5);
+        log.push(record(6));
+        let (records, truncated) = log.since(3, 10);
+        assert!(truncated, "epochs 4 and 5 have no record");
+        assert_eq!(records.iter().map(|r| r.epoch).collect::<Vec<_>>(), [6]);
+        assert_eq!(log.since(5, 10), (vec![record(6)], false));
+        // Overflow drops epoch 1: the horizon stays at 5.
+        log.push(record(7));
+        assert!(log.since(4, 10).1);
+        assert!(!log.since(5, 10).1);
     }
 }

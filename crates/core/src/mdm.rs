@@ -271,10 +271,11 @@ impl Mdm {
     }
 
     /// Commits one successfully applied mutation: bumps the metadata epoch,
-    /// feeds the plan cache's invalidation log (which sweeps overlapping
-    /// entries and slides disjoint ones forward), appends the changefeed
-    /// record, and hands the op to the journal. Only [`Mdm::apply`] calls
-    /// it, so the four surfaces cannot drift.
+    /// sweeps the plan cache with the op's footprint (the one place a
+    /// cached rewriting is kept, marked for extension or dropped; see
+    /// [`crate::cache`]), appends the changefeed record, and hands the op
+    /// to the journal. Only [`Mdm::apply`] calls it, so the four surfaces
+    /// cannot drift.
     ///
     /// A failing journal sink does not undo the in-memory change; the sink
     /// reports the durability loss through its own health surface
@@ -305,11 +306,16 @@ impl Mdm {
     }
 
     /// Raises the epoch to at least `floor`. A freshly restored [`Mdm`]
-    /// starts at epoch 0; a long-running service swapping it in calls this
-    /// with its previous epoch + 1 so observers see time move forward only.
+    /// starts at its snapshot's epoch; a long-running service swapping it in
+    /// calls this with its previous epoch + 1 so observers see time move
+    /// forward only. This instance holds no record of the epochs it skips,
+    /// so the changefeed's horizon moves up with it: a cursor below `floor`
+    /// is told it is truncated. Cached plans from before the jump are not
+    /// served after it (see [`crate::cache`]).
     pub fn ensure_epoch_at_least(&mut self, floor: u64) {
         if self.epoch < floor {
             self.epoch = floor;
+            self.changes.forget_through(floor);
         }
     }
 
@@ -968,11 +974,14 @@ impl Mdm {
     /// policy, breaker configuration, stats catalog. A restore
     /// replaces metadata, not how the operator configured execution: this
     /// is what a front end swaps in for the instance it is serving.
+    ///
+    /// The changefeed starts at the restored epoch: the mutations that led
+    /// to it are in the snapshot, not in the feed, so a cursor below it is
+    /// told it is truncated.
     pub fn restored_from(&self, document: &str) -> Result<Mdm, MdmError> {
         let (ontology, epoch, options) = crate::repo::restore_with_epoch(document)?;
-        Ok(Mdm {
+        let mut restored = Mdm {
             ontology,
-            epoch,
             options,
             retry: self.retry.clone(),
             breakers: BreakerRegistry::new(self.breakers.config().clone()),
@@ -981,7 +990,9 @@ impl Mdm {
             stats: Arc::clone(&self.stats),
             optimize: self.optimize,
             ..Mdm::new()
-        })
+        };
+        restored.ensure_epoch_at_least(epoch);
+        Ok(restored)
     }
 }
 

@@ -693,8 +693,8 @@ fn change_value(record: &ChangeRecord) -> Value {
 /// (on the durable store's condvar when one exists, otherwise a short
 /// sleep-poll against the epoch) until a mutation lands or the wait
 /// expires, then answers — possibly empty. `truncated: true` means the
-/// cursor predates the retained horizon and the client should re-sync
-/// from a snapshot instead of trusting the gap.
+/// cursor is below the feed's horizon (see `ChangeLog`) and the client
+/// should re-sync from a snapshot instead of trusting the gap.
 fn changes(state: &AppState, request: &Request) -> Response {
     let params = (|| {
         Ok((

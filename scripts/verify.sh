@@ -33,6 +33,15 @@ if grep -rnE 'BinOp|Expr::Literal|eval_vec|CExpr|Decoder::cmp|mdm_dataform::Path
     exit 1
 fi
 
+echo "==> the plan cache decides at commit only (grep gate)"
+# Each commit's sweep keeps, extends or drops every cached rewriting, so the
+# cache keeps no second copy of the mutation history to re-decide at lookup,
+# and its counters live under its one mutex.
+if grep -nE 'INVALIDATION_LOG_CAPACITY|LoggedMutation|AtomicU64' crates/core/src/cache.rs; then
+    echo "the plan cache's invalidation log or atomic counters are back (see above)"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -9,7 +9,7 @@
 //! reintroduces per-cell `String` clones fails CI instead of only showing
 //! up in benchmarks. A wrapper's cold fill — its release streamed into
 //! resident term columns — is held to a peak-memory bound and a ceiling of
-//! its own.
+//! its own. A warm plan-cache hit allocates nothing beyond the walk's key.
 //!
 //! The counting allocator wraps [`System`] and lives in its own integration
 //! test binary so the count reflects only this file's work; the tests take
@@ -22,8 +22,9 @@ use std::sync::Mutex;
 
 use mdm_core::rewrite::plan_for_cq;
 use mdm_core::synthetic::{chain_walk, mdm_from_synthetic};
-use mdm_core::Mdm;
+use mdm_core::{usecase, Mdm};
 use mdm_relational::{metrics, Deadline, ExecOptions, Executor, Plan};
+use mdm_wrappers::football;
 use mdm_wrappers::workload::{build, SyntheticEcosystem, WorkloadConfig};
 use mdm_wrappers::Wrapper;
 
@@ -310,5 +311,37 @@ fn cold_fill_peaks_under_twice_its_resident_columns() {
     assert!(
         spent <= COLD_FILL_ALLOC_CEILING,
         "a cold fill spent {spent} allocations, budget is {COLD_FILL_ALLOC_CEILING}"
+    );
+}
+
+/// A warm `Mdm::rewrite_cached` builds the walk's canonical key and reads
+/// the plan cache: the hit hands out two `Arc`s and stamps the entry's use,
+/// so the call allocates exactly what `Walk::canonical_key` does. While
+/// the cache kept its LRU order in a `BTreeSet` of `(stamp, key)` pairs,
+/// every hit copied its key twice more to re-stamp it.
+#[test]
+fn warm_rewrite_cached_allocates_only_its_key() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let eco = football::build_default();
+    let mdm = usecase::football_mdm(&eco).expect("the use case builds");
+    let walk = usecase::figure8_walk();
+    let cold = mdm.rewrite_cached(&walk).expect("rewrites");
+
+    let before = allocations();
+    let key = walk.canonical_key();
+    let key_allocations = allocations() - before;
+    drop(key);
+
+    let before = allocations();
+    let warm = mdm.rewrite_cached(&walk).expect("rewrites");
+    let spent = allocations() - before;
+
+    assert!(std::sync::Arc::ptr_eq(&cold, &warm), "a cache hit");
+    assert_eq!(mdm.cache_stats().hits, 1);
+    assert_eq!(
+        spent, key_allocations,
+        "a warm rewrite_cached allocates its key ({key_allocations}) and nothing else"
     );
 }

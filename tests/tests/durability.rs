@@ -338,6 +338,39 @@ fn recovery_after_compaction_replays_only_the_new_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery's changefeed starts at the snapshot it restored: the mutations
+/// folded into the snapshot have no record, so a cursor below it is told it
+/// is truncated, and a cursor at it gets exactly the replayed records.
+#[test]
+fn recovered_changefeed_starts_at_its_snapshot() {
+    let dir = temp_dir("horizon");
+    let concept = |name: &str| mdm_rdf::term::Iri::new(ns(name).as_str());
+    let mut seeded = Mdm::new();
+    for name in ["A", "B", "C"] {
+        seeded.define_concept(&concept(name)).unwrap();
+    }
+    let (meta, mut mdm, _) = MetaStore::attach(&dir, FsyncPolicy::Never, seeded).unwrap();
+    for name in ["D", "E"] {
+        mdm.define_concept(&concept(name)).unwrap();
+    }
+    drop((meta, mdm));
+
+    let (recovered, report) = recover(&dir);
+    assert_eq!((report.base_epoch, report.replayed), (3, 2));
+    let feed = |since| {
+        let (records, truncated) = recovered.changes_since(since, 10);
+        (
+            records.iter().map(|r| r.epoch).collect::<Vec<_>>(),
+            truncated,
+        )
+    };
+    assert_eq!(feed(0), (vec![4, 5], true), "epochs 1-3 have no record");
+    assert_eq!(feed(2), (vec![4, 5], true));
+    assert_eq!(feed(3), (vec![4, 5], false));
+    assert_eq!(feed(5), (vec![], false));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Property tests: crash anywhere, flip anything
 // ---------------------------------------------------------------------

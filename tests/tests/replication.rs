@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use common::*;
 use mdm_core::{FsyncPolicy, Mdm, MetaStore, MutationOp};
+use mdm_dataform::Value;
 use mdm_replica::{ReplicaConfig, ReplicaNode};
 use mdm_server::client;
 use mdm_server::replication::ReplicaState;
@@ -175,6 +176,46 @@ fn bootstrap_keeps_the_replicas_execution_settings() {
     assert_eq!(str_of(optimizer, "mode"), "off");
     let pool = metrics.get("pool").expect("pool gauges");
     assert_eq!(int_of(pool, "size"), 1);
+
+    replica.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A bootstrapped replica's changefeed starts at the snapshot it restored:
+/// a cursor below it is told it is truncated, and a cursor at it gets
+/// exactly the records the replica replayed from the stream.
+#[test]
+fn bootstrapped_replica_feed_starts_at_its_snapshot() {
+    let (primary, dir) = start_primary("horizon");
+    let addr = primary.addr();
+    // The primary was seeded before its journal existed: its store's
+    // snapshot is at the seeded epoch.
+    let base = int_of(&get_json(addr, "/epoch"), "metadata_epoch");
+    let replica = start_replica(addr);
+    assert!(replica.wait_for_epoch(base as u64, Duration::from_secs(20)));
+    let ack = define_concept(addr, &ns("AfterBootstrap")).unwrap() as i64;
+    assert!(replica.wait_for_epoch(ack as u64, Duration::from_secs(10)));
+
+    let feed = |since: i64| {
+        let page = get_json(replica.addr(), &format!("/changes?since={since}"));
+        let epochs: Vec<i64> = page
+            .get("changes")
+            .and_then(Value::as_array)
+            .expect("changes array")
+            .iter()
+            .map(|r| int_of(r, "epoch"))
+            .collect();
+        let truncated = page.get("truncated").and_then(Value::as_bool);
+        (epochs, truncated)
+    };
+    assert_eq!(
+        feed(0),
+        (vec![ack], Some(true)),
+        "epochs before the snapshot"
+    );
+    assert_eq!(feed(base - 1), (vec![ack], Some(true)));
+    assert_eq!(feed(base), (vec![ack], Some(false)));
 
     replica.shutdown();
     primary.shutdown();

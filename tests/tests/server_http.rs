@@ -532,6 +532,50 @@ fn snapshot_restore_snapshot_is_idempotent() {
     server.shutdown();
 }
 
+/// The changefeed after `POST /steward/restore` starts at the restored
+/// epoch: the feed before the swap described metadata that is gone, so a
+/// cursor below the restore is told it is truncated, and a cursor at it
+/// gets exactly the mutations after it.
+#[test]
+fn restore_moves_the_changefeed_horizon() {
+    let eco = football::build_default();
+    let mdm = usecase::football_mdm(&eco).unwrap();
+    let server = serve(ServerConfig::default(), mdm).unwrap();
+    let addr = server.addr();
+
+    let snapshot = get(addr, "/steward/snapshot");
+    let restore_body = json::to_string(&Value::object([(
+        "snapshot",
+        Value::string(snapshot.get("snapshot").and_then(Value::as_str).unwrap()),
+    )]));
+    let restored = int_of(&post(addr, "/steward/restore", &restore_body), "epoch");
+    let ack = int_of(
+        &post(addr, "/steward/concepts", r#"{"concept": "ex:Referee"}"#),
+        "epoch",
+    );
+    assert_eq!(ack, restored + 1);
+
+    let feed = |since: i64| {
+        let page = get(addr, &format!("/changes?since={since}"));
+        let epochs: Vec<i64> = page
+            .get("changes")
+            .and_then(Value::as_array)
+            .expect("changes array")
+            .iter()
+            .map(|r| int_of(r, "epoch"))
+            .collect();
+        (epochs, page.get("truncated").and_then(Value::as_bool))
+    };
+    assert_eq!(
+        feed(0),
+        (vec![ack], Some(true)),
+        "the pre-restore feed is gone"
+    );
+    assert_eq!(feed(restored - 1), (vec![ack], Some(true)));
+    assert_eq!(feed(restored), (vec![ack], Some(false)));
+    server.shutdown();
+}
+
 /// A restore replaces metadata, not configuration: the execution settings
 /// `ServerConfig` stamped at start-up survive the swap.
 #[test]
