@@ -15,7 +15,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mdm_core::usecase;
-use mdm_core::walk_dsl;
 use mdm_core::{FsyncPolicy, Mdm, MetaStore};
 use mdm_relational::{Deadline, OptimizeMode};
 use mdm_wrappers::football::{self, FootballEcosystem};
@@ -157,18 +156,25 @@ impl Session {
         })
     }
 
-    /// Re-seeds the open store after a command replaced the whole system
-    /// (`setup`, `restore`): folds the new state into a fresh generation and
-    /// re-attaches the journal sink. Returns a warning line on failure.
+    /// Re-bases the open store after a command replaced the whole system
+    /// (`setup`, `restore`; see [`MetaStore::rebase`]). Returns a warning
+    /// line on failure.
     fn rebind_store(&mut self) -> Option<String> {
         let (Some(store), Some(mdm)) = (&self.store, self.mdm.as_mut()) else {
             return None;
         };
-        if let Err(e) = store.compact(mdm) {
-            return Some(format!("warning: journal compaction failed: {e}"));
-        }
-        mdm.set_journal(Some(store.clone()));
-        None
+        store
+            .rebase(mdm)
+            .err()
+            .map(|e| format!("warning: journal compaction failed: {e}"))
+    }
+
+    /// The refusal of a command that would replace the system while it is
+    /// behind the server: `stop` would overwrite what it loaded.
+    fn behind_the_server(&self, instead: &str) -> Option<Outcome> {
+        self.server
+            .as_ref()
+            .map(|_| Outcome::Text(format!("the system is behind the server — {instead}")))
     }
 
     /// Arms fault injection for every system loaded after this call
@@ -303,6 +309,9 @@ impl Session {
     }
 
     fn setup(&mut self, what: &str) -> Outcome {
+        if let Some(refusal) = self.behind_the_server("'stop' it before 'setup'") {
+            return refusal;
+        }
         match what {
             "football" | "" => {
                 let eco = football::build_default();
@@ -409,12 +418,12 @@ impl Session {
             Ok(m) => m,
             Err(e) => return Outcome::Text(e),
         };
-        let walk = match walk_dsl::parse_walk(text, mdm.ontology()) {
+        let walk = match mdm.parse_walk(text) {
             Ok(w) => w,
             Err(e) => return Outcome::Text(format!("walk error: {e}")),
         };
         match kind {
-            PendingKind::Explain => match mdm.rewrite(&walk) {
+            PendingKind::Explain => match mdm.rewrite_cached(&walk) {
                 Ok(rewriting) => {
                     let mut out = rewriting.explain();
                     // The physical side of the story: the optimized plan
@@ -435,7 +444,7 @@ impl Session {
                 }
                 Err(e) => Outcome::Text(format!("rewrite error: {e}")),
             },
-            PendingKind::Rewrite => match mdm.rewrite(&walk) {
+            PendingKind::Rewrite => match mdm.rewrite_cached(&walk) {
                 Ok(rewriting) => Outcome::Text(format!(
                     "-- SPARQL --\n{}\n\n-- algebra ({} branches) --\n{}",
                     rewriting.sparql,
@@ -545,12 +554,10 @@ impl Session {
     /// the next query optimizes against fresh numbers. Never a metadata
     /// mutation: the metadata epoch is untouched.
     fn stats(&mut self, argument: &str) -> Outcome {
-        if self.server.is_some() {
-            return Outcome::Text(
-                "the system is behind the server — use \
-                 'call POST /steward/stats/refresh' or 'call GET /metrics'"
-                    .to_string(),
-            );
+        if let Some(refusal) =
+            self.behind_the_server("use 'call POST /steward/stats/refresh' or 'call GET /metrics'")
+        {
+            return refusal;
         }
         let mdm = match self.require_mdm() {
             Ok(m) => m,
@@ -634,7 +641,7 @@ impl Session {
         };
         // Hand the already-open journal over so `/admin/compact`, the
         // journal metrics and the drain-time fsync work behind the server.
-        match mdm_server::serve_prepared(listener, &config, mdm, self.store.clone()) {
+        match mdm_server::serve_on(listener, &config, mdm, self.store.clone(), None) {
             Ok(handle) => {
                 let text = format!(
                     "serving on http://{}\n\
@@ -806,8 +813,9 @@ impl Session {
     /// `changes [--since N] [--follow]` — the evolution changefeed: every
     /// committed steward mutation after epoch `N` with its dependency
     /// footprint. With a server (or replica) running the records come from
-    /// `GET /changes` (long-polling under `--follow`); otherwise from the
-    /// session's in-memory feed.
+    /// the system behind it, read in-process as `GET /changes` reads them
+    /// (waiting for new ones under `--follow`); otherwise from the
+    /// session's system.
     fn changes(&mut self, argument: &str) -> Outcome {
         const USAGE: &str = "usage: changes [--since N] [--follow]";
         let mut since = 0u64;
@@ -823,140 +831,68 @@ impl Session {
                 _ => return Outcome::Text(USAGE.to_string()),
             }
         }
-        if self.server.is_some() || self.replica.is_some() {
-            self.changes_remote(since, follow)
-        } else {
-            self.changes_local(since)
-        }
-    }
-
-    fn changes_local(&self, since: u64) -> Outcome {
-        let mdm = match self.require_mdm() {
-            Ok(m) => m,
-            Err(e) => return Outcome::Text(e),
+        let served = match (&self.server, &self.replica) {
+            (Some(server), _) => Some(Arc::clone(server.state())),
+            (None, Some(replica)) => Some(Arc::clone(replica.state())),
+            (None, None) => None,
         };
-        let (records, truncated) = mdm.changes_since(since, 1024);
+        // Only a served system changes while the REPL waits. A command
+        // cannot block forever: --follow waits until a few consecutive
+        // polls come back empty, then reports and returns.
+        let follow = follow && served.is_some();
+        let wait = Duration::from_secs(if follow { 2 } else { 0 });
         let mut out = String::new();
-        if truncated {
-            writeln!(
-                out,
-                "(cursor {since} is below the feed's horizon — earlier records are not held here)"
-            )
-            .unwrap();
-        }
-        for record in &records {
-            let tag = if record.extension {
-                "  [extendable]"
-            } else {
-                ""
-            };
-            writeln!(
-                out,
-                "epoch {:>4}  {:<18} {}{tag}",
-                record.epoch, record.kind, record.summary
-            )
-            .unwrap();
-        }
-        writeln!(
-            out,
-            "{} change(s) after epoch {since}; metadata epoch {}",
-            records.len(),
-            mdm.epoch()
-        )
-        .unwrap();
-        Outcome::Text(out.trim_end().to_string())
-    }
-
-    fn changes_remote(&self, mut since: u64, follow: bool) -> Outcome {
-        let addr = match (&self.server, &self.replica) {
-            (Some(server), _) => server.addr(),
-            (None, Some(replica)) => replica.addr(),
-            (None, None) => unreachable!("checked by changes()"),
-        };
-        let mut out = String::new();
-        let mut total = 0usize;
-        // A REPL command cannot block forever: --follow long-polls until a
-        // few consecutive polls come back empty, then reports and returns.
+        let mut cursor = since;
         let mut idle = 0;
-        loop {
-            let wait_ms = if follow { 2_000 } else { 0 };
-            let path = format!("/changes?since={since}&wait_ms={wait_ms}");
-            let response = match mdm_server::client::Connection::open(addr)
-                .and_then(|mut c| c.send("GET", &path, None))
-            {
-                Ok(r) => r,
-                Err(e) => return Outcome::Text(format!("request failed: {e}")),
+        for poll in 0.. {
+            let (records, truncated, epoch) = match &served {
+                Some(state) => state.changes(cursor, 1024, wait),
+                None => match self.require_mdm() {
+                    Ok(mdm) => {
+                        let (records, truncated) = mdm.changes_since(cursor, 1024);
+                        (records, truncated, mdm.epoch())
+                    }
+                    Err(e) => return Outcome::Text(e),
+                },
             };
-            if response.status != 200 {
-                return Outcome::Text(format!(
-                    "server answered {}: {}",
-                    response.status, response.body
-                ));
-            }
-            let value = match mdm_dataform::json::parse(&response.body) {
-                Ok(v) => v,
-                Err(e) => return Outcome::Text(format!("unparseable /changes body: {e}")),
-            };
-            let as_u64 = |v: &mdm_dataform::Value, name: &str| {
-                v.get(name)
-                    .and_then(mdm_dataform::Value::as_number)
-                    .and_then(|n| n.as_i64())
-                    .map(|n| n as u64)
-            };
-            if value
-                .get("truncated")
-                .and_then(mdm_dataform::Value::as_bool)
-                .unwrap_or(false)
-            {
+            if truncated && poll == 0 {
                 writeln!(
                     out,
                     "(cursor {since} is below the feed's horizon — earlier records are not held here)"
                 )
                 .unwrap();
             }
-            let batch = value
-                .get("changes")
-                .and_then(mdm_dataform::Value::as_array)
-                .map(<[mdm_dataform::Value]>::to_vec)
-                .unwrap_or_default();
-            for change in &batch {
-                let epoch = as_u64(change, "epoch").unwrap_or_default();
-                let kind = change
-                    .get("kind")
-                    .and_then(mdm_dataform::Value::as_str)
-                    .unwrap_or("?");
-                let summary = change
-                    .get("summary")
-                    .and_then(mdm_dataform::Value::as_str)
-                    .unwrap_or("");
-                let tag = match change
-                    .get("extension")
-                    .and_then(mdm_dataform::Value::as_bool)
-                {
-                    Some(true) => "  [extendable]",
-                    _ => "",
+            for record in &records {
+                let tag = if record.extension {
+                    "  [extendable]"
+                } else {
+                    ""
                 };
-                writeln!(out, "epoch {epoch:>4}  {kind:<18} {summary}{tag}").unwrap();
+                writeln!(
+                    out,
+                    "epoch {:>4}  {:<18} {}{tag}",
+                    record.epoch, record.kind, record.summary
+                )
+                .unwrap();
             }
-            total += batch.len();
-            since = as_u64(&value, "next").unwrap_or(since);
+            cursor = records.last().map_or(cursor, |r| r.epoch);
             if !follow {
-                let epoch = as_u64(&value, "epoch").unwrap_or_default();
-                writeln!(out, "{total} change(s); server epoch {epoch}").unwrap();
+                writeln!(
+                    out,
+                    "{} change(s) after epoch {since}; metadata epoch {epoch}",
+                    records.len()
+                )
+                .unwrap();
                 break;
             }
-            if batch.is_empty() {
-                idle += 1;
-                if idle >= 3 {
-                    writeln!(
-                        out,
-                        "(follow idle — caught up at epoch {since}; re-run 'changes --since {since} --follow' to resume)"
-                    )
-                    .unwrap();
-                    break;
-                }
-            } else {
-                idle = 0;
+            idle = if records.is_empty() { idle + 1 } else { 0 };
+            if idle >= 3 {
+                writeln!(
+                    out,
+                    "(follow idle — caught up at epoch {cursor}; re-run 'changes --since {cursor} --follow' to resume)"
+                )
+                .unwrap();
+                break;
             }
         }
         Outcome::Text(out.trim_end().to_string())
@@ -1023,27 +959,33 @@ impl Session {
         if path.is_empty() {
             return Outcome::Text("usage: restore <file>".into());
         }
+        if let Some(refusal) = self.behind_the_server("use 'call POST /steward/restore'") {
+            return refusal;
+        }
         let document = match std::fs::read_to_string(path) {
             Ok(d) => d,
             Err(e) => return Outcome::Text(format!("cannot read {path}: {e}")),
         };
-        match Mdm::restore_metadata(&document) {
-            Ok(mdm) => {
-                self.mdm = Some(mdm);
-                self.ecosystem = None;
-                self.apply_fault_plan();
-                self.apply_threads();
-                let mut text = format!(
-                    "metadata restored from {path} (wrappers must be re-registered to execute queries)"
-                );
-                if let Some(warning) = self.rebind_store() {
-                    text.push('\n');
-                    text.push_str(&warning);
-                }
-                Outcome::Text(text)
+        // Swapped into the loaded system, as the server's restore route
+        // does: its settings stay and its epoch keeps rising.
+        let loaded = self.mdm.is_some();
+        if let Err(e) = self.mdm.get_or_insert_with(Mdm::new).restore(&document) {
+            if !loaded {
+                self.mdm = None;
             }
-            Err(e) => Outcome::Text(format!("restore failed: {e}")),
+            return Outcome::Text(format!("restore failed: {e}"));
         }
+        self.ecosystem = None;
+        self.apply_fault_plan();
+        self.apply_threads();
+        let mut text = format!(
+            "metadata restored from {path} (wrappers must be re-registered to execute queries)"
+        );
+        if let Some(warning) = self.rebind_store() {
+            text.push('\n');
+            text.push_str(&warning);
+        }
+        Outcome::Text(text)
     }
 
     /// `compact` — folds the journal into a fresh snapshot generation.
@@ -1053,10 +995,8 @@ impl Session {
                 "no durable store open — start the CLI with --data-dir <dir>".to_string(),
             );
         };
-        if self.server.is_some() {
-            return Outcome::Text(
-                "the system is behind the server — use 'call POST /admin/compact'".to_string(),
-            );
+        if let Some(refusal) = self.behind_the_server("use 'call POST /admin/compact'") {
+            return refusal;
         }
         let Some(mdm) = self.mdm.as_ref() else {
             return Outcome::Text("no system loaded — run 'setup football' first".to_string());
@@ -1107,8 +1047,9 @@ MDM — Metadata Management System (EDBT 2018 reproduction)
   suggest <wrapper>  semi-automatic mapping suggestions for an unmapped wrapper
   changes [--since N] [--follow]
                      the evolution changefeed: every committed steward mutation
-                     after epoch N with its dependency footprint; --follow
-                     long-polls the running server until the feed goes idle
+                     after epoch N with its dependency footprint (read from
+                     the running server's system while serving); --follow
+                     waits for new ones until the feed goes idle
   stats [refresh]    the cardinality-statistics catalog behind the cost-based
                      optimizer; 'stats refresh' bumps the stats epoch (the next
                      query re-profiles; the metadata epoch is untouched)
@@ -1128,7 +1069,8 @@ MDM — Metadata Management System (EDBT 2018 reproduction)
   stop               shut the server (or replica) down, bring the metadata back
   status             governance dashboard (coverage, versions, unmapped wrappers)
   snapshot [file]    dump the metadata snapshot (to stdout or a file)
-  restore <file>     load a metadata snapshot
+  restore <file>     load a metadata snapshot into the loaded system: its
+                     execution settings stay and its epoch keeps rising
   compact            fold the durable journal into a fresh snapshot generation
                      (needs --data-dir; behind 'serve' use POST /admin/compact)
   quit               leave
@@ -1292,13 +1234,7 @@ mod tests {
     fn call_follows_a_replica_redirect_to_the_primary() {
         let mut primary = Session::new();
         primary.interpret("setup football");
-        let started = text(primary.interpret("serve 127.0.0.1:0"));
-        let addr = started
-            .split("http://")
-            .nth(1)
-            .and_then(|rest| rest.split_whitespace().next())
-            .unwrap()
-            .to_string();
+        let addr = served_addr(&text(primary.interpret("serve 127.0.0.1:0")));
         let mut replica = Session::new();
         let started = text(replica.interpret(&format!("serve 127.0.0.1:0 --replica-of {addr}")));
         assert!(started.contains("replica of"), "{started}");
@@ -1386,6 +1322,160 @@ mod tests {
         // Without --data-dir the compact command explains itself.
         let mut plain = Session::new();
         assert!(text(plain.interpret("compact")).contains("--data-dir"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A scratch file path unique to this test thread.
+    fn scratch_file(tag: &str) -> String {
+        let dir = std::env::temp_dir().join(format!(
+            "mdm-cli-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("snapshot.trig").to_str().unwrap().to_string()
+    }
+
+    /// The address a `serve` reply names.
+    fn served_addr(started: &str) -> String {
+        started
+            .split("http://")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap()
+            .to_string()
+    }
+
+    #[test]
+    fn changes_lists_the_local_feed() {
+        let mut session = Session::new();
+        assert!(text(session.interpret("changes")).contains("no system loaded"));
+        session.interpret("setup football");
+        let epoch = session.mdm.as_ref().unwrap().epoch();
+        let all = text(session.interpret("changes"));
+        assert!(all.contains("epoch    1  "), "{all}");
+        assert!(
+            all.ends_with(&format!(
+                "{epoch} change(s) after epoch 0; metadata epoch {epoch}"
+            )),
+            "{all}"
+        );
+        assert!(!all.contains("horizon"), "{all}");
+        session.interpret("evolve");
+        let tail = text(session.interpret(&format!("changes --since {epoch}")));
+        assert!(tail.contains("[extendable]"), "{tail}");
+        assert!(!tail.contains(&format!("epoch {epoch:>4}  ")), "{tail}");
+        assert!(
+            tail.contains(&format!("change(s) after epoch {epoch}; metadata epoch")),
+            "{tail}"
+        );
+        assert!(text(session.interpret("changes --since x")).contains("usage"));
+        assert!(text(session.interpret("changes --bogus")).contains("usage"));
+    }
+
+    #[test]
+    fn restore_keeps_the_epoch_rising_and_moves_the_horizon() {
+        let path = scratch_file("restore-epoch");
+        let mut session = Session::new();
+        session.interpret("setup football");
+        session.interpret("evolve");
+        let epoch = session.mdm.as_ref().unwrap().epoch();
+        assert_eq!(epoch, 40);
+        assert!(text(session.interpret(&format!("snapshot {path}"))).contains("written"));
+        let restored = text(session.interpret(&format!("restore {path}")));
+        assert!(restored.contains("restored"), "{restored}");
+        assert_eq!(session.mdm.as_ref().unwrap().epoch(), epoch + 1);
+        let feed = text(session.interpret(&format!("changes --since {epoch}")));
+        assert!(feed.contains("below the feed's horizon"), "{feed}");
+        assert!(
+            feed.ends_with(&format!(
+                "0 change(s) after epoch {epoch}; metadata epoch {}",
+                epoch + 1
+            )),
+            "{feed}"
+        );
+        // A cursor at the new epoch is exactly caught up.
+        let caught_up = text(session.interpret(&format!("changes --since {}", epoch + 1)));
+        assert!(!caught_up.contains("horizon"), "{caught_up}");
+        // A bad document leaves the loaded system as it was.
+        std::fs::write(&path, "garbage").unwrap();
+        assert!(text(session.interpret(&format!("restore {path}"))).contains("restore failed"));
+        assert_eq!(session.mdm.as_ref().unwrap().epoch(), epoch + 1);
+        let mut fresh = Session::new();
+        assert!(text(fresh.interpret(&format!("restore {path}"))).contains("restore failed"));
+        assert!(fresh.mdm.is_none());
+    }
+
+    #[test]
+    fn changes_reads_the_served_system_and_follow_returns_when_idle() {
+        let path = scratch_file("served-changes");
+        let mut session = Session::new();
+        session.interpret("setup football");
+        let epoch = session.mdm.as_ref().unwrap().epoch();
+        assert!(text(session.interpret(&format!("snapshot {path}"))).contains("written"));
+        let started = text(session.interpret("serve 127.0.0.1:0"));
+        assert!(started.contains("serving on"), "{started}");
+        let defined =
+            text(session.interpret(r#"call POST /steward/concepts {"concept": "ex:Referee"}"#));
+        assert!(defined.contains("HTTP 200"), "{defined}");
+        let feed = text(session.interpret(&format!("changes --since {epoch}")));
+        assert!(feed.contains("Referee"), "{feed}");
+        assert!(
+            feed.ends_with(&format!(
+                "1 change(s) after epoch {epoch}; metadata epoch {}",
+                epoch + 1
+            )),
+            "{feed}"
+        );
+        let followed = text(session.interpret(&format!("changes --since {epoch} --follow")));
+        assert!(followed.contains("Referee"), "{followed}");
+        assert!(
+            followed.ends_with(&format!(
+                "(follow idle — caught up at epoch {}; re-run 'changes --since {} --follow' to resume)",
+                epoch + 1,
+                epoch + 1
+            )),
+            "{followed}"
+        );
+        // Replacing the served system from the REPL would be lost at 'stop'.
+        let setup = text(session.interpret("setup football"));
+        assert!(setup.contains("behind the server"), "{setup}");
+        let restore = text(session.interpret(&format!("restore {path}")));
+        assert!(restore.contains("behind the server"), "{restore}");
+        let stopped = text(session.interpret("stop"));
+        assert!(
+            stopped.contains(&format!("epoch {}", epoch + 1)),
+            "{stopped}"
+        );
+        assert!(text(session.interpret("show global")).contains("ex:Referee"));
+    }
+
+    #[test]
+    fn changes_reads_a_replica_in_process() {
+        // The primary's journal is the replication feed.
+        let dir = std::path::PathBuf::from(scratch_file("replica-primary")).with_extension("d");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut primary = Session::new();
+        primary.set_fsync(FsyncPolicy::Never);
+        primary.open_data_dir(&dir).unwrap();
+        primary.interpret("setup football");
+        let epoch = primary.mdm.as_ref().unwrap().epoch();
+        let addr = served_addr(&text(primary.interpret("serve 127.0.0.1:0")));
+        let mut replica = Session::new();
+        replica.interpret(&format!("serve 127.0.0.1:0 --replica-of {addr}"));
+        let handle = replica.replica.as_ref().unwrap();
+        assert!(handle.wait_for_epoch(epoch, Duration::from_secs(20)));
+        // A bootstrapped replica's feed starts at the snapshot it restored.
+        let feed = text(replica.interpret("changes"));
+        assert!(feed.contains("below the feed's horizon"), "{feed}");
+        assert!(
+            feed.ends_with(&format!(
+                "0 change(s) after epoch 0; metadata epoch {epoch}"
+            )),
+            "{feed}"
+        );
+        replica.interpret("stop");
+        primary.interpret("stop");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,9 +12,9 @@
 //! The log has a **horizon**: it holds a record of every epoch after it,
 //! and may miss any epoch at or before it. The horizon starts at the epoch
 //! the instance starts from — 0 for a new system, the snapshot's epoch for
-//! a restored one (crash recovery, a replica's bootstrap,
-//! `POST /steward/restore`) — rises with any epoch jump
-//! ([`crate::Mdm::ensure_epoch_at_least`]), and follows the oldest records
+//! a restored one (crash recovery, a replica's bootstrap) — rises with any
+//! epoch jump ([`crate::Mdm::restore`], which the REPL's `restore` and
+//! `POST /steward/restore` both call, and replay), and follows the oldest records
 //! out when the bounded log overflows. [`ChangeLog::since`] reports
 //! `truncated = true` for cursors below it, so consumers know to re-sync
 //! instead of silently missing changes.

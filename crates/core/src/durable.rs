@@ -167,6 +167,16 @@ impl MetaStore {
         Ok(generation)
     }
 
+    /// Re-bases the journal on a state that replaced the one it journals
+    /// (a restore, or the REPL's `setup`): folds `mdm` into a fresh
+    /// generation, then attaches this store as its sink, so the mutations
+    /// that follow journal on top of it. Returns the new generation.
+    pub fn rebase(self: &Arc<Self>, mdm: &mut Mdm) -> Result<u64, MdmError> {
+        let generation = self.compact(mdm)?;
+        mdm.set_journal(Some(self.clone()));
+        Ok(generation)
+    }
+
     /// Forces buffered WAL records to stable storage (drain/shutdown path).
     pub fn sync(&self) -> Result<(), MdmError> {
         let mut inner = self.lock();

@@ -306,13 +306,13 @@ impl Mdm {
     }
 
     /// Raises the epoch to at least `floor`. A freshly restored [`Mdm`]
-    /// starts at its snapshot's epoch; a long-running service swapping it in
-    /// calls this with its previous epoch + 1 so observers see time move
-    /// forward only. This instance holds no record of the epochs it skips,
-    /// so the changefeed's horizon moves up with it: a cursor below `floor`
-    /// is told it is truncated. Cached plans from before the jump are not
-    /// served after it (see [`crate::cache`]).
-    pub fn ensure_epoch_at_least(&mut self, floor: u64) {
+    /// starts at its snapshot's epoch; [`Mdm::restore`] raises it past the
+    /// epoch it replaces so observers see time move forward only. This
+    /// instance holds no record of the epochs it skips, so the changefeed's
+    /// horizon moves up with it: a cursor below `floor` is told it is
+    /// truncated. Cached plans from before the jump are not served after it
+    /// (see [`crate::cache`]).
+    pub(crate) fn ensure_epoch_at_least(&mut self, floor: u64) {
         if self.epoch < floor {
             self.epoch = floor;
             self.changes.forget_through(floor);
@@ -604,6 +604,15 @@ impl Mdm {
     // ------------------------------------------------------------------
     // (d) Querying the global graph
     // ------------------------------------------------------------------
+
+    /// Parses walk text in the [`crate::walk_dsl`] notation against this
+    /// ontology and validates the walk: what every front end does with the
+    /// text an analyst typed, before rewriting or running it.
+    pub fn parse_walk(&self, text: &str) -> Result<Walk, MdmError> {
+        let walk = crate::walk_dsl::parse_walk(text, &self.ontology)?;
+        walk.validate(&self.ontology)?;
+        Ok(walk)
+    }
 
     /// Rewrites a walk without executing it (shows SPARQL + algebra, the
     /// Figure 8 view).
@@ -961,10 +970,10 @@ impl Mdm {
 
     /// Restores the metadata state from a snapshot — the ontology and the
     /// rewrite options — **including the epoch**
-    /// if one is stamped in its header (plain snapshots restore at 0 —
-    /// callers wanting in-process monotonicity bump it, see the server's
-    /// restore route); wrappers must be re-registered into the catalog
-    /// separately (payloads are data, not metadata).
+    /// if one is stamped in its header (plain snapshots restore at 0 — a
+    /// front end swapping a snapshot into the instance it serves calls
+    /// [`Mdm::restore`] instead); wrappers must be re-registered into the
+    /// catalog separately (payloads are data, not metadata).
     pub fn restore_metadata(document: &str) -> Result<Mdm, MdmError> {
         Mdm::new().restored_from(document)
     }
@@ -993,6 +1002,21 @@ impl Mdm {
         };
         restored.ensure_epoch_at_least(epoch);
         Ok(restored)
+    }
+
+    /// Swaps `document`'s metadata into this instance, as the REPL's
+    /// `restore` and `POST /steward/restore` both do: the state is
+    /// [`Mdm::restored_from`] (execution settings kept, wrapper catalog
+    /// empty) and its epoch rises past the one it replaces, never below,
+    /// which moves the changefeed's horizon there. The journal sink is
+    /// detached, as no journal op expresses a whole new state: a durable
+    /// front end re-bases its store on the result
+    /// ([`crate::MetaStore::rebase`]). On error `self` is untouched.
+    pub fn restore(&mut self, document: &str) -> Result<(), MdmError> {
+        let mut restored = self.restored_from(document)?;
+        restored.ensure_epoch_at_least(self.epoch + 1);
+        *self = restored;
+        Ok(())
     }
 }
 

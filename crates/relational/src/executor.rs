@@ -757,7 +757,7 @@ mod tests {
     fn missing_column_is_a_build_error() {
         let only = ColumnRef::qualified("n", "only");
         let nope = ColumnRef::qualified("n", "nope");
-        let filter = Plan::scan("n").filter(only.clone(), nope.clone());
+        let filter = Plan::scan("n").filter(only, nope.clone());
         let project = Plan::scan("n").project(vec![(nope, ColumnRef::bare("out"))]);
         for plan in [filter, project] {
             let err = Executor::new(&operators()).run(&plan).unwrap_err();

@@ -57,7 +57,7 @@ use mdm_server::client::Connection;
 use mdm_server::replication::{ReplicaState, ReplicaStatus};
 use mdm_server::routes::decode_wrapper;
 use mdm_server::state::AppState;
-use mdm_server::{serve_replica_aware, ServerConfig, ServerHandle};
+use mdm_server::{serve_on, ServerConfig, ServerHandle};
 use mdm_store::{purge, ReplicationBatch, Store};
 
 /// How a replica node connects to its primary and serves locally.
@@ -129,6 +129,14 @@ impl ReplicaHandle {
     /// The live status latch (tests and the CLI poll it).
     pub fn status(&self) -> &Arc<ReplicaStatus> {
         &self.status
+    }
+
+    /// The local server's shared state (the replaying [`Mdm`] behind it).
+    pub fn state(&self) -> &Arc<AppState> {
+        self.server
+            .as_ref()
+            .expect("replica server running")
+            .state()
     }
 
     /// Blocks until the replica has bootstrapped and replayed up to
@@ -223,7 +231,7 @@ impl ReplicaNode {
                 }
             }
         }
-        let server = serve_replica_aware(
+        let server = serve_on(
             listener,
             &server_config,
             mdm,

@@ -195,25 +195,16 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds, spawns the event loop and the worker pool, returns immediately.
-pub fn serve(config: ServerConfig, mdm: Mdm) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    serve_on(listener, &config, mdm)
-}
-
-/// Like [`serve`], over an already-bound listener — callers that must not
-/// lose `mdm` on a bad address bind first and hand the listener over.
+/// Binds `config.addr`, spawns the event loop and the worker pool, and
+/// returns immediately.
 ///
 /// When [`ServerConfig::data_dir`] is set, the durable store in that
 /// directory is opened (or created): an existing journal **replaces** the
 /// passed `mdm`'s metadata with the recovered state (its execution
 /// settings carry over), and every steward mutation from then on is
 /// appended to the WAL.
-pub fn serve_on(
-    listener: TcpListener,
-    config: &ServerConfig,
-    mdm: Mdm,
-) -> io::Result<ServerHandle> {
+pub fn serve(config: ServerConfig, mdm: Mdm) -> io::Result<ServerHandle> {
+    let listener = TcpListener::bind(&config.addr)?;
     let (mdm, store) = match &config.data_dir {
         Some(dir) => {
             let (store, recovered, _report) = MetaStore::attach(dir, config.fsync, mdm)
@@ -222,25 +213,15 @@ pub fn serve_on(
         }
         None => (mdm, None),
     };
-    serve_prepared(listener, config, mdm, store)
+    serve_on(listener, &config, mdm, store, None)
 }
 
-/// Like [`serve_on`], but with a store the caller already opened (the CLI
-/// recovers at session start and hands both over). `config.data_dir` is
-/// ignored on this path — the store *is* the data dir.
-pub fn serve_prepared(
-    listener: TcpListener,
-    config: &ServerConfig,
-    mdm: Mdm,
-    store: Option<Arc<MetaStore>>,
-) -> io::Result<ServerHandle> {
-    serve_replica_aware(listener, config, mdm, store, None)
-}
-
-/// The full entry point: [`serve_prepared`] plus an optional replica
-/// status latch. `mdm-replica` uses this to front its replaying [`Mdm`]
-/// with a server whose routes know they are serving a replica.
-pub fn serve_replica_aware(
+/// [`serve`] over an already-bound listener, with the node's role handed
+/// in: `store` is a journal the caller already opened (the REPL recovers
+/// at session start), `replica` the status latch `mdm-replica` fronts its
+/// replaying [`Mdm`] with. `config.data_dir` opens nothing here; a replica
+/// keeps it as the directory its promotion journals in.
+pub fn serve_on(
     listener: TcpListener,
     config: &ServerConfig,
     mdm: Mdm,

@@ -57,7 +57,7 @@
 //! map exactly like the walk DSL.
 
 use std::sync::atomic::Ordering::SeqCst;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mdm_core::mapping::MappingBuilder;
 use mdm_core::walk::Walk;
@@ -690,9 +690,8 @@ fn change_value(record: &ChangeRecord) -> Value {
 /// primary's).
 ///
 /// A caught-up cursor long-polls: with `wait_ms > 0` the request parks
-/// (on the durable store's condvar when one exists, otherwise a short
-/// sleep-poll against the epoch) until a mutation lands or the wait
-/// expires, then answers — possibly empty. `truncated: true` means the
+/// until a mutation lands or the wait expires ([`AppState::changes`]),
+/// then answers — possibly empty. `truncated: true` means the
 /// cursor is below the feed's horizon (see `ChangeLog`) and the client
 /// should re-sync from a snapshot instead of trusting the gap.
 fn changes(state: &AppState, request: &Request) -> Response {
@@ -711,42 +710,16 @@ fn changes(state: &AppState, request: &Request) -> Response {
         0 => MAX_CHANGE_RECORDS,
         n => (n as usize).min(MAX_CHANGE_RECORDS),
     };
-    let wait_ms = wait_ms.min(MAX_STREAM_WAIT_MS);
-    let deadline = Instant::now() + Duration::from_millis(wait_ms);
-    let store = state.store();
-    loop {
-        let (records, truncated, epoch, wal_mark) = {
-            let mdm = state.mdm.read().expect("state poisoned");
-            let (records, truncated) = mdm.changes_since(since, limit);
-            // The WAL position is read under the same lock as the feed, so
-            // the long-poll below cannot miss a commit that landed between
-            // "feed is empty" and "start waiting".
-            let wal_mark = store
-                .as_ref()
-                .map(|s| (s.generation(), s.stats().wal_records));
-            (records, truncated, mdm.epoch(), wal_mark)
-        };
-        let now = Instant::now();
-        if !records.is_empty() || truncated || now >= deadline {
-            let next = records.last().map_or(since, |r| r.epoch);
-            return ok_json(Value::object([
-                ("since", Value::int(since as i64)),
-                ("next", Value::int(next as i64)),
-                ("epoch", Value::int(epoch as i64)),
-                ("truncated", Value::Bool(truncated)),
-                ("changes", Value::array(records.iter().map(change_value))),
-            ]));
-        }
-        let remaining = deadline - now;
-        match (&store, wal_mark) {
-            (Some(store), Some((generation, wal_records))) => {
-                store.wait_for_records(generation, wal_records, remaining);
-            }
-            // No durable store to park on (in-memory primary, replica):
-            // poll the feed at a small fixed cadence.
-            _ => std::thread::sleep(remaining.min(Duration::from_millis(25))),
-        }
-    }
+    let wait = Duration::from_millis(wait_ms.min(MAX_STREAM_WAIT_MS));
+    let (records, truncated, epoch) = state.changes(since, limit, wait);
+    let next = records.last().map_or(since, |r| r.epoch);
+    ok_json(Value::object([
+        ("since", Value::int(since as i64)),
+        ("next", Value::int(next as i64)),
+        ("epoch", Value::int(epoch as i64)),
+        ("truncated", Value::Bool(truncated)),
+        ("changes", Value::array(records.iter().map(change_value))),
+    ]))
 }
 
 /// Folds the journal into a fresh snapshot generation. 409 without a
@@ -1300,10 +1273,12 @@ fn steward_snapshot(state: &AppState) -> Response {
     ]))
 }
 
-/// Swaps in restored metadata. Wrapper payloads are data, not metadata:
-/// the execution catalog starts empty and wrappers re-register through
-/// `/steward/wrappers`. The epoch keeps increasing across the swap, and
-/// the execution settings stamped from `ServerConfig` carry over.
+/// Swaps in restored metadata ([`Mdm::restore`], the REPL's call too).
+/// Wrapper payloads are data, not metadata: the execution catalog starts
+/// empty and wrappers re-register through `/steward/wrappers`. The epoch
+/// keeps increasing across the swap, the execution settings stamped from
+/// `ServerConfig` carry over, and a durable store is re-based on the new
+/// state.
 fn steward_restore(state: &AppState, request: &Request) -> Response {
     let body = match parse_body(&request.body) {
         Ok(v) => v,
@@ -1314,21 +1289,12 @@ fn steward_restore(state: &AppState, request: &Request) -> Response {
         Err(r) => return r,
     };
     let mut mdm = state.mdm.write().expect("state poisoned");
-    match mdm.restored_from(snapshot) {
-        Ok(mut restored) => {
-            restored.ensure_epoch_at_least(mdm.epoch() + 1);
-            *mdm = restored;
-            if let Some(store) = state.store() {
-                // A restore replaces the whole state, which no journal op
-                // expresses: fold it into a fresh generation and re-attach
-                // the sink so subsequent mutations journal again.
-                if let Err(e) = store.compact(&mdm) {
-                    return mdm_error_response(&e);
-                }
-                mdm.set_journal(Some(store));
-            }
-            ack(&mdm, Vec::new())
-        }
+    let rebased = mdm.restore(snapshot).and_then(|()| match state.store() {
+        Some(store) => store.rebase(&mut mdm).map(|_| ()),
+        None => Ok(()),
+    });
+    match rebased {
+        Ok(()) => ack(&mdm, Vec::new()),
         Err(e) => mdm_error_response(&e),
     }
 }
@@ -1357,8 +1323,7 @@ fn with_walk_text<T>(
     handler: impl FnOnce(&Mdm, &Walk) -> Result<T, MdmError>,
 ) -> Result<T, Response> {
     let mdm = state.mdm.read().expect("state poisoned");
-    walk_dsl::parse_walk(text, mdm.ontology())
-        .and_then(|walk| walk.validate(mdm.ontology()).map(|()| walk))
+    mdm.parse_walk(text)
         .and_then(|walk| handler(&mdm, &walk))
         .map_err(|e| mdm_error_response(&e))
 }

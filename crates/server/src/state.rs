@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use mdm_core::{FsyncPolicy, Mdm, MetaStore};
+use mdm_core::{ChangeRecord, FsyncPolicy, Mdm, MetaStore};
 
 use crate::replication::{ReplicaStatus, ReplicationHub};
 use crate::ServerConfig;
@@ -175,6 +175,46 @@ impl AppState {
     /// Highest term this node has been fenced by (0 = never).
     pub fn fenced_by(&self) -> u64 {
         self.fenced_by.load(Ordering::SeqCst)
+    }
+
+    /// The changefeed after `since` (at most `limit` records), whether the
+    /// cursor is below the feed's horizon, and the metadata epoch it was
+    /// read at. With a non-zero `wait` a caught-up cursor parks until a
+    /// mutation lands or the wait expires: on the durable store's condvar
+    /// when there is one, otherwise polling the feed every 25 ms.
+    /// `GET /changes` and the REPL's `changes` while serving read it here.
+    pub fn changes(
+        &self,
+        since: u64,
+        limit: usize,
+        wait: Duration,
+    ) -> (Vec<ChangeRecord>, bool, u64) {
+        let deadline = Instant::now() + wait;
+        let store = self.store();
+        loop {
+            let (records, truncated, epoch, wal_mark) = {
+                let mdm = self.mdm.read().expect("state poisoned");
+                let (records, truncated) = mdm.changes_since(since, limit);
+                // The WAL position is read under the same lock as the feed,
+                // so the wait below cannot miss a commit that landed
+                // between "feed is empty" and "start waiting".
+                let wal_mark = store
+                    .as_ref()
+                    .map(|s| (s.generation(), s.stats().wal_records));
+                (records, truncated, mdm.epoch(), wal_mark)
+            };
+            let now = Instant::now();
+            if !records.is_empty() || truncated || now >= deadline {
+                return (records, truncated, epoch);
+            }
+            let remaining = deadline - now;
+            match (&store, wal_mark) {
+                (Some(store), Some((generation, wal_records))) => {
+                    store.wait_for_records(generation, wal_records, remaining);
+                }
+                _ => std::thread::sleep(remaining.min(Duration::from_millis(25))),
+            }
+        }
     }
 
     fn role_read(&self) -> std::sync::RwLockReadGuard<'_, RoleState> {

@@ -19,6 +19,8 @@
 //!   never); recovery truncates at the first incomplete or corrupt record.
 //! * [`store`] — the generation protocol: `snapshot.gen-N.ttl` +
 //!   `wal.gen-N.log`, atomically committed by renaming `CURRENT`.
+//! * `frame` — the one record frame the WAL and a replication batch carry,
+//!   with its encoder and bounded reader.
 //! * [`crc`] — CRC-32/IEEE, table-driven.
 //!
 //! ```no_run
@@ -39,6 +41,7 @@
 
 pub mod crc;
 pub mod error;
+mod frame;
 pub mod ship;
 pub mod store;
 pub mod wal;

@@ -22,20 +22,22 @@
 //! wal_len          u64      total records in the generation's WAL right now
 //! [snapshot]       u32 len | u32 crc | bytes      (only when flag bit 0)
 //! record_count     u32
-//! records          record_count × (u32 len | u64 epoch | u32 crc | payload)
+//! records          record_count × frame (u32 len | u64 epoch | u32 crc | payload)
 //! ```
 //!
 //! Version 2 added the fencing term fields; version-1 frames are rejected
 //! (replicas and primaries upgrade together, and a stale-version peer must
 //! reconnect through the handshake anyway).
 //!
-//! Record frames reuse the WAL's own integrity rule: the CRC-32 covers the
-//! epoch stamp (as 8 LE bytes) followed by the payload, so a replica checks
-//! exactly what recovery checks. The snapshot CRC covers the snapshot bytes.
+//! Records are the WAL's own frames (the `frame` module): the CRC-32 covers
+//! the epoch stamp (as 8 LE bytes) followed by the payload, and one reader
+//! checks them, so a replica checks exactly what recovery checks. The
+//! snapshot CRC covers the snapshot bytes.
 
 use crate::crc::Crc32;
 use crate::error::StoreError;
-use crate::wal::{WalRecord, MAX_RECORD_BYTES};
+use crate::frame::{self, BadFrame, FrameReader};
+use crate::wal::WalRecord;
 
 pub(crate) const REP_MAGIC: &[u8; 8] = b"MDMREP1\0";
 pub(crate) const REP_VERSION: u32 = 2;
@@ -107,12 +109,7 @@ impl ReplicationBatch {
         }
         out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
         for record in &self.records {
-            let mut crc = Crc32::new();
-            crc.update(&record.epoch.to_le_bytes());
-            crc.update(&record.payload);
-            out.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&record.epoch.to_le_bytes());
-            out.extend_from_slice(&crc.finish().to_le_bytes());
+            out.extend_from_slice(&frame::header(record.epoch, &record.payload));
             out.extend_from_slice(&record.payload);
         }
         out
@@ -122,36 +119,32 @@ impl ReplicationBatch {
     /// failure is `StoreError::Corrupt` — replicas treat that as a poisoned
     /// stream, not a panic.
     pub fn decode(bytes: &[u8]) -> Result<ReplicationBatch, StoreError> {
-        let mut reader = FrameReader { bytes, pos: 0 };
-        let magic = reader.take(8)?;
+        let mut reader = FrameReader::new(bytes);
+        let magic = reader.take(8).ok_or_else(truncated)?;
         if magic != REP_MAGIC {
             return Err(StoreError::Corrupt(
                 "replication batch: bad magic".to_string(),
             ));
         }
-        let version = reader.u32()?;
+        let version = reader.u32().ok_or_else(truncated)?;
         if version != REP_VERSION {
             return Err(StoreError::Corrupt(format!(
                 "replication batch: unsupported version {version}"
             )));
         }
-        let flags = reader.u32()?;
-        let term = reader.u64()?;
-        let term_start_epoch = reader.u64()?;
-        let generation = reader.u64()?;
-        let base_epoch = reader.u64()?;
-        let primary_epoch = reader.u64()?;
-        let start = reader.u64()?;
-        let wal_len = reader.u64()?;
+        let flags = reader.u32().ok_or_else(truncated)?;
+        let mut word = || reader.u64().ok_or_else(truncated);
+        let (term, term_start_epoch, generation) = (word()?, word()?, word()?);
+        let (base_epoch, primary_epoch, start, wal_len) = (word()?, word()?, word()?, word()?);
         let snapshot = if flags & FLAG_SNAPSHOT != 0 {
-            let len = reader.u32()?;
+            let len = reader.u32().ok_or_else(truncated)?;
             if len > MAX_SNAPSHOT_BYTES {
                 return Err(StoreError::Corrupt(format!(
                     "replication batch: snapshot of {len} bytes exceeds cap"
                 )));
             }
-            let expected = reader.u32()?;
-            let body = reader.take(len as usize)?;
+            let expected = reader.u32().ok_or_else(truncated)?;
+            let body = reader.take(len as usize).ok_or_else(truncated)?;
             let mut crc = Crc32::new();
             crc.update(body);
             if crc.finish() != expected {
@@ -166,37 +159,26 @@ impl ReplicationBatch {
         } else {
             None
         };
-        let count = reader.u32()?;
+        let count = reader.u32().ok_or_else(truncated)?;
         let mut records = Vec::new();
         for index in 0..count {
-            let len = reader.u32()?;
-            if len > MAX_RECORD_BYTES {
-                return Err(StoreError::Corrupt(format!(
+            let record = reader.record().map_err(|bad| match bad {
+                BadFrame::Torn => truncated(),
+                BadFrame::TooLong(len) => StoreError::Corrupt(format!(
                     "replication batch: record {index} of {len} bytes exceeds cap"
-                )));
-            }
-            let epoch = reader.u64()?;
-            let expected = reader.u32()?;
-            let payload = reader.take(len as usize)?;
-            let mut crc = Crc32::new();
-            crc.update(&epoch.to_le_bytes());
-            crc.update(payload);
-            if crc.finish() != expected {
-                return Err(StoreError::Corrupt(format!(
+                )),
+                BadFrame::Checksum => StoreError::Corrupt(format!(
                     "replication batch: record {} (wal offset {}) checksum mismatch",
                     index,
                     start + u64::from(index)
-                )));
-            }
-            records.push(WalRecord {
-                epoch,
-                payload: payload.to_vec(),
-            });
+                )),
+            })?;
+            records.push(record);
         }
-        if reader.pos != bytes.len() {
+        if reader.remaining() != 0 {
             return Err(StoreError::Corrupt(format!(
                 "replication batch: {} trailing bytes",
-                bytes.len() - reader.pos
+                reader.remaining()
             )));
         }
         Ok(ReplicationBatch {
@@ -213,34 +195,8 @@ impl ReplicationBatch {
     }
 }
 
-struct FrameReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
-        if self.bytes.len() - self.pos < len {
-            return Err(StoreError::Corrupt(
-                "replication batch: truncated frame".to_string(),
-            ));
-        }
-        let slice = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let bytes = self.take(4)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-        ]))
-    }
+fn truncated() -> StoreError {
+    StoreError::Corrupt("replication batch: truncated frame".to_string())
 }
 
 #[cfg(test)]

@@ -8,10 +8,9 @@
 //!            version  : u32 LE   (currently 1)
 //!            generation : u64 LE (which compaction generation this log extends)
 //!            base_epoch : u64 LE (metadata epoch of the generation's snapshot)
-//! record  := payload_len : u32 LE
-//!            epoch       : u64 LE (metadata epoch *after* the mutation)
-//!            crc32       : u32 LE (over epoch bytes ++ payload)
-//!            payload     : payload_len bytes (opaque to this crate)
+//! record  := one frame (see the `frame` module): payload_len : u32 LE,
+//!            epoch : u64 LE, crc32 : u32 LE over epoch ++ payload,
+//!            payload (opaque to this crate)
 //! ```
 //!
 //! Recovery reads records until the first incomplete or corrupt one and
@@ -27,13 +26,12 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crate::crc;
 use crate::error::StoreError;
+use crate::frame::{self, FrameReader};
 
 pub(crate) const MAGIC: &[u8; 8] = b"MDMWAL1\0";
 pub(crate) const FORMAT_VERSION: u32 = 1;
 pub(crate) const HEADER_BYTES: u64 = 8 + 4 + 8 + 8;
-const RECORD_HEADER_BYTES: usize = 4 + 8 + 4;
 
 /// Upper bound on a single record's payload; a length prefix beyond this is
 /// treated as corruption (a torn write that happened to leave plausible
@@ -111,61 +109,37 @@ pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| StoreError::io(format!("read {}", path.display()), e))?;
-    if bytes.len() < HEADER_BYTES as usize {
+    let mut reader = FrameReader::new(&bytes);
+    let (Some(magic), Some(version), Some(generation), Some(base_epoch)) =
+        (reader.take(8), reader.u32(), reader.u64(), reader.u64())
+    else {
         return Err(StoreError::Corrupt(format!(
             "{}: shorter than the {HEADER_BYTES}-byte header",
             path.display()
         )));
-    }
-    if &bytes[..8] != MAGIC {
+    };
+    if magic != MAGIC {
         return Err(StoreError::Corrupt(format!(
             "{}: bad magic (not an MDM WAL)",
             path.display()
         )));
     }
-    let version = u32_le(&bytes[8..12]);
     if version != FORMAT_VERSION {
         return Err(StoreError::Corrupt(format!(
             "{}: unsupported WAL format version {version} (this build reads {FORMAT_VERSION})",
             path.display()
         )));
     }
-    let generation = u64_le(&bytes[12..20]);
-    let base_epoch = u64_le(&bytes[20..28]);
 
+    // Every intact frame up to the first torn or corrupt one (see `frame`).
     let mut records = Vec::new();
-    let mut offset = HEADER_BYTES as usize;
-    loop {
-        let remaining = bytes.len() - offset;
-        if remaining == 0 {
-            break; // clean end
+    while reader.remaining() > 0 {
+        match reader.record() {
+            Ok(record) => records.push(record),
+            Err(_) => break,
         }
-        if remaining < RECORD_HEADER_BYTES {
-            break; // torn record header
-        }
-        let payload_len = u32_le(&bytes[offset..offset + 4]);
-        if payload_len > MAX_RECORD_BYTES {
-            break; // implausible length: garbage tail
-        }
-        let epoch = u64_le(&bytes[offset + 4..offset + 12]);
-        let stored_crc = u32_le(&bytes[offset + 12..offset + 16]);
-        let body_start = offset + RECORD_HEADER_BYTES;
-        let body_end = body_start + payload_len as usize;
-        if body_end > bytes.len() {
-            break; // torn payload
-        }
-        let mut crc = crc::Crc32::new();
-        crc.update(&bytes[offset + 4..offset + 12]);
-        crc.update(&bytes[body_start..body_end]);
-        if crc.finish() != stored_crc {
-            break; // bit rot or torn overwrite
-        }
-        records.push(WalRecord {
-            epoch,
-            payload: bytes[body_start..body_end].to_vec(),
-        });
-        offset = body_end;
     }
+    let offset = reader.pos();
     Ok(WalContents {
         generation,
         base_epoch,
@@ -263,21 +237,14 @@ impl WalWriter {
                 payload.len()
             )));
         }
-        let epoch_bytes = epoch.to_le_bytes();
-        let mut crc = crc::Crc32::new();
-        crc.update(&epoch_bytes);
-        crc.update(payload);
-        let frame_err = |e| StoreError::io("append WAL record".to_string(), e);
         self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())
-            .and_then(|()| self.writer.write_all(&epoch_bytes))
-            .and_then(|()| self.writer.write_all(&crc.finish().to_le_bytes()))
+            .write_all(&frame::header(epoch, payload))
             .and_then(|()| self.writer.write_all(payload))
             .and_then(|()| self.writer.flush())
-            .map_err(frame_err)?;
+            .map_err(|e| StoreError::io("append WAL record".to_string(), e))?;
         self.records += 1;
         self.unsynced += 1;
-        self.bytes += (RECORD_HEADER_BYTES + payload.len()) as u64;
+        self.bytes += (frame::HEADER_BYTES + payload.len()) as u64;
         match self.policy {
             FsyncPolicy::Always => self.sync(),
             FsyncPolicy::Interval(window) if self.last_sync.elapsed() >= window => self.sync(),
@@ -311,14 +278,6 @@ impl WalWriter {
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs
     }
-}
-
-fn u32_le(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes.try_into().expect("4-byte slice"))
-}
-
-fn u64_le(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("8-byte slice"))
 }
 
 #[cfg(test)]

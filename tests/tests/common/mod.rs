@@ -20,7 +20,7 @@ use mdm_core::{FsyncPolicy, Mdm, MutationOp};
 use mdm_dataform::{json, Value};
 use mdm_replica::{ReplicaConfig, ReplicaHandle, ReplicaNode};
 use mdm_server::client;
-use mdm_server::{serve_on, ServerConfig, ServerHandle};
+use mdm_server::{serve, ServerConfig, ServerHandle};
 use mdm_store::ReplicationBatch;
 use mdm_wrappers::football;
 
@@ -178,8 +178,7 @@ pub fn start_primary(tag: &str) -> (ServerHandle, PathBuf) {
 pub fn start_primary_in(dir: PathBuf) -> ServerHandle {
     let eco = football::build_default();
     let mdm = usecase::football_mdm(&eco).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    serve_on(listener, &primary_config(dir), mdm).unwrap()
+    serve(primary_config(dir), mdm).unwrap()
 }
 
 pub fn start_replica(primary: SocketAddr) -> ReplicaHandle {
