@@ -318,7 +318,9 @@ impl Session {
                 match usecase::football_mdm(&eco) {
                     Ok(mdm) => {
                         let wrappers = mdm.catalog().len();
-                        self.mdm = Some(mdm);
+                        // Over a loaded system the epoch keeps rising, as
+                        // after a restore.
+                        self.mdm.get_or_insert_with(Mdm::new).replace_with(mdm);
                         self.ecosystem = Some(eco);
                         self.apply_fault_plan();
                         self.apply_threads();
@@ -1404,6 +1406,42 @@ mod tests {
         let mut fresh = Session::new();
         assert!(text(fresh.interpret(&format!("restore {path}"))).contains("restore failed"));
         assert!(fresh.mdm.is_none());
+    }
+
+    #[test]
+    fn setup_over_a_loaded_system_keeps_the_epoch_rising() {
+        let dir = std::path::PathBuf::from(scratch_file("setup-epoch")).with_extension("d");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut session = Session::new();
+        session.set_fsync(FsyncPolicy::Never);
+        session.open_data_dir(&dir).unwrap();
+        session.interpret("setup football");
+        let wrappers = session.mdm.as_ref().unwrap().catalog().len();
+        session.interpret("evolve");
+        let evolved = session.mdm.as_ref().unwrap().epoch();
+        assert_eq!(evolved, 40);
+        assert!(text(session.interpret("setup football")).contains("loaded"));
+        let mdm = session.mdm.as_ref().unwrap();
+        assert_eq!(mdm.epoch(), evolved + 1);
+        assert_eq!(mdm.catalog().len(), wrappers);
+        let feed = text(session.interpret(&format!("changes --since {evolved}")));
+        assert!(feed.contains("below the feed's horizon"), "{feed}");
+        assert!(
+            feed.ends_with(&format!(
+                "0 change(s) after epoch {evolved}; metadata epoch {}",
+                evolved + 1
+            )),
+            "{feed}"
+        );
+        // The store was re-based at the raised epoch, not below it.
+        drop(session);
+        let mut reopened = Session::new();
+        let report = reopened.open_data_dir(&dir).unwrap();
+        assert!(
+            report.ends_with(&format!("epoch {}", evolved + 1)),
+            "{report}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1007,16 +1007,25 @@ impl Mdm {
     /// Swaps `document`'s metadata into this instance, as the REPL's
     /// `restore` and `POST /steward/restore` both do: the state is
     /// [`Mdm::restored_from`] (execution settings kept, wrapper catalog
-    /// empty) and its epoch rises past the one it replaces, never below,
-    /// which moves the changefeed's horizon there. The journal sink is
-    /// detached, as no journal op expresses a whole new state: a durable
-    /// front end re-bases its store on the result
-    /// ([`crate::MetaStore::rebase`]). On error `self` is untouched.
+    /// empty), swapped in by [`Mdm::replace_with`]. On error `self` is
+    /// untouched.
     pub fn restore(&mut self, document: &str) -> Result<(), MdmError> {
-        let mut restored = self.restored_from(document)?;
-        restored.ensure_epoch_at_least(self.epoch + 1);
-        *self = restored;
+        let restored = self.restored_from(document)?;
+        self.replace_with(restored);
         Ok(())
+    }
+
+    /// Replaces this whole system with `next` (a restore, the REPL's
+    /// `setup`). Its epoch rises past the one it replaces, never below:
+    /// when `next` is behind, it jumps there and the changefeed's horizon
+    /// moves with it, so no cursor or cached plan mistakes the new state
+    /// for an old one. The journal sink is `next`'s (none for a fresh or
+    /// restored instance), as no journal op expresses a whole new state: a
+    /// durable front end re-bases its store on the result
+    /// ([`crate::MetaStore::rebase`]).
+    pub fn replace_with(&mut self, mut next: Mdm) {
+        next.ensure_epoch_at_least(self.epoch + 1);
+        *self = next;
     }
 }
 

@@ -134,12 +134,21 @@ impl CompletionQueue {
         }
     }
 
+    /// Queues a completion. Only the push that finds the queue empty
+    /// wakes the loop: the loop takes the whole queue per wake, so later
+    /// pushes ride on the byte the first one wrote.
     pub fn push(&self, token: u64, response: Response) {
-        self.items
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .push((token, response));
-        self.wake_loop();
+        let was_empty = {
+            let mut items = self
+                .items
+                .lock()
+                .unwrap_or_else(|poison| poison.into_inner());
+            items.push((token, response));
+            items.len() == 1
+        };
+        if was_empty {
+            self.wake_loop();
+        }
     }
 
     /// Wakes the poll loop without queueing anything (shutdown).
@@ -322,10 +331,12 @@ impl EventLoop {
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_token: u64 = 1;
         let mut in_flight: usize = 0;
-        // Tokens parallel to the pollfd array built each iteration; 0 is
+        // Tokens parallel to the pollfd array refilled each iteration; 0 is
         // the wake pipe, u64::MAX the listener.
         const WAKE: u64 = 0;
         const LISTENER: u64 = u64::MAX;
+        let mut fds: Vec<sys::PollFd> = Vec::new();
+        let mut tokens: Vec<u64> = Vec::new();
 
         loop {
             let draining = stopping.load(Ordering::SeqCst);
@@ -339,8 +350,10 @@ impl EventLoop {
                 }
             }
 
-            let mut fds = vec![sys::PollFd::new(wake_rx.as_raw_fd(), sys::POLLIN)];
-            let mut tokens = vec![WAKE];
+            fds.clear();
+            tokens.clear();
+            fds.push(sys::PollFd::new(wake_rx.as_raw_fd(), sys::POLLIN));
+            tokens.push(WAKE);
             if !draining {
                 fds.push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
                 tokens.push(LISTENER);
@@ -375,11 +388,13 @@ impl EventLoop {
                 // than spin. Connections close with the loop.
                 break;
             }
+            state.poll_wakeups.fetch_add(1, Ordering::Relaxed);
 
-            // 1. Drain the wake pipe.
+            // 1. Drain the wake pipe: a read that comes back short took
+            //    every byte there was.
             if fds[0].revents & sys::POLLIN != 0 {
                 let mut sink = [0u8; 64];
-                while matches!((&wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+                while matches!((&wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
             }
 
             // 2. Apply completions: serialise responses and start writing.
@@ -523,10 +538,12 @@ impl EventLoop {
     }
 }
 
-/// Reads until `WouldBlock`, appending to the connection buffer — or until
-/// an unterminated head outgrows [`MAX_HEAD`], which `try_dispatch` then
-/// refuses. An EOF sets `read_eof`; hard errors propagate (connection
-/// closes).
+/// Reads until a read comes back short of its chunk, appending to the
+/// connection buffer — or until an unterminated head outgrows
+/// [`MAX_HEAD`], which `try_dispatch` then refuses. A short read took what
+/// the socket held, so no second `read` is spent to learn `WouldBlock`;
+/// poll is level-triggered and reports any later bytes again. An EOF sets
+/// `read_eof`; hard errors propagate (connection closes).
 fn fill_read(conn: &mut Conn) -> io::Result<()> {
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -538,6 +555,9 @@ fn fill_read(conn: &mut Conn) -> io::Result<()> {
             Ok(n) => {
                 conn.buf.extend_from_slice(&chunk[..n]);
                 conn.last_activity = Instant::now();
+                if n < chunk.len() {
+                    return Ok(());
+                }
                 if conn.buf.len() > MAX_HEAD {
                     conn.scan_headers();
                     if !conn.headers_done {
@@ -709,6 +729,20 @@ mod tests {
         let ready = sys::wait(&mut fds, 30).unwrap();
         assert_eq!(ready, 0);
         assert!(started.elapsed() >= Duration::from_millis(25));
+    }
+
+    #[test]
+    fn a_batch_of_completions_wakes_the_loop_once() {
+        let (rx, tx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let queue = CompletionQueue::new(tx);
+        let mut sink = [0u8; 8];
+        for round in 0..2 {
+            queue.push(1, Response::json(200, "{}"));
+            queue.push(2, Response::json(200, "{}"));
+            assert_eq!((&rx).read(&mut sink).unwrap(), 1, "round {round}");
+            assert_eq!(queue.drain().len(), 2);
+        }
     }
 
     #[test]

@@ -560,6 +560,10 @@ fn metrics(state: &AppState) -> Response {
             Value::int(state.started.elapsed().as_millis() as i64),
         ),
         ("workers", Value::int(state.workers as i64)),
+        (
+            "poll_wakeups_total",
+            Value::int(state.poll_wakeups.load(Relaxed) as i64),
+        ),
         ("plan_cache", cache),
         ("evolution", evolution),
         ("availability", availability),

@@ -58,6 +58,9 @@ pub struct AppState {
     pub shed: AtomicU64,
     /// Accepted connections waiting for a worker (load-shedding gauge).
     pub queued: AtomicUsize,
+    /// Times the event loop's `poll(2)` returned: one per wake, whatever
+    /// woke it (request bytes, a completion, an accept, a timeout).
+    pub poll_wakeups: AtomicU64,
     pub started: Instant,
     pub workers: usize,
     /// Queue depth beyond which new connections are shed with 503.
@@ -109,6 +112,7 @@ impl AppState {
             errors: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             queued: AtomicUsize::new(0),
+            poll_wakeups: AtomicU64::new(0),
             started: Instant::now(),
             workers: config.workers.max(1),
             max_pending: config.max_pending.max(1),

@@ -42,6 +42,16 @@ if grep -nE 'INVALIDATION_LOG_CAPACITY|LoggedMutation|AtomicU64' crates/core/src
     exit 1
 fi
 
+echo "==> no formatted writes straight into a socket (grep gate)"
+# With TCP_NODELAY every write(2) leaves as a segment of its own, and
+# write! issues one per formatted piece: a request or response is encoded
+# into a buffer first and leaves in one write_all. The match spans lines,
+# as rustfmt splits a long write! call after its parenthesis.
+if grep -rlzP 'write!\(\s*(&\s*)?(mut\s+)?\(?\s*self\.stream\b' crates/*/src; then
+    echo "a write! formats straight into a socket field (see the files above)"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -731,3 +731,38 @@ fn a_deeply_nested_body_is_rejected_and_the_server_lives() {
     assert_eq!(health.status, 200, "{}", health.body);
     server.shutdown();
 }
+
+/// A keep-alive request crosses loopback as one segment and its answer
+/// comes back through one completion, so the event loop wakes twice per
+/// request: once for the request, once for the worker's completion. A
+/// client that sends a request in pieces costs a wake per piece that
+/// arrives after the loop has read the ones before it (sent in six
+/// `write`s, a request cost 2.2–3.0). The bound leaves room for a few
+/// stray wakes, not for a second piece per request.
+#[test]
+fn a_keep_alive_request_costs_the_loop_few_wakes() {
+    const REQUESTS: i64 = 200;
+    let server = serve(ServerConfig::default(), Mdm::new()).unwrap();
+    let mut connection = client::Connection::open(server.addr()).unwrap();
+    let wakeups = |connection: &mut client::Connection| {
+        let metrics = connection.send("GET", "/metrics", None).unwrap();
+        let metrics = json::parse(&metrics.into_ok().unwrap()).expect("metrics are JSON");
+        int_of(&metrics, "poll_wakeups_total")
+    };
+    let before = wakeups(&mut connection);
+    for _ in 0..REQUESTS {
+        let health = connection.send("GET", "/healthz", None).unwrap();
+        assert_eq!(health.status, 200, "{}", health.body);
+    }
+    let after = wakeups(&mut connection);
+    // The last /metrics request is counted too.
+    let per_request = (after - before) as f64 / (REQUESTS + 1) as f64;
+    assert!(
+        per_request <= 2.05,
+        "{} wakes for {} requests ({per_request:.2} each)",
+        after - before,
+        REQUESTS + 1
+    );
+    drop(connection);
+    server.shutdown();
+}
