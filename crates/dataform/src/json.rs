@@ -194,22 +194,33 @@ pub fn write_number(out: &mut String, n: Number) {
     };
 }
 
-/// Appends `s` as a quoted, escaped JSON string.
+/// Appends `s` as a quoted, escaped JSON string. Each run of bytes that
+/// needs no escape is copied whole; the bytes escaped are all ASCII, so a
+/// run always ends on a char boundary.
 pub fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (at, &byte) in s.as_bytes().iter().enumerate() {
+        let control;
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                let hex = |nibble: u8| HEX[usize::from(nibble)];
+                control = [b'\\', b'u', b'0', b'0', hex(byte >> 4), hex(byte & 0xf)];
+                std::str::from_utf8(&control).expect("an escape is ASCII")
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        out.push_str(escape);
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -13,19 +13,27 @@
 //! under `term_cmp`, then strings at their rank in the term dictionary's
 //! content order, which the dictionary keeps across queries (so a warm
 //! merge hashes no string and sorts no string). A row's codes compare as
-//! its terms do, so sorting every input row once by (codes, position)
-//! gives the stable sort's order. Without floats, equal codes are exactly
-//! `==` terms, so δ keeps the first row of each run of equal codes: the
-//! earliest branch's row, as a first-seen δ over the union would. IEEE
-//! `==` is not an order (`-0.0 == 0.0`, `NaN != NaN`, ints against floats
-//! beyond 2^53), so an input with a float cell runs the [`ColDistinct`]
-//! kernel before the sort instead.
+//! its terms do. Without floats, equal codes are exactly `==` terms, so a
+//! row's codes *are* the row: the merge sorts the rows' code tuples alone,
+//! δ drops a tuple equal to its predecessor, and the answer is decoded
+//! from the tuples that survive — an int from its column's sorted numbers,
+//! a string from its rank. Under a labelled δ each row's branch rides below
+//! its codes, so a row several branches derive survives once per branch.
+//! When the key space is at most [`DENSE`] times the input rows, the sort
+//! is one counting pass; otherwise an LSD radix sort.
+//!
+//! IEEE `==` is not an order (`-0.0 == 0.0`, `NaN != NaN`, ints against
+//! floats beyond 2^53), and `1` and `1.0` share a code, so an input with a
+//! float cell takes the one other path: the [`ColDistinct`] kernel runs δ,
+//! each row's position rides below its codes so that ties keep input order
+//! (the stable sort's), and the survivors are read back through their
+//! batches.
 
 use std::collections::HashMap;
 
 use super::{
     dict, encode_value, term_cmp, ColDistinct, ColOperator, ColumnBatch, ContentOrder, Decoder,
-    KeyState, TermId, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_NULL, TAG_STR,
+    KeyState, Sel, TermId, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_NULL, TAG_STR,
 };
 use crate::executor::ExecError;
 use crate::intern::Sym;
@@ -162,15 +170,16 @@ impl MergedRows {
 /// as wide as `schema` (less the label column under
 /// [`MergeMode::Labelled`]). Whether a branch was deduplicated before does
 /// not change the result. Every input row is sorted once by its cells'
-/// order codes and its position, and δ drops a row whose codes equal its
-/// predecessor's (under a labelled δ, only within one branch). That keeps
-/// what a first-seen δ over the branches' concatenation keeps — exactly
-/// what the reference path (`mdm_core::query::answer_walk_with`) keeps —
-/// in the stable sort's order under `Value::cmp`. An input with a float cell is deduplicated by the
-/// [`ColDistinct`] kernel before the sort instead (one per branch under a
-/// labelled δ). The merge counts as one kernel invocation; every result
-/// cell counts as one decode (`schema.len()` per result row, none per
-/// input row): this is where the answer leaves the dictionary's ids.
+/// order codes, and δ drops a row whose codes equal its predecessor's
+/// (under a labelled δ, only within one branch). That keeps what a
+/// first-seen δ over the branches' concatenation keeps — exactly what the
+/// reference path (`mdm_core::query::answer_walk_with`) keeps — in the
+/// stable sort's order under `Value::cmp`. An input with a float cell is
+/// deduplicated by the [`ColDistinct`] kernel before the sort instead (one
+/// per branch under a labelled δ). The merge counts as one kernel
+/// invocation; every result cell counts as one decode (`schema.len()` per
+/// result row, none per input row): this is where the answer leaves the
+/// dictionary's ids.
 pub fn merge_branches(
     schema: Schema,
     branches: Vec<Vec<ColumnBatch>>,
@@ -208,41 +217,28 @@ pub fn merge_branches(
     let order = dict().content_order();
     let mut input = Input::new(branches, labels);
     let coders: Vec<Coder> = (0..out_width)
-        .map(|c| Coder::new(input.column(c), &order))
+        .map(|c| Coder::new(&input, c, &order))
         .collect();
-    let floats = coders.iter().any(|coder| coder.floats);
-    if distinct && floats {
-        let unlabelled = Schema::new(schema.columns()[..width].to_vec());
-        input.deduplicate(&unlabelled, per_branch)?;
-    }
-    // A run of equal codes is one row's duplicates; under a labelled δ only
-    // those of one branch are (positions follow branch order, so each
-    // branch's rows sit together within the run).
-    let dedup = distinct && !floats;
-    let same = |a: u32, b: u32| !per_branch || input.branch(a) == input.branch(b);
-    let survivors = sort_by_codes(&input, &coders, &order, |a, b| dedup && same(a, b));
-    drop(coders);
-
-    // Read the survivors through their batches, in position order, each
-    // into its row of the answer. A string cell carries its dictionary id
-    // until the answer's strings are numbered.
-    let mut row_of = vec![u32::MAX; input.len()];
-    for (row, &pos) in survivors.iter().enumerate() {
-        row_of[pos as usize] = row as u32;
-    }
-    let mut cells = vec![TermId::NULL; survivors.len() * out_width];
-    for c in 0..out_width {
-        let mut rows = row_of.iter();
-        input.column(c).for_each(|term| {
-            let row = *rows.next().expect("one row slot per input row");
-            if row != u32::MAX {
-                cells[row as usize * out_width + c] = term;
-            }
-        });
-    }
+    let (len, mut cells) = if coders.iter().any(|coder| coder.floats) {
+        if distinct {
+            let unlabelled = Schema::new(schema.columns()[..width].to_vec());
+            input.deduplicate(&unlabelled, per_branch)?;
+        }
+        let sorted = Sorted::new(&input, &coders, &order, Tail::Position, false);
+        let len = sorted.len();
+        (len, input.read(sorted.tails(), len, out_width, &order))
+    } else {
+        // Rows that share a label but not a branch are two derivations.
+        let tail = if distinct && per_branch {
+            Tail::Branch
+        } else {
+            Tail::None
+        };
+        let sorted = Sorted::new(&input, &coders, &order, tail, distinct);
+        (sorted.len(), sorted.decode(&coders))
+    };
     drop(input);
     let strings = number_strings(&mut cells, &order);
-    let len = survivors.len();
     metrics::record_decodes((len * out_width) as u64);
     Ok(MergedRows {
         schema,
@@ -256,8 +252,6 @@ pub fn merge_branches(
 /// with its branch. A row's *position* is its index in that order.
 struct Input {
     batches: Vec<(ColumnBatch, usize)>,
-    /// Each batch's first position.
-    starts: Vec<u32>,
     /// The label term per branch, empty when unlabelled.
     labels: Vec<TermId>,
 }
@@ -270,49 +264,77 @@ impl Input {
             .flat_map(|(branch, batches)| batches.into_iter().map(move |batch| (batch, branch)))
             .filter(|(batch, _)| batch.len() > 0)
             .collect();
-        let mut input = Input {
-            batches,
-            starts: Vec::new(),
-            labels,
-        };
-        input.number();
-        input
-    }
-
-    fn number(&mut self) {
-        let mut start = 0u32;
-        self.starts = self
-            .batches
-            .iter()
-            .map(|(batch, _)| {
-                let first = start;
-                start += batch.len() as u32;
-                first
-            })
-            .collect();
+        Input { batches, labels }
     }
 
     fn len(&self) -> usize {
         self.batches.iter().map(|(batch, _)| batch.len()).sum()
     }
 
-    /// Column `c`'s terms in position order; the column past the branches'
-    /// width is each row's label. (Drive it with `for_each`: a flattened
-    /// iterator's internal iteration is a plain loop per batch.)
-    fn column(&self, c: usize) -> impl Iterator<Item = TermId> + '_ {
+    /// Calls `f` with column `c`'s terms in position order; the column past
+    /// the branches' width is each row's label. The selection is matched
+    /// once per batch, so each batch is one plain loop.
+    fn for_each(&self, c: usize, mut f: impl FnMut(TermId)) {
+        for (batch, branch) in &self.batches {
+            let Some(column) = batch.columns.get(c) else {
+                let label = self.labels[*branch];
+                (0..batch.len()).for_each(|_| f(label));
+                continue;
+            };
+            match &batch.sel {
+                Sel::All => column.ids.iter().for_each(|&term| f(term)),
+                Sel::Range(start, end) => column.ids[*start as usize..*end as usize]
+                    .iter()
+                    .for_each(|&term| f(term)),
+                Sel::Rows(rows) => rows.iter().for_each(|&row| f(column.ids[row as usize])),
+            }
+        }
+    }
+
+    /// Each row's tail code in position order: its position under
+    /// [`Tail::Position`], else its branch.
+    fn tails(&self, tail: Tail) -> impl Iterator<Item = u32> + '_ {
+        let mut start = 0u32;
         self.batches.iter().flat_map(move |(batch, branch)| {
-            let column = batch.columns.get(c);
-            let label = self.labels.get(*branch).copied();
-            (0..batch.len()).map(move |i| match column {
-                Some(column) => column.ids[batch.row_id(i) as usize],
-                None => label.expect("only a labelled merge reads past the branches' width"),
+            let first = start;
+            start += batch.len() as u32;
+            (first..start).map(move |pos| match tail {
+                Tail::Position => pos,
+                Tail::Branch | Tail::None => *branch as u32,
             })
         })
     }
 
-    /// The branch of the row at position `pos`.
-    fn branch(&self, pos: u32) -> usize {
-        self.batches[self.starts.partition_point(|&start| start <= pos) - 1].1
+    /// The `len` rows at `positions`, in that order, row-major, `width`
+    /// cells a row; a string cell's payload is its content rank.
+    fn read(
+        &self,
+        positions: impl Iterator<Item = u32>,
+        len: usize,
+        width: usize,
+        order: &ContentOrder,
+    ) -> Vec<TermId> {
+        let mut row_of = vec![u32::MAX; self.len()];
+        for (row, pos) in positions.enumerate() {
+            row_of[pos as usize] = row as u32;
+        }
+        let mut cells = vec![TermId::NULL; len * width];
+        for c in 0..width {
+            let mut rows = row_of.iter();
+            self.for_each(c, |term| {
+                let row = *rows.next().expect("one row slot per input row");
+                if row != u32::MAX {
+                    cells[row as usize * width + c] = match term.tag {
+                        TAG_STR => TermId {
+                            tag: TAG_STR,
+                            bits: u64::from(order.rank(term.bits)),
+                        },
+                        _ => term,
+                    };
+                }
+            });
+        }
+        cells
     }
 
     /// Runs the [`ColDistinct`] kernel over the whole input, or over each
@@ -334,7 +356,6 @@ impl Input {
                 self.batches.push((batch.map_err(|e| e.message)?, branch));
             }
         }
-        self.number();
         Ok(())
     }
 }
@@ -348,12 +369,15 @@ fn index_bits(len: usize) -> u32 {
     bits_of(len.saturating_sub(1) as u64)
 }
 
-/// How one column's terms become order codes.
+/// How one column's terms become order codes, and codes terms again.
 struct Coder {
     /// Each distinct number of the column (exact terms, so `Int(1)` and
     /// `Float(1.0)` are two keys) to its code; numbers that tie under
     /// `term_cmp` share one.
-    numbers: HashMap<TermId, u32, KeyState>,
+    codes: HashMap<TermId, u32, KeyState>,
+    /// The column's distinct numbers, sorted under `term_cmp`. Without
+    /// floats no two tie, so the number at code `k` is `numbers[k - 3]`.
+    numbers: Vec<TermId>,
     /// The code of the first string: a string codes at this plus its rank.
     strings: u32,
     /// An upper bound on the column's codes.
@@ -363,15 +387,16 @@ struct Coder {
 }
 
 impl Coder {
-    fn new(terms: impl Iterator<Item = TermId>, order: &ContentOrder) -> Coder {
-        let mut numbers: HashMap<TermId, u32, KeyState> = HashMap::default();
-        let mut distinct: Vec<TermId> = Vec::new();
+    /// The coder of `input`'s column `c`.
+    fn new(input: &Input, c: usize, order: &ContentOrder) -> Coder {
+        let mut codes: HashMap<TermId, u32, KeyState> = HashMap::default();
+        let mut numbers: Vec<TermId> = Vec::new();
         let (mut texts, mut floats) = (false, false);
-        terms.for_each(|term| match term.tag {
+        input.for_each(c, |term| match term.tag {
             TAG_INT | TAG_FLOAT => {
                 floats |= term.tag == TAG_FLOAT;
-                numbers.entry(term).or_insert_with(|| {
-                    distinct.push(term);
+                codes.entry(term).or_insert_with(|| {
+                    numbers.push(term);
                     0
                 });
             }
@@ -380,16 +405,17 @@ impl Coder {
         });
         // Rank the distinct numbers densely under `term_cmp`, after the
         // three null and bool codes.
-        distinct.sort_unstable_by(|&a, &b| term_cmp(a, b));
+        numbers.sort_unstable_by(|&a, &b| term_cmp(a, b));
         let mut code = 2;
-        for (k, &term) in distinct.iter().enumerate() {
-            if k == 0 || term_cmp(distinct[k - 1], term).is_ne() {
+        for (k, &term) in numbers.iter().enumerate() {
+            if k == 0 || term_cmp(numbers[k - 1], term).is_ne() {
                 code += 1;
             }
-            numbers.insert(term, code);
+            codes.insert(term, code);
         }
         let strings = code + 1;
         Coder {
+            codes,
             numbers,
             strings,
             top: if texts {
@@ -410,97 +436,297 @@ impl Coder {
             TAG_NULL => 0,
             TAG_BOOL => 1 + term.bits as u32,
             TAG_STR => self.strings + order.rank(term.bits),
-            _ => self.numbers[&term],
+            _ => self.codes[&term],
+        }
+    }
+
+    /// The term at `code` in a float-free column; a string comes back with
+    /// its content rank as payload.
+    fn term(&self, code: u32) -> TermId {
+        match code {
+            0 => TermId::NULL,
+            1 | 2 => TermId::bool(code == 2),
+            _ if code < self.strings => self.numbers[code as usize - 3],
+            _ => TermId {
+                tag: TAG_STR,
+                bits: u64::from(code - self.strings),
+            },
         }
     }
 }
 
-/// Points each string cell of the answer at its index among the answer's
-/// distinct strings and returns those strings in content order, each
-/// decoded once. The string cells sort once by (rank, cell), so a run of
-/// one rank is one string: the work follows the answer's size, not the
-/// dictionary's.
+/// What rides below a row's codes in its sort key.
+#[derive(Clone, Copy, PartialEq)]
+enum Tail {
+    None,
+    /// The row's branch: a labelled δ keeps one row per branch.
+    Branch,
+    /// The row's position: ties keep input order, and the survivors can be
+    /// read back through their batches.
+    Position,
+}
+
+/// The most key space, as a multiple of the input rows, that the merge
+/// sorts by counting: a bitmap of it for δ, a `u32` count per key for a
+/// bag, so at most `4 × DENSE` bytes per input row.
+const DENSE: usize = 4;
+
+/// The input's sort keys, sorted: each row's codes, first column most
+/// significant, then its tail code unless the tail is [`Tail::None`]. Keys
+/// are not distinct; under δ a key equal to its predecessor is dropped.
+enum Sorted {
+    /// When every code's bits and the tail's fit in 64, one `u64` per key.
+    Packed {
+        keys: Vec<u64>,
+        /// Per column, then the tail: the code's shift and its mask.
+        fields: Vec<(u32, u64)>,
+    },
+    /// Otherwise `stride` codes per input row in `codes`, and the rows
+    /// sorted by comparing those slices.
+    Slices {
+        codes: Vec<u32>,
+        stride: usize,
+        rows: Vec<u32>,
+    },
+}
+
+impl Sorted {
+    fn new(
+        input: &Input,
+        coders: &[Coder],
+        order: &ContentOrder,
+        tail: Tail,
+        dedup: bool,
+    ) -> Sorted {
+        let len = input.len();
+        let tail_bits = match tail {
+            Tail::None => 0,
+            Tail::Branch => index_bits(input.labels.len()),
+            Tail::Position => index_bits(len),
+        };
+        let mut widths: Vec<u32> = coders.iter().map(Coder::bits).collect();
+        if tail != Tail::None {
+            widths.push(tail_bits);
+        }
+        let bits: u32 = widths.iter().sum();
+        if bits <= u64::BITS {
+            let mut keys = vec![0u64; len];
+            for (c, coder) in coders.iter().enumerate() {
+                let (bits, mut keys) = (widths[c], keys.iter_mut());
+                input.for_each(c, |term| {
+                    let key = keys.next().expect("one key per input row");
+                    *key = *key << bits | u64::from(coder.code(term, order));
+                });
+            }
+            if tail != Tail::None {
+                for (key, code) in keys.iter_mut().zip(input.tails(tail)) {
+                    *key = *key << tail_bits | u64::from(code);
+                }
+            }
+            // Rows come in position order, so the tail bits ascend already.
+            sort_keys(&mut keys, tail_bits, bits, dedup);
+            let mut shift = bits;
+            let fields = widths
+                .iter()
+                .map(|&bits| {
+                    shift -= bits;
+                    (shift, (1u64 << bits) - 1)
+                })
+                .collect();
+            Sorted::Packed { keys, fields }
+        } else {
+            let stride = widths.len();
+            let mut codes = vec![0u32; len * stride];
+            for (c, coder) in coders.iter().enumerate() {
+                let mut cells = codes.iter_mut().skip(c).step_by(stride);
+                input.for_each(c, |term| {
+                    *cells.next().expect("one code per input cell") = coder.code(term, order);
+                });
+            }
+            if tail != Tail::None {
+                let tails = codes.iter_mut().skip(stride - 1).step_by(stride);
+                for (cell, code) in tails.zip(input.tails(tail)) {
+                    *cell = code;
+                }
+            }
+            let row = |r: u32| &codes[r as usize * stride..][..stride];
+            let mut rows: Vec<u32> = (0..len as u32).collect();
+            rows.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            if dedup {
+                rows.dedup_by(|&mut a, &mut b| row(a) == row(b));
+            }
+            Sorted::Slices {
+                codes,
+                stride,
+                rows,
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Sorted::Packed { keys, .. } => keys.len(),
+            Sorted::Slices { rows, .. } => rows.len(),
+        }
+    }
+
+    /// Each key's tail code, in key order.
+    fn tails(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len()).map(move |r| match self {
+            Sorted::Packed { keys, fields } => {
+                let (shift, mask) = fields[fields.len() - 1];
+                (keys[r] >> shift & mask) as u32
+            }
+            Sorted::Slices {
+                codes,
+                stride,
+                rows,
+            } => codes[rows[r] as usize * stride + stride - 1],
+        })
+    }
+
+    /// The answer's cells, row-major, decoded from the keys of float-free
+    /// columns; a string cell's payload is its content rank.
+    fn decode(&self, coders: &[Coder]) -> Vec<TermId> {
+        let mut cells = Vec::with_capacity(self.len() * coders.len());
+        match self {
+            Sorted::Packed { keys, fields } => {
+                for &key in keys {
+                    cells.extend(
+                        coders.iter().zip(fields).map(|(coder, &(shift, mask))| {
+                            coder.term((key >> shift & mask) as u32)
+                        }),
+                    );
+                }
+            }
+            Sorted::Slices {
+                codes,
+                stride,
+                rows,
+            } => {
+                for &row in rows {
+                    let codes = &codes[row as usize * stride..];
+                    cells.extend(
+                        coders
+                            .iter()
+                            .zip(codes)
+                            .map(|(coder, &code)| coder.term(code)),
+                    );
+                }
+            }
+        }
+        cells
+    }
+}
+
+/// Sorts `keys` — ascending in their bits below `low` already — by all
+/// their `bits` bits, and drops each key equal to its predecessor when
+/// `dedup`. A key space of at most [`DENSE`] times the number of keys is
+/// sorted by counting; a larger one by [`radix_sort`].
+fn sort_keys(keys: &mut Vec<u64>, low: u32, bits: u32, dedup: bool) {
+    let space = 1usize.checked_shl(bits).unwrap_or(usize::MAX);
+    if space > DENSE.saturating_mul(keys.len()) {
+        radix_sort(keys, low, bits - low);
+        if dedup {
+            keys.dedup();
+        }
+    } else if dedup {
+        let mut seen = vec![0u64; space.div_ceil(64)];
+        for &key in keys.iter() {
+            seen[(key >> 6) as usize] |= 1 << (key & 63);
+        }
+        keys.clear();
+        for (word, mut set) in (0u64..).zip(seen) {
+            while set != 0 {
+                keys.push(word << 6 | u64::from(set.trailing_zeros()));
+                set &= set - 1;
+            }
+        }
+    } else {
+        let mut counts = vec![0u32; space];
+        for &key in keys.iter() {
+            counts[key as usize] += 1;
+        }
+        keys.clear();
+        for (key, count) in (0u64..).zip(counts) {
+            keys.extend(std::iter::repeat_n(key, count as usize));
+        }
+    }
+    if dedup {
+        // The answer is decoded beside the keys: hold only the survivors.
+        keys.shrink_to_fit();
+    }
+}
+
+/// Points each string cell of the answer, whose payload is its content
+/// rank, at its index among the answer's distinct strings, and returns
+/// those strings in content order, each decoded once. When the cells'
+/// ranks span at most [`DENSE`] ranks per string cell, a bitmap over that
+/// span numbers them: a string's index is the count of set bits below its
+/// rank. Otherwise the string cells sort once by (rank, cell), so a run of
+/// one rank is one string. Either way the work follows the answer's size,
+/// not the dictionary's.
 fn number_strings(cells: &mut [TermId], order: &ContentOrder) -> Vec<Sym> {
+    let (mut low, mut high, mut count) = (u64::MAX, 0, 0);
+    for cell in cells.iter().filter(|cell| cell.tag == TAG_STR) {
+        (low, high, count) = (low.min(cell.bits), high.max(cell.bits), count + 1);
+    }
+    let mut dec = Decoder::new();
+    let mut strings: Vec<Sym> = Vec::new();
+    if count == 0 {
+        return strings;
+    }
+    let span = (high - low) as usize + 1;
+    if span <= DENSE * count {
+        let mut seen = vec![0u64; span.div_ceil(64)];
+        for cell in cells.iter().filter(|cell| cell.tag == TAG_STR) {
+            let at = cell.bits - low;
+            seen[(at >> 6) as usize] |= 1 << (at & 63);
+        }
+        // The strings before each word of the bitmap.
+        let mut before = Vec::with_capacity(seen.len());
+        for (word, &set) in (0u64..).zip(&seen) {
+            before.push(strings.len() as u32);
+            let mut set = set;
+            while set != 0 {
+                let rank = low + (word << 6 | u64::from(set.trailing_zeros()));
+                strings.push(dec.sym(order.id(rank as u32)));
+                set &= set - 1;
+            }
+        }
+        for cell in cells.iter_mut().filter(|cell| cell.tag == TAG_STR) {
+            let at = cell.bits - low;
+            let below = seen[(at >> 6) as usize] & ((1u64 << (at & 63)) - 1);
+            cell.bits = u64::from(before[(at >> 6) as usize] + below.count_ones());
+        }
+        return strings;
+    }
     let cell_bits = index_bits(cells.len());
     let mut refs: Vec<u64> = cells
         .iter()
         .enumerate()
         .filter(|(_, cell)| cell.tag == TAG_STR)
-        .map(|(at, cell)| u64::from(order.rank(cell.bits)) << cell_bits | at as u64)
+        .map(|(at, cell)| (cell.bits - low) << cell_bits | at as u64)
         .collect();
-    radix_sort(&mut refs, cell_bits, index_bits(order.len()));
+    radix_sort(&mut refs, cell_bits, bits_of(high - low));
     let cell_mask = (1u64 << cell_bits) - 1;
-    let mut dec = Decoder::new();
-    let mut strings: Vec<Sym> = Vec::new();
     let mut last = None;
     for key in refs {
-        let rank = (key >> cell_bits) as u32;
+        let rank = key >> cell_bits;
         if last != Some(rank) {
             last = Some(rank);
-            strings.push(dec.sym(order.id(rank)));
+            strings.push(dec.sym(order.id((low + rank) as u32)));
         }
         cells[(key & cell_mask) as usize].bits = (strings.len() - 1) as u64;
     }
     strings
 }
 
-/// The input's positions sorted by their rows' codes, ties in position
-/// order; of each run of equal codes, a position is dropped when
-/// `duplicate(it, predecessor)` holds. When the columns' code widths plus
-/// the position's fit in 64 bits, a row's codes and its position pack into
-/// one `u64` key; otherwise rows sort by comparing their code slices.
-fn sort_by_codes(
-    input: &Input,
-    coders: &[Coder],
-    order: &ContentOrder,
-    duplicate: impl Fn(u32, u32) -> bool,
-) -> Vec<u32> {
-    let len = input.len();
-    let index_bits = index_bits(len);
-    let code_bits: u32 = coders.iter().map(Coder::bits).sum();
-    if code_bits + index_bits <= u64::BITS {
-        let mut keys = vec![0u64; len];
-        for (c, coder) in coders.iter().enumerate() {
-            let (bits, mut keys) = (coder.bits(), keys.iter_mut());
-            input.column(c).for_each(|term| {
-                let key = keys.next().expect("one key per input row");
-                *key = *key << bits | u64::from(coder.code(term, order));
-            });
-        }
-        for (pos, key) in keys.iter_mut().enumerate() {
-            *key = *key << index_bits | pos as u64;
-        }
-        radix_sort(&mut keys, index_bits, code_bits);
-        let index_mask = (1u64 << index_bits) - 1;
-        keys.dedup_by(|key, kept| {
-            *key >> index_bits == *kept >> index_bits
-                && duplicate((*key & index_mask) as u32, (*kept & index_mask) as u32)
-        });
-        keys.into_iter()
-            .map(|key| (key & index_mask) as u32)
-            .collect()
-    } else {
-        let width = coders.len();
-        let mut codes = vec![0u32; len * width];
-        for (c, coder) in coders.iter().enumerate() {
-            let mut cells = codes.iter_mut().skip(c).step_by(width);
-            input.column(c).for_each(|term| {
-                *cells.next().expect("one code per input cell") = coder.code(term, order);
-            });
-        }
-        let row = |r: u32| &codes[r as usize * width..][..width];
-        let mut order: Vec<u32> = (0..len as u32).collect();
-        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)).then(a.cmp(&b)));
-        order.dedup_by(|&mut pos, &mut kept| row(pos) == row(kept) && duplicate(pos, kept));
-        order
-    }
-}
-
-/// Sorts `keys` — distinct, and ascending in their bits below `low` — by
-/// their `bits` bits from `low` up: an LSD radix sort of at most 11 bits a
-/// pass, stable, so the order below `low` breaks ties and the keys end up
-/// ascending. A few keys take a comparison sort, which ends in the same
-/// order.
+/// Sorts `keys` — ascending in their bits below `low` — by their `bits`
+/// bits from `low` up: an LSD radix sort of at most 11 bits a pass, stable,
+/// so the order below `low` breaks ties and the keys end up ascending.
+/// Keys need not be distinct. A few keys take a comparison sort, which
+/// ends in the same order.
 fn radix_sort(keys: &mut Vec<u64>, low: u32, bits: u32) {
     if keys.len() <= 256 {
         keys.sort_unstable();

@@ -2,16 +2,21 @@
 //!
 //! [`merge_branches`] unions branch results while they are still term
 //! batches: one sort over per-column integer order codes (strings ranked
-//! by the dictionary's content order) in which δ drops adjacent equal rows
-//! — or, when a float is in the input, the δ kernel first — and hands back
-//! [`MergedRows`]: term rows plus the answer's strings. This file holds its
+//! by the dictionary's content order). Without a float, a row's codes are
+//! the row: δ drops adjacent equal code tuples (under a labelled δ, equal
+//! tuples of one branch) and the answer is decoded from the tuples that
+//! survive; a small enough key space is sorted by counting instead of by
+//! radix. With a float, the δ kernel runs first and the survivors are read
+//! back through their batches. Either way it hands back [`MergedRows`]:
+//! term rows plus the answer's strings. This file holds its
 //! [`MergedRows::to_table`], row for row and spelling for spelling, to the
 //! obvious thing written over decoded rows — concatenate in branch order,
 //! keep the first of `==` rows, `sort()` — over the cells where the two
 //! could drift apart: NULLs, bools, `-0.0`/`0.0`, `Int`/`Float` pairs that
-//! are `==` under coercion, inline and long strings, provenance labels,
-//! rows too wide to pack, and strings the dictionary learns between (or
-//! during) merges.
+//! are `==` under coercion, inline and long strings, provenance labels
+//! (two branches sharing one), rows too wide to pack, key spaces on both
+//! sides of the counting sort's gate, inputs that are mostly duplicates,
+//! and strings the dictionary learns between (or during) merges.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
@@ -279,16 +284,10 @@ proptest! {
 /// merge radix-sorts them over several passes instead of comparing them.
 #[test]
 fn many_rows_radix_sort_like_the_reference() {
-    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
     let mut cell = || match next() % 16 {
         0 => Value::Null,
-        1 => Value::Bool(next() % 2 == 0),
+        1 => Value::Bool(next().is_multiple_of(2)),
         2..=5 => Value::Int((next() % 9) as i64 - 4),
         6..=8 => Value::str(POOLED[(next() % 2) as usize]),
         _ => Value::str(format!("r{}", next() % 40)),
@@ -299,6 +298,120 @@ fn many_rows_radix_sort_like_the_reference() {
     for batch_size in [7, 1024] {
         check_every_mode(&branches, 3, batch_size).expect("merge matches the reference");
     }
+}
+
+/// A xorshift stream, so the larger fixtures are fixed without a seeded
+/// runner.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// `len` rows of `width` cells, each a null, a bool or one of `ints`
+/// ints; the first rows cover every int in every column, so each column's
+/// codes run to exactly `2 + ints`.
+fn coded_rows(len: usize, width: usize, ints: usize, seed: u64) -> Vec<Tuple> {
+    let mut next = xorshift(seed);
+    (0..len)
+        .map(|r| {
+            (0..width)
+                .map(|_| match (r < ints, next() % (ints as u64 + 3)) {
+                    (true, _) => Value::Int(r as i64 - 4),
+                    (false, 0) => Value::Null,
+                    (false, 1) => Value::Bool(false),
+                    (false, 2) => Value::Bool(true),
+                    (false, i) => Value::Int(i as i64 - 7),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The merge sorts by counting when its key space is at most 4 keys per
+/// input row. Two columns of 13 ints (codes up to 15, 4 bits each) make an
+/// 8-bit key: 256 keys, so 64 rows is exactly at the gate, 63 just sparse
+/// and 65 just dense. A labelled merge adds the label's code (and under δ
+/// the branch) to the key, and lands on one side or the other.
+#[test]
+fn every_mode_matches_the_reference_around_the_dense_gate() {
+    for len in [16, 63, 64, 65, 200] {
+        let rows = coded_rows(len, 2, 13, 0x51_7cc1_b727_220a);
+        let branches = split(rows, 2, &[len / 3, len / 2]);
+        for batch_size in [5, 1024] {
+            check_every_mode(&branches, 2, batch_size).expect("merge matches the reference");
+        }
+    }
+}
+
+/// The same gate with more keys than the comparison sort takes: two
+/// columns of 61 ints (codes up to 63, 6 bits each) make 4 096 keys, so
+/// 1 024 rows is exactly at the gate and the sparse side radix-sorts.
+#[test]
+fn bag_and_distinct_match_the_reference_around_a_larger_dense_gate() {
+    for len in [1_023, 1_024, 1_025] {
+        let rows = coded_rows(len, 2, 61, 0x2545_f491_4f6c_dd1d);
+        let branches = split(rows, 2, &[len / 4, len / 2]);
+        for (mode, distinct) in [(MergeMode::All, false), (MergeMode::Distinct, true)] {
+            let merged_rows = merge_branches(schema_of(2), encode(&branches, 2, 256, false), mode)
+                .expect("merge succeeds");
+            assert_eq!(
+                merged(&merged_rows),
+                spelled(&naive(&branches, None, distinct)),
+                "{len} rows, δ: {distinct}"
+            );
+        }
+    }
+}
+
+/// Thousands of rows over a handful of distinct ones — nulls, bools, ints
+/// and strings in one column set — where nearly every row is a duplicate,
+/// both within a branch and across branches.
+#[test]
+fn rows_that_are_mostly_duplicates_merge_like_the_reference() {
+    let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+    let mut cell = || match next() % 6 {
+        0 => Value::Null,
+        1 => Value::Bool(true),
+        2 | 3 => Value::Int((next() % 3) as i64),
+        _ => Value::str(["x", "y"][(next() % 2) as usize]),
+    };
+    let branches: Vec<Vec<Tuple>> = (0..3)
+        .map(|_| (0..1_500).map(|_| vec![cell(), cell()]).collect())
+        .collect();
+    for batch_size in [64, 1024] {
+        check_every_mode(&branches, 2, batch_size).expect("merge matches the reference");
+    }
+}
+
+/// Two branches that derive the same rows under one label: a labelled δ
+/// keys on the branch, so each row comes out twice, while a plain δ keeps
+/// it once.
+#[test]
+fn a_labelled_distinct_keeps_a_row_per_branch_that_shares_a_label() {
+    let rows: Vec<Tuple> = vec![
+        vec![Value::Int(2), Value::str("b")],
+        vec![Value::Null, Value::Bool(false)],
+        vec![Value::Int(2), Value::str("b")],
+    ];
+    let branches = vec![rows.clone(), rows.clone(), vec![rows[1].clone()]];
+    let labels = [Value::str("w1"), Value::str("w1"), Value::str("w2")];
+    let labelled = merge_branches(
+        schema_of(3),
+        encode(&branches, 2, 1024, false),
+        MergeMode::Labelled {
+            labels: &labels,
+            distinct: true,
+        },
+    )
+    .expect("merge succeeds");
+    let expected = naive(&branches, Some(&labels), true);
+    assert_eq!(expected.len(), 5);
+    assert_eq!(merged(&labelled), spelled(&expected));
+    check_every_mode(&branches, 2, 1).expect("merge matches the reference");
 }
 
 /// A few rows after the dictionary has grown by tens of thousands of
@@ -331,13 +444,7 @@ fn a_small_answer_over_a_large_dictionary_merges_like_the_reference() {
 /// sorts by comparing code slices instead, into the same order.
 #[test]
 fn codes_too_wide_to_pack_sort_like_the_reference() {
-    let mut state = 0x2545_f491_4f6c_dd1d_u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = xorshift(0x2545_f491_4f6c_dd1d);
     let mut row = || -> Tuple {
         (0..6)
             .map(|c| match next() % 4096 {

@@ -11,7 +11,7 @@ use std::io::{self, BufRead, Write};
 const MAX_LINE: usize = 8 * 1024;
 /// Upper bound on header count.
 const MAX_HEADERS: usize = 100;
-/// The longest request head [`read_request`] accepts with CRLF line ends:
+/// The longest request head [`parse_buffered`] accepts with CRLF line ends:
 /// the request line and [`MAX_HEADERS`] headers, each up to [`MAX_LINE`]
 /// bytes, then the blank line. A longer head without its blank line can
 /// only end in the parser's 400.
@@ -87,10 +87,11 @@ fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "header line is not UTF-8"))
 }
 
-/// Reads one request. `Ok(None)` means the peer closed the connection
-/// cleanly before sending another request (normal keep-alive shutdown);
+/// Reads one request head — the request line and headers through the
+/// blank line — into a request with an empty body, plus the body length
+/// it declares. `Ok(None)` means the reader ended before a request line;
 /// `InvalidData` errors mean a malformed request (answer 400 and close).
-pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
+fn read_head(reader: &mut impl BufRead) -> io::Result<Option<(Request, usize)>> {
     let request_line = match read_line(reader)? {
         Some(line) if !line.is_empty() => line,
         _ => return Ok(None),
@@ -139,32 +140,30 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
         }
     }
 
-    let mut request = Request {
+    let request = Request {
         method: method.to_string(),
         path,
         query,
         headers,
         body: Vec::new(),
     };
-    if let Some(length) = request.header("content-length") {
-        let length: usize = length.parse().map_err(|_| {
+    let length = match request.header("content-length") {
+        Some(length) => length.parse().map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("bad Content-Length '{length}'"),
             )
-        })?;
-        if length > MAX_BODY {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-        }
-        let mut body = vec![0u8; length];
-        reader.read_exact(&mut body)?;
-        request.body = body;
+        })?,
+        None => 0,
+    };
+    if length > MAX_BODY {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
-    Ok(Some(request))
+    Ok(Some((request, length)))
 }
 
 /// A `BufRead` over a byte slice that reports `WouldBlock` instead of EOF
-/// when the slice runs out. Feeding it to [`read_request`] turns the
+/// when the slice runs out. Feeding it to [`read_head`] turns the
 /// blocking parser into an incremental one: `WouldBlock` surfacing from any
 /// depth of the parse means "the buffer holds only a request prefix — read
 /// more bytes and retry", while real protocol errors (`InvalidData`) keep
@@ -210,14 +209,22 @@ impl BufRead for PartialReader<'_> {
 /// * `Err(InvalidData)` — malformed; answer 400 and close.
 pub fn parse_buffered(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
     let mut reader = PartialReader { bytes: buf, pos: 0 };
-    match read_request(&mut reader) {
-        Ok(Some(request)) => Ok(Some((request, reader.pos))),
-        // `read_request` only returns None on EOF, which PartialReader
-        // never reports; treat it as "incomplete" for robustness.
-        Ok(None) => Ok(None),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
-    }
+    let (mut request, length) = match read_head(&mut reader) {
+        Ok(Some(head)) => head,
+        // `read_head` only returns None on EOF, which PartialReader never
+        // reports; treat it as "incomplete" for robustness.
+        Ok(None) => return Ok(None),
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    // The body is copied once the buffer holds all of it, so a head that
+    // declares a large body allocates nothing for it while it arrives.
+    let end = reader.pos + length;
+    let Some(body) = buf.get(reader.pos..end) else {
+        return Ok(None);
+    };
+    request.body = body.to_vec();
+    Ok(Some((request, end)))
 }
 
 /// A response ready to serialise.
@@ -311,10 +318,9 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(raw: &str) -> io::Result<Option<Request>> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        parse_buffered(raw.as_bytes()).map(|parsed| parsed.map(|(request, _)| request))
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! reintroduces per-cell `String` clones fails CI instead of only showing
 //! up in benchmarks. A wrapper's cold fill — its release streamed into
 //! resident term columns — is held to a peak-memory bound and a ceiling of
-//! its own. A warm plan-cache hit allocates nothing beyond the walk's key.
+//! its own, and the served query to a peak-memory ceiling too. A warm
+//! plan-cache hit allocates nothing beyond the walk's key.
 //!
 //! The counting allocator wraps [`System`] and lives in its own integration
 //! test binary so the count reflects only this file's work; the tests take
@@ -171,12 +172,15 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
 /// Heap-allocation ceiling for one warmed, sequential
 /// `Mdm::query_degraded` of the same walk — the *served* path: the branch
 /// executions and the UCQ merge, whose answer stays in term form
-/// (`MergedRows`). Measured 5,493 allocations on the recording machine for
-/// a 39,171-row answer when this test runs first in its process (3,838
+/// (`MergedRows`). Measured 5,291 allocations on the recording machine for
+/// a 39,171-row answer when this test runs first in its process (3,652
 /// after the E6 test above has warmed the process-wide state): plans,
 /// batches and the merge's few buffers (the sort keys and their radix
-/// buffer, a row slot per input row, the answer's cells, and its string
-/// cells' rank keys with theirs), none per row. While the
+/// buffer, the answer's cells, and the bitmap that numbers its strings),
+/// none per row. While the merge keyed every row on its codes and its
+/// position and read the survivors back through their batches (a row slot
+/// per input row, and the answer's string cells radix-sorted by rank) it
+/// was 5,307 (3,668), recorded earlier as 5,493 (3,838). While the
 /// merge ran the δ kernel and then numbered each column's terms in a hash
 /// map it was 5,802 (4,095). The merge is the answer's only δ; while every branch also ran
 /// its own (a selection `Vec` per batch and a growing seen table per
@@ -191,7 +195,18 @@ fn warmed_e6_execution_stays_under_allocation_budget() {
 /// sort. ~10% headroom; decoding the answer into rows again costs one
 /// allocation per *result* row, a per-query row clone one per *fetched*
 /// row, and either lands far above it.
-const SERVED_E6_10K_ALLOC_CEILING: u64 = 6_000;
+const SERVED_E6_10K_ALLOC_CEILING: u64 = 5_800;
+
+/// Ceiling on the same query's peak live heap above what was live before
+/// it. Measured 4,145,344 bytes on the recording machine (the same in
+/// every run, first in its process or not). The merge sorts 80,000 keys,
+/// δ leaves 39,171, and the key buffer shrinks to those before the
+/// answer's cells are decoded beside it; unshrunk it peaked at 4,471,992.
+/// While the merge kept each row's position below its codes and read the
+/// survivors back through their batches (a row slot per input row and the
+/// survivors' positions beside the cells) it was 4,308,772. ~2.5%
+/// headroom (105 kB): a buffer of one `u32` per input row alone is 320 kB.
+const SERVED_E6_10K_PEAK_CEILING: u64 = 4_250_000;
 
 #[test]
 fn warmed_served_query_stays_under_allocation_budget() {
@@ -210,11 +225,13 @@ fn warmed_served_query_stays_under_allocation_budget() {
     assert!(!warm.rows.is_empty(), "E6 must produce rows");
 
     let columnar_before = metrics::snapshot().columnar;
+    let live_before = reset_peak();
     let before = allocations();
     let answer = mdm
         .query_degraded(&walk, Deadline::none())
         .expect("measured query executes");
     let spent = allocations() - before;
+    let peak = PEAK.load(Ordering::Relaxed) - live_before;
     let columnar = metrics::snapshot().columnar;
     let decoded = columnar.decodes - columnar_before.decodes;
 
@@ -234,11 +251,16 @@ fn warmed_served_query_stays_under_allocation_budget() {
         "a columnar query_degraded decodes result rows × width terms, no more"
     );
     eprintln!(
-        "warmed served E6 @10k spent {spent} allocations (ceiling {SERVED_E6_10K_ALLOC_CEILING})"
+        "warmed served E6 @10k spent {spent} allocations (ceiling {SERVED_E6_10K_ALLOC_CEILING}), \
+         peak {peak} B above {live_before} B live (ceiling {SERVED_E6_10K_PEAK_CEILING})"
     );
     assert!(
         spent <= SERVED_E6_10K_ALLOC_CEILING,
         "warmed served E6 @10k spent {spent} allocations, budget is {SERVED_E6_10K_ALLOC_CEILING}"
+    );
+    assert!(
+        peak <= SERVED_E6_10K_PEAK_CEILING,
+        "warmed served E6 @10k peaked {peak} B above its start, budget is {SERVED_E6_10K_PEAK_CEILING}"
     );
 }
 
