@@ -19,8 +19,11 @@
 //! from the tuples that survive — an int from its column's sorted numbers,
 //! a string from its rank. Under a labelled δ each row's branch rides below
 //! its codes, so a row several branches derive survives once per branch.
-//! When the key space is at most [`DENSE`] times the input rows, the sort
-//! is one counting pass; otherwise an LSD radix sort.
+//! A string's code counts every string the dictionary ranks below it, so
+//! the key space grows with the dictionary, not only with the input. Under
+//! δ, when that space is at most [`DENSE`] times the input rows, δ and the
+//! sort are one pass over a bitmap; otherwise, and always for a bag, an LSD
+//! radix sort.
 //!
 //! IEEE `==` is not an order (`-0.0 == 0.0`, `NaN != NaN`, ints against
 //! floats beyond 2^53), and `1` and `1.0` share a code, so an input with a
@@ -466,9 +469,9 @@ enum Tail {
     Position,
 }
 
-/// The most key space, as a multiple of the input rows, that the merge
-/// sorts by counting: a bitmap of it for δ, a `u32` count per key for a
-/// bag, so at most `4 × DENSE` bytes per input row.
+/// The most key space, as a multiple of the input rows, that a δ merge
+/// sorts by counting: a bitmap of it, so at most `DENSE / 8` bytes per
+/// input row.
 const DENSE: usize = 4;
 
 /// The input's sort keys, sorted: each row's codes, first column most
@@ -621,16 +624,18 @@ impl Sorted {
 
 /// Sorts `keys` — ascending in their bits below `low` already — by all
 /// their `bits` bits, and drops each key equal to its predecessor when
-/// `dedup`. A key space of at most [`DENSE`] times the number of keys is
-/// sorted by counting; a larger one by [`radix_sort`].
+/// `dedup`. Under δ a key space of at most [`DENSE`] times the number of
+/// keys is one pass over a bitmap; anything else is [`radix_sort`].
 fn sort_keys(keys: &mut Vec<u64>, low: u32, bits: u32, dedup: bool) {
+    if !dedup {
+        radix_sort(keys, low, bits - low);
+        return;
+    }
     let space = 1usize.checked_shl(bits).unwrap_or(usize::MAX);
     if space > DENSE.saturating_mul(keys.len()) {
         radix_sort(keys, low, bits - low);
-        if dedup {
-            keys.dedup();
-        }
-    } else if dedup {
+        keys.dedup();
+    } else {
         let mut seen = vec![0u64; space.div_ceil(64)];
         for &key in keys.iter() {
             seen[(key >> 6) as usize] |= 1 << (key & 63);
@@ -642,20 +647,9 @@ fn sort_keys(keys: &mut Vec<u64>, low: u32, bits: u32, dedup: bool) {
                 set &= set - 1;
             }
         }
-    } else {
-        let mut counts = vec![0u32; space];
-        for &key in keys.iter() {
-            counts[key as usize] += 1;
-        }
-        keys.clear();
-        for (key, count) in (0u64..).zip(counts) {
-            keys.extend(std::iter::repeat_n(key, count as usize));
-        }
     }
-    if dedup {
-        // The answer is decoded beside the keys: hold only the survivors.
-        keys.shrink_to_fit();
-    }
+    // The answer is decoded beside the keys: hold only the survivors.
+    keys.shrink_to_fit();
 }
 
 /// Points each string cell of the answer, whose payload is its content

@@ -5,17 +5,17 @@
 //! by the dictionary's content order). Without a float, a row's codes are
 //! the row: δ drops adjacent equal code tuples (under a labelled δ, equal
 //! tuples of one branch) and the answer is decoded from the tuples that
-//! survive; a small enough key space is sorted by counting instead of by
-//! radix. With a float, the δ kernel runs first and the survivors are read
-//! back through their batches. Either way it hands back [`MergedRows`]:
-//! term rows plus the answer's strings. This file holds its
+//! survive; under δ a small enough key space is one pass over a bitmap
+//! instead of a radix sort. With a float, the δ kernel runs first and the
+//! survivors are read back through their batches. Either way it hands back
+//! [`MergedRows`]: term rows plus the answer's strings. This file holds its
 //! [`MergedRows::to_table`], row for row and spelling for spelling, to the
 //! obvious thing written over decoded rows — concatenate in branch order,
 //! keep the first of `==` rows, `sort()` — over the cells where the two
 //! could drift apart: NULLs, bools, `-0.0`/`0.0`, `Int`/`Float` pairs that
 //! are `==` under coercion, inline and long strings, provenance labels
 //! (two branches sharing one), rows too wide to pack, key spaces on both
-//! sides of the counting sort's gate, inputs that are mostly duplicates,
+//! sides of the bitmap pass's gate, inputs that are mostly duplicates,
 //! and strings the dictionary learns between (or during) merges.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -331,11 +331,12 @@ fn coded_rows(len: usize, width: usize, ints: usize, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
-/// The merge sorts by counting when its key space is at most 4 keys per
-/// input row. Two columns of 13 ints (codes up to 15, 4 bits each) make an
-/// 8-bit key: 256 keys, so 64 rows is exactly at the gate, 63 just sparse
-/// and 65 just dense. A labelled merge adds the label's code (and under δ
-/// the branch) to the key, and lands on one side or the other.
+/// A δ merge sorts by one bitmap pass when its key space is at most 4 keys
+/// per input row; a bag always radix-sorts. Two columns of 13 ints (codes
+/// up to 15, 4 bits each) make an 8-bit key: 256 keys, so 64 rows is
+/// exactly at the gate, 63 just sparse and 65 just dense. A labelled merge
+/// adds the label's code (and under δ the branch) to the key, and lands on
+/// one side or the other.
 #[test]
 fn every_mode_matches_the_reference_around_the_dense_gate() {
     for len in [16, 63, 64, 65, 200] {
@@ -349,7 +350,7 @@ fn every_mode_matches_the_reference_around_the_dense_gate() {
 
 /// The same gate with more keys than the comparison sort takes: two
 /// columns of 61 ints (codes up to 63, 6 bits each) make 4 096 keys, so
-/// 1 024 rows is exactly at the gate and the sparse side radix-sorts.
+/// 1 024 rows is exactly at δ's gate and the sparse side radix-sorts.
 #[test]
 fn bag_and_distinct_match_the_reference_around_a_larger_dense_gate() {
     for len in [1_023, 1_024, 1_025] {
